@@ -192,7 +192,7 @@ func (e *Engine) Method() Method { return e.method }
 func (e *Engine) IndexOptions() Options { return e.opts }
 
 // Epoch returns the current generation's epoch. It advances on every
-// published mutation (insert, delete, scorer refresh, compaction), so
+// published mutation (insert, delete, compaction) and on nothing else, so
 // owners managing many engines — the tenant registry's evict-to-disk
 // path — can cheaply detect whether an engine changed since a snapshot
 // was last saved.
@@ -338,9 +338,9 @@ type ScoredResult struct {
 // SearchTopK runs a relevance-ranked time-travel query: among the objects
 // matching the containment query, return the k most relevant, scored by
 // element rarity (IDF) blended with temporal overlap — the ranked-search
-// extension the paper leaves as future work. IDF weights snapshot the
-// collection at the first ranked search; call RefreshScorer after bulk
-// updates to re-weigh.
+// extension the paper leaves as future work. IDF weights are those of
+// the generation the query runs against: every stored object counts,
+// inserted a moment ago or tombstoned but not yet compacted away.
 func (e *Engine) SearchTopK(start, end Timestamp, k int, terms ...string) []ScoredResult {
 	return e.searchTopKTraced(nil, start, end, k, terms)
 }
@@ -348,11 +348,11 @@ func (e *Engine) SearchTopK(start, end Timestamp, k int, terms ...string) []Scor
 // searchTopKTraced is the SearchTopK body with an optional trace
 // recorder (nil = disabled).
 func (e *Engine) searchTopKTraced(tr *obs.Trace, start, end Timestamp, k int, terms []string) []ScoredResult {
-	g := e.ensureScorer()
 	elems, ok := e.resolveTermsTraced(tr, terms)
 	if !ok {
 		return nil
 	}
+	g := e.snapshot()
 	q := Query{Interval: model.Canon(start, end), Elems: model.NormalizeElems(elems), Trace: tr}
 	results := rankTopK(g, q, k, tr)
 	out := make([]ScoredResult, len(results))
@@ -368,26 +368,32 @@ func (e *Engine) searchTopKTraced(tr *obs.Trace, start, end Timestamp, k int, te
 // postings/intersect/filter spans that query records.
 func rankTopK(g *maint.Generation, q Query, k int, tr *obs.Trace) []rank.Result {
 	defer tr.StartStage(obs.StageRank).End()
-	return rank.TopK(g, g.Coll(), g.Scorer(), q, k)
+	return rank.TopKQuery(g, g.Coll(), queryScorer([]*maint.Generation{g}, q.Elems), q, k)
 }
 
-// ensureScorer returns a generation that carries an IDF scorer, lazily
-// computing one on first use. Concurrent first calls may both compute;
-// publication is serialized inside the store, so the race is benign.
-func (e *Engine) ensureScorer() *maint.Generation {
-	if g := e.snapshot(); g.Scorer() != nil {
-		return g
+// queryScorer builds one ranked query's scorer from the statistics of
+// the generations it runs against (one, or one per shard): populations
+// and per-element document frequencies summed, so every shard scores
+// with the weights a single engine over the whole corpus would use.
+func queryScorer(gens []*maint.Generation, elems []ElemID) rank.QueryScorer {
+	n := 0
+	for _, g := range gens {
+		n += len(g.Coll().Objects)
 	}
-	e.RefreshScorer()
-	return e.snapshot()
+	return rank.NewQueryScorer(elems, n, func(e ElemID) int {
+		df := 0
+		for _, g := range gens {
+			df += g.DocFreq(e)
+		}
+		return df
+	}, rank.ScorerConfig{})
 }
 
-// RefreshScorer recomputes the IDF weights used by SearchTopK from the
-// current collection contents.
-func (e *Engine) RefreshScorer() {
-	g := e.snapshot()
-	e.store.SetScorer(rank.NewScorer(g.Coll(), rank.ScorerConfig{}))
-}
+// RefreshScorer does nothing: ranked search reads always-current
+// statistics, so there is no scorer to refresh.
+//
+// Deprecated: kept only because the frozen benchmark still calls it.
+func (e *Engine) RefreshScorer() {}
 
 // TimelineBucket is one row of Timeline's temporal histogram.
 type TimelineBucket struct {

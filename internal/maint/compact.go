@@ -60,12 +60,12 @@ func (s *Store) runCompact(ctx context.Context) error {
 	// g0 is folded in during phase 2.
 	var ph phaseTimings
 	t0 := time.Now()
-	survivors, ext, reclaimed := copySurvivors(g0, tr)
+	survivors, ext, df, reclaimed := copySurvivors(g0, tr)
 	ph.copyDur, ph.reclaimed = time.Since(t0), reclaimed
 
 	newColl := &model.Collection{Objects: survivors, DictSize: g0.coll.DictSize}
 	t1 := time.Now()
-	base, err := s.buildBase(ctx, newColl, tr)
+	base, err := s.buildBase(ctx, newColl, df, tr)
 	ph.buildDur = time.Since(t1)
 	if err != nil {
 		return err
@@ -79,13 +79,15 @@ func (s *Store) runCompact(ctx context.Context) error {
 }
 
 // copySurvivors is compaction phase 1a: the off-lock copy of g0's live
-// objects into a fresh dense collection. It also estimates the bytes
-// reclaimed by dropping the tombstoned objects.
-func copySurvivors(g0 *Generation, tr *obs.Trace) (survivors []model.Object, ext []model.ObjectID, reclaimed int64) {
+// objects into a fresh dense collection. The same pass counts the
+// survivors' element frequencies (the next base's baseDF) and estimates
+// the bytes reclaimed by dropping the tombstoned objects.
+func copySurvivors(g0 *Generation, tr *obs.Trace) (survivors []model.Object, ext []model.ObjectID, df []int, reclaimed int64) {
 	defer tr.StartStage(obs.StageCompactCopy).End()
 	n0 := len(g0.coll.Objects)
 	survivors = make([]model.Object, 0, n0-g0.dead.Len())
 	ext = make([]model.ObjectID, 0, n0-g0.dead.Len())
+	df = make([]int, g0.coll.DictSize)
 	for i := range g0.coll.Objects {
 		id := model.ObjectID(i)
 		if g0.dead.Has(id) {
@@ -96,34 +98,42 @@ func copySurvivors(g0 *Generation, tr *obs.Trace) (survivors []model.Object, ext
 		o.ID = model.ObjectID(len(survivors))
 		survivors = append(survivors, o)
 		ext = append(ext, g0.ext[i])
+		for _, e := range o.Elems {
+			df[e]++
+		}
 	}
-	return survivors, ext, reclaimed
+	return survivors, ext, df, reclaimed
 }
 
 // buildBase is compaction phase 1b: the off-lock index rebuild. The
 // rebuild is the expensive half of compaction, so cancellation is
 // re-checked here — after the survivor copy — and the context is handed
-// to the BuildFunc so cooperative builders can stop mid-build too.
-func (s *Store) buildBase(ctx context.Context, c *model.Collection, tr *obs.Trace) (Index, error) {
+// to the BuildFunc so cooperative builders can stop mid-build too. The
+// new index is sized here, once, still off-lock.
+func (s *Store) buildBase(ctx context.Context, c *model.Collection, df []int, tr *obs.Trace) (*compacted, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	defer tr.StartStage(obs.StageCompactBuild).End()
-	return s.build(ctx, c)
+	base, err := s.build(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	return &compacted{base: base, compactLen: len(c.Objects), baseBytes: base.SizeBytes(), baseDF: df}, nil
 }
 
 // swapCompacted is compaction phase 2: under the writer mutex, fold in
 // everything that happened after the g0 snapshot (appends become the new
 // memtable, fresh tombstones are re-keyed onto the new dense ids), then
 // install the new backing state and publish the new generation.
-func (s *Store) swapCompacted(g0 *Generation, newColl *model.Collection, base Index, ext []model.ObjectID, start time.Time, ph phaseTimings, tr *obs.Trace) {
+func (s *Store) swapCompacted(g0 *Generation, newColl *model.Collection, base *compacted, ext []model.ObjectID, start time.Time, ph phaseTimings, tr *obs.Trace) {
 	defer tr.StartStage(obs.StageCompactSwap).End()
 	swapStart := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.Snapshot()
 
-	base0 := len(newColl.Objects)
+	base0 := base.compactLen
 
 	// Objects appended since the snapshot form the new memtable.
 	tail := s.objects[len(g0.coll.Objects):]
@@ -174,15 +184,13 @@ func (s *Store) swapCompacted(g0 *Generation, newColl *model.Collection, base In
 	s.totalMerged += uint64(s.last.merged)
 	s.reclaimedBytes += ph.reclaimed
 	s.publish(&Generation{
-		epoch:      cur.epoch + 1,
-		coll:       &model.Collection{Objects: newColl.Objects[:n:n], DictSize: newColl.DictSize},
-		base:       base,
-		compactLen: base0,
-		mem:        Memtable{objs: newColl.Objects[base0:n:n], bytes: memBytes},
-		dead:       dead,
-		ext:        ext[:n:n],
-		nextExt:    s.nextExt,
-		scorer:     cur.scorer,
+		epoch:     cur.epoch + 1,
+		coll:      &model.Collection{Objects: newColl.Objects[:n:n], DictSize: newColl.DictSize},
+		compacted: base,
+		mem:       Memtable{objs: newColl.Objects[base0:n:n], bytes: memBytes},
+		dead:      dead,
+		ext:       ext[:n:n],
+		nextExt:   s.nextExt,
 	})
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/rank"
 )
 
 // tombstones is an immutable set of deleted internal ids. Mutation is
@@ -44,15 +43,27 @@ func (t tombstones) withAll(ids ...model.ObjectID) tombstones {
 // External/Internal translate to and from the stable ids the engine
 // hands out. Query results are internal; callers translate at the edge.
 type Generation struct {
-	epoch      uint64
-	coll       *model.Collection
+	epoch uint64
+	coll  *model.Collection
+	*compacted
+	mem     Memtable
+	dead    tombstones
+	ext     []model.ObjectID
+	nextExt model.ObjectID
+}
+
+// compacted is what a generation knows about its compacted prefix: the
+// main index over coll.Objects[:compactLen] and the two whole-prefix
+// figures computed once when that index is installed (store
+// construction, compaction's off-lock phase). Immutable, and shared —
+// one pointer — by every generation until the next compaction replaces
+// it, which keeps SizeBytes and ranked-search statistics independent of
+// corpus size per call and adds nothing to what an insert copies.
+type compacted struct {
 	base       Index
 	compactLen int
-	mem        Memtable
-	dead       tombstones
-	ext        []model.ObjectID
-	nextExt    model.ObjectID
-	scorer     *rank.Scorer
+	baseBytes  int64 // base.SizeBytes()
+	baseDF     []int // per-element document frequency of the prefix
 }
 
 // next returns a copy of g with the epoch advanced; the store mutates
@@ -83,8 +94,26 @@ func (g *Generation) Coll() *model.Collection { return g.coll }
 // Query for the full filtered view.
 func (g *Generation) Base() Index { return g.base }
 
-// Scorer returns the IDF scorer snapshot, or nil if none was computed.
-func (g *Generation) Scorer() *rank.Scorer { return g.scorer }
+// DocFreq returns how many stored objects contain element e: the
+// compacted prefix's recorded frequency plus a count over the memtable.
+// With len(Coll().Objects) as the population it is the statistic
+// ranked search weighs e by — always current, and exactly what
+// Coll().ElemFreqs() would report (tombstoned objects count until
+// compaction drops them).
+//
+// irlint:hot per-element statistics lookup of every ranked query
+func (g *Generation) DocFreq(e model.ElemID) int {
+	df := 0
+	if int(e) < len(g.baseDF) {
+		df = g.baseDF[e]
+	}
+	for i := range g.mem.objs {
+		if g.mem.objs[i].HasElem(e) {
+			df++
+		}
+	}
+	return df
+}
 
 // Len returns the number of live (non-tombstoned) objects.
 func (g *Generation) Len() int { return len(g.coll.Objects) - g.dead.Len() }
@@ -101,7 +130,7 @@ func (g *Generation) Tombstoned(id model.ObjectID) bool { return g.dead.Has(id) 
 // SizeBytes estimates the generation's resident size: the main index,
 // the memtable, the tombstone set and the id-translation table.
 func (g *Generation) SizeBytes() int64 {
-	return g.base.SizeBytes() + g.mem.SizeBytes() +
+	return g.baseBytes + g.mem.SizeBytes() +
 		int64(g.dead.Len())*tombstoneBytes + int64(len(g.ext))*4
 }
 

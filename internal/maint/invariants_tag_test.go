@@ -18,10 +18,9 @@ func TestCheckGenerationFires(t *testing.T) {
 	}
 	c := seedCollection(4)
 	g := &Generation{
-		epoch:      1,
-		coll:       c,
-		base:       tif.New(c),
-		compactLen: 4,
+		epoch:     1,
+		coll:      c,
+		compacted: &compacted{base: tif.New(c), compactLen: 4},
 		// ext table too short: violates the parallel-table invariant.
 		ext: []model.ObjectID{0, 1},
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/rank"
 )
 
 // Policy configures automatic background compaction. The zero value
@@ -195,12 +194,11 @@ func newStore(coll *model.Collection, base Index, build BuildFunc, ext []model.O
 		nextExt:    next,
 	}
 	s.publish(&Generation{
-		epoch:      1,
-		coll:       &model.Collection{Objects: coll.Objects[:n:n], DictSize: coll.DictSize},
-		base:       base,
-		compactLen: n,
-		ext:        ext[:n:n],
-		nextExt:    next,
+		epoch:     1,
+		coll:      &model.Collection{Objects: coll.Objects[:n:n], DictSize: coll.DictSize},
+		compacted: &compacted{base: base, compactLen: n, baseBytes: base.SizeBytes(), baseDF: coll.ElemFreqs()},
+		ext:       ext[:n:n],
+		nextExt:   next,
 	})
 	return s
 }
@@ -281,16 +279,6 @@ func (s *Store) deleteOne(ext model.ObjectID) (ok, auto bool) {
 	g.dead = cur.dead.withAll(id)
 	s.publish(g)
 	return true, s.policy.enabled() && s.policy.triggered(g)
-}
-
-// SetScorer publishes a new generation carrying the given scorer
-// snapshot (which may be nil to drop it).
-func (s *Store) SetScorer(sc *rank.Scorer) {
-	s.mu.Lock()
-	g := s.Snapshot().next()
-	g.scorer = sc
-	s.publish(g)
-	s.mu.Unlock()
 }
 
 // SetPolicy installs (or, with the zero Policy, disables) automatic

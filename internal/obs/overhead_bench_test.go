@@ -85,9 +85,11 @@ func TestDisabledOverheadBudget(t *testing.T) {
 		// is enforced by the regular (tier-1) test run.
 		t.Skip("timing budget is not meaningful under -race")
 	}
-	// Three attempts: timing tests on loaded CI machines need slack.
+	// Six attempts: timing tests on loaded CI machines need slack (three
+	// were not enough beside `go test ./...`'s other packages on two
+	// CPUs: one tier-1 run in seventeen read 35 %).
 	var last float64
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt := 0; attempt < 6; attempt++ {
 		base, inst := DisabledOverhead(2000, benchStages, benchWorkSize)
 		last = (inst - base) / base * 100
 		if last < 5.0 {

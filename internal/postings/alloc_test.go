@@ -17,63 +17,30 @@ func TestAllocBudget(t *testing.T) {
 		other = append(other, l[i].ID)
 	}
 
-	allocbudget.Gate(t, "postings/List.IntersectIDs", func(b *testing.B) {
-		var dst []model.ObjectID
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = l.IntersectIDs(cands, dst[:0])
-		}
-	})
-
-	allocbudget.Gate(t, "postings/IntersectSortedIDs", func(b *testing.B) {
-		var dst []model.ObjectID
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = IntersectSortedIDs(cands, other, dst[:0])
-		}
-	})
+	var dst []model.ObjectID
+	allocbudget.Gate(t, "postings/List.IntersectIDs", func() { dst = l.IntersectIDs(cands, dst[:0]) })
+	allocbudget.Gate(t, "postings/IntersectSortedIDs", func() { dst = IntersectSortedIDs(cands, other, dst[:0]) })
 
 	// The bitmap container kernels: steady state marks, intersects and
 	// compacts entirely inside pooled word slices.
-	allocbudget.Gate(t, "postings/Bitmap.And", func(b *testing.B) {
-		var ba, bb Bitmap
+	var ba, bb Bitmap
+	ba.SetSorted(cands)
+	bb.SetSorted(other)
+	allocbudget.Gate(t, "postings/Bitmap.And", func() {
 		ba.SetSorted(cands)
-		bb.SetSorted(other)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ba.SetSorted(cands)
-			ba.And(&bb)
-		}
+		ba.And(&bb)
 	})
-
-	allocbudget.Gate(t, "postings/Bitmap.Or", func(b *testing.B) {
-		var ba, bb Bitmap
+	allocbudget.Gate(t, "postings/Bitmap.Or", func() {
 		ba.SetSorted(cands)
-		bb.SetSorted(other)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ba.SetSorted(cands)
-			ba.Or(&bb)
-		}
+		ba.Or(&bb)
 	})
 
-	allocbudget.Gate(t, "postings/Bitmap.KeepSorted", func(b *testing.B) {
-		var bb Bitmap
-		bb.SetSorted(other)
-		buf := append([]model.ObjectID(nil), cands...)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(buf[:cap(buf)], cands)
-			_ = bb.KeepSorted(buf[:len(cands)])
-		}
+	buf := append([]model.ObjectID(nil), cands...)
+	allocbudget.Gate(t, "postings/Bitmap.KeepSorted", func() {
+		copy(buf[:cap(buf)], cands)
+		_ = bb.KeepSorted(buf[:len(cands)])
 	})
 
-	allocbudget.Gate(t, "postings/IntersectGalloping", func(b *testing.B) {
-		small := cands[:min(64, len(cands))]
-		var dst []model.ObjectID
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = IntersectGalloping(small, other, dst[:0])
-		}
-	})
+	small := cands[:min(64, len(cands))]
+	allocbudget.Gate(t, "postings/IntersectGalloping", func() { dst = IntersectGalloping(small, other, dst[:0]) })
 }

@@ -14,7 +14,10 @@ import (
 	"repro/internal/model"
 )
 
-// Scorer computes relevance scores for candidate objects.
+// Scorer computes relevance scores for candidate objects from whole-
+// collection statistics. The engines do not keep one: they build a
+// QueryScorer per ranked query from always-current statistics
+// (NewQueryScorer). Scorer is the reference the oracles score with.
 type Scorer struct {
 	idf            []float64
 	n              int
@@ -31,29 +34,33 @@ type ScorerConfig struct {
 	DisableTemporal bool
 }
 
-// NewScorer precomputes IDF weights from the collection's element
-// frequencies: idf(e) = ln(1 + N/df(e)).
-func NewScorer(c *model.Collection, cfg ScorerConfig) *Scorer {
-	return NewScorerFromFreqs(c.ElemFreqs(), c.Len(), cfg)
+// weight resolves the effective temporal weight.
+func (cfg ScorerConfig) weight() float64 {
+	if cfg.DisableTemporal {
+		return 0
+	}
+	if cfg.TemporalWeight <= 0 || cfg.TemporalWeight > 1 {
+		return 0.3
+	}
+	return cfg.TemporalWeight
 }
 
-// NewScorerFromFreqs is NewScorer over explicit corpus statistics: per-
-// element document frequencies and the live-object count. A sharded
-// engine sums its shards' frequencies and lengths and builds ONE global
-// scorer from them, so per-shard top-k scores are comparable — and
-// bit-identical — to the single-engine oracle's.
-func NewScorerFromFreqs(freqs []int, n int, cfg ScorerConfig) *Scorer {
-	if cfg.TemporalWeight <= 0 || cfg.TemporalWeight > 1 {
-		cfg.TemporalWeight = 0.3
+// idf is the weight of an element contained in df of n objects:
+// ln(1 + n/df), and zero for an element no object contains.
+func idf(n, df int) float64 {
+	if df <= 0 {
+		return 0
 	}
-	if cfg.DisableTemporal {
-		cfg.TemporalWeight = 0
-	}
-	s := &Scorer{idf: make([]float64, len(freqs)), n: n, temporalWeight: cfg.TemporalWeight}
+	return math.Log1p(float64(n) / float64(df))
+}
+
+// NewScorer precomputes IDF weights from the collection's element
+// frequencies.
+func NewScorer(c *model.Collection, cfg ScorerConfig) *Scorer {
+	freqs := c.ElemFreqs()
+	s := &Scorer{idf: make([]float64, len(freqs)), n: c.Len(), temporalWeight: cfg.weight()}
 	for e, f := range freqs {
-		if f > 0 {
-			s.idf[e] = math.Log1p(float64(n) / float64(f))
-		}
+		s.idf[e] = idf(s.n, f)
 	}
 	return s
 }
@@ -66,32 +73,60 @@ func (s *Scorer) IDF(e model.ElemID) float64 {
 	return s.idf[e]
 }
 
-// Score rates one object against a query. The IDF component sums the
-// weights of the query elements; it runs once per candidate per ranked
+// ForQuery specializes the scorer to one query.
+func (s *Scorer) ForQuery(q *model.Query) QueryScorer {
+	return newQueryScorer(q.Elems, s.n, s.IDF, s.temporalWeight)
+}
+
+// Score rates one object against a query; see QueryScorer.Score.
+func (s *Scorer) Score(o *model.Object, q *model.Query) float64 {
+	return s.ForQuery(q).Score(o, q)
+}
+
+// QueryScorer scores the candidates of one query. The scoring model:
+// the IDF component sums the weights of the query elements (all
+// contained, by the containment semantics); the temporal component is
+// the fraction of the query interval the object's lifespan covers. Both
+// are normalized to [0, 1] before mixing so scores are comparable across
+// queries. The IDF component is the same for every candidate, so it is
+// computed once, here, and only the overlap is left per candidate.
+type QueryScorer struct {
+	idfPart        float64 // (1 - temporalWeight) * normalized IDF component
+	temporalWeight float64
+}
+
+// NewQueryScorer builds the scorer of a query over elems from current
+// corpus statistics: n objects, df(e) of them containing e. It scores
+// bit-identically to NewScorer over that corpus.
+func NewQueryScorer(elems []model.ElemID, n int, df func(model.ElemID) int, cfg ScorerConfig) QueryScorer {
+	return newQueryScorer(elems, n, func(e model.ElemID) float64 { return idf(n, df(e)) }, cfg.weight())
+}
+
+func newQueryScorer(elems []model.ElemID, n int, idfOf func(model.ElemID) float64, temporalWeight float64) QueryScorer {
+	var idfSum float64
+	for _, e := range elems {
+		idfSum += idfOf(e)
+	}
+	idfComponent := 0.0
+	if idfMax := math.Log1p(float64(n)); len(elems) > 0 && idfMax > 0 {
+		idfComponent = idfSum / (idfMax * float64(len(elems)))
+	}
+	return QueryScorer{idfPart: (1 - temporalWeight) * idfComponent, temporalWeight: temporalWeight}
+}
+
+// Score rates one candidate. It runs once per candidate per ranked
 // query, so it must stay allocation-free.
 //
 // irlint:hot per-candidate scoring kernel of ranked search
-//
-// The scoring model: the IDF component sums the
-// weights of the query elements (all contained, by the containment
-// semantics); the temporal component is the fraction of the query
-// interval the object's lifespan covers. Both are normalized to [0, 1]
-// before mixing so scores are comparable across queries.
-func (s *Scorer) Score(o *model.Object, q *model.Query) float64 {
-	var idfSum float64
-	for _, e := range q.Elems {
-		idfSum += s.IDF(e)
-	}
-	idfComponent := 0.0
-	if idfMax := math.Log1p(float64(s.n)); len(q.Elems) > 0 && idfMax > 0 {
-		idfComponent = idfSum / (idfMax * float64(len(q.Elems)))
-	}
+func (w QueryScorer) Score(o *model.Object, q *model.Query) float64 {
 	overlap, ok := o.Interval.Intersect(q.Interval)
 	temporal := 0.0
 	if ok {
 		temporal = float64(overlap.Duration()) / float64(q.Interval.Duration())
 	}
-	return (1-s.temporalWeight)*idfComponent + s.temporalWeight*temporal
+	// The conversion rounds the product, so no platform fuses the
+	// multiply-add and score bits are the same everywhere.
+	return w.idfPart + float64(w.temporalWeight*temporal)
 }
 
 // Result is one ranked hit.
@@ -152,13 +187,18 @@ type ContainmentIndex interface {
 
 // TopK returns the k highest-scoring objects matching q, ordered by
 // descending score (ascending id on ties). Candidates come from the
-// containment index; the collection supplies the object records. The
-// candidate loop only touches the pre-sized heap — replace-root when a
-// candidate beats the current worst — so ranking allocates nothing per
-// candidate.
+// containment index; the collection supplies the object records.
+func TopK(ix ContainmentIndex, c *model.Collection, s *Scorer, q model.Query, k int) []Result {
+	return TopKQuery(ix, c, s.ForQuery(&q), q, k)
+}
+
+// TopKQuery is TopK with the query's scorer already built. The
+// candidate loop only computes a temporal overlap and touches the
+// pre-sized heap — replace-root when a candidate beats the current
+// worst — so ranking allocates nothing per candidate.
 //
 // irlint:hot ranked-search driver, one heap operation per candidate
-func TopK(ix ContainmentIndex, c *model.Collection, s *Scorer, q model.Query, k int) []Result {
+func TopKQuery(ix ContainmentIndex, c *model.Collection, w QueryScorer, q model.Query, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
@@ -166,7 +206,7 @@ func TopK(ix ContainmentIndex, c *model.Collection, s *Scorer, q model.Query, k 
 	h := make(resultHeap, 0, k)
 	for _, id := range ix.Query(q) {
 		o := &c.Objects[id]
-		r := Result{ID: id, Score: s.Score(o, &q)}
+		r := Result{ID: id, Score: w.Score(o, &q)}
 		if len(h) < k {
 			h = append(h, r)
 			h.siftUp(len(h) - 1)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/allocbudget"
 	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/model"
@@ -163,4 +164,90 @@ func TestTopKEdgeCases(t *testing.T) {
 			t.Fatal("results not in descending score order")
 		}
 	}
+}
+
+// referenceScore is the scoring formula written out per candidate, the
+// way Scorer.Score computed it before the IDF component was hoisted out
+// of the candidate loop.
+func referenceScore(s *Scorer, o *model.Object, q *model.Query) float64 {
+	var idfSum float64
+	for _, e := range q.Elems {
+		idfSum += s.IDF(e)
+	}
+	idfComponent := 0.0
+	if idfMax := math.Log1p(float64(s.n)); len(q.Elems) > 0 && idfMax > 0 {
+		idfComponent = idfSum / (idfMax * float64(len(q.Elems)))
+	}
+	overlap, ok := o.Interval.Intersect(q.Interval)
+	temporal := 0.0
+	if ok {
+		temporal = float64(overlap.Duration()) / float64(q.Interval.Duration())
+	}
+	a, b := (1-s.temporalWeight)*idfComponent, s.temporalWeight*temporal
+	return a + b
+}
+
+// TestQueryScorerBitIdentical pins the hoisting: a Scorer, its per-query
+// specialization and a QueryScorer built from bare statistics all give
+// every candidate the same score, to the bit, as the reference formula.
+func TestQueryScorerBitIdentical(t *testing.T) {
+	cfg := testutil.DefaultConfig(77)
+	c := testutil.RandomCollection(cfg)
+	freqs := c.ElemFreqs()
+	df := func(e model.ElemID) int {
+		if int(e) >= len(freqs) {
+			return 0
+		}
+		return freqs[e]
+	}
+	queries := testutil.RandomQueries(cfg, 60, 78)
+	queries = append(queries,
+		model.Query{Interval: model.Interval{Start: 0, End: 50}},                                                      // no elements
+		model.Query{Interval: queries[0].Interval, Elems: append([]model.ElemID{model.ElemID(c.DictSize + 3)}, 0, 1)}, // unknown element
+	)
+	for _, sc := range []ScorerConfig{{}, {TemporalWeight: 0.7}, {DisableTemporal: true}} {
+		s := NewScorer(c, sc)
+		for qi := range queries {
+			q := &queries[qi]
+			fromScorer, fromStats := s.ForQuery(q), NewQueryScorer(q.Elems, c.Len(), df, sc)
+			if fromScorer != fromStats {
+				t.Fatalf("query %d: ForQuery %+v != NewQueryScorer %+v", qi, fromScorer, fromStats)
+			}
+			for i := range c.Objects {
+				o := &c.Objects[i]
+				want := math.Float64bits(referenceScore(s, o, q))
+				if got := math.Float64bits(s.Score(o, q)); got != want {
+					t.Fatalf("query %d object %d: Scorer.Score bits %x, reference %x", qi, i, got, want)
+				}
+				if got := math.Float64bits(fromStats.Score(o, q)); got != want {
+					t.Fatalf("query %d object %d: QueryScorer.Score bits %x, reference %x", qi, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// fixedHits is a candidate source that allocates nothing.
+type fixedHits []model.ObjectID
+
+func (f fixedHits) Query(model.Query) []model.ObjectID { return f }
+
+// TestAllocBudget pins the ranked-search driver: the k-capacity heap and
+// the result slice are its only allocations, however many candidates it
+// scores.
+func TestAllocBudget(t *testing.T) {
+	cfg := testutil.DefaultConfig(79)
+	c := testutil.RandomCollection(cfg)
+	hits := make(fixedHits, len(c.Objects))
+	for i := range hits {
+		hits[i] = model.ObjectID(i)
+	}
+	var ix ContainmentIndex = hits // boxed once, not per call
+	q := model.Query{Interval: model.Interval{Start: 0, End: 1 << 40}, Elems: []model.ElemID{0, 1}}
+	w := NewScorer(c, ScorerConfig{}).ForQuery(&q)
+	allocbudget.Gate(t, "rank/TopKQuery", func() {
+		if got := TopKQuery(ix, c, w, q, 10); len(got) != 10 {
+			t.Fatalf("top-10 of %d candidates returned %d", len(hits), len(got))
+		}
+	})
 }

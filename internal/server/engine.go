@@ -26,6 +26,8 @@ type Engine interface {
 	Insert(start, end temporalir.Timestamp, terms ...string) temporalir.ObjectID
 	Delete(id temporalir.ObjectID) error
 	Object(id temporalir.ObjectID) (temporalir.Interval, []string, error)
+	// RefreshScorer is a no-op the server never calls; it is in the
+	// interface because the frozen benchmark calls it through this type.
 	RefreshScorer()
 
 	Compact(ctx context.Context) (temporalir.CompactionStats, error)

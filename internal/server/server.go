@@ -1090,11 +1090,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// No server-level lock: Insert serializes on the engine's dictionary
-	// and store mutexes, and RefreshScorer publishes a new generation
-	// atomically. Two concurrent inserts interleave their scorer
-	// refreshes last-write-wins, which both leave consistent.
+	// and store mutexes.
 	id := eng.Insert(in.Start, in.End, terms...)
-	eng.RefreshScorer()
 	writeJSON(w, http.StatusCreated, map[string]any{"id": id})
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -188,6 +189,12 @@ func TestDifferentialIsolation(t *testing.T) {
 			// the next op transparently reloads from spill.
 			got[i] = runIsolationWorkload(t, int64(1000+i), func(f func(e *temporalir.Engine)) {
 				tn, err := reg.Get(id)
+				// Sixteen workers share four slots: when all four are
+				// held at once the registry refuses a fifth tenant (the
+				// server's 429). A client retries; so does the test.
+				for ; err != nil && tenant.AsLimitError(err) != nil && tenant.AsLimitError(err).Reason == tenant.ReasonFull; tn, err = reg.Get(id) {
+					runtime.Gosched()
+				}
 				if err != nil {
 					t.Errorf("%s: %v", id, err)
 					return

@@ -12,7 +12,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/maint"
 	"repro/internal/model"
-	"repro/internal/rank"
 	"repro/internal/route"
 	"repro/internal/shard"
 )
@@ -404,40 +403,10 @@ func (s *Sharded) Object(id ObjectID) (Interval, []string, error) {
 	return Interval{}, nil, fmt.Errorf("temporalir: unknown object %d", id)
 }
 
-// RefreshScorer rebuilds the ranked-search IDF statistics from global
-// corpus frequencies — per-shard element frequencies and live counts
-// summed into ONE scorer installed on every shard, so per-shard top-k
-// scores are comparable (and identical) to a single engine's.
-func (s *Sharded) RefreshScorer() {
-	var freqs []int
-	n := 0
-	for i := range s.stores {
-		c := s.snapshotOne(i).Coll()
-		n += c.Len()
-		for e, f := range c.ElemFreqs() {
-			if e >= len(freqs) {
-				freqs = append(freqs, make([]int, e+1-len(freqs))...)
-			}
-			freqs[e] += f
-		}
-	}
-	sc := rank.NewScorerFromFreqs(freqs, n, rank.ScorerConfig{})
-	for i := range s.stores {
-		s.stores[i].SetScorer(sc)
-	}
-}
-
-// ensureScorer makes sure every shard carries a scorer, computing the
-// global one on first ranked use. Concurrent first calls may both
-// compute; publication is serialized per store, so the race is benign.
-func (s *Sharded) ensureScorer() {
-	for i := range s.stores {
-		if s.snapshotOne(i).Scorer() == nil {
-			s.RefreshScorer()
-			return
-		}
-	}
-}
+// RefreshScorer does nothing, as Engine.RefreshScorer.
+//
+// Deprecated: kept only because the frozen benchmark still calls it.
+func (s *Sharded) RefreshScorer() {}
 
 // SetCompactionPolicy installs the automatic-compaction policy on every
 // shard. Thresholds apply per shard — that is the point: N memtables

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/aggregate"
+	"repro/internal/maint"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rank"
@@ -213,9 +214,12 @@ func (s *Sharded) SearchAny(start, end Timestamp, terms ...string) []ObjectID {
 }
 
 // SearchTopKShardsCtx is the report-carrying ranked search: the global
-// top k across the shards that answered, scored by the shared global
-// scorer, ordered (score desc, id asc) exactly as a single engine would
-// order them.
+// top k across the shards that answered, ordered (score desc, id asc)
+// exactly as a single engine would order them. Every shard is
+// snapshotted once; the statistics summed over all of those snapshots
+// (pruned shards included — their objects are part of the corpus) give
+// the query one scorer, and the planned shards rank their candidates
+// from the same snapshots.
 func (s *Sharded) SearchTopKShardsCtx(ctx context.Context, start, end Timestamp, k int, terms ...string) ([]ScoredResult, ShardReport, error) {
 	return s.searchTopKShards(ctx, s.sopts.ShardTimeout, start, end, k, terms)
 }
@@ -224,7 +228,6 @@ func (s *Sharded) searchTopKShards(ctx context.Context, timeout time.Duration, s
 	if err := ctx.Err(); err != nil {
 		return nil, ShardReport{}, err
 	}
-	s.ensureScorer()
 	tr := obs.TraceFromContext(ctx)
 	elems, ok := s.resolveTermsTraced(tr, terms)
 	if !ok {
@@ -232,12 +235,19 @@ func (s *Sharded) searchTopKShards(ctx context.Context, timeout time.Duration, s
 	}
 	iv := model.Canon(start, end)
 	q := Query{Interval: iv, Elems: model.NormalizeElems(elems), Trace: tr}
+	// Snapshot before planning: extents grow before an object becomes
+	// visible, so a shard holding a match in its snapshot is never pruned.
+	gens := make([]*maint.Generation, len(s.stores))
+	for i := range gens {
+		gens[i] = s.snapshotOne(i)
+	}
+	w := queryScorer(gens, q.Elems)
 	planned, pruned := s.plan(iv)
 	lists := make([][]rank.Result, len(s.stores))
 	rep, err := s.scatter(ctx, planned, pruned, tr, timeout, func(si int) {
-		g := s.snapshotOne(si)
-		span := tr.StartStage(obs.StageRank) // lint:span-ok straight-line closure: TopK cannot return early and End follows it
-		rs := rank.TopK(g, g.Coll(), g.Scorer(), q, k)
+		g := gens[si]
+		span := tr.StartStage(obs.StageRank) // lint:span-ok straight-line closure: TopKQuery cannot return early and End follows it
+		rs := rank.TopKQuery(g, g.Coll(), w, q, k)
 		span.End()
 		// Translate to global ids before the cross-shard merge: within
 		// a shard internal order is external order, so the list stays

@@ -108,8 +108,6 @@ func TestShardedPartialContract(t *testing.T) {
 // ranked and timeline surfaces.
 func TestShardedPartialTopKAndTimeline(t *testing.T) {
 	sh, oracle, _ := shardedWithTimeout(t, time.Nanosecond)
-	oracle.RefreshScorer()
-	sh.RefreshScorer()
 	cfg := testutil.CollectionConfig{N: 1500, DomainLo: 0, DomainHi: 20000, Dict: 25, MaxDesc: 6, Seed: 999}
 	queries := testutil.RandomQueries(cfg, 60, 777)
 

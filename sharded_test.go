@@ -84,8 +84,6 @@ func assertShardParity(t *testing.T, label string, oracle *temporalir.Engine, sh
 		t.Fatalf("%s: workload digest %s != oracle %s", label, got, want)
 	}
 	// Ranked and timeline surfaces on a subset (they are heavier).
-	oracle.RefreshScorer()
-	sh.RefreshScorer()
 	for i := 0; i < len(queries); i += 7 {
 		q := queries[i]
 		terms := termsFor(q.Elems)

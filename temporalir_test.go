@@ -371,9 +371,8 @@ func TestSearchTopK(t *testing.T) {
 	if got := e.SearchTopK(0, 99, 3, "unseen"); got != nil {
 		t.Errorf("unknown term gave %v", got)
 	}
-	// RefreshScorer after updates keeps working.
+	// An insert is ranked with no refresh step.
 	e.Insert(0, 100, "common", "rare", "fresh")
-	e.RefreshScorer()
 	if got := e.SearchTopK(0, 99, 10, "rare"); len(got) != 3 {
 		t.Errorf("after insert: %v", got)
 	}
