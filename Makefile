@@ -56,9 +56,9 @@ bench:
 # benchmarks off shared cores; -count=1 defeats test caching.
 benchmem:
 	ALLOC_BUDGET_RECORD=1 $(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank
+		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/sharding
 	$(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank
+		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/sharding
 
 # Full Go microbenchmark sweep (slow; not part of the gate).
 microbench:

@@ -13,9 +13,10 @@
 //     comparison per entry.
 //   - SizeIndex — every division decouples the two attributes: one
 //     interval store with beneficial sorting (exactly like plain HINT)
-//     plus an id-only inverted index. Algorithm 6 range-filters the
-//     interval store into per-division candidates and merge-intersects
-//     them with the division's postings lists, storing each lifespan once.
+//     plus an id-only inverted index, storing each lifespan once.
+//     Algorithm 6's two steps run in swapped order: the division's
+//     postings lists are intersected first, and the interval store is
+//     consulted only where the division still owes a comparison.
 package core
 
 import (

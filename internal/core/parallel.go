@@ -92,8 +92,8 @@ func (ix *PerfIndex) queryTemporalOnlyP(q model.Interval, pool *exec.Pool) []mod
 	return out
 }
 
-// QueryP is Query with the per-division filter+intersect steps fanned
-// across the pool, each chunk carrying its own candidate buffer.
+// QueryP is Query with the per-division intersect+restrict steps fanned
+// across the pool, each chunk carrying its own survivor buffer.
 func (ix *SizeIndex) QueryP(q model.Query, pool *exec.Pool) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return ix.tracedTemporalOnlyP(q, pool)
@@ -105,16 +105,12 @@ func (ix *SizeIndex) QueryP(q model.Query, pool *exec.Pool) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StageIntersect).End()
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
 	partials := exec.MapChunks(pool, len(parts), parallelMinPer, func(lo, hi int) []model.ObjectID {
-		var out, cbuf []model.ObjectID
+		var out, scratch []model.ObjectID
 		for i := lo; i < hi; i++ {
 			p, ob := parts[i], obls[i]
-			if p.o.list(plan[0]) != nil {
-				cbuf = filterOriginals(p.o.ivals, ob.CheckStart, ob.CheckEnd, q.Interval, cbuf[:0])
-				out = intersectDiv(&p.o, cbuf, plan, out)
-			}
-			if ob.First && p.r.list(plan[0]) != nil {
-				cbuf = filterReplicas(p.r.ivals, ob.CheckStart, q.Interval, cbuf[:0])
-				out = intersectDiv(&p.r, cbuf, plan, out)
+			scratch, out = p.o.query(q.Interval, plan, false, ob.CheckStart, ob.CheckEnd, scratch, out)
+			if ob.First {
+				scratch, out = p.r.query(q.Interval, plan, true, ob.CheckStart, false, scratch, out)
 			}
 		}
 		return out

@@ -6,7 +6,11 @@ import (
 	"testing/quick"
 
 	"repro/internal/bruteforce"
+	"repro/internal/dict"
+	"repro/internal/exec"
+	"repro/internal/hint"
 	"repro/internal/model"
+	"repro/internal/postings"
 	"repro/internal/testutil"
 )
 
@@ -94,4 +98,75 @@ func TestEntryCountRelationship(t *testing.T) {
 			t.Fatalf("trial %d: size EntryCount inconsistent", trial)
 		}
 	}
+}
+
+// Property: index-level Deletes stay exact in the size variant even where
+// Query never reads the interval store. Over random collections with wide
+// intervals and a quarter of the objects deleted, Query ≡ QueryP ≡ the
+// oracle; and the run must have met deleted ids among the list survivors
+// of comparison-free divisions — originals and replicas — each of which
+// the division's dead counter has to announce, or the property is vacuous.
+func TestSizeDeletesInComparisonFreeDivisions(t *testing.T) {
+	pool := exec.NewPool(4)
+	var freeO, freeR int // deleted survivors met in comparison-free originals / replicas divisions
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := testutil.CollectionConfig{N: 300, DomainLo: 0, DomainHi: 4000, Dict: 10, MaxDesc: 4, Seed: seed}
+		c := &model.Collection{DictSize: cfg.Dict}
+		for _, o := range testutil.RandomCollection(cfg).Objects {
+			if o.ID%3 == 0 { // wide: high in the hierarchy, or replicated across many partitions
+				o.Interval = model.NewInterval(rng.Int63n(1500), 2500+rng.Int63n(1501))
+			}
+			c.AppendObject(o.Interval, o.Elems)
+		}
+		ix := NewSize(c, WithM(1+int(seed%6)))
+		oracle := bruteforce.New(c)
+		dead := map[model.ObjectID]bool{}
+		for _, i := range rng.Perm(len(c.Objects))[:len(c.Objects)/4] {
+			ix.Delete(c.Objects[i])
+			oracle.Delete(c.Objects[i].ID)
+			dead[c.Objects[i].ID] = true
+		}
+		deadSurvivors := func(d *sizeDiv, plan []model.ElemID) int {
+			surv := d.list(plan[0])
+			for _, e := range plan[1:] {
+				surv = postings.IntersectSortedIDs(surv, d.list(e), nil)
+			}
+			n := 0
+			for _, id := range surv {
+				if dead[id] {
+					n++
+				}
+			}
+			if n > 0 && d.dead == 0 {
+				t.Fatalf("seed %d: %d deleted ids in a division's lists, dead counter 0", seed, n)
+			}
+			return n
+		}
+		for qi, q := range testutil.RandomQueries(cfg, 80, seed+100) {
+			want := testutil.Canonical(oracle.Query(q))
+			if got := testutil.Canonical(ix.Query(q)); !model.EqualIDs(got, want) {
+				t.Fatalf("seed %d query %d (%v elems=%v): Query %v, want %v", seed, qi, q.Interval, q.Elems, got, want)
+			}
+			if got := testutil.Canonical(ix.QueryP(q, pool)); !model.EqualIDs(got, want) {
+				t.Fatalf("seed %d query %d (%v elems=%v): QueryP %v, want %v", seed, qi, q.Interval, q.Elems, got, want)
+			}
+			plan := dict.PlanOrder(q.Elems, ix.freqs)
+			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
+				ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
+					ob := lv.Oblige(j)
+					if !ob.CheckStart && !ob.CheckEnd {
+						freeO += deadSurvivors(&p.o, plan)
+					}
+					if ob.First && !ob.CheckStart {
+						freeR += deadSurvivors(&p.r, plan)
+					}
+				})
+			})
+		}
+	}
+	if freeO == 0 || freeR == 0 {
+		t.Fatalf("vacuous: deleted survivors in comparison-free divisions: originals %d, replicas %d", freeO, freeR)
+	}
+	t.Logf("deleted survivors withheld from comparison-free divisions: originals %d, replicas %d", freeO, freeR)
 }

@@ -13,11 +13,15 @@ import (
 
 // sizeDiv is one division of the size variant: the interval store (each
 // lifespan exactly once, beneficially sorted — by start for originals, by
-// end for replicas) plus an id-only inverted index.
+// end for replicas) plus an id-only inverted index. dead counts the store
+// entries Delete has tombstoned: their ids are still in the lists, so a
+// division with dead > 0 must consult the store even when its obligations
+// ask for no comparison.
 type sizeDiv struct {
 	ivals []postings.Posting
 	elems []model.ElemID
 	lists [][]model.ObjectID
+	dead  int32
 }
 
 // sizePart is one partition: originals and replicas divisions.
@@ -160,9 +164,11 @@ func (d *sizeDiv) list(e model.ElemID) []model.ObjectID {
 	return nil
 }
 
-// Delete locates the interval-store entries via the assignment and sets
-// their dead bit. The id-only inverted lists stay untouched: a dead object
-// can never enter a candidate set, so its postings are unreachable.
+// Delete locates the interval-store entries via the assignment, sets their
+// dead bit and bumps the division's dead counter. The id-only inverted
+// lists stay untouched: Query reports a survivor of their intersection
+// only from a division without dead entries or after finding it live in
+// the store, so a dead object's postings are unreachable.
 func (ix *SizeIndex) Delete(o model.Object) {
 	found := false
 	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
@@ -170,10 +176,13 @@ func (ix *SizeIndex) Delete(o model.Object) {
 		if part == nil {
 			return
 		}
-		if original {
-			found = killSortedBy(part.o.ivals, o, byStart) || found
-		} else {
-			found = killSortedBy(part.r.ivals, o, byEnd) || found
+		div, key := &part.o, byStart
+		if !original {
+			div, key = &part.r, byEnd
+		}
+		if killSortedBy(div.ivals, o, key) {
+			div.dead++
+			found = true
 		}
 	})
 	if found {
@@ -204,49 +213,97 @@ func (ix *SizeIndex) growTo(n int) {
 	}
 }
 
-// Query implements Algorithm 6: per relevant division, range-filter the
-// interval store into candidates (using the beneficial sorting and the
-// division's obligations), sort them by id, and merge-intersect with the
-// division's id-only postings list of every query element.
+// Query implements Algorithm 6 with its two steps swapped: per relevant
+// division, intersect the id-only postings lists of the query elements
+// first — they are ascending, so nothing is sorted — and only then apply
+// the temporal predicate to the survivors. A division that owes no
+// comparison and holds no dead entry reports them without reading its
+// interval store; otherwise the store is range-restricted through its
+// beneficial sort and its entries are kept when their id is a survivor.
+// Within a division results follow the lists' or the store's order.
 func (ix *SizeIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return ix.tracedTemporalOnly(q)
 	}
-	// Algorithm 6 fuses the range filter and the merge intersection per
-	// division, so one intersect span covers the whole traversal.
+	// The intersection and the range restriction are fused per division,
+	// so one intersect span covers the whole traversal.
 	defer q.Trace.StartStage(obs.StageIntersect).End()
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
-	var out []model.ObjectID
-	var cbuf []model.ObjectID
+	var out, scratch []model.ObjectID
 	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
 			ob := lv.Oblige(j)
-			// Short-circuit: a division whose inverted index lacks the
-			// least frequent query element cannot contribute, so the
-			// (comparatively expensive) interval range-filter and sort of
-			// Algorithm 6 are skipped outright. This preserves Algorithm
-			// 6's semantics; it only reorders its two steps.
-			if p.o.list(plan[0]) != nil {
-				cbuf = filterOriginals(p.o.ivals, ob.CheckStart, ob.CheckEnd, q.Interval, cbuf[:0])
-				out = intersectDiv(&p.o, cbuf, plan, out)
-			}
-			if ob.First && p.r.list(plan[0]) != nil {
-				cbuf = filterReplicas(p.r.ivals, ob.CheckStart, q.Interval, cbuf[:0])
-				out = intersectDiv(&p.r, cbuf, plan, out)
+			scratch, out = p.o.query(q.Interval, plan, false, ob.CheckStart, ob.CheckEnd, scratch, out)
+			if ob.First {
+				scratch, out = p.r.query(q.Interval, plan, true, ob.CheckStart, false, scratch, out)
 			}
 		})
 	})
 	return out
 }
 
-// filterOriginals collects live candidate ids from a start-sorted
-// originals store under the given obligations.
-func filterOriginals(s []postings.Posting, checkStart, checkEnd bool, q model.Interval, dst []model.ObjectID) []model.ObjectID {
-	cut := len(s)
-	if checkEnd {
-		cut = sort.Search(len(s), func(i int) bool { return s[i].Interval.Start > q.End })
+// query answers the reduced query on one division (replica tells which
+// sort its store has) and appends the result to dst. scratch backs the
+// survivor set of plans longer than one element and is returned for reuse;
+// a one-element plan reads the stored list in place.
+func (d *sizeDiv) query(q model.Interval, plan []model.ElemID, replica, checkStart, checkEnd bool, scratch, dst []model.ObjectID) (_, _ []model.ObjectID) {
+	surv := d.list(plan[0])
+	for _, e := range plan[1:] {
+		if len(surv) == 0 {
+			break
+		}
+		scratch = postings.IntersectAnySorted(surv, d.list(e), scratch[:0])
+		surv = scratch
 	}
-	for i := 0; i < cut; i++ {
+	switch {
+	case len(surv) == 0:
+		return scratch, dst
+	case !checkStart && !checkEnd && d.dead == 0:
+		return scratch, append(dst, surv...)
+	}
+	var s []postings.Posting
+	if replica {
+		// End-sorted: the restriction settles the start-side check.
+		s, checkStart = replicasFrom(d.ivals, checkStart, q), false
+	} else {
+		s = originalsUpTo(d.ivals, checkEnd, q)
+	}
+	for i := range s {
+		if checkStart && s[i].Interval.End < q.Start {
+			continue
+		}
+		// A dead entry's id carries the dead bit, so it is no survivor.
+		if postings.ContainsSorted(surv, s[i].ID) {
+			dst = append(dst, s[i].ID)
+		}
+	}
+	return scratch, dst
+}
+
+// originalsUpTo returns the prefix of a start-sorted originals store that
+// can overlap q: everything when the end-side check is not owed, else the
+// entries starting no later than q.End.
+func originalsUpTo(s []postings.Posting, checkEnd bool, q model.Interval) []postings.Posting {
+	if !checkEnd {
+		return s
+	}
+	return s[:sort.Search(len(s), func(i int) bool { return s[i].Interval.Start > q.End })]
+}
+
+// replicasFrom returns the suffix of an end-sorted replicas store that can
+// overlap q; replicas never need the end-side check.
+func replicasFrom(s []postings.Posting, checkStart bool, q model.Interval) []postings.Posting {
+	if !checkStart {
+		return s
+	}
+	return s[sort.Search(len(s), func(i int) bool { return s[i].Interval.End >= q.Start }):]
+}
+
+// filterOriginals collects live ids from a start-sorted originals store
+// under the given obligations (element-free queries only).
+func filterOriginals(s []postings.Posting, checkStart, checkEnd bool, q model.Interval, dst []model.ObjectID) []model.ObjectID {
+	s = originalsUpTo(s, checkEnd, q)
+	for i := range s {
 		if checkStart && s[i].Interval.End < q.Start {
 			continue
 		}
@@ -257,40 +314,16 @@ func filterOriginals(s []postings.Posting, checkStart, checkEnd bool, q model.In
 	return dst
 }
 
-// filterReplicas collects live candidate ids from an end-sorted replicas
-// store; replicas never need the end-side check.
+// filterReplicas collects live ids from an end-sorted replicas store
+// (element-free queries only).
 func filterReplicas(s []postings.Posting, checkStart bool, q model.Interval, dst []model.ObjectID) []model.ObjectID {
-	lo := 0
-	if checkStart {
-		lo = sort.Search(len(s), func(i int) bool { return s[i].Interval.End >= q.Start })
-	}
-	for i := lo; i < len(s); i++ {
+	s = replicasFrom(s, checkStart, q)
+	for i := range s {
 		if !postings.IsDead(s[i].ID) {
 			dst = append(dst, s[i].ID)
 		}
 	}
 	return dst
-}
-
-// intersectDiv sorts the candidates by id (line 11 of Algorithm 6) and
-// intersects them with the division's list of every plan element, then
-// appends the survivors to out.
-func intersectDiv(d *sizeDiv, cands []model.ObjectID, plan []model.ElemID, out []model.ObjectID) []model.ObjectID {
-	if len(cands) == 0 {
-		return out
-	}
-	model.SortIDs(cands)
-	for _, e := range plan {
-		l := d.list(e)
-		if l == nil {
-			return out
-		}
-		cands = postings.IntersectAnySorted(cands, l, cands[:0])
-		if len(cands) == 0 {
-			return out
-		}
-	}
-	return append(out, cands...)
 }
 
 // tracedTemporalOnly wraps the element-free path in a postings span.
@@ -314,7 +347,8 @@ func (ix *SizeIndex) queryTemporalOnly(q model.Interval) []model.ObjectID {
 }
 
 // SizeBytes estimates resident size: 16-byte interval entries once per
-// division plus 4-byte id postings — the storage saving of Section 4.2.
+// division plus 4-byte id postings — the storage saving of Section 4.2 —
+// and each division's dead counter.
 func (ix *SizeIndex) SizeBytes() int64 {
 	var total int64
 	for l := range ix.levels {
@@ -328,7 +362,8 @@ func (ix *SizeIndex) SizeBytes() int64 {
 }
 
 func divSize(d *sizeDiv) int64 {
-	total := int64(cap(d.ivals))*16 + int64(cap(d.elems))*4 + int64(cap(d.lists))*24
+	// The trailing 8 is d.dead, padded to the struct's alignment.
+	total := int64(cap(d.ivals))*16 + int64(cap(d.elems))*4 + int64(cap(d.lists))*24 + 8
 	for i := range d.lists {
 		total += int64(cap(d.lists[i])) * 4
 	}

@@ -9,6 +9,7 @@
 package sharding
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -245,35 +246,40 @@ func (ix *Index) Delete(o model.Object) {
 // Len returns the number of live objects.
 func (ix *Index) Len() int { return ix.live }
 
+// window returns the index range [lo, cut) of s outside which no entry can
+// overlap q: entries from cut on start after q.End (the impact-list
+// probe), and in an ideal shard the staircase (non-decreasing ends) puts
+// every entry ending before q.Start ahead of lo. In a merged shard the
+// range still holds such entries; qualifies tells them apart.
+func (s *shard) window(q model.Interval) (lo, cut int) {
+	cut = sort.Search(len(s.entries), func(k int) bool {
+		return s.entries[k].Interval.Start > q.End
+	})
+	if s.ideal {
+		lo = sort.Search(cut, func(k int) bool {
+			return s.entries[k].Interval.End >= q.Start
+		})
+	}
+	return lo, cut
+}
+
+// qualifies reports whether entry k, inside s.window(q), is live and
+// overlaps q.
+func (s *shard) qualifies(k int, q model.Interval) bool {
+	p := &s.entries[k]
+	return (s.ideal || p.Interval.End >= q.Start) && !postings.IsDead(p.ID)
+}
+
 // gather appends the ids of live entries of element e whose interval
-// overlaps q, probing each shard: binary search the start cutoff (entries
-// starting after q.end cannot qualify — the impact-list probe), and for
-// ideal shards also binary search the first qualifying end.
+// overlaps q, probing each shard.
 func (ix *Index) gather(e model.ElemID, q model.Interval, dst []model.ObjectID) []model.ObjectID {
 	if int(e) >= len(ix.shards) {
 		return dst
 	}
 	for i := range ix.shards[e] {
 		s := &ix.shards[e][i]
-		cut := sort.Search(len(s.entries), func(k int) bool {
-			return s.entries[k].Interval.Start > q.End
-		})
-		lo := 0
-		if s.ideal {
-			// Staircase: ends are non-decreasing, so qualifying entries
-			// form the suffix with End >= q.Start.
-			lo = sort.Search(cut, func(k int) bool {
-				return s.entries[k].Interval.End >= q.Start
-			})
-			for k := lo; k < cut; k++ {
-				if !postings.IsDead(s.entries[k].ID) {
-					dst = append(dst, s.entries[k].ID)
-				}
-			}
-			continue
-		}
-		for k := lo; k < cut; k++ {
-			if s.entries[k].Interval.End >= q.Start && !postings.IsDead(s.entries[k].ID) {
+		for k, cut := s.window(q); k < cut; k++ {
+			if s.qualifies(k, q) {
 				dst = append(dst, s.entries[k].ID)
 			}
 		}
@@ -281,9 +287,34 @@ func (ix *Index) gather(e model.ElemID, q model.Interval, dst []model.ObjectID) 
 	return dst
 }
 
-// Query evaluates a time-travel IR query: gather temporally qualifying ids
-// per element in ascending frequency order and intersect the id sets.
-// Shards are start-ordered, so each gathered set is sorted before merging.
+// mark walks the same probes as gather over element e and flags, in hit,
+// every position of the ascending cands whose id it meets.
+func (ix *Index) mark(e model.ElemID, q model.Interval, cands []model.ObjectID, hit []bool) {
+	if int(e) >= len(ix.shards) {
+		return
+	}
+	for i := range ix.shards[e] {
+		s := &ix.shards[e][i]
+		for k, cut := s.window(q); k < cut; k++ {
+			if !s.qualifies(k, q) {
+				continue
+			}
+			id := s.entries[k].ID
+			if id < cands[0] || id > cands[len(cands)-1] {
+				continue // most entries miss a small candidate set outright
+			}
+			if c := postings.GallopLowerBound(cands, id, 0); c < len(cands) && cands[c] == id {
+				hit[c] = true
+			}
+		}
+	}
+}
+
+// Query evaluates a time-travel IR query. Shards are start-ordered, so the
+// temporally qualifying ids of the least frequent element are gathered and
+// sorted once; every further element, in ascending frequency order, is
+// walked through the same probes and the candidates it does not meet are
+// dropped.
 func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		var out []model.ObjectID
@@ -296,14 +327,21 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
 	cands := ix.gather(plan[0], q.Interval, nil)
 	model.SortIDs(cands)
-	var buf []model.ObjectID
+	var hit []bool
 	for _, e := range plan[1:] {
 		if len(cands) == 0 {
 			return nil
 		}
-		buf = ix.gather(e, q.Interval, buf[:0])
-		model.SortIDs(buf)
-		cands = postings.IntersectAnySorted(cands, buf, cands[:0])
+		hit = slices.Grow(hit[:0], len(cands))[:len(cands)]
+		clear(hit)
+		ix.mark(e, q.Interval, cands, hit)
+		kept := cands[:0]
+		for c, id := range cands {
+			if hit[c] {
+				kept = append(kept, id)
+			}
+		}
+		cands = kept
 	}
 	return cands
 }
