@@ -59,13 +59,11 @@ func RunAblations(cfg Config) {
 
 	// (2) Bottom-up vs top-down HINT traversal (pure interval queries).
 	entries := make([]postings.Posting, len(ds.Coll.Objects))
-	ivs := make([]model.Interval, len(ds.Coll.Objects))
 	for i := range ds.Coll.Objects {
 		entries[i] = postings.Posting{ID: ds.Coll.Objects[i].ID, Interval: ds.Coll.Objects[i].Interval}
-		ivs[i] = ds.Coll.Objects[i].Interval
 	}
 	span, _ := ds.Coll.Span()
-	hm := hint.EstimateM(ivs, span, hint.DefaultCostModelConfig())
+	hm := hint.EstimateM(ds.Coll.Objects, span, hint.DefaultCostModelConfig())
 	dom, err := domain.Make(span.Start, span.End, hm)
 	if err != nil {
 		// lint:panic-ok benchmark harness; the span is valid by construction

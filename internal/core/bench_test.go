@@ -1,0 +1,28 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/testutil"
+)
+
+// BenchmarkBuild times the bulk build of both variants over the scale-0.1
+// synthetic corpus (100k objects — the benchmark's lib_point input), so the
+// kernel under compact_ms, setup_s and persist.load_ms can be checked in
+// seconds: `go test -run '^$' -bench Build -benchtime 5x ./internal/core`.
+// B/object is the built index's SizeBytes per object.
+func BenchmarkBuild(b *testing.B) {
+	c := gen.Synthetic(gen.SyntheticConfig{Seed: 1}.Defaults(0.1))
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var ix testutil.UpdatableIndex
+			for i := 0; i < b.N; i++ {
+				ix = v.build(c)
+			}
+			size := ix.(interface{ SizeBytes() int64 }).SizeBytes()
+			b.ReportMetric(float64(size)/float64(len(c.Objects)), "B/object")
+		})
+	}
+}

@@ -1,0 +1,345 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/allocbudget"
+	"repro/internal/bruteforce"
+	"repro/internal/exec"
+	"repro/internal/gen"
+	"repro/internal/model"
+	"repro/internal/postings"
+	"repro/internal/testutil"
+)
+
+// invFile is one division's inverted file, whichever the variant.
+type invFile[T any] struct {
+	elems []model.ElemID
+	lists [][]T
+}
+
+func perfFiles(p *perfPart) [2]invFile[postings.Posting] {
+	return [2]invFile[postings.Posting]{{p.o.elems, p.o.lists}, {p.r.elems, p.r.lists}}
+}
+
+func sizeFiles(p *sizePart) [2]invFile[model.ObjectID] {
+	return [2]invFile[model.ObjectID]{{p.o.elems, p.o.lists}, {p.r.elems, p.r.lists}}
+}
+
+// eachList calls fn for every list of the index, named by level, partition,
+// division (0 originals, 1 replicas) and element.
+func eachList[P, T any](levels []directory[P], files func(*P) [2]invFile[T], fn func(name string, l []T)) {
+	for l := range levels {
+		for i, p := range levels[l].parts {
+			for r, f := range files(p) {
+				for k, e := range f.elems {
+					fn(fmt.Sprintf("level %d partition %d division %d element %d", l, levels[l].keys[i], r, e), f.lists[k])
+				}
+			}
+		}
+	}
+}
+
+// equalStructure fails unless both hierarchies hold the same directory
+// keys and, per division, the same elems and the same lists entry for
+// entry; same compares what files does not show of two partitions.
+func equalStructure[P any, T comparable](t *testing.T, got, want []directory[P], files func(*P) [2]invFile[T], same func(got, want *P) bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d levels, want %d", len(got), len(want))
+	}
+	for l := range want {
+		if !slices.Equal(got[l].keys, want[l].keys) {
+			t.Fatalf("level %d: directory keys %v, want %v", l, got[l].keys, want[l].keys)
+		}
+		for i := range want[l].parts {
+			g, w := files(got[l].parts[i]), files(want[l].parts[i])
+			for r := range w {
+				if !slices.Equal(g[r].elems, w[r].elems) {
+					t.Fatalf("level %d partition %d division %d: elems %v, want %v", l, want[l].keys[i], r, g[r].elems, w[r].elems)
+				}
+				for k := range w[r].lists {
+					if !slices.Equal(g[r].lists[k], w[r].lists[k]) {
+						t.Fatalf("level %d partition %d division %d element %d: list %v, want %v",
+							l, want[l].keys[i], r, w[r].elems[k], g[r].lists[k], w[r].lists[k])
+					}
+				}
+			}
+			if !same(got[l].parts[i], want[l].parts[i]) {
+				t.Fatalf("level %d partition %d: interval stores differ", l, want[l].keys[i])
+			}
+		}
+	}
+}
+
+func sameStores(got, want *sizePart) bool {
+	return slices.Equal(got.o.ivals, want.o.ivals) && slices.Equal(got.r.ivals, want.r.ivals)
+}
+
+func noStores(_, _ *perfPart) bool { return true }
+
+// checkEqualsInsertBuilt compares both variants, structurally, with what one
+// Insert per object of objs builds on the same domains — the construction
+// the bulk kernel replaced.
+func checkEqualsInsertBuilt(t *testing.T, perf *PerfIndex, size *SizeIndex, dictSize int, objs []model.Object) {
+	t.Helper()
+	perfRef := &PerfIndex{dom: perf.dom, levels: make([]directory[perfPart], perf.dom.M+1), freqs: make([]int, dictSize)}
+	sizeRef := &SizeIndex{dom: size.dom, levels: make([]directory[sizePart], size.dom.M+1), freqs: make([]int, dictSize)}
+	for _, o := range objs {
+		perfRef.Insert(o)
+		sizeRef.Insert(o)
+	}
+	equalStructure(t, perf.levels, perfRef.levels, perfFiles, noStores)
+	equalStructure(t, size.levels, sizeRef.levels, sizeFiles, sameStores)
+	if !slices.Equal(perf.freqs, perfRef.freqs) || !slices.Equal(size.freqs, sizeRef.freqs) {
+		t.Fatal("element frequencies differ")
+	}
+	if perf.live != perfRef.live || size.live != sizeRef.live {
+		t.Fatalf("live %d/%d, want %d/%d", perf.live, size.live, perfRef.live, sizeRef.live)
+	}
+	if perf.EntryCount() != perfRef.EntryCount() || size.EntryCount() != sizeRef.EntryCount() {
+		t.Fatal("entry counts differ")
+	}
+}
+
+// checkBulkEqualsInserted bulk-builds both variants over c and compares
+// them with the insert-built indices over ref's objects.
+func checkBulkEqualsInserted(t *testing.T, c, ref *model.Collection, opts ...Option) {
+	t.Helper()
+	checkEqualsInsertBuilt(t, NewPerf(c, opts...), NewSize(c, opts...), c.DictSize, ref.Objects)
+}
+
+// TestBulkEqualsInsertBuilt: the bulk kernel builds exactly the index that
+// Section 4.1's one-object-at-a-time construction builds — on the three
+// generators and on the inputs a two-pass build could get wrong.
+func TestBulkEqualsInsertBuilt(t *testing.T) {
+	cfg := testutil.DefaultConfig(31)
+	one := &model.Collection{}
+	one.AppendObject(model.NewInterval(5, 9), []model.ElemID{2, 0})
+	sparse := testutil.RandomCollection(cfg)
+	for i := range sparse.Objects {
+		if i%3 == 0 {
+			sparse.Objects[i].Elems = nil
+		}
+	}
+	stacked := testutil.RandomCollection(cfg)
+	for i := range stacked.Objects {
+		stacked.Objects[i].Interval = model.NewInterval(100, 3000)
+	}
+	smallDict := testutil.RandomCollection(cfg)
+	smallDict.DictSize = 3
+	for name, c := range map[string]*model.Collection{
+		"synthetic":      gen.Synthetic(gen.SyntheticConfig{Seed: 3}.Defaults(0.003)),
+		"eclog":          gen.ECLOGLike(gen.RealConfig{Scale: 0.004, Seed: 3}),
+		"wikipedia":      gen.WikipediaLike(gen.RealConfig{Scale: 0.0003, Seed: 3}),
+		"random":         testutil.RandomCollection(cfg),
+		"empty":          {},
+		"one object":     one,
+		"empty elems":    sparse,
+		"one interval":   stacked,
+		"small DictSize": smallDict,
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkBulkEqualsInserted(t, c, c)
+			checkBulkEqualsInserted(t, c, c, WithM(9))
+		})
+	}
+	// Ids descending and shuffled in collection order: the kernel orders
+	// the objects by id itself. The reference inserts in id order, which
+	// is also what fixes the order of equal keys in the interval stores.
+	t.Run("unordered ids", func(t *testing.T) {
+		ref := testutil.RandomCollection(cfg)
+		c := &model.Collection{DictSize: ref.DictSize, Objects: slices.Clone(ref.Objects)}
+		slices.Reverse(c.Objects)
+		checkBulkEqualsInserted(t, c, ref, WithM(6))
+		rand.New(rand.NewSource(1)).Shuffle(len(c.Objects), func(i, j int) {
+			c.Objects[i], c.Objects[j] = c.Objects[j], c.Objects[i]
+		})
+		checkBulkEqualsInserted(t, c, ref, WithM(6))
+		queries := testutil.RandomQueries(cfg, 100, 32)
+		testutil.CheckAgainstOracle(t, "perf/shuffled", NewPerf(c), c, queries)
+		testutil.CheckAgainstOracle(t, "size/shuffled", NewSize(c), c, queries)
+	})
+}
+
+// checkInsertKeepsNeighbours pins the hazard of carving a division's lists
+// from one arena: a list cut without its capacity bound would let an
+// index-level Insert append into the next list. Every list of the bulk-built
+// index is snapshotted; the extra objects repeat stored objects' intervals
+// and elements under fresh, larger ids, so each lands only in lists that
+// already exist; afterwards every list must still start with its snapshot
+// and hold nothing more than the inserts that belong in it.
+func checkInsertKeepsNeighbours[P, T any](t *testing.T, levels []directory[P], files func(*P) [2]invFile[T], id func(T) model.ObjectID, insert func(model.Object), c *model.Collection) []model.Object {
+	t.Helper()
+	before := map[string][]T{}
+	eachList(levels, files, func(name string, l []T) { before[name] = slices.Clone(l) })
+	var extra []model.Object
+	for i := 0; i < len(c.Objects); i += 5 {
+		o := c.Objects[i]
+		o.ID = model.ObjectID(len(c.Objects) + len(extra))
+		extra = append(extra, o)
+		insert(o)
+	}
+	lists := 0
+	eachList(levels, files, func(name string, l []T) {
+		lists++
+		was, ok := before[name]
+		if !ok {
+			t.Fatalf("%s: list created by an insert of existing elements", name)
+		}
+		for k := range l {
+			switch got := id(l[k]); {
+			case k < len(was) && got != id(was[k]):
+				t.Fatalf("%s: entry %d was id %d, now %d — an insert wrote into a neighbouring list", name, k, id(was[k]), got)
+			case k >= len(was) && int(got) < len(c.Objects):
+				t.Fatalf("%s: stored id %d beyond the list's snapshot", name, got)
+			}
+		}
+		if len(l) < len(was) {
+			t.Fatalf("%s: list shrank from %d to %d", name, len(was), len(l))
+		}
+	})
+	if lists != len(before) {
+		t.Fatalf("%d lists after the inserts, %d before", lists, len(before))
+	}
+	return extra
+}
+
+func TestInsertAfterBulkKeepsNeighbours(t *testing.T) {
+	cfg := testutil.DefaultConfig(77)
+	c := testutil.RandomCollection(cfg)
+	perf, size := NewPerf(c, WithM(5)), NewSize(c, WithM(5))
+	bytesBefore, entriesBefore := [2]int64{perf.SizeBytes(), size.SizeBytes()}, [2]int64{perf.EntryCount(), size.EntryCount()}
+	extra := checkInsertKeepsNeighbours(t, perf.levels, perfFiles, func(p postings.Posting) model.ObjectID { return p.ID }, perf.Insert, c)
+	checkInsertKeepsNeighbours(t, size.levels, sizeFiles, func(id model.ObjectID) model.ObjectID { return id }, size.Insert, c)
+
+	// The grown index is the insert-built index over all the objects.
+	all := &model.Collection{DictSize: c.DictSize, Objects: append(slices.Clone(c.Objects), extra...)}
+	checkEqualsInsertBuilt(t, perf, size, c.DictSize, all.Objects)
+	// A list an insert moved out of its arena is counted where it now
+	// lives, at its new capacity: no added entry goes uncounted.
+	if got, min := perf.SizeBytes(), bytesBefore[0]+16*(perf.EntryCount()-entriesBefore[0]); got < min {
+		t.Errorf("perf SizeBytes %d after the inserts, want at least %d", got, min)
+	}
+	if got, min := size.SizeBytes(), bytesBefore[1]+4*(size.EntryCount()-entriesBefore[1]); got < min {
+		t.Errorf("size SizeBytes %d after the inserts, want at least %d", got, min)
+	}
+
+	oracle := bruteforce.New(all)
+	for _, i := range rand.New(rand.NewSource(78)).Perm(len(all.Objects))[:len(all.Objects)/4] {
+		perf.Delete(all.Objects[i])
+		size.Delete(all.Objects[i])
+		oracle.Delete(all.Objects[i].ID)
+	}
+	pool := exec.NewPool(4)
+	for qi, q := range testutil.RandomQueries(cfg, 200, 79) {
+		want := testutil.Canonical(oracle.Query(q))
+		for name, got := range map[string][]model.ObjectID{
+			"perf Query": perf.Query(q), "perf QueryP": perf.QueryP(q, pool),
+			"size Query": size.Query(q), "size QueryP": size.QueryP(q, pool),
+		} {
+			if !model.EqualIDs(testutil.Canonical(got), want) {
+				t.Fatalf("query %d (%v elems=%v): %s %v, want %v", qi, q.Interval, q.Elems, name, testutil.Canonical(got), want)
+			}
+		}
+	}
+}
+
+// countTight fails if a directory, an element directory or a list has spare
+// capacity, and counts the partitions, lists and list entries.
+func countTight[P, T any](t *testing.T, levels []directory[P], files func(*P) [2]invFile[T]) (parts, lists, entries int64) {
+	t.Helper()
+	for l := range levels {
+		d := &levels[l]
+		if cap(d.keys) != len(d.keys) || cap(d.parts) != len(d.parts) {
+			t.Fatalf("level %d: directory has slack", l)
+		}
+		parts += int64(len(d.parts))
+		for _, p := range d.parts {
+			for _, f := range files(p) {
+				if cap(f.elems) != len(f.elems) || cap(f.lists) != len(f.lists) {
+					t.Fatalf("level %d: element directory has slack", l)
+				}
+			}
+		}
+	}
+	eachList(levels, files, func(name string, l []T) {
+		if cap(l) != len(l) {
+			t.Fatalf("%s: cap %d, len %d", name, cap(l), len(l))
+		}
+		lists++
+		entries += int64(len(l))
+	})
+	return parts, lists, entries
+}
+
+// TestBulkBuildIsTight: a bulk-built index has no slack for SizeBytes to
+// miss or to count twice — every slice is exactly as long as its capacity,
+// the lists of a division partition its arena, and so SizeBytes is a
+// function of the entry and directory counts alone.
+func TestBulkBuildIsTight(t *testing.T) {
+	cfg := testutil.DefaultConfig(12)
+	cfg.MaxDesc = 10
+	c := testutil.RandomCollection(cfg)
+	perf, size := NewPerf(c, WithM(6)), NewSize(c, WithM(6))
+
+	parts, lists, entries := countTight(t, perf.levels, perfFiles)
+	if want := parts*(4+8+96) + lists*(4+24) + entries*16 + int64(len(perf.freqs))*8; perf.SizeBytes() != want || entries != perf.EntryCount() {
+		t.Errorf("perf SizeBytes %d, want %d from %d partitions, %d lists, %d entries", perf.SizeBytes(), want, parts, lists, entries)
+	}
+
+	parts, lists, entries = countTight(t, size.levels, sizeFiles)
+	var ivals int64
+	for l := range size.levels {
+		for _, p := range size.levels[l].parts {
+			if cap(p.o.ivals) != len(p.o.ivals) || cap(p.r.ivals) != len(p.r.ivals) {
+				t.Fatalf("size level %d: interval store has slack", l)
+			}
+			ivals += int64(len(p.o.ivals) + len(p.r.ivals))
+		}
+	}
+	// 2*8: the two divisions' dead counters.
+	if want := parts*(4+8+96+2*8) + ivals*16 + lists*(4+24) + entries*4 + int64(len(size.freqs))*8; size.SizeBytes() != want || ivals+entries != size.EntryCount() {
+		t.Errorf("size SizeBytes %d, want %d from %d partitions, %d stored intervals, %d lists, %d ids", size.SizeBytes(), want, parts, ivals, lists, entries)
+	}
+}
+
+// TestCostModelMUnchanged pins the m the cost model picks on the three
+// generators at two scales each, all above the model's sample size: reading
+// the strided sample straight from the collection chooses what copying every
+// interval out first chose.
+func TestCostModelMUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    *model.Collection
+		m    int
+	}{
+		{"synthetic 0.01", gen.Synthetic(gen.SyntheticConfig{Seed: 1}.Defaults(0.01)), 5},
+		{"synthetic 0.05", gen.Synthetic(gen.SyntheticConfig{Seed: 1}.Defaults(0.05)), 8},
+		{"eclog 0.02", gen.ECLOGLike(gen.RealConfig{Scale: 0.02, Seed: 1}), 5},
+		{"eclog 0.1", gen.ECLOGLike(gen.RealConfig{Scale: 0.1, Seed: 1}), 7},
+		{"wikipedia 0.0033", gen.WikipediaLike(gen.RealConfig{Scale: 0.01 / 3, Seed: 1}), 5},
+		{"wikipedia 0.0167", gen.WikipediaLike(gen.RealConfig{Scale: 0.05 / 3, Seed: 1}), 7},
+	} {
+		if got := resolveDomain(tc.c, config{}).M; got != tc.m {
+			t.Errorf("%s (%d objects): cost model picked m = %d, was %d", tc.name, len(tc.c.Objects), got, tc.m)
+		}
+	}
+}
+
+// TestAllocBudgetBuild pins what a bulk build allocates on a 2k-object
+// collection: a handful of buffers per build and three slices per
+// populated division (four with the size variant's interval store) —
+// proportional to divisions, not to the thousands of lists.
+func TestAllocBudgetBuild(t *testing.T) {
+	cfg := testutil.CollectionConfig{N: 2000, DomainLo: 0, DomainHi: 1 << 20, Dict: 200, MaxDesc: 6, Seed: 9}
+	c := testutil.RandomCollection(cfg)
+	var lists int
+	eachList(NewPerf(c, WithM(5)).levels, perfFiles, func(string, []postings.Posting) { lists++ })
+	t.Logf("%d lists", lists)
+	allocbudget.Gate(t, "core/NewPerf", func() { NewPerf(c, WithM(5)) })
+	allocbudget.Gate(t, "core/NewSize", func() { NewSize(c, WithM(5)) })
+}

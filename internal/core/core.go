@@ -92,10 +92,6 @@ func resolveDomain(c *model.Collection, cfg config) domain.Domain {
 	}
 	m := cfg.m
 	if m == 0 {
-		ivs := make([]model.Interval, len(c.Objects))
-		for i := range c.Objects {
-			ivs[i] = c.Objects[i].Interval
-		}
 		mc := hint.DefaultCostModelConfig()
 		mc.MaxM = 16
 		// irHINT pays more per relevant division than plain HINT: every
@@ -103,7 +99,7 @@ func resolveDomain(c *model.Collection, cfg config) domain.Domain {
 		// partition), so the per-partition overhead is several times the
 		// cache-line cost the plain-HINT default models.
 		mc.PartitionOverhead = 160
-		m = hint.EstimateM(ivs, span, mc)
+		m = hint.EstimateM(c.Objects, span, mc)
 	}
 	if m > domain.MaxBits {
 		m = domain.MaxBits

@@ -9,7 +9,9 @@ import (
 
 // divIF is the per-division temporal inverted file of the performance
 // variant (Table 2: the I^O / I^R indices): a sorted element directory
-// with parallel id-sorted postings lists.
+// with parallel id-sorted postings lists. In a bulk-built division the
+// lists are adjacent views into one arena, each with cap == len
+// (carveLists); a list that insert has grown owns its storage.
 type divIF struct {
 	elems []model.ElemID
 	lists [][]postings.Posting

@@ -25,23 +25,27 @@ type PerfIndex struct {
 	live   int
 }
 
-// NewPerf builds the performance irHINT over a collection. Without a
-// WithM option, m comes from the HINT cost model (Section 5.4 reports the
-// model works well here because of the time-first design).
+// NewPerf builds the performance irHINT over a collection with the bulk
+// kernel (bulkBuild): every division's lists are id-sorted views into one
+// exactly-sized arena. Insert is the update path of Section 5.5 and works
+// on the built index unchanged. Without a WithM option, m comes from the
+// HINT cost model (Section 5.4 reports the model works well here because
+// of the time-first design).
 func NewPerf(c *model.Collection, opts ...Option) *PerfIndex {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	dom := resolveDomain(c, cfg)
-	ix := &PerfIndex{
-		dom:    dom,
-		levels: make([]directory[perfPart], dom.M+1),
-		freqs:  make([]int, c.DictSize),
-	}
-	for i := range c.Objects {
-		ix.Insert(c.Objects[i])
-	}
+	ix := &PerfIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
+	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *perfPart, replica bool, run []assignment) {
+		d := &p.o
+		if replica {
+			d = &p.r
+		}
+		d.elems, d.lists = carveLists(b, run, func(o *model.Object) postings.Posting {
+			return postings.Posting{ID: o.ID, Interval: o.Interval}
+		})
+	})
 	return ix
 }
 

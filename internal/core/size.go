@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -42,34 +44,30 @@ type SizeIndex struct {
 	live   int
 }
 
-// NewSize builds the size irHINT over a collection.
+// NewSize builds the size irHINT over a collection with the same bulk
+// kernel as NewPerf: per division one interval store, sorted once, and
+// id-only lists that are views into one exactly-sized arena.
 func NewSize(c *model.Collection, opts ...Option) *SizeIndex {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	dom := resolveDomain(c, cfg)
-	ix := &SizeIndex{
-		dom:    dom,
-		levels: make([]directory[sizePart], dom.M+1),
-		freqs:  make([]int, c.DictSize),
-	}
-	// Bulk mode: append interval-store entries unsorted, one sort per
-	// division afterwards (sorted insertion would be quadratic in the
-	// root partitions of long-interval datasets).
-	for i := range c.Objects {
-		ix.place(&c.Objects[i], true)
-	}
-	for l := range ix.levels {
-		for _, p := range ix.levels[l].parts {
-			sort.Slice(p.o.ivals, func(a, b int) bool {
-				return p.o.ivals[a].Interval.Start < p.o.ivals[b].Interval.Start
-			})
-			sort.Slice(p.r.ivals, func(a, b int) bool {
-				return p.r.ivals[a].Interval.End < p.r.ivals[b].Interval.End
-			})
+	ix := &SizeIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
+	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *sizePart, replica bool, run []assignment) {
+		d, key := &p.o, byStart
+		if replica {
+			d, key = &p.r, byEnd
 		}
-	}
+		d.ivals = make([]postings.Posting, len(run))
+		for i, a := range run {
+			d.ivals[i] = postings.Posting{ID: b.objs[a.obj].ID, Interval: b.objs[a.obj].Interval}
+		}
+		// Ties in id order, as sorted insertion leaves them.
+		slices.SortFunc(d.ivals, func(x, y postings.Posting) int {
+			return cmp.Or(cmp.Compare(key(x), key(y)), cmp.Compare(x.ID, y.ID))
+		})
+		d.elems, d.lists = carveLists(b, run, func(o *model.Object) model.ObjectID { return o.ID })
+	})
 	return ix
 }
 
@@ -85,26 +83,14 @@ func (ix *SizeIndex) Len() int { return ix.live }
 // Insert routes the object and adds, per division: one interval-store
 // entry plus one id per element in the division's inverted index.
 func (ix *SizeIndex) Insert(o model.Object) {
-	ix.place(&o, false)
-}
-
-func (ix *SizeIndex) place(o *model.Object, bulk bool) {
 	p := postings.Posting{ID: o.ID, Interval: o.Interval}
 	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
 		part := ix.levels[level].getOrCreate(j)
-		div := &part.o
-		switch {
-		case bulk && original:
-			div.ivals = append(div.ivals, p)
-		case bulk:
-			div = &part.r
-			div.ivals = append(div.ivals, p)
-		case original:
-			div.ivals = insertSortedBy(div.ivals, p, byStart)
-		default:
-			div = &part.r
-			div.ivals = insertSortedBy(div.ivals, p, byEnd)
+		div, key := &part.o, byStart
+		if !original {
+			div, key = &part.r, byEnd
 		}
+		div.ivals = insertSortedBy(div.ivals, p, key)
 		for _, e := range o.Elems {
 			div.addElem(e, o.ID)
 		}

@@ -42,7 +42,9 @@ func DefaultCostModelConfig() CostModelConfig {
 // levels and touch many partitions per level. The minimum sits between,
 // growing with input size and shrinking with duration — the behaviour
 // Section 5.2 relies on.
-func EstimateM(intervals []model.Interval, span model.Interval, cfg CostModelConfig) int {
+//
+// Only a strided sample of the objects' lifespans is read, in place.
+func EstimateM(objs []model.Object, span model.Interval, cfg CostModelConfig) int {
 	if cfg.SampleSize == 0 {
 		cfg.SampleSize = 4096
 	}
@@ -61,18 +63,19 @@ func EstimateM(intervals []model.Interval, span model.Interval, cfg CostModelCon
 	for maxM > 1 && int64(1)<<uint(maxM) > spanUnits {
 		maxM--
 	}
-	sample := intervals
-	if len(sample) > cfg.SampleSize {
-		step := len(intervals) / cfg.SampleSize
-		sample = make([]model.Interval, 0, cfg.SampleSize)
-		for i := 0; i < len(intervals); i += step {
-			sample = append(sample, intervals[i])
-		}
-	}
-	if len(sample) == 0 {
+	n := len(objs)
+	if n == 0 {
 		return 8
 	}
-	scale := float64(len(intervals)) / float64(len(sample))
+	step := 1
+	if n > cfg.SampleSize {
+		step = n / cfg.SampleSize
+	}
+	sample := make([]model.Interval, 0, (n+step-1)/step)
+	for i := 0; i < n; i += step {
+		sample = append(sample, objs[i].Interval)
+	}
+	scale := float64(n) / float64(len(sample))
 
 	bestM, bestCost := 1, 0.0
 	for m := 1; m <= maxM; m++ {

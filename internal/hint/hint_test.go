@@ -369,15 +369,15 @@ func TestCountRangeMatchesRangeQuery(t *testing.T) {
 func TestEstimateM(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	span := iv(0, 1<<20)
-	var short, long []model.Interval
+	var short, long []model.Object
 	for i := 0; i < 3000; i++ {
 		s := model.Timestamp(rng.Int63n(1 << 20))
-		short = append(short, iv(s, s+model.Timestamp(rng.Intn(100))))
+		short = append(short, model.Object{Interval: iv(s, s+model.Timestamp(rng.Intn(100)))})
 		e := s + model.Timestamp(rng.Int63n(1<<19))
 		if e > span.End {
 			e = span.End
 		}
-		long = append(long, iv(s, e))
+		long = append(long, model.Object{Interval: iv(s, e)})
 	}
 	cfg := DefaultCostModelConfig()
 	mShort := EstimateM(short, span, cfg)

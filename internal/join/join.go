@@ -54,11 +54,7 @@ func Join(left, right *model.Collection, cfg Config) []Pair {
 	}
 	m := cfg.M
 	if m <= 0 {
-		ivs := make([]model.Interval, len(build.Objects))
-		for i := range build.Objects {
-			ivs[i] = build.Objects[i].Interval
-		}
-		m = hint.EstimateM(ivs, span, hint.DefaultCostModelConfig())
+		m = hint.EstimateM(build.Objects, span, hint.DefaultCostModelConfig())
 	}
 	if m > domain.MaxBits {
 		m = domain.MaxBits
@@ -121,11 +117,7 @@ func SelfJoin(c *model.Collection, cfg Config) []Pair {
 	span, _ := c.Span()
 	m := cfg.M
 	if m <= 0 {
-		ivs := make([]model.Interval, len(c.Objects))
-		for i := range c.Objects {
-			ivs[i] = c.Objects[i].Interval
-		}
-		m = hint.EstimateM(ivs, span, hint.DefaultCostModelConfig())
+		m = hint.EstimateM(c.Objects, span, hint.DefaultCostModelConfig())
 	}
 	if m > domain.MaxBits {
 		m = domain.MaxBits

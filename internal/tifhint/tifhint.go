@@ -88,11 +88,7 @@ func costModelM(c *model.Collection, maxM int) int {
 	if !ok {
 		return 1
 	}
-	ivs := make([]model.Interval, len(c.Objects))
-	for i := range c.Objects {
-		ivs[i] = c.Objects[i].Interval
-	}
 	cfg := hint.DefaultCostModelConfig()
 	cfg.MaxM = maxM
-	return hint.EstimateM(ivs, span, cfg)
+	return hint.EstimateM(c.Objects, span, cfg)
 }
