@@ -56,9 +56,9 @@ bench:
 # benchmarks off shared cores; -count=1 defeats test caching.
 benchmem:
 	ALLOC_BUDGET_RECORD=1 $(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/sharding
+		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/sharding ./internal/server
 	$(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/sharding
+		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/sharding ./internal/server
 
 # Full Go microbenchmark sweep (slow; not part of the gate).
 microbench:
@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzContainerParity -fuzztime=30s ./internal/postings/
 	$(GO) test -fuzz=FuzzGallopParity -fuzztime=30s ./internal/postings/
 	$(GO) test -fuzz=FuzzDomainRoundTrip -fuzztime=30s ./internal/domain/
+	$(GO) test -fuzz=FuzzSearchRequest -fuzztime=30s ./internal/server/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -159,12 +159,22 @@ func (e *Engine) lookupLocked(term string) (ElemID, bool) {
 	return e.dict.Lookup(term)
 }
 
-// resolveTerms maps terms to element ids under the dictionary lock,
-// reporting ok=false if any term is unknown (the conjunction cannot be
-// satisfied then).
-func (e *Engine) resolveTerms(terms []string) ([]ElemID, bool) {
+// resolveTermsTraced maps terms to element ids under the dictionary
+// lock and a plan span — term resolution is the planning step of the
+// string search surface — reporting ok=false if any term is unknown (the
+// conjunction cannot be satisfied then).
+func (e *Engine) resolveTermsTraced(tr *obs.Trace, terms []string) ([]ElemID, bool) {
+	defer tr.StartStage(obs.StagePlan).End()
 	e.dmu.RLock()
 	defer e.dmu.RUnlock()
+	return e.lookupAllLocked(terms)
+}
+
+// lookupAllLocked resolves every term, reporting ok=false at the first
+// unknown one. Callers must hold e.dmu (read or write).
+//
+// irlint:locked dmu
+func (e *Engine) lookupAllLocked(terms []string) ([]ElemID, bool) {
 	elems := make([]ElemID, 0, len(terms))
 	for _, t := range terms {
 		id, ok := e.lookupLocked(t)
@@ -174,13 +184,6 @@ func (e *Engine) resolveTerms(terms []string) ([]ElemID, bool) {
 		elems = append(elems, id)
 	}
 	return elems, true
-}
-
-// resolveTermsTraced is resolveTerms under a plan span: term resolution
-// is the planning step of the string search surface.
-func (e *Engine) resolveTermsTraced(tr *obs.Trace, terms []string) ([]ElemID, bool) {
-	defer tr.StartStage(obs.StagePlan).End()
-	return e.resolveTerms(terms)
 }
 
 // Method returns the index implementation in use.
@@ -235,25 +238,9 @@ func (e *Engine) SetCompactionPolicy(p CompactionPolicy) { e.store.SetPolicy(p) 
 // empty (the conjunction cannot be satisfied). Results are in ascending
 // id order.
 func (e *Engine) Search(start, end Timestamp, terms ...string) []ObjectID {
-	return e.searchTraced(nil, start, end, terms)
-}
-
-// searchTraced is the Search body with an optional trace recorder
-// threaded through every stage (nil = disabled).
-func (e *Engine) searchTraced(tr *obs.Trace, start, end Timestamp, terms []string) []ObjectID {
-	elems, ok := e.resolveTermsTraced(tr, terms)
-	if !ok {
-		return nil
-	}
-	g := e.snapshot()
-	ids := g.Query(Query{
-		Interval: model.Canon(start, end),
-		Elems:    model.NormalizeElems(elems),
-		Trace:    tr,
-	})
-	out := finishIDs(g, ids, tr)
-	tr.AddResults(len(out))
-	return out
+	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use SearchCtx
+	ids, _ := e.SearchCtx(context.Background(), start, end, terms...)
+	return ids
 }
 
 // finishIDs orders the internal result ids and translates them to
@@ -342,25 +329,9 @@ type ScoredResult struct {
 // the generation the query runs against: every stored object counts,
 // inserted a moment ago or tombstoned but not yet compacted away.
 func (e *Engine) SearchTopK(start, end Timestamp, k int, terms ...string) []ScoredResult {
-	return e.searchTopKTraced(nil, start, end, k, terms)
-}
-
-// searchTopKTraced is the SearchTopK body with an optional trace
-// recorder (nil = disabled).
-func (e *Engine) searchTopKTraced(tr *obs.Trace, start, end Timestamp, k int, terms []string) []ScoredResult {
-	elems, ok := e.resolveTermsTraced(tr, terms)
-	if !ok {
-		return nil
-	}
-	g := e.snapshot()
-	q := Query{Interval: model.Canon(start, end), Elems: model.NormalizeElems(elems), Trace: tr}
-	results := rankTopK(g, q, k, tr)
-	out := make([]ScoredResult, len(results))
-	for i, r := range results {
-		out[i] = ScoredResult{ID: g.ExternalID(r.ID), Score: r.Score}
-	}
-	tr.AddResults(len(out))
-	return out
+	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use SearchTopKCtx
+	res, _ := e.SearchTopKCtx(context.Background(), start, end, k, terms...)
+	return res
 }
 
 // rankTopK scores and selects under a rank span. The span envelopes the
@@ -408,20 +379,8 @@ type TimelineBucket struct {
 // reports how many matching objects were alive in it (and for how long) —
 // "how did interest in these terms evolve across the period".
 func (e *Engine) Timeline(start, end Timestamp, buckets int, terms ...string) []TimelineBucket {
-	return e.timelineTraced(nil, start, end, buckets, terms)
-}
-
-// timelineTraced is the Timeline body with an optional trace recorder
-// (nil = disabled).
-func (e *Engine) timelineTraced(tr *obs.Trace, start, end Timestamp, buckets int, terms []string) []TimelineBucket {
-	elems, ok := e.resolveTermsTraced(tr, terms)
-	if !ok {
-		return nil
-	}
-	g := e.snapshot()
-	q := Query{Interval: model.Canon(start, end), Elems: model.NormalizeElems(elems), Trace: tr}
-	out := aggregateTimeline(g, q, buckets, tr)
-	tr.AddResults(len(out))
+	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use TimelineCtx
+	out, _ := e.TimelineCtx(context.Background(), start, end, buckets, terms...)
 	return out
 }
 

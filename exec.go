@@ -78,34 +78,41 @@ func runQuery(g *maint.Generation, q Query, pool *exec.Pool) []ObjectID {
 // batch runs against one generation snapshot: mutations landing
 // mid-batch are invisible to it, and the batch never blocks them.
 func (e *Engine) SearchBatch(queries []Query) []Result {
-	g := e.snapshot()
-	pool := e.executor()
-	results := make([]Result, len(queries))
-	pool.Map(len(queries), func(i int) {
-		results[i] = Result{IDs: runQuery(g, queries[i], pool)}
-	})
-	return results
+	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use SearchBatchCtx
+	return e.SearchBatchCtx(context.Background(), queries)
 }
 
 // SearchBatchCtx is SearchBatch with cooperative cancellation: queries
 // not yet started when ctx fires are marked with Err = ctx.Err() and nil
 // IDs; queries already running complete normally.
 func (e *Engine) SearchBatchCtx(ctx context.Context, queries []Query) []Result {
-	g := e.snapshot()
-	pool := e.executor()
 	tr := obs.TraceFromContext(ctx)
 	tr.SetBatch(len(queries))
-	results := make([]Result, len(queries))
-	started := make([]bool, len(queries))
-	_ = pool.MapCtx(ctx, len(queries), func(i int) {
-		started[i] = true
+	return e.runBatch(ctx, len(queries), func(i int) (Query, bool) {
 		q := queries[i]
 		if q.Trace == nil {
 			// The batch rows share the context trace; the accumulators
 			// are atomic, so concurrent rows record safely.
 			q.Trace = tr
 		}
-		results[i] = Result{IDs: runQuery(g, q, pool)}
+		return q, true
+	})
+}
+
+// runBatch evaluates n rows over the pool against one generation
+// snapshot. row(i) returns row i's query, or false for a row that
+// resolves to an empty result without running. Rows not started when ctx
+// fires carry Err = ctx.Err() and nil IDs.
+func (e *Engine) runBatch(ctx context.Context, n int, row func(i int) (Query, bool)) []Result {
+	g := e.snapshot()
+	pool := e.executor()
+	results := make([]Result, n)
+	started := make([]bool, n)
+	_ = pool.MapCtx(ctx, n, func(i int) {
+		started[i] = true
+		if q, ok := row(i); ok {
+			results[i] = Result{IDs: runQuery(g, q, pool)}
+		}
 	})
 	if err := ctx.Err(); err != nil {
 		for i := range results {
@@ -117,63 +124,75 @@ func (e *Engine) SearchBatchCtx(ctx context.Context, queries []Query) []Result {
 	return results
 }
 
-// SearchCtx is Search with cancellation and timeout support: it returns
-// ctx.Err() as soon as ctx fires, even mid-query. The underlying index
-// scan cannot be interrupted, so an abandoned query finishes in the
-// background; the bound on such strays is the caller's concurrency,
-// which the HTTP server caps via MaxInFlight.
+// The context-aware single queries run on the caller's goroutine and
+// check ctx at the stage boundaries the trace marks (plan, index query,
+// sort/translate, end): a fired ctx returns ctx.Err(), never a result,
+// within one stage. Until then the query holds its caller — and the HTTP
+// server's admission slot, so MaxInFlight bounds evaluations.
+
+// SearchCtx is Search with cancellation and timeout support.
 func (e *Engine) SearchCtx(ctx context.Context, start, end Timestamp, terms ...string) ([]ObjectID, error) {
+	g, q, err := e.planCtx(ctx, start, end, terms)
+	if g == nil {
+		return nil, err
+	}
+	ids := g.Query(q)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr := obs.TraceFromContext(ctx)
-	done := make(chan []ObjectID, 1)
-	// irlint:goroutine-exits send into the cap-1 buffer never blocks, so the goroutine exits when the scan completes even if ctx fired and the result is abandoned
-	go func() { done <- e.searchTraced(tr, start, end, terms) }()
-	select {
-	case ids := <-done:
-		return ids, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	out := finishIDs(g, ids, q.Trace)
+	q.Trace.AddResults(len(out))
+	return unlessDone(ctx, out)
 }
 
-// SearchTopKCtx is SearchTopK with cancellation and timeout support: it
-// returns ctx.Err() as soon as ctx fires, even while ranking is still
-// running. Like SearchCtx, the abandoned evaluation finishes in the
-// background; callers bound strays via their own concurrency cap.
+// SearchTopKCtx is SearchTopK with cancellation and timeout support.
 func (e *Engine) SearchTopKCtx(ctx context.Context, start, end Timestamp, k int, terms ...string) ([]ScoredResult, error) {
-	if err := ctx.Err(); err != nil {
+	g, q, err := e.planCtx(ctx, start, end, terms)
+	if g == nil {
 		return nil, err
 	}
-	tr := obs.TraceFromContext(ctx)
-	done := make(chan []ScoredResult, 1)
-	// irlint:goroutine-exits send into the cap-1 buffer never blocks, so the goroutine exits when ranking completes even if ctx fired and the result is abandoned
-	go func() { done <- e.searchTopKTraced(tr, start, end, k, terms) }()
-	select {
-	case res := <-done:
-		return res, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	results := rankTopK(g, q, k, q.Trace)
+	out := make([]ScoredResult, len(results))
+	for i, r := range results {
+		out[i] = ScoredResult{ID: g.ExternalID(r.ID), Score: r.Score}
 	}
+	q.Trace.AddResults(len(out))
+	return unlessDone(ctx, out)
 }
 
-// TimelineCtx is Timeline with cancellation and timeout support,
-// following the same detached-evaluation contract as SearchCtx.
+// TimelineCtx is Timeline with cancellation and timeout support.
 func (e *Engine) TimelineCtx(ctx context.Context, start, end Timestamp, buckets int, terms ...string) ([]TimelineBucket, error) {
+	g, q, err := e.planCtx(ctx, start, end, terms)
+	if g == nil {
+		return nil, err
+	}
+	out := aggregateTimeline(g, q, buckets, q.Trace)
+	q.Trace.AddResults(len(out))
+	return unlessDone(ctx, out)
+}
+
+// planCtx is the plan stage of the context-aware queries: it resolves
+// the terms and pins the generation the query runs against. A nil
+// generation means there is nothing to run: ctx fired (err is set), or a
+// term is unknown and the conjunction is empty (err is nil).
+func (e *Engine) planCtx(ctx context.Context, start, end Timestamp, terms []string) (*maint.Generation, Query, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, Query{}, err
+	}
+	tr := obs.TraceFromContext(ctx)
+	elems, ok := e.resolveTermsTraced(tr, terms)
+	if err := ctx.Err(); err != nil || !ok {
+		return nil, Query{}, err
+	}
+	return e.snapshot(), Query{Interval: model.Canon(start, end), Elems: model.NormalizeElems(elems), Trace: tr}, nil
+}
+
+// unlessDone returns v, or ctx.Err() and no result once ctx has fired.
+func unlessDone[T any](ctx context.Context, v []T) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr := obs.TraceFromContext(ctx)
-	done := make(chan []TimelineBucket, 1)
-	// irlint:goroutine-exits send into the cap-1 buffer never blocks, so the goroutine exits when bucketing completes even if ctx fired and the result is abandoned
-	go func() { done <- e.timelineTraced(tr, start, end, buckets, terms) }()
-	select {
-	case res := <-done:
-		return res, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return v, nil
 }
 
 // SearchTermsBatch resolves each row of terms against the dictionary and
@@ -192,26 +211,7 @@ func (e *Engine) SearchTermsBatchCtx(ctx context.Context, start, end Timestamp, 
 	tr := obs.TraceFromContext(ctx)
 	tr.SetBatch(len(termRows))
 	queries, known := e.planTermRows(tr, start, end, termRows)
-
-	g := e.snapshot()
-	pool := e.executor()
-	results := make([]Result, len(queries))
-	started := make([]bool, len(queries))
-	_ = pool.MapCtx(ctx, len(queries), func(i int) {
-		started[i] = true
-		if !known[i] {
-			return
-		}
-		results[i] = Result{IDs: runQuery(g, queries[i], pool)}
-	})
-	if err := ctx.Err(); err != nil {
-		for i := range results {
-			if !started[i] {
-				results[i] = Result{Err: err}
-			}
-		}
-	}
-	return results
+	return e.runBatch(ctx, len(queries), func(i int) (Query, bool) { return queries[i], known[i] })
 }
 
 // planTermRows resolves every row's terms against the dictionary under
@@ -226,17 +226,8 @@ func (e *Engine) planTermRows(tr *obs.Trace, start, end Timestamp, termRows [][]
 	e.dmu.RLock()
 	defer e.dmu.RUnlock()
 	for i, terms := range termRows {
-		elems := make([]ElemID, 0, len(terms))
-		ok := true
-		for _, t := range terms {
-			id, found := e.lookupLocked(t)
-			if !found {
-				ok = false
-				break
-			}
-			elems = append(elems, id)
-		}
-		known[i] = ok
+		var elems []ElemID
+		elems, known[i] = e.lookupAllLocked(terms)
 		queries[i] = Query{Interval: iv, Elems: model.NormalizeElems(elems), Trace: tr}
 	}
 	return queries, known

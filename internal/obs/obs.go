@@ -102,9 +102,11 @@ func (o *Observer) StartTrace(method string) *Trace {
 }
 
 // FinishTrace seals tr, offers its summary to the slow-query log, and
-// returns the summary. A nil trace returns a zero Summary.
+// returns the summary. A trace faster than the slow-log threshold is
+// never summarized — most traces, so the common case builds no strings
+// — and returns a zero Summary, as does a nil trace.
 func (o *Observer) FinishTrace(tr *Trace) Summary {
-	if tr == nil {
+	if tr == nil || (o != nil && time.Since(tr.start) < o.slow.Threshold()) {
 		return Summary{}
 	}
 	s := tr.Summary()

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -70,18 +71,22 @@ func (s Stage) String() string {
 // Trace accumulates per-stage wall time for one logical query (or one
 // batch, or one compaction). All recording methods are safe on a nil
 // receiver — a nil *Trace IS the disabled recorder, and costs one
-// branch per call site — and safe for concurrent use, so batch rows
-// fanned out across a worker pool may share one Trace.
+// branch per call site — and, except SetShape, safe for concurrent use,
+// so batch rows fanned out across a worker pool may share one Trace.
 type Trace struct {
-	method  string
-	shape   atomic.Pointer[string]
-	route   atomic.Pointer[string]
-	tenant  atomic.Pointer[string]
-	start   time.Time
-	stageNS [NumStages]atomic.Int64
-	stageN  [NumStages]atomic.Int64
-	batch   atomic.Int64
-	results atomic.Int64
+	method string
+	// shapeFmt and the first shapeN shapeArgs are the query shape as
+	// SetShape recorded it; Summary formats them.
+	shapeFmt  string
+	shapeArgs [3]int
+	shapeN    int
+	route     atomic.Pointer[string]
+	tenant    atomic.Pointer[string]
+	start     time.Time
+	stageNS   [NumStages]atomic.Int64
+	stageN    [NumStages]atomic.Int64
+	batch     atomic.Int64
+	results   atomic.Int64
 }
 
 // NewTrace starts a trace for the named query method.
@@ -118,11 +123,17 @@ func (st StageTimer) End() {
 	st.tr.stageN[st.stage].Add(1)
 }
 
-// SetShape attaches a human-readable query shape (terms, interval,
-// k...) shown in the slow log.
-func (t *Trace) SetShape(shape string) {
+// SetShape attaches the query shape shown in the slow log: a
+// fmt-style format and its integer counts, as in
+// SetShape("terms=%d k=%d", 2, 10), with at most three counts. Only
+// the counts are stored; the string is built by Summary, so a trace
+// nobody reads never formats one. The trace's owner calls it before
+// sharing the trace: unlike the other recording methods it is not safe
+// for concurrent use.
+func (t *Trace) SetShape(format string, counts ...int) {
 	if t != nil {
-		t.shape.Store(&shape)
+		t.shapeFmt = format
+		t.shapeN = copy(t.shapeArgs[:], counts)
 	}
 }
 
@@ -220,8 +231,13 @@ func (t *Trace) Summary() Summary {
 	if p := t.tenant.Load(); p != nil {
 		s.Tenant = *p
 	}
-	if p := t.shape.Load(); p != nil {
-		s.Shape = *p
+	s.Shape = t.shapeFmt
+	if t.shapeN > 0 {
+		args := make([]any, t.shapeN)
+		for i := range args {
+			args[i] = t.shapeArgs[i]
+		}
+		s.Shape = fmt.Sprintf(t.shapeFmt, args...)
 	}
 	if p := t.route.Load(); p != nil {
 		s.Route = *p

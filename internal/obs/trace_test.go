@@ -160,3 +160,32 @@ func TestStageStrings(t *testing.T) {
 		t.Fatal("out-of-range stage should be unknown")
 	}
 }
+
+// TestShapeFormattedOnRead: SetShape stores counts; Summary formats
+// them, and a bare string with no counts reads back verbatim.
+func TestShapeFormattedOnRead(t *testing.T) {
+	tr := NewTrace("search_topk")
+	tr.SetShape("terms=%d k=%d", 2, 10)
+	if got := tr.Summary().Shape; got != "terms=2 k=10" {
+		t.Fatalf("shape = %q, want %q", got, "terms=2 k=10")
+	}
+	tr.SetShape("100%")
+	if got := tr.Summary().Shape; got != "100%" {
+		t.Fatalf("shape without counts = %q, want it verbatim", got)
+	}
+}
+
+// TestFinishTraceSkipsFastTraces: a trace under the slow threshold is
+// neither summarized nor logged.
+func TestFinishTraceSkipsFastTraces(t *testing.T) {
+	o := NewObserver(Config{SlowThreshold: time.Hour})
+	tr := o.StartTrace("q")
+	tr.SetShape("terms=%d", 1)
+	tr.AddResults(3)
+	if sum := o.FinishTrace(tr); sum.Method != "" || sum.Shape != "" {
+		t.Fatalf("fast trace summarized: %+v", sum)
+	}
+	if o.Slow().Total() != 0 {
+		t.Fatal("fast trace reached the slow log")
+	}
+}

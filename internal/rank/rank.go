@@ -202,9 +202,12 @@ func TopKQuery(ix ContainmentIndex, c *model.Collection, w QueryScorer, q model.
 	if k <= 0 {
 		return nil
 	}
-	// lint:alloc-ok one k-capacity heap per ranked query
-	h := make(resultHeap, 0, k)
-	for _, id := range ix.Query(q) {
+	// The heap never holds more than the candidates, so a huge k from a
+	// request reserves no memory that no result will fill.
+	cands := ix.Query(q)
+	// lint:alloc-ok one heap per ranked query
+	h := make(resultHeap, 0, min(k, len(cands)))
+	for _, id := range cands {
 		o := &c.Objects[id]
 		r := Result{ID: id, Score: w.Score(o, &q)}
 		if len(h) < k {

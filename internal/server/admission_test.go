@@ -11,7 +11,7 @@ import (
 	temporalir "repro"
 )
 
-func buildEngine(t *testing.T) *temporalir.Engine {
+func buildEngine(t testing.TB) *temporalir.Engine {
 	t.Helper()
 	b := temporalir.NewBuilder()
 	b.Add(0, 100, "alpha", "beta")

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -79,21 +80,11 @@ func TestReversedIntervalRejected(t *testing.T) {
 // single upfront ctx check, so a timeout expiring mid-evaluation never
 // produced 504. The timeout here is far too short for a full-range
 // ranked scan over the big engine but comfortably outlives request
-// parsing, so only mid-evaluation cancellation can answer 504. k is the
-// whole corpus, which keeps every candidate in the heap: tens of
-// milliseconds of ranking, so the deadline also wins when a loaded
-// machine wakes the waiting goroutine a scheduler quantum late (at k = 5
-// the scan is 2–5 ms since ISSUE 17, and that race was lost one tier-1
-// run in four).
+// parsing, so only cancellation checked after ranking can answer 504.
+// The evaluation runs on the handler's goroutine and checks the deadline
+// at its stage boundaries, so no timer has to win a race against it: the
+// answer is 504 whatever the scheduler does.
 func TestRankedSearchTimeout504(t *testing.T) {
-	// The select between evaluation and the deadline needs the timer to
-	// actually wake the waiting goroutine while the evaluator is busy;
-	// on a single-P runtime a tight scoring loop can outrun the 10ms
-	// preemption window, so give the scheduler a second P.
-	if runtime.GOMAXPROCS(0) < 2 {
-		old := runtime.GOMAXPROCS(2)
-		defer runtime.GOMAXPROCS(old)
-	}
 	engine := buildBigEngine(t, 120000)
 	engine.SetParallelism(1)
 	srv := NewWithOptions(engine, Options{QueryTimeout: time.Millisecond})
@@ -107,6 +98,87 @@ func TestRankedSearchTimeout504(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("ranked search past deadline: status %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestMaxInFlightBoundsAbandonedEvaluations is the regression test for
+// evaluations outliving their admission slot. SearchTopKCtx used to rank
+// on a goroutine of its own and return when the deadline fired, so the
+// handler answered 504 and freed its slot while the scan went on, and
+// back-to-back requests stacked scans up past MaxInFlight. Each request
+// here outlives its 1ms deadline (a 2–5 ms ranked scan over 120k
+// objects). The one about to run is one evaluation; any goroutine with
+// an engine frame on its stack is an earlier one still scanning.
+func TestMaxInFlightBoundsAbandonedEvaluations(t *testing.T) {
+	engine := buildBigEngine(t, 120000)
+	engine.SetParallelism(1)
+	srv := NewWithOptions(engine, Options{MaxInFlight: 1, QueryTimeout: time.Millisecond})
+	req := httptest.NewRequest(http.MethodGet, "/search?start=0&end=2000&q=alpha&k=5", nil)
+	stacks := make([]byte, 1<<20)
+	evaluating := func() int {
+		n := 0
+		for _, g := range bytes.Split(stacks[:runtime.Stack(stacks, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("repro.(*Engine).")) {
+				n++
+			}
+		}
+		return n
+	}
+	peak, timedOut := 0, 0
+	for i := 0; i < 20; i++ {
+		peak = max(peak, 1+evaluating())
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusGatewayTimeout:
+			timedOut++
+		case http.StatusOK:
+		default:
+			t.Fatalf("request %d: status %d", i, rec.Code)
+		}
+	}
+	if timedOut == 0 {
+		t.Fatal("no request outlived its 1ms deadline; the scan is too small to test abandonment")
+	}
+	if peak > 1 {
+		t.Fatalf("%d evaluations ran at once under MaxInFlight 1", peak)
+	}
+}
+
+// TestSlowLogShapes pins the query shapes the slow log shows, one per
+// traced method; the trace stores only their counts and formats them
+// when the entry is read.
+func TestSlowLogShapes(t *testing.T) {
+	observer := obs.NewObserver(obs.Config{SlowThreshold: -1}) // capture every trace
+	ts := httptest.NewServer(NewWithOptions(buildEngine(t), Options{Obs: observer}))
+	defer ts.Close()
+	for _, path := range []string{
+		"/search?start=0&end=100&q=alpha",
+		"/search?start=0&end=100&q=alpha+beta&k=2",
+		"/timeline?start=0&end=100&q=alpha&buckets=3",
+	} {
+		getJSON(t, ts.URL+path, http.StatusOK)
+	}
+	resp, err := http.Post(ts.URL+"/search/batch", "application/json",
+		strings.NewReader(`{"start":0,"end":100,"queries":["alpha","beta"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	shapes := map[string]string{}
+	for _, e := range observer.Slow().Snapshot() {
+		shapes[e.Method] = e.Shape
+	}
+	want := map[string]string{
+		"search":       "terms=1",
+		"search_topk":  "terms=2 k=2",
+		"timeline":     "terms=1 buckets=3",
+		"search_batch": "queries=2",
+	}
+	for method, shape := range want {
+		if shapes[method] != shape {
+			t.Errorf("%s shape = %q, want %q", method, shapes[method], shape)
+		}
 	}
 }
 

@@ -31,7 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -691,10 +693,7 @@ func retryHeaderSecs(d time.Duration) string {
 // writeRetryError answers a rejection with both hint forms.
 func writeRetryError(w http.ResponseWriter, status int, retry time.Duration, format string, args ...any) {
 	w.Header().Set("Retry-After", retryHeaderSecs(retry))
-	writeJSON(w, status, map[string]any{
-		"error":          fmt.Sprintf(format, args...),
-		"retry_after_ms": retry.Milliseconds(),
-	})
+	send(w, status, errorReply{msg: fmt.Sprintf(format, args...), retryMS: retry.Milliseconds()})
 }
 
 // overloadRetryHint derives the 503 hint from in-flight pressure: the
@@ -756,16 +755,6 @@ func (s *Server) queryCtx(r *http.Request, id string) (context.Context, context.
 	return context.WithTimeout(ctx, s.queryTimeout)
 }
 
-// searchFailure maps an evaluation error to a response.
-func (s *Server) searchFailure(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.admTimeout.Inc()
-		writeError(w, http.StatusGatewayTimeout, "query timed out")
-		return
-	}
-	writeError(w, http.StatusInternalServerError, "query aborted: %v", err)
-}
-
 // Partial-result plumbing. A sharded engine answers through the
 // *ShardsCtx variants, whose ShardReport makes truncation explicit;
 // a single-store engine reports a zero (complete) ShardReport. The
@@ -802,21 +791,24 @@ func searchTimeline(ctx context.Context, eng Engine, start, end temporalir.Times
 	return tl, temporalir.ShardReport{}, err
 }
 
-// shardCutFailure writes the 504 for an all-shards-cut report and
-// reports whether it did; otherwise it annotates the response body with
-// the partial-result fields when any shard was cut.
-func (s *Server) shardCutFailure(w http.ResponseWriter, rep temporalir.ShardReport, body map[string]any) bool {
-	if !rep.Partial() {
-		return false
-	}
-	if len(rep.Cut) == rep.Planned {
+// failed answers a query that has no result to stand behind — an
+// evaluation error, or a report whose every planned shard was cut — and
+// reports whether it did. Otherwise the caller writes the 200, partial
+// when rep.Cut names any shard.
+func (s *Server) failed(w http.ResponseWriter, rep temporalir.ShardReport, err error) bool {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.admTimeout.Inc()
+		writeError(w, http.StatusGatewayTimeout, "query timed out")
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "query aborted: %v", err)
+	case rep.Partial() && len(rep.Cut) == rep.Planned:
 		s.admTimeout.Inc()
 		writeError(w, http.StatusGatewayTimeout, "all %d planned shards exceeded the shard deadline", rep.Planned)
-		return true
+	default:
+		return false
 	}
-	body["partial"] = true
-	body["shards_cut"] = rep.Cut
-	return false
+	return true
 }
 
 // finishQuery records one served query twice — into the global
@@ -844,42 +836,43 @@ type objectJSON struct {
 	Terms []string             `json:"terms"`
 }
 
-// searchHit is one ranked or unranked result row.
-type searchHit struct {
-	ID    temporalir.ObjectID `json:"id"`
-	Score *float64            `json:"score,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	send(w, status, errorReply{msg: fmt.Sprintf(format, args...)})
 }
 
-// parseQueryRange extracts and validates start, end and q from a search
-// or timeline request, writing the 400 response itself on failure.
-// start > end is rejected here — the same validation POST bodies get —
-// instead of silently canonicalizing the reversed interval.
-func parseQueryRange(w http.ResponseWriter, r *http.Request) (start, end temporalir.Timestamp, terms []string, ok bool) {
-	start, err := parseTS(r.URL.Query().Get("start"))
+// checkInterval validates a request's interval. start > end is rejected
+// — by every endpoint alike — instead of being silently canonicalized,
+// and so is an interval of more than 2^63−1 time points: its length does
+// not fit the int64 the engine measures durations in.
+func checkInterval(start, end temporalir.Timestamp) error {
+	if start > end {
+		return fmt.Errorf("start %d > end %d", start, end)
+	}
+	if uint64(end)-uint64(start) >= math.MaxInt64 {
+		return fmt.Errorf("interval [%d, %d] spans more than 2^63-1 time points", start, end)
+	}
+	return nil
+}
+
+// parseQueryRange extracts and validates start, end and q from the
+// parsed query string of a search or timeline request, writing the 400
+// response itself on failure.
+func parseQueryRange(w http.ResponseWriter, query url.Values) (start, end temporalir.Timestamp, terms []string, ok bool) {
+	start, err := parseTS(query.Get("start"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad start: %v", err)
 		return 0, 0, nil, false
 	}
-	end, err = parseTS(r.URL.Query().Get("end"))
+	end, err = parseTS(query.Get("end"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad end: %v", err)
 		return 0, 0, nil, false
 	}
-	if start > end {
-		writeError(w, http.StatusBadRequest, "start %d > end %d", start, end)
+	if err := checkInterval(start, end); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return 0, 0, nil, false
 	}
-	terms = textutil.Tokenize(r.URL.Query().Get("q"), textutil.Options{})
+	terms = textutil.Tokenize(query.Get("q"), textutil.Options{})
 	if len(terms) == 0 {
 		writeError(w, http.StatusBadRequest, "q must contain at least one indexable term")
 		return 0, 0, nil, false
@@ -890,16 +883,15 @@ func parseQueryRange(w http.ResponseWriter, r *http.Request) (start, end tempora
 // handleSearch answers GET /search?start=S&end=E&q=TERMS[&k=K].
 // q is free text, tokenized and normalized like inserted documents.
 // Without k the full containment result is returned; with k the top-k
-// ranked results with scores. Both paths run under the request deadline:
-// the ranked path goes through SearchTopKCtx, so a ranking that outlives
-// the timeout answers 504 instead of holding the connection.
+// ranked results with scores. Either answers 504 past the deadline.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	start, end, terms, ok := parseQueryRange(w, r)
+	query := r.URL.Query()
+	start, end, terms, ok := parseQueryRange(w, query)
 	if !ok {
 		return
 	}
 	var k int
-	if kRaw := r.URL.Query().Get("k"); kRaw != "" {
+	if kRaw := query.Get("k"); kRaw != "" {
 		var err error
 		k, err = strconv.Atoi(kRaw)
 		if err != nil || k < 1 {
@@ -916,47 +908,27 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r, g.tn.ID())
 	defer cancel()
 
-	var hits []searchHit
-	body := map[string]any{}
 	if k > 0 {
 		tr := s.obs.StartTrace("search_topk")
 		tr.SetTenant(g.tn.ID())
-		tr.SetShape(fmt.Sprintf("terms=%d k=%d", len(terms), k))
+		tr.SetShape("terms=%d k=%d", len(terms), k)
 		t0 := time.Now()
 		res, rep, err := searchTopK(obs.ContextWithTrace(ctx, tr), g.engine(), start, end, k, terms)
 		s.finishQuery(s.metTopK, g.tm.topk, tr, t0)
-		if err != nil {
-			s.searchFailure(w, err)
-			return
+		if !s.failed(w, rep, err) {
+			send(w, http.StatusOK, topKReply{hits: res, cut: rep.Cut})
 		}
-		if s.shardCutFailure(w, rep, body) {
-			return
-		}
-		for _, r := range res {
-			score := r.Score
-			hits = append(hits, searchHit{ID: r.ID, Score: &score})
-		}
-	} else {
-		tr := s.obs.StartTrace("search")
-		tr.SetTenant(g.tn.ID())
-		tr.SetShape(fmt.Sprintf("terms=%d", len(terms)))
-		t0 := time.Now()
-		ids, rep, err := searchIDs(obs.ContextWithTrace(ctx, tr), g.engine(), start, end, terms)
-		s.finishQuery(s.metSearch, g.tm.search, tr, t0)
-		if err != nil {
-			s.searchFailure(w, err)
-			return
-		}
-		if s.shardCutFailure(w, rep, body) {
-			return
-		}
-		for _, id := range ids {
-			hits = append(hits, searchHit{ID: id})
-		}
+		return
 	}
-	body["count"] = len(hits)
-	body["hits"] = hits
-	writeJSON(w, http.StatusOK, body)
+	tr := s.obs.StartTrace("search")
+	tr.SetTenant(g.tn.ID())
+	tr.SetShape("terms=%d", len(terms))
+	t0 := time.Now()
+	ids, rep, err := searchIDs(obs.ContextWithTrace(ctx, tr), g.engine(), start, end, terms)
+	s.finishQuery(s.metSearch, g.tm.search, tr, t0)
+	if !s.failed(w, rep, err) {
+		send(w, http.StatusOK, idsReply{ids: ids, cut: rep.Cut})
+	}
 }
 
 // batchRequest is the wire form of POST /search/batch: one interval of
@@ -966,16 +938,6 @@ type batchRequest struct {
 	Start   temporalir.Timestamp `json:"start"`
 	End     temporalir.Timestamp `json:"end"`
 	Queries []string             `json:"queries"`
-}
-
-// batchRow is one row of the batch response; rows line up with the
-// request's queries. A row whose evaluation lost shards to the
-// per-shard deadline reports them in shards_cut rather than passing a
-// truncated hit list off as complete.
-type batchRow struct {
-	Hits      []temporalir.ObjectID `json:"hits"`
-	Error     string                `json:"error,omitempty"`
-	ShardsCut []int                 `json:"shards_cut,omitempty"`
 }
 
 // handleSearchBatch answers POST /search/batch. The whole batch holds
@@ -988,8 +950,8 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
-	if req.Start > req.End {
-		writeError(w, http.StatusBadRequest, "start %d > end %d", req.Start, req.End)
+	if err := checkInterval(req.Start, req.End); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -1014,28 +976,18 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 
 	tr := s.obs.StartTrace("search_batch")
 	tr.SetTenant(g.tn.ID())
-	tr.SetShape(fmt.Sprintf("queries=%d", len(termRows)))
+	tr.SetShape("queries=%d", len(termRows))
 	s.batchSize.Observe(float64(len(termRows)))
 	t0 := time.Now()
 	results := g.engine().SearchTermsBatchCtx(obs.ContextWithTrace(ctx, tr), req.Start, req.End, termRows)
 	s.finishQuery(s.metBatch, g.tm.batch, tr, t0)
-	rows := make([]batchRow, len(results))
-	timedOut := false
-	completed := 0
-	for i, res := range results {
-		if res.Err != nil {
-			row := batchRow{Error: res.Err.Error()}
-			// A sharded row that lost shards to the per-shard deadline
-			// names them; the row is an error row, never a short 200 row.
-			if pe, ok := temporalir.AsPartialError(res.Err); ok {
-				row.ShardsCut = pe.Report.Cut
-			}
-			rows[i] = row
-			timedOut = timedOut || errors.Is(res.Err, context.DeadlineExceeded)
-			continue
+	timedOut, completed := false, 0
+	for _, res := range results {
+		if res.Err == nil {
+			completed++
+		} else if errors.Is(res.Err, context.DeadlineExceeded) {
+			timedOut = true
 		}
-		completed++
-		rows[i] = batchRow{Hits: res.IDs}
 	}
 	if timedOut {
 		s.admTimeout.Inc()
@@ -1047,11 +999,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGatewayTimeout, "no batch row completed before the deadline")
 		return
 	}
-	body := map[string]any{"count": len(rows), "results": rows}
-	if completed < len(rows) {
-		body["partial"] = true
-	}
-	writeJSON(w, http.StatusOK, body)
+	send(w, http.StatusOK, batchReply{rows: results, partial: completed < len(results)})
 }
 
 // handleInsert answers POST /objects with an objectJSON body (id
@@ -1065,8 +1013,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
-	if in.Start > in.End {
-		writeError(w, http.StatusBadRequest, "start %d > end %d", in.Start, in.End)
+	if err := checkInterval(in.Start, in.End); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var terms []string
@@ -1092,7 +1040,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	// No server-level lock: Insert serializes on the engine's dictionary
 	// and store mutexes.
 	id := eng.Insert(in.Start, in.End, terms...)
-	writeJSON(w, http.StatusCreated, map[string]any{"id": id})
+	send(w, http.StatusCreated, idReply{key: "id", id: id})
 }
 
 // handleGet answers GET /objects/{id}.
@@ -1131,7 +1079,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
+	send(w, http.StatusOK, idReply{key: "deleted", id: id})
 }
 
 // handleTimeline answers GET /timeline?start=S&end=E&q=TERMS&buckets=N:
@@ -1139,12 +1087,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // match, so the endpoint sits behind the same admission control and
 // deadline as /search.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	start, end, terms, ok := parseQueryRange(w, r)
+	query := r.URL.Query()
+	start, end, terms, ok := parseQueryRange(w, query)
 	if !ok {
 		return
 	}
 	buckets := 10
-	if raw := r.URL.Query().Get("buckets"); raw != "" {
+	if raw := query.Get("buckets"); raw != "" {
 		var err error
 		buckets, err = strconv.Atoi(raw)
 		if err != nil || buckets < 1 || buckets > 10000 {
@@ -1162,20 +1111,29 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 
 	tr := s.obs.StartTrace("timeline")
 	tr.SetTenant(g.tn.ID())
-	tr.SetShape(fmt.Sprintf("terms=%d buckets=%d", len(terms), buckets))
+	tr.SetShape("terms=%d buckets=%d", len(terms), buckets)
 	t0 := time.Now()
 	tl, rep, err := searchTimeline(obs.ContextWithTrace(ctx, tr), g.engine(), start, end, buckets, terms)
 	s.finishQuery(s.metTimeline, g.tm.timeline, tr, t0)
-	if err != nil {
-		s.searchFailure(w, err)
-		return
+	if !s.failed(w, rep, err) {
+		send(w, http.StatusOK, timelineReply{buckets: tl, cut: rep.Cut})
 	}
-	body := map[string]any{}
-	if s.shardCutFailure(w, rep, body) {
-		return
-	}
-	body["buckets"] = tl
-	writeJSON(w, http.StatusOK, body)
+}
+
+// statsReply is GET /stats, fields in the key order of the old map.
+type statsReply struct {
+	Compaction  temporalir.CompactionStats   `json:"compaction"`
+	Coordinator *temporalir.CoordinatorStats `json:"coordinator,omitempty"`
+	FairShare   *int                         `json:"fair_share,omitempty"`
+	InFlight    int                          `json:"inflight"`
+	Limits      tenant.Limits                `json:"limits"`
+	Method      string                       `json:"method"`
+	Objects     int                          `json:"objects"`
+	Pool        exec.PoolStats               `json:"pool"`
+	Shards      []temporalir.ShardStat       `json:"shards,omitempty"`
+	SizeBytes   int64                        `json:"size_bytes"`
+	Tenant      string                       `json:"tenant"`
+	Tenants     int                          `json:"tenants"`
 }
 
 // handleStats answers GET /stats for the request's tenant, including
@@ -1188,23 +1146,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	defer tn.Release()
 	eng := tn.Engine()
-	out := map[string]any{
-		"method":     string(eng.Method()),
-		"objects":    eng.Len(),
-		"size_bytes": eng.SizeBytes(),
-		"compaction": eng.CompactStats(),
-		"pool":       eng.PoolStats(),
-		"tenant":     tn.ID(),
-		"tenants":    s.reg.Len(),
-		"limits":     tn.Limiter().Limits(),
-		"inflight":   tn.Limiter().InFlight(),
+	out := statsReply{
+		Compaction: eng.CompactStats(),
+		InFlight:   tn.Limiter().InFlight(),
+		Limits:     tn.Limiter().Limits(),
+		Method:     string(eng.Method()),
+		Objects:    eng.Len(),
+		Pool:       eng.PoolStats(),
+		SizeBytes:  eng.SizeBytes(),
+		Tenant:     tn.ID(),
+		Tenants:    s.reg.Len(),
 	}
 	if s.fair != nil {
-		out["fair_share"] = s.fair.Share(tn.ID(), tn.Limiter().Limits().EffectiveWeight(), time.Now())
+		share := s.fair.Share(tn.ID(), tn.Limiter().Limits().EffectiveWeight(), time.Now())
+		out.FairShare = &share
 	}
 	if se, ok := eng.(shardedEngine); ok {
-		out["shards"] = se.ShardStats()
-		out["coordinator"] = se.CoordinatorStats()
+		coord := se.CoordinatorStats()
+		out.Shards, out.Coordinator = se.ShardStats(), &coord
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -1235,12 +1194,12 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			Weight:     tn.Limiter().Limits().EffectiveWeight(),
 		})
 	})
-	writeJSON(w, http.StatusOK, map[string]any{
-		"tenants":   rows,
-		"resident":  s.reg.Len(),
-		"evictions": s.reg.Evictions(),
-		"spills":    s.reg.Spills(),
-	})
+	writeJSON(w, http.StatusOK, struct {
+		Evictions uint64 `json:"evictions"`
+		Resident  int    `json:"resident"`
+		Spills    uint64 `json:"spills"`
+		Tenants   []row  `json:"tenants"`
+	}{s.reg.Evictions(), s.reg.Len(), s.reg.Spills(), rows})
 }
 
 // handleMetrics answers GET /metrics in the Prometheus text exposition
@@ -1253,11 +1212,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleSlow answers GET /debug/slow: the slow-query ring, newest first.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	slow := s.obs.Slow()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"threshold_ns": slow.Threshold().Nanoseconds(),
-		"total":        slow.Total(),
-		"entries":      slow.Snapshot(),
-	})
+	writeJSON(w, http.StatusOK, struct {
+		Entries     []obs.Summary `json:"entries"`
+		ThresholdNS int64         `json:"threshold_ns"`
+		Total       uint64        `json:"total"`
+	}{slow.Snapshot(), slow.Threshold().Nanoseconds(), slow.Total()})
 }
 
 // handleCompact answers POST /admin/compact: it runs a synchronous
@@ -1277,16 +1236,17 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	tr.SetTenant(tn.ID())
 	st, err := tn.Engine().Compact(obs.ContextWithTrace(r.Context(), tr))
 	s.obs.FinishTrace(tr)
+	type compacted struct {
+		Compaction temporalir.CompactionStats `json:"compaction"`
+		Error      string                     `json:"error,omitempty"`
+	}
 	switch {
 	case errors.Is(err, temporalir.ErrCompactionRunning):
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":      "compaction already in progress",
-			"compaction": st,
-		})
+		writeJSON(w, http.StatusConflict, compacted{st, "compaction already in progress"})
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, "compaction failed: %v", err)
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"compaction": st})
+		writeJSON(w, http.StatusOK, compacted{Compaction: st})
 	}
 }
 

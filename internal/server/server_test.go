@@ -239,3 +239,40 @@ func TestStats(t *testing.T) {
 		t.Errorf("size_bytes = %v", out["size_bytes"])
 	}
 }
+
+// TestHostileRanges: an interval of more than 2^63−1 time points wraps
+// the engine's int64 durations — /timeline panicked sizing its buckets,
+// top-k scores came out infinite and encoding/json refused them — so
+// every endpoint rejects it; and a huge k no longer reserves a heap of k
+// entries before the scan.
+func TestHostileRanges(t *testing.T) {
+	ts := newTestServer(t)
+	for _, path := range []string{
+		"/search?start=-9223372036854775808&end=9223372036854775807&q=alpha",
+		"/search?start=-1&end=9223372036854775806&q=alpha&k=1",
+		"/timeline?start=0&end=9223372036854775807&q=alpha",
+	} {
+		getJSON(t, ts.URL+path, http.StatusBadRequest)
+	}
+	for _, req := range []struct{ path, body string }{
+		{"/search/batch", `{"start":-9223372036854775808,"end":0,"queries":["alpha"]}`},
+		{"/objects", `{"start":-9223372036854775808,"end":0,"terms":["alpha"]}`},
+	} {
+		resp, err := http.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s over a too-wide interval: status %d, want 400", req.path, resp.StatusCode)
+		}
+	}
+	out := getJSON(t, ts.URL+"/search?start=0&end=100&q=alpha&k=9223372036854775807", http.StatusOK)
+	if out["count"].(float64) != 2 {
+		t.Errorf("k = MaxInt64: count = %v, want every match", out["count"])
+	}
+	out = getJSON(t, ts.URL+"/timeline?start=1&end=9223372036854775807&q=alpha&buckets=4", http.StatusOK)
+	if buckets := out["buckets"].([]any); len(buckets) != 4 {
+		t.Errorf("widest accepted timeline: %d buckets, want 4", len(buckets))
+	}
+}

@@ -63,7 +63,7 @@ func MergeTopK(lists [][]rank.Result, k int) []rank.Result {
 	if total == 0 {
 		return nil
 	}
-	out := make([]rank.Result, 0, k)
+	out := make([]rank.Result, 0, min(k, total))
 	heads := make([]int, len(lists))
 	for len(out) < k && len(out) < total {
 		best := -1

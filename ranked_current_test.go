@@ -36,8 +36,10 @@ type rankedTarget interface {
 
 type engineTarget struct{ *Engine }
 
-func (e engineTarget) gens() []*maint.Generation               { return []*maint.Generation{e.snapshot()} }
-func (e engineTarget) resolve(terms []string) ([]ElemID, bool) { return e.resolveTerms(terms) }
+func (e engineTarget) gens() []*maint.Generation { return []*maint.Generation{e.snapshot()} }
+func (e engineTarget) resolve(terms []string) ([]ElemID, bool) {
+	return e.resolveTermsTraced(nil, terms)
+}
 
 type shardedTarget struct{ *Sharded }
 

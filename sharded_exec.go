@@ -171,14 +171,19 @@ func (s *Sharded) Search(start, end Timestamp, terms ...string) []ObjectID {
 // returns *PartialError naming the cut shards (use SearchShardsCtx to
 // keep the partial rows instead).
 func (s *Sharded) SearchCtx(ctx context.Context, start, end Timestamp, terms ...string) ([]ObjectID, error) {
-	ids, rep, err := s.SearchShardsCtx(ctx, start, end, terms...)
+	return whole(s.SearchShardsCtx(ctx, start, end, terms...))
+}
+
+// whole turns a report-carrying result into the Engine-shaped contract:
+// everything, or an error — *PartialError when a shard was cut.
+func whole[T any](v []T, rep ShardReport, err error) ([]T, error) {
+	if err == nil && rep.Partial() {
+		err = &PartialError{Report: rep}
+	}
 	if err != nil {
 		return nil, err
 	}
-	if rep.Partial() {
-		return nil, &PartialError{Report: rep}
-	}
-	return ids, nil
+	return v, nil
 }
 
 // SearchAny is the disjunctive counterpart of Search: objects alive in
@@ -291,14 +296,7 @@ func (s *Sharded) SearchTopK(start, end Timestamp, k int, terms ...string) []Sco
 // SearchTopKCtx is the Engine-shaped ranked context search: everything
 // or an error (*PartialError on a per-shard deadline cut).
 func (s *Sharded) SearchTopKCtx(ctx context.Context, start, end Timestamp, k int, terms ...string) ([]ScoredResult, error) {
-	res, rep, err := s.SearchTopKShardsCtx(ctx, start, end, k, terms...)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Partial() {
-		return nil, &PartialError{Report: rep}
-	}
-	return res, nil
+	return whole(s.SearchTopKShardsCtx(ctx, start, end, k, terms...))
 }
 
 // TimelineShardsCtx is the report-carrying timeline aggregation:
@@ -367,14 +365,7 @@ func (s *Sharded) Timeline(start, end Timestamp, buckets int, terms ...string) [
 // TimelineCtx is the Engine-shaped timeline context search: everything
 // or an error (*PartialError on a per-shard deadline cut).
 func (s *Sharded) TimelineCtx(ctx context.Context, start, end Timestamp, buckets int, terms ...string) ([]TimelineBucket, error) {
-	out, rep, err := s.TimelineShardsCtx(ctx, start, end, buckets, terms...)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Partial() {
-		return nil, &PartialError{Report: rep}
-	}
-	return out, nil
+	return whole(s.TimelineShardsCtx(ctx, start, end, buckets, terms...))
 }
 
 // SearchTermsBatch evaluates many term rows as one batch over the pool.
