@@ -25,7 +25,7 @@ race:
 	$(GO) test -race ./...
 
 invariants:
-	$(GO) test -tags invariants . ./internal/domain ./internal/postings ./internal/hint ./internal/maint
+	$(GO) test -tags invariants . ./internal/domain ./internal/postings ./internal/hint ./internal/tifhint ./internal/core ./internal/maint
 
 # Deterministic perf snapshots: fixed seed and workload, written as JSON
 # for the perf trajectory (per-method latency/size, the tombstone-load

@@ -37,7 +37,7 @@ func NewPerf(c *model.Collection, opts ...Option) *PerfIndex {
 		o(&cfg)
 	}
 	ix := &PerfIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
-	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *perfPart, replica bool, run []assignment) {
+	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *perfPart, replica bool, run []hint.Assignment) {
 		d := &p.o
 		if replica {
 			d = &p.r

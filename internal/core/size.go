@@ -53,14 +53,14 @@ func NewSize(c *model.Collection, opts ...Option) *SizeIndex {
 		o(&cfg)
 	}
 	ix := &SizeIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
-	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *sizePart, replica bool, run []assignment) {
+	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *sizePart, replica bool, run []hint.Assignment) {
 		d, key := &p.o, byStart
 		if replica {
 			d, key = &p.r, byEnd
 		}
 		d.ivals = make([]postings.Posting, len(run))
 		for i, a := range run {
-			d.ivals[i] = postings.Posting{ID: b.objs[a.obj].ID, Interval: b.objs[a.obj].Interval}
+			d.ivals[i] = postings.Posting{ID: b.objs[a.Obj].ID, Interval: b.objs[a.Obj].Interval}
 		}
 		// Ties in id order, as sorted insertion leaves them.
 		slices.SortFunc(d.ivals, func(x, y postings.Posting) int {

@@ -141,7 +141,6 @@ func candidateRange(r Relation, q model.Interval) model.Interval {
 // to q. Traversal cost matches a plain range query over the candidate
 // range; the exact predicate prunes the remainder.
 func (ix *Index) AllenQuery(r Relation, q model.Interval, dst []model.ObjectID) []model.ObjectID {
-	ix.Finalize()
 	cr := candidateRange(r, q)
 	ix.VisitRelevant(cr, func(p *Partition, ob Obligations) {
 		for _, div := range [][]postings.Posting{p.OIn, p.OAft} {

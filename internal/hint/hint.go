@@ -80,24 +80,11 @@ type Index struct {
 	dom    domain.Domain
 	levels []levelStore // levels[l] for l in [0, m]
 	live   int
-	dirty  bool // bulk-loaded, subdivisions not yet sorted
 }
 
 // New builds an empty HINT over the given discretization domain.
 func New(dom domain.Domain) *Index {
 	return &Index{dom: dom, levels: make([]levelStore, dom.M+1)}
-}
-
-// Build bulk-loads a HINT from entries: assignment in append mode followed
-// by one sort per subdivision. Entries keep their original timestamps.
-func Build(dom domain.Domain, entries []postings.Posting) *Index {
-	ix := New(dom)
-	for _, p := range entries {
-		ix.place(p)
-	}
-	ix.live = len(entries)
-	ix.Finalize()
-	return ix
 }
 
 // Domain returns the discretization domain.
@@ -108,25 +95,6 @@ func (ix *Index) M() int { return ix.dom.M }
 
 // Len returns the number of live intervals.
 func (ix *Index) Len() int { return ix.live }
-
-// place routes one entry to its at-most-two partitions per level without
-// maintaining subdivision order (bulk path).
-func (ix *Index) place(p postings.Posting) {
-	ix.visitAssignments(p.Interval, func(level int, j uint32, original, endsInside bool) {
-		part := ix.levels[level].getOrCreate(j)
-		switch {
-		case original && endsInside:
-			part.OIn = append(part.OIn, p)
-		case original:
-			part.OAft = append(part.OAft, p)
-		case endsInside:
-			part.RIn = append(part.RIn, p)
-		default:
-			part.RAft = append(part.RAft, p)
-		}
-	})
-	ix.dirty = true
-}
 
 // visitAssignments runs the HINT assignment of interval iv for this
 // index's domain.
@@ -172,42 +140,6 @@ func Assign(dom domain.Domain, iv model.Interval, fn func(level int, j uint32, o
 	}
 }
 
-// Finalize sorts every subdivision into its beneficial order after bulk
-// loading. Idempotent.
-//
-// irlint:cold bulk-load finalization; a no-op dirty-flag check on the query path
-func (ix *Index) Finalize() {
-	if !ix.dirty {
-		return
-	}
-	for l := range ix.levels {
-		assertDirectorySorted(&ix.levels[l], "Finalize")
-		for _, p := range ix.levels[l].parts {
-			sortByStart(p.OIn)
-			sortByStart(p.OAft)
-			sortByEnd(p.RIn)
-			assertPartitionSorted(p, "Finalize")
-		}
-	}
-	ix.dirty = false
-}
-
-func sortByStart(s []postings.Posting) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Interval.Start < s[j].Interval.Start })
-}
-
-func sortByEnd(s []postings.Posting) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Interval.End < s[j].Interval.End })
-}
-
-// Append adds one interval in bulk-load mode: subdivision order is not
-// maintained until Finalize runs. Use for construction; use Insert for
-// the incremental update path.
-func (ix *Index) Append(p postings.Posting) {
-	ix.place(p)
-	ix.live++
-}
-
 // Insert adds one interval, maintaining subdivision order with binary-
 // search insertion (the update path of Section 5.5).
 func (ix *Index) Insert(p postings.Posting) {
@@ -249,7 +181,6 @@ func insertByEnd(s []postings.Posting, p postings.Posting) []postings.Posting {
 // sets the dead bit, leaving sort orders intact (logical deletion with
 // tombstones, Section 5.5). It reports whether any copy was found live.
 func (ix *Index) Delete(p postings.Posting) bool {
-	ix.Finalize()
 	found := false
 	ix.visitAssignments(p.Interval, func(level int, j uint32, original, endsInside bool) {
 		part := ix.levels[level].get(j)

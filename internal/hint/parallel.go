@@ -23,7 +23,7 @@ type RelevantPartition struct {
 
 // Relevant appends the relevant partitions of q in bottom-up traversal
 // order, each with its obligations — the serial prologue every parallel
-// scan shares. The index is finalized as a side effect.
+// scan shares.
 func (ix *Index) Relevant(q model.Interval, dst []RelevantPartition) []RelevantPartition {
 	ix.VisitRelevant(q, func(p *Partition, ob Obligations) {
 		dst = append(dst, RelevantPartition{P: p, Ob: ob})

@@ -17,10 +17,7 @@ func TestRangeQueryParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dom := domain.New(0, 1<<12-1, 9)
 	entries := randomEntries(rng, 3000, dom.Min, dom.Max)
-	ix := New(dom)
-	for _, p := range entries {
-		ix.Append(p)
-	}
+	ix := Build(dom, entries)
 	pools := []*exec.Pool{nil, exec.NewPool(1), exec.NewPool(4), exec.NewPool(9)}
 	for qi := 0; qi < 200; qi++ {
 		q := randomQuery(rng, dom.Min, dom.Max)
@@ -42,10 +39,7 @@ func TestRangeQueryFilteredParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	dom := domain.New(0, 1<<12-1, 9)
 	entries := randomEntries(rng, 3000, dom.Min, dom.Max)
-	ix := New(dom)
-	for _, p := range entries {
-		ix.Append(p)
-	}
+	ix := Build(dom, entries)
 	pred := func(id model.ObjectID) bool { return id%3 == 0 }
 	pool := exec.NewPool(8)
 	for qi := 0; qi < 200; qi++ {

@@ -76,7 +76,6 @@ func Visit(dom domain.Domain, q model.Interval, fn func(LevelVisit)) {
 //
 // irlint:hot the HINT traversal every HINT-backed method pays per query
 func (ix *Index) RangeQuery(q model.Interval, dst []model.ObjectID) []model.ObjectID {
-	ix.Finalize()
 	Visit(ix.dom, q, func(lv LevelVisit) {
 		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *Partition) {
 			dst = reportPartition(p, lv.Oblige(j), q, dst)
@@ -130,7 +129,6 @@ func (ix *Index) Stab(t model.Timestamp, dst []model.ObjectID) []model.ObjectID 
 // materializing ids — the counting variant HINT supports by summing
 // division cardinalities wherever no comparisons are needed.
 func (ix *Index) CountRange(q model.Interval) int {
-	ix.Finalize()
 	total := 0
 	Visit(ix.dom, q, func(lv LevelVisit) {
 		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *Partition) {
@@ -207,7 +205,6 @@ func countLivePrefix(s []postings.Posting, qEnd model.Timestamp) int {
 // of EVERY level performs endpoint comparisons. It exists for the
 // bottom-up ablation benchmark; results are identical.
 func (ix *Index) RangeQueryTopDown(q model.Interval, dst []model.ObjectID) []model.ObjectID {
-	ix.Finalize()
 	qlo, qhi := ix.dom.DiscInterval(q)
 	for level := 0; level <= ix.dom.M; level++ {
 		f := ix.dom.Prefix(level, qlo)
@@ -229,7 +226,6 @@ func (ix *Index) RangeQueryTopDown(q model.Interval, dst []model.ObjectID) []mod
 // Composite indices use this to run Algorithm 3-style probes against the
 // subdivisions directly.
 func (ix *Index) VisitRelevant(q model.Interval, fn func(p *Partition, ob Obligations)) {
-	ix.Finalize()
 	Visit(ix.dom, q, func(lv LevelVisit) {
 		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *Partition) {
 			fn(p, lv.Oblige(j))

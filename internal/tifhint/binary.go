@@ -23,7 +23,8 @@ type BinaryIndex struct {
 	m      int
 }
 
-// NewBinary builds the binary-search tIF+HINT variant.
+// NewBinary builds the binary-search tIF+HINT variant with the bulk
+// kernel: one hint.FromRun per element over its sorted run.
 func NewBinary(c *model.Collection, opts ...Option) *BinaryIndex {
 	cfg := config{m: DefaultBinaryM}
 	for _, o := range opts {
@@ -32,32 +33,9 @@ func NewBinary(c *model.Collection, opts ...Option) *BinaryIndex {
 	if cfg.costModel {
 		cfg.m = costModelM(c, 20)
 	}
-	ix := &BinaryIndex{
-		hints: make([]*hint.Index, c.DictSize),
-		freqs: make([]int, c.DictSize),
-		m:     cfg.m,
-	}
-	ix.shared = sharedDomain(c, cfg.m)
-	for i := range c.Objects {
-		// Bulk mode: append now, one sort per subdivision in Finalize —
-		// sorted insertion would be quadratic on frequent elements.
-		o := &c.Objects[i]
-		p := postings.Posting{ID: o.ID, Interval: o.Interval}
-		for _, e := range o.Elems {
-			ix.growTo(int(e) + 1)
-			if ix.hints[e] == nil {
-				ix.hints[e] = hint.New(ix.shared)
-			}
-			ix.hints[e].Append(p)
-			ix.freqs[e]++
-		}
-	}
-	for _, h := range ix.hints {
-		if h != nil {
-			h.Finalize()
-		}
-	}
-	ix.live = len(c.Objects)
+	ix := &BinaryIndex{shared: sharedDomain(c, cfg.m), live: len(c.Objects), m: cfg.m}
+	b := newBulk(ix.shared, c)
+	ix.hints, ix.freqs = b.hints(ix.shared), b.freqs
 	return ix
 }
 

@@ -40,7 +40,8 @@ type HybridIndex struct {
 // DefaultHybridSlices matches the tuned tIF+Slicing configuration.
 const DefaultHybridSlices = 50
 
-// NewHybrid builds the dual-copy hybrid.
+// NewHybrid builds the dual-copy hybrid with the bulk kernel: the HINTs
+// as NewMerge builds them, the slice lists carved from one arena.
 func NewHybrid(c *model.Collection, opts ...Option) *HybridIndex {
 	cfg := config{m: DefaultMergeM, numSlices: DefaultHybridSlices}
 	for _, o := range opts {
@@ -54,23 +55,20 @@ func NewHybrid(c *model.Collection, opts ...Option) *HybridIndex {
 		span = model.NewInterval(0, 0)
 	}
 	ix := &HybridIndex{
-		hints:     make([]*idHint, c.DictSize),
-		slices:    make([][][]slicePair, c.DictSize),
-		freqs:     make([]int, c.DictSize),
+		shared:    sharedDomain(c, cfg.m),
 		numSlices: cfg.numSlices,
 		lo:        span.Start,
 		hi:        span.End,
+		live:      len(c.Objects),
 		m:         cfg.m,
 	}
 	ix.width = (int64(span.End-span.Start) + int64(cfg.numSlices)) / int64(cfg.numSlices)
 	if ix.width < 1 {
 		ix.width = 1
 	}
-	ix.shared = sharedDomain(c, cfg.m)
-	for i := range c.Objects {
-		ix.place(&c.Objects[i])
-	}
-	ix.live = len(c.Objects)
+	b := newBulk(ix.shared, c)
+	ix.hints, ix.freqs = b.idHints(ix.shared), b.freqs
+	ix.carveSlices(b)
 	return ix
 }
 

@@ -21,7 +21,8 @@ type MergeIndex struct {
 	m      int
 }
 
-// NewMerge builds the merge-sort tIF+HINT variant.
+// NewMerge builds the merge-sort tIF+HINT variant with the bulk kernel:
+// every division is a view of one arena, already in id order.
 func NewMerge(c *model.Collection, opts ...Option) *MergeIndex {
 	cfg := config{m: DefaultMergeM}
 	for _, o := range opts {
@@ -30,16 +31,9 @@ func NewMerge(c *model.Collection, opts ...Option) *MergeIndex {
 	if cfg.costModel {
 		cfg.m = costModelM(c, 20)
 	}
-	ix := &MergeIndex{
-		hints: make([]*idHint, c.DictSize),
-		freqs: make([]int, c.DictSize),
-		m:     cfg.m,
-	}
-	ix.shared = sharedDomain(c, cfg.m)
-	for i := range c.Objects {
-		ix.place(&c.Objects[i])
-	}
-	ix.live = len(c.Objects)
+	ix := &MergeIndex{shared: sharedDomain(c, cfg.m), live: len(c.Objects), m: cfg.m}
+	b := newBulk(ix.shared, c)
+	ix.hints, ix.freqs = b.idHints(ix.shared), b.freqs
 	return ix
 }
 
