@@ -25,7 +25,7 @@ race:
 	$(GO) test -race ./...
 
 invariants:
-	$(GO) test -tags invariants . ./internal/domain ./internal/postings ./internal/hint ./internal/tifhint ./internal/core ./internal/maint
+	$(GO) test -tags invariants . ./internal/domain ./internal/postings ./internal/hint ./internal/tifhint ./internal/core ./internal/sharding ./internal/maint
 
 # Deterministic perf snapshots: fixed seed and workload, written as JSON
 # for the perf trajectory (per-method latency/size, the tombstone-load
@@ -56,9 +56,9 @@ bench:
 # benchmarks off shared cores; -count=1 defeats test caching.
 benchmem:
 	ALLOC_BUDGET_RECORD=1 $(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/sharding ./internal/server
+		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
 	$(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/sharding ./internal/server
+		./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
 
 # Full Go microbenchmark sweep (slow; not part of the gate).
 microbench:

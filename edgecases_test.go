@@ -2,6 +2,7 @@ package temporalir_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	temporalir "repro"
@@ -131,6 +132,47 @@ func TestRealStandInEquivalence(t *testing.T) {
 	queries := gen.Workload(c, gen.DefaultQueryConfig(), 60, 8)
 	queries = append(queries, gen.MixedPool(c, 60, 9)...)
 	checkAll(t, c, queries)
+}
+
+// TestNewIndexAnyObjectOrder: every method, built through NewIndex over a
+// collection whose objects are not in id order or whose element ids reach
+// past DictSize, answers as the oracle does, by workload digest.
+func TestNewIndexAnyObjectOrder(t *testing.T) {
+	w := testutil.DefaultDifferentialWorkloads()[0]
+	base := testutil.RandomCollection(w.Config)
+	queries := w.WorkloadQueries()
+	digest := func(ix interface {
+		Query(temporalir.Query) []temporalir.ObjectID
+	}) string {
+		rows := make([][]model.ObjectID, len(queries))
+		for i, q := range queries {
+			rows[i] = ix.Query(q)
+		}
+		return testutil.WorkloadChecksum(rows)
+	}
+	want := digest(bruteforce.New(base))
+	reversed := &temporalir.Collection{DictSize: base.DictSize, Objects: slices.Clone(base.Objects)}
+	slices.Reverse(reversed.Objects)
+	shuffled := &temporalir.Collection{DictSize: base.DictSize, Objects: slices.Clone(base.Objects)}
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled.Objects), func(i, j int) {
+		shuffled.Objects[i], shuffled.Objects[j] = shuffled.Objects[j], shuffled.Objects[i]
+	})
+	for name, c := range map[string]*temporalir.Collection{
+		"reversed":             reversed,
+		"shuffled":             shuffled,
+		"ids past DictSize":    {DictSize: 2, Objects: base.Objects},
+		"shuffled, DictSize 0": {Objects: shuffled.Objects},
+	} {
+		for _, m := range append(allMethods(), temporalir.Routed) {
+			ix, err := temporalir.NewIndex(m, c, temporalir.Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, m, err)
+			}
+			if got := digest(ix); got != want {
+				t.Errorf("%s/%s: digest %s, oracle %s", name, m, got, want)
+			}
+		}
+	}
 }
 
 func TestDuplicateElementsInQuery(t *testing.T) {

@@ -48,26 +48,11 @@ func assignments(dom domain.Domain, n int, iv func(i int) model.Interval) []Assi
 }
 
 // AssignObjects is pass 1 over a collection for the methods that index
-// objects by element. It returns the objects in id order (copied only when
-// they are not), the number of objects carrying each element — grown past
-// c.DictSize where an element id demands it — and the objects'
+// objects by element. It returns c.IDOrder() — the objects in id order and
+// the number of objects carrying each element — and the objects'
 // assignments ordered by key, objects in id order within a key.
 func AssignObjects(dom domain.Domain, c *model.Collection) (objs []model.Object, freqs []int, run []Assignment) {
-	objs = c.Objects
-	byID := func(a, b model.Object) int { return cmp.Compare(a.ID, b.ID) }
-	if !slices.IsSortedFunc(objs, byID) {
-		objs = slices.Clone(objs)
-		slices.SortStableFunc(objs, byID)
-	}
-	freqs = make([]int, c.DictSize)
-	for i := range objs {
-		for _, e := range objs[i].Elems {
-			if int(e) >= len(freqs) {
-				freqs = append(freqs, make([]int, int(e)+1-len(freqs))...)
-			}
-			freqs[e]++
-		}
-	}
+	objs, freqs = c.IDOrder()
 	return objs, freqs, assignments(dom, len(objs), func(i int) model.Interval { return objs[i].Interval })
 }
 

@@ -5,6 +5,7 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -231,6 +232,35 @@ func (c *Collection) ElemFreqs() []int {
 		}
 	}
 	return freqs
+}
+
+// CountElems returns the number of objects of objs carrying each element,
+// indexed by ElemID: n counters, grown where an element id demands more.
+func CountElems(objs []Object, n int) []int {
+	freqs := make([]int, n)
+	for i := range objs {
+		for _, e := range objs[i].Elems {
+			if int(e) >= len(freqs) {
+				freqs = append(freqs, make([]int, int(e)+1-len(freqs))...)
+			}
+			freqs[e]++
+		}
+	}
+	return freqs
+}
+
+// IDOrder is the first step of every bulk build: the objects ascending by
+// id — c.Objects itself when they already are, a sorted copy otherwise —
+// and their CountElems over c.DictSize. Lists filled in this order are
+// born id-sorted.
+func (c *Collection) IDOrder() (objs []Object, freqs []int) {
+	objs = c.Objects
+	byID := func(a, b Object) int { return cmp.Compare(a.ID, b.ID) }
+	if !slices.IsSortedFunc(objs, byID) {
+		objs = slices.Clone(objs)
+		slices.SortStableFunc(objs, byID)
+	}
+	return objs, CountElems(objs, c.DictSize)
 }
 
 // SortIDs sorts a slice of object ids ascending in place. slices.Sort is

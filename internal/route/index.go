@@ -49,7 +49,7 @@ func NewIndex(names []string, classes []Class, subs []Subindex, c *model.Collect
 		names:  append([]string(nil), names...),
 		subs:   subs,
 		par:    make([]parallelSub, len(subs)),
-		freqs:  c.ElemFreqs(),
+		freqs:  model.CountElems(c.Objects, c.DictSize),
 		span:   1,
 	}
 	for i, s := range subs {

@@ -9,6 +9,7 @@
 package sharding
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -22,11 +23,6 @@ import (
 type shard struct {
 	entries []postings.Posting // sorted by Interval.Start
 	ideal   bool
-}
-
-// lastEnd returns the End of the most recently appended entry.
-func (s *shard) lastEnd() model.Timestamp {
-	return s.entries[len(s.entries)-1].Interval.End
 }
 
 // Index is the tIF+Sharding index.
@@ -54,93 +50,135 @@ func WithMaxShards(n int) Option {
 	return func(c *config) { c.maxShards = n }
 }
 
-// New builds a tIF+Sharding index over a collection.
+// New builds a tIF+Sharding index over a collection in bulk. The objects
+// are sorted once by (start, end, id) and scattered in that order over
+// their elements' lists in one exactly-sized arena, so every list is born
+// in shard order; builder.shard then shards each list in place. Every
+// shard is a view with cap == len, and all lists' shard headers share
+// one array.
 func New(c *model.Collection, opts ...Option) *Index {
 	cfg := config{maxShards: DefaultMaxShards}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ix := &Index{
-		maxShards: cfg.maxShards,
-		shards:    make([][]shard, c.DictSize),
-		freqs:     make([]int, c.DictSize),
+	objs, freqs := c.IDOrder()
+	order := make([]sortKey, len(objs))
+	for i := range objs {
+		order[i] = sortKey{objs[i].Interval, int32(i)}
 	}
-	// Bulk build: group postings per element, then shard each list.
-	lists := make([][]postings.Posting, c.DictSize)
-	for i := range c.Objects {
-		o := &c.Objects[i]
-		for _, e := range o.Elems {
-			lists[e] = append(lists[e], postings.Posting{ID: o.ID, Interval: o.Interval})
-			ix.freqs[e]++
+	slices.SortFunc(order, func(a, b sortKey) int {
+		switch {
+		case a.iv.Start != b.iv.Start:
+			return cmp.Compare(a.iv.Start, b.iv.Start)
+		case a.iv.End != b.iv.End:
+			return cmp.Compare(a.iv.End, b.iv.End)
 		}
-		ix.live++
+		return cmp.Compare(a.i, b.i) // objs are in id order
+	})
+	arena, ends := postings.ByElement(freqs, len(order), func(i int) *model.Object { return &objs[order[i].i] })
+	// Once a list is sharded, its end in the arena becomes the end of its
+	// shard headers.
+	var b builder
+	start := 0
+	for e, end := range ends {
+		b.shard(arena[start:end], cfg.maxShards)
+		ends[e], start = len(b.shards), end
 	}
-	for e := range lists {
-		ix.shards[e] = buildShards(lists[e], cfg.maxShards)
-	}
+	ix := &Index{maxShards: cfg.maxShards, shards: postings.Carve(slices.Clone(b.shards), ends), freqs: freqs, live: len(objs)}
+	assertShards(ix.shards, "New")
 	return ix
 }
 
-// buildShards sorts postings by start, assigns them greedily to the first
-// shard whose last end does not exceed the entry's end (producing ideal
-// staircase shards), then merges down to the budget.
-func buildShards(list []postings.Posting, budget int) []shard {
-	if len(list) == 0 {
-		return nil
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Interval.Start != list[j].Interval.Start {
-			return list[i].Interval.Start < list[j].Interval.Start
-		}
-		return list[i].Interval.End < list[j].Interval.End
-	})
-	var shards []shard
-	for _, p := range list {
-		placed := false
-		for i := range shards {
-			if shards[i].lastEnd() <= p.Interval.End {
-				shards[i].entries = append(shards[i].entries, p)
-				placed = true
-				break
+// sortKey is an object's interval and position, the order New sorts by.
+type sortKey struct {
+	iv model.Interval
+	i  int32
+}
+
+// builder holds the scratch builder.shard reuses from one list to the next.
+type builder struct {
+	shards []shard            // every list's shards so far, in order
+	last   []model.Timestamp  // per ideal shard: the end of its last entry
+	size   []int              // per shard position: entries, then write cursor
+	ideal  []bool             // per shard position
+	pos    []int              // per ideal shard: its position after merging
+	at     []int32            // per entry: its ideal shard
+	tmp    []postings.Posting // the list before the scatter
+}
+
+// shard lays out a list sorted by (start, end, id) in place as its shards
+// and appends them to b.shards, planning on counts alone:
+//   - Ideal shards by first fit: an entry joins the first shard whose last
+//     end does not exceed its end, or opens a new one below every last end.
+//     Either way last ends keep strictly decreasing, so first fit is a
+//     binary search.
+//   - Cost-aware merging (Anand et al.): while over budget (0 keeps every
+//     ideal shard), the two smallest shards merge at the first one's
+//     position and lose the staircase property. Only sizes decide.
+//
+// Every entry is then scattered once to its final shard, in list order.
+func (b *builder) shard(list []postings.Posting, budget int) {
+	b.last, b.size, b.at = b.last[:0], b.size[:0], slices.Grow(b.at[:0], len(list))[:len(list)]
+	for k := range list {
+		end := list[k].Interval.End
+		i, j := 0, len(b.last)
+		for i < j {
+			if h := int(uint(i+j) >> 1); b.last[h] > end {
+				i = h + 1
+			} else {
+				j = h
 			}
 		}
-		if !placed {
-			shards = append(shards, shard{entries: []postings.Posting{p}, ideal: true})
+		if i == len(b.last) {
+			b.last, b.size = append(b.last, end), append(b.size, 0)
+		}
+		b.last[i] = end
+		b.size[i]++
+		b.at[k] = int32(i)
+	}
+	b.ideal, b.pos = b.ideal[:0], b.pos[:0]
+	for j := range b.size {
+		b.ideal, b.pos = append(b.ideal, true), append(b.pos, j)
+	}
+	for budget > 0 && len(b.size) > budget {
+		x, y := smallestTwo(b.size)
+		b.size[x] += b.size[y]
+		b.ideal[x] = false
+		b.size, b.ideal = slices.Delete(b.size, y, y+1), slices.Delete(b.ideal, y, y+1)
+		for j, p := range b.pos {
+			if p == y {
+				b.pos[j] = x
+			} else if p > y {
+				b.pos[j] = p - 1
+			}
 		}
 	}
-	return mergeShards(shards, budget)
+	off := 0
+	for x, n := range b.size {
+		b.shards = append(b.shards, shard{entries: list[off : off+n : off+n], ideal: b.ideal[x]})
+		b.size[x], off = off, off+n
+	}
+	b.tmp = append(b.tmp[:0], list...)
+	for k, p := range b.tmp {
+		x := b.pos[b.at[k]]
+		list[b.size[x]] = p
+		b.size[x]++
+	}
 }
 
-// mergeShards performs the cost-aware merging of Anand et al.: while over
-// budget, merge the two smallest shards (the cheapest extra scan cost),
-// re-sorting by start. Merged shards lose the staircase property.
-func mergeShards(shards []shard, budget int) []shard {
-	if budget <= 0 {
-		return shards
-	}
-	for len(shards) > budget {
-		a, b := smallestTwo(shards)
-		merged := append(shards[a].entries, shards[b].entries...)
-		sort.Slice(merged, func(i, j int) bool {
-			return merged[i].Interval.Start < merged[j].Interval.Start
-		})
-		shards[a] = shard{entries: merged, ideal: false}
-		shards = append(shards[:b], shards[b+1:]...)
-	}
-	return shards
-}
-
-func smallestTwo(shards []shard) (a, b int) {
+// smallestTwo returns the positions, ascending, of the two smallest sizes;
+// among equal sizes the earlier position wins.
+func smallestTwo(size []int) (a, b int) {
 	a, b = 0, 1
-	if len(shards[b].entries) < len(shards[a].entries) {
+	if size[b] < size[a] {
 		a, b = b, a
 	}
-	for i := 2; i < len(shards); i++ {
-		n := len(shards[i].entries)
-		if n < len(shards[a].entries) {
+	for i := 2; i < len(size); i++ {
+		n := size[i]
+		if n < size[a] {
 			b = a
 			a = i
-		} else if n < len(shards[b].entries) {
+		} else if n < size[b] {
 			b = i
 		}
 	}

@@ -43,7 +43,10 @@ func WithSlices(n int) Option {
 // DefaultSlices is the slice count the paper settles on after tuning.
 const DefaultSlices = 50
 
-// New builds a tIF+Slicing index over a collection.
+// New builds a tIF+Slicing index over a collection in bulk: the entries
+// are counted per (element, slice), then every object's replicas are
+// scattered, in id order, into one exactly-sized arena, so every sub-list
+// is born id-sorted (postings.BySlice).
 func New(c *model.Collection, opts ...Option) *Index {
 	cfg := config{numSlices: DefaultSlices}
 	for _, o := range opts {
@@ -53,20 +56,21 @@ func New(c *model.Collection, opts ...Option) *Index {
 	if !ok {
 		span = model.NewInterval(0, 0)
 	}
+	objs, freqs := c.IDOrder()
 	ix := &Index{
 		numSlices: cfg.numSlices,
 		lo:        span.Start,
 		hi:        span.End,
-		lists:     make([][][]postings.Posting, c.DictSize),
-		freqs:     make([]int, c.DictSize),
+		freqs:     freqs,
+		live:      len(objs),
 	}
 	ix.width = (int64(span.End-span.Start) + int64(cfg.numSlices)) / int64(cfg.numSlices)
 	if ix.width < 1 {
 		ix.width = 1
 	}
-	for i := range c.Objects {
-		ix.Insert(c.Objects[i])
-	}
+	ix.lists = postings.BySlice(objs, freqs, ix.numSlices, func(o *model.Object) (int, int) {
+		return ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
+	}, func(o *model.Object) postings.Posting { return postings.Posting{ID: o.ID, Interval: o.Interval} })
 	return ix
 }
 

@@ -18,17 +18,15 @@ type Index struct {
 	live  int                  // live objects
 }
 
-// New builds a tIF over a collection. Objects arrive in increasing id
-// order, so every list is born sorted.
+// New builds a tIF over a collection in bulk: every object's posting is
+// scattered, in id order, over its elements' lists in one exactly-sized
+// arena, so every list is born sorted. Each list is a view with
+// cap == len, so an Insert that appends to one reallocates it instead of
+// writing into its neighbour.
 func New(c *model.Collection) *Index {
-	ix := &Index{
-		lists: make([][]postings.Posting, c.DictSize),
-		freqs: make([]int, c.DictSize),
-	}
-	for i := range c.Objects {
-		ix.Insert(c.Objects[i])
-	}
-	return ix
+	objs, freqs := c.IDOrder()
+	arena, ends := postings.ByElement(freqs, len(objs), func(i int) *model.Object { return &objs[i] })
+	return &Index{lists: postings.Carve(arena, ends), freqs: freqs, live: len(objs)}
 }
 
 // Insert adds an object to the postings list of each of its elements.

@@ -93,50 +93,10 @@ func (b *bulk) idHints(dom domain.Domain) []*idHint {
 }
 
 // carveSlices builds the hybrid's second copy: for every element, one
-// id-sorted list of <id, t_st> pairs per slice. The lists are counted per
-// element and slice, then carved from one arena with cap == len.
+// id-sorted list of <id, t_st> pairs per slice, carved from one arena with
+// cap == len.
 func (ix *HybridIndex) carveSlices(b *bulk) {
-	ns := ix.numSlices
-	row := make([]int, len(b.freqs)) // element -> its first list
-	rows := 0
-	b.each(func(e, _, _ int) {
-		row[e] = rows * ns
-		rows++
-	})
-	cursor := make([]int, rows*ns)
-	for i := range b.objs {
-		o := &b.objs[i]
-		first, last := ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
-		for _, e := range o.Elems {
-			for s := first; s <= last; s++ {
-				cursor[row[e]+s]++
-			}
-		}
-	}
-	total := 0
-	for k, n := range cursor {
-		cursor[k], total = total, total+n
-	}
-	arena := make([]slicePair, total)
-	for i := range b.objs {
-		o := &b.objs[i]
-		first, last := ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
-		for _, e := range o.Elems {
-			for s := first; s <= last; s++ {
-				arena[cursor[row[e]+s]] = slicePair{ID: o.ID, Start: o.Interval.Start}
-				cursor[row[e]+s]++
-			}
-		}
-	}
-	// Every cursor now stands at its list's end, the next list's start.
-	lists := make([][]slicePair, rows*ns)
-	start := 0
-	for k, end := range cursor {
-		lists[k] = arena[start:end:end]
-		start = end
-	}
-	ix.slices = make([][][]slicePair, len(b.freqs))
-	b.each(func(e, _, _ int) {
-		ix.slices[e] = lists[row[e] : row[e]+ns : row[e]+ns]
-	})
+	ix.slices = postings.BySlice(b.objs, b.freqs, ix.numSlices, func(o *model.Object) (int, int) {
+		return ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
+	}, func(o *model.Object) slicePair { return slicePair{ID: o.ID, Start: o.Interval.Start} })
 }
