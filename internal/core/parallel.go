@@ -7,6 +7,7 @@ import (
 	"repro/internal/hint"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/postings"
 )
 
 // Parallel query paths for the two irHINT variants. Both algorithms emit
@@ -93,7 +94,8 @@ func (ix *PerfIndex) queryTemporalOnlyP(q model.Interval, pool *exec.Pool) []mod
 }
 
 // QueryP is Query with the per-division intersect+restrict steps fanned
-// across the pool, each chunk carrying its own survivor buffer.
+// across the pool, each chunk carrying its own survivor buffer and
+// survivor bitmap.
 func (ix *SizeIndex) QueryP(q model.Query, pool *exec.Pool) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return ix.tracedTemporalOnlyP(q, pool)
@@ -105,14 +107,16 @@ func (ix *SizeIndex) QueryP(q model.Query, pool *exec.Pool) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StageIntersect).End()
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
 	partials := exec.MapChunks(pool, len(parts), parallelMinPer, func(lo, hi int) []model.ObjectID {
+		bm := survivorPool.Get().(*postings.Bitmap)
 		var out, scratch []model.ObjectID
 		for i := lo; i < hi; i++ {
 			p, ob := parts[i], obls[i]
-			scratch, out = p.o.query(q.Interval, plan, false, ob.CheckStart, ob.CheckEnd, scratch, out)
+			scratch, out = p.o.query(q.Interval, plan, false, ob.CheckStart, ob.CheckEnd, bm, scratch, out)
 			if ob.First {
-				scratch, out = p.r.query(q.Interval, plan, true, ob.CheckStart, false, scratch, out)
+				scratch, out = p.r.query(q.Interval, plan, true, ob.CheckStart, false, bm, scratch, out)
 			}
 		}
+		putSurvivors(bm)
 		return out
 	})
 	var out []model.ObjectID

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/dict"
 	"repro/internal/domain"
@@ -207,6 +208,14 @@ func (ix *SizeIndex) growTo(n int) {
 // interval store; otherwise the store is range-restricted through its
 // beneficial sort and its entries are kept when their id is a survivor.
 // Within a division results follow the lists' or the store's order.
+//
+// Membership in the survivors is a bit test, where Algorithm 6 merges a
+// sorted candidate set: a division sets its survivors' bits in one pooled
+// bitmap, tests each store entry, and clears the same bits again, so the
+// bitmap is all-zero between divisions. That changes the speed, not the
+// result.
+//
+// irlint:hot size-variant per-query entry point
 func (ix *SizeIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return ix.tracedTemporalOnly(q)
@@ -215,24 +224,44 @@ func (ix *SizeIndex) Query(q model.Query) []model.ObjectID {
 	// so one intersect span covers the whole traversal.
 	defer q.Trace.StartStage(obs.StageIntersect).End()
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
+	bm := survivorPool.Get().(*postings.Bitmap)
 	var out, scratch []model.ObjectID
 	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
 			ob := lv.Oblige(j)
-			scratch, out = p.o.query(q.Interval, plan, false, ob.CheckStart, ob.CheckEnd, scratch, out)
+			scratch, out = p.o.query(q.Interval, plan, false, ob.CheckStart, ob.CheckEnd, bm, scratch, out)
 			if ob.First {
-				scratch, out = p.r.query(q.Interval, plan, true, ob.CheckStart, false, scratch, out)
+				scratch, out = p.r.query(q.Interval, plan, true, ob.CheckStart, false, bm, scratch, out)
 			}
 		})
 	})
+	putSurvivors(bm)
 	return out
+}
+
+// survivorPool recycles the size variant's survivor bitmaps. A pooled
+// bitmap has no bit set, because every division clears the bits it set:
+// a query grows the bitmap to its survivors' largest id but never pays a
+// Reset over that universe.
+var survivorPool = sync.Pool{New: func() any { return new(postings.Bitmap) }}
+
+// putSurvivors returns a survivor bitmap to its pool; under -tags
+// invariants it first asserts that no bit is set. It is not deferred: a
+// query that panics drops its bitmap rather than pool one holding bits.
+func putSurvivors(bm *postings.Bitmap) {
+	if postings.InvariantsEnabled && bm.Count() != 0 {
+		// lint:panic-ok invariants build: a dirty survivor bitmap must abort loudly
+		panic("core: invariant violated: survivor bitmap pooled with bits set")
+	}
+	survivorPool.Put(bm)
 }
 
 // query answers the reduced query on one division (replica tells which
 // sort its store has) and appends the result to dst. scratch backs the
 // survivor set of plans longer than one element and is returned for reuse;
-// a one-element plan reads the stored list in place.
-func (d *sizeDiv) query(q model.Interval, plan []model.ElemID, replica, checkStart, checkEnd bool, scratch, dst []model.ObjectID) (_, _ []model.ObjectID) {
+// a one-element plan reads the stored list in place. bm must be all-zero
+// on entry, and is again on return.
+func (d *sizeDiv) query(q model.Interval, plan []model.ElemID, replica, checkStart, checkEnd bool, bm *postings.Bitmap, scratch, dst []model.ObjectID) (_, _ []model.ObjectID) {
 	surv := d.list(plan[0])
 	for _, e := range plan[1:] {
 		if len(surv) == 0 {
@@ -254,14 +283,22 @@ func (d *sizeDiv) query(q model.Interval, plan []model.ElemID, replica, checkSta
 	} else {
 		s = originalsUpTo(d.ivals, checkEnd, q)
 	}
+	bm.Grow(surv[len(surv)-1] + 1)
+	for _, id := range surv {
+		bm.Set(id)
+	}
 	for i := range s {
 		if checkStart && s[i].Interval.End < q.Start {
 			continue
 		}
-		// A dead entry's id carries the dead bit, so it is no survivor.
-		if postings.ContainsSorted(surv, s[i].ID) {
+		// A dead entry's id carries the dead bit, which lies past the
+		// universe, so it is no survivor.
+		if bm.Contains(s[i].ID) {
 			dst = append(dst, s[i].ID)
 		}
+	}
+	for _, id := range surv {
+		bm.Unset(id)
 	}
 	return scratch, dst
 }

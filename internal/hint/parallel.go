@@ -3,6 +3,7 @@ package hint
 import (
 	"repro/internal/exec"
 	"repro/internal/model"
+	"repro/internal/postings"
 )
 
 // HINT's partition decomposition is embarrassingly parallel: the relevant
@@ -43,47 +44,34 @@ const fanMinPer = 2
 // once; the order is nondeterministic under concurrency. A nil or
 // single-worker pool (or a small partition count) falls back to the
 // serial scan.
-//
-// irlint:cold opt-in parallel fan-out; per-chunk buffers are the cost of concurrency, not the serial query path
 func (ix *Index) RangeQueryParallel(q model.Interval, pool *exec.Pool, dst []model.ObjectID) []model.ObjectID {
-	parts := ix.Relevant(q, nil)
-	if pool == nil || pool.Workers() <= 1 || len(parts) < fanCutoff {
-		for _, rp := range parts {
-			dst = reportPartition(rp.P, rp.Ob, q, dst)
-		}
-		return dst
-	}
-	partials := exec.MapChunks(pool, len(parts), fanMinPer, func(lo, hi int) []model.ObjectID {
-		var buf []model.ObjectID
-		for i := lo; i < hi; i++ {
-			buf = reportPartition(parts[i].P, parts[i].Ob, q, buf)
-		}
-		return buf
-	})
-	for _, b := range partials {
-		dst = append(dst, b...)
-	}
-	return dst
+	return ix.RangeQueryFilteredParallel(q, nil, pool, dst)
 }
 
-// RangeQueryFilteredParallel is RangeQueryFiltered with the partition
-// scans fanned across the pool. pred runs concurrently and must be safe
-// for concurrent use (the Algorithm 3 candidate probe — a binary search
-// over an immutable sorted set — is).
+// RangeQueryFilteredParallel is RangeQueryFilteredBitmap with the
+// partition scans fanned across the pool; a nil bm filters nothing.
+// Every chunk probes the same bm, which must not change until the call
+// returns.
 //
 // irlint:cold opt-in parallel fan-out; per-chunk buffers are the cost of concurrency, not the serial query path
-func (ix *Index) RangeQueryFilteredParallel(q model.Interval, pred func(model.ObjectID) bool, pool *exec.Pool, dst []model.ObjectID) []model.ObjectID {
+func (ix *Index) RangeQueryFilteredParallel(q model.Interval, bm *postings.Bitmap, pool *exec.Pool, dst []model.ObjectID) []model.ObjectID {
+	report := func(rp RelevantPartition, dst []model.ObjectID) []model.ObjectID {
+		if bm == nil {
+			return reportPartition(rp.P, rp.Ob, q, dst)
+		}
+		return reportPartitionBitmap(rp.P, rp.Ob, q, bm, dst)
+	}
 	parts := ix.Relevant(q, nil)
 	if pool == nil || pool.Workers() <= 1 || len(parts) < fanCutoff {
 		for _, rp := range parts {
-			dst = reportPartitionFiltered(rp.P, rp.Ob, q, pred, dst)
+			dst = report(rp, dst)
 		}
 		return dst
 	}
 	partials := exec.MapChunks(pool, len(parts), fanMinPer, func(lo, hi int) []model.ObjectID {
 		var buf []model.ObjectID
-		for i := lo; i < hi; i++ {
-			buf = reportPartitionFiltered(parts[i].P, parts[i].Ob, q, pred, buf)
+		for _, rp := range parts[lo:hi] {
+			buf = report(rp, buf)
 		}
 		return buf
 	})

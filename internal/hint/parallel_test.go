@@ -7,6 +7,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/exec"
 	"repro/internal/model"
+	"repro/internal/postings"
 )
 
 // TestRangeQueryParallelMatchesSerial checks that the fanned-out scan
@@ -40,12 +41,16 @@ func TestRangeQueryFilteredParallelMatchesSerial(t *testing.T) {
 	dom := domain.New(0, 1<<12-1, 9)
 	entries := randomEntries(rng, 3000, dom.Min, dom.Max)
 	ix := Build(dom, entries)
-	pred := func(id model.ObjectID) bool { return id%3 == 0 }
+	var bm postings.Bitmap
+	bm.Reset(3000)
+	for id := model.ObjectID(0); id < 3000; id += 3 {
+		bm.Set(id)
+	}
 	pool := exec.NewPool(8)
 	for qi := 0; qi < 200; qi++ {
 		q := randomQuery(rng, dom.Min, dom.Max)
-		serial := canon(ix.RangeQueryFiltered(q, pred, nil))
-		got := ix.RangeQueryFilteredParallel(q, pred, pool, nil)
+		serial := canon(ix.RangeQueryFilteredBitmap(q, &bm, nil))
+		got := ix.RangeQueryFilteredParallel(q, &bm, pool, nil)
 		if len(got) != len(serial) || !model.EqualIDs(canon(got), serial) {
 			t.Fatalf("query %v: filtered parallel set differs from serial", q)
 		}

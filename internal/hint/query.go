@@ -233,69 +233,13 @@ func (ix *Index) VisitRelevant(q model.Interval, fn func(p *Partition, ob Obliga
 	})
 }
 
-// RangeQueryFiltered is RangeQuery restricted to ids satisfying pred —
-// the binary-search candidate probe of Algorithm 3, where pred tests
-// membership in the sorted candidate set.
+// RangeQueryFilteredBitmap is RangeQuery restricted to the ids set in
+// bm — the candidate probe of Algorithm 3, with the membership test a
+// packed-bitmap word probe: O(1) per entry instead of the paper's binary
+// search into the sorted candidate set. bm is only read, so concurrent
+// probes may share it.
 //
-// irlint:hot the Algorithm 3 probe path of the tIF+HINT hybrid methods
-func (ix *Index) RangeQueryFiltered(q model.Interval, pred func(model.ObjectID) bool, dst []model.ObjectID) []model.ObjectID {
-	ix.VisitRelevant(q, func(p *Partition, ob Obligations) {
-		dst = reportPartitionFiltered(p, ob, q, pred, dst)
-	})
-	return dst
-}
-
-// reportPartitionFiltered mirrors reportPartition with a per-id predicate.
-func reportPartitionFiltered(p *Partition, ob Obligations, q model.Interval, pred func(model.ObjectID) bool, dst []model.ObjectID) []model.ObjectID {
-	emit := func(s []postings.Posting, lo, cut int, needEnd bool) {
-		for i := lo; i < cut; i++ {
-			if needEnd && s[i].Interval.End < q.Start {
-				continue
-			}
-			if !postings.IsDead(s[i].ID) && pred(s[i].ID) {
-				dst = append(dst, s[i].ID)
-			}
-		}
-	}
-	startCut := func(s []postings.Posting) int {
-		return sort.Search(len(s), func(i int) bool { return s[i].Interval.Start > q.End })
-	}
-	endLo := func(s []postings.Posting) int {
-		return sort.Search(len(s), func(i int) bool { return s[i].Interval.End >= q.Start })
-	}
-	switch {
-	case ob.CheckStart && ob.CheckEnd:
-		emit(p.OIn, 0, startCut(p.OIn), true)
-		emit(p.OAft, 0, startCut(p.OAft), false)
-	case ob.CheckStart:
-		emit(p.OIn, 0, len(p.OIn), true)
-		emit(p.OAft, 0, len(p.OAft), false)
-	case ob.CheckEnd:
-		emit(p.OIn, 0, startCut(p.OIn), false)
-		emit(p.OAft, 0, startCut(p.OAft), false)
-	default:
-		emit(p.OIn, 0, len(p.OIn), false)
-		emit(p.OAft, 0, len(p.OAft), false)
-	}
-	if !ob.First {
-		return dst
-	}
-	if ob.CheckStart {
-		emit(p.RIn, endLo(p.RIn), len(p.RIn), false)
-	} else {
-		emit(p.RIn, 0, len(p.RIn), false)
-	}
-	emit(p.RAft, 0, len(p.RAft), false)
-	return dst
-}
-
-// RangeQueryFilteredBitmap is RangeQueryFiltered with the candidate
-// membership test inlined as a packed-bitmap word probe: O(1) per entry
-// instead of a binary search or an indirect predicate call. The body
-// mirrors reportPartitionFiltered; the duplication buys a direct word
-// test in the innermost loop of the Algorithm 3 probe path.
-//
-// irlint:hot the bitmap-container probe path for dense candidate sets
+// irlint:hot the Algorithm 3 probe path of the tIF+HINT binary variant
 func (ix *Index) RangeQueryFilteredBitmap(q model.Interval, bm *postings.Bitmap, dst []model.ObjectID) []model.ObjectID {
 	ix.VisitRelevant(q, func(p *Partition, ob Obligations) {
 		dst = reportPartitionBitmap(p, ob, q, bm, dst)
@@ -303,8 +247,8 @@ func (ix *Index) RangeQueryFilteredBitmap(q model.Interval, bm *postings.Bitmap,
 	return dst
 }
 
-// reportPartitionBitmap mirrors reportPartitionFiltered with a bitmap
-// membership probe per id.
+// reportPartitionBitmap mirrors reportPartition with a bitmap membership
+// probe per id.
 func reportPartitionBitmap(p *Partition, ob Obligations, q model.Interval, bm *postings.Bitmap, dst []model.ObjectID) []model.ObjectID {
 	emit := func(s []postings.Posting, lo, cut int, needEnd bool) {
 		for i := lo; i < cut; i++ {

@@ -26,17 +26,3 @@ func (ix *Index) TracedRangeQueryParallel(q model.Interval, pool *exec.Pool, tr 
 	defer tr.StartStage(obs.StagePostings).End()
 	return ix.RangeQueryParallel(q, pool, dst)
 }
-
-// TracedRangeQueryFiltered is RangeQueryFiltered — the Algorithm 3
-// candidate probe — with the intersection stage recorded on tr.
-func (ix *Index) TracedRangeQueryFiltered(q model.Interval, pred func(model.ObjectID) bool, tr *obs.Trace, dst []model.ObjectID) []model.ObjectID {
-	defer tr.StartStage(obs.StageIntersect).End()
-	return ix.RangeQueryFiltered(q, pred, dst)
-}
-
-// TracedRangeQueryFilteredParallel is RangeQueryFilteredParallel with
-// the intersection stage recorded on tr.
-func (ix *Index) TracedRangeQueryFilteredParallel(q model.Interval, pred func(model.ObjectID) bool, pool *exec.Pool, tr *obs.Trace, dst []model.ObjectID) []model.ObjectID {
-	defer tr.StartStage(obs.StageIntersect).End()
-	return ix.RangeQueryFilteredParallel(q, pred, pool, dst)
-}

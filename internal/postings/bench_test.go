@@ -43,12 +43,3 @@ func BenchmarkTemporalFilter(b *testing.B) {
 		dst = l.TemporalFilter(q, dst[:0])
 	}
 }
-
-func BenchmarkContainsSorted(b *testing.B) {
-	_, cands := benchLists(10_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ContainsSorted(cands, cands[i%len(cands)])
-	}
-}

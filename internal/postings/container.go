@@ -46,14 +46,32 @@ func (b *Bitmap) Reset(universe model.ObjectID) {
 	clear(b.words)
 }
 
-// grow reallocates the word slice. Noinline so the rare growth
-// allocation stays attributed to this line instead of being inlined
-// into every hot Reset call.
+// Grow widens the universe to hold ids in [0, universe), keeping every
+// bit already set; the added words start clear. It never shrinks, so a
+// caller that clears its own bits can widen one bitmap across many
+// marking rounds without paying a Reset over the universe for each.
+func (b *Bitmap) Grow(universe model.ObjectID) {
+	nw, n := int(universe+63)/64, len(b.words)
+	if nw <= n {
+		return
+	}
+	if cap(b.words) < nw {
+		b.grow(nw)
+	}
+	b.words = b.words[:nw]
+	clear(b.words[n:])
+}
+
+// grow reallocates the word slice, keeping its contents. Noinline so the
+// rare growth allocation stays attributed to this line instead of being
+// inlined into every hot Reset or Grow call.
 //
 //go:noinline
 func (b *Bitmap) grow(nw int) {
 	// lint:alloc-ok pooled bitmap grows to the largest universe seen, then is reused across queries
-	b.words = make([]uint64, nw)
+	w := make([]uint64, len(b.words), nw)
+	copy(w, b.words)
+	b.words = w
 }
 
 // Set marks id. Ids at or beyond the sized universe are ignored — the
@@ -65,6 +83,16 @@ func (b *Bitmap) Set(id model.ObjectID) {
 	w := int(id >> 6)
 	if w < len(b.words) {
 		b.words[w] |= 1 << (id & 63)
+	}
+}
+
+// Unset clears id. Ids at or beyond the sized universe are ignored.
+//
+// irlint:hot bitmap unmark, runs per survivor per division per query
+func (b *Bitmap) Unset(id model.ObjectID) {
+	w := int(id >> 6)
+	if w < len(b.words) {
+		b.words[w] &^= 1 << (id & 63)
 	}
 }
 
@@ -146,7 +174,7 @@ func (b *Bitmap) AppendIDs(dst []model.ObjectID) []model.ObjectID {
 }
 
 // KeepSorted compacts ids in place to those present in the bitmap,
-// preserving order.
+// preserving order, which must be ascending.
 //
 // irlint:hot candidate compaction after bitmap marking, runs once per plan element
 func (b *Bitmap) KeepSorted(ids []model.ObjectID) []model.ObjectID {
@@ -157,6 +185,7 @@ func (b *Bitmap) KeepSorted(ids []model.ObjectID) []model.ObjectID {
 			w++
 		}
 	}
+	assertSortedIDs(ids[:w], "Bitmap.KeepSorted")
 	return ids[:w]
 }
 

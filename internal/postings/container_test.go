@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -17,7 +18,7 @@ func unionSorted(a, b []model.ObjectID) []model.ObjectID {
 func diffSorted(a, b []model.ObjectID) []model.ObjectID {
 	out := make([]model.ObjectID, 0, len(a))
 	for _, id := range a {
-		if !ContainsSorted(b, id) {
+		if _, ok := slices.BinarySearch(b, id); !ok {
 			out = append(out, id)
 		}
 	}

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -18,13 +19,12 @@ func idsFromBytes(raw []byte) []model.ObjectID {
 	return ids
 }
 
-// intersectByBinarySearch is the probe-side intersection the tIF+HINT
-// binary variant uses (Algorithm 3): for each candidate, binary-search
-// the other list.
+// intersectByBinarySearch is the literal probe-side intersection of
+// Algorithm 3: for each candidate, binary-search the other list.
 func intersectByBinarySearch(a, b []model.ObjectID) []model.ObjectID {
 	var out []model.ObjectID
 	for _, id := range a {
-		if ContainsSorted(b, id) {
+		if _, ok := slices.BinarySearch(b, id); ok {
 			out = append(out, id)
 		}
 	}
@@ -69,7 +69,9 @@ func FuzzIntersect(f *testing.F) {
 
 		// Every reported id is in both inputs; result stays sorted.
 		for i, id := range merge {
-			if !ContainsSorted(a, id) || !ContainsSorted(b, id) {
+			_, inA := slices.BinarySearch(a, id)
+			_, inB := slices.BinarySearch(b, id)
+			if !inA || !inB {
 				t.Fatalf("result id %d not in both inputs", id)
 			}
 			if i > 0 && merge[i-1] >= id {

@@ -31,8 +31,17 @@ func TestAssertionsFireOnUnsortedInputs(t *testing.T) {
 	mustPanic(t, "IntersectSortedIDs", func() {
 		IntersectSortedIDs(unsorted, sorted, nil)
 	})
-	mustPanic(t, "ContainsSorted", func() {
-		ContainsSorted(unsorted, 2)
+	mustPanic(t, "Bitmap.SetSorted", func() {
+		var b Bitmap
+		b.SetSorted(unsorted)
+	})
+	mustPanic(t, "Bitmap.KeepSorted", func() {
+		var b Bitmap
+		b.Reset(4)
+		for _, id := range unsorted {
+			b.Set(id)
+		}
+		b.KeepSorted(unsorted)
 	})
 	mustPanic(t, "MergeSortedIDLists", func() {
 		MergeSortedIDLists([][]model.ObjectID{unsorted})
@@ -50,7 +59,9 @@ func TestAssertionsPassOnSortedInputs(t *testing.T) {
 	if !model.EqualIDs(got, []model.ObjectID{2, 3}) {
 		t.Fatalf("IntersectSortedIDs = %v", got)
 	}
-	if !ContainsSorted(a, 2) || ContainsSorted(a, 9) {
-		t.Fatal("ContainsSorted misbehaves under invariants")
+	var bm Bitmap
+	bm.SetSorted(a)
+	if !bm.Contains(2) || bm.Contains(9) {
+		t.Fatal("Bitmap.SetSorted misbehaves under invariants")
 	}
 }

@@ -153,16 +153,6 @@ func IntersectSortedIDs(a, b, dst []model.ObjectID) []model.ObjectID {
 	return dst
 }
 
-// ContainsSorted reports whether id occurs in the ascending slice ids,
-// using binary search. Shared by the binary-search intersection variants.
-//
-// irlint:hot binary-search probe, runs per candidate per query
-func ContainsSorted(ids []model.ObjectID, id model.ObjectID) bool {
-	assertSortedIDs(ids, "ContainsSorted")
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	return i < len(ids) && ids[i] == id
-}
-
 // MergeSortedIDLists k-way merges already-sorted id slices into one sorted,
 // deduplicated slice. Used to combine per-slice candidate outputs.
 //

@@ -116,23 +116,6 @@ func randomSortedIDs(rng *rand.Rand, n, space int) []model.ObjectID {
 	return model.DedupIDs(ids)
 }
 
-func TestContainsSorted(t *testing.T) {
-	ids := []model.ObjectID{2, 4, 6}
-	for _, id := range ids {
-		if !ContainsSorted(ids, id) {
-			t.Errorf("ContainsSorted missed %d", id)
-		}
-	}
-	for _, id := range []model.ObjectID{0, 3, 7} {
-		if ContainsSorted(ids, id) {
-			t.Errorf("ContainsSorted false positive for %d", id)
-		}
-	}
-	if ContainsSorted(nil, 1) {
-		t.Error("empty slice should contain nothing")
-	}
-}
-
 func TestMergeSortedIDLists(t *testing.T) {
 	got := MergeSortedIDLists([][]model.ObjectID{
 		{1, 5, 9},

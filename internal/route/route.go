@@ -110,18 +110,19 @@ func BucketOf(f Features) int {
 // take over on large extents where candidate sets are dense.
 func PriorCost(cl Class, eb, nb, fb int) float64 {
 	// Base per-query cost from the measured single-thread trajectory.
-	// ClassSize and ClassSharding keep the ratio to ClassPerf of their
-	// median query on the benchmark's lib_methods list (38.5 and 82.6 µs
-	// against irHINT-perf's 15.0).
+	// ClassSharding, ClassBinary and ClassSize keep the ratio to ClassPerf
+	// of their median query on the benchmark's lib_methods list (44.9,
+	// 22.4 and 20.1 µs against irHINT-perf's 12.25, with candidate
+	// membership a bit test).
 	base := [NumClasses]float64{
 		ClassTIF:      28e3,
 		ClassSlicing:  30e3,
-		ClassSharding: 99e3,
-		ClassBinary:   60e3,
+		ClassSharding: 66e3,
+		ClassBinary:   33e3,
 		ClassMerge:    36e3,
 		ClassHybrid:   29e3,
 		ClassPerf:     18e3,
-		ClassSize:     46e3,
+		ClassSize:     30e3,
 	}
 	c := base[cl]
 	// Large extents punish sliced/temporal-scan structures and favor

@@ -9,8 +9,8 @@ import (
 )
 
 // TestAllocBudget pins what a tIF+Sharding query allocates: the growth of
-// the least frequent element's candidate slice, which is also the result,
-// and one flag per candidate — further elements gather nothing. `make
+// the least frequent element's candidate slice, which is also the result.
+// Further elements gather nothing and mark into a pooled bitmap. `make
 // benchmem` re-records.
 func TestAllocBudget(t *testing.T) {
 	cfg := testutil.CollectionConfig{N: 20_000, DomainLo: 0, DomainHi: 1 << 20, Dict: 50, MaxDesc: 6, Seed: 9}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/model"
 	"repro/internal/postings"
+	"repro/internal/testutil"
 )
 
 // TestAllocBudget pins the keep-mask intersection of the tIF+HINT merge
@@ -35,6 +36,26 @@ func TestAllocBudget(t *testing.T) {
 	allocbudget.Gate(t, "tifhint/idHint.intersect", func() {
 		if got := h.intersect(q, cands, keep); len(got) != len(cands) {
 			t.Fatalf("intersect dropped candidates: %d of %d", len(got), len(cands))
+		}
+	})
+}
+
+// TestAllocBudgetBinaryQuery pins what a binary-variant query allocates:
+// the first element's range query, which grows the candidate slice that
+// every probe pass then reuses as its output, and the stage span. The
+// candidate bitmap is pooled, so the probes add nothing. `make benchmem`
+// re-records.
+func TestAllocBudgetBinaryQuery(t *testing.T) {
+	cfg := testutil.CollectionConfig{N: 20_000, DomainLo: 0, DomainHi: 1 << 20, Dict: 50, MaxDesc: 6, Seed: 9}
+	ix := NewBinary(testutil.RandomCollection(cfg))
+	q := model.Query{Interval: model.NewInterval(1<<18, 3<<18), Elems: []model.ElemID{1, 4, 7}}
+	want := len(ix.Query(q))
+	if want == 0 {
+		t.Fatal("query matches nothing")
+	}
+	allocbudget.Gate(t, "tifhint/BinaryIndex.Query", func() {
+		if got := len(ix.Query(q)); got != want {
+			t.Fatalf("result size changed: %d, was %d", got, want)
 		}
 	})
 }

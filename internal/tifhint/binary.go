@@ -13,8 +13,10 @@ import (
 // I[e] is organized as a HINT H[e] with the full subs+sort optimizations.
 // The least frequent query element is answered with a plain HINT range
 // query; every further element traverses its HINT bottom-up, probing the
-// id-sorted candidate set with binary searches while still applying the
-// compfirst/complast temporal pruning.
+// candidate set while still applying the compfirst/complast temporal
+// pruning. The paper probes with binary searches into the id-sorted
+// candidates; here each probe is a bit test against a candidate bitmap,
+// which changes the speed, not the result.
 type BinaryIndex struct {
 	shared domain.Domain
 	hints  []*hint.Index // per element, nil when unused
@@ -23,7 +25,7 @@ type BinaryIndex struct {
 	m      int
 }
 
-// NewBinary builds the binary-search tIF+HINT variant with the bulk
+// NewBinary builds the binary tIF+HINT variant with the bulk
 // kernel: one hint.FromRun per element over its sorted run.
 func NewBinary(c *model.Collection, opts ...Option) *BinaryIndex {
 	cfg := config{m: DefaultBinaryM}

@@ -54,21 +54,18 @@ func (h *idHint) seed(q model.Query, pool *exec.Pool) []model.ObjectID {
 }
 
 // probeRest is Algorithm 3 lines 4-29 for the binary variant: each
-// further plan element traverses its HINT probing the id-sorted
-// candidate set, under one intersection span. A non-nil pool fans each
-// probe pass.
+// further plan element traverses its HINT probing the candidate set,
+// under one intersection span. A non-nil pool fans each probe pass.
+//
+// The candidates go into a bitmap rather than being sorted for the
+// paper's binary searches (line 5), so each probe is an O(1) word test
+// and cands is free for in-place reuse as the output buffer (each id is
+// reported at most once).
 func (ix *BinaryIndex) probeRest(q model.Query, plan []model.ElemID, cands []model.ObjectID, pool *exec.Pool) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StageIntersect).End()
 	bs := postings.GetBitmapScratch()
 	defer postings.PutBitmapScratch(bs)
-	// One probe closure per query, hoisted out of the plan loop; sorted
-	// is rebound per element so the closure always probes the current
-	// candidate set.
-	var sorted []model.ObjectID // lint:alloc-ok captured slice header, one heap slot per query
-	// lint:alloc-ok one predicate closure per query, reused across plan elements
-	pred := func(id model.ObjectID) bool {
-		return postings.ContainsSorted(sorted, id)
-	}
+	bm := &bs.Cands
 	for _, e := range plan[1:] {
 		if len(cands) == 0 {
 			return nil
@@ -76,23 +73,20 @@ func (ix *BinaryIndex) probeRest(q model.Query, plan []model.ElemID, cands []mod
 		if int(e) >= len(ix.hints) || ix.hints[e] == nil {
 			return nil
 		}
-		// Line 5: sort C by id so membership probes are binary searches.
-		model.SortIDs(cands)
-		// Dense candidate sets copy into a bitmap, turning each probe
-		// into an O(1) word test — and freeing cands for in-place reuse
-		// as the output buffer (each id is reported at most once).
-		if pool == nil && len(cands) >= postings.BitmapCutoff {
-			bs.Cands.SetSorted(cands)
-			cands = ix.hints[e].RangeQueryFilteredBitmap(q.Interval, &bs.Cands, cands[:0])
-			continue
+		hi := cands[0]
+		for _, id := range cands[1:] {
+			hi = max(hi, id)
 		}
-		sorted = cands
+		bm.Reset(hi + 1)
+		for _, id := range cands {
+			bm.Set(id)
+		}
 		// Lines 7-29: traverse H[e] with the temporal flags, keeping the
 		// candidates found in qualifying divisions.
 		if pool != nil {
-			cands = ix.hints[e].RangeQueryFilteredParallel(q.Interval, pred, pool, nil)
+			cands = ix.hints[e].RangeQueryFilteredParallel(q.Interval, bm, pool, cands[:0])
 		} else {
-			cands = ix.hints[e].RangeQueryFiltered(q.Interval, pred, nil)
+			cands = ix.hints[e].RangeQueryFilteredBitmap(q.Interval, bm, cands[:0])
 		}
 	}
 	return cands

@@ -11,7 +11,7 @@
 //	TIF             the base temporal inverted file (Algorithm 1)
 //	TIFSlicing      tIF + time-domain slicing [Berberich et al.]
 //	TIFSharding     tIF + staircase sharding [Anand et al.]
-//	TIFHintBinary   tIF + per-element HINT, binary-search probes (Alg. 3)
+//	TIFHintBinary   tIF + per-element HINT, candidate probes (Alg. 3)
 //	TIFHintMerge    tIF + per-element HINT, merge intersections (Alg. 4)
 //	TIFHintSlicing  the dual-copy hybrid (Section 3.2)
 //	IRHintPerf      irHINT, performance variant (Section 4.1) — the
