@@ -85,7 +85,7 @@ type Engine struct {
 	// internal synchronization.
 	store *maint.Store
 
-	// pool executes batch and intra-query fan-out; nil selects the shared
+	// pool executes batch rows; nil selects the shared
 	// defaultPool. Replaced wholesale by SetParallelism.
 	pool atomicPool
 }

@@ -11,8 +11,10 @@ import (
 )
 
 // Engine-level concurrent execution: batched searches over the bounded
-// worker pool of internal/exec, context-aware single searches, and the
-// intra-query fan-out hook for HINT-backed indices.
+// worker pool of internal/exec, and context-aware single searches. Every
+// query runs its index's one serial body; the parallelism is across
+// batch rows (here) and across shards (Sharded's scatter), never inside
+// one query.
 //
 // Concurrency discipline: every batch entry point loads one generation
 // snapshot and fans out over it. The snapshot is immutable — writers
@@ -38,9 +40,8 @@ type atomicPool = atomic.Pointer[exec.Pool]
 var defaultPool = exec.NewPool(0)
 
 // SetParallelism replaces the engine's worker pool with one of the given
-// size (n <= 0 restores the GOMAXPROCS default). It tunes both batch
-// fan-out and intra-query fan-out; in-flight batches keep the pool they
-// started with.
+// size (n <= 0 restores the GOMAXPROCS default). It bounds how many batch
+// rows run at once; in-flight batches keep the pool they started with.
 func (e *Engine) SetParallelism(n int) {
 	e.pool.Store(exec.NewPool(n))
 }
@@ -61,20 +62,19 @@ func (e *Engine) PoolStats() exec.PoolStats {
 	return e.executor().Stats()
 }
 
-// runQuery evaluates one query against a generation snapshot with
-// intra-query fan-out, returning externally-translated ids in ascending
-// order.
-func runQuery(g *maint.Generation, q Query, pool *exec.Pool) []ObjectID {
-	ids := g.QueryP(q, pool)
+// runQuery evaluates one query against a generation snapshot, returning
+// externally-translated ids in ascending order.
+func runQuery(g *maint.Generation, q Query) []ObjectID {
+	ids := g.Query(q)
 	out := finishIDs(g, ids, q.Trace)
 	q.Trace.AddResults(len(out))
 	return out
 }
 
 // SearchBatch evaluates many element-id queries concurrently over the
-// engine's pool, with intra-query fan-out for the HINT-backed methods.
-// results[i] corresponds to queries[i]; ids are in ascending order, so a
-// batch result is byte-identical to running Query serially. The whole
+// engine's pool, one row per worker. results[i] corresponds to
+// queries[i]; ids are in ascending order, so a batch result is
+// byte-identical to running Query serially. The whole
 // batch runs against one generation snapshot: mutations landing
 // mid-batch are invisible to it, and the batch never blocks them.
 func (e *Engine) SearchBatch(queries []Query) []Result {
@@ -111,7 +111,7 @@ func (e *Engine) runBatch(ctx context.Context, n int, row func(i int) (Query, bo
 	_ = pool.MapCtx(ctx, n, func(i int) {
 		started[i] = true
 		if q, ok := row(i); ok {
-			results[i] = Result{IDs: runQuery(g, q, pool)}
+			results[i] = Result{IDs: runQuery(g, q)}
 		}
 	})
 	if err := ctx.Err(); err != nil {

@@ -119,11 +119,7 @@ func RunPerfJSON(cfg Config) {
 			serialResults[i] = ix.Query(q)
 			rows += len(serialResults[i])
 		}
-		batch := exec.RunBatch(pool, queries, ix.Query)
-		batchResults := make([][]model.ObjectID, len(batch))
-		for i, r := range batch {
-			batchResults[i] = r.IDs
-		}
+		batchResults := exec.RunBatch(pool, queries, ix.Query)
 		serialSum := testutil.WorkloadChecksum(serialResults)
 		batchSum := testutil.WorkloadChecksum(batchResults)
 		qps := Throughput(ix, queries)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/allocbudget"
 	"repro/internal/bruteforce"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/postings"
@@ -234,13 +233,9 @@ func TestInsertAfterBulkKeepsNeighbours(t *testing.T) {
 		size.Delete(all.Objects[i])
 		oracle.Delete(all.Objects[i].ID)
 	}
-	pool := exec.NewPool(4)
 	for qi, q := range testutil.RandomQueries(cfg, 200, 79) {
 		want := testutil.Canonical(oracle.Query(q))
-		for name, got := range map[string][]model.ObjectID{
-			"perf Query": perf.Query(q), "perf QueryP": perf.QueryP(q, pool),
-			"size Query": size.Query(q), "size QueryP": size.QueryP(q, pool),
-		} {
+		for name, got := range map[string][]model.ObjectID{"perf": perf.Query(q), "size": size.Query(q)} {
 			if !model.EqualIDs(testutil.Canonical(got), want) {
 				t.Fatalf("query %d (%v elems=%v): %s %v, want %v", qi, q.Interval, q.Elems, name, testutil.Canonical(got), want)
 			}

@@ -121,7 +121,7 @@ func (ix *PerfIndex) growTo(n int) {
 // outputs disjoint, so no de-duplication step is needed.
 func (ix *PerfIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		return ix.tracedTemporalOnly(q)
+		return ix.queryTemporalOnly(q)
 	}
 	// Algorithm 5 fuses the postings fetch and the intersection per
 	// division, so one intersect span covers the whole traversal.
@@ -141,20 +141,16 @@ func (ix *PerfIndex) Query(q model.Query) []model.ObjectID {
 	return out
 }
 
-// tracedTemporalOnly wraps the element-free path in a postings span.
-func (ix *PerfIndex) tracedTemporalOnly(q model.Query) []model.ObjectID {
+// queryTemporalOnly is the element-free path, under one postings span.
+func (ix *PerfIndex) queryTemporalOnly(q model.Query) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StagePostings).End()
-	return ix.queryTemporalOnly(q.Interval)
-}
-
-func (ix *PerfIndex) queryTemporalOnly(q model.Interval) []model.ObjectID {
 	var out []model.ObjectID
-	hint.Visit(ix.dom, q, func(lv hint.LevelVisit) {
+	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 			ob := lv.Oblige(j)
-			out = p.o.allIDs(q, ob.CheckStart, ob.CheckEnd, out)
+			out = p.o.allIDs(q.Interval, ob.CheckStart, ob.CheckEnd, out)
 			if ob.First {
-				out = p.r.allIDs(q, ob.CheckStart, false, out)
+				out = p.r.allIDs(q.Interval, ob.CheckStart, false, out)
 			}
 		})
 	})

@@ -3,25 +3,19 @@ package core
 import (
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/hint"
-	"repro/internal/model"
 	"repro/internal/testutil"
 )
 
 // TestProbeBitmapsMatchOracle runs consecutive queries of very different
 // universes through one goroutine, so the size variant's pooled survivor
-// bitmap serves them all, through Query and through QueryP with a
-// 4-worker pool. The run must visit divisions holding dead entries both
-// where the obligations ask for a comparison and where they do not.
+// bitmap serves them all. The run must visit divisions holding dead
+// entries both where the obligations ask for a comparison and where they
+// do not.
 func TestProbeBitmapsMatchOracle(t *testing.T) {
 	w := testutil.NewProbeWorkload(33)
 	ix := NewSize(w.Base, WithM(6))
-	pool := exec.NewPool(4)
-	testutil.CheckProbeWorkload(t, w, ix, map[string]func(model.Query) []model.ObjectID{
-		"Query":  ix.Query,
-		"QueryP": func(q model.Query) []model.ObjectID { return ix.QueryP(q, pool) },
-	})
+	testutil.CheckProbeWorkload(t, w, ix)
 	var free, owing int // visited divisions with dead entries, by obligation
 	count := func(d *sizeDiv, compare bool) {
 		switch {

@@ -218,7 +218,7 @@ func (ix *SizeIndex) growTo(n int) {
 // irlint:hot size-variant per-query entry point
 func (ix *SizeIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		return ix.tracedTemporalOnly(q)
+		return ix.queryTemporalOnly(q)
 	}
 	// The intersection and the range restriction are fused per division,
 	// so one intersect span covers the whole traversal.
@@ -239,10 +239,10 @@ func (ix *SizeIndex) Query(q model.Query) []model.ObjectID {
 	return out
 }
 
-// survivorPool recycles the size variant's survivor bitmaps. A pooled
-// bitmap has no bit set, because every division clears the bits it set:
-// a query grows the bitmap to its survivors' largest id but never pays a
-// Reset over that universe.
+// survivorPool recycles the size variant's survivor bitmaps, one per
+// running query. A pooled bitmap has no bit set, because every division
+// clears the bits it set: a query grows the bitmap to its survivors'
+// largest id but never pays a Reset over that universe.
 var survivorPool = sync.Pool{New: func() any { return new(postings.Bitmap) }}
 
 // putSurvivors returns a survivor bitmap to its pool; under -tags
@@ -349,20 +349,16 @@ func filterReplicas(s []postings.Posting, checkStart bool, q model.Interval, dst
 	return dst
 }
 
-// tracedTemporalOnly wraps the element-free path in a postings span.
-func (ix *SizeIndex) tracedTemporalOnly(q model.Query) []model.ObjectID {
+// queryTemporalOnly is the element-free path, under one postings span.
+func (ix *SizeIndex) queryTemporalOnly(q model.Query) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StagePostings).End()
-	return ix.queryTemporalOnly(q.Interval)
-}
-
-func (ix *SizeIndex) queryTemporalOnly(q model.Interval) []model.ObjectID {
 	var out []model.ObjectID
-	hint.Visit(ix.dom, q, func(lv hint.LevelVisit) {
+	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
 			ob := lv.Oblige(j)
-			out = filterOriginals(p.o.ivals, ob.CheckStart, ob.CheckEnd, q, out)
+			out = filterOriginals(p.o.ivals, ob.CheckStart, ob.CheckEnd, q.Interval, out)
 			if ob.First {
-				out = filterReplicas(p.r.ivals, ob.CheckStart, q, out)
+				out = filterReplicas(p.r.ivals, ob.CheckStart, q.Interval, out)
 			}
 		})
 	})

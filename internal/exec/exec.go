@@ -1,16 +1,16 @@
 // Package exec is the concurrent query-execution layer: a bounded worker
-// pool shared by inter-query (batch) and intra-query (partition fan-out)
-// parallelism, plus batch scheduling helpers.
+// pool that runs the rows of a query batch and the shards of a sharded
+// query side by side. A single query is never split across workers; each
+// index answers it with one serial traversal.
 //
 // The pool follows a caller-runs design: the goroutine that submits work
 // always participates, and up to Workers()-1 extra goroutines are borrowed
 // from a global token budget with non-blocking acquisition. Two properties
 // fall out of that design:
 //
-//   - Nesting never deadlocks. A batch worker that fans a single query's
-//     partition scans out again simply finds no free tokens when the pool
-//     is saturated and runs its scans serially — intra-query parallelism
-//     costs nothing when inter-query parallelism already fills the cores.
+//   - Nesting never deadlocks. A batch row that scatters over shards finds
+//     no free tokens when the pool is saturated and visits its shards on
+//     its own goroutine.
 //   - Total concurrency is bounded by Workers() regardless of how many
 //     batches run at once, which is what lets the HTTP server cap its
 //     in-flight queries independently of the engine's pool size.
@@ -149,86 +149,11 @@ func (p *Pool) mapInner(ctx context.Context, n int, fn func(i int)) error {
 	return nil
 }
 
-// Chunk is a half-open index range [Lo, Hi) of a fanned-out work list.
-type Chunk struct {
-	Lo, Hi int
-}
-
-// Chunks splits n items into contiguous ranges, at most one per worker
-// and none smaller than minPer items (the fan-out grain below which
-// goroutine overhead beats the scan cost). n <= minPer yields one chunk.
-func Chunks(n, workers, minPer int) []Chunk {
-	if n <= 0 {
-		return nil
-	}
-	if minPer < 1 {
-		minPer = 1
-	}
-	k := workers
-	if k < 1 {
-		k = 1
-	}
-	if max := (n + minPer - 1) / minPer; k > max {
-		k = max
-	}
-	out := make([]Chunk, 0, k)
-	for i := 0; i < k; i++ {
-		lo, hi := i*n/k, (i+1)*n/k
-		if lo < hi {
-			out = append(out, Chunk{Lo: lo, Hi: hi})
-		}
-	}
-	return out
-}
-
-// MapChunks fans contiguous chunks of [0, n) across the pool and gathers
-// one result per chunk, in chunk order. The per-chunk results are what the
-// index fan-outs concatenate (and, where required, de-duplicate) into the
-// final answer.
-func MapChunks[T any](p *Pool, n, minPer int, fn func(lo, hi int) T) []T {
-	chunks := Chunks(n, p.Workers(), minPer)
-	out := make([]T, len(chunks))
-	if len(chunks) == 1 {
-		out[0] = fn(chunks[0].Lo, chunks[0].Hi)
-		return out
-	}
-	p.Map(len(chunks), func(i int) { out[i] = fn(chunks[i].Lo, chunks[i].Hi) })
-	return out
-}
-
-// Result is one row of a batch evaluation: the matching ids, or the error
-// that prevented the query from running (today only context cancellation).
-type Result struct {
-	IDs []model.ObjectID
-	Err error
-}
-
 // RunBatch evaluates eval over every query concurrently, results[i]
 // matching queries[i]. eval must be safe for concurrent use (every index
 // in the family supports concurrent readers).
-func RunBatch(p *Pool, queries []model.Query, eval func(model.Query) []model.ObjectID) []Result {
-	results := make([]Result, len(queries))
-	p.Map(len(queries), func(i int) {
-		results[i] = Result{IDs: eval(queries[i])}
-	})
-	return results
-}
-
-// RunBatchCtx is RunBatch with cooperative cancellation: queries not yet
-// started when ctx fires are marked with Err = ctx.Err() and nil IDs.
-func RunBatchCtx(ctx context.Context, p *Pool, queries []model.Query, eval func(model.Query) []model.ObjectID) []Result {
-	results := make([]Result, len(queries))
-	ran := make([]atomic.Bool, len(queries))
-	_ = p.MapCtx(ctx, len(queries), func(i int) {
-		results[i] = Result{IDs: eval(queries[i])}
-		ran[i].Store(true)
-	})
-	if err := ctx.Err(); err != nil {
-		for i := range results {
-			if !ran[i].Load() {
-				results[i] = Result{Err: err}
-			}
-		}
-	}
+func RunBatch(p *Pool, queries []model.Query, eval func(model.Query) []model.ObjectID) [][]model.ObjectID {
+	results := make([][]model.ObjectID, len(queries))
+	p.Map(len(queries), func(i int) { results[i] = eval(queries[i]) })
 	return results
 }

@@ -70,47 +70,6 @@ func TestMapCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-func TestChunksCoverExactly(t *testing.T) {
-	cases := []struct{ n, workers, minPer int }{
-		{0, 4, 1}, {1, 4, 1}, {10, 4, 1}, {10, 4, 8}, {10, 4, 100},
-		{1000, 7, 16}, {5, 1, 1}, {16, 16, 2},
-	}
-	for _, tc := range cases {
-		chunks := Chunks(tc.n, tc.workers, tc.minPer)
-		next := 0
-		for _, c := range chunks {
-			if c.Lo != next || c.Hi <= c.Lo {
-				t.Fatalf("Chunks(%v): bad chunk %+v at cursor %d", tc, c, next)
-			}
-			next = c.Hi
-		}
-		if next != tc.n {
-			t.Fatalf("Chunks(%v): covered %d of %d items", tc, next, tc.n)
-		}
-		if len(chunks) > tc.workers && tc.workers >= 1 {
-			t.Fatalf("Chunks(%v): %d chunks exceed worker bound", tc, len(chunks))
-		}
-	}
-}
-
-func TestMapChunksGathersInOrder(t *testing.T) {
-	p := NewPool(4)
-	sums := MapChunks(p, 100, 3, func(lo, hi int) int {
-		s := 0
-		for i := lo; i < hi; i++ {
-			s += i
-		}
-		return s
-	})
-	total := 0
-	for _, s := range sums {
-		total += s
-	}
-	if total != 99*100/2 {
-		t.Fatalf("chunk sums total %d, want %d", total, 99*100/2)
-	}
-}
-
 func TestRunBatchMatchesSerial(t *testing.T) {
 	p := NewPool(4)
 	queries := make([]model.Query, 50)
@@ -124,43 +83,9 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	if len(results) != len(queries) {
 		t.Fatalf("got %d results", len(results))
 	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("result %d: unexpected error %v", i, r.Err)
+	for i, ids := range results {
+		if want := eval(queries[i]); !model.EqualIDs(ids, want) {
+			t.Fatalf("result %d: got %v want %v", i, ids, want)
 		}
-		want := eval(queries[i])
-		if !model.EqualIDs(r.IDs, want) {
-			t.Fatalf("result %d: got %v want %v", i, r.IDs, want)
-		}
-	}
-}
-
-func TestRunBatchCtxMarksUnstarted(t *testing.T) {
-	p := NewPool(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	queries := make([]model.Query, 100)
-	for i := range queries {
-		queries[i] = model.Query{Interval: model.NewInterval(0, 1)}
-	}
-	var ran atomic.Int64
-	results := RunBatchCtx(ctx, p, queries, func(q model.Query) []model.ObjectID {
-		if ran.Add(1) == 2 {
-			cancel()
-		}
-		return []model.ObjectID{1}
-	})
-	var errs, oks int
-	for _, r := range results {
-		switch {
-		case r.Err != nil && r.IDs == nil:
-			errs++
-		case r.Err == nil && len(r.IDs) == 1:
-			oks++
-		default:
-			t.Fatalf("result in mixed state: %+v", r)
-		}
-	}
-	if errs == 0 || oks == 0 || errs+oks != len(queries) {
-		t.Fatalf("errs=%d oks=%d of %d", errs, oks, len(queries))
 	}
 }

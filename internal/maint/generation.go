@@ -3,7 +3,6 @@ package maint
 import (
 	"sort"
 
-	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -134,26 +133,11 @@ func (g *Generation) SizeBytes() int64 {
 		int64(g.dead.Len())*tombstoneBytes + int64(len(g.ext))*4
 }
 
-// ParallelIndex is implemented by index variants that can fan one
-// query's partition scans across a worker pool.
-type ParallelIndex interface {
-	QueryP(q model.Query, pool *exec.Pool) []model.ObjectID
-}
-
 // Query answers a time-travel IR query over the whole generation: the
 // main index supplies base candidates, tombstoned ids are filtered out,
 // and memtable matches are appended. Results are internal ids in
 // unspecified order.
 func (g *Generation) Query(q model.Query) []model.ObjectID {
-	return g.finish(q, g.base.Query(q))
-}
-
-// QueryP is Query with intra-query parallelism when the main index
-// supports it.
-func (g *Generation) QueryP(q model.Query, pool *exec.Pool) []model.ObjectID {
-	if p, ok := g.base.(ParallelIndex); ok && pool != nil {
-		return g.finish(q, p.QueryP(q, pool))
-	}
 	return g.finish(q, g.base.Query(q))
 }
 

@@ -7,14 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/tif"
 	"repro/internal/tifhint"
 )
-
-// testPool serves the intra-query fan-out tests.
-var testPool = exec.NewPool(4)
 
 // tifBuild is the BuildFunc the tests use: the base temporal inverted
 // file, the simplest member of the index family.
@@ -403,7 +399,9 @@ func TestInternalExternalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParallelQueryAgrees(t *testing.T) {
+// TestBinaryBaseQueryAgrees checks a generation over a tIF+HINT base
+// with tombstones and a memtable against a scan of its collection.
+func TestBinaryBaseQueryAgrees(t *testing.T) {
 	c := seedCollection(60)
 	s := NewStore(c, tifhint.NewBinary(c), func(_ context.Context, cc *model.Collection) (Index, error) { return tifhint.NewBinary(cc), nil })
 	for id := model.ObjectID(0); id < 60; id += 5 {
@@ -412,12 +410,6 @@ func TestParallelQueryAgrees(t *testing.T) {
 	s.Append(model.NewInterval(5, 500), []model.ElemID{1}, 4)
 	g := s.Snapshot()
 	for _, q := range testQueries {
-		serial := append([]model.ObjectID(nil), g.Query(q)...)
-		par := g.QueryP(q, testPool)
-		model.SortIDs(serial)
-		model.SortIDs(par)
-		if !model.EqualIDs(model.DedupIDs(serial), model.DedupIDs(par)) {
-			t.Errorf("QueryP disagrees with Query on %v elems=%v: %v vs %v", q.Interval, q.Elems, par, serial)
-		}
+		checkQuery(t, g, q)
 	}
 }

@@ -3,7 +3,6 @@ package route
 import (
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/model"
 )
 
@@ -18,12 +17,6 @@ type Subindex interface {
 	SizeBytes() int64
 }
 
-// parallelSub mirrors maint.ParallelIndex for sub-builds that support
-// intra-query fan-out.
-type parallelSub interface {
-	QueryP(q model.Query, pool *exec.Pool) []model.ObjectID
-}
-
 // Index answers every query through the sub-build the router's cost
 // model picks for the query's feature bucket, and feeds the observed
 // duration back into the model. Updates fan out to every sub-build, so
@@ -33,9 +26,8 @@ type Index struct {
 	router *Router
 	names  []string
 	subs   []Subindex
-	par    []parallelSub // par[i] non-nil iff subs[i] fans out
-	freqs  []int         // live postings per element, for MinFreqFrac
-	span   float64       // data-domain width fixed at build time
+	freqs  []int   // live postings per element, for MinFreqFrac
+	span   float64 // data-domain width fixed at build time
 }
 
 // NewIndex wires named sub-builds (parallel to classes) into a routed
@@ -48,14 +40,8 @@ func NewIndex(names []string, classes []Class, subs []Subindex, c *model.Collect
 		router: New(names, classes),
 		names:  append([]string(nil), names...),
 		subs:   subs,
-		par:    make([]parallelSub, len(subs)),
 		freqs:  model.CountElems(c.Objects, c.DictSize),
 		span:   1,
-	}
-	for i, s := range subs {
-		if p, ok := s.(parallelSub); ok {
-			ix.par[i] = p
-		}
 	}
 	if iv, ok := c.Span(); ok {
 		ix.span = float64(iv.End-iv.Start) + 1
@@ -115,24 +101,6 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 	mi := ix.router.Choose(f)
 	start := time.Now()
 	ids := ix.subs[mi].Query(q)
-	ix.router.Observe(mi, f, time.Since(start))
-	q.Trace.SetRoute(ix.names[mi])
-	return ids
-}
-
-// QueryP is Query with intra-query parallelism when the chosen
-// sub-build supports it, satisfying maint.ParallelIndex so routed
-// engines keep batch fan-out.
-func (ix *Index) QueryP(q model.Query, pool *exec.Pool) []model.ObjectID {
-	f := ix.features(q)
-	mi := ix.router.Choose(f)
-	start := time.Now()
-	var ids []model.ObjectID
-	if p := ix.par[mi]; p != nil && pool != nil {
-		ids = p.QueryP(q, pool)
-	} else {
-		ids = ix.subs[mi].Query(q)
-	}
 	ix.router.Observe(mi, f, time.Since(start))
 	q.Trace.SetRoute(ix.names[mi])
 	return ids

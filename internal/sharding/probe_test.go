@@ -14,11 +14,10 @@ import (
 // serves them all; candidate sets top out at 64-bit word edges while the
 // further elements' entries reach far past them. A tight shard budget
 // and out-of-order inserts leave non-ideal shards holding dead entries.
-// tIF+Sharding has no QueryP.
 func TestProbeBitmapsMatchOracle(t *testing.T) {
 	w := testutil.NewProbeWorkload(33)
 	ix := New(w.Base, WithMaxShards(2))
-	testutil.CheckProbeWorkload(t, w, ix, map[string]func(model.Query) []model.ObjectID{"Query": ix.Query})
+	testutil.CheckProbeWorkload(t, w, ix)
 	walked := 0
 	for e := model.ElemID(1); e <= 3; e++ {
 		for i := range ix.shards[e] {

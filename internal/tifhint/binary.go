@@ -99,9 +99,10 @@ func (ix *BinaryIndex) Query(q model.Query) []model.ObjectID {
 		return nil
 	}
 	// Lines 1-3: the initial candidates from a plain HINT range query;
-	// lines 4-29: the candidate probes (probeRest owns the stage spans).
-	cands := ix.hints[first].TracedRangeQuery(q.Interval, q.Trace, nil)
-	return ix.probeRest(q, plan, cands, nil)
+	// lines 4-29: the candidate probes (both helpers own their stage
+	// spans).
+	cands := seedRange(ix.hints[first], q)
+	return ix.probeRest(q, plan, cands)
 }
 
 func (ix *BinaryIndex) queryTemporalOnly(q model.Query) []model.ObjectID {

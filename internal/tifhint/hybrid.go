@@ -179,11 +179,11 @@ func (ix *HybridIndex) Query(q model.Query) []model.ObjectID {
 	if int(first) >= len(ix.hints) || ix.hints[first] == nil {
 		return nil
 	}
-	cands := ix.hints[first].seed(q, nil)
+	cands := ix.hints[first].seed(q)
 	if len(plan) == 1 {
 		return cands
 	}
-	return ix.intersectSlices(q, plan, cands, nil)
+	return ix.intersectSlices(q, plan, cands)
 }
 
 func (ix *HybridIndex) queryTemporalOnly(q model.Query) []model.ObjectID {

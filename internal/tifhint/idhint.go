@@ -172,6 +172,19 @@ func (h *idHint) intersect(q model.Interval, cands []model.ObjectID, keep []bool
 	return compact(cands, keep)
 }
 
+// compact keeps the candidates whose keep flag is set, in place and in
+// order.
+func compact(cands []model.ObjectID, keep []bool) []model.ObjectID {
+	w := 0
+	for i, k := range keep {
+		if k {
+			cands[w] = cands[i]
+			w++
+		}
+	}
+	return cands[:w]
+}
+
 // markMatches marks keep[i] for every candidate with a live entry in
 // div. Skewed sizes dispatch to galloping probes of the larger side;
 // balanced sizes run the linear merge.

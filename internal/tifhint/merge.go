@@ -103,8 +103,8 @@ func (ix *MergeIndex) Query(q model.Query) []model.ObjectID {
 	// Line 3: range query for the initial candidates (seed also sorts
 	// by id, line 5); lines 6-11: per-division merge intersections —
 	// both helpers own their stage spans.
-	cands := ix.hints[first].seed(q, nil)
-	return ix.intersectRest(q, plan, cands, nil)
+	cands := ix.hints[first].seed(q)
+	return ix.intersectRest(q, plan, cands)
 }
 
 func (ix *MergeIndex) queryTemporalOnly(q model.Query) []model.ObjectID {

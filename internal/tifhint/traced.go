@@ -3,7 +3,7 @@ package tifhint
 import (
 	"sync"
 
-	"repro/internal/exec"
+	"repro/internal/hint"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/postings"
@@ -32,36 +32,36 @@ func (ks *keepScratch) grown(n int) []bool {
 }
 
 // Stage instrumentation for the three composites. Each helper owns one
-// deferred span on q.Trace (nil = disabled, one branch of cost), so
-// the serial and parallel query paths share identical stage
-// boundaries: StagePostings around the first-element seed fetch,
-// StageIntersect around the candidate-pruning passes over the
-// remaining plan elements.
+// deferred span on q.Trace (nil = disabled, one branch of cost):
+// StagePostings around the first-element fetch, StageIntersect around
+// the candidate-pruning passes over the remaining plan elements.
+
+// seedRange is the binary variant's first-element fetch (Algorithm 3
+// lines 1-3) under one postings span. The probes test candidates in a
+// bitmap, so the fetch is not sorted.
+func seedRange(h *hint.Index, q model.Query) []model.ObjectID {
+	defer q.Trace.StartStage(obs.StagePostings).End()
+	return h.RangeQuery(q.Interval, nil)
+}
 
 // seed runs the first-element postings fetch plus the id sort the
-// merge intersections rely on, under one postings span. A non-nil pool
-// fans the partition scans.
-func (h *idHint) seed(q model.Query, pool *exec.Pool) []model.ObjectID {
+// merge intersections rely on, under one postings span.
+func (h *idHint) seed(q model.Query) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StagePostings).End()
-	var cands []model.ObjectID
-	if pool != nil {
-		cands = h.rangeQueryParallel(q.Interval, pool, nil)
-	} else {
-		cands = h.rangeQuery(q.Interval, nil)
-	}
+	cands := h.rangeQuery(q.Interval, nil)
 	model.SortIDs(cands)
 	return cands
 }
 
 // probeRest is Algorithm 3 lines 4-29 for the binary variant: each
 // further plan element traverses its HINT probing the candidate set,
-// under one intersection span. A non-nil pool fans each probe pass.
+// under one intersection span.
 //
 // The candidates go into a bitmap rather than being sorted for the
 // paper's binary searches (line 5), so each probe is an O(1) word test
 // and cands is free for in-place reuse as the output buffer (each id is
 // reported at most once).
-func (ix *BinaryIndex) probeRest(q model.Query, plan []model.ElemID, cands []model.ObjectID, pool *exec.Pool) []model.ObjectID {
+func (ix *BinaryIndex) probeRest(q model.Query, plan []model.ElemID, cands []model.ObjectID) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StageIntersect).End()
 	bs := postings.GetBitmapScratch()
 	defer postings.PutBitmapScratch(bs)
@@ -83,11 +83,7 @@ func (ix *BinaryIndex) probeRest(q model.Query, plan []model.ElemID, cands []mod
 		}
 		// Lines 7-29: traverse H[e] with the temporal flags, keeping the
 		// candidates found in qualifying divisions.
-		if pool != nil {
-			cands = ix.hints[e].RangeQueryFilteredParallel(q.Interval, bm, pool, cands[:0])
-		} else {
-			cands = ix.hints[e].RangeQueryFilteredBitmap(q.Interval, bm, cands[:0])
-		}
+		cands = ix.hints[e].RangeQueryFilteredBitmap(q.Interval, bm, cands[:0])
 	}
 	return cands
 }
@@ -95,7 +91,7 @@ func (ix *BinaryIndex) probeRest(q model.Query, plan []model.ElemID, cands []mod
 // intersectRest is Algorithm 4 lines 6-11 for the merge variant: each
 // further plan element runs per-division merge intersections, under
 // one intersection span.
-func (ix *MergeIndex) intersectRest(q model.Query, plan []model.ElemID, cands []model.ObjectID, pool *exec.Pool) []model.ObjectID {
+func (ix *MergeIndex) intersectRest(q model.Query, plan []model.ElemID, cands []model.ObjectID) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StageIntersect).End()
 	ks := keepPool.Get().(*keepScratch)
 	defer keepPool.Put(ks)
@@ -111,25 +107,18 @@ func (ix *MergeIndex) intersectRest(q model.Query, plan []model.ElemID, cands []
 		// Dense candidate sets take the bitmap container path: divisions
 		// mark id bits word-addressed instead of re-merging the full
 		// candidate slice per division.
-		if pool == nil && len(cands) >= postings.BitmapCutoff {
+		if len(cands) >= postings.BitmapCutoff {
 			cands = ix.hints[e].intersectBitmap(q.Interval, cands, &bs.Matched)
 			continue
 		}
-		keep := ks.grown(len(cands))
-		if pool != nil {
-			cands = ix.hints[e].intersectParallel(q.Interval, cands, keep, pool)
-		} else {
-			cands = ix.hints[e].intersect(q.Interval, cands, keep)
-		}
+		cands = ix.hints[e].intersect(q.Interval, cands, ks.grown(len(cands)))
 	}
 	return cands
 }
 
 // intersectSlices is the hybrid variant's sliced merge intersection
-// over the remaining plan elements, under one intersection span. A
-// non-nil pool fans wide slice ranges, OR-ing the per-chunk keep masks
-// (idempotent, so chunk order is irrelevant).
-func (ix *HybridIndex) intersectSlices(q model.Query, plan []model.ElemID, cands []model.ObjectID, pool *exec.Pool) []model.ObjectID {
+// over the remaining plan elements, under one intersection span.
+func (ix *HybridIndex) intersectSlices(q model.Query, plan []model.ElemID, cands []model.ObjectID) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StageIntersect).End()
 	sf, sl := ix.sliceOf(q.Interval.Start), ix.sliceOf(q.Interval.End)
 	ks := keepPool.Get().(*keepScratch)
@@ -148,8 +137,7 @@ func (ix *HybridIndex) intersectSlices(q model.Query, plan []model.ElemID, cands
 		// Candidates already overlap the query; any live replica proves
 		// membership, and both the keep-mask and the bitmap marks are
 		// idempotent, so replicated matches are harmless.
-		serial := pool == nil || len(subs) < parallelCutoff
-		if serial && len(cands) >= postings.BitmapCutoff {
+		if len(cands) >= postings.BitmapCutoff {
 			// Dense candidate sets take the bitmap container path.
 			bm := &bs.Matched
 			bm.Reset(cands[len(cands)-1] + 1)
@@ -163,12 +151,8 @@ func (ix *HybridIndex) intersectSlices(q model.Query, plan []model.ElemID, cands
 		for i := range keep {
 			keep[i] = false
 		}
-		if serial {
-			for _, sub := range subs {
-				markSlice(sub, cands, keep)
-			}
-		} else {
-			markSlicesParallel(subs, cands, keep, pool)
+		for _, sub := range subs {
+			markSlice(sub, cands, keep)
 		}
 		cands = compact(cands, keep)
 		keep = keep[:len(cands)]
@@ -176,23 +160,51 @@ func (ix *HybridIndex) intersectSlices(q model.Query, plan []model.ElemID, cands
 	return cands
 }
 
-// markSlicesParallel fans the slice merges across the pool, OR-ing the
-// per-chunk masks into keep.
-//
-// irlint:cold opt-in parallel fan-out; per-chunk masks are the cost of concurrency, not the serial query path
-func markSlicesParallel(subs [][]slicePair, cands []model.ObjectID, keep []bool, pool *exec.Pool) {
-	masks := exec.MapChunks(pool, len(subs), parallelMinPer, func(lo, hi int) []bool {
-		mask := make([]bool, len(cands))
-		for _, sub := range subs[lo:hi] {
-			markSlice(sub, cands, mask)
+// markSlice is the per-slice merge of intersectSlices. Size-skewed
+// pairs gallop through the larger side instead of merging both.
+func markSlice(sub []slicePair, cands []model.ObjectID, keep []bool) {
+	if len(cands) > len(sub)*postings.GallopRatio {
+		lo := 0
+		for j := range sub {
+			lo = postings.GallopLowerBound(cands, sub[j].ID, lo)
+			if lo == len(cands) {
+				return
+			}
+			if cands[lo] == sub[j].ID {
+				if sub[j].Start != deadStart {
+					keep[lo] = true
+				}
+				lo++
+			}
 		}
-		return mask
-	})
-	for _, mask := range masks {
-		for i, k := range mask {
-			if k {
+		return
+	}
+	i, j := 0, 0
+	for i < len(cands) && j < len(sub) {
+		switch {
+		case cands[i] < sub[j].ID:
+			i++
+		case cands[i] > sub[j].ID:
+			j++
+		default:
+			if sub[j].Start != deadStart {
 				keep[i] = true
 			}
+			i++
+			j++
+		}
+	}
+}
+
+// markSliceBitmap sets the bit of every live replica in the slice — the
+// bitmap-container counterpart of markSlice, used when the candidate set
+// is dense enough that per-slice merges would re-walk it wholesale.
+//
+// irlint:hot bitmap-container slice marking for dense candidate sets
+func markSliceBitmap(sub []slicePair, bm *postings.Bitmap) {
+	for j := range sub {
+		if sub[j].Start != deadStart {
+			bm.Set(sub[j].ID)
 		}
 	}
 }

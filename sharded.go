@@ -72,8 +72,8 @@ type Sharded struct {
 	// irlint:guarded-by emu
 	extents []extent
 
-	// pool executes the scatter fan-out (and per-shard intra-query
-	// fan-out); nil selects the shared defaultPool.
+	// pool executes the scatter fan-out and batch rows; nil selects the
+	// shared defaultPool.
 	pool atomicPool
 
 	// Coordinator counters, surfaced in ShardStats/metrics.
@@ -473,7 +473,8 @@ func (s *Sharded) CompactStats() CompactionStats {
 }
 
 // SetParallelism replaces the engine's worker pool (n <= 0 restores the
-// shared GOMAXPROCS default), tuning the scatter fan-out width.
+// shared GOMAXPROCS default), bounding how many shards and batch rows
+// run at once.
 func (s *Sharded) SetParallelism(n int) {
 	if n <= 0 {
 		s.pool.Store(nil)

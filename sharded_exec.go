@@ -130,11 +130,10 @@ func (s *Sharded) searchShards(ctx context.Context, timeout time.Duration, start
 	iv := model.Canon(start, end)
 	q := Query{Interval: iv, Elems: model.NormalizeElems(elems), Trace: tr}
 	planned, pruned := s.plan(iv)
-	pool := s.executor()
 	lists := make([][]ObjectID, len(s.stores))
 	rep, err := s.scatter(ctx, planned, pruned, tr, timeout, func(si int) {
 		g := s.snapshotOne(si)
-		ids := g.QueryP(q, pool)
+		ids := g.Query(q)
 		SortIDs(ids)
 		lists[si] = g.External(ids)
 	})

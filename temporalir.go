@@ -316,13 +316,8 @@ func QueryAny(ix Index, q Query) []ObjectID {
 // safe for concurrent readers, so batch workloads — the many-users
 // archive-search setting the paper's throughput metric models — scale
 // with cores. results[i] corresponds to queries[i]. Engines expose the
-// richer SearchBatch, which adds tombstone filtering, intra-query
-// fan-out and a shared tunable pool.
+// richer SearchBatch, which adds tombstone filtering, one snapshot per
+// batch and a shared tunable pool.
 func QueryBatch(ix Index, queries []Query, parallelism int) [][]ObjectID {
-	pool := exec.NewPool(parallelism)
-	results := make([][]ObjectID, len(queries))
-	pool.Map(len(queries), func(i int) {
-		results[i] = ix.Query(queries[i])
-	})
-	return results
+	return exec.RunBatch(exec.NewPool(parallelism), queries, ix.Query)
 }
