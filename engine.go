@@ -85,8 +85,8 @@ type Engine struct {
 	// internal synchronization.
 	store *maint.Store
 
-	// pool executes batch rows; nil selects the shared
-	// defaultPool. Replaced wholesale by SetParallelism.
+	// pool executes batch rows; nil selects the process-wide
+	// exec.Default. Replaced wholesale by SetParallelism.
 	pool atomicPool
 }
 

@@ -34,11 +34,6 @@ type Result struct {
 // atomicPool holds the engine's replaceable worker pool.
 type atomicPool = atomic.Pointer[exec.Pool]
 
-// defaultPool serves engines that never called SetParallelism; sized to
-// GOMAXPROCS and shared, so the process-wide query concurrency stays
-// bounded no matter how many engines run batches at once.
-var defaultPool = exec.NewPool(0)
-
 // SetParallelism replaces the engine's worker pool with one of the given
 // size (n <= 0 restores the GOMAXPROCS default). It bounds how many batch
 // rows run at once; in-flight batches keep the pool they started with.
@@ -46,18 +41,22 @@ func (e *Engine) SetParallelism(n int) {
 	e.pool.Store(exec.NewPool(n))
 }
 
-// executor returns the engine's pool (the shared default unless
-// SetParallelism installed one).
+// executor returns the engine's pool: the process-wide exec.Default —
+// sized to GOMAXPROCS and shared, so the process's concurrency stays
+// bounded however many engines run batches at once — unless
+// SetParallelism installed one.
 func (e *Engine) executor() *exec.Pool {
 	if p := e.pool.Load(); p != nil {
 		return p
 	}
-	return defaultPool
+	return exec.Default()
 }
 
 // PoolStats returns the cumulative fan-out counters of the engine's
 // current worker pool. The counters reset when SetParallelism swaps the
-// pool; scrape-time consumers should treat them as best-effort.
+// pool; scrape-time consumers should treat them as best-effort. On the
+// process-wide default they also count every engine's fan-outs and the
+// index builds' parallel passes.
 func (e *Engine) PoolStats() exec.PoolStats {
 	return e.executor().Stats()
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 
 	temporalir "repro"
 	"repro/internal/gen"
@@ -95,9 +96,12 @@ func RunFig10(cfg Config) {
 }
 
 // RunTable5 reproduces the indexing-cost table: build time and size for
-// every method on both datasets.
+// every method on both datasets. Every build runs at GOMAXPROCS 1: five of
+// the seven methods fill their divisions in parallel, and the table
+// compares methods, not how many cores each can use.
 func RunTable5(cfg Config) {
 	cfg = cfg.Normalize()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	methods := []temporalir.Method{
 		temporalir.TIFSlicing, temporalir.TIFSharding,
 		temporalir.TIFHintBinary, temporalir.TIFHintMerge, temporalir.TIFHintSlicing,

@@ -8,9 +8,10 @@ import (
 	"repro/internal/model"
 )
 
-// builder is the state pass 2 reuses from one division to the next.
+// builder is one pass-2 goroutine's scratch, reused from one division to
+// the next.
 type builder struct {
-	objs  []model.Object // ascending by id
+	objs  []model.Object // ascending by id, shared read-only
 	count []int          // per element, all zero between divisions
 	seen  []model.ElemID // the current division's distinct elements
 }
@@ -18,17 +19,19 @@ type builder struct {
 // bulkBuild is the construction of Section 4.1 for a whole collection, in
 // two passes instead of one Insert per object. Pass 1 (hint.AssignObjects)
 // runs the HINT assignment of every object, in id order, and groups the
-// assignments by division in directory order. Pass 2 (hint.Cut) lays the
+// assignments by division in directory order. Pass 2 (hint.CutFan) lays the
 // populated partitions out in exactly-sized directories and hands each
 // division's run of assignments to div, which fills the division through
-// carveLists. It also returns the per-element object counts.
+// carveLists — the divisions in parallel, each goroutine with its own
+// builder. It also returns the per-element object counts.
 func bulkBuild[P any](dom domain.Domain, c *model.Collection, div func(b *builder, p *P, replica bool, run []hint.Assignment)) ([]directory[P], []int) {
 	objs, freqs, asg := hint.AssignObjects(dom, c)
 	levels := make([]directory[P], dom.M+1)
-	b := &builder{objs: objs, count: make([]int, len(freqs))}
-	hint.Cut(dom.M, asg, func(level int, keys []uint32, parts []*P) {
+	hint.CutFan(dom.M, asg, func(level int, keys []uint32, parts []*P) {
 		levels[level] = directory[P]{keys: keys, parts: parts}
-	}, func(p *P, replica bool, lo, hi int) {
+	}, func() *builder {
+		return &builder{objs: objs, count: make([]int, len(freqs))}
+	}, func(b *builder, p *P, replica bool, lo, hi int) {
 		div(b, p, replica, asg[lo:hi])
 	})
 	return levels, freqs

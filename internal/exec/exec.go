@@ -73,6 +73,23 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers, tokens: make(chan struct{}, workers-1)}
 }
 
+// defaultPool is the process-wide pool, sized to GOMAXPROCS at start-up.
+var defaultPool atomic.Pointer[Pool]
+
+func init() { defaultPool.Store(NewPool(0)) }
+
+// Default returns the process-wide pool: engines that never called
+// SetParallelism run their batches and shard scatters on it, and the bulk
+// index builds fill their divisions on it. Sharing one token budget keeps
+// the process's total concurrency bounded, and a build nested in a
+// fan-out that already holds the tokens runs on its caller's goroutine.
+func Default() *Pool { return defaultPool.Load() }
+
+// SetDefault replaces the process-wide pool and returns the one it
+// replaced. Work already running keeps the pool it started with. It
+// exists so a test can pin how wide everything on the default runs.
+func SetDefault(p *Pool) *Pool { return defaultPool.Swap(p) }
+
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 

@@ -2,10 +2,14 @@ package hint
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/domain"
+	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/postings"
 )
@@ -15,7 +19,9 @@ import (
 // (division, entry) pairs; Cut lays the hierarchy a sorted run describes
 // out into exactly-sized directories, and each method fills the divisions
 // from their runs — FromRun for a plain HINT, irHINT and the tIF+HINT
-// variants with their own payloads.
+// variants with their own payloads. Pass 2 runs in parallel (Fan): irHINT
+// fills its divisions side by side (CutFan), the tIF+HINT variants their
+// elements' hierarchies.
 
 // Assignment is one (division, entry) pair of the HINT assignment. Key
 // orders divisions the way the level directories hold them: the
@@ -121,6 +127,73 @@ func Cut[P any](m int, run []Assignment, dir func(level int, keys []uint32, part
 		dir(level, keys[lo:hi:hi], parts[lo:hi:hi])
 		lo = hi
 	}
+}
+
+// division is one division Cut handed out: its partition and the bounds of
+// its assignments in the run.
+type division[P any] struct {
+	p      *P
+	lo, hi int
+}
+
+// CutFan is Cut with the divisions filled by Fan, the largest first: div
+// gets, besides what Cut hands it, the scratch of the goroutine that fills
+// the division. dir runs first, on the caller's goroutine.
+func CutFan[P, S any](m int, run []Assignment, dir func(level int, keys []uint32, parts []*P), newScratch func() S, div func(s S, p *P, replica bool, lo, hi int)) {
+	n := 0
+	for i := range run {
+		if i == 0 || run[i].Key != run[i-1].Key {
+			n++
+		}
+	}
+	divs := make([]division[P], 0, n)
+	Cut(m, run, dir, func(p *P, _ bool, lo, hi int) {
+		divs = append(divs, division[P]{p, lo, hi})
+	})
+	Fan(len(divs), func(i int) int { return divs[i].hi - divs[i].lo }, newScratch, func(s S, i int) {
+		d := divs[i]
+		div(s, d.p, run[d.lo].Key&1 == 1, d.lo, d.hi)
+	})
+}
+
+// Fan is pass 2's schedule: it runs job(s, i) for every i in [0, n) whose
+// size(i) is not zero, on the process-wide pool (exec.Default), where every
+// division — or every element's hierarchy — depends on nothing but its own
+// run. The largest jobs go first, so the last to finish is a small one, and
+// it never runs on more goroutines than there are Ps: under GOMAXPROCS 1,
+// or inside a fan-out that already holds the pool's tokens, the jobs run
+// one after another on the caller's goroutine, in index order. Each
+// goroutine that takes a job first makes its own scratch with newScratch
+// and hands it to every job it takes. Jobs must write disjoint memory.
+func Fan[S any](n int, size func(i int) int, newScratch func() S, job func(s S, i int)) {
+	// A job is (MaxUint32 - size) << 32 | index: ascending order lists the
+	// largest first, and the unsorted slice is in index order.
+	order := make([]uint64, 0, n)
+	for i := 0; i < n; i++ {
+		if sz := size(i); sz > 0 {
+			order = append(order, uint64(math.MaxUint32-uint32(min(sz, math.MaxUint32)))<<32|uint64(i))
+		}
+	}
+	pool := exec.Default()
+	workers := min(pool.Workers(), runtime.GOMAXPROCS(0), len(order))
+	if workers > 1 {
+		slices.Sort(order)
+	}
+	var next atomic.Int64
+	pool.Map(workers, func(int) {
+		var s S
+		made := false
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(order) {
+				return
+			}
+			if !made {
+				s, made = newScratch(), true
+			}
+			job(s, int(uint32(order[k])))
+		}
+	})
 }
 
 // FromRun builds a HINT from a run of assignments ordered by key and the

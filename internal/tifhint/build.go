@@ -13,7 +13,8 @@ import (
 // shared domain, so an object's divisions are the same in each of its
 // elements' HINTs. Pass 2 scatters each assignment over its object's
 // elements, so that every element's run comes out ordered by directory key
-// and then by id, ready to be cut into that element's hierarchy.
+// and then by id, ready to be cut into that element's hierarchy; the
+// elements are then cut in parallel (each).
 type bulk struct {
 	objs    []model.Object // ascending by id
 	freqs   []int
@@ -51,13 +52,12 @@ func newBulk(dom domain.Domain, c *model.Collection) *bulk {
 }
 
 // each calls fn for every element some object carries, with the bounds of
-// its run.
+// its run: the elements in parallel, the longest run first (hint.Fan), so
+// fn must write only what belongs to element e.
 func (b *bulk) each(fn func(e, lo, hi int)) {
-	for e := range b.freqs {
-		if lo, hi := b.start[e], b.start[e+1]; lo < hi {
-			fn(e, lo, hi)
-		}
-	}
+	hint.Fan(len(b.freqs), func(e int) int { return b.start[e+1] - b.start[e] }, func() struct{} { return struct{}{} }, func(_ struct{}, e int) {
+		fn(e, b.start[e], b.start[e+1])
+	})
 }
 
 // hints cuts every element's HINT from its run.

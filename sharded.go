@@ -73,7 +73,7 @@ type Sharded struct {
 	extents []extent
 
 	// pool executes the scatter fan-out and batch rows; nil selects the
-	// shared defaultPool.
+	// process-wide exec.Default.
 	pool atomicPool
 
 	// Coordinator counters, surfaced in ShardStats/metrics.
@@ -489,7 +489,7 @@ func (s *Sharded) executor() *exec.Pool {
 	if p := s.pool.Load(); p != nil {
 		return p
 	}
-	return defaultPool
+	return exec.Default()
 }
 
 // PoolStats returns the fan-out counters of the current worker pool.
