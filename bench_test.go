@@ -13,6 +13,7 @@
 package temporalir_test
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -64,6 +65,47 @@ func BenchmarkQueryTIFHintMerge(b *testing.B)   { benchQuery(b, temporalir.TIFHi
 func BenchmarkQueryTIFHintSlicing(b *testing.B) { benchQuery(b, temporalir.TIFHintSlicing) }
 func BenchmarkQueryIRHintPerf(b *testing.B)     { benchQuery(b, temporalir.IRHintPerf) }
 func BenchmarkQueryIRHintSize(b *testing.B)     { benchQuery(b, temporalir.IRHintSize) }
+
+// BenchmarkSearchMethods is a read loop of the benchmark's lib_methods
+// shape, for CPU profiles of the engine's whole read path: a synthetic
+// corpus at scale 0.03, one query list alternating default-shape and
+// gen.MixedPool queries, each issued through Engine.Search to all nine
+// methods in turn. One op is one list through every method.
+func BenchmarkSearchMethods(b *testing.B) {
+	c := gen.Synthetic(gen.SyntheticConfig{Seed: 1}.Defaults(0.03))
+	shaped := gen.Workload(c, gen.DefaultQueryConfig(), 256, 2)
+	mixed := gen.MixedPool(c, 256, 3)
+	type search struct {
+		iv    model.Interval
+		terms []string
+	}
+	list := make([]search, 0, len(shaped)+len(mixed))
+	for i := range shaped {
+		for _, q := range []model.Query{shaped[i], mixed[i]} {
+			terms := make([]string, len(q.Elems))
+			for j, e := range q.Elems {
+				terms[j] = fmt.Sprintf("e%d", e)
+			}
+			list = append(list, search{q.Interval, terms})
+		}
+	}
+	var engines []*temporalir.Engine
+	for _, m := range append(append(temporalir.Methods(), temporalir.TIF), temporalir.Routed) {
+		e, err := temporalir.EngineFromCollection(c, m, temporalir.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		engines = append(engines, e)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range engines {
+			for _, s := range list {
+				_ = e.Search(s.iv.Start, s.iv.End, s.terms...)
+			}
+		}
+	}
+}
 
 // Build-cost micro-benchmarks (the Table 5 "time" column per iteration).
 func benchBuild(b *testing.B, m temporalir.Method) {

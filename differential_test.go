@@ -2,9 +2,11 @@ package temporalir_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	temporalir "repro"
+	"repro/internal/bruteforce"
 	"repro/internal/testutil"
 )
 
@@ -69,6 +71,50 @@ func TestDifferentialBatchMatchesSerial(t *testing.T) {
 				t.Fatalf("%s: batch checksum %s != serial %s", m, got, want)
 			}
 		})
+	}
+}
+
+// TestDifferentialWideAnswers pins answers wider than SortIDs's radix
+// cutoff: full-domain queries over a 3 000-object corpus whose element 0
+// is on most objects, issued through Engine.Search to all nine methods.
+// Each answer must come back exactly as the oracle's canonical set —
+// ascending, deduplicated — and the workload digest must match.
+func TestDifferentialWideAnswers(t *testing.T) {
+	cfg := testutil.CollectionConfig{N: 3000, DomainLo: 0, DomainHi: 5000, Dict: 6, MaxDesc: 4, Seed: 1005}
+	c := testutil.RandomCollection(cfg)
+	full := temporalir.NewInterval(cfg.DomainLo, cfg.DomainHi)
+	queries := []temporalir.Query{
+		{Interval: full, Elems: []temporalir.ElemID{0}},
+		{Interval: full, Elems: []temporalir.ElemID{0, 1}},
+		{Interval: full},
+		{Interval: temporalir.NewInterval(cfg.DomainHi/3, cfg.DomainHi), Elems: []temporalir.ElemID{0}},
+	}
+	oracle := bruteforce.New(c)
+	want := make([][]temporalir.ObjectID, len(queries))
+	for i, q := range queries {
+		want[i] = testutil.Canonical(oracle.Query(q))
+	}
+	if n := len(want[0]); n < 1000 {
+		t.Fatalf("oracle answers %d ids to the full-domain one-element query, want >= 1000", n)
+	}
+	wantSum := testutil.WorkloadChecksum(want)
+	for _, m := range append(allMethods(), temporalir.Routed) {
+		eng := engineOver(t, c, m)
+		got := make([][]temporalir.ObjectID, len(queries))
+		for i, q := range queries {
+			terms := make([]string, len(q.Elems))
+			for j, e := range q.Elems {
+				terms[j] = fmt.Sprintf("t%03d", e)
+			}
+			got[i] = eng.Search(q.Interval.Start, q.Interval.End, terms...)
+			if !slices.Equal(got[i], want[i]) {
+				t.Errorf("%s: query %d (%v elems=%v): %d ids differ from the oracle's %d in order or content",
+					m, i, q.Interval, q.Elems, len(got[i]), len(want[i]))
+			}
+		}
+		if sum := testutil.WorkloadChecksum(got); sum != wantSum {
+			t.Errorf("%s: workload checksum %s differs from oracle %s", m, sum, wantSum)
+		}
 	}
 }
 

@@ -7,8 +7,10 @@ package model
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -263,11 +265,114 @@ func (c *Collection) IDOrder() (objs []Object, freqs []int) {
 	return objs, CountElems(objs, c.DictSize)
 }
 
-// SortIDs sorts a slice of object ids ascending in place. slices.Sort is
-// allocation-free, which matters because several query paths sort
-// candidate buffers per division.
+// sortCutoff is the length below which SortIDs hands ids to slices.Sort:
+// under it, clearing and summing the radix counters costs more than the
+// comparisons save (BenchmarkSortIDs).
+const sortCutoff = 256
+
+// radixBits is the widest radix digit SortIDs uses. Internal ids are
+// dense, so the 17 bits of a 100 k corpus take two 9-bit passes, and
+// even a full 32-bit key takes three.
+const radixBits = 11
+
+// sortScratch is one radix sort's working memory: the ping-pong buffer
+// and a counter table per pass. It is pooled, so a steady-state sort
+// allocates nothing.
+type sortScratch struct {
+	buf   []ObjectID
+	count [3][1 << radixBits]uint32
+}
+
+var sortPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// SortIDs sorts a slice of object ids ascending in place, without
+// allocating in the steady state. Below sortCutoff ids it is slices.Sort.
+// Above it, one pass finds whether ids are already sorted — the answer of
+// every method whose lists are id-ordered — and their largest value;
+// unsorted ids then get an LSD radix sort over only the bits the largest
+// needs, in as few passes as radixBits allows.
 func SortIDs(ids []ObjectID) {
-	slices.Sort(ids)
+	if len(ids) < sortCutoff {
+		slices.Sort(ids)
+		return
+	}
+	i := 1
+	for i < len(ids) && ids[i-1] <= ids[i] {
+		i++
+	}
+	if i == len(ids) {
+		return
+	}
+	hi := ids[i-1] // the sorted prefix's largest
+	for _, id := range ids[i:] {
+		hi = max(hi, id)
+	}
+	radixSort(ids, hi)
+}
+
+// radixSort sorts ids, none above hi, by an LSD radix sort: one read
+// counts every digit, then each digit that is not the same for all ids
+// scatters the ids stably into the other buffer.
+func radixSort(ids []ObjectID, hi ObjectID) {
+	keyBits := bits.Len32(uint32(hi))
+	passes := (keyBits + radixBits - 1) / radixBits
+	width := (keyBits + passes - 1) / passes
+	mask := uint32(1)<<width - 1
+
+	s := sortPool.Get().(*sortScratch)
+	if cap(s.buf) < len(ids) {
+		// lint:alloc-ok pooled scratch grows to the widest answer once, then is reused
+		s.buf = make([]ObjectID, len(ids))
+	}
+	counts := s.count[:passes]
+	for p := range counts {
+		clear(counts[p][:mask+1])
+	}
+	const top = 1<<radixBits - 1 // proves every digit in range for the compiler
+	c0, c1, c2 := &s.count[0], &s.count[1], &s.count[2]
+	switch passes {
+	case 1:
+		for _, id := range ids {
+			c0[uint32(id)&mask&top]++
+		}
+	case 2:
+		for _, id := range ids {
+			k := uint32(id)
+			c0[k&mask&top]++
+			c1[k>>width&mask&top]++
+		}
+	default:
+		for _, id := range ids {
+			k := uint32(id)
+			c0[k&mask&top]++
+			c1[k>>width&mask&top]++
+			c2[k>>(2*width)&mask&top]++
+		}
+	}
+
+	src, dst := ids, s.buf[:len(ids)]
+	for p := range counts {
+		c := &counts[p]
+		if int(c[uint32(src[0])>>(p*width)&mask]) == len(ids) {
+			continue // every id has this digit: the pass would copy
+		}
+		sum := uint32(0)
+		for d, n := range c[:mask+1] {
+			c[d] = sum
+			sum += n
+		}
+		shift := p * width
+		for _, id := range src {
+			d := uint32(id) >> shift & mask & top
+			dst[c[d]] = id
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ids[0] {
+		copy(ids, src)
+	}
+	sortPool.Put(s)
 }
 
 // DedupIDs removes duplicates from a sorted id slice, in place.

@@ -153,16 +153,18 @@ func IntersectSortedIDs(a, b, dst []model.ObjectID) []model.ObjectID {
 	return dst
 }
 
-// MergeSortedIDLists k-way merges already-sorted id slices into one sorted,
-// deduplicated slice. Used to combine per-slice candidate outputs.
+// MergeSortedIDLists combines already-sorted id slices into one sorted,
+// deduplicated slice: it concatenates them, sorts the whole with
+// model.SortIDs (linear above its cutoff) and drops duplicates. Used to
+// combine per-slice candidate outputs.
 //
-// irlint:hot k-way candidate merge, runs once per sliced-index query
+// irlint:hot candidate merge, runs once per sliced-index query
 func MergeSortedIDLists(lists [][]model.ObjectID) []model.ObjectID {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	// lint:alloc-ok single exactly-sized output buffer per k-way merge
+	// lint:alloc-ok single exactly-sized output buffer per merge
 	out := make([]model.ObjectID, 0, total)
 	for _, l := range lists {
 		assertSortedIDs(l, "MergeSortedIDLists input")

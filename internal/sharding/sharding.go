@@ -361,10 +361,11 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 		return model.DedupIDs(out)
 	}
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
+	cands := ix.gather(plan[0], q.Interval, nil)
+	model.SortIDs(cands)
 	bs := postings.GetBitmapScratch()
 	defer postings.PutBitmapScratch(bs)
 	bm := &bs.Matched
-	cands := sortDistinct(ix.gather(plan[0], q.Interval, nil), bm)
 	for _, e := range plan[1:] {
 		if len(cands) == 0 {
 			return nil
@@ -374,28 +375,6 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 		cands = bm.KeepSorted(cands)
 	}
 	return cands
-}
-
-// sortDistinct puts distinct ids, one element's gathered run, in id
-// order. With at least one id per eight words of their universe, setting
-// their bits in bm and reading them back beats a comparison sort.
-func sortDistinct(ids []model.ObjectID, bm *postings.Bitmap) []model.ObjectID {
-	if len(ids) == 0 {
-		return ids
-	}
-	hi := ids[0]
-	for _, id := range ids[1:] {
-		hi = max(hi, id)
-	}
-	if len(ids)*8 < int(hi>>6) {
-		model.SortIDs(ids)
-		return ids
-	}
-	bm.Reset(hi + 1)
-	for _, id := range ids {
-		bm.Set(id)
-	}
-	return bm.AppendIDs(ids[:0])
 }
 
 // SizeBytes estimates resident size: 16-byte entries (no replication) plus

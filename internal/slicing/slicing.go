@@ -163,7 +163,7 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 	// Phase 1: candidates from the least frequent element. Each qualifying
 	// object is collected exactly once — from the slice holding its
 	// reference value — so the per-slice id-sorted outputs just need one
-	// k-way merge.
+	// merge (postings.MergeSortedIDLists).
 	perSlice := make([][]model.ObjectID, 0, sl-sf+1)
 	for s := sf; s <= sl; s++ {
 		var ids []model.ObjectID
