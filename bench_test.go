@@ -107,6 +107,31 @@ func BenchmarkSearchMethods(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchPoint is a read loop of the benchmark's lib_point shape,
+// for CPU profiles of the paper's headline method: a synthetic corpus at
+// scale 0.1, default-shape queries, each issued through Engine.Search to
+// an irHINT-perf engine. One op is one search.
+func BenchmarkSearchPoint(b *testing.B) {
+	c := gen.Synthetic(gen.SyntheticConfig{Seed: 1}.Defaults(0.1))
+	qs := gen.Workload(c, gen.DefaultQueryConfig(), 1024, 2)
+	terms := make([][]string, len(qs))
+	for i, q := range qs {
+		for _, e := range q.Elems {
+			terms[i] = append(terms[i], fmt.Sprintf("e%d", e))
+		}
+	}
+	e, err := temporalir.EngineFromCollection(c, temporalir.IRHintPerf, temporalir.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		_ = e.Search(q.Interval.Start, q.Interval.End, terms[i%len(qs)]...)
+	}
+}
+
 // Build-cost micro-benchmarks (the Table 5 "time" column per iteration).
 func benchBuild(b *testing.B, m temporalir.Method) {
 	setup()

@@ -21,10 +21,10 @@ type builder struct {
 // runs the HINT assignment of every object, in id order, and groups the
 // assignments by division in directory order. Pass 2 (hint.CutFan) lays the
 // populated partitions out in exactly-sized directories and hands each
-// division's run of assignments to div, which fills the division through
-// carveLists — the divisions in parallel, each goroutine with its own
-// builder. It also returns the per-element object counts.
-func bulkBuild[P any](dom domain.Domain, c *model.Collection, div func(b *builder, p *P, replica bool, run []hint.Assignment)) ([]directory[P], []int) {
+// division's run of assignments to div, which fills the division from its
+// builder's cursors — the divisions in parallel, each goroutine with its
+// own builder. It also returns the per-element object counts.
+func bulkBuild[P any](dom domain.Domain, c *model.Collection, div func(b *builder, p *P, replica bool, asgs []hint.Assignment)) ([]directory[P], []int) {
 	objs, freqs, asg := hint.AssignObjects(dom, c)
 	levels := make([]directory[P], dom.M+1)
 	hint.CutFan(dom.M, asg, func(level int, keys []uint32, parts []*P) {
@@ -37,17 +37,12 @@ func bulkBuild[P any](dom domain.Domain, c *model.Collection, div func(b *builde
 	return levels, freqs
 }
 
-// carveLists builds one division's inverted file from its run of assignments:
-// the sorted element directory and, parallel to it, one list per element
-// holding entry(o) for every object o of the run that carries the element,
-// in id order. All lists are carved from a single arena of exactly the
-// division's entry count; each is cut with cap == len, so an index-level
-// Insert that appends to one reallocates it instead of writing into its
-// neighbour.
-func carveLists[T any](b *builder, run []hint.Assignment, entry func(o *model.Object) T) ([]model.ElemID, [][]T) {
+// cursors sets every element's write cursor into a division's arena in
+// element order, and returns the sorted element directory and entry count.
+func (b *builder) cursors(asgs []hint.Assignment) ([]model.ElemID, int) {
 	b.seen = b.seen[:0]
 	total := 0
-	for _, a := range run {
+	for _, a := range asgs {
 		elems := b.objs[a.Obj].Elems
 		for _, e := range elems {
 			if b.count[e] == 0 {
@@ -60,13 +55,24 @@ func carveLists[T any](b *builder, run []hint.Assignment, entry func(o *model.Ob
 	slices.Sort(b.seen)
 	elems := make([]model.ElemID, len(b.seen))
 	copy(elems, b.seen)
-	// Turn each count into the element's write cursor in the arena.
 	off := 0
 	for _, e := range elems {
 		off, b.count[e] = off+b.count[e], off
 	}
+	return elems, total
+}
+
+// carveLists builds one division's inverted file from its run of assignments:
+// the sorted element directory and, parallel to it, one list per element
+// holding entry(o) for every object o of the run that carries the element,
+// in id order. All lists are carved from a single arena of exactly the
+// division's entry count; each is cut with cap == len, so an index-level
+// Insert that appends to one reallocates it instead of writing into its
+// neighbour.
+func carveLists[T any](b *builder, asgs []hint.Assignment, entry func(o *model.Object) T) ([]model.ElemID, [][]T) {
+	elems, total := b.cursors(asgs)
 	arena := make([]T, total)
-	for _, a := range run {
+	for _, a := range asgs {
 		o := &b.objs[a.Obj]
 		x := entry(o)
 		for _, e := range o.Elems {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/postings"
 	"repro/internal/testutil"
 )
 
@@ -20,8 +19,28 @@ type invFile[T any] struct {
 	lists [][]T
 }
 
-func perfFiles(p *perfPart) [2]invFile[postings.Posting] {
-	return [2]invFile[postings.Posting]{{p.o.elems, p.o.lists}, {p.r.elems, p.r.lists}}
+// perfEntry is one irHINT-perf list entry, read from its division's two
+// columns.
+type perfEntry struct {
+	id   model.ObjectID
+	span model.Interval
+}
+
+// perfLists reads every list of a perf division out of its runs and
+// columns, each into a list of its own.
+func perfLists(d *divIF) invFile[perfEntry] {
+	f := invFile[perfEntry]{elems: d.elems, lists: make([][]perfEntry, len(d.runs))}
+	for i, r := range d.runs {
+		f.lists[i] = make([]perfEntry, r.n)
+		for k := range f.lists[i] {
+			f.lists[i][k] = perfEntry{d.ids[int(r.off)+k], d.spans[int(r.off)+k]}
+		}
+	}
+	return f
+}
+
+func perfFiles(p *perfPart) [2]invFile[perfEntry] {
+	return [2]invFile[perfEntry]{perfLists(&p.o), perfLists(&p.r)}
 }
 
 func sizeFiles(p *sizePart) [2]invFile[model.ObjectID] {
@@ -165,7 +184,8 @@ func TestBulkEqualsInsertBuilt(t *testing.T) {
 }
 
 // checkInsertKeepsNeighbours pins the hazard of carving a division's lists
-// from one arena: a list cut without its capacity bound would let an
+// from one arena: a list cut without its capacity bound (a perf run whose
+// room is not checked, a size list without cap == len) would let an
 // index-level Insert append into the next list. Every list of the bulk-built
 // index is snapshotted; the extra objects repeat stored objects' intervals
 // and elements under fresh, larger ids, so each lands only in lists that
@@ -212,14 +232,15 @@ func TestInsertAfterBulkKeepsNeighbours(t *testing.T) {
 	c := testutil.RandomCollection(cfg)
 	perf, size := NewPerf(c, WithM(5)), NewSize(c, WithM(5))
 	bytesBefore, entriesBefore := [2]int64{perf.SizeBytes(), size.SizeBytes()}, [2]int64{perf.EntryCount(), size.EntryCount()}
-	extra := checkInsertKeepsNeighbours(t, perf.levels, perfFiles, func(p postings.Posting) model.ObjectID { return p.ID }, perf.Insert, c)
+	extra := checkInsertKeepsNeighbours(t, perf.levels, perfFiles, func(p perfEntry) model.ObjectID { return p.id }, perf.Insert, c)
 	checkInsertKeepsNeighbours(t, size.levels, sizeFiles, func(id model.ObjectID) model.ObjectID { return id }, size.Insert, c)
 
 	// The grown index is the insert-built index over all the objects.
 	all := &model.Collection{DictSize: c.DictSize, Objects: append(slices.Clone(c.Objects), extra...)}
 	checkEqualsInsertBuilt(t, perf, size, c.DictSize, all.Objects)
-	// A list an insert moved out of its arena is counted where it now
-	// lives, at its new capacity: no added entry goes uncounted.
+	// A perf run an insert moved to its arenas' tail, or a size list an
+	// insert moved out of its arena, is counted where it now lives, at its
+	// new room: no added entry goes uncounted.
 	if got, min := perf.SizeBytes(), bytesBefore[0]+16*(perf.EntryCount()-entriesBefore[0]); got < min {
 		t.Errorf("perf SizeBytes %d after the inserts, want at least %d", got, min)
 	}
@@ -271,10 +292,32 @@ func countTight[P, T any](t *testing.T, levels []directory[P], files func(*P) [2
 	return parts, lists, entries
 }
 
+// checkRunsTight fails unless a perf division is tight in both columns:
+// runs and arenas with cap == len, every run with no room beyond its
+// entries (c == n), and the runs laid end to end over the arenas in
+// element order.
+func checkRunsTight(t *testing.T, name string, d *divIF) {
+	t.Helper()
+	if cap(d.runs) != len(d.runs) || cap(d.ids) != len(d.ids) || cap(d.spans) != len(d.spans) {
+		t.Fatalf("%s: runs or arenas have slack", name)
+	}
+	end := uint32(0)
+	for i, r := range d.runs {
+		if r.c != r.n || r.off != end {
+			t.Fatalf("%s element %d: run %+v, want room %d from %d", name, d.elems[i], r, r.n, end)
+		}
+		end += r.n
+	}
+	if int(end) != len(d.ids) {
+		t.Fatalf("%s: runs cover %d of %d arena entries", name, end, len(d.ids))
+	}
+}
+
 // TestBulkBuildIsTight: a bulk-built index has no slack for SizeBytes to
 // miss or to count twice — every slice is exactly as long as its capacity,
-// the lists of a division partition its arena, and so SizeBytes is a
-// function of the entry and directory counts alone.
+// every perf run as long as its room, the lists of a division partition
+// its arenas, and so SizeBytes is a function of the entry and directory
+// counts alone.
 func TestBulkBuildIsTight(t *testing.T) {
 	cfg := testutil.DefaultConfig(12)
 	cfg.MaxDesc = 10
@@ -282,7 +325,14 @@ func TestBulkBuildIsTight(t *testing.T) {
 	perf, size := NewPerf(c, WithM(6)), NewSize(c, WithM(6))
 
 	parts, lists, entries := countTight(t, perf.levels, perfFiles)
-	if want := parts*(4+8+96) + lists*(4+24) + entries*16 + int64(len(perf.freqs))*8; perf.SizeBytes() != want || entries != perf.EntryCount() {
+	for l := range perf.levels {
+		for i, p := range perf.levels[l].parts {
+			checkRunsTight(t, fmt.Sprintf("level %d partition %d originals", l, perf.levels[l].keys[i]), &p.o)
+			checkRunsTight(t, fmt.Sprintf("level %d partition %d replicas", l, perf.levels[l].keys[i]), &p.r)
+		}
+	}
+	// Per division: four slice headers and the dead counter, 4*24+8.
+	if want := parts*(4+8+2*(4*24+8)) + lists*(4+12) + entries*16 + int64(len(perf.freqs))*8; perf.SizeBytes() != want || entries != perf.EntryCount() {
 		t.Errorf("perf SizeBytes %d, want %d from %d partitions, %d lists, %d entries", perf.SizeBytes(), want, parts, lists, entries)
 	}
 
@@ -326,14 +376,15 @@ func TestCostModelMUnchanged(t *testing.T) {
 }
 
 // TestAllocBudgetBuild pins what a bulk build allocates on a 2k-object
-// collection: a handful of buffers per build and three slices per
-// populated division (four with the size variant's interval store) —
+// collection: a handful of buffers per build and four slices per
+// populated division (perf: element directory, runs and its two arenas;
+// size: element directory, list headers, id arena and interval store) —
 // proportional to divisions, not to the thousands of lists.
 func TestAllocBudgetBuild(t *testing.T) {
 	cfg := testutil.CollectionConfig{N: 2000, DomainLo: 0, DomainHi: 1 << 20, Dict: 200, MaxDesc: 6, Seed: 9}
 	c := testutil.RandomCollection(cfg)
 	var lists int
-	eachList(NewPerf(c, WithM(5)).levels, perfFiles, func(string, []postings.Posting) { lists++ })
+	eachList(NewPerf(c, WithM(5)).levels, perfFiles, func(string, []perfEntry) { lists++ })
 	t.Logf("%d lists", lists)
 	allocbudget.Gate(t, "core/NewPerf", func() { NewPerf(c, WithM(5)) })
 	allocbudget.Gate(t, "core/NewSize", func() { NewSize(c, WithM(5)) })

@@ -1,20 +1,55 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 
+	"repro/internal/hint"
 	"repro/internal/model"
 	"repro/internal/postings"
 )
 
 // divIF is the per-division temporal inverted file of the performance
-// variant (Table 2: the I^O / I^R indices): a sorted element directory
-// with parallel id-sorted postings lists. In a bulk-built division the
-// lists are adjacent views into one arena, each with cap == len
-// (carveLists); a list that insert has grown owns its storage.
+// variant (Table 2: the I^O / I^R indices) in two columns, after HINT's
+// cache-misses optimisation: element elems[i]'s list is ids[r.off:r.off+r.n],
+// r = runs[i], with room for r.c, and its lifespans lie at the same
+// positions of spans. dead counts the entries Delete has tombstoned.
 type divIF struct {
 	elems []model.ElemID
-	lists [][]postings.Posting
+	runs  []run
+	ids   []model.ObjectID
+	spans []model.Interval
+	dead  int32
+}
+
+// run is one list of a division: n entries from off, with room for c.
+type run struct{ off, n, c uint32 }
+
+// fill builds the division from its run of assignments, every list in id
+// order, both arenas exactly sized and every run tight (c == n).
+func (d *divIF) fill(b *builder, asgs []hint.Assignment) {
+	var total int
+	d.elems, total = b.cursors(asgs)
+	d.ids, d.spans = make([]model.ObjectID, total), make([]model.Interval, total)
+	for _, a := range asgs {
+		o := &b.objs[a.Obj]
+		for _, e := range o.Elems {
+			k := b.count[e]
+			d.ids[k], d.spans[k] = o.ID, o.Interval
+			b.count[e]++
+		}
+	}
+	// Every cursor now stands at its list's end, the next list's start.
+	d.runs = make([]run, len(d.elems))
+	start := 0
+	for i, e := range d.elems {
+		end := b.count[e]
+		d.runs[i] = run{off: uint32(start), n: uint32(end - start), c: uint32(end - start)}
+		start, b.count[e] = end, 0
+	}
+	d.assertDivision("fill", -1)
 }
 
 // findElem locates e in the sorted element directory: a linear scan for
@@ -42,53 +77,86 @@ func findElem(elems []model.ElemID, e model.ElemID) (int, bool) {
 	return lo, lo < len(elems) && elems[lo] == e
 }
 
-// list returns the postings list for element e, or nil.
-func (d *divIF) list(e model.ElemID) []postings.Posting {
-	if i, ok := findElem(d.elems, e); ok {
-		return d.lists[i]
-	}
-	return nil
-}
-
-// insert appends the posting to element e's list, creating it if needed.
-// Ids arriving in increasing order keep lists sorted; out-of-order ids use
-// a positioned insert.
-func (d *divIF) insert(e model.ElemID, p postings.Posting) {
+// insert adds the entry to element e's run in id order, creating the run
+// if needed. A full run first moves to the arenas' tail with double its
+// room (after a relayout if the tail has none), so appends stay amortised.
+func (d *divIF) insert(e model.ElemID, id model.ObjectID, iv model.Interval) {
 	i, found := findElem(d.elems, e)
 	if !found {
-		d.elems = append(d.elems, 0)
-		d.lists = append(d.lists, nil)
-		copy(d.elems[i+1:], d.elems[i:])
-		copy(d.lists[i+1:], d.lists[i:])
-		d.elems[i] = e
-		d.lists[i] = nil
+		d.elems = slices.Insert(d.elems, i, e)
+		d.runs = slices.Insert(d.runs, i, run{off: uint32(len(d.ids))})
 	}
-	l := d.lists[i]
-	if n := len(l); n == 0 || l[n-1].ID < p.ID {
-		d.lists[i] = append(l, p)
-		return
+	r := &d.runs[i]
+	if need := max(2*int(r.n), 1); r.n == r.c && len(d.ids)+need > cap(d.ids) {
+		d.relayout(need)
 	}
-	k := sort.Search(len(l), func(k int) bool { return l[k].ID > p.ID })
-	l = append(l, postings.Posting{})
-	copy(l[k+1:], l[k:])
-	l[k] = p
-	d.lists[i] = l
+	if r.n == r.c {
+		off := len(d.ids)
+		r.c = max(2*r.n, 1)
+		d.ids, d.spans = d.ids[:off+int(r.c)], d.spans[:off+int(r.c)]
+		copy(d.ids[off:], d.ids[r.off:r.off+r.n])
+		copy(d.spans[off:], d.spans[r.off:r.off+r.n])
+		r.off = uint32(off)
+	}
+	ids, spans := d.ids[r.off:r.off+r.n+1], d.spans[r.off:r.off+r.n+1]
+	k := int(r.n)
+	if k > 0 && ids[k-1] > id {
+		// After any equal id, as appending in arrival order leaves them.
+		k = sort.Search(k, func(k int) bool { return ids[k] > id })
+		copy(ids[k+1:], ids[k:])
+		copy(spans[k+1:], spans[k:])
+	}
+	ids[k], spans[k] = id, iv
+	r.n++
+	d.assertDivision("insert", i)
 }
 
-// kill tombstones object id in element e's list; reports whether a live
+// relayout copies the division into new arenas, every run with an eighth
+// more room than it holds and an eighth (at least tail) to spare: a tight,
+// bulk-built division is copied once here, not once per touched run.
+func (d *divIF) relayout(tail int) {
+	total := 0
+	for _, r := range d.runs {
+		total += int(r.n + r.n/8)
+	}
+	ids := make([]model.ObjectID, total, total+max(total/8, tail))
+	spans := make([]model.Interval, total, cap(ids))
+	off := uint32(0)
+	for i := range d.runs {
+		r := &d.runs[i]
+		copy(ids[off:], d.ids[r.off:r.off+r.n])
+		copy(spans[off:], d.spans[r.off:r.off+r.n])
+		r.off, r.c = off, r.n+r.n/8
+		off += r.c
+	}
+	d.ids, d.spans = ids, spans
+	d.assertDivision("relayout", -1)
+}
+
+// kill tombstones object id in element e's run; reports whether a live
 // entry was found.
 func (d *divIF) kill(e model.ElemID, id model.ObjectID) bool {
 	i, found := findElem(d.elems, e)
 	if !found {
 		return false
 	}
-	l := d.lists[i]
-	k := sort.Search(len(l), func(k int) bool { return l[k].ID >= id })
-	if k < len(l) && l[k].ID == id && !postings.IsTombstone(l[k].Interval) {
-		l[k].Interval = postings.Tombstone
-		return true
+	r := d.runs[i]
+	k, ok := slices.BinarySearch(d.ids[r.off:r.off+r.n], id)
+	if k += int(r.off); !ok || postings.IsTombstone(d.spans[k]) {
+		return false
 	}
-	return false
+	d.spans[k] = postings.Tombstone
+	d.dead++
+	return true
+}
+
+// idRun returns element e's id run, or nil.
+func (d *divIF) idRun(e model.ElemID) []model.ObjectID {
+	if i, ok := findElem(d.elems, e); ok {
+		r := d.runs[i]
+		return d.ids[r.off : r.off+r.n]
+	}
+	return nil
 }
 
 // query runs the reduced time-travel IR query of Algorithm 5 on this
@@ -97,55 +165,50 @@ func (d *divIF) kill(e model.ElemID, id model.ObjectID) bool {
 // frequency; results append to dst in id order per division. scratch is a
 // reusable candidate buffer (grown as needed and returned) so that
 // traversals over many small divisions do not allocate per division.
-func (d *divIF) query(q model.Query, plan []model.ElemID, checkStart, checkEnd bool, scratch, dst []model.ObjectID) ([]model.ObjectID, []model.ObjectID) {
-	first := d.list(plan[0])
-	if first == nil {
+//
+// Only the first list reads lifespans, where a check is owed or a tombstone
+// may be; else it is its id run, read in place. A check against a query end
+// at a timestamp limit holds for every real interval and is dropped, so
+// each check left rejects the Tombstone sentinel by itself.
+func (d *divIF) query(q model.Interval, plan []model.ElemID, checkStart, checkEnd bool, scratch, dst []model.ObjectID) ([]model.ObjectID, []model.ObjectID) {
+	i, ok := findElem(d.elems, plan[0])
+	if !ok {
 		return scratch, dst
 	}
-	cands := scratch[:0]
-	for i := range first {
-		p := &first[i]
-		if postings.IsTombstone(p.Interval) {
-			continue
+	r := d.runs[i]
+	cands, spans := d.ids[r.off:r.off+r.n], d.spans[r.off:r.off+r.n]
+	checkStart = checkStart && q.Start != math.MinInt64
+	checkEnd = checkEnd && q.End != math.MaxInt64
+	if dead := d.dead > 0 && !checkStart && !checkEnd; dead || checkStart || checkEnd {
+		scratch = scratch[:0]
+		for k := range spans {
+			if !(checkStart && spans[k].End < q.Start || checkEnd && spans[k].Start > q.End || dead && postings.IsTombstone(spans[k])) {
+				scratch = append(scratch, cands[k])
+			}
 		}
-		if checkStart && p.Interval.End < q.Interval.Start {
-			continue
-		}
-		if checkEnd && p.Interval.Start > q.Interval.End {
-			continue
-		}
-		cands = append(cands, p.ID)
+		cands = scratch
 	}
 	for _, e := range plan[1:] {
 		if len(cands) == 0 {
-			return cands, dst
+			break
 		}
-		l := d.list(e)
-		if l == nil {
-			return cands, dst
-		}
-		cands = postings.List(l).IntersectAny(cands, cands[:0])
+		// Later lists' tombstones match: Delete tombstones every copy.
+		scratch = postings.IntersectAnySorted(cands, d.idRun(e), scratch[:0])
+		cands = scratch
 	}
-	return cands, append(dst, cands...)
+	return scratch, append(dst, cands...)
 }
 
 // allIDs appends the live ids passing the temporal checks across every
-// list, deduplicated within the division (element-less query support).
+// run, deduplicated within the division (element-less query support).
 func (d *divIF) allIDs(q model.Interval, checkStart, checkEnd bool, dst []model.ObjectID) []model.ObjectID {
 	start := len(dst)
-	for i := range d.lists {
-		for k := range d.lists[i] {
-			p := &d.lists[i][k]
-			if postings.IsTombstone(p.Interval) {
-				continue
+	for _, r := range d.runs {
+		spans := d.spans[r.off : r.off+r.n]
+		for k := range spans {
+			if !(postings.IsTombstone(spans[k]) || checkStart && spans[k].End < q.Start || checkEnd && spans[k].Start > q.End) {
+				dst = append(dst, d.ids[int(r.off)+k])
 			}
-			if checkStart && p.Interval.End < q.Start {
-				continue
-			}
-			if checkEnd && p.Interval.Start > q.End {
-				continue
-			}
-			dst = append(dst, p.ID)
 		}
 	}
 	tail := dst[start:]
@@ -156,18 +219,50 @@ func (d *divIF) allIDs(q model.Interval, checkStart, checkEnd bool, dst []model.
 // entryCount counts stored postings entries (including tombstones).
 func (d *divIF) entryCount() int64 {
 	var n int64
-	for i := range d.lists {
-		n += int64(len(d.lists[i]))
+	for _, r := range d.runs {
+		n += int64(r.n)
 	}
 	return n
 }
 
-// sizeBytes estimates resident bytes: 16-byte postings, 4-byte element
-// keys, slice headers.
+// sizeBytes estimates resident bytes: the paper's 16 B per entry slot (4 B
+// of id, 12 of lifespan), 4 B of element key and 12 B of run per list, and
+// four slice headers plus the dead counter.
 func (d *divIF) sizeBytes() int64 {
-	total := int64(cap(d.elems))*4 + int64(cap(d.lists))*24
-	for i := range d.lists {
-		total += int64(cap(d.lists[i])) * 16
+	return int64(cap(d.elems))*4 + int64(cap(d.runs))*12 + int64(cap(d.ids))*4 + int64(cap(d.spans))*12 + 4*24 + 8
+}
+
+// assertDivision panics, in an invariants build, unless the elements ascend
+// and every run is id-ascending, n <= c, inside both arenas and clear of
+// the others. touched < 0 checks every run, in element order as the fill
+// and relayout leave them; touched = i only what an insert into i can break.
+func (d *divIF) assertDivision(context string, touched int) {
+	if !postings.InvariantsEnabled {
+		return
 	}
-	return total
+	fail := func(format string, args ...any) {
+		// lint:panic-ok invariants build: a broken division layout must abort loudly
+		panic(fmt.Sprintf("core: invariant violated in divIF."+context+": "+format, args...))
+	}
+	end := uint32(0)
+	for i, r := range d.runs {
+		switch {
+		case i > 0 && d.elems[i-1] >= d.elems[i]:
+			fail("elements not ascending at %d", i)
+		case touched >= 0 && i != touched:
+			continue
+		case r.n > r.c || int(r.off)+int(r.c) > min(len(d.ids), len(d.spans)):
+			fail("run %d %+v overfull or past the arenas", i, r)
+		case !slices.IsSorted(d.ids[r.off : r.off+r.n]):
+			fail("run %d not id-ascending", i)
+		case r.off < end:
+			fail("run %d overlaps run %d", i, i-1)
+		}
+		end = r.off + r.c
+		for j, o := range d.runs {
+			if touched >= 0 && j != i && r.off < o.off+o.c && o.off < r.off+r.c {
+				fail("run %d overlaps run %d", i, j)
+			}
+		}
+	}
 }

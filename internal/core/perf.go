@@ -6,7 +6,6 @@ import (
 	"repro/internal/hint"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/postings"
 )
 
 // perfPart is one partition of the performance variant: a temporal
@@ -26,25 +25,23 @@ type PerfIndex struct {
 }
 
 // NewPerf builds the performance irHINT over a collection with the bulk
-// kernel (bulkBuild): every division's lists are id-sorted views into one
-// exactly-sized arena. Insert is the update path of Section 5.5 and works
-// on the built index unchanged. Without a WithM option, m comes from the
-// HINT cost model (Section 5.4 reports the model works well here because
-// of the time-first design).
+// kernel (bulkBuild): every division's lists are tight, id-sorted runs into
+// two exactly-sized arenas, one of ids and one of lifespans. Insert is the
+// update path of Section 5.5 and works on the built index unchanged.
+// Without a WithM option, m comes from the HINT cost model (Section 5.4
+// reports the model works well here because of the time-first design).
 func NewPerf(c *model.Collection, opts ...Option) *PerfIndex {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	ix := &PerfIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
-	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *perfPart, replica bool, run []hint.Assignment) {
+	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *perfPart, replica bool, asgs []hint.Assignment) {
 		d := &p.o
 		if replica {
 			d = &p.r
 		}
-		d.elems, d.lists = carveLists(b, run, func(o *model.Object) postings.Posting {
-			return postings.Posting{ID: o.ID, Interval: o.Interval}
-		})
+		d.fill(b, asgs)
 	})
 	return ix
 }
@@ -62,7 +59,6 @@ func (ix *PerfIndex) Len() int { return ix.live }
 // per element to the inverted file of every division it lands in (the
 // construction process of Section 4.1).
 func (ix *PerfIndex) Insert(o model.Object) {
-	p := postings.Posting{ID: o.ID, Interval: o.Interval}
 	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
 		part := ix.levels[level].getOrCreate(j)
 		div := &part.o
@@ -70,7 +66,7 @@ func (ix *PerfIndex) Insert(o model.Object) {
 			div = &part.r
 		}
 		for _, e := range o.Elems {
-			div.insert(e, p)
+			div.insert(e, o.ID, o.Interval)
 		}
 	})
 	for _, e := range o.Elems {
@@ -131,10 +127,10 @@ func (ix *PerfIndex) Query(q model.Query) []model.ObjectID {
 	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 			ob := lv.Oblige(j)
-			scratch, out = p.o.query(q, plan, ob.CheckStart, ob.CheckEnd, scratch, out)
+			scratch, out = p.o.query(q.Interval, plan, ob.CheckStart, ob.CheckEnd, scratch, out)
 			if ob.First {
 				// Replicas never need the o.t_st <= q.t_end check.
-				scratch, out = p.r.query(q, plan, ob.CheckStart, false, scratch, out)
+				scratch, out = p.r.query(q.Interval, plan, ob.CheckStart, false, scratch, out)
 			}
 		})
 	})
@@ -166,7 +162,7 @@ func (ix *PerfIndex) SizeBytes() int64 {
 		d := &ix.levels[l]
 		total += int64(cap(d.keys))*4 + int64(cap(d.parts))*8
 		for _, p := range d.parts {
-			total += p.o.sizeBytes() + p.r.sizeBytes() + 96
+			total += p.o.sizeBytes() + p.r.sizeBytes()
 		}
 	}
 	return total + int64(len(ix.freqs))*8

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -99,13 +100,17 @@ func TestEntryCountRelationship(t *testing.T) {
 	}
 }
 
-// Property: index-level Deletes stay exact in the size variant even where
-// Query never reads the interval store. Over random collections with wide
-// intervals and a quarter of the objects deleted, Query ≡ the oracle; and
-// the run must have met deleted ids among the list survivors of
-// comparison-free divisions — originals and replicas — each of which the
-// division's dead counter has to announce, or the property is vacuous.
-func TestSizeDeletesInComparisonFreeDivisions(t *testing.T) {
+// checkDeletesInComparisonFreeDivisions is the shared body of the
+// deletes-in-comparison-free-divisions properties: over random collections
+// with wide intervals and a quarter of the objects deleted, Query ≡ the
+// oracle — also for queries whose ends lie at the limits of the timestamp
+// range — and the run must have met deleted ids among the list survivors
+// of comparison-free divisions, originals and replicas, or the property is
+// vacuous. deadSurvivors counts, for one query, the deleted ids met there
+// (it fails the test itself if a division hides them from its dead
+// counter).
+func checkDeletesInComparisonFreeDivisions[I testutil.QueryIndex](t *testing.T, build func(c *model.Collection, m int) I, del func(I, model.Object), deadSurvivors func(ix I, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int)) {
+	t.Helper()
 	var freeO, freeR int // deleted survivors met in comparison-free originals / replicas divisions
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -117,51 +122,103 @@ func TestSizeDeletesInComparisonFreeDivisions(t *testing.T) {
 			}
 			c.AppendObject(o.Interval, o.Elems)
 		}
-		ix := NewSize(c, WithM(1+int(seed%6)))
+		ix := build(c, 1+int(seed%6))
 		oracle := bruteforce.New(c)
 		dead := map[model.ObjectID]bool{}
 		for _, i := range rng.Perm(len(c.Objects))[:len(c.Objects)/4] {
-			ix.Delete(c.Objects[i])
+			del(ix, c.Objects[i])
 			oracle.Delete(c.Objects[i].ID)
 			dead[c.Objects[i].ID] = true
 		}
-		deadSurvivors := func(d *sizeDiv, plan []model.ElemID) int {
-			surv := d.list(plan[0])
-			for _, e := range plan[1:] {
-				surv = postings.IntersectSortedIDs(surv, d.list(e), nil)
-			}
-			n := 0
-			for _, id := range surv {
-				if dead[id] {
-					n++
-				}
-			}
-			if n > 0 && d.dead == 0 {
-				t.Fatalf("seed %d: %d deleted ids in a division's lists, dead counter 0", seed, n)
-			}
-			return n
+		queries := testutil.RandomQueries(cfg, 80, seed+100)
+		for _, iv := range []model.Interval{{Start: math.MinInt64, End: 2000}, {Start: 2000, End: math.MaxInt64}, {Start: math.MinInt64, End: math.MaxInt64}} {
+			queries = append(queries, model.Query{Interval: iv, Elems: []model.ElemID{0}}, model.Query{Interval: iv, Elems: []model.ElemID{0, 1}})
 		}
-		for qi, q := range testutil.RandomQueries(cfg, 80, seed+100) {
+		for qi, q := range queries {
 			want := testutil.Canonical(oracle.Query(q))
 			if got := testutil.Canonical(ix.Query(q)); !model.EqualIDs(got, want) {
 				t.Fatalf("seed %d query %d (%v elems=%v): Query %v, want %v", seed, qi, q.Interval, q.Elems, got, want)
 			}
-			plan := dict.PlanOrder(q.Elems, ix.freqs)
-			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-				ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
-					ob := lv.Oblige(j)
-					if !ob.CheckStart && !ob.CheckEnd {
-						freeO += deadSurvivors(&p.o, plan)
-					}
-					if ob.First && !ob.CheckStart {
-						freeR += deadSurvivors(&p.r, plan)
-					}
-				})
-			})
+			o, r := deadSurvivors(ix, q, dead)
+			freeO, freeR = freeO+o, freeR+r
 		}
 	}
 	if freeO == 0 || freeR == 0 {
 		t.Fatalf("vacuous: deleted survivors in comparison-free divisions: originals %d, replicas %d", freeO, freeR)
 	}
 	t.Logf("deleted survivors withheld from comparison-free divisions: originals %d, replicas %d", freeO, freeR)
+}
+
+// countDead counts the ids of surv in dead, failing the test if there are
+// some and the division's dead counter is 0.
+func countDead(t *testing.T, surv []model.ObjectID, dead map[model.ObjectID]bool, counter int32) int {
+	t.Helper()
+	n := 0
+	for _, id := range surv {
+		if dead[id] {
+			n++
+		}
+	}
+	if n > 0 && counter == 0 {
+		t.Fatalf("%d deleted ids in a division's lists, dead counter 0", n)
+	}
+	return n
+}
+
+// Property: index-level Deletes stay exact in the size variant even where
+// Query never reads the interval store, whose dead counter has to announce
+// every deleted id among a comparison-free division's list survivors.
+func TestSizeDeletesInComparisonFreeDivisions(t *testing.T) {
+	survivors := func(d *sizeDiv, plan []model.ElemID) []model.ObjectID {
+		surv := d.list(plan[0])
+		for _, e := range plan[1:] {
+			surv = postings.IntersectSortedIDs(surv, d.list(e), nil)
+		}
+		return surv
+	}
+	checkDeletesInComparisonFreeDivisions(t, func(c *model.Collection, m int) *SizeIndex { return NewSize(c, WithM(m)) }, (*SizeIndex).Delete,
+		func(ix *SizeIndex, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int) {
+			plan := dict.PlanOrder(q.Elems, ix.freqs)
+			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
+				ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
+					ob := lv.Oblige(j)
+					if !ob.CheckStart && !ob.CheckEnd {
+						freeO += countDead(t, survivors(&p.o, plan), dead, p.o.dead)
+					}
+					if ob.First && !ob.CheckStart {
+						freeR += countDead(t, survivors(&p.r, plan), dead, p.r.dead)
+					}
+				})
+			})
+			return freeO, freeR
+		})
+}
+
+// Property: the same for the performance variant, whose comparison-free
+// divisions report a first list as its id run unless the dead counter
+// says an entry of the division is tombstoned.
+func TestPerfDeletesInComparisonFreeDivisions(t *testing.T) {
+	survivors := func(d *divIF, plan []model.ElemID) []model.ObjectID {
+		surv := d.idRun(plan[0])
+		for _, e := range plan[1:] {
+			surv = postings.IntersectSortedIDs(surv, d.idRun(e), nil)
+		}
+		return surv
+	}
+	checkDeletesInComparisonFreeDivisions(t, func(c *model.Collection, m int) *PerfIndex { return NewPerf(c, WithM(m)) }, (*PerfIndex).Delete,
+		func(ix *PerfIndex, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int) {
+			plan := dict.PlanOrder(q.Elems, ix.freqs)
+			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
+				ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *perfPart) {
+					ob := lv.Oblige(j)
+					if !ob.CheckStart && !ob.CheckEnd {
+						freeO += countDead(t, survivors(&p.o, plan), dead, p.o.dead)
+					}
+					if ob.First && !ob.CheckStart {
+						freeR += countDead(t, survivors(&p.r, plan), dead, p.r.dead)
+					}
+				})
+			})
+			return freeO, freeR
+		})
 }

@@ -54,20 +54,20 @@ func NewSize(c *model.Collection, opts ...Option) *SizeIndex {
 		o(&cfg)
 	}
 	ix := &SizeIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
-	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *sizePart, replica bool, run []hint.Assignment) {
+	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *sizePart, replica bool, asgs []hint.Assignment) {
 		d, key := &p.o, byStart
 		if replica {
 			d, key = &p.r, byEnd
 		}
-		d.ivals = make([]postings.Posting, len(run))
-		for i, a := range run {
+		d.ivals = make([]postings.Posting, len(asgs))
+		for i, a := range asgs {
 			d.ivals[i] = postings.Posting{ID: b.objs[a.Obj].ID, Interval: b.objs[a.Obj].Interval}
 		}
 		// Ties in id order, as sorted insertion leaves them.
 		slices.SortFunc(d.ivals, func(x, y postings.Posting) int {
 			return cmp.Or(cmp.Compare(key(x), key(y)), cmp.Compare(x.ID, y.ID))
 		})
-		d.elems, d.lists = carveLists(b, run, func(o *model.Object) model.ObjectID { return o.ID })
+		d.elems, d.lists = carveLists(b, asgs, func(o *model.Object) model.ObjectID { return o.ID })
 	})
 	return ix
 }

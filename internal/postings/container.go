@@ -300,6 +300,9 @@ func IntersectGalloping(small, large, dst []model.ObjectID) []model.ObjectID {
 // GallopRatio, the linear merge otherwise. Results are identical to
 // IntersectSortedIDs in all cases.
 //
+// dst may be a[:0] or b[:0], intersecting in place: both kernels write a
+// result only over input elements already read, and never regrow such a dst.
+//
 // irlint:hot container-aware intersection dispatch on the query hot path
 func IntersectAnySorted(a, b, dst []model.ObjectID) []model.ObjectID {
 	if len(a) > len(b) {

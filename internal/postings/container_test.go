@@ -173,6 +173,44 @@ func TestIntersectAnySortedForcedPaths(t *testing.T) {
 	}
 }
 
+// TestIntersectAnySortedInPlace pins the in-place contract: dst may be
+// a[:0] or b[:0], through both dispatch arms (merge and galloping) and in
+// both operand orders, since the dispatcher swaps them to put the shorter
+// first. The result must be right and must stay in the aliased operand's
+// storage.
+func TestIntersectAnySortedInPlace(t *testing.T) {
+	short := []model.ObjectID{1, 5, 9, 20, 64, 65, 200}
+	mergeSide := []model.ObjectID{0, 1, 2, 5, 6, 9, 20, 21, 64, 200, 201}
+	gallopSide := make([]model.ObjectID, 0, len(short)*GallopRatio+10)
+	for i := 0; len(gallopSide) < cap(gallopSide); i++ {
+		if i%3 != 0 {
+			gallopSide = append(gallopSide, model.ObjectID(i))
+		}
+	}
+	for arm, long := range map[string][]model.ObjectID{"merge": mergeSide, "galloping": gallopSide} {
+		want := intersectBySlices(short, long)
+		for _, order := range []string{"short first", "long first"} {
+			for _, alias := range []string{"a[:0]", "b[:0]"} {
+				a, b := slices.Clone(short), slices.Clone(long)
+				if order == "long first" {
+					a, b = b, a
+				}
+				dst := a[:0]
+				if alias == "b[:0]" {
+					dst = b[:0]
+				}
+				got := IntersectAnySorted(a, b, dst)
+				if !model.EqualIDs(got, want) {
+					t.Fatalf("%s, %s, dst = %s: got %v, want %v", arm, order, alias, got, want)
+				}
+				if &got[:1][0] != &dst[:1][0] {
+					t.Errorf("%s, %s, dst = %s: result left the operand's storage", arm, order, alias)
+				}
+			}
+		}
+	}
+}
+
 // TestListIntersectAnyMatchesIntersectIDs verifies the dispatching list
 // intersection agrees with the plain merge in both skew directions —
 // including tombstoned entries, which IntersectIDs deliberately keeps

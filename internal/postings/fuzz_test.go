@@ -31,10 +31,17 @@ func intersectByBinarySearch(a, b []model.ObjectID) []model.ObjectID {
 	return out
 }
 
+// intersectBySlices is a reference set intersection over the slices
+// package alone: a with every id that b lacks deleted.
+func intersectBySlices(a, b []model.ObjectID) []model.ObjectID {
+	return slices.DeleteFunc(slices.Clone(a), func(id model.ObjectID) bool { return !slices.Contains(b, id) })
+}
+
 // FuzzIntersect verifies the two intersection strategies of the paper —
 // merge (Algorithm 1 / 4) and binary search (Algorithm 3) — agree on
 // arbitrary sorted inputs, in both argument orders, including the
-// List-based merge used by postings-backed indices.
+// List-based merge used by postings-backed indices and the in-place form
+// of the dispatch, its dst aliasing either operand.
 func FuzzIntersect(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, []byte{1, 1, 2})
 	f.Add([]byte{}, []byte{5, 5, 5})
@@ -65,6 +72,19 @@ func FuzzIntersect(f *testing.F) {
 		viaList := l.IntersectIDs(a, nil)
 		if !model.EqualIDs(merge, viaList) {
 			t.Fatalf("List.IntersectIDs %v != IntersectSortedIDs %v", viaList, merge)
+		}
+
+		// In place: dst = a[:0] and dst = b[:0], against the reference.
+		ref := intersectBySlices(a, b)
+		for _, alias := range []string{"a", "b"} {
+			x, y := slices.Clone(a), slices.Clone(b)
+			dst := x[:0]
+			if alias == "b" {
+				dst = y[:0]
+			}
+			if got := IntersectAnySorted(x, y, dst); !model.EqualIDs(got, ref) {
+				t.Fatalf("IntersectAnySorted(a, b, %s[:0]) = %v, want %v", alias, got, ref)
+			}
 		}
 
 		// Every reported id is in both inputs; result stays sorted.
