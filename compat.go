@@ -1,0 +1,14 @@
+package temporalir
+
+// Compatibility spellings kept for callers written against the
+// two-type API, which had a separate sharded engine type beside Engine.
+
+// Sharded is the former name of an engine over several stores. Every
+// engine is one now, so it is Engine.
+type Sharded = Engine
+
+// RefreshScorer does nothing: ranked search reads always-current
+// statistics, so there is no scorer to refresh.
+//
+// Deprecated: kept only because the frozen benchmark still calls it.
+func (e *Engine) RefreshScorer() {}

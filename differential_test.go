@@ -52,10 +52,16 @@ func TestDifferentialBatchMatchesSerial(t *testing.T) {
 	for _, m := range allMethods() {
 		m := m
 		t.Run(string(m), func(t *testing.T) {
-			eng := engineOver(t, c, m)
+			eng, err := temporalir.EngineFromCollection(c, m, temporalir.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			eng.SetParallelism(4)
 			serial := make([][]temporalir.ObjectID, len(queries))
-			ix := eng.Index()
+			ix, err := temporalir.NewIndex(m, c, temporalir.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, q := range queries {
 				serial[i] = testutil.Canonical(ix.Query(q))
 			}

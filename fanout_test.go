@@ -1,19 +1,23 @@
 package temporalir_test
 
 import (
+	"context"
 	"testing"
 
 	temporalir "repro"
 	"repro/internal/domain"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/hint"
+	"repro/internal/obs"
 )
 
 // TestOneFanOutPerQuery pins that no query is split across the worker
 // pool: the batch rows and the shard scatter are the only fan-outs. Over
 // wide queries that span many HINT partitions, a 4-shard search costs at
-// most its scatter's one pool map, and a one-row batch on an Engine
-// costs none, for every HINT-backed method.
+// most its scatter's one pool map, and a one-row batch or any search on
+// a one-store engine costs none, for every HINT-backed method. It also
+// pins that SetParallelism(0) hands every engine back the shared pool.
 func TestOneFanOutPerQuery(t *testing.T) {
 	const m = 8
 	coll := gen.Synthetic(gen.SyntheticConfig{
@@ -66,6 +70,53 @@ func TestOneFanOutPerQuery(t *testing.T) {
 			}
 			if got := eng.PoolStats().Maps; got != 0 {
 				t.Errorf("engine: %d pool maps for %d one-row batches, want 0", got, len(queries))
+			}
+
+			// A one-store engine skips plan, scatter and merge: its
+			// searches cost no pool map and record no scatter or merge
+			// span, and an out-of-domain query reaches the store instead
+			// of being pruned. The 4-store engine is the positive control.
+			one, err := b.Build(method, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one.SetParallelism(4)
+			for _, e := range []*temporalir.Engine{one, sh} {
+				tr := obs.NewTrace("search")
+				ctx := obs.ContextWithTrace(context.Background(), tr)
+				for i, q := range queries {
+					terms := termsFor(q.Elems)
+					if ids := e.Search(q.Interval.Start, q.Interval.End, terms...); len(ids) == 0 {
+						t.Fatalf("%d stores, query %d: no result", e.NumShards(), i)
+					}
+					if _, rep, err := e.SearchShardsCtx(ctx, q.Interval.Start, q.Interval.End, terms...); err != nil || len(rep.Cut) > 0 {
+						t.Fatalf("%d stores, query %d: report %+v, err %v", e.NumShards(), i, rep, err)
+					}
+				}
+				_, rep, _ := e.SearchShardsCtx(ctx, span.End+10, span.End+20, termsFor(queries[0].Elems)...)
+				scatters := tr.StageCount(obs.StageScatter) + tr.StageCount(obs.StageMerge)
+				if e == one {
+					if got := e.PoolStats().Maps; got != 0 {
+						t.Errorf("1 store: %d pool maps for %d searches, want 0", got, 2*len(queries))
+					}
+					if scatters != 0 {
+						t.Errorf("1 store: %d scatter/merge spans, want 0", scatters)
+					}
+					if rep.Planned != 1 || rep.Pruned != 0 {
+						t.Errorf("1 store: out-of-domain report %+v, want the store planned and nothing pruned", rep)
+					}
+				} else if scatters == 0 || rep.Pruned != 4 {
+					t.Errorf("4 stores: %d scatter/merge spans and out-of-domain report %+v, want spans and 4 pruned", scatters, rep)
+				}
+			}
+
+			// SetParallelism(n <= 0) restores the process-wide pool.
+			sh.SetParallelism(0)
+			one.SetParallelism(0)
+			for _, e := range []*temporalir.Engine{sh, one} {
+				if got, want := e.PoolStats(), exec.Default().Stats(); got != want {
+					t.Errorf("%d stores after SetParallelism(0): pool stats %+v, want the process-wide pool's %+v", e.NumShards(), got, want)
+				}
 			}
 		})
 	}

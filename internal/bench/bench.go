@@ -81,7 +81,7 @@ func Experiments() []Experiment {
 		{"obsjson", "Observability: disabled-trace overhead budget + per-stage query breakdown", RunObsJSON},
 		{"routejson", "Adaptive routing: per-regime throughput + router hit-rate vs best sub-build", RunRouteJSON},
 		{"tenantjson", "Multi-tenant serving: per-tenant qps, tail latency and fairness at 1/4/16 tenants", RunTenantJSON},
-		{"shardjson", "Sharded engine: insert/compaction scaling at 1/2/4/8 shards + partial-result contract", RunShardJSON},
+		{"shardjson", "Engine over N stores: insert/compaction scaling at 1/2/4/8 shards + partial-result contract", RunShardJSON},
 	}
 }
 

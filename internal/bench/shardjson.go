@@ -13,7 +13,7 @@ import (
 )
 
 // ShardScaleRow is one row of the shard-count sweep: the same corpus
-// streamed into a Sharded engine at a given shard count, then deleted
+// streamed into an engine of a given shard count, then deleted
 // from and compacted. Insert cost shrinks with per-shard store size and
 // compaction fans out across shards, so both columns should improve
 // with the shard count; queries pay a small merge tax in exchange.
@@ -180,7 +180,7 @@ func corpusBounds(coll *model.Collection) (lo, hi temporalir.Timestamp) {
 
 // newShardedOver constructs an empty time-range-partitioned engine for
 // the sweep, with fan-out parallelism matching the shard count.
-func newShardedOver(shards int, lo, hi temporalir.Timestamp) *temporalir.Sharded {
+func newShardedOver(shards int, lo, hi temporalir.Timestamp) *temporalir.Engine {
 	sh, err := temporalir.NewSharded(temporalir.TIF, temporalir.Options{}, temporalir.ShardedOptions{
 		Shards:    shards,
 		Partition: temporalir.PartitionTimeRange,
@@ -198,7 +198,7 @@ func newShardedOver(shards int, lo, hi temporalir.Timestamp) *temporalir.Sharded
 // every fifth object. Best of three trials for the insert rate.
 func runShardScale(coll *model.Collection, queries []model.Query, n int, lo, hi temporalir.Timestamp) ShardScaleRow {
 	row := ShardScaleRow{Shards: n}
-	var final *temporalir.Sharded
+	var final *temporalir.Engine
 	for trial := 0; trial < 3; trial++ {
 		sh := newShardedOver(n, lo, hi)
 		start := time.Now()
@@ -230,8 +230,8 @@ func runShardScale(coll *model.Collection, queries []model.Query, n int, lo, hi 
 	return row
 }
 
-// shardedThroughput is Throughput for the string-term Sharded surface.
-func shardedThroughput(sh *temporalir.Sharded, queries []model.Query) float64 {
+// shardedThroughput is Throughput for the string-term surface of an engine over several stores.
+func shardedThroughput(sh *temporalir.Engine, queries []model.Query) float64 {
 	const minDuration = 20 * time.Millisecond
 	if len(queries) == 0 {
 		return 0

@@ -190,7 +190,6 @@ func (s *Store) swapCompacted(g0 *Generation, newColl *model.Collection, base *c
 		mem:       Memtable{objs: newColl.Objects[base0:n:n], bytes: memBytes},
 		dead:      dead,
 		ext:       ext[:n:n],
-		nextExt:   s.nextExt,
 	})
 }
 

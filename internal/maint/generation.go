@@ -45,10 +45,9 @@ type Generation struct {
 	epoch uint64
 	coll  *model.Collection
 	*compacted
-	mem     Memtable
-	dead    tombstones
-	ext     []model.ObjectID
-	nextExt model.ObjectID
+	mem  Memtable
+	dead tombstones
+	ext  []model.ObjectID
 }
 
 // compacted is what a generation knows about its compacted prefix: the
@@ -75,12 +74,6 @@ func (g *Generation) next() *Generation {
 
 // Epoch returns the generation's monotonically increasing epoch number.
 func (g *Generation) Epoch() uint64 { return g.epoch }
-
-// NextExt returns the next external id the store will hand out, as of
-// this generation. Together with the translation table it makes a
-// snapshot self-describing for persistence: a store rebuilt from a
-// saved generation assigns the same ids the original would have.
-func (g *Generation) NextExt() model.ObjectID { return g.nextExt }
 
 // Coll returns the full visible collection: base objects in positions
 // [0, base-length), memtable objects after. Internal ids equal

@@ -7,4 +7,4 @@ package maint
 const maintInvariantsEnabled = false
 
 // checkGeneration is a no-op in normal builds; see invariants_on.go.
-func checkGeneration(*Generation) {}
+func checkGeneration(*Generation, *IDAllocator) {}

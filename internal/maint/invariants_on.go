@@ -14,11 +14,12 @@ const maintInvariantsEnabled = true
 //
 //   - internal ids are dense positions: coll.Objects[i].ID == i
 //   - the external-id table is parallel to the objects and strictly
-//     ascending (so binary search is valid)
+//     ascending (so binary search is valid), every entry already
+//     handed out by the allocator
 //   - the memtable is exactly the suffix past the compacted prefix and
 //     the base index covers exactly that prefix
 //   - every tombstone refers to a stored object
-func checkGeneration(g *Generation) {
+func checkGeneration(g *Generation, alloc *IDAllocator) {
 	n := len(g.coll.Objects)
 	if len(g.ext) != n {
 		panic(fmt.Sprintf("maint: invariant violation: ext table len %d != objects len %d", len(g.ext), n))
@@ -31,8 +32,8 @@ func checkGeneration(g *Generation) {
 			panic(fmt.Sprintf("maint: invariant violation: ext table not strictly ascending at %d (%d >= %d)", i, g.ext[i-1], g.ext[i]))
 		}
 	}
-	if n > 0 && g.ext[n-1] >= g.nextExt {
-		panic(fmt.Sprintf("maint: invariant violation: nextExt %d not past last external id %d", g.nextExt, g.ext[n-1]))
+	if next := alloc.Next(); n > 0 && g.ext[n-1] >= next {
+		panic(fmt.Sprintf("maint: invariant violation: allocator's next id %d not past last external id %d", next, g.ext[n-1]))
 	}
 	if g.compactLen < 0 || g.compactLen > n {
 		panic(fmt.Sprintf("maint: invariant violation: compactLen %d out of range [0,%d]", g.compactLen, n))

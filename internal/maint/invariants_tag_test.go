@@ -33,7 +33,7 @@ func TestCheckGenerationFires(t *testing.T) {
 			t.Fatalf("unexpected panic payload: %v", r)
 		}
 	}()
-	checkGeneration(g)
+	checkGeneration(g, NewIDAllocator(4))
 }
 
 // TestCheckGenerationSilentOnWellFormed runs the store lifecycle with
@@ -46,5 +46,5 @@ func TestCheckGenerationSilentOnWellFormed(t *testing.T) {
 	for id := model.ObjectID(0); id < 9; id += 2 {
 		s.Delete(id)
 	}
-	checkGeneration(s.Snapshot())
+	checkGeneration(s.Snapshot(), s.alloc)
 }

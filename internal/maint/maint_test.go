@@ -30,10 +30,20 @@ func seedCollection(n int) *model.Collection {
 	return c
 }
 
+// newDenseStore is NewStore over a collection whose external ids are
+// its dense positions, drawing later ids from a fresh allocator.
+func newDenseStore(c *model.Collection, base Index, build BuildFunc) *Store {
+	ext := make([]model.ObjectID, len(c.Objects))
+	for i := range ext {
+		ext[i] = model.ObjectID(i)
+	}
+	return NewStore(c, base, build, ext, NewIDAllocator(model.ObjectID(len(ext))))
+}
+
 func newTestStore(t *testing.T, n int) *Store {
 	t.Helper()
 	c := seedCollection(n)
-	return NewStore(c, tif.New(c), tifBuild)
+	return newDenseStore(c, tif.New(c), tifBuild)
 }
 
 // expected scans the generation's collection directly: the matching,
@@ -229,7 +239,7 @@ func TestCompactBuildReceivesContext(t *testing.T) {
 		cancel()
 		return nil, bctx.Err()
 	}
-	s := NewStore(c, tif.New(c), build)
+	s := newDenseStore(c, tif.New(c), build)
 	s.Delete(0)
 	g0 := s.Snapshot()
 	if _, err := s.Compact(ctx); !errors.Is(err, context.Canceled) {
@@ -246,7 +256,7 @@ func TestCompactBuildReceivesContext(t *testing.T) {
 func TestCompactBuildError(t *testing.T) {
 	c := seedCollection(10)
 	boom := errors.New("boom")
-	s := NewStore(c, tif.New(c), func(context.Context, *model.Collection) (Index, error) { return nil, boom })
+	s := newDenseStore(c, tif.New(c), func(context.Context, *model.Collection) (Index, error) { return nil, boom })
 	s.Delete(0)
 	g0 := s.Snapshot()
 	if _, err := s.Compact(context.Background()); !errors.Is(err, boom) {
@@ -272,7 +282,7 @@ func TestWritesDuringCompaction(t *testing.T) {
 		<-release
 		return tif.New(cc), nil
 	}
-	s := NewStore(c, tif.New(c), build)
+	s := newDenseStore(c, tif.New(c), build)
 	for id := model.ObjectID(0); id < 10; id++ {
 		s.Delete(id)
 	}
@@ -403,7 +413,7 @@ func TestInternalExternalRoundTrip(t *testing.T) {
 // with tombstones and a memtable against a scan of its collection.
 func TestBinaryBaseQueryAgrees(t *testing.T) {
 	c := seedCollection(60)
-	s := NewStore(c, tifhint.NewBinary(c), func(_ context.Context, cc *model.Collection) (Index, error) { return tifhint.NewBinary(cc), nil })
+	s := newDenseStore(c, tifhint.NewBinary(c), func(_ context.Context, cc *model.Collection) (Index, error) { return tifhint.NewBinary(cc), nil })
 	for id := model.ObjectID(0); id < 60; id += 5 {
 		s.Delete(id)
 	}

@@ -105,7 +105,7 @@ func TestStoreRace(t *testing.T) {
 // with manual ones and concurrent writes.
 func TestAutoCompactRace(t *testing.T) {
 	c := seedCollection(20)
-	s := NewStore(c, tif.New(c), tifBuild)
+	s := newDenseStore(c, tif.New(c), tifBuild)
 	s.SetPolicy(Policy{MaxMemObjects: 8, MaxDeadRatio: 0.25})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -39,7 +39,7 @@ func TestSizeBytesOncePerBase(t *testing.T) {
 	}
 	c := seedCollection(50)
 	base, _ := build(context.Background(), c)
-	s := NewStore(c, base, build)
+	s := newDenseStore(c, base, build)
 
 	bases := int64(1)
 	for i := 0; i < 1000; i++ {
@@ -93,26 +93,25 @@ func checkBaseDF(t *testing.T, when string, g *Generation) {
 }
 
 // TestBaseDFTracksCompactedPrefix checks the frequency vector at every
-// point a base is installed: the three constructors, a plain
-// compaction, and a compaction with appends and deletes landing while
-// its rebuild is blocked (those belong to the memtable, not to baseDF).
+// point a base is installed: the constructor (dense and explicit
+// identity), a plain compaction, and a compaction with appends and
+// deletes landing while its rebuild is blocked (those belong to the
+// memtable, not to baseDF).
 func TestBaseDFTracksCompactedPrefix(t *testing.T) {
 	c := seedCollection(30)
-	checkBaseDF(t, "NewStore", NewStore(c, tif.New(c), tifBuild).Snapshot())
+	checkBaseDF(t, "dense NewStore", newDenseStore(c, tif.New(c), tifBuild).Snapshot())
 
 	c = seedCollection(30)
 	ext := make([]model.ObjectID, 30)
 	for i := range ext {
 		ext[i] = model.ObjectID(2 * i)
 	}
-	checkBaseDF(t, "NewStoreWithIdentity", NewStoreWithIdentity(c, tif.New(c), tifBuild, ext, 100).Snapshot())
-	c = seedCollection(30)
-	checkBaseDF(t, "NewStoreShared", NewStoreShared(c, tif.New(c), tifBuild, append([]model.ObjectID(nil), ext...), NewIDAllocator(100)).Snapshot())
-	checkBaseDF(t, "empty store", NewStore(&model.Collection{}, tif.New(&model.Collection{}), tifBuild).Snapshot())
+	checkBaseDF(t, "NewStore with identity", NewStore(c, tif.New(c), tifBuild, ext, NewIDAllocator(100)).Snapshot())
+	checkBaseDF(t, "empty store", newDenseStore(&model.Collection{}, tif.New(&model.Collection{}), tifBuild).Snapshot())
 
 	c = seedCollection(30)
 	enter, release := make(chan struct{}, 1), make(chan struct{}, 1)
-	s := NewStore(c, tif.New(c), func(_ context.Context, cc *model.Collection) (Index, error) {
+	s := newDenseStore(c, tif.New(c), func(_ context.Context, cc *model.Collection) (Index, error) {
 		enter <- struct{}{}
 		<-release
 		return tif.New(cc), nil

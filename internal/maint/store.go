@@ -66,10 +66,10 @@ type Store struct {
 	// build rebuilds the configured index method during compaction.
 	build BuildFunc
 
-	// alloc, when non-nil, is the shared external-id sequence of a
-	// sharded engine; Append draws from it instead of nextExt. The
-	// allocator is internally atomic, but draws happen under mu so the
-	// per-store ext table stays strictly ascending.
+	// alloc is the external-id sequence Append draws from, shared by
+	// every store of an engine. The allocator is internally atomic, but
+	// draws happen under mu so the per-store ext table stays strictly
+	// ascending.
 	alloc *IDAllocator
 
 	// compacting is the single-flight latch for compaction; it is CASed
@@ -88,8 +88,6 @@ type Store struct {
 	// memBytes is the running size estimate of the memtable tail.
 	// irlint:guarded-by mu
 	memBytes int64
-	// nextExt is the next external id to hand out. irlint:guarded-by mu
-	nextExt model.ObjectID
 	// policy is the auto-compaction policy. irlint:guarded-by mu
 	policy Policy
 	// compactions counts completed compactions. irlint:guarded-by mu
@@ -111,11 +109,10 @@ type Store struct {
 }
 
 // IDAllocator hands out external object ids from a single monotonic
-// sequence. Stores sharing one allocator (the shards of a sharded
-// engine) assign globally unique, insertion-ordered ids, so a sharded
-// corpus carries exactly the ids a single store over the same inserts
-// would have handed out — the property the shard-vs-oracle differential
-// relies on.
+// sequence. Stores sharing one allocator (the stores of one engine)
+// assign globally unique, insertion-ordered ids, so a corpus split
+// across N stores carries exactly the ids one store over the same
+// inserts would have handed out.
 type IDAllocator struct {
 	next atomic.Uint64
 }
@@ -138,41 +135,13 @@ func (a *IDAllocator) Next() model.ObjectID {
 }
 
 // NewStore wraps an already-built base index and its collection in a
-// generational store. The store takes ownership of coll's object slice;
-// external ids start out identical to the dense internal ids.
-func NewStore(coll *model.Collection, base Index, build BuildFunc) *Store {
-	n := len(coll.Objects)
-	ext := make([]model.ObjectID, n)
-	for i := range ext {
-		ext[i] = model.ObjectID(i)
-	}
-	return NewStoreWithIdentity(coll, base, build, ext, model.ObjectID(n))
-}
-
-// NewStoreWithIdentity is NewStore with an explicit external-id table
-// and next-id counter — the load half of identity-preserving
-// persistence. ext must be strictly ascending, parallel to
-// coll.Objects, with every entry below next; the store takes ownership
-// of both slices. A store rebuilt this way hands out exactly the ids
-// the saved store would have, so an engine that is saved, dropped and
-// reloaded is indistinguishable to clients holding object ids.
-func NewStoreWithIdentity(coll *model.Collection, base Index, build BuildFunc, ext []model.ObjectID, next model.ObjectID) *Store {
-	return newStore(coll, base, build, ext, next, nil)
-}
-
-// NewStoreShared is NewStoreWithIdentity for one shard of a sharded
-// engine: external ids come from the shared allocator instead of the
-// store's own counter, so sibling stores never collide. ext must be a
-// strictly ascending subsequence of the ids the allocator has already
-// handed out.
-func NewStoreShared(coll *model.Collection, base Index, build BuildFunc, ext []model.ObjectID, alloc *IDAllocator) *Store {
-	if alloc == nil {
-		panic("maint: NewStoreShared needs an allocator") // lint:panic-ok construction-time programming error
-	}
-	return newStore(coll, base, build, ext, alloc.Next(), alloc)
-}
-
-func newStore(coll *model.Collection, base Index, build BuildFunc, ext []model.ObjectID, next model.ObjectID, alloc *IDAllocator) *Store {
+// generational store whose Append draws external ids from alloc. ext is
+// the external id of each object, parallel to coll.Objects: strictly
+// ascending, every entry already handed out by alloc. The store takes
+// ownership of coll's object slice and of ext. Stores sharing one
+// allocator never collide, and a store rebuilt from a saved table and
+// counter hands out exactly the ids the saved one would have.
+func NewStore(coll *model.Collection, base Index, build BuildFunc, ext []model.ObjectID, alloc *IDAllocator) *Store {
 	n := len(coll.Objects)
 	if len(ext) != n {
 		panic("maint: identity table length mismatch") // lint:panic-ok construction-time programming error
@@ -182,7 +151,7 @@ func newStore(coll *model.Collection, base Index, build BuildFunc, ext []model.O
 			panic("maint: identity table not strictly ascending") // lint:panic-ok construction-time programming error
 		}
 	}
-	if n > 0 && ext[n-1] >= next {
+	if n > 0 && ext[n-1] >= alloc.Next() {
 		panic("maint: next external id not past the identity table") // lint:panic-ok construction-time programming error
 	}
 	s := &Store{
@@ -191,14 +160,12 @@ func newStore(coll *model.Collection, base Index, build BuildFunc, ext []model.O
 		objects:    coll.Objects,
 		ext:        ext,
 		compactLen: n,
-		nextExt:    next,
 	}
 	s.publish(&Generation{
 		epoch:     1,
 		coll:      &model.Collection{Objects: coll.Objects[:n:n], DictSize: coll.DictSize},
 		compacted: &compacted{base: base, compactLen: n, baseBytes: base.SizeBytes(), baseDF: coll.ElemFreqs()},
 		ext:       ext[:n:n],
-		nextExt:   next,
 	})
 	return s
 }
@@ -210,7 +177,7 @@ func (s *Store) Snapshot() *Generation { return s.gen.Load() }
 // publish validates (under -tags invariants) and installs a new
 // generation. This is the only sanctioned write access to the pointer.
 func (s *Store) publish(g *Generation) {
-	checkGeneration(g)
+	checkGeneration(g, s.alloc)
 	s.gen.Store(g)
 }
 
@@ -221,14 +188,7 @@ func (s *Store) publish(g *Generation) {
 func (s *Store) Append(iv model.Interval, elems []model.ElemID, dictSize int) model.ObjectID {
 	s.mu.Lock()
 	internal := model.ObjectID(len(s.objects))
-	var extID model.ObjectID
-	if s.alloc != nil {
-		extID = s.alloc.take()
-		s.nextExt = extID + 1
-	} else {
-		extID = s.nextExt
-		s.nextExt++
-	}
+	extID := s.alloc.take()
 	o := model.Object{ID: internal, Interval: iv, Elems: elems}
 	s.objects = append(s.objects, o)
 	s.ext = append(s.ext, extID)
@@ -243,7 +203,6 @@ func (s *Store) Append(iv model.Interval, elems []model.ElemID, dictSize int) mo
 	}
 	g.coll = &model.Collection{Objects: s.objects[:n:n], DictSize: ds}
 	g.ext = s.ext[:n:n]
-	g.nextExt = s.nextExt
 	g.mem = Memtable{objs: s.objects[s.compactLen:n:n], bytes: s.memBytes}
 	s.publish(g)
 	auto := s.policy.enabled() && s.policy.triggered(g)

@@ -9,10 +9,9 @@ import (
 )
 
 // Engine is the query/ingest surface the server requires of a tenant
-// engine. Both *temporalir.Engine and *temporalir.Sharded satisfy it,
-// so one server binary serves single-store and sharded deployments —
-// the seed engine passed to New decides which, and every tenant gets a
-// sibling of the seed's kind.
+// engine; *temporalir.Engine satisfies it at any store count. The seed
+// engine passed to New decides the store layout, and every tenant gets
+// a sibling with the seed's layout.
 type Engine interface {
 	// Save and Epoch drive the registry's spill/reload lifecycle.
 	Save(w io.Writer) error
@@ -20,6 +19,7 @@ type Engine interface {
 
 	Method() temporalir.Method
 	IndexOptions() temporalir.Options
+	ShardOptions() temporalir.ShardedOptions
 	Len() int
 	SizeBytes() int64
 
@@ -36,31 +36,25 @@ type Engine interface {
 	PoolStats() exec.PoolStats
 	RoutedMethods() []temporalir.Method
 	RouteDecisions() []uint64
-
-	SearchCtx(ctx context.Context, start, end temporalir.Timestamp, terms ...string) ([]temporalir.ObjectID, error)
-	SearchTopKCtx(ctx context.Context, start, end temporalir.Timestamp, k int, terms ...string) ([]temporalir.ScoredResult, error)
-	TimelineCtx(ctx context.Context, start, end temporalir.Timestamp, buckets int, terms ...string) ([]temporalir.TimelineBucket, error)
-	SearchTermsBatchCtx(ctx context.Context, start, end temporalir.Timestamp, termRows [][]string) []temporalir.Result
-}
-
-// shardedEngine is the optional coordinator surface. When the tenant
-// engine provides it, search handlers route through the *ShardsCtx
-// variants so the response can carry the explicit partial-result
-// contract (which shards were cut, never a silently truncated 200),
-// /stats exposes the shard map, and the tir_shard_* metric family is
-// registered.
-type shardedEngine interface {
-	Engine
 	NumShards() int
 	ShardStats() []temporalir.ShardStat
 	CoordinatorStats() temporalir.CoordinatorStats
+
+	// The server answers through the report-carrying searches below;
+	// these forms are in the interface because the frozen benchmark
+	// calls them through this type.
+	SearchCtx(ctx context.Context, start, end temporalir.Timestamp, terms ...string) ([]temporalir.ObjectID, error)
+	SearchTopKCtx(ctx context.Context, start, end temporalir.Timestamp, k int, terms ...string) ([]temporalir.ScoredResult, error)
+	TimelineCtx(ctx context.Context, start, end temporalir.Timestamp, buckets int, terms ...string) ([]temporalir.TimelineBucket, error)
+
+	// The report-carrying searches make truncation explicit: a response
+	// either carries every planned store's contribution or names the
+	// stores a per-store deadline cut — never a silently truncated 200.
 	SearchShardsCtx(ctx context.Context, start, end temporalir.Timestamp, terms ...string) ([]temporalir.ObjectID, temporalir.ShardReport, error)
 	SearchTopKShardsCtx(ctx context.Context, start, end temporalir.Timestamp, k int, terms ...string) ([]temporalir.ScoredResult, temporalir.ShardReport, error)
 	TimelineShardsCtx(ctx context.Context, start, end temporalir.Timestamp, buckets int, terms ...string) ([]temporalir.TimelineBucket, temporalir.ShardReport, error)
+	SearchTermsBatchCtx(ctx context.Context, start, end temporalir.Timestamp, termRows [][]string) []temporalir.Result
 }
 
 // Interface conformance is part of the package contract.
-var (
-	_ Engine        = (*temporalir.Engine)(nil)
-	_ shardedEngine = (*temporalir.Sharded)(nil)
-)
+var _ Engine = (*temporalir.Engine)(nil)

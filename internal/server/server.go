@@ -18,6 +18,11 @@
 //  3. weighted fair share — a 429: the node has room but this tenant
 //     is over its fraction of it, so siblings keep their latency.
 //
+// Every tenant engine is a *temporalir.Engine over the seed's store
+// layout, answered through its report-carrying searches, so /stats and
+// the tir_shard_* metrics carry one row per store at every width — one
+// for a single-store deployment.
+//
 // The server is also the integration point of the observability layer
 // (internal/obs): per-method counters and latency histograms globally
 // and per tenant (under a bounded label budget — see the series limit),
@@ -156,8 +161,8 @@ type Server struct {
 	spillEnabled bool
 
 	// seed is the engine the server was constructed around; it defines
-	// the method/options — and, for a sharded seed, the shard layout —
-	// every tenant engine is built with, and serves the default tenant.
+	// the method, options and store layout every tenant engine is built
+	// with, and serves the default tenant.
 	seed Engine
 	// seedUsed makes the seed single-use in the registry New closure.
 	seedUsed sync.Once
@@ -224,20 +229,13 @@ func NewWithOptions(engine Engine, opts Options) *Server {
 		s.gate = exec.NewGate(opts.MaxInFlight)
 		s.fair = tenant.NewFairShare(opts.MaxInFlight, opts.FairWindow)
 	}
-	// Sibling construction follows the seed's kind: a sharded seed makes
-	// every tenant (and every spill reload) a sharded engine with the
-	// seed's resolved shard layout; a plain seed keeps the existing
-	// single-store path byte-for-byte. The snapshot format is shared, so
-	// spills written by one kind load under the other if the deployment
-	// is ever reconfigured.
-	method, idxOpts := engine.Method(), engine.IndexOptions()
-	newSibling := func() (Engine, error) { return temporalir.NewBuilder().Build(method, idxOpts) }
-	loadSibling := func(r io.Reader) (Engine, error) { return temporalir.LoadEngine(r, method, idxOpts) }
-	if sh, ok := engine.(*temporalir.Sharded); ok {
-		so := sh.ShardOptions()
-		newSibling = func() (Engine, error) { return temporalir.NewSharded(method, idxOpts, so) }
-		loadSibling = func(r io.Reader) (Engine, error) { return temporalir.LoadSharded(r, method, idxOpts, so) }
-	}
+	// Every tenant (and every spill reload) is a sibling of the seed:
+	// same method, index options and resolved store layout. The snapshot
+	// format does not depend on the store count, so spills load under
+	// any layout if the deployment is ever reconfigured.
+	method, idxOpts, so := engine.Method(), engine.IndexOptions(), engine.ShardOptions()
+	newSibling := func() (Engine, error) { return temporalir.NewSharded(method, idxOpts, so) }
+	loadSibling := func(r io.Reader) (Engine, error) { return temporalir.LoadSharded(r, method, idxOpts, so) }
 	s.reg = tenant.NewRegistry(tenant.Config[Engine]{
 		New: func(id string) (Engine, error) {
 			// The seed engine serves the default tenant's first build;
@@ -455,55 +453,42 @@ func (s *Server) registerMetrics() {
 		return float64(s.seed.PoolStats().Helpers)
 	})
 
-	// Sharded deployments expose the coordinator and per-shard state.
-	// The label space is the seed's shard count — fixed at construction,
-	// so scrape cardinality is bounded; per-shard gauges sum across
-	// tenants (every tenant shares the seed's layout).
-	if seedSh, ok := s.seed.(shardedEngine); ok {
-		sumSh := func(read func(se shardedEngine) float64) func() float64 {
-			return func() float64 {
-				var total float64
-				s.reg.Each(func(tn *tenant.Tenant[Engine]) {
-					if se, ok := tn.Engine().(shardedEngine); ok {
-						total += read(se)
-					}
-				})
-				return total
-			}
+	// The coordinator and per-store state. The label space is the
+	// seed's store count — fixed at construction, so scrape cardinality
+	// is bounded; per-store gauges sum across tenants (every tenant
+	// shares the seed's layout).
+	reg.CounterFunc("tir_shard_queries_total", "Queries planned by the shard coordinator.", sum(func(e Engine) float64 {
+		return float64(e.CoordinatorStats().Queries)
+	}))
+	reg.CounterFunc("tir_shard_cut_total", "Shard evaluations cut by the per-shard deadline.", sum(func(e Engine) float64 {
+		return float64(e.CoordinatorStats().ShardsCut)
+	}))
+	reg.CounterFunc("tir_shard_pruned_total", "Shard evaluations skipped by extent pruning.", sum(func(e Engine) float64 {
+		return float64(e.CoordinatorStats().ShardsPruned)
+	}))
+	for i := 0; i < s.seed.NumShards(); i++ {
+		i := i
+		shardOf := func(read func(st temporalir.ShardStat) float64) func() float64 {
+			return sum(func(e Engine) float64 {
+				if st := e.ShardStats(); i < len(st) {
+					return read(st[i])
+				}
+				return 0
+			})
 		}
-		reg.CounterFunc("tir_shard_queries_total", "Queries planned by the shard coordinator.", sumSh(func(se shardedEngine) float64 {
-			return float64(se.CoordinatorStats().Queries)
-		}))
-		reg.CounterFunc("tir_shard_cut_total", "Shard evaluations cut by the per-shard deadline.", sumSh(func(se shardedEngine) float64 {
-			return float64(se.CoordinatorStats().ShardsCut)
-		}))
-		reg.CounterFunc("tir_shard_pruned_total", "Shard evaluations skipped by extent pruning.", sumSh(func(se shardedEngine) float64 {
-			return float64(se.CoordinatorStats().ShardsPruned)
-		}))
-		for i := 0; i < seedSh.NumShards(); i++ {
-			i := i
-			shardOf := func(read func(st temporalir.ShardStat) float64) func() float64 {
-				return sumSh(func(se shardedEngine) float64 {
-					if st := se.ShardStats(); i < len(st) {
-						return read(st[i])
-					}
-					return 0
-				})
-			}
-			lbl := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
-			reg.GaugeFunc("tir_shard_objects", "Live objects, by shard.", shardOf(func(st temporalir.ShardStat) float64 {
-				return float64(st.Objects)
-			}), lbl)
-			reg.GaugeFunc("tir_shard_size_bytes", "Estimated resident size, by shard.", shardOf(func(st temporalir.ShardStat) float64 {
-				return float64(st.SizeBytes)
-			}), lbl)
-			reg.GaugeFunc("tir_shard_tombstones", "Pending logical deletions, by shard.", shardOf(func(st temporalir.ShardStat) float64 {
-				return float64(st.Tombstones)
-			}), lbl)
-			reg.CounterFunc("tir_shard_compactions_total", "Completed compactions, by shard.", shardOf(func(st temporalir.ShardStat) float64 {
-				return float64(st.Compactions)
-			}), lbl)
-		}
+		lbl := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
+		reg.GaugeFunc("tir_shard_objects", "Live objects, by shard.", shardOf(func(st temporalir.ShardStat) float64 {
+			return float64(st.Objects)
+		}), lbl)
+		reg.GaugeFunc("tir_shard_size_bytes", "Estimated resident size, by shard.", shardOf(func(st temporalir.ShardStat) float64 {
+			return float64(st.SizeBytes)
+		}), lbl)
+		reg.GaugeFunc("tir_shard_tombstones", "Pending logical deletions, by shard.", shardOf(func(st temporalir.ShardStat) float64 {
+			return float64(st.Tombstones)
+		}), lbl)
+		reg.CounterFunc("tir_shard_compactions_total", "Completed compactions, by shard.", shardOf(func(st temporalir.ShardStat) float64 {
+			return float64(st.Compactions)
+		}), lbl)
 	}
 
 	// Tenancy lifecycle metrics.
@@ -755,41 +740,13 @@ func (s *Server) queryCtx(r *http.Request, id string) (context.Context, context.
 	return context.WithTimeout(ctx, s.queryTimeout)
 }
 
-// Partial-result plumbing. A sharded engine answers through the
-// *ShardsCtx variants, whose ShardReport makes truncation explicit;
-// a single-store engine reports a zero (complete) ShardReport. The
-// response contract: a 200 either carries every planned shard's
-// contribution or says which shards were cut ("partial": true,
-// "shards_cut": [...]); when EVERY planned shard was cut there is no
+// Partial-result plumbing. Every search answers through the engine's
+// report-carrying forms, whose ShardReport makes truncation explicit.
+// The response contract: a 200 either carries every planned store's
+// contribution or says which stores were cut ("partial": true,
+// "shards_cut": [...]); when EVERY planned store was cut there is no
 // result to stand behind at all, and the request answers 504 like any
 // other deadline death — never an empty 200.
-
-// searchIDs evaluates one conjunctive search on either engine kind.
-func searchIDs(ctx context.Context, eng Engine, start, end temporalir.Timestamp, terms []string) ([]temporalir.ObjectID, temporalir.ShardReport, error) {
-	if se, ok := eng.(shardedEngine); ok {
-		return se.SearchShardsCtx(ctx, start, end, terms...)
-	}
-	ids, err := eng.SearchCtx(ctx, start, end, terms...)
-	return ids, temporalir.ShardReport{}, err
-}
-
-// searchTopK evaluates one ranked search on either engine kind.
-func searchTopK(ctx context.Context, eng Engine, start, end temporalir.Timestamp, k int, terms []string) ([]temporalir.ScoredResult, temporalir.ShardReport, error) {
-	if se, ok := eng.(shardedEngine); ok {
-		return se.SearchTopKShardsCtx(ctx, start, end, k, terms...)
-	}
-	res, err := eng.SearchTopKCtx(ctx, start, end, k, terms...)
-	return res, temporalir.ShardReport{}, err
-}
-
-// searchTimeline evaluates one timeline on either engine kind.
-func searchTimeline(ctx context.Context, eng Engine, start, end temporalir.Timestamp, buckets int, terms []string) ([]temporalir.TimelineBucket, temporalir.ShardReport, error) {
-	if se, ok := eng.(shardedEngine); ok {
-		return se.TimelineShardsCtx(ctx, start, end, buckets, terms...)
-	}
-	tl, err := eng.TimelineCtx(ctx, start, end, buckets, terms...)
-	return tl, temporalir.ShardReport{}, err
-}
 
 // failed answers a query that has no result to stand behind — an
 // evaluation error, or a report whose every planned shard was cut — and
@@ -913,7 +870,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		tr.SetTenant(g.tn.ID())
 		tr.SetShape("terms=%d k=%d", len(terms), k)
 		t0 := time.Now()
-		res, rep, err := searchTopK(obs.ContextWithTrace(ctx, tr), g.engine(), start, end, k, terms)
+		res, rep, err := g.engine().SearchTopKShardsCtx(obs.ContextWithTrace(ctx, tr), start, end, k, terms...)
 		s.finishQuery(s.metTopK, g.tm.topk, tr, t0)
 		if !s.failed(w, rep, err) {
 			send(w, http.StatusOK, topKReply{hits: res, cut: rep.Cut})
@@ -924,7 +881,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	tr.SetTenant(g.tn.ID())
 	tr.SetShape("terms=%d", len(terms))
 	t0 := time.Now()
-	ids, rep, err := searchIDs(obs.ContextWithTrace(ctx, tr), g.engine(), start, end, terms)
+	ids, rep, err := g.engine().SearchShardsCtx(obs.ContextWithTrace(ctx, tr), start, end, terms...)
 	s.finishQuery(s.metSearch, g.tm.search, tr, t0)
 	if !s.failed(w, rep, err) {
 		send(w, http.StatusOK, idsReply{ids: ids, cut: rep.Cut})
@@ -1113,7 +1070,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	tr.SetTenant(g.tn.ID())
 	tr.SetShape("terms=%d buckets=%d", len(terms), buckets)
 	t0 := time.Now()
-	tl, rep, err := searchTimeline(obs.ContextWithTrace(ctx, tr), g.engine(), start, end, buckets, terms)
+	tl, rep, err := g.engine().TimelineShardsCtx(obs.ContextWithTrace(ctx, tr), start, end, buckets, terms...)
 	s.finishQuery(s.metTimeline, g.tm.timeline, tr, t0)
 	if !s.failed(w, rep, err) {
 		send(w, http.StatusOK, timelineReply{buckets: tl, cut: rep.Cut})
@@ -1122,18 +1079,18 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 
 // statsReply is GET /stats, fields in the key order of the old map.
 type statsReply struct {
-	Compaction  temporalir.CompactionStats   `json:"compaction"`
-	Coordinator *temporalir.CoordinatorStats `json:"coordinator,omitempty"`
-	FairShare   *int                         `json:"fair_share,omitempty"`
-	InFlight    int                          `json:"inflight"`
-	Limits      tenant.Limits                `json:"limits"`
-	Method      string                       `json:"method"`
-	Objects     int                          `json:"objects"`
-	Pool        exec.PoolStats               `json:"pool"`
-	Shards      []temporalir.ShardStat       `json:"shards,omitempty"`
-	SizeBytes   int64                        `json:"size_bytes"`
-	Tenant      string                       `json:"tenant"`
-	Tenants     int                          `json:"tenants"`
+	Compaction  temporalir.CompactionStats  `json:"compaction"`
+	Coordinator temporalir.CoordinatorStats `json:"coordinator"`
+	FairShare   *int                        `json:"fair_share,omitempty"`
+	InFlight    int                         `json:"inflight"`
+	Limits      tenant.Limits               `json:"limits"`
+	Method      string                      `json:"method"`
+	Objects     int                         `json:"objects"`
+	Pool        exec.PoolStats              `json:"pool"`
+	Shards      []temporalir.ShardStat      `json:"shards"`
+	SizeBytes   int64                       `json:"size_bytes"`
+	Tenant      string                      `json:"tenant"`
+	Tenants     int                         `json:"tenants"`
 }
 
 // handleStats answers GET /stats for the request's tenant, including
@@ -1147,23 +1104,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	defer tn.Release()
 	eng := tn.Engine()
 	out := statsReply{
-		Compaction: eng.CompactStats(),
-		InFlight:   tn.Limiter().InFlight(),
-		Limits:     tn.Limiter().Limits(),
-		Method:     string(eng.Method()),
-		Objects:    eng.Len(),
-		Pool:       eng.PoolStats(),
-		SizeBytes:  eng.SizeBytes(),
-		Tenant:     tn.ID(),
-		Tenants:    s.reg.Len(),
+		Compaction:  eng.CompactStats(),
+		Coordinator: eng.CoordinatorStats(),
+		InFlight:    tn.Limiter().InFlight(),
+		Limits:      tn.Limiter().Limits(),
+		Method:      string(eng.Method()),
+		Objects:     eng.Len(),
+		Pool:        eng.PoolStats(),
+		Shards:      eng.ShardStats(),
+		SizeBytes:   eng.SizeBytes(),
+		Tenant:      tn.ID(),
+		Tenants:     s.reg.Len(),
 	}
 	if s.fair != nil {
 		share := s.fair.Share(tn.ID(), tn.Limiter().Limits().EffectiveWeight(), time.Now())
 		out.FairShare = &share
-	}
-	if se, ok := eng.(shardedEngine); ok {
-		coord := se.CoordinatorStats()
-		out.Shards, out.Coordinator = se.ShardStats(), &coord
 	}
 	writeJSON(w, http.StatusOK, out)
 }

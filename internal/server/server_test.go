@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -237,6 +238,29 @@ func TestStats(t *testing.T) {
 	}
 	if out["size_bytes"].(float64) <= 0 {
 		t.Errorf("size_bytes = %v", out["size_bytes"])
+	}
+	// A one-store deployment is a one-shard engine: one shard row, the
+	// coordinator's counters, and the shard metric family for shard 0.
+	getJSON(t, ts.URL+"/search?start=0&end=100&q=alpha", http.StatusOK)
+	out = getJSON(t, ts.URL+"/stats", http.StatusOK)
+	rows, _ := out["shards"].([]any)
+	coord, _ := out["coordinator"].(map[string]any)
+	if len(rows) != 1 || rows[0].(map[string]any)["objects"].(float64) != 3 {
+		t.Errorf("shards = %v, want one row holding all 3 objects", out["shards"])
+	}
+	if coord["shards"] != 1.0 || coord["queries"] != 1.0 {
+		t.Errorf("coordinator = %v, want 1 shard and 1 query", coord)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{`tir_shard_objects{shard="0"} 3`, "tir_shard_queries_total 1"} {
+		if !strings.Contains(string(page), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // buildShardedEngine mirrors buildEngine's tiny corpus on a 2-shard
 // engine, so handler-level expectations carry over unchanged.
-func buildShardedEngine(t testing.TB) *temporalir.Sharded {
+func buildShardedEngine(t testing.TB) *temporalir.Engine {
 	t.Helper()
 	b := temporalir.NewBuilder()
 	b.Add(0, 100, "alpha", "beta")

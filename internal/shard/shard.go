@@ -3,7 +3,7 @@
 // (time-range by default, content hash for unbounded streams), the
 // k-way result mergers the scatter-gather coordinator uses, and the
 // partial-result report type. Everything here is deterministic and
-// side-effect free — the coordinator (temporalir.Sharded) owns the
+// side-effect free — the coordinator (temporalir.Engine) owns the
 // stores, pools and deadlines.
 package shard
 

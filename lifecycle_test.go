@@ -11,101 +11,110 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestLifecycleDifferential drives every method through an
-// insert/delete/compact interleaving and checks the whole query workload
-// against the lifecycle oracle at three points: before compaction, DURING
-// compaction (queries racing the rebuild), and after it. External ids are
-// stable across the physical rewrite, so all three checksums must equal
-// the oracle's.
+// TestLifecycleDifferential drives every method, at one and at four
+// stores, through an insert/delete/compact interleaving and checks the
+// whole query workload against the lifecycle oracle at three points:
+// before compaction, DURING compaction (queries racing the rebuild), and
+// after it. External ids are stable across the physical rewrite, so all
+// three checksums must equal the oracle's.
 func TestLifecycleDifferential(t *testing.T) {
 	w := testutil.DefaultDifferentialWorkloads()[0]
 	c := testutil.RandomCollection(w.Config)
 	queries := w.WorkloadQueries()
 	for _, m := range allMethods() {
-		m := m
 		t.Run(string(m), func(t *testing.T) {
-			eng, err := temporalir.EngineFromCollection(c, m, temporalir.Options{})
-			if err != nil {
-				t.Fatalf("EngineFromCollection: %v", err)
-			}
-			oracle := testutil.NewLifecycleOracle(c)
-
-			// Interleave inserts (terms "e<k>" resolve to existing elem ids
-			// via the EngineFromCollection dictionary) with deletes.
-			for i := 0; i < 60; i++ {
-				if i%3 == 2 {
-					victim := temporalir.ObjectID((i * 7) % len(c.Objects))
-					if oracle.Delete(victim) {
-						if err := eng.Delete(victim); err != nil {
-							t.Fatalf("Delete(%d): %v", victim, err)
-						}
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+					eng, err := temporalir.EngineFromCollectionN(c, m, temporalir.Options{}, shards)
+					if err != nil {
+						t.Fatalf("EngineFromCollection: %v", err)
 					}
-					continue
-				}
-				start := temporalir.Timestamp(w.Config.DomainLo + int64(i*37)%(w.Config.DomainHi-w.Config.DomainLo))
-				end := start + temporalir.Timestamp(i%40)
-				e1 := temporalir.ElemID(i % w.Config.Dict)
-				e2 := temporalir.ElemID((i * 3) % w.Config.Dict)
-				id := eng.Insert(start, end, fmt.Sprintf("e%d", e1), fmt.Sprintf("e%d", e2))
-				oracle.Insert(id, temporalir.NewInterval(start, end), []temporalir.ElemID{e1, e2})
-			}
-
-			wantSum := testutil.WorkloadChecksum(oracle.QueryAll(queries))
-			if got := checksumEngine(t, eng, queries); got != wantSum {
-				t.Fatalf("pre-compaction checksum mismatch: %s != %s", got, wantSum)
-			}
-
-			// Compact with queries in flight: every concurrent batch must
-			// itself be oracle-identical, whichever generation it lands on
-			// (no mutations are running, only the physical rewrite).
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			errs := make(chan string, 8)
-			for r := 0; r < 2; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						rows := make([][]temporalir.ObjectID, len(queries))
-						for i, res := range eng.SearchBatch(queries) {
-							rows[i] = res.IDs
-						}
-						if got := testutil.WorkloadChecksum(rows); got != wantSum {
-							select {
-							case errs <- got:
-							default:
-							}
-							return
-						}
-					}
-				}()
-			}
-			if _, err := eng.Compact(context.Background()); err != nil {
-				t.Fatalf("Compact: %v", err)
-			}
-			close(stop)
-			wg.Wait()
-			select {
-			case got := <-errs:
-				t.Fatalf("mid-compaction checksum mismatch: %s != %s", got, wantSum)
-			default:
-			}
-
-			if got := checksumEngine(t, eng, queries); got != wantSum {
-				t.Fatalf("post-compaction checksum mismatch: %s != %s", got, wantSum)
-			}
-			if eng.Len() != oracle.Len() {
-				t.Fatalf("Len = %d, oracle %d", eng.Len(), oracle.Len())
-			}
-			if st := eng.CompactStats(); st.Tombstones != 0 || st.MemObjects != 0 {
-				t.Fatalf("compaction left residue: %+v", st)
+					testApiLifecycle(eng, t, w, c, queries)
+				})
 			}
 		})
+	}
+}
+
+// testApiLifecycle is TestLifecycleDifferential's body for one engine
+// built over c.
+func testApiLifecycle(eng *temporalir.Engine, t *testing.T, w testutil.DifferentialWorkload, c *temporalir.Collection, queries []temporalir.Query) {
+	oracle := testutil.NewLifecycleOracle(c)
+
+	// Interleave inserts (terms "e<k>" resolve to existing elem ids
+	// via the EngineFromCollection dictionary) with deletes.
+	for i := 0; i < 60; i++ {
+		if i%3 == 2 {
+			victim := temporalir.ObjectID((i * 7) % len(c.Objects))
+			if oracle.Delete(victim) {
+				if err := eng.Delete(victim); err != nil {
+					t.Fatalf("Delete(%d): %v", victim, err)
+				}
+			}
+			continue
+		}
+		start := temporalir.Timestamp(w.Config.DomainLo + int64(i*37)%(w.Config.DomainHi-w.Config.DomainLo))
+		end := start + temporalir.Timestamp(i%40)
+		e1 := temporalir.ElemID(i % w.Config.Dict)
+		e2 := temporalir.ElemID((i * 3) % w.Config.Dict)
+		id := eng.Insert(start, end, fmt.Sprintf("e%d", e1), fmt.Sprintf("e%d", e2))
+		oracle.Insert(id, temporalir.NewInterval(start, end), []temporalir.ElemID{e1, e2})
+	}
+
+	wantSum := testutil.WorkloadChecksum(oracle.QueryAll(queries))
+	if got := checksumEngine(t, eng, queries); got != wantSum {
+		t.Fatalf("pre-compaction checksum mismatch: %s != %s", got, wantSum)
+	}
+
+	// Compact with queries in flight: every concurrent batch must
+	// itself be oracle-identical, whichever generation it lands on
+	// (no mutations are running, only the physical rewrite).
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, 8)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rows := make([][]temporalir.ObjectID, len(queries))
+				for i, res := range eng.SearchBatch(queries) {
+					rows[i] = res.IDs
+				}
+				if got := testutil.WorkloadChecksum(rows); got != wantSum {
+					select {
+					case errs <- got:
+					default:
+					}
+					return
+				}
+			}
+		}()
+	}
+	if _, err := eng.Compact(context.Background()); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case got := <-errs:
+		t.Fatalf("mid-compaction checksum mismatch: %s != %s", got, wantSum)
+	default:
+	}
+
+	if got := checksumEngine(t, eng, queries); got != wantSum {
+		t.Fatalf("post-compaction checksum mismatch: %s != %s", got, wantSum)
+	}
+	if eng.Len() != oracle.Len() {
+		t.Fatalf("Len = %d, oracle %d", eng.Len(), oracle.Len())
+	}
+	if st := eng.CompactStats(); st.Tombstones != 0 || st.MemObjects != 0 {
+		t.Fatalf("compaction left residue: %+v", st)
 	}
 }
 

@@ -22,10 +22,6 @@ import (
 // continue the same id sequence — an engine that is saved, dropped and
 // reloaded is indistinguishable to clients. Version 1 snapshots (which
 // re-assigned dense ids on load) are still accepted.
-//
-// The format is shared by Engine and Sharded: a sharded save merges its
-// shards' live objects back into global insertion order, so either
-// engine kind can load the other's snapshot.
 
 var engineMagic = [4]byte{'T', 'I', 'R', 'E'}
 
@@ -54,39 +50,50 @@ func cappedCap(claimed uint64) int {
 // section. The index itself is not serialized — it is rebuilt on load,
 // which is both simpler and, for every method in the family, fast
 // relative to I/O. The snapshot is consistent: it serializes one
-// generation (base objects, memtable, tombstones and the id table as of
-// a single atomic load), so concurrent inserts, deletes and compactions
-// never tear it.
+// generation per store, each taken with a single atomic load, so
+// concurrent inserts, deletes and compactions never tear it. The stores'
+// live objects merge back into global insertion order with their stable
+// ids, so the file does not depend on the store count.
 func (e *Engine) Save(w io.Writer) error {
-	g := e.snapshot()
-	// The dictionary only grows and every element id in g was interned
-	// before g was published, so a snapshot taken now covers g's objects.
+	gens := e.snapshots()
+	// Read after the snapshots: the dictionary only grows and every
+	// element id in gens was interned before its generation was
+	// published, so the terms read now cover every saved object, and the
+	// allocator is past every id the snapshots hold.
 	e.dmu.RLock()
 	terms := e.dict.TermsSnapshot()
+	dictSize := e.dict.Len()
 	e.dmu.RUnlock()
+	next := e.alloc.Next()
 
-	coll := g.Coll()
-	live := &Collection{DictSize: coll.DictSize}
-	ext := make([]ObjectID, 0, len(coll.Objects))
-	for i := range coll.Objects {
-		if g.Tombstoned(ObjectID(i)) {
-			continue
-		}
-		o := &coll.Objects[i]
-		ext = append(ext, g.ExternalID(ObjectID(i)))
-		live.Objects = append(live.Objects, Object{
-			ID:       ObjectID(len(live.Objects)),
-			Interval: o.Interval,
-			Elems:    o.Elems,
-		})
+	type liveObj struct {
+		ext ObjectID
+		obj *Object
 	}
-	return writeSnapshot(w, terms, live, ext, g.NextExt())
+	var all []liveObj
+	for _, g := range gens {
+		coll := g.Coll()
+		for i := range coll.Objects {
+			if !g.Tombstoned(ObjectID(i)) {
+				all = append(all, liveObj{ext: g.ExternalID(ObjectID(i)), obj: &coll.Objects[i]})
+			}
+		}
+	}
+	if len(gens) > 1 {
+		sort.Slice(all, func(a, b int) bool { return all[a].ext < all[b].ext })
+	}
+	live := &Collection{Objects: make([]Object, len(all)), DictSize: dictSize}
+	ext := make([]ObjectID, len(all))
+	for i, lo := range all {
+		live.Objects[i] = Object{ID: ObjectID(i), Interval: lo.obj.Interval, Elems: lo.obj.Elems}
+		ext[i] = lo.ext
+	}
+	return writeSnapshot(w, terms, live, ext, next)
 }
 
 // writeSnapshot serializes one snapshot: dictionary terms, the live
 // collection (dense ids, insertion order) and its parallel external-id
-// table, then the next-id counter. Both Engine.Save and Sharded.Save
-// reduce to this, which is what keeps the two formats identical.
+// table, then the next-id counter.
 func writeSnapshot(w io.Writer, terms []string, live *Collection, ext []ObjectID, next ObjectID) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(engineMagic[:]); err != nil {
@@ -136,18 +143,24 @@ func writeSnapshot(w io.Writer, terms []string, live *Collection, ext []ObjectID
 	return bw.Flush()
 }
 
-// LoadEngine reads a snapshot written by Save and rebuilds the requested
-// index over it. Version-2 snapshots restore the saved external-id
-// assignment; version-1 snapshots fall back to dense identity ids.
+// LoadEngine reads a snapshot written by Save into a one-store engine
+// and rebuilds the requested index over it. Version-2 snapshots restore
+// the saved external-id assignment; version-1 snapshots fall back to
+// dense identity ids.
 func LoadEngine(r io.Reader, m Method, opts Options) (*Engine, error) {
+	return LoadSharded(r, m, opts, ShardedOptions{Shards: 1})
+}
+
+// LoadSharded is LoadEngine with so's store layout: the snapshot's
+// objects are re-partitioned across the stores. With PartitionTimeRange
+// and zero Bounds the domain derives from the loaded data, matching what
+// BuildSharded would have chosen.
+func LoadSharded(r io.Reader, m Method, opts Options, so ShardedOptions) (*Engine, error) {
 	d, coll, ext, next, err := decodeSnapshot(r)
 	if err != nil {
 		return nil, err
 	}
-	if ext == nil {
-		return newEngine(d, coll, m, opts)
-	}
-	return newEngineWithIdentity(d, coll, m, opts, ext, next)
+	return buildEngine(d, coll, m, opts, so, ext, next)
 }
 
 // decodeSnapshot reads and validates a TIRE snapshot: the dictionary,

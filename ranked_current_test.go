@@ -23,35 +23,13 @@ import (
 // call RefreshScorer.
 
 // rankedTarget is the engine under test, with enough of its inside
-// exposed to build the oracle: the generation(s) a query would run
-// against and the dictionary.
-type rankedTarget interface {
-	Insert(start, end Timestamp, terms ...string) ObjectID
-	Delete(id ObjectID) error
-	Compact(ctx context.Context) (CompactionStats, error)
-	SearchTopK(start, end Timestamp, k int, terms ...string) []ScoredResult
-	gens() []*maint.Generation
-	resolve(terms []string) ([]ElemID, bool)
-}
+// exposed to build the oracle: the generations a query would run
+// against (one per store) and the dictionary.
+type rankedTarget struct{ *Engine }
 
-type engineTarget struct{ *Engine }
-
-func (e engineTarget) gens() []*maint.Generation { return []*maint.Generation{e.snapshot()} }
-func (e engineTarget) resolve(terms []string) ([]ElemID, bool) {
-	return e.resolveTermsTraced(nil, terms)
-}
-
-type shardedTarget struct{ *Sharded }
-
-func (s shardedTarget) gens() []*maint.Generation {
-	out := make([]*maint.Generation, len(s.stores))
-	for i := range out {
-		out[i] = s.snapshotOne(i)
-	}
-	return out
-}
-func (s shardedTarget) resolve(terms []string) ([]ElemID, bool) {
-	return s.resolveTermsTraced(nil, terms)
+func (tg rankedTarget) gens() []*maint.Generation { return tg.snapshots() }
+func (tg rankedTarget) lookup(terms []string) ([]ElemID, bool) {
+	return tg.resolveTermsTraced(nil, terms)
 }
 
 // hitList is a containment "index" over precomputed candidates.
@@ -148,7 +126,7 @@ func newRankedTargets(t *testing.T, rng *rand.Rand) map[string]rankedTarget {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]rankedTarget{"engine": engineTarget{eng}, "sharded4": shardedTarget{sh}}
+	return map[string]rankedTarget{"engine": {eng}, "sharded4": {sh}}
 }
 
 func randomRankedTerms(rng *rand.Rand, late bool) []string {
@@ -168,7 +146,7 @@ func checkRankedProbes(t *testing.T, when string, tg rankedTarget) {
 	for _, p := range rankedProbes {
 		got := tg.SearchTopK(p.start, p.end, 5, p.terms...)
 		var want []ScoredResult
-		if elems, ok := tg.resolve(p.terms); ok {
+		if elems, ok := tg.lookup(p.terms); ok {
 			want = oracleTopK(gens, elems, p.start, p.end, 5)
 		}
 		if !sameScored(got, want) {
@@ -216,7 +194,7 @@ func TestRankedAlwaysCurrent(t *testing.T) {
 				}
 				for _, g := range tg.gens() {
 					sawTombstone = sawTombstone || g.TombstoneCount() > 0
-					if late, ok := tg.resolve([]string{"late0"}); ok && g.MemLen() > 0 && g.DocFreq(late[0]) > 0 {
+					if late, ok := tg.lookup([]string{"late0"}); ok && g.MemLen() > 0 && g.DocFreq(late[0]) > 0 {
 						sawLateInMemtable = true
 					}
 				}
@@ -225,12 +203,12 @@ func TestRankedAlwaysCurrent(t *testing.T) {
 			if !sawTombstone || !sawLateInMemtable {
 				t.Fatalf("the interleaving never held an uncompacted tombstone (%v) or a memtable-only element (%v)", sawTombstone, sawLateInMemtable)
 			}
-			if sh, ok := tg.(shardedTarget); ok {
-				st := sh.ShardStats()
+			if tg.NumShards() == 4 {
+				st := tg.ShardStats()
 				if st[2].Objects == 0 || st[3].Objects != 0 {
 					t.Fatalf("shard layout drifted: shard 2 holds %d objects (want some), shard 3 %d (want none)", st[2].Objects, st[3].Objects)
 				}
-				if sh.CoordinatorStats().ShardsPruned == 0 {
+				if tg.CoordinatorStats().ShardsPruned == 0 {
 					t.Fatal("no probe was pruned by extent")
 				}
 			}
@@ -254,7 +232,7 @@ func TestRankedSnapshotConsistencyUnderCompaction(t *testing.T) {
 			probes := rankedProbes[:3]
 			elems := make([][]ElemID, len(probes))
 			for i, p := range probes {
-				elems[i], _ = tg.resolve(p.terms)
+				elems[i], _ = tg.lookup(p.terms)
 			}
 
 			// history[i][e] is store i's generation with epoch e.

@@ -77,34 +77,3 @@ func newRoutedIndex(c *Collection, opts Options) (Index, error) {
 func NewRouted(c *Collection, methods ...Method) (Index, error) {
 	return NewIndex(Routed, c, Options{RoutedMethods: methods})
 }
-
-// RoutedMethods returns the sub-methods a routed engine dispatches
-// across, in decision order, or nil when the engine does not use the
-// Routed method.
-func (e *Engine) RoutedMethods() []Method {
-	if e.router == nil {
-		return nil
-	}
-	names := e.router.Methods()
-	ms := make([]Method, len(names))
-	for i, n := range names {
-		ms[i] = Method(n)
-	}
-	return ms
-}
-
-// RouteDecisions returns the number of queries routed to each
-// sub-method, aligned with RoutedMethods, or nil for non-routed
-// engines. Counts accumulate across compactions (the router survives
-// rebuilds).
-func (e *Engine) RouteDecisions() []uint64 {
-	if e.router == nil {
-		return nil
-	}
-	n := len(e.router.Methods())
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = e.router.Decisions(i)
-	}
-	return out
-}

@@ -13,7 +13,7 @@ import (
 
 // shardedWithTimeout builds a 4-shard engine over a sizable corpus with
 // the given per-shard deadline.
-func shardedWithTimeout(t *testing.T, timeout time.Duration) (*temporalir.Sharded, *temporalir.Engine, *temporalir.Collection) {
+func shardedWithTimeout(t *testing.T, timeout time.Duration) (*temporalir.Engine, *temporalir.Engine, *temporalir.Collection) {
 	t.Helper()
 	cfg := testutil.CollectionConfig{N: 1500, DomainLo: 0, DomainHi: 20000, Dict: 25, MaxDesc: 6, Seed: 999}
 	c := testutil.RandomCollection(cfg)

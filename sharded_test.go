@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	temporalir "repro"
+	"repro/internal/aggregate"
+	"repro/internal/bruteforce"
 	"repro/internal/model"
+	"repro/internal/rank"
 	"repro/internal/testutil"
 )
 
@@ -33,7 +36,7 @@ func termsFor(elems []model.ElemID) []string {
 // shardedOver builds a 4-shard engine over a collection by replaying
 // its objects through the Builder — the same replay engineOver uses, so
 // the two assign identical ids and intern identical term ids.
-func shardedOver(t *testing.T, c *temporalir.Collection, m temporalir.Method, shards int) *temporalir.Sharded {
+func shardedOver(t *testing.T, c *temporalir.Collection, m temporalir.Method, shards int) *temporalir.Engine {
 	t.Helper()
 	b := temporalir.NewBuilder()
 	for i := range c.Objects {
@@ -63,7 +66,7 @@ func shardDiffQueries() []model.Query {
 // — conjunctive search, ranked top-k and timeline — byte-identically to
 // the single-engine oracle, via SHA-256 workload digests for the id
 // results and exact comparison for scored/bucketed results.
-func assertShardParity(t *testing.T, label string, oracle *temporalir.Engine, sh *temporalir.Sharded, queries []model.Query) {
+func assertShardParity(t *testing.T, label string, oracle *temporalir.Engine, sh *temporalir.Engine, queries []model.Query) {
 	t.Helper()
 	wantRows := make([][]temporalir.ObjectID, len(queries))
 	gotRows := make([][]temporalir.ObjectID, len(queries))
@@ -100,10 +103,135 @@ func assertShardParity(t *testing.T, label string, oracle *temporalir.Engine, sh
 	}
 }
 
-// TestDifferentialSharded is the tentpole acceptance gate: a 4-shard
-// engine must match the single-engine oracle's SHA-256 result digests
-// across all 9 methods, at 0/25/50% deleted, before and after parallel
-// compaction.
+// scanOracle answers the store-count differential from first
+// principles, on no code path the engine uses to answer: a bruteforce
+// scan over the live objects for containment and timelines, and
+// rank.NewScorer over the stored corpus — tombstoned objects included
+// until a compaction drops them — for top-k. Ids are the collection's
+// dense ids, which EngineFromCollection keeps as external ids.
+type scanOracle struct {
+	coll    *model.Collection
+	live    *bruteforce.Index
+	dead    map[model.ObjectID]bool // deleted, still weighed by top-k
+	dropped map[model.ObjectID]bool // deleted and compacted away
+}
+
+func newScanOracle(c *model.Collection) *scanOracle {
+	return &scanOracle{coll: c, live: bruteforce.New(c), dead: map[model.ObjectID]bool{}, dropped: map[model.ObjectID]bool{}}
+}
+
+func (o *scanOracle) delete(id model.ObjectID) {
+	o.live.Delete(id)
+	o.dead[id] = true
+}
+
+// compact drops every deleted object from the ranked corpus.
+func (o *scanOracle) compact() {
+	for id := range o.dead { // lint:map-order-ok set copy
+		o.dropped[id] = true
+	}
+}
+
+// known reports whether every query element has a dictionary term; an
+// unknown term makes top-k and timeline answers nil, as in the engine.
+func (o *scanOracle) known(q model.Query) bool {
+	for _, e := range q.Elems {
+		if int(e) >= o.coll.DictSize {
+			return false
+		}
+	}
+	return true
+}
+
+// hitIDs is a containment "index" over precomputed candidates.
+type hitIDs []model.ObjectID
+
+func (h hitIDs) Query(model.Query) []model.ObjectID { return h }
+
+func (o *scanOracle) topK(q model.Query, k int) []temporalir.ScoredResult {
+	if !o.known(q) {
+		return nil
+	}
+	q.Elems = model.NormalizeElems(append([]model.ElemID(nil), q.Elems...))
+	corpus := &model.Collection{DictSize: o.coll.DictSize}
+	var ext []model.ObjectID
+	var hits hitIDs
+	for _, obj := range o.coll.Objects {
+		id := obj.ID
+		if o.dropped[id] {
+			continue
+		}
+		obj.ID = model.ObjectID(len(corpus.Objects))
+		corpus.Objects = append(corpus.Objects, obj)
+		ext = append(ext, id)
+		if !o.dead[id] && q.Matches(&obj) {
+			hits = append(hits, obj.ID)
+		}
+	}
+	res := rank.TopK(hits, corpus, rank.NewScorer(corpus, rank.ScorerConfig{}), q, k)
+	out := make([]temporalir.ScoredResult, len(res))
+	for i, r := range res {
+		out[i] = temporalir.ScoredResult{ID: ext[r.ID], Score: r.Score}
+	}
+	return out
+}
+
+func (o *scanOracle) timeline(q model.Query, buckets int) []temporalir.TimelineBucket {
+	if !o.known(q) {
+		return nil
+	}
+	out := []temporalir.TimelineBucket{}
+	for _, b := range aggregate.Histogram(o.live, o.coll, q, buckets) {
+		out = append(out, temporalir.TimelineBucket{Start: b.Span.Start, End: b.Span.End, Count: b.Count, Mass: b.Mass})
+	}
+	return out
+}
+
+// elemTerms spells element ids in EngineFromCollection's vocabulary.
+func elemTerms(elems []model.ElemID) []string {
+	terms := make([]string, len(elems))
+	for i, e := range elems {
+		terms[i] = fmt.Sprintf("e%d", e)
+	}
+	return terms
+}
+
+// testApiDifferential checks one engine against the scan oracle: the
+// SHA-256 workload digest of its conjunctive searches, then ranked
+// top-k (ids and score bits) and timelines on a subset.
+func testApiDifferential(e *temporalir.Engine, t *testing.T, label string, o *scanOracle, queries []model.Query) {
+	t.Helper()
+	wantRows := make([][]temporalir.ObjectID, len(queries))
+	gotRows := make([][]temporalir.ObjectID, len(queries))
+	for i, q := range queries {
+		wantRows[i] = testutil.Canonical(o.live.Query(q))
+		gotRows[i] = e.Search(q.Interval.Start, q.Interval.End, elemTerms(q.Elems)...)
+	}
+	if got, want := testutil.WorkloadChecksum(gotRows), testutil.WorkloadChecksum(wantRows); got != want {
+		for i := range queries {
+			if !model.EqualIDs(gotRows[i], wantRows[i]) {
+				t.Fatalf("%s: query %d (%v elems=%v): engine %v, oracle %v",
+					label, i, queries[i].Interval, queries[i].Elems, gotRows[i], wantRows[i])
+			}
+		}
+		t.Fatalf("%s: workload digest %s != oracle %s", label, got, want)
+	}
+	for i := 0; i < len(queries); i += 7 {
+		q := queries[i]
+		terms := elemTerms(q.Elems)
+		if got, want := e.SearchTopK(q.Interval.Start, q.Interval.End, 10, terms...), o.topK(q, 10); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: top-k query %d: engine %v, oracle %v", label, i, got, want)
+		}
+		if got, want := e.Timeline(q.Interval.Start, q.Interval.End, 7, terms...), o.timeline(q, 7); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: timeline query %d: engine %v, oracle %v", label, i, got, want)
+		}
+	}
+}
+
+// TestDifferentialSharded is the store-layout acceptance gate: engines
+// of 1 and 4 stores must match the scan oracle's SHA-256 result digests
+// across all 9 methods, at 0/25/50% deleted, before and after
+// (parallel) compaction.
 func TestDifferentialSharded(t *testing.T) {
 	c := testutil.RandomCollection(shardDiffConfig)
 	queries := shardDiffQueries()
@@ -116,52 +244,60 @@ func TestDifferentialSharded(t *testing.T) {
 		{"del50", 2},
 	}
 	for _, m := range all9Methods() {
-		m := m
 		t.Run(string(m), func(t *testing.T) {
 			for _, frac := range fractions {
-				frac := frac
 				t.Run(frac.name, func(t *testing.T) {
-					oracle := engineOver(t, c, m)
-					sh := shardedOver(t, c, m, 4)
-					sh.SetParallelism(4)
-					if ns := sh.NumShards(); ns != 4 {
-						t.Fatalf("NumShards = %d, want 4", ns)
+					for _, shards := range []int{1, 4} {
+						t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+							testApiStoreLayout(t, c, m, shards, frac.mod, queries)
+						})
 					}
-					if frac.mod > 0 {
-						for id := 0; id < len(c.Objects); id++ {
-							if id%frac.mod != 1 {
-								continue
-							}
-							if err := oracle.Delete(temporalir.ObjectID(id)); err != nil {
-								t.Fatalf("oracle delete %d: %v", id, err)
-							}
-							if err := sh.Delete(temporalir.ObjectID(id)); err != nil {
-								t.Fatalf("sharded delete %d: %v", id, err)
-							}
-						}
-					}
-					if ol, sl := oracle.Len(), sh.Len(); ol != sl {
-						t.Fatalf("live count diverged: oracle %d, sharded %d", ol, sl)
-					}
-					assertShardParity(t, "pre-compaction", oracle, sh, queries)
-
-					if _, err := oracle.Compact(context.Background()); err != nil {
-						t.Fatalf("oracle compact: %v", err)
-					}
-					if _, err := sh.Compact(context.Background()); err != nil {
-						t.Fatalf("sharded compact: %v", err)
-					}
-					// With tombstones present every shard has work, so the
-					// parallel fan-out must have compacted all four; at del0
-					// each shard legitimately no-ops.
-					if st := sh.CompactStats(); frac.mod > 0 && st.Compactions < 4 {
-						t.Fatalf("parallel compaction ran on %d shards, want 4", st.Compactions)
-					}
-					assertShardParity(t, "post-compaction", oracle, sh, queries)
 				})
 			}
 		})
 	}
+}
+
+// testApiStoreLayout builds a shards-store engine of method m, deletes
+// the ids where id % mod == 1 (none for mod 0), and checks it against
+// the scan oracle before and after compaction.
+func testApiStoreLayout(t *testing.T, c *model.Collection, m temporalir.Method, shards, mod int, queries []model.Query) {
+	e, err := temporalir.EngineFromCollectionN(c, m, temporalir.Options{}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetParallelism(4)
+	if ns := e.NumShards(); ns != shards {
+		t.Fatalf("NumShards = %d, want %d", ns, shards)
+	}
+	o := newScanOracle(c)
+	if mod > 0 {
+		for id := 0; id < len(c.Objects); id++ {
+			if id%mod != 1 {
+				continue
+			}
+			o.delete(temporalir.ObjectID(id))
+			if err := e.Delete(temporalir.ObjectID(id)); err != nil {
+				t.Fatalf("delete %d: %v", id, err)
+			}
+		}
+	}
+	if ol, el := o.live.Len(), e.Len(); ol != el {
+		t.Fatalf("live count diverged: oracle %d, engine %d", ol, el)
+	}
+	testApiDifferential(e, t, "pre-compaction", o, queries)
+
+	if _, err := e.Compact(context.Background()); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	o.compact()
+	// With tombstones present every store has work, so the parallel
+	// fan-out must have compacted all of them; without deletions each
+	// store legitimately no-ops.
+	if st := e.CompactStats(); mod > 0 && st.Compactions < uint64(shards) {
+		t.Fatalf("parallel compaction ran on %d stores, want %d", st.Compactions, shards)
+	}
+	testApiDifferential(e, t, "post-compaction", o, queries)
 }
 
 // TestShardedInsertParity grows an initially empty sharded engine and a

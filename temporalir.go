@@ -28,7 +28,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dict"
 	"repro/internal/exec"
 	"repro/internal/join"
 	"repro/internal/maint"
@@ -251,31 +250,10 @@ type (
 	CompactionPolicy = maint.Policy
 )
 
-// ErrCompactionRunning is returned by Engine.Compact when a compaction
-// (manual or policy-triggered) is already in flight.
+// ErrCompactionRunning is the error Engine.Compact wraps (test it with
+// errors.Is) when a store's compaction (manual or policy-triggered) is
+// already in flight.
 var ErrCompactionRunning = maint.ErrCompactionRunning
-
-// EngineFromCollection builds an Engine directly over an element-id
-// collection, synthesizing placeholder terms ("e0", "e1", ...) for the
-// dictionary — the bridge from the id-level data path (synthetic
-// corpora, benchmarks) to the full engine lifecycle. The collection is
-// copied; the caller's slice stays detached.
-func EngineFromCollection(c *Collection, m Method, opts Options) (*Engine, error) {
-	coll := &Collection{
-		Objects:  append([]Object(nil), c.Objects...),
-		DictSize: c.DictSize,
-	}
-	n := coll.DictSize
-	terms := make([]string, n)
-	for i := range terms {
-		terms[i] = fmt.Sprintf("e%d", i)
-	}
-	d := dict.FromTerms(terms)
-	for i := range coll.Objects {
-		d.AddElems(coll.Objects[i].Elems)
-	}
-	return newEngine(d, coll, m, opts)
-}
 
 // JoinPair is one temporal-join result.
 type JoinPair = join.Pair

@@ -138,7 +138,7 @@ func TestEngineSearch(t *testing.T) {
 	if _, _, err := e.Object(99); err == nil {
 		t.Error("Object(99) should fail")
 	}
-	if e.Method() != IRHintPerf || e.Index() == nil || e.SizeBytes() <= 0 {
+	if e.Method() != IRHintPerf || e.NumShards() != 1 || e.SizeBytes() <= 0 {
 		t.Error("Engine accessors misbehaved")
 	}
 }
