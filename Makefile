@@ -27,29 +27,10 @@ race:
 invariants:
 	$(GO) test -tags invariants . ./internal/domain ./internal/postings ./internal/hint ./internal/tifhint ./internal/core ./internal/sharding ./internal/maint
 
-# Deterministic perf snapshots: fixed seed and workload, written as JSON
-# for the perf trajectory (per-method latency/size, the tombstone-load
-# before/after-compaction series, the observability overhead + per-stage
-# breakdown, then the post-lint-sweep snapshot confirming the v3
-# annotation/ctx fixes did not regress qps, then the post-allocation-
-# contract snapshot, then the bitmap-container + adaptive-router
-# snapshot (routejson adds the routed method row and per-regime routing
-# quality), then the multi-tenant serving snapshot (tenantjson adds
-# per-tenant qps/p99/fairness at 1/4/16 tenants), each diffed against
-# its predecessor by benchdiff.
+# The serving benchmark (benchmark/, gated by BENCHMARK.json): one run
+# of each workload.
 bench:
-	$(GO) run ./cmd/irbench -exp perfjson -scale 0.02 -queries 300 -seed 42 -json BENCH_pr3.json
-	$(GO) run ./cmd/irbench -exp tombstone -scale 0.02 -queries 200 -seed 42 -json BENCH_pr4.json
-	$(GO) run ./cmd/irbench -exp obsjson -scale 0.02 -queries 300 -seed 42 -stages -json BENCH_pr5.json
-	$(GO) run ./cmd/irbench -exp obsjson -scale 0.02 -queries 300 -seed 42 -stages -json BENCH_pr6.json
-	$(GO) run ./cmd/irbench -exp obsjson -scale 0.02 -queries 300 -seed 42 -stages -json BENCH_pr7.json
-	$(GO) run ./cmd/benchdiff -old BENCH_pr6.json -new BENCH_pr7.json
-	$(GO) run ./cmd/irbench -exp routejson -scale 0.02 -queries 300 -seed 42 -json BENCH_pr8.json
-	$(GO) run ./cmd/benchdiff -old BENCH_pr7.json -new BENCH_pr8.json
-	$(GO) run ./cmd/irbench -exp tenantjson -scale 0.02 -queries 300 -seed 42 -json BENCH_pr9.json
-	$(GO) run ./cmd/benchdiff -old BENCH_pr8.json -new BENCH_pr9.json
-	$(GO) run ./cmd/irbench -exp shardjson -scale 0.02 -queries 300 -seed 42 -json BENCH_pr10.json
-	$(GO) run ./cmd/benchdiff -old BENCH_pr9.json -new BENCH_pr10.json
+	for w in lib_point lib_methods http_point http_mixed; do bash benchmark/run.sh -workload $$w -seed 1 || exit 1; done
 
 # Re-measure the hot-path allocation budgets (BENCH_BUDGET.json), then
 # re-run the gate against the fresh numbers. -p 1 keeps the in-process

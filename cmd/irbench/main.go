@@ -26,8 +26,6 @@ func main() {
 		queries = flag.Int("queries", 1000, "queries per measurement point")
 		seed    = flag.Int64("seed", 42, "generator seed")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		jsonOut = flag.String("json", "", "write the experiment's JSON artifact to this path (perfjson, obsjson)")
-		stages  = flag.Bool("stages", false, "trace measured queries and emit the per-stage breakdown into the JSON artifact")
 	)
 	flag.Parse()
 
@@ -42,7 +40,7 @@ func main() {
 		return
 	}
 
-	cfg := bench.Config{Scale: *scale, NumQueries: *queries, Seed: *seed, Out: os.Stdout, JSONPath: *jsonOut, Stages: *stages}
+	cfg := bench.Config{Scale: *scale, NumQueries: *queries, Seed: *seed, Out: os.Stdout}
 
 	run := func(e bench.Experiment) {
 		fmt.Printf("== %s: %s (scale=%g, queries=%d) ==\n", e.Name, e.Title, *scale, *queries)

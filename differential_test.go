@@ -1,12 +1,14 @@
 package temporalir_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
 
 	temporalir "repro"
 	"repro/internal/bruteforce"
+	"repro/internal/obs"
 	"repro/internal/testutil"
 )
 
@@ -84,7 +86,10 @@ func TestDifferentialBatchMatchesSerial(t *testing.T) {
 // cutoff: full-domain queries over a 3 000-object corpus whose element 0
 // is on most objects, issued through Engine.Search to all nine methods.
 // Each answer must come back exactly as the oracle's canonical set —
-// ascending, deduplicated — and the workload digest must match.
+// ascending, deduplicated — and the workload digest must match. Every
+// query is then issued again with an obs.Trace on its context: tracing
+// must record stages and never change an answer, so that digest must
+// match too.
 func TestDifferentialWideAnswers(t *testing.T) {
 	cfg := testutil.CollectionConfig{N: 3000, DomainLo: 0, DomainHi: 5000, Dict: 6, MaxDesc: 4, Seed: 1005}
 	c := testutil.RandomCollection(cfg)
@@ -107,6 +112,9 @@ func TestDifferentialWideAnswers(t *testing.T) {
 	for _, m := range append(allMethods(), temporalir.Routed) {
 		eng := engineOver(t, c, m)
 		got := make([][]temporalir.ObjectID, len(queries))
+		traced := make([][]temporalir.ObjectID, len(queries))
+		tr := obs.NewTrace("search")
+		ctx := obs.ContextWithTrace(context.Background(), tr)
 		for i, q := range queries {
 			terms := make([]string, len(q.Elems))
 			for j, e := range q.Elems {
@@ -117,9 +125,19 @@ func TestDifferentialWideAnswers(t *testing.T) {
 				t.Errorf("%s: query %d (%v elems=%v): %d ids differ from the oracle's %d in order or content",
 					m, i, q.Interval, q.Elems, len(got[i]), len(want[i]))
 			}
+			var err error
+			if traced[i], err = eng.SearchCtx(ctx, q.Interval.Start, q.Interval.End, terms...); err != nil {
+				t.Fatalf("%s: traced query %d: %v", m, i, err)
+			}
 		}
 		if sum := testutil.WorkloadChecksum(got); sum != wantSum {
 			t.Errorf("%s: workload checksum %s differs from oracle %s", m, sum, wantSum)
+		}
+		if sum := testutil.WorkloadChecksum(traced); sum != wantSum {
+			t.Errorf("%s: traced workload checksum %s differs from oracle %s", m, sum, wantSum)
+		}
+		if len(tr.Summary().Stages) == 0 {
+			t.Errorf("%s: traced queries recorded no stages", m)
 		}
 	}
 }

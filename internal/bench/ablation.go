@@ -109,6 +109,10 @@ func RunAblations(cfg Config) {
 	t.Fprint(cfg.Out)
 }
 
+// equivalenceBroken is the row RunVerify prints under an index that
+// disagreed with the oracle on at least one query.
+const equivalenceBroken = "!! EQUIVALENCE BROKEN !!"
+
 // RunVerify cross-checks every index against the brute-force oracle on
 // fresh workloads at the configured scale — the result-equivalence
 // invariant behind all throughput comparisons, promoted to a runnable
@@ -139,7 +143,7 @@ func RunVerify(cfg Config) {
 			}
 			t.Add(shortName(m), fmt.Sprint(len(queries)), fmt.Sprint(mismatches))
 			if mismatches > 0 {
-				t.Add("", "", "!! EQUIVALENCE BROKEN !!")
+				t.Add("", "", equivalenceBroken)
 			}
 		}
 		t.Fprint(cfg.Out)

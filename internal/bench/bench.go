@@ -32,13 +32,6 @@ type Config struct {
 	Seed int64
 	// Out receives the rendered tables.
 	Out io.Writer
-	// JSONPath, when set, receives the machine-readable artifact of
-	// experiments that produce one (perfjson, obsjson).
-	JSONPath string
-	// Stages, when set, attaches an obs.Trace recorder to the measured
-	// queries and emits the per-stage breakdown (postings fetch,
-	// intersection, ...) into the JSON artifact's method rows.
-	Stages bool
 }
 
 // Normalize fills defaults.
@@ -76,12 +69,6 @@ func Experiments() []Experiment {
 		{"table7", "Table 7: deletion update costs", RunTable7},
 		{"ablation", "Ablations: m tuning, traversal order, de-dup, compression", RunAblations},
 		{"verify", "Verification: result equivalence of every index vs brute force", RunVerify},
-		{"perfjson", "Deterministic per-method perf snapshot written as JSON", RunPerfJSON},
-		{"tombstone", "Tombstone load: query latency vs deleted fraction, before/after compaction", RunTombstone},
-		{"obsjson", "Observability: disabled-trace overhead budget + per-stage query breakdown", RunObsJSON},
-		{"routejson", "Adaptive routing: per-regime throughput + router hit-rate vs best sub-build", RunRouteJSON},
-		{"tenantjson", "Multi-tenant serving: per-tenant qps, tail latency and fairness at 1/4/16 tenants", RunTenantJSON},
-		{"shardjson", "Engine over N stores: insert/compaction scaling at 1/2/4/8 shards + partial-result contract", RunShardJSON},
 	}
 }
 

@@ -2,11 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	temporalir "repro"
 	"repro/internal/gen"
+	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/testutil"
 )
 
 // tiny returns a config small enough for unit tests.
@@ -27,8 +31,8 @@ func TestConfigNormalize(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 17 {
-		t.Fatalf("registry has %d experiments, want 17", len(exps))
+	if len(exps) != 11 {
+		t.Fatalf("registry has %d experiments, want 11", len(exps))
 	}
 	for _, e := range exps {
 		if e.Run == nil || e.Name == "" || e.Title == "" {
@@ -179,30 +183,10 @@ func TestExperimentSmoke(t *testing.T) {
 					t.Errorf("output missing %q:\n%s", w, firstLines(buf.String(), 30))
 				}
 			}
+			if strings.Contains(buf.String(), equivalenceBroken) {
+				t.Errorf("an index disagreed with the oracle:\n%s", buf.String())
+			}
 		})
-	}
-}
-
-// TestTombstoneSmoke runs the tombstone-load driver at tiny scale; a
-// WARNING line means a checksum diverged across methods or across the
-// 50%-deleted/compacted states, which is a correctness failure, not a
-// perf blip.
-func TestTombstoneSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke tests are slow")
-	}
-	var buf bytes.Buffer
-	cfg := tiny()
-	cfg.Out = &buf
-	RunTombstone(cfg)
-	out := buf.String()
-	for _, w := range []string{"Tombstone load", "compacted", "reclaimed"} {
-		if !strings.Contains(out, w) {
-			t.Errorf("output missing %q:\n%s", w, firstLines(out, 30))
-		}
-	}
-	if strings.Contains(out, "WARNING") {
-		t.Errorf("checksum divergence:\n%s", out)
 	}
 }
 
@@ -217,6 +201,41 @@ func TestFig12Smoke(t *testing.T) {
 		if !strings.Contains(buf.String(), w) {
 			t.Errorf("fig12 output missing %q", w)
 		}
+	}
+}
+
+// TestPerfJSONStagesParity checks that tracing never changes results:
+// every method answers the benchmark workload once plainly and once
+// with an obs.Trace on each query, and the two workload checksums must
+// be identical. At least one method must record a stage breakdown, so
+// the traced pass really exercised the instrumented paths.
+func TestPerfJSONStagesParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke tests are slow")
+	}
+	cfg := tiny()
+	ds := eclogOnly(cfg)
+	queries := defaultWorkload(ds.Coll, cfg)
+	tracedBreakdowns := 0
+	for _, m := range append([]temporalir.Method{temporalir.TIF}, temporalir.Methods()...) {
+		ix, _ := MeasureBuild(m, ds.Coll, temporalir.Options{})
+		tr := obs.NewTrace(string(m))
+		plain := make([][]model.ObjectID, len(queries))
+		traced := make([][]model.ObjectID, len(queries))
+		for i, q := range queries {
+			plain[i] = slices.Clone(ix.Query(q))
+			q.Trace = tr
+			traced[i] = slices.Clone(ix.Query(q))
+		}
+		if got, want := testutil.WorkloadChecksum(traced), testutil.WorkloadChecksum(plain); got != want {
+			t.Errorf("%s: traced checksum %s != untraced %s", m, got, want)
+		}
+		if len(tr.Summary().Stages) > 0 {
+			tracedBreakdowns++
+		}
+	}
+	if tracedBreakdowns == 0 {
+		t.Error("no method reported a stage breakdown with tracing on")
 	}
 }
 

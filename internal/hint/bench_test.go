@@ -61,16 +61,6 @@ func BenchmarkCountRange(b *testing.B) {
 	}
 }
 
-func BenchmarkAllenDuring(b *testing.B) {
-	ix, queries := benchIndex(b)
-	var dst []model.ObjectID
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = ix.AllenQuery(RelDuring, queries[i%len(queries)], dst[:0])
-	}
-}
-
 func BenchmarkInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	entries := randomEntries(rng, 50_000, 0, 1<<20)

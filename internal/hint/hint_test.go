@@ -366,6 +366,20 @@ func TestCountRangeMatchesRangeQuery(t *testing.T) {
 	}
 }
 
+func TestRangeQueryTopDownEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	entries := randomEntries(rng, 700, 0, 4095)
+	ix := Build(domain.New(0, 4095, 9), entries)
+	for trial := 0; trial < 200; trial++ {
+		q := model.Canon(model.Timestamp(rng.Intn(4096)), model.Timestamp(rng.Intn(4096)))
+		a := canon(ix.RangeQuery(q, nil))
+		b := canon(ix.RangeQueryTopDown(q, nil))
+		if !model.EqualIDs(a, b) {
+			t.Fatalf("q=%v: bottom-up %d ids, top-down %d ids", q, len(a), len(b))
+		}
+	}
+}
+
 func TestEstimateM(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	span := iv(0, 1<<20)

@@ -255,20 +255,12 @@ func (t *Trace) Summary() Summary {
 }
 
 // StageTotal returns the accumulated duration of one stage (zero on a
-// nil trace). Used by tests and the bench harness.
+// nil trace). The benchmark reads it for its per-layer stage metrics.
 func (t *Trace) StageTotal(s Stage) time.Duration {
 	if t == nil || s >= NumStages {
 		return 0
 	}
 	return time.Duration(t.stageNS[s].Load())
-}
-
-// StageCount returns how many spans were recorded for one stage.
-func (t *Trace) StageCount(s Stage) int64 {
-	if t == nil || s >= NumStages {
-		return 0
-	}
-	return t.stageN[s].Load()
 }
 
 // traceKey carries a *Trace through a context.

@@ -97,10 +97,10 @@ func BucketOf(f Features) int {
 }
 
 // PriorCost seeds the cost model from the paper's regime findings
-// (Section 5.3-5.5, mirrored in the repo's BENCH_pr7 trajectory), in
-// nanoseconds per query at the default benchmark scale. The absolute
-// values only set the starting order within each bucket; online EWMA
-// updates converge the table onto the deployment's real costs.
+// (Section 5.3-5.5), in nanoseconds per query at the default benchmark
+// scale. The absolute values only set the starting order within each
+// bucket; online EWMA updates converge the table onto the deployment's
+// real costs.
 //
 // The encoded regime knowledge: irHINT-perf is the overall winner;
 // plain tIF wins when the rarest element is very infrequent (its

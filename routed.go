@@ -71,9 +71,3 @@ func newRoutedIndex(c *Collection, opts Options) (Index, error) {
 	}
 	return route.NewIndex(names, classes, subs, c), nil
 }
-
-// NewRouted builds the adaptive routed index (nil methods = the tuned
-// default set).
-func NewRouted(c *Collection, methods ...Method) (Index, error) {
-	return NewIndex(Routed, c, Options{RoutedMethods: methods})
-}

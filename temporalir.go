@@ -190,55 +190,6 @@ func irOpts(opts Options) []core.Option {
 	return o
 }
 
-// Typed constructors for discoverability.
-
-// NewTIF builds the base temporal inverted file.
-func NewTIF(c *Collection) Index { return tif.New(c) }
-
-// NewTIFSlicing builds tIF+Slicing with the given slice count (0 =
-// paper-tuned 50).
-func NewTIFSlicing(c *Collection, slices int) Index {
-	ix, _ := NewIndex(TIFSlicing, c, Options{Slices: slices})
-	return ix
-}
-
-// NewTIFSharding builds tIF+Sharding with the given shard budget
-// (0 = default, negative = unlimited ideal shards).
-func NewTIFSharding(c *Collection, maxShards int) Index {
-	ix, _ := NewIndex(TIFSharding, c, Options{MaxShards: maxShards})
-	return ix
-}
-
-// NewTIFHintBinary builds the binary-search tIF+HINT variant.
-func NewTIFHintBinary(c *Collection, m int) Index {
-	ix, _ := NewIndex(TIFHintBinary, c, Options{M: m})
-	return ix
-}
-
-// NewTIFHintMerge builds the merge-sort tIF+HINT variant.
-func NewTIFHintMerge(c *Collection, m int) Index {
-	ix, _ := NewIndex(TIFHintMerge, c, Options{M: m})
-	return ix
-}
-
-// NewTIFHintSlicing builds the dual-copy hybrid.
-func NewTIFHintSlicing(c *Collection, m, slices int) Index {
-	ix, _ := NewIndex(TIFHintSlicing, c, Options{M: m, Slices: slices})
-	return ix
-}
-
-// NewIRHintPerf builds the performance irHINT (m = 0 runs the cost model).
-func NewIRHintPerf(c *Collection, m int) Index {
-	ix, _ := NewIndex(IRHintPerf, c, Options{M: m})
-	return ix
-}
-
-// NewIRHintSize builds the size irHINT (m = 0 runs the cost model).
-func NewIRHintSize(c *Collection, m int) Index {
-	ix, _ := NewIndex(IRHintSize, c, Options{M: m})
-	return ix
-}
-
 // Generational-store surface, aliased from internal/maint so callers
 // configure compaction without importing internal packages.
 type (

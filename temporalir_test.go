@@ -71,18 +71,27 @@ func TestUnknownMethod(t *testing.T) {
 	}
 }
 
+// TestTypedConstructors builds every method through NewIndex with the
+// per-method options (slices, shard budget, m) a caller would pass.
 func TestTypedConstructors(t *testing.T) {
 	c := exampleCollection()
-	for name, ix := range map[string]Index{
-		"tif":     NewTIF(c),
-		"slicing": NewTIFSlicing(c, 4),
-		"shard":   NewTIFSharding(c, 0),
-		"binary":  NewTIFHintBinary(c, 3),
-		"merge":   NewTIFHintMerge(c, 3),
-		"hybrid":  NewTIFHintSlicing(c, 3, 4),
-		"perf":    NewIRHintPerf(c, 3),
-		"size":    NewIRHintSize(c, 3),
+	for name, tc := range map[string]struct {
+		m    Method
+		opts Options
+	}{
+		"tif":     {TIF, Options{}},
+		"slicing": {TIFSlicing, Options{Slices: 4}},
+		"shard":   {TIFSharding, Options{MaxShards: 0}},
+		"binary":  {TIFHintBinary, Options{M: 3}},
+		"merge":   {TIFHintMerge, Options{M: 3}},
+		"hybrid":  {TIFHintSlicing, Options{M: 3, Slices: 4}},
+		"perf":    {IRHintPerf, Options{M: 3}},
+		"size":    {IRHintSize, Options{M: 3}},
 	} {
+		ix, err := NewIndex(tc.m, c, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if ix == nil {
 			t.Fatalf("%s: nil index", name)
 		}
