@@ -19,13 +19,11 @@ import (
 	"strings"
 
 	"repro/internal/tools/irlint"
-	"repro/internal/tools/irlint/perf"
 )
 
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	noEscapes := flag.Bool("no-escape-facts", false, "skip go build -m=2 escape-fact collection (alloc-hot runs syntactic checks only)")
 	flag.Parse()
 
 	analyzers := irlint.Analyzers()
@@ -66,13 +64,7 @@ func main() {
 		defer os.Exit(2)
 	}
 
-	pr := irlint.NewProgram(pkgs)
-	if !*noEscapes {
-		// Lazy: collection runs only if an irlint:hot root exists in the
-		// loaded set, and the compile output replays from the build cache.
-		pr.EscapeSource = func() (*perf.Table, error) { return perf.Collect(".") }
-	}
-	diags := irlint.RunOn(pr, analyzers)
+	diags := irlint.Run(pkgs, analyzers)
 	for _, d := range diags {
 		fmt.Println(d)
 	}

@@ -1,10 +1,9 @@
-// Package allocbudget is the dynamic half of the irlint v4 allocation
-// contracts: checked-in per-kernel allocation budgets, enforced by tier-1
-// tests. The static analyzers (alloc-hot, append-grow, defer-in-loop,
-// iface-dispatch) prove the shape of the hot path; this package pins the
-// measured steady-state allocs/op and B/op of the annotated kernels so a
-// regression the static layer cannot see — a stdlib change, an escape the
-// compiler starts making, a lost buffer reuse — fails CI.
+// Package allocbudget is the repository's allocation contract:
+// checked-in per-kernel allocation budgets, enforced by tier-1 tests. It
+// pins the measured steady-state allocs/op and B/op of the query kernels,
+// whole queries and bulk builds, so any new allocation on those paths —
+// an escaping make, an unsized append in a loop, a lost buffer reuse, an
+// escape the compiler starts making — fails CI.
 //
 // Budgets live in BENCH_BUDGET.json at the module root. `make benchmem`
 // re-measures and rewrites the file (ALLOC_BUDGET_RECORD=1), then

@@ -60,8 +60,6 @@ func NewIterator(buf []byte) *Iterator {
 
 // Next decodes one posting into p, reporting false at the end of the
 // list (or on corruption, which only truncates).
-//
-// irlint:hot the per-posting decode step of every compressed query
 func (it *Iterator) Next(p *postings.Posting) bool {
 	if it.pos >= len(it.buf) {
 		return false

@@ -54,8 +54,6 @@ func (ix *TIF) Len() int { return ix.live }
 // The iterator is a stack value (no per-query allocation) and the
 // candidate buffer is pre-sized to the first list's entry count, so the
 // decode loops never reallocate.
-//
-// irlint:hot compressed-variant per-query entry point
 func (ix *TIF) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return ix.queryTemporalOnly(q.Interval)
@@ -65,7 +63,6 @@ func (ix *TIF) Query(q model.Query) []model.ObjectID {
 	if int(first) >= len(ix.lists) || ix.lists[first] == nil {
 		return nil
 	}
-	// lint:alloc-ok single candidate buffer per query, pre-sized to the first list's entry count
 	cands := make([]model.ObjectID, 0, ix.counts[first])
 	it := Iterator{buf: ix.lists[first]}
 	var p postings.Posting
@@ -126,7 +123,6 @@ func (ix *TIF) queryTemporalOnly(q model.Interval) []model.ObjectID {
 		}
 		// Establish capacity for this list's matches before the decode
 		// loop; growth amortizes to one allocation per non-empty list.
-		// lint:alloc-ok amortized growth, at most one allocation per non-empty list
 		out = slices.Grow(out, ix.counts[e])
 		it := Iterator{buf: ix.lists[e]}
 		for it.Next(&p) {

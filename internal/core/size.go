@@ -214,8 +214,6 @@ func (ix *SizeIndex) growTo(n int) {
 // bitmap, tests each store entry, and clears the same bits again, so the
 // bitmap is all-zero between divisions. That changes the speed, not the
 // result.
-//
-// irlint:hot size-variant per-query entry point
 func (ix *SizeIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return ix.queryTemporalOnly(q)

@@ -147,7 +147,6 @@ func FreqsFromCollection(c *model.Collection) []int {
 // generic slices.SortFunc avoids the interface boxing sort.Slice pays,
 // so planning allocates exactly one small copy per query.
 func PlanOrder(elems []model.ElemID, freqs []int) []model.ElemID {
-	// lint:alloc-ok per-query plan copy, bounded by the handful of query elements
 	out := append([]model.ElemID(nil), elems...)
 	freq := func(e model.ElemID) int {
 		if int(e) < len(freqs) {

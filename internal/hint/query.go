@@ -73,8 +73,6 @@ func Visit(dom domain.Domain, q model.Interval, fn func(LevelVisit)) {
 // RangeQuery returns the ids of all live intervals overlapping q
 // (Algorithm 2 with the subs+sort subdivisions). The output order is the
 // traversal order, not id order; each id appears exactly once.
-//
-// irlint:hot the HINT traversal every HINT-backed method pays per query
 func (ix *Index) RangeQuery(q model.Interval, dst []model.ObjectID) []model.ObjectID {
 	Visit(ix.dom, q, func(lv LevelVisit) {
 		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *Partition) {
@@ -238,8 +236,6 @@ func (ix *Index) VisitRelevant(q model.Interval, fn func(p *Partition, ob Obliga
 // packed-bitmap word probe: O(1) per entry instead of the paper's binary
 // search into the sorted candidate set. bm is only read, so concurrent
 // probes may share it.
-//
-// irlint:hot the Algorithm 3 probe path of the tIF+HINT binary variant
 func (ix *Index) RangeQueryFilteredBitmap(q model.Interval, bm *postings.Bitmap, dst []model.ObjectID) []model.ObjectID {
 	ix.VisitRelevant(q, func(p *Partition, ob Obligations) {
 		dst = reportPartitionBitmap(p, ob, q, bm, dst)

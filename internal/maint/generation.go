@@ -92,8 +92,6 @@ func (g *Generation) Base() Index { return g.base }
 // ranked search weighs e by — always current, and exactly what
 // Coll().ElemFreqs() would report (tombstoned objects count until
 // compaction drops them).
-//
-// irlint:hot per-element statistics lookup of every ranked query
 func (g *Generation) DocFreq(e model.ElemID) int {
 	df := 0
 	if int(e) < len(g.baseDF) {

@@ -46,12 +46,9 @@ func NewInterval(start, end Timestamp) Interval {
 }
 
 // panicInvalidInterval formats the constructor-precondition panic outside
-// NewInterval, which is inlined into query kernels: keeping the Sprintf
-// here (noinline, or the outlining is undone and the escaping arguments
-// re-attribute to every hot call site) keeps NewInterval's inlined body
-// small and allocation-free.
-//
-// irlint:cold panic path, executes at most once and then unwinds
+// NewInterval, which is inlined into query kernels. Noinline because the
+// compiler would otherwise inline it back, and the Sprintf call pushes
+// NewInterval past the inliner's budget.
 //
 //go:noinline
 func panicInvalidInterval(start, end Timestamp) {
@@ -321,7 +318,6 @@ func radixSort(ids []ObjectID, hi ObjectID) {
 
 	s := sortPool.Get().(*sortScratch)
 	if cap(s.buf) < len(ids) {
-		// lint:alloc-ok pooled scratch grows to the widest answer once, then is reused
 		s.buf = make([]ObjectID, len(ids))
 	}
 	counts := s.count[:passes]

@@ -44,3 +44,30 @@ func TestAllocBudget(t *testing.T) {
 	small := cands[:min(64, len(cands))]
 	allocbudget.Gate(t, "postings/IntersectGalloping", func() { dst = IntersectGalloping(small, other, dst[:0]) })
 }
+
+// TestAllocBudgetDispatch pins the container-aware dispatch kernels, the
+// temporal filter and the tombstone subtraction: with a reused dst each is
+// allocation-free once warmed up. MergeSortedIDLists returns a fresh
+// slice, so it pays exactly one exactly-sized allocation per merge.
+// `make benchmem` re-records.
+func TestAllocBudgetDispatch(t *testing.T) {
+	l, cands := benchLists(10_000)
+	small := cands[:min(64, len(cands))]
+
+	var dst []model.ObjectID
+	allocbudget.Gate(t, "postings/IntersectAnySorted", func() { dst = IntersectAnySorted(small, cands, dst[:0]) })
+	allocbudget.Gate(t, "postings/List.IntersectAny", func() { dst = l.IntersectAny(small, dst[:0]) })
+	q := model.Interval{Start: 1 << 18, End: 1 << 19}
+	allocbudget.Gate(t, "postings/List.TemporalFilter", func() { dst = l.TemporalFilter(q, dst[:0]) })
+
+	halves := [][]model.ObjectID{cands[:len(cands)/2], cands[len(cands)/4:]}
+	allocbudget.Gate(t, "postings/MergeSortedIDLists", func() { _ = MergeSortedIDLists(halves) })
+
+	var live, dead Bitmap
+	live.SetSorted(cands)
+	dead.SetSorted(small)
+	allocbudget.Gate(t, "postings/Bitmap.AndNot", func() {
+		live.SetSorted(cands)
+		live.AndNot(&dead)
+	})
+}

@@ -63,12 +63,11 @@ func (b *Bitmap) Grow(universe model.ObjectID) {
 }
 
 // grow reallocates the word slice, keeping its contents. Noinline so the
-// rare growth allocation stays attributed to this line instead of being
-// inlined into every hot Reset or Grow call.
+// rare make and copy stay out of line instead of being inlined through
+// Reset and Grow into every marking loop.
 //
 //go:noinline
 func (b *Bitmap) grow(nw int) {
-	// lint:alloc-ok pooled bitmap grows to the largest universe seen, then is reused across queries
 	w := make([]uint64, len(b.words), nw)
 	copy(w, b.words)
 	b.words = w
@@ -77,8 +76,6 @@ func (b *Bitmap) grow(nw int) {
 // Set marks id. Ids at or beyond the sized universe are ignored — the
 // marking paths probe division entries whose ids may exceed the largest
 // candidate, and those can never survive a candidate compaction anyway.
-//
-// irlint:hot bitmap mark, runs per division entry per query
 func (b *Bitmap) Set(id model.ObjectID) {
 	w := int(id >> 6)
 	if w < len(b.words) {
@@ -87,8 +84,6 @@ func (b *Bitmap) Set(id model.ObjectID) {
 }
 
 // Unset clears id. Ids at or beyond the sized universe are ignored.
-//
-// irlint:hot bitmap unmark, runs per survivor per division per query
 func (b *Bitmap) Unset(id model.ObjectID) {
 	w := int(id >> 6)
 	if w < len(b.words) {
@@ -97,8 +92,6 @@ func (b *Bitmap) Unset(id model.ObjectID) {
 }
 
 // Contains reports whether id is set. Out-of-universe ids report false.
-//
-// irlint:hot bitmap membership probe, runs per candidate per query
 func (b *Bitmap) Contains(id model.ObjectID) bool {
 	w := int(id >> 6)
 	return w < len(b.words) && b.words[w]&(1<<(id&63)) != 0
@@ -119,8 +112,6 @@ func (b *Bitmap) SetSorted(ids []model.ObjectID) {
 }
 
 // And intersects b with o word-parallel: bits beyond o's universe clear.
-//
-// irlint:hot word-parallel AND kernel over candidate bitmaps
 func (b *Bitmap) And(o *Bitmap) {
 	n := min(len(b.words), len(o.words))
 	for i := 0; i < n; i++ {
@@ -131,8 +122,6 @@ func (b *Bitmap) And(o *Bitmap) {
 
 // Or unions o into b word-parallel. o must not exceed b's universe
 // (union paths mark into a bitmap sized for the full candidate set).
-//
-// irlint:hot word-parallel OR kernel over per-chunk candidate bitmaps
 func (b *Bitmap) Or(o *Bitmap) {
 	n := min(len(b.words), len(o.words))
 	for i := 0; i < n; i++ {
@@ -141,8 +130,6 @@ func (b *Bitmap) Or(o *Bitmap) {
 }
 
 // AndNot clears every bit of b that is set in o, word-parallel.
-//
-// irlint:hot word-parallel ANDNOT kernel for tombstone subtraction
 func (b *Bitmap) AndNot(o *Bitmap) {
 	n := min(len(b.words), len(o.words))
 	for i := 0; i < n; i++ {
@@ -161,7 +148,6 @@ func (b *Bitmap) Count() int {
 
 // AppendIDs appends the set ids in ascending order.
 func (b *Bitmap) AppendIDs(dst []model.ObjectID) []model.ObjectID {
-	// lint:alloc-ok amortized pre-sizing to the output bound; zero once the caller reuses dst
 	dst = slices.Grow(dst, b.Count())
 	for i, w := range b.words {
 		base := model.ObjectID(i) << 6
@@ -175,8 +161,6 @@ func (b *Bitmap) AppendIDs(dst []model.ObjectID) []model.ObjectID {
 
 // KeepSorted compacts ids in place to those present in the bitmap,
 // preserving order, which must be ascending.
-//
-// irlint:hot candidate compaction after bitmap marking, runs once per plan element
 func (b *Bitmap) KeepSorted(ids []model.ObjectID) []model.ObjectID {
 	w := 0
 	for _, id := range ids {
@@ -213,8 +197,6 @@ func PutBitmapScratch(s *BitmapScratch) { bitmapPool.Put(s) }
 // ids[i] >= target, using exponential probing from lo — O(log d) for a
 // match d positions ahead, the skew-friendly search the galloping
 // intersections rely on. ids must be ascending.
-//
-// irlint:hot galloping probe, runs per small-side element per query
 func GallopLowerBound(ids []model.ObjectID, target model.ObjectID, lo int) int {
 	if lo >= len(ids) || ids[lo] >= target {
 		return lo
@@ -243,8 +225,6 @@ func GallopLowerBound(ids []model.ObjectID, target model.ObjectID, lo int) int {
 }
 
 // GallopLowerBoundList is GallopLowerBound over a postings list's ids.
-//
-// irlint:hot galloping probe over postings divisions, runs per candidate per query
 func GallopLowerBoundList(l []Posting, target model.ObjectID, lo int) int {
 	if lo >= len(l) || l[lo].ID >= target {
 		return lo
@@ -274,12 +254,9 @@ func GallopLowerBoundList(l []Posting, target model.ObjectID, lo int) int {
 // much shorter than large: each small element gallops forward in large
 // from the last probe position, so the cost is O(|small| log(|large| /
 // |small|)) instead of the merge's O(|small| + |large|).
-//
-// irlint:hot galloping intersection for skewed list sizes
 func IntersectGalloping(small, large, dst []model.ObjectID) []model.ObjectID {
 	assertSortedIDs(small, "IntersectGalloping small")
 	assertSortedIDs(large, "IntersectGalloping large")
-	// lint:alloc-ok amortized pre-sizing to the output bound; zero once the caller reuses dst
 	dst = slices.Grow(dst, len(small))
 	lo := 0
 	for _, id := range small {
@@ -302,8 +279,6 @@ func IntersectGalloping(small, large, dst []model.ObjectID) []model.ObjectID {
 //
 // dst may be a[:0] or b[:0], intersecting in place: both kernels write a
 // result only over input elements already read, and never regrow such a dst.
-//
-// irlint:hot container-aware intersection dispatch on the query hot path
 func IntersectAnySorted(a, b, dst []model.ObjectID) []model.ObjectID {
 	if len(a) > len(b) {
 		a, b = b, a
@@ -319,14 +294,11 @@ func IntersectAnySorted(a, b, dst []model.ObjectID) []model.ObjectID {
 // the larger side instead of merging both. Semantics match IntersectIDs
 // exactly — in particular, tombstoned entries still match, relying on
 // the all-copies-tombstoned deletion invariant the merge path relies on.
-//
-// irlint:hot container-aware list intersection dispatch on the query hot path
 func (l List) IntersectAny(cands, dst []model.ObjectID) []model.ObjectID {
 	switch {
 	case len(l) > len(cands)*GallopRatio:
 		assertSortedIDs(cands, "List.IntersectAny candidates")
 		assertSortedList(l, "List.IntersectAny list")
-		// lint:alloc-ok amortized pre-sizing to the output bound; zero once the caller reuses dst
 		dst = slices.Grow(dst, len(cands))
 		lo := 0
 		for _, id := range cands {
@@ -343,7 +315,6 @@ func (l List) IntersectAny(cands, dst []model.ObjectID) []model.ObjectID {
 	case len(cands) > len(l)*GallopRatio:
 		assertSortedIDs(cands, "List.IntersectAny candidates")
 		assertSortedList(l, "List.IntersectAny list")
-		// lint:alloc-ok amortized pre-sizing to the output bound; zero once the caller reuses dst
 		dst = slices.Grow(dst, len(l))
 		lo := 0
 		for i := range l {

@@ -88,8 +88,6 @@ func (l List) FindID(id model.ObjectID) (int, bool) {
 // TemporalFilter appends to dst the ids of entries whose interval overlaps
 // q, preserving id order, and returns dst. This is the Lines 4-6 filter of
 // Algorithm 1.
-//
-// irlint:hot Algorithm 1 temporal filter, runs once per postings list per query
 func (l List) TemporalFilter(q model.Interval, dst []model.ObjectID) []model.ObjectID {
 	for i := range l {
 		if l[i].Interval.Overlaps(q) {
@@ -104,12 +102,9 @@ func (l List) TemporalFilter(q model.Interval, dst []model.ObjectID) []model.Obj
 // of Algorithm 1 Line 8. dst is pre-grown to the output bound
 // min(|cands|, |l|) so the merge loop never reallocates, even from a nil
 // dst; callers reusing a buffer across queries amortize the growth to zero.
-//
-// irlint:hot Algorithm 1 merge intersection, the dominant per-query kernel
 func (l List) IntersectIDs(cands []model.ObjectID, dst []model.ObjectID) []model.ObjectID {
 	assertSortedIDs(cands, "List.IntersectIDs candidates")
 	assertSortedList(l, "List.IntersectIDs list")
-	// lint:alloc-ok amortized pre-sizing to the output bound; zero once the caller reuses dst
 	dst = slices.Grow(dst, min(len(cands), len(l)))
 	i, j := 0, 0
 	for i < len(cands) && j < len(l) {
@@ -130,12 +125,9 @@ func (l List) IntersectIDs(cands []model.ObjectID, dst []model.ObjectID) []model
 // IntersectSortedIDs merge-intersects two ascending id slices. dst is
 // pre-grown to the output bound min(|a|, |b|) so the merge loop never
 // reallocates.
-//
-// irlint:hot merge intersection over candidate id sets, runs per query plan step
 func IntersectSortedIDs(a, b, dst []model.ObjectID) []model.ObjectID {
 	assertSortedIDs(a, "IntersectSortedIDs a")
 	assertSortedIDs(b, "IntersectSortedIDs b")
-	// lint:alloc-ok amortized pre-sizing to the output bound; zero once the caller reuses dst
 	dst = slices.Grow(dst, min(len(a), len(b)))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -157,14 +149,11 @@ func IntersectSortedIDs(a, b, dst []model.ObjectID) []model.ObjectID {
 // deduplicated slice: it concatenates them, sorts the whole with
 // model.SortIDs (linear above its cutoff) and drops duplicates. Used to
 // combine per-slice candidate outputs.
-//
-// irlint:hot candidate merge, runs once per sliced-index query
 func MergeSortedIDLists(lists [][]model.ObjectID) []model.ObjectID {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	// lint:alloc-ok single exactly-sized output buffer per merge
 	out := make([]model.ObjectID, 0, total)
 	for _, l := range lists {
 		assertSortedIDs(l, "MergeSortedIDLists input")

@@ -116,8 +116,6 @@ func newQueryScorer(elems []model.ElemID, n int, idfOf func(model.ElemID) float6
 
 // Score rates one candidate. It runs once per candidate per ranked
 // query, so it must stay allocation-free.
-//
-// irlint:hot per-candidate scoring kernel of ranked search
 func (w QueryScorer) Score(o *model.Object, q *model.Query) float64 {
 	overlap, ok := o.Interval.Intersect(q.Interval)
 	temporal := 0.0
@@ -196,8 +194,6 @@ func TopK(ix ContainmentIndex, c *model.Collection, s *Scorer, q model.Query, k 
 // candidate loop only computes a temporal overlap and touches the
 // pre-sized heap — replace-root when a candidate beats the current
 // worst — so ranking allocates nothing per candidate.
-//
-// irlint:hot ranked-search driver, one heap operation per candidate
 func TopKQuery(ix ContainmentIndex, c *model.Collection, w QueryScorer, q model.Query, k int) []Result {
 	if k <= 0 {
 		return nil
@@ -205,7 +201,6 @@ func TopKQuery(ix ContainmentIndex, c *model.Collection, w QueryScorer, q model.
 	// The heap never holds more than the candidates, so a huge k from a
 	// request reserves no memory that no result will fill.
 	cands := ix.Query(q)
-	// lint:alloc-ok one heap per ranked query
 	h := make(resultHeap, 0, min(k, len(cands)))
 	for _, id := range cands {
 		o := &c.Objects[id]
@@ -220,7 +215,6 @@ func TopKQuery(ix ContainmentIndex, c *model.Collection, w QueryScorer, q model.
 			h.siftDown(0)
 		}
 	}
-	// lint:alloc-ok one exactly-sized result slice per ranked query
 	out := make([]Result, len(h))
 	copy(out, h)
 	slices.SortStableFunc(out, func(a, b Result) int {

@@ -70,8 +70,6 @@ func (ix *Index) AdoptRouter(r *Router) {
 // the tracked per-element live frequencies over the current live count;
 // unknown elements count as frequency zero (the query returns nothing
 // fast, whichever method runs).
-//
-// irlint:hot routed feature extraction, runs once per routed query
 func (ix *Index) features(q model.Query) Features {
 	f := Features{
 		NumElems:   len(q.Elems),

@@ -89,8 +89,6 @@ func freqBucket(f float64) int {
 }
 
 // BucketOf maps query features onto the regime grid.
-//
-// irlint:hot router decision path, runs once per routed query
 func BucketOf(f Features) int {
 	return (extentBucket(f.ExtentFrac)*numElemsBuckets+
 		elemsBucket(f.NumElems))*numFreqBuckets + freqBucket(f.MinFreqFrac)
@@ -220,8 +218,6 @@ func (r *Router) Methods() []string { return append([]string(nil), r.names...) }
 // exploreEvery-th decision in the bucket round-robins deterministically
 // so estimates stay fresh. The returned index is always a registered
 // method.
-//
-// irlint:hot router decision path, runs once per routed query
 func (r *Router) Choose(f Features) int {
 	n := len(r.names)
 	if n == 1 {
@@ -249,8 +245,6 @@ func (r *Router) Choose(f Features) int {
 // Observe folds one measured query duration into the (bucket, method)
 // cost estimate. A lost CAS race drops the sample — the estimate is a
 // smoothed approximation, not an accounting ledger.
-//
-// irlint:hot router cost update, runs once per routed query
 func (r *Router) Observe(mi int, f Features, d time.Duration) {
 	if mi < 0 || mi >= len(r.names) {
 		return

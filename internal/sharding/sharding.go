@@ -349,8 +349,6 @@ func (ix *Index) mark(e model.ElemID, q model.Interval, bm *postings.Bitmap) {
 // and the candidates it does not meet are dropped. Anand et al. look each
 // entry up in the sorted candidates; the bit test changes the speed, not
 // the result.
-//
-// irlint:hot tIF+Sharding per-query entry point
 func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		var out []model.ObjectID

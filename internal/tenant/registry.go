@@ -142,9 +142,6 @@ func NewRegistry[E Engine](cfg Config[E]) *Registry[E] {
 // registry will not evict a held tenant. The error is a *LimitError
 // with ReasonFull when the registry is at capacity with no evictable
 // tenant, or the engine constructor's error.
-//
-// irlint:hot per-request tenant resolution; the resident hit path must
-// stay allocation-free
 func (r *Registry[E]) Get(id string) (*Tenant[E], error) {
 	r.mu.RLock()
 	t := r.tenants[id]

@@ -59,3 +59,26 @@ func TestAllocBudgetBinaryQuery(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocBudgetMergeHybridQuery pins what a query of the merge and the
+// hybrid variant allocates, on the collection and query of
+// TestAllocBudgetBinaryQuery. `make benchmem` re-records.
+func TestAllocBudgetMergeHybridQuery(t *testing.T) {
+	cfg := testutil.CollectionConfig{N: 20_000, DomainLo: 0, DomainHi: 1 << 20, Dict: 50, MaxDesc: 6, Seed: 9}
+	c := testutil.RandomCollection(cfg)
+	q := model.Query{Interval: model.NewInterval(1<<18, 3<<18), Elems: []model.ElemID{1, 4, 7}}
+	for kernel, ix := range map[string]testutil.QueryIndex{
+		"tifhint/MergeIndex.Query":  NewMerge(c),
+		"tifhint/HybridIndex.Query": NewHybrid(c),
+	} {
+		want := len(ix.Query(q))
+		if want == 0 {
+			t.Fatal("query matches nothing")
+		}
+		allocbudget.Gate(t, kernel, func() {
+			if got := len(ix.Query(q)); got != want {
+				t.Fatalf("%s: result size changed: %d, was %d", kernel, got, want)
+			}
+		})
+	}
+}

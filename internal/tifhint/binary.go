@@ -87,8 +87,6 @@ func (ix *BinaryIndex) Len() int { return ix.live }
 func (ix *BinaryIndex) M() int { return ix.m }
 
 // Query implements Algorithm 3.
-//
-// irlint:hot tIF+HINT binary-variant per-query entry point
 func (ix *BinaryIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return ix.queryTemporalOnly(q)

@@ -168,8 +168,6 @@ func (ix *HybridIndex) NumSlices() int { return ix.numSlices }
 // Query evaluates the hybrid plan: HINT range query on the least frequent
 // element, then sliced merge intersections with reference-value
 // de-duplication for the rest.
-//
-// irlint:hot tIF+HINT+Slicing per-query entry point
 func (ix *HybridIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return ix.queryTemporalOnly(q)

@@ -244,8 +244,6 @@ func markMatches(div []postings.Posting, cands []model.ObjectID, keep []bool) {
 // whose bit is set. Results are identical to intersect; the win is that
 // dense candidate sets are not re-walked per division. cands must be
 // non-empty and ascending.
-//
-// irlint:hot bitmap-container intersection for dense candidate sets
 func (h *idHint) intersectBitmap(q model.Interval, cands []model.ObjectID, bm *postings.Bitmap) []model.ObjectID {
 	bm.Reset(cands[len(cands)-1] + 1)
 	hint.Visit(h.dom, q, func(lv hint.LevelVisit) {

@@ -89,8 +89,6 @@ func (ix *MergeIndex) Len() int { return ix.live }
 func (ix *MergeIndex) M() int { return ix.m }
 
 // Query implements Algorithm 4.
-//
-// irlint:hot tIF+HINT merge-variant per-query entry point
 func (ix *MergeIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return ix.queryTemporalOnly(q)

@@ -19,13 +19,12 @@ var keepPool = sync.Pool{New: func() any { return &keepScratch{} }}
 // grown returns the mask resized to n, reallocating only when the
 // candidate set outgrows every previous query's. Contents are stale;
 // every consumer resets the mask before marking. Noinline so the rare
-// growth allocation stays attributed to this line instead of being
-// inlined into every hot intersection loop.
+// make stays out of line instead of being inlined into every
+// intersection loop.
 //
 //go:noinline
 func (ks *keepScratch) grown(n int) []bool {
 	if cap(ks.mask) < n {
-		// lint:alloc-ok pooled scratch grows to the largest candidate set seen, then is reused across queries
 		ks.mask = make([]bool, n)
 	}
 	return ks.mask[:n]
@@ -199,8 +198,6 @@ func markSlice(sub []slicePair, cands []model.ObjectID, keep []bool) {
 // markSliceBitmap sets the bit of every live replica in the slice — the
 // bitmap-container counterpart of markSlice, used when the candidate set
 // is dense enough that per-slice merges would re-walk it wholesale.
-//
-// irlint:hot bitmap-container slice marking for dense candidate sets
 func markSliceBitmap(sub []slicePair, bm *postings.Bitmap) {
 	for j := range sub {
 		if sub[j].Start != deadStart {

@@ -101,10 +101,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerGoroutineExit(),
 		AnalyzerPublishFreeze(),
 		AnalyzerMetricHygiene(),
-		AnalyzerAllocHot(),
-		AnalyzerAppendGrow(),
-		AnalyzerDeferInLoop(),
-		AnalyzerIfaceDispatch(),
 	}
 }
 
@@ -113,13 +109,7 @@ func Analyzers() []*Analyzer {
 // analyzers share one Program, so the flow graph and its summaries are
 // built at most once.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunOn(NewProgram(pkgs), analyzers)
-}
-
-// RunOn is Run over a caller-built Program — the cmd/irlint driver uses
-// it to attach a lazy escape-fact source before the v4 analyzers run.
-func RunOn(pr *Program, analyzers []*Analyzer) []Diagnostic {
-	pkgs := pr.Pkgs
+	pr := NewProgram(pkgs)
 	var out []Diagnostic
 	for _, p := range pkgs {
 		for _, a := range analyzers {

@@ -141,11 +141,19 @@ var fixtureStubs = []struct{ path, name, src string }{
 	{ModulePath, "repro.go", reproStub},
 }
 
+// fixtureFset and fixtureStd are shared by every fixture in the test
+// binary: the source importer type-checks each standard-library package
+// once and caches it, instead of once per fixture.
+var (
+	fixtureFset = token.NewFileSet()
+	fixtureStd  = importer.ForCompiler(fixtureFset, "source", nil)
+)
+
 // checkFixture type-checks one fixture package (import path, source) with
 // the stub packages available, returning the loaded Package.
 func checkFixture(t *testing.T, path, src string) *Package {
 	t.Helper()
-	fset := token.NewFileSet()
+	fset := fixtureFset
 
 	parse := func(name, source string) *ast.File {
 		f, err := parser.ParseFile(fset, name, source, parser.ParseComments)
@@ -166,7 +174,7 @@ func checkFixture(t *testing.T, path, src string) *Package {
 
 	imp := &moduleImporter{
 		mod: make(map[string]*types.Package),
-		std: importer.ForCompiler(fset, "source", nil),
+		std: fixtureStd,
 	}
 	cfg := types.Config{Importer: imp}
 
@@ -1242,6 +1250,7 @@ func TestLoadRepository(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
+	t.Parallel()
 	pkgs, err := Load("../../..", []string{"./..."})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -1260,5 +1269,29 @@ func TestLoadRepository(t *testing.T) {
 	}
 	if diags := Run(pkgs, Analyzers()); len(diags) > 0 {
 		t.Errorf("repository not lint-clean:\n%s", diagList(diags))
+	}
+}
+
+// TestLoadSubtree checks a pattern narrower than the module: postings
+// imports internal/model, which the pattern does not match, so Load must
+// type-check that import without returning or linting it.
+func TestLoadSubtree(t *testing.T) {
+	t.Parallel()
+	pkgs, err := Load("../../..", []string{"./internal/postings"})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != postingsPath {
+		var got []string
+		for _, p := range pkgs {
+			got = append(got, p.Path)
+		}
+		t.Fatalf("Load returned %v, want only %s", got, postingsPath)
+	}
+	if pkgs[0].Types == nil || !pkgs[0].Types.Complete() {
+		t.Errorf("%s: incomplete type information", postingsPath)
+	}
+	if diags := Run(pkgs, Analyzers()); len(diags) > 0 {
+		t.Errorf("postings not lint-clean:\n%s", diagList(diags))
 	}
 }

@@ -30,9 +30,11 @@ func (e *LoadError) Error() string {
 
 // Load parses and type-checks the module packages selected by patterns
 // ("./..." for everything, "./dir/..." for a subtree, "./dir" for one
-// package), rooted at the directory containing go.mod. Test files are not
-// loaded: the suite governs production sources; tests deliberately
-// construct invalid inputs.
+// package), rooted at the directory containing go.mod. The in-module
+// imports of the matched packages are type-checked too, so a sub-tree
+// pattern resolves them, but only the matched packages are returned. Test
+// files are not loaded: the suite governs production sources; tests
+// deliberately construct invalid inputs.
 func Load(root string, patterns []string) ([]*Package, error) {
 	root, err := findModuleRoot(root)
 	if err != nil {
@@ -52,7 +54,15 @@ func Load(root string, patterns []string) ([]*Package, error) {
 
 	raw := make(map[string]*rawPkg)
 	ctxt := build.Default
+	// dirs grows with in-module imports not queued yet, so the loop
+	// parses the import closure of the first nMatched (matched) dirs.
+	nMatched := len(dirs)
+	queued := make(map[string]bool, len(dirs))
 	for _, dir := range dirs {
+		queued[dir] = true
+	}
+	for i := 0; i < len(dirs); i++ {
+		dir := dirs[i]
 		bp, err := ctxt.ImportDir(filepath.Join(root, dir), 0)
 		if err != nil {
 			if _, nogo := err.(*build.NoGoError); nogo {
@@ -61,7 +71,7 @@ func Load(root string, patterns []string) ([]*Package, error) {
 			problems = append(problems, fmt.Sprintf("%s: %v", dir, err))
 			continue
 		}
-		rp := &rawPkg{path: importPathFor(dir)}
+		rp := &rawPkg{path: importPathFor(dir), matched: i < nMatched}
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(root, dir, name), nil, parser.ParseComments)
 			if err != nil {
@@ -72,6 +82,10 @@ func Load(root string, patterns []string) ([]*Package, error) {
 			for _, imp := range f.Imports {
 				if path, err := strconv.Unquote(imp.Path.Value); err == nil {
 					rp.imports = append(rp.imports, path)
+					if dep, ok := dirFor(path); ok && !queued[dep] {
+						queued[dep] = true
+						dirs = append(dirs, dep)
+					}
 				}
 			}
 		}
@@ -115,6 +129,9 @@ func Load(root string, patterns []string) ([]*Package, error) {
 		}
 		if tpkg != nil {
 			imp.mod[path] = tpkg
+		}
+		if !rp.matched {
+			continue
 		}
 		pkgs = append(pkgs, &Package{
 			Path:  path,
@@ -240,9 +257,20 @@ func importPathFor(dir string) string {
 	return ModulePath + "/" + dir
 }
 
+// dirFor is the inverse of importPathFor: the module-relative directory
+// of an in-module import path, false for any other path.
+func dirFor(importPath string) (string, bool) {
+	if importPath == ModulePath {
+		return ".", true
+	}
+	dir, ok := strings.CutPrefix(importPath, ModulePath+"/")
+	return dir, ok
+}
+
 // rawPkg is one parsed-but-not-yet-checked package.
 type rawPkg struct {
 	path    string
+	matched bool // selected by a pattern, not only imported
 	files   []*ast.File
 	imports []string
 }

@@ -1,11 +1,8 @@
 package irlint
 
-import (
-	"repro/internal/tools/irlint/flow"
-	"repro/internal/tools/irlint/perf"
-)
+import "repro/internal/tools/irlint/flow"
 
-// Program is the whole-program view the v3/v4 analyzers run over: every
+// Program is the whole-program view the v3 analyzers run over: every
 // loaded package plus a lazily built flow graph (call edges, reachability,
 // input summaries) shared by all of them. Per-package analyzers never see
 // a Program; whole-program analyzers receive exactly one per Run call, so
@@ -15,21 +12,7 @@ type Program struct {
 	// Pkgs lists every loaded package in load order.
 	Pkgs []*Package
 
-	// Escapes is the compiler escape-fact table (go build -m=2). Tests
-	// set it directly; the cmd/irlint driver leaves it nil and sets
-	// EscapeSource instead so the (cached but nonzero-cost) collection
-	// only happens when a hot root actually exists in the loaded set.
-	Escapes *perf.Table
-
-	// EscapeSource lazily provides the escape-fact table. A collection
-	// error is reported as an alloc-hot diagnostic, so a broken build
-	// gates the same way a load error does.
-	EscapeSource func() (*perf.Table, error)
-
-	graph      *flow.Graph
-	hot        *perf.HotSet
-	escapeErr  error
-	escapeDone bool
+	graph *flow.Graph
 }
 
 // NewProgram wraps a set of loaded packages. The flow graph is not built
@@ -54,32 +37,6 @@ func (pr *Program) Graph() *flow.Graph {
 		pr.graph = flow.Build(units)
 	}
 	return pr.graph
-}
-
-// Hot returns the hot-root closure (perf.HotDirective) over the call
-// graph, computed once.
-func (pr *Program) Hot() *perf.HotSet {
-	if pr.hot == nil {
-		pr.hot = perf.ComputeHot(pr.Graph())
-	}
-	return pr.hot
-}
-
-// EscapeTable resolves the escape-fact table at most once: an explicit
-// Escapes field wins, then EscapeSource, else nil (fixture mode — the
-// alloc-hot analyzer falls back to its syntactic checks only).
-func (pr *Program) EscapeTable() (*perf.Table, error) {
-	if pr.Escapes != nil {
-		return pr.Escapes, nil
-	}
-	if pr.EscapeSource == nil {
-		return nil, nil
-	}
-	if !pr.escapeDone {
-		pr.escapeDone = true
-		pr.Escapes, pr.escapeErr = pr.EscapeSource()
-	}
-	return pr.Escapes, pr.escapeErr
 }
 
 // PackageOf returns the loaded package a graph function was declared in,

@@ -545,19 +545,3 @@ func register(r *obs.Registry) {
 		})
 	}
 }
-
-// TestSelfLint runs the full suite over irlint's own source tree — the
-// linter must hold itself to the contracts it enforces on the rest of
-// the repository.
-func TestSelfLint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the linter packages")
-	}
-	pkgs, err := Load("../../..", []string{"./internal/tools/irlint/..."})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if diags := Run(pkgs, Analyzers()); len(diags) > 0 {
-		t.Errorf("linter source not lint-clean:\n%s", diagList(diags))
-	}
-}
