@@ -35,9 +35,9 @@ bench:
 # benchmarks off shared cores; -count=1 defeats test caching.
 benchmem:
 	ALLOC_BUDGET_RECORD=1 $(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/model ./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
+		./internal/model ./internal/postings ./internal/hint ./internal/tifhint ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
 	$(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/model ./internal/postings ./internal/hint ./internal/tifhint ./internal/compress ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
+		./internal/model ./internal/postings ./internal/hint ./internal/tifhint ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
 
 # Full Go microbenchmark sweep (slow; not part of the gate).
 microbench:
@@ -45,7 +45,6 @@ microbench:
 
 fuzz:
 	$(GO) test -fuzz=FuzzSortIDs -fuzztime=30s ./internal/model/
-	$(GO) test -fuzz=FuzzIterator -fuzztime=30s ./internal/compress/
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=30s ./internal/textutil/
 	$(GO) test -fuzz=FuzzIntersect -fuzztime=30s ./internal/postings/
 	$(GO) test -fuzz=FuzzContainerParity -fuzztime=30s ./internal/postings/

@@ -89,18 +89,3 @@ func Histogram(ix Index, c *model.Collection, q model.Query, n int) []Bucket {
 	}
 	return buckets
 }
-
-// PeakBucket returns the index of the bucket with the highest count
-// (ties: earliest), or -1 for an empty histogram.
-func PeakBucket(buckets []Bucket) int {
-	best := -1
-	for i := range buckets {
-		if best == -1 || buckets[i].Count > buckets[best].Count {
-			best = i
-		}
-	}
-	if best >= 0 && buckets[best].Count == 0 {
-		return -1
-	}
-	return best
-}

@@ -112,16 +112,3 @@ func TestHistogramBucketInvariants(t *testing.T) {
 		}
 	}
 }
-
-func TestPeakBucket(t *testing.T) {
-	if PeakBucket(nil) != -1 {
-		t.Error("empty histogram should have no peak")
-	}
-	buckets := []Bucket{{Count: 0}, {Count: 5}, {Count: 5}, {Count: 1}}
-	if got := PeakBucket(buckets); got != 1 {
-		t.Errorf("peak = %d, want 1 (earliest tie)", got)
-	}
-	if PeakBucket([]Bucket{{Count: 0}}) != -1 {
-		t.Error("all-zero histogram should have no peak")
-	}
-}

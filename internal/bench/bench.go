@@ -67,7 +67,7 @@ func Experiments() []Experiment {
 		{"fig12", "Figure 12: all methods on synthetic sweeps", RunFig12},
 		{"table6", "Table 6: insertion update costs", RunTable6},
 		{"table7", "Table 7: deletion update costs", RunTable7},
-		{"ablation", "Ablations: m tuning, traversal order, de-dup, compression", RunAblations},
+		{"ablation", "Ablation: irHINT hierarchy depth m sweep", RunAblations},
 		{"verify", "Verification: result equivalence of every index vs brute force", RunVerify},
 	}
 }

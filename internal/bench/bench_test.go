@@ -164,7 +164,7 @@ func TestExperimentSmoke(t *testing.T) {
 		"fig11":    {"tIF+Slicing", "# results"},
 		"table6":   {"insertions", "10%"},
 		"table7":   {"deletions", "tIF+Sharding"},
-		"ablation": {"hierarchy depth", "traversal", "de-duplication", "compression", "interval tree"},
+		"ablation": {"hierarchy depth"},
 		"verify":   {"equivalence", "mismatches"},
 	}
 	for name, wants := range markers {

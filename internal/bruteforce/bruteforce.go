@@ -1,6 +1,6 @@
 // Package bruteforce implements a naive full-scan evaluator for time-travel
 // IR queries. It is the correctness oracle every index in the repository is
-// tested against, and doubles as the "no index" baseline in ablations.
+// tested against.
 package bruteforce
 
 import (

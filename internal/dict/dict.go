@@ -19,7 +19,6 @@ type Dictionary struct {
 	terms  []string
 	byTerm map[string]model.ElemID
 	freqs  []int
-	total  int // total postings across all elements
 }
 
 // New returns an empty dictionary.
@@ -29,10 +28,6 @@ func New() *Dictionary {
 
 // Len returns the number of distinct elements.
 func (d *Dictionary) Len() int { return len(d.terms) }
-
-// TotalPostings returns the sum of all element frequencies, i.e. the total
-// number of (object, element) pairs observed through AddObject.
-func (d *Dictionary) TotalPostings() int { return d.total }
 
 // Intern returns the id for term, adding it to the dictionary if new.
 func (d *Dictionary) Intern(term string) model.ElemID {
@@ -79,7 +74,6 @@ func (d *Dictionary) AddObject(terms []string) []model.ElemID {
 	elems = model.NormalizeElems(elems)
 	for _, e := range elems {
 		d.freqs[e]++
-		d.total++
 	}
 	return elems
 }
@@ -90,7 +84,6 @@ func (d *Dictionary) AddElems(elems []model.ElemID) {
 	for _, e := range elems {
 		d.grow(int(e) + 1)
 		d.freqs[e]++
-		d.total++
 	}
 }
 
@@ -109,7 +102,6 @@ func (d *Dictionary) Clone() *Dictionary {
 		terms:  append([]string(nil), d.terms...),
 		byTerm: make(map[string]model.ElemID, len(d.byTerm)),
 		freqs:  append([]int(nil), d.freqs...),
-		total:  d.total,
 	}
 	for t, id := range d.byTerm {
 		c.byTerm[t] = id
@@ -132,12 +124,6 @@ func FromTerms(terms []string) *Dictionary {
 		d.Intern(t)
 	}
 	return d
-}
-
-// FreqsFromCollection builds a frequency table directly from a collection,
-// for indices that work on ElemIDs without string terms.
-func FreqsFromCollection(c *model.Collection) []int {
-	return c.ElemFreqs()
 }
 
 // PlanOrder sorts the query elements by increasing global frequency,

@@ -51,9 +51,6 @@ func TestAddObjectFrequencies(t *testing.T) {
 	if d.Freq(a) != 1 || d.Freq(b) != 2 || d.Freq(c) != 1 {
 		t.Errorf("freqs = %d %d %d", d.Freq(a), d.Freq(b), d.Freq(c))
 	}
-	if d.TotalPostings() != 4 {
-		t.Errorf("TotalPostings = %d, want 4", d.TotalPostings())
-	}
 	_ = e2
 	if d.Freq(model.ElemID(99)) != 0 {
 		t.Error("Freq out of range should be 0")
@@ -90,15 +87,5 @@ func TestPlanOrder(t *testing.T) {
 	got = PlanOrder([]model.ElemID{0, 9}, freqs)
 	if got[0] != 9 {
 		t.Errorf("out-of-range elem should sort first, got %v", got)
-	}
-}
-
-func TestFreqsFromCollection(t *testing.T) {
-	var c model.Collection
-	c.AppendObject(model.Interval{Start: 0, End: 1}, []model.ElemID{0, 1})
-	c.AppendObject(model.Interval{Start: 0, End: 1}, []model.ElemID{1})
-	freqs := FreqsFromCollection(&c)
-	if freqs[0] != 1 || freqs[1] != 2 {
-		t.Errorf("freqs = %v", freqs)
 	}
 }

@@ -92,21 +92,3 @@ func (d Domain) PartitionExtent(level int, j uint32) (lo, hi uint32) {
 	width := uint32(1) << uint(d.M-level)
 	return j * width, j*width + width - 1
 }
-
-// Expand grows the domain to cover t, doubling Max-extent as needed,
-// mirroring the time-expanding extension of [21] that the paper cites for
-// handling growing time domains. The grid resolution M is unchanged, so
-// existing assignments stay valid only if the caller rebuilds; indices in
-// this repository instead pre-size their domains and use Expand to size new
-// ones. It returns a new Domain.
-func (d Domain) Expand(t model.Timestamp) Domain {
-	min, max := d.Min, d.Max
-	for t < min {
-		min -= (max - min + 1)
-	}
-	for t > max {
-		max += (max - min + 1)
-	}
-	nd, _ := Make(min, max, d.M)
-	return nd
-}

@@ -238,19 +238,3 @@ func TestBoundaryAndLevelMonotonicity(t *testing.T) {
 		})
 	}
 }
-
-func TestExpandCovers(t *testing.T) {
-	d := New(0, 99, 4)
-	bigger := d.Expand(250)
-	if bigger.Max < 250 || bigger.Min > 0 {
-		t.Errorf("Expand(250) = [%d,%d]", bigger.Min, bigger.Max)
-	}
-	smaller := d.Expand(-50)
-	if smaller.Min > -50 {
-		t.Errorf("Expand(-50) = [%d,%d]", smaller.Min, smaller.Max)
-	}
-	same := d.Expand(50)
-	if same.Min != d.Min || same.Max != d.Max {
-		t.Error("Expand inside range should not change the domain")
-	}
-}

@@ -32,35 +32,6 @@ func BenchmarkRangeQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkRangeQueryTopDown(b *testing.B) {
-	ix, queries := benchIndex(b)
-	var dst []model.ObjectID
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = ix.RangeQueryTopDown(queries[i%len(queries)], dst[:0])
-	}
-}
-
-func BenchmarkStab(b *testing.B) {
-	ix, queries := benchIndex(b)
-	var dst []model.ObjectID
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = ix.Stab(queries[i%len(queries)].Start, dst[:0])
-	}
-}
-
-func BenchmarkCountRange(b *testing.B) {
-	ix, queries := benchIndex(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.CountRange(queries[i%len(queries)])
-	}
-}
-
 func BenchmarkInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	entries := randomEntries(rng, 50_000, 0, 1<<20)

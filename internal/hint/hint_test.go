@@ -340,42 +340,10 @@ func TestStabMatchesRange(t *testing.T) {
 	ix := Build(domain.New(0, 2047, 7), entries)
 	for trial := 0; trial < 200; trial++ {
 		tp := model.Timestamp(rng.Intn(2048))
-		got := canon(ix.Stab(tp, nil))
+		got := canon(ix.RangeQuery(iv(tp, tp), nil))
 		want := naiveOverlap(entries, iv(tp, tp))
 		if !model.EqualIDs(got, want) {
-			t.Fatalf("Stab(%d): got %d, want %d ids", tp, len(got), len(want))
-		}
-	}
-}
-
-func TestCountRangeMatchesRangeQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	entries := randomEntries(rng, 500, 0, 4095)
-	ix := Build(domain.New(0, 4095, 9), entries)
-	// Also with deletions, which counts must respect.
-	for i := 0; i < 60; i++ {
-		ix.Delete(entries[rng.Intn(len(entries))])
-	}
-	for trial := 0; trial < 300; trial++ {
-		q := model.Canon(model.Timestamp(rng.Intn(4096)), model.Timestamp(rng.Intn(4096)))
-		got := ix.CountRange(q)
-		want := len(canon(ix.RangeQuery(q, nil)))
-		if got != want {
-			t.Fatalf("CountRange(%v) = %d, RangeQuery found %d", q, got, want)
-		}
-	}
-}
-
-func TestRangeQueryTopDownEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	entries := randomEntries(rng, 700, 0, 4095)
-	ix := Build(domain.New(0, 4095, 9), entries)
-	for trial := 0; trial < 200; trial++ {
-		q := model.Canon(model.Timestamp(rng.Intn(4096)), model.Timestamp(rng.Intn(4096)))
-		a := canon(ix.RangeQuery(q, nil))
-		b := canon(ix.RangeQueryTopDown(q, nil))
-		if !model.EqualIDs(a, b) {
-			t.Fatalf("q=%v: bottom-up %d ids, top-down %d ids", q, len(a), len(b))
+			t.Fatalf("RangeQuery(%d, %d): got %d, want %d ids", tp, tp, len(got), len(want))
 		}
 	}
 }

@@ -116,109 +116,6 @@ func reportPartition(p *Partition, ob Obligations, q model.Interval, dst []model
 	return appendAll(p.RAft, dst)
 }
 
-// Stab returns the ids of all live intervals containing the time point t —
-// the stabbing query of Berberich et al.'s original time-travel setting
-// (footnote 6 of the paper), a degenerate range query.
-func (ix *Index) Stab(t model.Timestamp, dst []model.ObjectID) []model.ObjectID {
-	return ix.RangeQuery(model.NewInterval(t, t), dst)
-}
-
-// CountRange returns the number of live intervals overlapping q without
-// materializing ids — the counting variant HINT supports by summing
-// division cardinalities wherever no comparisons are needed.
-func (ix *Index) CountRange(q model.Interval) int {
-	total := 0
-	Visit(ix.dom, q, func(lv LevelVisit) {
-		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *Partition) {
-			total += countPartition(p, lv.Oblige(j), q)
-		})
-	})
-	return total
-}
-
-func countPartition(p *Partition, ob Obligations, q model.Interval) int {
-	n := 0
-	switch {
-	case ob.CheckStart && ob.CheckEnd:
-		cut := sort.Search(len(p.OIn), func(i int) bool { return p.OIn[i].Interval.Start > q.End })
-		for i := 0; i < cut; i++ {
-			if p.OIn[i].Interval.End >= q.Start && !postings.IsDead(p.OIn[i].ID) {
-				n++
-			}
-		}
-		n += countLivePrefix(p.OAft, q.End)
-	case ob.CheckStart:
-		for i := range p.OIn {
-			if p.OIn[i].Interval.End >= q.Start && !postings.IsDead(p.OIn[i].ID) {
-				n++
-			}
-		}
-		n += countLive(p.OAft)
-	case ob.CheckEnd:
-		n += countLivePrefix(p.OIn, q.End)
-		n += countLivePrefix(p.OAft, q.End)
-	default:
-		n += countLive(p.OIn) + countLive(p.OAft)
-	}
-	if !ob.First {
-		return n
-	}
-	if ob.CheckStart {
-		lo := sort.Search(len(p.RIn), func(i int) bool { return p.RIn[i].Interval.End >= q.Start })
-		for i := lo; i < len(p.RIn); i++ {
-			if !postings.IsDead(p.RIn[i].ID) {
-				n++
-			}
-		}
-	} else {
-		n += countLive(p.RIn)
-	}
-	return n + countLive(p.RAft)
-}
-
-func countLive(s []postings.Posting) int {
-	n := 0
-	for i := range s {
-		if !postings.IsDead(s[i].ID) {
-			n++
-		}
-	}
-	return n
-}
-
-func countLivePrefix(s []postings.Posting, qEnd model.Timestamp) int {
-	cut := sort.Search(len(s), func(i int) bool { return s[i].Interval.Start > qEnd })
-	n := 0
-	for i := 0; i < cut; i++ {
-		if !postings.IsDead(s[i].ID) {
-			n++
-		}
-	}
-	return n
-}
-
-// RangeQueryTopDown answers the same range queries as RangeQuery but with
-// the conventional top-down traversal the paper contrasts against: no
-// compfirst/complast bookkeeping, so the first and last relevant partition
-// of EVERY level performs endpoint comparisons. It exists for the
-// bottom-up ablation benchmark; results are identical.
-func (ix *Index) RangeQueryTopDown(q model.Interval, dst []model.ObjectID) []model.ObjectID {
-	qlo, qhi := ix.dom.DiscInterval(q)
-	for level := 0; level <= ix.dom.M; level++ {
-		f := ix.dom.Prefix(level, qlo)
-		l := ix.dom.Prefix(level, qhi)
-		ix.levels[level].forRange(f, l, func(j uint32, p *Partition) {
-			ob := Obligations{
-				First:      j == f,
-				CheckStart: j == f,
-				CheckEnd:   j == l,
-			}
-			dst = reportPartition(p, ob, q, dst)
-		})
-	}
-	return dst
-}
-
 // VisitRelevant walks the relevant partitions of a range query bottom-up,
 // reporting each populated partition with its comparison obligations.
 // Composite indices use this to run Algorithm 3-style probes against the

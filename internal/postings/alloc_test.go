@@ -21,20 +21,10 @@ func TestAllocBudget(t *testing.T) {
 	allocbudget.Gate(t, "postings/List.IntersectIDs", func() { dst = l.IntersectIDs(cands, dst[:0]) })
 	allocbudget.Gate(t, "postings/IntersectSortedIDs", func() { dst = IntersectSortedIDs(cands, other, dst[:0]) })
 
-	// The bitmap container kernels: steady state marks, intersects and
-	// compacts entirely inside pooled word slices.
-	var ba, bb Bitmap
-	ba.SetSorted(cands)
+	// The bitmap container: steady state compacts entirely inside a
+	// reused word slice.
+	var bb Bitmap
 	bb.SetSorted(other)
-	allocbudget.Gate(t, "postings/Bitmap.And", func() {
-		ba.SetSorted(cands)
-		ba.And(&bb)
-	})
-	allocbudget.Gate(t, "postings/Bitmap.Or", func() {
-		ba.SetSorted(cands)
-		ba.Or(&bb)
-	})
-
 	buf := append([]model.ObjectID(nil), cands...)
 	allocbudget.Gate(t, "postings/Bitmap.KeepSorted", func() {
 		copy(buf[:cap(buf)], cands)
@@ -45,9 +35,9 @@ func TestAllocBudget(t *testing.T) {
 	allocbudget.Gate(t, "postings/IntersectGalloping", func() { dst = IntersectGalloping(small, other, dst[:0]) })
 }
 
-// TestAllocBudgetDispatch pins the container-aware dispatch kernels, the
-// temporal filter and the tombstone subtraction: with a reused dst each is
-// allocation-free once warmed up. MergeSortedIDLists returns a fresh
+// TestAllocBudgetDispatch pins the container-aware dispatch kernels and
+// the temporal filter: with a reused dst each is allocation-free once
+// warmed up. MergeSortedIDLists returns a fresh
 // slice, so it pays exactly one exactly-sized allocation per merge.
 // `make benchmem` re-records.
 func TestAllocBudgetDispatch(t *testing.T) {
@@ -62,12 +52,4 @@ func TestAllocBudgetDispatch(t *testing.T) {
 
 	halves := [][]model.ObjectID{cands[:len(cands)/2], cands[len(cands)/4:]}
 	allocbudget.Gate(t, "postings/MergeSortedIDLists", func() { _ = MergeSortedIDLists(halves) })
-
-	var live, dead Bitmap
-	live.SetSorted(cands)
-	dead.SetSorted(small)
-	allocbudget.Gate(t, "postings/Bitmap.AndNot", func() {
-		live.SetSorted(cands)
-		live.AndNot(&dead)
-	})
 }

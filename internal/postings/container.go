@@ -11,7 +11,7 @@ import (
 // Roaring-style hybrid containers for candidate intersections: sorted id
 // slices (the array container every index already uses) stay the
 // representation for sparse sets, while dense sets switch to a packed
-// []uint64 bitmap whose AND/OR/ANDNOT kernels process 64 ids per word.
+// []uint64 bitmap with O(1) membership probes.
 // Skewed array/array pairs use galloping (exponential) search instead of
 // a full merge. IntersectAnySorted and List.IntersectAny are the
 // container-aware dispatchers the hot paths call.
@@ -111,32 +111,6 @@ func (b *Bitmap) SetSorted(ids []model.ObjectID) {
 	}
 }
 
-// And intersects b with o word-parallel: bits beyond o's universe clear.
-func (b *Bitmap) And(o *Bitmap) {
-	n := min(len(b.words), len(o.words))
-	for i := 0; i < n; i++ {
-		b.words[i] &= o.words[i]
-	}
-	clear(b.words[n:])
-}
-
-// Or unions o into b word-parallel. o must not exceed b's universe
-// (union paths mark into a bitmap sized for the full candidate set).
-func (b *Bitmap) Or(o *Bitmap) {
-	n := min(len(b.words), len(o.words))
-	for i := 0; i < n; i++ {
-		b.words[i] |= o.words[i]
-	}
-}
-
-// AndNot clears every bit of b that is set in o, word-parallel.
-func (b *Bitmap) AndNot(o *Bitmap) {
-	n := min(len(b.words), len(o.words))
-	for i := 0; i < n; i++ {
-		b.words[i] &^= o.words[i]
-	}
-}
-
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int {
 	n := 0
@@ -144,19 +118,6 @@ func (b *Bitmap) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// AppendIDs appends the set ids in ascending order.
-func (b *Bitmap) AppendIDs(dst []model.ObjectID) []model.ObjectID {
-	dst = slices.Grow(dst, b.Count())
-	for i, w := range b.words {
-		base := model.ObjectID(i) << 6
-		for w != 0 {
-			dst = append(dst, base+model.ObjectID(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // KeepSorted compacts ids in place to those present in the bitmap,

@@ -7,24 +7,6 @@ import (
 	"repro/internal/model"
 )
 
-// unionSorted is the reference union of two sorted id slices.
-func unionSorted(a, b []model.ObjectID) []model.ObjectID {
-	out := append(append([]model.ObjectID(nil), a...), b...)
-	model.SortIDs(out)
-	return model.DedupIDs(out)
-}
-
-// diffSorted is the reference a \ b over sorted id slices.
-func diffSorted(a, b []model.ObjectID) []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(a))
-	for _, id := range a {
-		if _, ok := slices.BinarySearch(b, id); !ok {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 func TestBitmapSetContains(t *testing.T) {
 	var b Bitmap
 	b.Reset(200)
@@ -65,49 +47,13 @@ func TestBitmapSetSortedRoundTrip(t *testing.T) {
 	var b Bitmap
 	for _, ids := range cases {
 		b.SetSorted(ids)
-		got := b.AppendIDs(nil)
+		got := b.KeepSorted(slices.Clone(ids))
 		if !model.EqualIDs(got, ids) {
 			t.Errorf("round trip %v -> %v", ids, got)
 		}
 		if b.Count() != len(ids) {
 			t.Errorf("Count(%v) = %d", ids, b.Count())
 		}
-	}
-}
-
-func TestBitmapKernelsMatchSliceOracle(t *testing.T) {
-	a := []model.ObjectID{0, 2, 63, 64, 100, 129, 500}
-	c := []model.ObjectID{2, 64, 65, 100, 501, 600, 900}
-
-	var ba, bc Bitmap
-	ba.SetSorted(a)
-	bc.SetSorted(c)
-	ba.And(&bc)
-	if got, want := ba.AppendIDs(nil), IntersectSortedIDs(a, c, nil); !model.EqualIDs(got, want) {
-		t.Errorf("And = %v, want %v", got, want)
-	}
-
-	// Or marks into a bitmap sized for the larger universe.
-	ba.SetSorted(c)
-	bc.SetSorted(a)
-	ba.Or(&bc)
-	if got, want := ba.AppendIDs(nil), unionSorted(a, c); !model.EqualIDs(got, want) {
-		t.Errorf("Or = %v, want %v", got, want)
-	}
-
-	ba.SetSorted(a)
-	bc.SetSorted(c)
-	ba.AndNot(&bc)
-	if got, want := ba.AppendIDs(nil), diffSorted(a, c); !model.EqualIDs(got, want) {
-		t.Errorf("AndNot = %v, want %v", got, want)
-	}
-
-	// And against a smaller universe clears the tail beyond it.
-	ba.SetSorted(a)
-	bc.SetSorted([]model.ObjectID{2})
-	ba.And(&bc)
-	if got, want := ba.AppendIDs(nil), []model.ObjectID{2}; !model.EqualIDs(got, want) {
-		t.Errorf("And small-universe = %v, want %v", got, want)
 	}
 }
 
@@ -251,15 +197,14 @@ func TestBitmapScratchPool(t *testing.T) {
 	defer PutBitmapScratch(s2)
 	// Pooled bitmaps are reused dirty; Reset/SetSorted must fully clear.
 	s2.Cands.SetSorted([]model.ObjectID{5})
-	if got := s2.Cands.AppendIDs(nil); !model.EqualIDs(got, []model.ObjectID{5}) {
-		t.Fatalf("pooled bitmap not cleared: %v", got)
+	if got := s2.Cands.Count(); got != 1 || !s2.Cands.Contains(5) {
+		t.Fatalf("pooled bitmap not cleared: %d ids set", got)
 	}
 }
 
 // FuzzContainerParity drives the bitmap container against the sorted
 // slice oracles on arbitrary id sets: array -> bitmap -> array
-// round-trips, and the AND/OR/ANDNOT kernels against merge-based set
-// operations.
+// round-trips, and KeepSorted against the merge intersection.
 func FuzzContainerParity(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, []byte{1, 1, 2})
 	f.Add([]byte{}, []byte{5, 5, 5})
@@ -273,12 +218,13 @@ func FuzzContainerParity(f *testing.F) {
 		ba.SetSorted(a)
 		bb.SetSorted(b)
 
-		// Round trips.
-		if got := ba.AppendIDs(nil); !model.EqualIDs(got, a) {
-			t.Fatalf("round trip %v -> %v", a, got)
+		// Round trips: every expected id survives KeepSorted, and Count
+		// rules out extra bits.
+		if got := ba.KeepSorted(slices.Clone(a)); !model.EqualIDs(got, a) || ba.Count() != len(a) {
+			t.Fatalf("round trip %v -> %v (%d bits set)", a, got, ba.Count())
 		}
-		if got := bb.AppendIDs(nil); !model.EqualIDs(got, b) {
-			t.Fatalf("round trip %v -> %v", b, got)
+		if got := bb.KeepSorted(slices.Clone(b)); !model.EqualIDs(got, b) || bb.Count() != len(b) {
+			t.Fatalf("round trip %v -> %v (%d bits set)", b, got, bb.Count())
 		}
 		for _, id := range a {
 			if !ba.Contains(id) {
@@ -286,37 +232,11 @@ func FuzzContainerParity(f *testing.F) {
 			}
 		}
 
-		// AND vs merge intersection.
-		ba.And(&bb)
+		// KeepSorted vs merge intersection.
 		want := IntersectSortedIDs(a, b, nil)
-		if got := ba.AppendIDs(nil); !model.EqualIDs(got, want) {
-			t.Fatalf("And = %v, want %v (a=%v b=%v)", got, want, a, b)
-		}
-		// KeepSorted agrees with the merge too.
-		bb.SetSorted(b)
 		cands := append([]model.ObjectID(nil), a...)
 		if got := bb.KeepSorted(cands); !model.EqualIDs(got, want) {
 			t.Fatalf("KeepSorted = %v, want %v (a=%v b=%v)", got, want, a, b)
-		}
-
-		// OR vs merge union: mark into the wider universe.
-		ba.SetSorted(a)
-		bb.SetSorted(b)
-		wide, narrow := &ba, &bb
-		if len(b) > 0 && (len(a) == 0 || b[len(b)-1] > a[len(a)-1]) {
-			wide, narrow = &bb, &ba
-		}
-		wide.Or(narrow)
-		if got := wide.AppendIDs(nil); !model.EqualIDs(got, unionSorted(a, b)) {
-			t.Fatalf("Or = %v, want %v (a=%v b=%v)", got, unionSorted(a, b), a, b)
-		}
-
-		// ANDNOT vs difference.
-		ba.SetSorted(a)
-		bb.SetSorted(b)
-		ba.AndNot(&bb)
-		if got := ba.AppendIDs(nil); !model.EqualIDs(got, diffSorted(a, b)) {
-			t.Fatalf("AndNot = %v, want %v (a=%v b=%v)", got, diffSorted(a, b), a, b)
 		}
 	})
 }

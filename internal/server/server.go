@@ -731,13 +731,12 @@ func (s *Server) tooManyTenants(w http.ResponseWriter, id string) {
 }
 
 // queryCtx derives the per-request evaluation context, carrying the
-// tenant identity and the evaluation deadline.
-func (s *Server) queryCtx(r *http.Request, id string) (context.Context, context.CancelFunc) {
-	ctx := tenant.InjectID(r.Context(), id)
+// evaluation deadline.
+func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.queryTimeout < 0 {
-		return ctx, func() {}
+		return r.Context(), func() {}
 	}
-	return context.WithTimeout(ctx, s.queryTimeout)
+	return context.WithTimeout(r.Context(), s.queryTimeout)
 }
 
 // Partial-result plumbing. Every search answers through the engine's
@@ -795,6 +794,29 @@ type objectJSON struct {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	send(w, status, errorReply{msg: fmt.Sprintf(format, args...)})
+}
+
+// maxBodyBytes bounds a request body. Bodies are decoded before tenant
+// resolution and admission, so without a bound one client could make
+// the server decode and hold any amount of memory; real bodies are a
+// few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers 413 for an oversized body and 400 for any other
+// error, and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxBodyBytes)
+	default:
+		writeError(w, http.StatusBadRequest, "bad body: %v", err)
+	}
+	return false
 }
 
 // checkInterval validates a request's interval. start > end is rejected
@@ -862,7 +884,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer g.release()
-	ctx, cancel := s.queryCtx(r, g.tn.ID())
+	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 
 	if k > 0 {
@@ -903,8 +925,7 @@ type batchRequest struct {
 // error while completed rows still return.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := checkInterval(req.Start, req.End); err != nil {
@@ -928,7 +949,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer g.release()
-	ctx, cancel := s.queryCtx(r, g.tn.ID())
+	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 
 	tr := s.obs.StartTrace("search_batch")
@@ -966,8 +987,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 // tenants are untouched.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var in objectJSON
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		writeError(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &in) {
 		return
 	}
 	if err := checkInterval(in.Start, in.End); err != nil {
@@ -1063,7 +1083,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer g.release()
-	ctx, cancel := s.queryCtx(r, g.tn.ID())
+	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 
 	tr := s.obs.StartTrace("timeline")

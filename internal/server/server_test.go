@@ -161,6 +161,36 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+// TestBodyLimit posts valid JSON bodies padded with whitespace to each
+// body-decoding route: one byte over maxBodyBytes answers 413, and a body
+// of exactly maxBodyBytes is still served.
+func TestBodyLimit(t *testing.T) {
+	ts := newTestServer(t)
+	for _, tc := range []struct {
+		path, head, tail string
+		ok               int
+	}{
+		{"/objects", `{"start":0,"end":5,`, `"terms":["alpha"]}`, http.StatusCreated},
+		{"/search/batch", `{"start":0,"end":100,`, `"queries":["alpha"]}`, http.StatusOK},
+	} {
+		for _, size := range []int{maxBodyBytes, maxBodyBytes + 1} {
+			pad := strings.Repeat(" ", size-len(tc.head)-len(tc.tail))
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.head+pad+tc.tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := tc.ok
+			if size > maxBodyBytes {
+				want = http.StatusRequestEntityTooLarge
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s with a %d-byte body: status %d, want %d", tc.path, size, resp.StatusCode, want)
+			}
+		}
+	}
+}
+
 func TestObjectErrors(t *testing.T) {
 	ts := newTestServer(t)
 	getJSON(t, ts.URL+"/objects/999", http.StatusNotFound)

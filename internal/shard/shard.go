@@ -109,25 +109,6 @@ func (m Map) Route(iv model.Interval, elems []model.ElemID) int {
 	}
 }
 
-// RangeOf returns the start-time slot of shard i (TimeRange maps only;
-// ok=false otherwise). The first and last shards additionally absorb
-// out-of-bounds starts, and objects may END far past their slot — use
-// observed extents, not slots, for query pruning.
-func (m Map) RangeOf(i int) (model.Interval, bool) {
-	if m.kind != TimeRange || i < 0 || i >= m.n {
-		return model.Interval{}, false
-	}
-	lo := m.lo + model.Timestamp(int64(i)*m.width)
-	hi := lo + model.Timestamp(m.width) - 1
-	if i == m.n-1 || hi > m.hi {
-		hi = m.hi
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return model.NewInterval(lo, hi), true
-}
-
 // FNV-1a constants (hash/fnv's New64a allocates; inlining the mix keeps
 // the insert path allocation-free).
 const (

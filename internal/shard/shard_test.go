@@ -45,39 +45,17 @@ func TestTimeRangeRouting(t *testing.T) {
 	}
 }
 
-func TestRangeOfCoversDomain(t *testing.T) {
+func TestTimeRangeSlotsTileDomain(t *testing.T) {
 	m, err := NewTimeRange(4, 0, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The slots tile [0, 99] and every start lands in its slot.
-	next := model.Timestamp(0)
-	for i := 0; i < m.N(); i++ {
-		r, ok := m.RangeOf(i)
-		if !ok {
-			t.Fatalf("RangeOf(%d) not ok", i)
-		}
-		if r.Start != next {
-			t.Fatalf("shard %d starts at %d, want %d", i, r.Start, next)
-		}
-		next = r.End + 1
-	}
-	if next != 100 {
-		t.Fatalf("slots end at %d, want 100", next)
-	}
+	// Four contiguous slots of width ceil(100/4) = 25 tile [0, 99]: every
+	// start lands in the slot that holds it, and every shard gets one.
 	for s := model.Timestamp(0); s <= 99; s++ {
-		idx := m.Route(model.NewInterval(s, s), nil)
-		r, _ := m.RangeOf(idx)
-		if !r.Contains(s) {
-			t.Fatalf("start %d routed to shard %d whose slot %v misses it", s, idx, r)
+		if got, want := m.Route(model.NewInterval(s, s), nil), int(s/25); got != want {
+			t.Fatalf("start %d routed to shard %d, want %d", s, got, want)
 		}
-	}
-	if _, ok := m.RangeOf(4); ok {
-		t.Fatal("RangeOf past the shard count should not be ok")
-	}
-	h, _ := NewHash(4)
-	if _, ok := h.RangeOf(0); ok {
-		t.Fatal("hash maps have no slot ranges")
 	}
 }
 

@@ -224,77 +224,6 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 	return cands
 }
 
-// QueryHashDedup answers queries like Query but suppresses replication
-// duplicates with a hash set instead of the reference-value method — the
-// de-duplication ablation (Section 2.2 argues reference values are the
-// more efficient choice; the ablation benchmark quantifies it).
-func (ix *Index) QueryHashDedup(q model.Query) []model.ObjectID {
-	if len(q.Elems) == 0 {
-		return ix.queryTemporalOnly(q.Interval)
-	}
-	plan := dict.PlanOrder(q.Elems, ix.freqs)
-	first := plan[0]
-	if int(first) >= len(ix.lists) || ix.lists[first] == nil {
-		return nil
-	}
-	sf, sl := ix.sliceOf(q.Interval.Start), ix.sliceOf(q.Interval.End)
-	seen := make(map[model.ObjectID]struct{})
-	var cands []model.ObjectID
-	for s := sf; s <= sl; s++ {
-		for _, p := range ix.lists[first][s] {
-			if !p.Interval.Overlaps(q.Interval) {
-				continue
-			}
-			if _, dup := seen[p.ID]; dup {
-				continue
-			}
-			seen[p.ID] = struct{}{}
-			cands = append(cands, p.ID)
-		}
-	}
-	model.SortIDs(cands)
-	keep := make([]bool, len(cands))
-	for _, e := range plan[1:] {
-		if len(cands) == 0 {
-			return nil
-		}
-		if int(e) >= len(ix.lists) || ix.lists[e] == nil {
-			return nil
-		}
-		for i := range keep {
-			keep[i] = false
-		}
-		for s := sf; s <= sl; s++ {
-			sub := ix.lists[e][s]
-			i, j := 0, 0
-			for i < len(cands) && j < len(sub) {
-				switch {
-				case cands[i] < sub[j].ID:
-					i++
-				case cands[i] > sub[j].ID:
-					j++
-				default:
-					if !postings.IsTombstone(sub[j].Interval) {
-						keep[i] = true
-					}
-					i++
-					j++
-				}
-			}
-		}
-		w := 0
-		for i, k := range keep {
-			if k {
-				cands[w] = cands[i]
-				w++
-			}
-		}
-		cands = cands[:w]
-		keep = keep[:w]
-	}
-	return cands
-}
-
 func (ix *Index) queryTemporalOnly(q model.Interval) []model.ObjectID {
 	sf, sl := ix.sliceOf(q.Start), ix.sliceOf(q.End)
 	var out []model.ObjectID
@@ -337,41 +266,4 @@ func (ix *Index) EntryCount() int64 {
 		}
 	}
 	return total
-}
-
-// TuneSlices implements the spirit of Berberich et al.'s tuning: among the
-// candidate slice counts, pick the largest whose replicated size stays
-// within budgetRatio times the unsliced size (budgetRatio >= 1). The
-// expected query cost model of the paper decreases with more slices until
-// fragmentation dominates, so "largest within budget" matches their
-// optimizer's behaviour on uniform slicings.
-func TuneSlices(c *model.Collection, candidates []int, budgetRatio float64) int {
-	if len(candidates) == 0 {
-		return DefaultSlices
-	}
-	span, ok := c.Span()
-	if !ok {
-		return candidates[0]
-	}
-	base := 0
-	for i := range c.Objects {
-		base += len(c.Objects[i].Elems)
-	}
-	best := candidates[0]
-	for _, k := range candidates {
-		width := (int64(span.End-span.Start) + int64(k)) / int64(k)
-		if width < 1 {
-			width = 1
-		}
-		var entries int64
-		for i := range c.Objects {
-			o := &c.Objects[i]
-			spanned := int64(o.Interval.End-o.Interval.Start)/width + 1
-			entries += spanned * int64(len(o.Elems))
-		}
-		if float64(entries) <= budgetRatio*float64(base) && k > best {
-			best = k
-		}
-	}
-	return best
 }

@@ -108,48 +108,6 @@ func TestEntryCountGrowsWithSlices(t *testing.T) {
 	}
 }
 
-func TestTuneSlices(t *testing.T) {
-	cfg := testutil.DefaultConfig(5)
-	c := testutil.RandomCollection(cfg)
-	cands := []int{1, 10, 25, 50}
-	// Budget of exactly 1.0 allows only the single-slice layout
-	// (any replication exceeds the base size)... unless no interval
-	// crosses a boundary; with random data some do.
-	k1 := TuneSlices(c, cands, 1.0)
-	if k1 != 1 {
-		t.Errorf("tight budget chose %d slices", k1)
-	}
-	// A generous budget picks the largest candidate.
-	k2 := TuneSlices(c, cands, 1e9)
-	if k2 != 50 {
-		t.Errorf("loose budget chose %d slices", k2)
-	}
-	if TuneSlices(c, nil, 2.0) != DefaultSlices {
-		t.Error("empty candidates should fall back to default")
-	}
-}
-
-func TestHashDedupMatchesReferenceValue(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		cfg := testutil.DefaultConfig(seed + 60)
-		c := testutil.RandomCollection(cfg)
-		ix := New(c, WithSlices(12))
-		for i, q := range testutil.RandomQueries(cfg, 150, seed+61) {
-			a := testutil.Canonical(ix.Query(q))
-			b := testutil.Canonical(ix.QueryHashDedup(q))
-			if !model.EqualIDs(a, b) {
-				t.Fatalf("query %d: refvalue %v != hash %v", i, a, b)
-			}
-		}
-	}
-	// Element-less path shared with Query.
-	ix := New(runningExample(), WithSlices(4))
-	got := ix.QueryHashDedup(model.Query{Interval: model.Interval{Start: 0, End: 0}})
-	if !model.EqualIDs(got, []model.ObjectID{2, 3}) {
-		t.Errorf("got %v", got)
-	}
-}
-
 func TestTemporalOnly(t *testing.T) {
 	ix := New(runningExample(), WithSlices(4))
 	got := ix.Query(model.Query{Interval: model.Interval{Start: 0, End: 0}})

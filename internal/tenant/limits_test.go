@@ -1,21 +1,10 @@
 package tenant
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
 )
-
-func TestContextIdentity(t *testing.T) {
-	if id, ok := FromContext(context.Background()); ok || id != "" {
-		t.Fatalf("empty context carried identity %q", id)
-	}
-	ctx := InjectID(context.Background(), "acme")
-	if id, ok := FromContext(ctx); !ok || id != "acme" {
-		t.Fatalf("FromContext = %q, %v", id, ok)
-	}
-}
 
 func TestValidateID(t *testing.T) {
 	for _, ok := range []string{"a", "default", "acme-prod_1", "A.B-c", "0"} {

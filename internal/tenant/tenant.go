@@ -1,8 +1,7 @@
 // Package tenant is the multi-tenant serving layer: a registry of
 // per-tenant engines created lazily on first use and evicted (with a
-// spill to disk) when cold, per-tenant limits and quotas, weighted
-// fair-share admission over the shared worker capacity, and the
-// context plumbing that carries a tenant identity through a request.
+// spill to disk) when cold, per-tenant limits and quotas, and weighted
+// fair-share admission over the shared worker capacity.
 //
 // The package is deliberately engine-agnostic: the registry is generic
 // over a small Engine interface (Save + Epoch) and is handed
@@ -10,10 +9,7 @@
 // options. The server layer owns that wiring.
 package tenant
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // Header is the HTTP header carrying the tenant identity, following
 // the X-Scope-OrgID convention of Cortex/Loki/Pyroscope-style
@@ -28,22 +24,6 @@ const DefaultID = "default"
 // MaxIDLen bounds tenant-id length: ids become metric label values and
 // spill-file names, so they must stay short and filesystem-safe.
 const MaxIDLen = 64
-
-type ctxKey struct{}
-
-// InjectID returns a context carrying the tenant identity. Handlers
-// resolve the id once at the edge and inject it; everything below
-// reads it with FromContext.
-func InjectID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKey{}, id)
-}
-
-// FromContext returns the tenant identity carried by the context,
-// reporting false if none was injected.
-func FromContext(ctx context.Context) (string, bool) {
-	id, ok := ctx.Value(ctxKey{}).(string)
-	return id, ok
-}
 
 // ValidateID checks that a tenant id is usable as a metric label value
 // and a spill-file stem: non-empty, at most MaxIDLen bytes, and
