@@ -1,0 +1,296 @@
+package temporalir_test
+
+import (
+	"flag"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/scanner"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+var updateSurface = flag.Bool("update-surface", false, "rewrite testdata/surface.txt from the tree")
+
+// surfaceFile is the exported-surface ledger: one sorted line per
+// exported name, flag, route and metric family. A change that grows or
+// shrinks the surface shows up as lines entering or leaving this file.
+const surfaceFile = "testdata/surface.txt"
+
+// TestSurface compares the tree's exported surface with the ledger. It
+// covers the root package's exported declarations, *Engine methods and
+// the exported fields of its structs; server.Engine's methods and
+// server.Options' fields; every cmd/* flag; the server's routes; and
+// every "tir_*" metric literal. Run with -update-surface to rewrite the
+// ledger after an intended change.
+func TestSurface(t *testing.T) {
+	got := strings.Join(surface(t), "\n") + "\n"
+	if *updateSurface {
+		if err := os.WriteFile(surfaceFile, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(surfaceFile)
+	if err != nil {
+		t.Fatalf("%v (run go test -run TestSurface -update-surface)", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	added, removed := diffSorted(strings.Split(strings.TrimSuffix(got, "\n"), "\n"), want)
+	if len(added)+len(removed) > 0 {
+		t.Fatalf("exported surface differs from %s (run go test -run TestSurface -update-surface and say why in CHANGES.md)\nadded:\n  %s\nremoved:\n  %s",
+			surfaceFile, strings.Join(added, "\n  "), strings.Join(removed, "\n  "))
+	}
+}
+
+// diffSorted returns the lines only in got and the lines only in want.
+func diffSorted(got, want []string) (added, removed []string) {
+	in := func(set []string) map[string]bool {
+		m := make(map[string]bool, len(set))
+		for _, s := range set {
+			m[s] = true
+		}
+		return m
+	}
+	g, w := in(got), in(want)
+	for _, s := range got {
+		if !w[s] {
+			added = append(added, s)
+		}
+	}
+	for _, s := range want {
+		if !g[s] {
+			removed = append(removed, s)
+		}
+	}
+	return added, removed
+}
+
+// surface lists the tree's exported surface, sorted and de-duplicated.
+func surface(t *testing.T) []string {
+	t.Helper()
+	set := map[string]bool{}
+	add := func(format string, args ...any) { set[fmt.Sprintf(format, args...)] = true }
+
+	for _, f := range parseDir(t, ".") {
+		rootDecls(f, add)
+	}
+	for _, f := range parseDir(t, "internal/server") {
+		serverDecls(f, add)
+	}
+	cmds, err := filepath.Glob("cmd/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range cmds {
+		for _, f := range parseDir(t, dir) {
+			flags(f, filepath.ToSlash(dir), add)
+		}
+	}
+	metrics(t, add)
+
+	out := make([]string, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// parseDir parses the non-test Go files of one directory.
+func parseDir(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// rootDecls adds the root package's exported top-level declarations,
+// its *Engine methods and the exported fields of its struct types.
+func rootDecls(f *ast.File, add func(string, ...any)) {
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				add("temporalir func %s", d.Name.Name)
+			} else if recv := recvName(d.Recv.List[0].Type); recv == "*Engine" {
+				add("temporalir method (%s) %s", recv, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if !s.Name.IsExported() {
+						continue
+					}
+					add("temporalir type %s", s.Name.Name)
+					structFields(s, "temporalir", add)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							add("temporalir %s %s", d.Tok, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// serverDecls adds server.Engine's methods, server.Options' fields and
+// the routes the server mounts.
+func serverDecls(f *ast.File, add func(string, ...any)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			switch n.Name.Name {
+			case "Engine":
+				if it, ok := n.Type.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, name := range m.Names {
+							add("server method Engine.%s", name.Name)
+						}
+					}
+				}
+			case "Options":
+				structFields(n, "server", add)
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "HandleFunc" && len(n.Args) > 0 {
+				if route, ok := stringLit(n.Args[0]); ok {
+					add("server route %s", route)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// structFields adds the exported fields of a struct type spec.
+func structFields(s *ast.TypeSpec, pkg string, add func(string, ...any)) {
+	st, ok := s.Type.(*ast.StructType)
+	if !ok {
+		return
+	}
+	for _, fld := range st.Fields.List {
+		for _, n := range fld.Names {
+			if n.IsExported() {
+				add("%s field %s.%s", pkg, s.Name.Name, n.Name)
+			}
+		}
+	}
+}
+
+func recvName(x ast.Expr) string {
+	if star, ok := x.(*ast.StarExpr); ok {
+		return "*" + recvName(star.X)
+	}
+	if id, ok := x.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// flags adds every flag a command defines through the flag package.
+func flags(f *ast.File, cmd string, add func(string, ...any)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		arg := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1
+		}
+		if len(call.Args) > arg+1 {
+			if name, ok := stringLit(call.Args[arg]); ok {
+				add("%s flag -%s", cmd, name)
+			}
+		}
+		return true
+	})
+}
+
+var metricName = regexp.MustCompile(`^tir_[a-z0-9_]+$`)
+
+// metrics adds every "tir_*" string literal in the module's non-test Go
+// files. A token scan is enough: metric names are plain literals.
+func metrics(t *testing.T, add func(string, ...any)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var s scanner.Scanner
+		fset := token.NewFileSet()
+		s.Init(fset.AddFile(path, -1, len(src)), src, nil, 0)
+		for {
+			_, tok, lit := s.Scan()
+			if tok == token.EOF {
+				return nil
+			}
+			if tok != token.STRING {
+				continue
+			}
+			if v, err := strconv.Unquote(lit); err == nil && metricName.MatchString(v) {
+				add("metric %s", v)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stringLit returns the value of a string literal expression.
+func stringLit(x ast.Expr) (string, bool) {
+	lit, ok := x.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	v, err := strconv.Unquote(lit.Value)
+	return v, err == nil
+}
