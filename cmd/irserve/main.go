@@ -36,10 +36,10 @@
 // lazily created one) across N stores behind a scatter-gather
 // coordinator: inserts route by time-range partition, queries fan out
 // and merge, and compaction runs per shard in parallel; 0 or 1 serves
-// one store. -shard-timeout adds a per-shard query deadline; responses
-// that lost shards to it say so explicitly ("partial": true plus the cut
-// shard indices — never a silently truncated 200). /stats carries one
-// row per shard and /metrics the tir_shard_* family at every width.
+// one store. Every query runs each planned shard to completion: a 200
+// carries the whole answer, and a request past its deadline answers
+// 504. /stats carries one row per shard and /metrics the tir_shard_*
+// family at every width.
 //
 // -pprof additionally mounts net/http/pprof under /debug/pprof/;
 // -slow-threshold tunes the slow-query log and -no-trace disables
@@ -104,8 +104,7 @@ func main() {
 		noTrace   = flag.Bool("no-trace", false, "disable per-query trace spans (metrics stay enabled)")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
-		shards       = flag.Int("shards", 0, "shard the corpus across N stores with a scatter-gather coordinator; 0 or 1 serves a single store")
-		shardTimeout = flag.Duration("shard-timeout", 0, "per-shard query deadline; cut shards are reported, never silently dropped")
+		shards = flag.Int("shards", 0, "shard the corpus across N stores with a scatter-gather coordinator; 0 or 1 serves a single store")
 
 		defTenant  = flag.String("default-tenant", tenant.DefaultID, "tenant served to requests without an "+tenant.Header+" header")
 		reqTenant  = flag.Bool("require-tenant", false, "refuse requests without an "+tenant.Header+" header (401)")
@@ -162,10 +161,7 @@ func main() {
 	// Time-range partitioning over the preloaded corpus's domain; with
 	// no data it falls back to hash. Every lazily created tenant gets a
 	// sibling with the same shard options.
-	engine, err := b.BuildSharded(temporalir.Method(*index), temporalir.Options{}, temporalir.ShardedOptions{
-		Shards:       max(*shards, 1),
-		ShardTimeout: *shardTimeout,
-	})
+	engine, err := b.BuildSharded(temporalir.Method(*index), temporalir.Options{}, temporalir.ShardedOptions{Shards: max(*shards, 1)})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "irserve: %v\n", err)
 		os.Exit(2)

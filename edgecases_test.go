@@ -1,6 +1,8 @@
 package temporalir_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -123,6 +125,74 @@ func TestHugeTimestamps(t *testing.T) {
 		})
 	}
 	checkAll(t, &c, queries)
+}
+
+// TestWideIntervalQueries: library queries over intervals of more than
+// 2^63−1 time points answer like any other. Such an interval's length
+// does not fit an int64: Timeline used to panic sizing its buckets and
+// SearchTopK to score +Inf.
+func TestWideIntervalQueries(t *testing.T) {
+	objs := []struct {
+		s, e  temporalir.Timestamp
+		terms []string
+	}{
+		{-1 << 61, -1<<61 + 9, []string{"a"}},
+		{-50, -10, []string{"a"}},
+		{0, 100, []string{"a", "b"}},
+		{90, 200, []string{"a"}},
+		{300, 400, []string{"b"}},
+		{1 << 61, 1<<61 + 5, []string{"a"}},
+	}
+	b := temporalir.NewBuilder()
+	for _, o := range objs {
+		b.Add(o.s, o.e, o.terms...)
+	}
+	for _, shards := range []int{1, 4} {
+		e, err := b.BuildSharded(temporalir.IRHintPerf, temporalir.Options{}, temporalir.ShardedOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, iv := range []temporalir.Interval{{Start: math.MinInt64, End: math.MaxInt64}, {Start: 0, End: math.MaxInt64}, {Start: math.MinInt64, End: 0}} {
+			name := fmt.Sprintf("%d stores [%d, %d]", shards, iv.Start, iv.End)
+			matches := 0
+			for _, o := range objs {
+				if o.terms[0] == "a" && iv.Overlaps(temporalir.Interval{Start: o.s, End: o.e}) {
+					matches++
+				}
+			}
+			rs := e.SearchTopK(iv.Start, iv.End, 10, "a")
+			if len(rs) != matches {
+				t.Fatalf("%s: top-k returned %d hits, want %d", name, len(rs), matches)
+			}
+			for _, r := range rs {
+				if !(r.Score >= 0 && r.Score <= 1) {
+					t.Fatalf("%s: score %v outside [0, 1]", name, r.Score)
+				}
+			}
+			for _, n := range []int{1, 2, 4} {
+				tl := e.Timeline(iv.Start, iv.End, n, "a")
+				if len(tl) != n || tl[0].Start != iv.Start || tl[n-1].End != iv.End {
+					t.Fatalf("%s: %d buckets do not tile the interval: %+v", name, n, tl)
+				}
+				for i, bk := range tl {
+					if i > 0 && bk.Start != tl[i-1].End+1 {
+						t.Fatalf("%s: bucket %d starts at %d after %d", name, i, bk.Start, tl[i-1].End)
+					}
+					count, mass := 0, int64(0)
+					for _, o := range objs {
+						clip, ok := temporalir.Interval{Start: o.s, End: o.e}.Intersect(temporalir.Interval{Start: bk.Start, End: bk.End})
+						if o.terms[0] == "a" && ok {
+							count++
+							mass += clip.Duration()
+						}
+					}
+					if bk.Count != count || bk.Mass != mass {
+						t.Fatalf("%s: bucket %d of %d = %+v, want count %d mass %d", name, i, n, bk, count, mass)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestRealStandInEquivalence(t *testing.T) {

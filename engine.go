@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dict"
 	"repro/internal/maint"
@@ -134,7 +133,6 @@ type Engine struct {
 
 	// Coordinator counters, surfaced in CoordinatorStats and metrics.
 	queries      atomic.Uint64
-	shardsCut    atomic.Uint64
 	shardsPruned atomic.Uint64
 }
 
@@ -182,13 +180,6 @@ type ShardedOptions struct {
 	// Bounds is the time-range domain for PartitionTimeRange. The zero
 	// interval means "unbounded" and triggers derivation or fallback.
 	Bounds Interval
-	// ShardTimeout is the per-store deadline the context query variants
-	// apply: a store that has not answered within it is reported as cut
-	// rather than awaited. Zero disables per-store deadlines (the
-	// query's own context still bounds the whole fan-out). The plain
-	// (context-free) query methods never apply it — without a report
-	// channel a deadline could only truncate silently.
-	ShardTimeout time.Duration
 }
 
 // normalize resolves defaults and the time-range fallback. span is the
@@ -633,12 +624,11 @@ func (e *Engine) ShardStats() []ShardStat {
 }
 
 // CoordinatorStats summarizes the query coordinator: store layout plus
-// cumulative query/cut/prune counters.
+// cumulative query/prune counters.
 type CoordinatorStats struct {
 	Shards       int    `json:"shards"`
 	Partition    string `json:"partition"`
 	Queries      uint64 `json:"queries"`
-	ShardsCut    uint64 `json:"shards_cut"`
 	ShardsPruned uint64 `json:"shards_pruned"`
 }
 
@@ -648,7 +638,6 @@ func (e *Engine) CoordinatorStats() CoordinatorStats {
 		Shards:       len(e.stores),
 		Partition:    e.smap.Kind().String(),
 		Queries:      e.queries.Load(),
-		ShardsCut:    e.shardsCut.Load(),
 		ShardsPruned: e.shardsPruned.Load(),
 	}
 }

@@ -2,10 +2,7 @@ package temporalir
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/aggregate"
 	"repro/internal/exec"
@@ -16,13 +13,12 @@ import (
 	"repro/internal/shard"
 )
 
-// Query execution. Every query kind has one body, which the plain,
-// context and report-carrying forms wrap. The body resolves the terms
-// once against the shared dictionary (plan span) and then evaluates:
+// Query execution. Every query kind has one body, which the plain form
+// runs under context.Background(). The body resolves the terms once
+// against the shared dictionary (plan span) and then evaluates:
 //
-//   - A one-store engine with no per-store deadline runs the store's
-//     query on the caller's goroutine: no planning, scatter or merge,
-//     and no per-query slices.
+//   - A one-store engine runs the store's query on the caller's
+//     goroutine: no planning, scatter or merge, and no per-query slices.
 //   - Otherwise it selects the stores whose extents can overlap the
 //     interval, fans out over the worker pool (scatter span, one
 //     immutable generation snapshot per store) and merges the stores'
@@ -31,11 +27,9 @@ import (
 // Every query runs its index's one serial body; the parallelism is
 // across stores and across batch rows, never inside one query.
 //
-// Per-store deadlines (ShardedOptions.ShardTimeout) apply on the context
-// surface only. The *ShardsCtx forms name a cut store in their
-// ShardReport; the other context forms and batch rows turn a cut into
-// *PartialError; the context-free forms never apply a deadline. No path
-// returns a silently truncated result.
+// Every planned store runs to completion under the caller's context, so
+// an answer is either complete or an error: a fired context fails the
+// whole query with ctx.Err().
 //
 // Batches pin one generation per store and run their rows over the pool
 // against it, so a batch sees one consistent view however many inserts,
@@ -44,7 +38,7 @@ import (
 
 // Result is one row of a batch search: the matching ids in ascending
 // order, or the error that prevented the query from running (context
-// cancellation or timeout, or *PartialError).
+// cancellation or timeout).
 type Result struct {
 	IDs []ObjectID
 	Err error
@@ -67,31 +61,6 @@ type TimelineBucket struct {
 // ShardReport describes how the coordinator executed one query; see
 // shard.Report.
 type ShardReport = shard.Report
-
-// PartialError is returned by the context forms without a report
-// (SearchCtx, SearchTopKCtx, TimelineCtx, batch rows) when per-store
-// deadlines cut one or more stores: the merged result would be missing
-// those stores' contribution, so the incompleteness is returned as an
-// error instead of silence. Callers that want the partial rows use the
-// *ShardsCtx forms.
-type PartialError struct {
-	Report ShardReport
-}
-
-// Error names the cut stores so logs show exactly what is missing.
-func (e *PartialError) Error() string {
-	return fmt.Sprintf("temporalir: partial result: %d of %d planned shards cut %v",
-		len(e.Report.Cut), e.Report.Planned, e.Report.Cut)
-}
-
-// AsPartialError unwraps err as a *PartialError if it is one.
-func AsPartialError(err error) (*PartialError, bool) {
-	var pe *PartialError
-	if errors.As(err, &pe) {
-		return pe, true
-	}
-	return nil, false
-}
 
 // atomicPool holds the engine's replaceable worker pool.
 type atomicPool = atomic.Pointer[exec.Pool]
@@ -132,9 +101,9 @@ var oneStore = ShardReport{Planned: 1}
 // single returns the generation a query runs on when it skips plan,
 // scatter and merge — the only store's, gens[0] when the caller pinned
 // one — and counts the query; it returns nil when the engine has several
-// stores or a per-store deadline applies.
-func (e *Engine) single(gens []*maint.Generation, timeout time.Duration) *maint.Generation {
-	if len(e.stores) > 1 || timeout > 0 {
+// stores.
+func (e *Engine) single(gens []*maint.Generation) *maint.Generation {
+	if len(e.stores) > 1 {
 		return nil
 	}
 	e.queries.Add(1)
@@ -171,27 +140,21 @@ func (e *Engine) unresolved(err error) ShardReport {
 
 // gather evaluates q on every planned store — on gens[si] when the
 // caller pinned a generation per store, else on a snapshot taken as the
-// store runs — and merges the answers of the stores that answered. With
-// a positive timeout each store runs detached and is reported as cut
-// when the deadline fires first. A fired ctx fails the whole gather.
-func gather[T any](ctx context.Context, e *Engine, q Query, timeout time.Duration, gens []*maint.Generation, eval func(g *maint.Generation) T, merge func(parts []T) T) (T, ShardReport, error) {
+// store runs — and merges their answers. A fired ctx fails the whole
+// gather.
+func gather[T any](ctx context.Context, e *Engine, q Query, gens []*maint.Generation, eval func(g *maint.Generation) T, merge func(parts []T) T) (T, ShardReport, error) {
 	planned, pruned := e.plan(q.Interval)
-	lists := make([]T, len(e.stores))
-	rep, err := e.scatter(ctx, planned, pruned, q.Trace, timeout, func(si int) {
+	parts := make([]T, len(planned))
+	rep, err := e.scatter(ctx, planned, pruned, q.Trace, func(p, si int) {
 		if gens != nil {
-			lists[si] = eval(gens[si])
+			parts[p] = eval(gens[si])
 		} else {
-			lists[si] = eval(e.stores[si].Snapshot())
+			parts[p] = eval(e.stores[si].Snapshot())
 		}
 	})
 	if err != nil {
 		var zero T
 		return zero, rep, err
-	}
-	from := contributed(planned, rep)
-	parts := make([]T, len(from))
-	for i, si := range from {
-		parts[i] = lists[si]
 	}
 	return mergeParts(q.Trace, parts, merge), rep, nil
 }
@@ -202,12 +165,10 @@ func mergeParts[T any](tr *obs.Trace, parts []T, merge func(parts []T) T) T {
 	return merge(parts)
 }
 
-// scatter fans eval out over the planned stores. With a positive
-// timeout each store runs detached and is recorded as cut when the
-// deadline fires first — the caller MUST NOT read a cut store's result
-// slot (its eval may still be writing). A fired ctx fails the whole
-// gather with ctx.Err(); otherwise the returned report is complete.
-func (e *Engine) scatter(ctx context.Context, planned []int, pruned int, tr *obs.Trace, timeout time.Duration, eval func(si int)) (ShardReport, error) {
+// scatter fans eval out over the planned stores; eval receives each
+// store's planned position and index. Every store runs to completion
+// on the pool. A fired ctx fails the whole gather with ctx.Err().
+func (e *Engine) scatter(ctx context.Context, planned []int, pruned int, tr *obs.Trace, eval func(p, si int)) (ShardReport, error) {
 	e.queries.Add(1)
 	e.shardsPruned.Add(uint64(pruned))
 	rep := ShardReport{Planned: len(planned), Pruned: pruned}
@@ -215,80 +176,17 @@ func (e *Engine) scatter(ctx context.Context, planned []int, pruned int, tr *obs
 		return rep, ctx.Err()
 	}
 	span := tr.StartStage(obs.StageScatter) // lint:span-ok straight-line: MapCtx returns on every path and End immediately follows it
-	cut := make([]bool, len(planned))
-	_ = e.executor().MapCtx(ctx, len(planned), func(p int) {
-		si := planned[p]
-		if timeout <= 0 {
-			eval(si)
-			return
-		}
-		done := make(chan struct{})
-		// irlint:goroutine-exits close of the unbuffered done channel is the goroutine's last act; eval always returns (pure in-memory scan), so the goroutine exits even when the deadline abandoned it
-		go func() { eval(si); close(done) }()
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		select {
-		case <-done:
-		case <-timer.C:
-			cut[p] = true
-		case <-ctx.Done():
-			// Global cancellation fails the whole gather below; the
-			// stray eval finishes against its snapshot in the
-			// background, bounded by the caller's concurrency.
-		}
-	})
+	_ = e.executor().MapCtx(ctx, len(planned), func(p int) { eval(p, planned[p]) })
 	span.End()
+	return rep, ctx.Err()
+}
+
+// unlessDone returns v, or ctx.Err() and no result once ctx has fired.
+func unlessDone[T any](ctx context.Context, v []T) ([]T, error) {
 	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	for p, c := range cut {
-		if c {
-			rep.Cut = append(rep.Cut, planned[p])
-		}
-	}
-	e.shardsCut.Add(uint64(len(rep.Cut)))
-	return rep, nil
-}
-
-// contributed lists the planned stores that answered (planned minus
-// cut), i.e. the result slots the merge may read.
-func contributed(planned []int, rep ShardReport) []int {
-	if len(rep.Cut) == 0 {
-		return planned
-	}
-	cut := make(map[int]bool, len(rep.Cut))
-	for _, si := range rep.Cut {
-		cut[si] = true
-	}
-	out := make([]int, 0, len(planned)-len(rep.Cut))
-	for _, si := range planned {
-		if !cut[si] {
-			out = append(out, si)
-		}
-	}
-	return out
-}
-
-// whole turns a report-carrying result into the contract of the forms
-// without a report: everything, or an error — *PartialError when a
-// store was cut.
-func whole[T any](v []T, rep ShardReport, err error) ([]T, error) {
-	if err == nil && rep.Partial() {
-		err = &PartialError{Report: rep}
-	}
-	if err != nil {
 		return nil, err
 	}
 	return v, nil
-}
-
-// unlessDone returns v and rep, or ctx.Err() and no result once ctx has
-// fired.
-func unlessDone[T any](ctx context.Context, v []T, rep ShardReport) ([]T, ShardReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, rep, err
-	}
-	return v, rep, nil
 }
 
 // finishIDs orders one store's internal result ids and translates them
@@ -302,52 +200,48 @@ func finishIDs(g *maint.Generation, ids []model.ObjectID, tr *obs.Trace) []Objec
 // Search runs a time-travel IR query: objects overlapping [start, end]
 // whose description contains every term. Unknown terms make the result
 // empty (the conjunction cannot be satisfied). Results are in ascending
-// id order. No per-store deadline applies.
+// id order.
 func (e *Engine) Search(start, end Timestamp, terms ...string) []ObjectID {
 	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use SearchCtx
-	ids, _, _ := e.search(context.Background(), 0, start, end, terms)
+	ids, _, _ := e.search(context.Background(), start, end, terms)
 	return ids
 }
 
 // SearchCtx is Search with cancellation and timeout support: everything
-// or an error. A fired ctx returns ctx.Err(); a per-store deadline cut
-// returns *PartialError naming the cut stores (SearchShardsCtx keeps the
-// partial rows instead).
+// or an error. A fired ctx returns ctx.Err().
 func (e *Engine) SearchCtx(ctx context.Context, start, end Timestamp, terms ...string) ([]ObjectID, error) {
-	return whole(e.SearchShardsCtx(ctx, start, end, terms...))
+	ids, _, err := e.search(ctx, start, end, terms)
+	return ids, err
 }
 
-// SearchShardsCtx is the report-carrying conjunctive search: matching
-// ids across the stores that answered, ascending, plus the shard
-// report. With a configured ShardTimeout a slow store is cut and named
-// in the report (err stays nil — the partial rows are the caller's to
-// keep); a fired ctx fails the whole query instead.
+// SearchShardsCtx is SearchCtx plus the shard report: how many stores
+// the query planned and how many extent pruning skipped.
 func (e *Engine) SearchShardsCtx(ctx context.Context, start, end Timestamp, terms ...string) ([]ObjectID, ShardReport, error) {
-	return e.search(ctx, e.sopts.ShardTimeout, start, end, terms)
+	return e.search(ctx, start, end, terms)
 }
 
-func (e *Engine) search(ctx context.Context, timeout time.Duration, start, end Timestamp, terms []string) ([]ObjectID, ShardReport, error) {
+func (e *Engine) search(ctx context.Context, start, end Timestamp, terms []string) ([]ObjectID, ShardReport, error) {
 	q, ok, err := e.resolve(ctx, start, end, terms)
 	if !ok {
 		return nil, e.unresolved(err), err
 	}
-	ids, rep, err := e.searchQuery(ctx, timeout, nil, q)
-	if err != nil {
-		return nil, rep, err
+	ids, rep, err := e.searchQuery(ctx, nil, q)
+	if err == nil {
+		ids, err = unlessDone(ctx, ids)
 	}
-	return unlessDone(ctx, ids, rep)
+	return ids, rep, err
 }
 
 // searchQuery is the body of every conjunctive search, batch rows
-// included: q's ascending external ids over the stores that answered.
-func (e *Engine) searchQuery(ctx context.Context, timeout time.Duration, gens []*maint.Generation, q Query) ([]ObjectID, ShardReport, error) {
+// included: q's ascending external ids over every planned store.
+func (e *Engine) searchQuery(ctx context.Context, gens []*maint.Generation, q Query) ([]ObjectID, ShardReport, error) {
 	var out []ObjectID
 	rep := oneStore
-	if g := e.single(gens, timeout); g != nil {
+	if g := e.single(gens); g != nil {
 		out = finishIDs(g, g.Query(q), q.Trace)
 	} else {
 		var err error
-		out, rep, err = gather(ctx, e, q, timeout, gens, func(g *maint.Generation) []ObjectID {
+		out, rep, err = gather(ctx, e, q, gens, func(g *maint.Generation) []ObjectID {
 			return finishIDs(g, g.Query(q), q.Trace)
 		}, shard.MergeAscending)
 		if err != nil {
@@ -374,11 +268,11 @@ func (e *Engine) SearchAny(start, end Timestamp, terms ...string) []ObjectID {
 		return nil
 	}
 	q := Query{Interval: model.Canon(start, end), Elems: model.NormalizeElems(elems)}
-	if g := e.single(nil, 0); g != nil {
+	if g := e.single(nil); g != nil {
 		return anyIDs(g, q)
 	}
 	// irlint:ctx-root deliberately ctx-less convenience surface, like Search
-	out, _, _ := gather(context.Background(), e, q, 0, nil, func(g *maint.Generation) []ObjectID {
+	out, _, _ := gather(context.Background(), e, q, nil, func(g *maint.Generation) []ObjectID {
 		return anyIDs(g, q)
 	}, shard.MergeAscending)
 	return out
@@ -400,31 +294,21 @@ func anyIDs(g *maint.Generation, q Query) []ObjectID {
 // element rarity (IDF) blended with temporal overlap — the ranked-search
 // extension the paper leaves as future work. IDF weights are those of
 // the generations the query runs against: every stored object counts,
-// inserted a moment ago or tombstoned but not yet compacted away. No
-// per-store deadline applies.
+// inserted a moment ago or tombstoned but not yet compacted away.
 func (e *Engine) SearchTopK(start, end Timestamp, k int, terms ...string) []ScoredResult {
 	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use SearchTopKCtx
-	res, _, _ := e.searchTopK(context.Background(), 0, start, end, k, terms)
+	res, _ := e.SearchTopKCtx(context.Background(), start, end, k, terms...)
 	return res
 }
 
 // SearchTopKCtx is SearchTopK with cancellation and timeout support:
-// everything or an error (*PartialError on a per-store deadline cut).
+// everything or an error. The global top k across the stores is ordered
+// (score desc, id asc) exactly as one store over the whole corpus would
+// order it.
 func (e *Engine) SearchTopKCtx(ctx context.Context, start, end Timestamp, k int, terms ...string) ([]ScoredResult, error) {
-	return whole(e.SearchTopKShardsCtx(ctx, start, end, k, terms...))
-}
-
-// SearchTopKShardsCtx is the report-carrying ranked search: the global
-// top k across the stores that answered, ordered (score desc, id asc)
-// exactly as one store over the whole corpus would order them.
-func (e *Engine) SearchTopKShardsCtx(ctx context.Context, start, end Timestamp, k int, terms ...string) ([]ScoredResult, ShardReport, error) {
-	return e.searchTopK(ctx, e.sopts.ShardTimeout, start, end, k, terms)
-}
-
-func (e *Engine) searchTopK(ctx context.Context, timeout time.Duration, start, end Timestamp, k int, terms []string) ([]ScoredResult, ShardReport, error) {
 	q, ok, err := e.resolve(ctx, start, end, terms)
 	if !ok {
-		return nil, e.unresolved(err), err
+		return nil, err
 	}
 	// Every store is snapshotted once, before planning: extents grow
 	// before an object becomes visible, so a store holding a match in
@@ -434,22 +318,21 @@ func (e *Engine) searchTopK(ctx context.Context, timeout time.Duration, start, e
 	gens := e.snapshots()
 	w := queryScorer(gens, q.Elems)
 	var res []rank.Result
-	rep := oneStore
-	if g := e.single(gens, timeout); g != nil {
+	if g := e.single(gens); g != nil {
 		res = rankTopK(g, w, q, k)
-	} else if res, rep, err = gather(ctx, e, q, timeout, gens, func(g *maint.Generation) []rank.Result {
+	} else if res, _, err = gather(ctx, e, q, gens, func(g *maint.Generation) []rank.Result {
 		return rankTopK(g, w, q, k)
 	}, func(parts [][]rank.Result) []rank.Result {
 		return shard.MergeTopK(parts, k)
 	}); err != nil {
-		return nil, rep, err
+		return nil, err
 	}
 	out := make([]ScoredResult, len(res))
 	for i, r := range res {
 		out[i] = ScoredResult{ID: r.ID, Score: r.Score}
 	}
 	q.Trace.AddResults(len(out))
-	return unlessDone(ctx, out, rep)
+	return unlessDone(ctx, out)
 }
 
 // rankTopK scores and selects one store's top k under a rank span, then
@@ -488,41 +371,30 @@ func queryScorer(gens []*maint.Generation, elems []ElemID) rank.QueryScorer {
 // Timeline aggregates a time-travel IR query over time: the interval
 // [start, end] is split into the requested number of buckets and each
 // reports how many matching objects were alive in it (and for how long) —
-// "how did interest in these terms evolve across the period". No
-// per-store deadline applies.
+// "how did interest in these terms evolve across the period".
 func (e *Engine) Timeline(start, end Timestamp, buckets int, terms ...string) []TimelineBucket {
 	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use TimelineCtx
-	out, _, _ := e.timeline(context.Background(), 0, start, end, buckets, terms)
+	out, _ := e.TimelineCtx(context.Background(), start, end, buckets, terms...)
 	return out
 }
 
 // TimelineCtx is Timeline with cancellation and timeout support:
-// everything or an error (*PartialError on a per-store deadline cut).
+// everything or an error. The stores' histograms are summed bucket by
+// bucket (every store shares the same bucket layout). When planning
+// prunes every store the layout is synthesized, matching the zero-count
+// histogram of a no-match query.
 func (e *Engine) TimelineCtx(ctx context.Context, start, end Timestamp, buckets int, terms ...string) ([]TimelineBucket, error) {
-	return whole(e.TimelineShardsCtx(ctx, start, end, buckets, terms...))
-}
-
-// TimelineShardsCtx is the report-carrying timeline aggregation: the
-// stores' histograms summed bucket by bucket (every store shares the
-// same bucket layout). When planning prunes every store the layout is
-// synthesized, matching the zero-count histogram of a no-match query.
-func (e *Engine) TimelineShardsCtx(ctx context.Context, start, end Timestamp, buckets int, terms ...string) ([]TimelineBucket, ShardReport, error) {
-	return e.timeline(ctx, e.sopts.ShardTimeout, start, end, buckets, terms)
-}
-
-func (e *Engine) timeline(ctx context.Context, timeout time.Duration, start, end Timestamp, buckets int, terms []string) ([]TimelineBucket, ShardReport, error) {
 	q, ok, err := e.resolve(ctx, start, end, terms)
 	if !ok {
-		return nil, e.unresolved(err), err
+		return nil, err
 	}
 	var hist []aggregate.Bucket
-	rep := oneStore
-	if g := e.single(nil, timeout); g != nil {
+	if g := e.single(nil); g != nil {
 		hist = histogram(g, q, buckets)
-	} else if hist, rep, err = gather(ctx, e, q, timeout, nil, func(g *maint.Generation) []aggregate.Bucket {
+	} else if hist, _, err = gather(ctx, e, q, nil, func(g *maint.Generation) []aggregate.Bucket {
 		return histogram(g, q, buckets)
 	}, shard.MergeHistograms); err != nil {
-		return nil, rep, err
+		return nil, err
 	}
 	if hist == nil {
 		hist = aggregate.Layout(q, buckets)
@@ -532,7 +404,7 @@ func (e *Engine) timeline(ctx context.Context, timeout time.Duration, start, end
 		out = append(out, TimelineBucket{Start: b.Span.Start, End: b.Span.End, Count: b.Count, Mass: b.Mass})
 	}
 	q.Trace.AddResults(len(out))
-	return unlessDone(ctx, out, rep)
+	return unlessDone(ctx, out)
 }
 
 // histogram runs one store's aggregation under an agg span. Like the
@@ -555,9 +427,7 @@ func (e *Engine) SearchBatch(queries []Query) []Result {
 
 // SearchBatchCtx is SearchBatch with cooperative cancellation: queries
 // not yet started when ctx fires are marked with Err = ctx.Err() and nil
-// IDs; a row whose per-store deadline cut a store carries
-// Err = *PartialError. A row either has its complete result or a
-// non-nil Err.
+// IDs. A row either has its complete result or a non-nil Err.
 func (e *Engine) SearchBatchCtx(ctx context.Context, queries []Query) []Result {
 	tr := obs.TraceFromContext(ctx)
 	tr.SetBatch(len(queries))
@@ -615,13 +485,12 @@ func (e *Engine) planTermRows(tr *obs.Trace, start, end Timestamp, termRows [][]
 // carry Err = ctx.Err() and nil IDs.
 func (e *Engine) runBatch(ctx context.Context, n int, row func(i int) (Query, bool)) []Result {
 	gens := e.snapshots()
-	timeout := e.sopts.ShardTimeout
 	results := make([]Result, n)
 	started := make([]bool, n)
 	_ = e.executor().MapCtx(ctx, n, func(i int) {
 		started[i] = true
 		if q, ok := row(i); ok {
-			ids, err := whole(e.searchQuery(ctx, timeout, gens, q))
+			ids, _, err := e.searchQuery(ctx, gens, q)
 			results[i] = Result{IDs: ids, Err: err}
 		}
 	})

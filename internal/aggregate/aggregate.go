@@ -6,6 +6,8 @@
 package aggregate
 
 import (
+	"math"
+
 	"repro/internal/model"
 )
 
@@ -32,23 +34,35 @@ func Layout(q model.Query, n int) []Bucket {
 	if n <= 0 || !q.Interval.Valid() {
 		return nil
 	}
-	width := q.Interval.Duration() / int64(n)
-	if width < 1 {
-		width = 1
-		if d := q.Interval.Duration(); d < int64(n) {
-			n = int(d)
-		}
+	// The interval's last offset, End−Start, fits a uint64 where its
+	// length in points may not (2^64 for the whole int64 range).
+	last := uint64(q.Interval.End - q.Interval.Start)
+	if last < uint64(n-1) {
+		n = int(last) + 1
 	}
+	width := bucketWidth(last, n)
 	buckets := make([]Bucket, n)
 	for i := range buckets {
-		lo := q.Interval.Start + model.Timestamp(int64(i)*width)
-		hi := lo + model.Timestamp(width) - 1
-		if i == n-1 {
-			hi = q.Interval.End
+		lo := q.Interval.Start + model.Timestamp(uint64(i)*width)
+		hi := q.Interval.End
+		if i < n-1 {
+			hi = lo + model.Timestamp(width-1)
 		}
 		buckets[i].Span = model.NewInterval(lo, hi)
 	}
 	return buckets
+}
+
+// bucketWidth is ⌊(last+1)/n⌋, the width in points of every bucket but
+// the final one, computed so that last+1 = 2^64 does not overflow. The
+// one case whose width does not fit, a single bucket over 2^64 points,
+// saturates: no bucket but the final one exists there.
+func bucketWidth(last uint64, n int) uint64 {
+	w := last/uint64(n) + (last%uint64(n)+1)/uint64(n)
+	if w == 0 {
+		return math.MaxUint64
+	}
+	return w
 }
 
 // Histogram partitions the query interval into n equal buckets and, for
@@ -61,7 +75,7 @@ func Histogram(ix Index, c *model.Collection, q model.Query, n int) []Bucket {
 		return nil
 	}
 	n = len(buckets)
-	width := int64(buckets[0].Span.Duration())
+	width := bucketWidth(uint64(q.Interval.End-q.Interval.Start), n)
 	ids := ix.Query(q)
 	for _, id := range ids {
 		o := &c.Objects[id]
@@ -70,14 +84,8 @@ func Histogram(ix Index, c *model.Collection, q model.Query, n int) []Bucket {
 		if !ok {
 			continue
 		}
-		first := int(int64(clip.Start-q.Interval.Start) / width)
-		last := int(int64(clip.End-q.Interval.Start) / width)
-		if last >= n {
-			last = n - 1
-		}
-		if first >= n {
-			first = n - 1
-		}
+		first := int(min(uint64(clip.Start-q.Interval.Start)/width, uint64(n-1)))
+		last := int(min(uint64(clip.End-q.Interval.Start)/width, uint64(n-1)))
 		for b := first; b <= last; b++ {
 			part, ok := clip.Intersect(buckets[b].Span)
 			if !ok {

@@ -120,12 +120,16 @@ func (w QueryScorer) Score(o *model.Object, q *model.Query) float64 {
 	overlap, ok := o.Interval.Intersect(q.Interval)
 	temporal := 0.0
 	if ok {
-		temporal = float64(overlap.Duration()) / float64(q.Interval.Duration())
+		temporal = points(overlap) / points(q.Interval)
 	}
 	// The conversion rounds the product, so no platform fuses the
 	// multiply-add and score bits are the same everywhere.
 	return w.idfPart + float64(w.temporalWeight*temporal)
 }
+
+// points is iv's length in time points. Unlike Interval.Duration it
+// does not overflow on intervals of more than 2^63−1 points.
+func points(iv model.Interval) float64 { return float64(uint64(iv.End-iv.Start)) + 1 }
 
 // Result is one ranked hit.
 type Result struct {

@@ -19,38 +19,25 @@ import (
 // reply is a hot response body.
 type reply interface{ appendJSON(b []byte) []byte }
 
-// idsReply is an unranked GET /search. A non-empty cut names the shards
-// a per-shard deadline cut and marks the reply partial.
-type idsReply struct {
-	ids []temporalir.ObjectID
-	cut []int
-}
+// idsReply is an unranked GET /search.
+type idsReply struct{ ids []temporalir.ObjectID }
 
 func (r idsReply) appendJSON(b []byte) []byte {
-	b = appendList(appendCount(b, len(r.ids), "hits"), r.ids, len(r.ids) == 0, appendHitID)
-	return appendPartial(b, r.cut)
+	return append(appendList(appendCount(b, len(r.ids), "hits"), r.ids, len(r.ids) == 0, appendHitID), '}')
 }
 
 // topKReply is a ranked GET /search (k set).
-type topKReply struct {
-	hits []temporalir.ScoredResult
-	cut  []int
-}
+type topKReply struct{ hits []temporalir.ScoredResult }
 
 func (r topKReply) appendJSON(b []byte) []byte {
-	b = appendList(appendCount(b, len(r.hits), "hits"), r.hits, len(r.hits) == 0, appendScoredHit)
-	return appendPartial(b, r.cut)
+	return append(appendList(appendCount(b, len(r.hits), "hits"), r.hits, len(r.hits) == 0, appendScoredHit), '}')
 }
 
 // timelineReply is GET /timeline.
-type timelineReply struct {
-	buckets []temporalir.TimelineBucket
-	cut     []int
-}
+type timelineReply struct{ buckets []temporalir.TimelineBucket }
 
 func (r timelineReply) appendJSON(b []byte) []byte {
-	b = appendList(append(b, `{"buckets":`...), r.buckets, r.buckets == nil, appendBucket)
-	return appendPartial(b, r.cut)
+	return append(appendList(append(b, `{"buckets":`...), r.buckets, r.buckets == nil, appendBucket), '}')
 }
 
 // batchReply is POST /search/batch: a row per query, its ids or its
@@ -100,14 +87,6 @@ func appendCount(b []byte, n int, key string) []byte {
 	return append(append(append(b, `,"`...), key...), `":`...)
 }
 
-// appendPartial closes a reply, naming the cut shards if there are any.
-func appendPartial(b []byte, cut []int) []byte {
-	if len(cut) > 0 {
-		b = appendList(append(b, `,"partial":true,"shards_cut":`...), cut, false, appendInt)
-	}
-	return append(b, '}')
-}
-
 // appendList appends vs as a JSON array, or null where encoding/json met
 // a nil slice.
 func appendList[T any](b []byte, vs []T, null bool, elem func([]byte, T) []byte) []byte {
@@ -150,9 +129,6 @@ func appendBatchRow(b []byte, row temporalir.Result) []byte {
 	b = append(b, `{"hits":null`...)
 	if msg := row.Err.Error(); msg != "" {
 		b = appendString(append(b, `,"error":`...), msg)
-	}
-	if pe, ok := temporalir.AsPartialError(row.Err); ok && len(pe.Report.Cut) > 0 {
-		b = appendList(append(b, `,"shards_cut":`...), pe.Report.Cut, false, appendInt)
 	}
 	return append(b, '}')
 }

@@ -25,38 +25,29 @@ type oldSearchHit struct {
 }
 
 type oldBatchRow struct {
-	Hits      []temporalir.ObjectID `json:"hits"`
-	Error     string                `json:"error,omitempty"`
-	ShardsCut []int                 `json:"shards_cut,omitempty"`
+	Hits  []temporalir.ObjectID `json:"hits"`
+	Error string                `json:"error,omitempty"`
 }
 
-func withCut(body map[string]any, cut []int) map[string]any {
-	if len(cut) > 0 {
-		body["partial"] = true
-		body["shards_cut"] = cut
-	}
-	return body
-}
-
-func oldIDs(ids []temporalir.ObjectID, cut []int) any {
+func oldIDs(ids []temporalir.ObjectID) any {
 	var hits []oldSearchHit
 	for _, id := range ids {
 		hits = append(hits, oldSearchHit{ID: id})
 	}
-	return withCut(map[string]any{"count": len(hits), "hits": hits}, cut)
+	return map[string]any{"count": len(hits), "hits": hits}
 }
 
-func oldTopK(res []temporalir.ScoredResult, cut []int) any {
+func oldTopK(res []temporalir.ScoredResult) any {
 	var hits []oldSearchHit
 	for _, r := range res {
 		score := r.Score
 		hits = append(hits, oldSearchHit{ID: r.ID, Score: &score})
 	}
-	return withCut(map[string]any{"count": len(hits), "hits": hits}, cut)
+	return map[string]any{"count": len(hits), "hits": hits}
 }
 
-func oldTimeline(tl []temporalir.TimelineBucket, cut []int) any {
-	return withCut(map[string]any{"buckets": tl}, cut)
+func oldTimeline(tl []temporalir.TimelineBucket) any {
+	return map[string]any{"buckets": tl}
 }
 
 func oldBatch(results []temporalir.Result) any {
@@ -65,9 +56,6 @@ func oldBatch(results []temporalir.Result) any {
 	for i, res := range results {
 		if res.Err != nil {
 			rows[i] = oldBatchRow{Error: res.Err.Error()}
-			if pe, ok := temporalir.AsPartialError(res.Err); ok {
-				rows[i].ShardsCut = pe.Report.Cut
-			}
 			continue
 		}
 		completed++
@@ -84,11 +72,6 @@ func oldError(msg string) any { return map[string]string{"error": msg} }
 
 func oldRetryError(msg string, ms int64) any {
 	return map[string]any{"error": msg, "retry_after_ms": ms}
-}
-
-// partialOf builds a batch row error naming cut shards.
-func partialOf(cut ...int) error {
-	return &temporalir.PartialError{Report: temporalir.ShardReport{Planned: 4, Cut: cut}}
 }
 
 func batchOf(results []temporalir.Result) batchReply {
@@ -137,28 +120,21 @@ func TestReplyMatchesEncodingJSON(t *testing.T) {
 		{Start: math.MinInt64 + 1, End: -1, Count: 0, Mass: 0},
 		{Start: 0, End: 99, Count: 3, Mass: math.MaxInt64},
 	}
-	cut := []int{1, 3}
 
-	checkSame(t, "ids nil", idsReply{}, oldIDs(nil, nil))
-	checkSame(t, "ids empty", idsReply{ids: []temporalir.ObjectID{}}, oldIDs(nil, nil))
-	checkSame(t, "ids", idsReply{ids: ids}, oldIDs(ids, nil))
-	checkSame(t, "ids partial", idsReply{ids: ids, cut: cut}, oldIDs(ids, cut))
-	checkSame(t, "ids partial empty", idsReply{cut: cut}, oldIDs(nil, cut))
-	checkSame(t, "topk nil", topKReply{}, oldTopK(nil, nil))
-	checkSame(t, "topk", topKReply{hits: scored}, oldTopK(scored, nil))
-	checkSame(t, "topk partial", topKReply{hits: scored[:2], cut: cut}, oldTopK(scored[:2], cut))
-	checkSame(t, "timeline nil", timelineReply{}, oldTimeline(nil, nil))
-	checkSame(t, "timeline empty", timelineReply{buckets: []temporalir.TimelineBucket{}}, oldTimeline([]temporalir.TimelineBucket{}, nil))
-	checkSame(t, "timeline", timelineReply{buckets: buckets}, oldTimeline(buckets, nil))
-	checkSame(t, "timeline partial", timelineReply{buckets: buckets, cut: cut}, oldTimeline(buckets, cut))
+	checkSame(t, "ids nil", idsReply{}, oldIDs(nil))
+	checkSame(t, "ids empty", idsReply{ids: []temporalir.ObjectID{}}, oldIDs(nil))
+	checkSame(t, "ids", idsReply{ids: ids}, oldIDs(ids))
+	checkSame(t, "topk nil", topKReply{}, oldTopK(nil))
+	checkSame(t, "topk", topKReply{hits: scored}, oldTopK(scored))
+	checkSame(t, "timeline nil", timelineReply{}, oldTimeline(nil))
+	checkSame(t, "timeline empty", timelineReply{buckets: []temporalir.TimelineBucket{}}, oldTimeline([]temporalir.TimelineBucket{}))
+	checkSame(t, "timeline", timelineReply{buckets: buckets}, oldTimeline(buckets))
 
 	rows := []temporalir.Result{
 		{IDs: ids},
 		{},
 		{IDs: []temporalir.ObjectID{}},
 		{Err: context.DeadlineExceeded},
-		{Err: partialOf(2)},
-		{Err: partialOf()},
 		{Err: errors.New(`bad <row> & "quote" \ tab	nl` + "\n\x01 é \u2028 \xff")},
 		{Err: errors.New("")},
 	}
@@ -192,12 +168,6 @@ func TestReplyPropertyMatchesEncodingJSON(t *testing.T) {
 		}
 		return out
 	}
-	randCut := func() []int {
-		if rng.Intn(3) > 0 {
-			return nil
-		}
-		return rng.Perm(1 + rng.Intn(4))
-	}
 	randScore := func() float64 {
 		switch rng.Intn(4) {
 		case 0: // any finite bit pattern: every exponent, subnormals
@@ -227,29 +197,26 @@ func TestReplyPropertyMatchesEncodingJSON(t *testing.T) {
 	}
 	for iter := 0; iter < 300; iter++ {
 		name := fmt.Sprintf("iteration %d", iter)
-		ids, cut := randIDs(), randCut()
-		checkSame(t, name+" ids", idsReply{ids: ids, cut: cut}, oldIDs(ids, cut))
+		ids := randIDs()
+		checkSame(t, name+" ids", idsReply{ids: ids}, oldIDs(ids))
 
 		var scored []temporalir.ScoredResult
 		for i, n := 0, rng.Intn(30); i < n; i++ {
 			scored = append(scored, temporalir.ScoredResult{ID: temporalir.ObjectID(rng.Uint32()), Score: randScore()})
 		}
-		checkSame(t, name+" topk", topKReply{hits: scored, cut: cut}, oldTopK(scored, cut))
+		checkSame(t, name+" topk", topKReply{hits: scored}, oldTopK(scored))
 
 		var tl []temporalir.TimelineBucket
 		for i, n := 0, rng.Intn(12); i < n; i++ {
 			tl = append(tl, temporalir.TimelineBucket{Start: rng.Int63() - rng.Int63(), End: rng.Int63(), Count: rng.Int(), Mass: rng.Int63()})
 		}
-		checkSame(t, name+" timeline", timelineReply{buckets: tl, cut: cut}, oldTimeline(tl, cut))
+		checkSame(t, name+" timeline", timelineReply{buckets: tl}, oldTimeline(tl))
 
 		rows := make([]temporalir.Result, rng.Intn(10))
 		for i := range rows {
-			switch rng.Intn(4) {
-			case 0:
+			if rng.Intn(4) == 0 {
 				rows[i] = temporalir.Result{Err: errors.New(randString())}
-			case 1:
-				rows[i] = temporalir.Result{Err: partialOf(randCut()...)}
-			default:
+			} else {
 				rows[i] = temporalir.Result{IDs: randIDs()}
 			}
 		}

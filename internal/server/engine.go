@@ -40,19 +40,11 @@ type Engine interface {
 	ShardStats() []temporalir.ShardStat
 	CoordinatorStats() temporalir.CoordinatorStats
 
-	// The server answers through the report-carrying searches below;
-	// these forms are in the interface because the frozen benchmark
-	// calls them through this type.
+	// Every query runs each planned store to completion under ctx: its
+	// answer is complete, or an error once ctx fires.
 	SearchCtx(ctx context.Context, start, end temporalir.Timestamp, terms ...string) ([]temporalir.ObjectID, error)
 	SearchTopKCtx(ctx context.Context, start, end temporalir.Timestamp, k int, terms ...string) ([]temporalir.ScoredResult, error)
 	TimelineCtx(ctx context.Context, start, end temporalir.Timestamp, buckets int, terms ...string) ([]temporalir.TimelineBucket, error)
-
-	// The report-carrying searches make truncation explicit: a response
-	// either carries every planned store's contribution or names the
-	// stores a per-store deadline cut — never a silently truncated 200.
-	SearchShardsCtx(ctx context.Context, start, end temporalir.Timestamp, terms ...string) ([]temporalir.ObjectID, temporalir.ShardReport, error)
-	SearchTopKShardsCtx(ctx context.Context, start, end temporalir.Timestamp, k int, terms ...string) ([]temporalir.ScoredResult, temporalir.ShardReport, error)
-	TimelineShardsCtx(ctx context.Context, start, end temporalir.Timestamp, buckets int, terms ...string) ([]temporalir.TimelineBucket, temporalir.ShardReport, error)
 	SearchTermsBatchCtx(ctx context.Context, start, end temporalir.Timestamp, termRows [][]string) []temporalir.Result
 }
 

@@ -18,13 +18,13 @@ import (
 
 // buildBigEngine builds an engine over n broadly-overlapping objects,
 // big enough that a full-range ranked search takes real time.
-func buildBigEngine(t *testing.T, n int) *temporalir.Engine {
+func buildBigEngine(t *testing.T, n, shards int) *temporalir.Engine {
 	t.Helper()
 	b := temporalir.NewBuilder()
 	for i := 0; i < n; i++ {
 		b.Add(int64(i%1000), int64(i%1000+50), "alpha", fmt.Sprintf("w%d", i%50))
 	}
-	engine, err := b.Build(temporalir.IRHintPerf, temporalir.Options{})
+	engine, err := b.BuildSharded(temporalir.IRHintPerf, temporalir.Options{}, temporalir.ShardedOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestReversedIntervalRejected(t *testing.T) {
 // at its stage boundaries, so no timer has to win a race against it: the
 // answer is 504 whatever the scheduler does.
 func TestRankedSearchTimeout504(t *testing.T) {
-	engine := buildBigEngine(t, 120000)
+	engine := buildBigEngine(t, 120000, 1)
 	engine.SetParallelism(1)
 	srv := NewWithOptions(engine, Options{QueryTimeout: time.Millisecond})
 	ts := httptest.NewServer(srv)
@@ -108,9 +108,18 @@ func TestRankedSearchTimeout504(t *testing.T) {
 // back-to-back requests stacked scans up past MaxInFlight. Each request
 // here outlives its 1ms deadline (a 2–5 ms ranked scan over 120k
 // objects). The one about to run is one evaluation; any goroutine with
-// an engine frame on its stack is an earlier one still scanning.
+// an engine frame on its stack is an earlier one still scanning. The
+// 4-store seed checks the same bound across the scatter: every planned
+// store finishes before the request gives its slot back.
 func TestMaxInFlightBoundsAbandonedEvaluations(t *testing.T) {
-	engine := buildBigEngine(t, 120000)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d stores", shards), func(t *testing.T) {
+			maxInFlightBoundsEvaluations(t, buildBigEngine(t, 120000, shards))
+		})
+	}
+}
+
+func maxInFlightBoundsEvaluations(t *testing.T, engine *temporalir.Engine) {
 	engine.SetParallelism(1)
 	srv := NewWithOptions(engine, Options{MaxInFlight: 1, QueryTimeout: time.Millisecond})
 	req := httptest.NewRequest(http.MethodGet, "/search?start=0&end=2000&q=alpha&k=5", nil)

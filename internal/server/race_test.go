@@ -73,7 +73,7 @@ func TestConcurrentSearchInsertDelete(t *testing.T) {
 // old Server.mu the insert's write lock would queue behind the search's
 // read lock until the evaluation ended.
 func TestSlowSearchDoesNotBlockInsert(t *testing.T) {
-	engine := buildBigEngine(t, 60000)
+	engine := buildBigEngine(t, 60000, 1)
 	engine.SetParallelism(1)
 	srv := NewWithOptions(engine, Options{QueryTimeout: -1})
 	ts := httptest.NewServer(srv)

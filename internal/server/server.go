@@ -19,7 +19,7 @@
 //     is over its fraction of it, so siblings keep their latency.
 //
 // Every tenant engine is a *temporalir.Engine over the seed's store
-// layout, answered through its report-carrying searches, so /stats and
+// layout, answered through its context-aware searches, so /stats and
 // the tir_shard_* metrics carry one row per store at every width — one
 // for a single-store deployment.
 //
@@ -460,9 +460,6 @@ func (s *Server) registerMetrics() {
 	reg.CounterFunc("tir_shard_queries_total", "Queries planned by the shard coordinator.", sum(func(e Engine) float64 {
 		return float64(e.CoordinatorStats().Queries)
 	}))
-	reg.CounterFunc("tir_shard_cut_total", "Shard evaluations cut by the per-shard deadline.", sum(func(e Engine) float64 {
-		return float64(e.CoordinatorStats().ShardsCut)
-	}))
 	reg.CounterFunc("tir_shard_pruned_total", "Shard evaluations skipped by extent pruning.", sum(func(e Engine) float64 {
 		return float64(e.CoordinatorStats().ShardsPruned)
 	}))
@@ -739,28 +736,17 @@ func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc)
 	return context.WithTimeout(r.Context(), s.queryTimeout)
 }
 
-// Partial-result plumbing. Every search answers through the engine's
-// report-carrying forms, whose ShardReport makes truncation explicit.
-// The response contract: a 200 either carries every planned store's
-// contribution or says which stores were cut ("partial": true,
-// "shards_cut": [...]); when EVERY planned store was cut there is no
-// result to stand behind at all, and the request answers 504 like any
-// other deadline death — never an empty 200.
-
-// failed answers a query that has no result to stand behind — an
-// evaluation error, or a report whose every planned shard was cut — and
-// reports whether it did. Otherwise the caller writes the 200, partial
-// when rep.Cut names any shard.
-func (s *Server) failed(w http.ResponseWriter, rep temporalir.ShardReport, err error) bool {
+// failed answers a query that has no result to stand behind — the
+// request's deadline fired (504) or its context was cancelled (500) —
+// and reports whether it did. Otherwise the caller writes the 200, which
+// always carries every planned store's contribution.
+func (s *Server) failed(w http.ResponseWriter, err error) bool {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.admTimeout.Inc()
 		writeError(w, http.StatusGatewayTimeout, "query timed out")
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, "query aborted: %v", err)
-	case rep.Partial() && len(rep.Cut) == rep.Planned:
-		s.admTimeout.Inc()
-		writeError(w, http.StatusGatewayTimeout, "all %d planned shards exceeded the shard deadline", rep.Planned)
 	default:
 		return false
 	}
@@ -892,10 +878,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		tr.SetTenant(g.tn.ID())
 		tr.SetShape("terms=%d k=%d", len(terms), k)
 		t0 := time.Now()
-		res, rep, err := g.engine().SearchTopKShardsCtx(obs.ContextWithTrace(ctx, tr), start, end, k, terms...)
+		res, err := g.engine().SearchTopKCtx(obs.ContextWithTrace(ctx, tr), start, end, k, terms...)
 		s.finishQuery(s.metTopK, g.tm.topk, tr, t0)
-		if !s.failed(w, rep, err) {
-			send(w, http.StatusOK, topKReply{hits: res, cut: rep.Cut})
+		if !s.failed(w, err) {
+			send(w, http.StatusOK, topKReply{hits: res})
 		}
 		return
 	}
@@ -903,10 +889,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	tr.SetTenant(g.tn.ID())
 	tr.SetShape("terms=%d", len(terms))
 	t0 := time.Now()
-	ids, rep, err := g.engine().SearchShardsCtx(obs.ContextWithTrace(ctx, tr), start, end, terms...)
+	ids, err := g.engine().SearchCtx(obs.ContextWithTrace(ctx, tr), start, end, terms...)
 	s.finishQuery(s.metSearch, g.tm.search, tr, t0)
-	if !s.failed(w, rep, err) {
-		send(w, http.StatusOK, idsReply{ids: ids, cut: rep.Cut})
+	if !s.failed(w, err) {
+		send(w, http.StatusOK, idsReply{ids: ids})
 	}
 }
 
@@ -1090,10 +1076,10 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	tr.SetTenant(g.tn.ID())
 	tr.SetShape("terms=%d buckets=%d", len(terms), buckets)
 	t0 := time.Now()
-	tl, rep, err := g.engine().TimelineShardsCtx(obs.ContextWithTrace(ctx, tr), start, end, buckets, terms...)
+	tl, err := g.engine().TimelineCtx(obs.ContextWithTrace(ctx, tr), start, end, buckets, terms...)
 	s.finishQuery(s.metTimeline, g.tm.timeline, tr, t0)
-	if !s.failed(w, rep, err) {
-		send(w, http.StatusOK, timelineReply{buckets: tl, cut: rep.Cut})
+	if !s.failed(w, err) {
+		send(w, http.StatusOK, timelineReply{buckets: tl})
 	}
 }
 

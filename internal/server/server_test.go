@@ -294,11 +294,10 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestHostileRanges: an interval of more than 2^63−1 time points wraps
-// the engine's int64 durations — /timeline panicked sizing its buckets,
-// top-k scores came out infinite and encoding/json refused them — so
-// every endpoint rejects it; and a huge k no longer reserves a heap of k
-// entries before the scan.
+// TestHostileRanges: every endpoint rejects an interval of more than
+// 2^63−1 time points, whose length does not fit an int64 (the library
+// answers such queries; TestWideIntervalQueries pins that); and a huge
+// k no longer reserves a heap of k entries before the scan.
 func TestHostileRanges(t *testing.T) {
 	ts := newTestServer(t)
 	for _, path := range []string{

@@ -1,11 +1,9 @@
 package shard
 
 // Report describes how the scatter-gather coordinator executed one
-// query: how many shards the planner selected, how many the extent
-// pruner skipped, and which planned shards were cut by the per-shard
-// deadline. The partial-result contract: a result either carries every
-// planned shard's contribution (Cut empty) or names the shards whose
-// contribution is missing — a cut shard is never silently dropped.
+// query: how many shards the planner selected and how many the extent
+// pruner skipped. Every planned shard runs to completion, so a result
+// always carries every planned shard's contribution.
 type Report struct {
 	// Planned is the number of shards the planner fanned out to.
 	Planned int `json:"planned"`
@@ -14,14 +12,4 @@ type Report struct {
 	// conservative (extents only ever grow), so a pruned shard cannot
 	// hold a match.
 	Pruned int `json:"pruned"`
-	// Cut lists the shard indexes (ascending) whose per-shard deadline
-	// fired before they answered. Their contribution is missing from
-	// the merged result.
-	Cut []int `json:"cut,omitempty"`
 }
-
-// Partial reports whether any planned shard was cut.
-func (r Report) Partial() bool { return len(r.Cut) > 0 }
-
-// Complete reports whether every planned shard contributed.
-func (r Report) Complete() bool { return len(r.Cut) == 0 }

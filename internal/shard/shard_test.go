@@ -87,14 +87,3 @@ func TestHashRoutingDeterministicAndSpread(t *testing.T) {
 		}
 	}
 }
-
-func TestReport(t *testing.T) {
-	r := Report{Planned: 4}
-	if !r.Complete() || r.Partial() {
-		t.Fatal("report with no cuts must be complete")
-	}
-	r.Cut = []int{2}
-	if r.Complete() || !r.Partial() {
-		t.Fatal("report with cuts must be partial")
-	}
-}

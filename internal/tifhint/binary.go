@@ -32,9 +32,6 @@ func NewBinary(c *model.Collection, opts ...Option) *BinaryIndex {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.costModel {
-		cfg.m = costModelM(c, 20)
-	}
 	ix := &BinaryIndex{shared: sharedDomain(c, cfg.m), live: len(c.Objects), m: cfg.m}
 	b := newBulk(ix.shared, c)
 	ix.hints, ix.freqs = b.hints(ix.shared), b.freqs

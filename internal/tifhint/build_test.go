@@ -207,8 +207,8 @@ func checkEqualsInsertBuilt(t *testing.T, v variants, dictSize int, objs []model
 
 // TestBulkEqualsInsertBuilt: the bulk kernel builds exactly the per-element
 // hierarchies that one Insert per object builds — at grids from coarse to
-// finer than the merge variant's tuned one, under the cost model, and on
-// the inputs a two-pass build could get wrong.
+// finer than the merge variant's tuned one, and on the inputs a two-pass
+// build could get wrong.
 func TestBulkEqualsInsertBuilt(t *testing.T) {
 	cfg := testutil.DefaultConfig(31)
 	one := &model.Collection{}
@@ -217,7 +217,6 @@ func TestBulkEqualsInsertBuilt(t *testing.T) {
 	smallDict.DictSize = 3
 	opts := map[string][]Option{
 		"m=2": {WithM(2)}, "m=5": {WithM(5)}, "m=10": {WithM(10)}, "m=11": {WithM(11)},
-		"cost model": {WithCostModelM()},
 	}
 	for name, c := range map[string]*model.Collection{
 		"random":         testutil.RandomCollection(cfg),

@@ -47,9 +47,6 @@ func NewHybrid(c *model.Collection, opts ...Option) *HybridIndex {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.costModel {
-		cfg.m = costModelM(c, 20)
-	}
 	span, ok := c.Span()
 	if !ok {
 		span = model.NewInterval(0, 0)

@@ -28,9 +28,6 @@ func NewMerge(c *model.Collection, opts ...Option) *MergeIndex {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.costModel {
-		cfg.m = costModelM(c, 20)
-	}
 	ix := &MergeIndex{shared: sharedDomain(c, cfg.m), live: len(c.Objects), m: cfg.m}
 	b := newBulk(ix.shared, c)
 	ix.hints, ix.freqs = b.idHints(ix.shared), b.freqs

@@ -17,7 +17,6 @@ package tifhint
 
 import (
 	"repro/internal/domain"
-	"repro/internal/hint"
 	"repro/internal/model"
 )
 
@@ -35,7 +34,6 @@ type Option func(*config)
 type config struct {
 	m         int
 	numSlices int
-	costModel bool
 }
 
 // WithM fixes the number of HINT bits for every postings HINT.
@@ -56,14 +54,6 @@ func WithSlices(n int) Option {
 	}
 }
 
-// WithCostModelM derives m from the HINT cost model instead of a fixed
-// value. Section 5.2 shows this over-sizes the IR-first variants (the
-// model ignores the description attribute), which is why fixed tuned
-// values are the default; the option exists to reproduce that finding.
-func WithCostModelM() Option {
-	return func(c *config) { c.costModel = true }
-}
-
 // sharedDomain computes the discretization domain every per-element HINT
 // uses: the collection span on an m-bit grid.
 func sharedDomain(c *model.Collection, m int) domain.Domain {
@@ -80,15 +70,4 @@ func sharedDomain(c *model.Collection, m int) domain.Domain {
 	}
 	d, _ := domain.Make(span.Start, span.End, m)
 	return d
-}
-
-// costModelM runs the HINT cost model over the whole collection.
-func costModelM(c *model.Collection, maxM int) int {
-	span, ok := c.Span()
-	if !ok {
-		return 1
-	}
-	cfg := hint.DefaultCostModelConfig()
-	cfg.MaxM = maxM
-	return hint.EstimateM(c.Objects, span, cfg)
 }

@@ -101,16 +101,6 @@ func TestUpdatesAllVariants(t *testing.T) {
 	}
 }
 
-func TestCostModelOption(t *testing.T) {
-	cfg := testutil.DefaultConfig(4)
-	c := testutil.RandomCollection(cfg)
-	ix := NewMerge(c, WithCostModelM())
-	if ix.M() < 1 {
-		t.Errorf("cost-model m = %d", ix.M())
-	}
-	testutil.CheckAgainstOracle(t, "merge+costmodel", ix, c, testutil.RandomQueries(cfg, 80, 5))
-}
-
 func TestTemporalOnlyQueries(t *testing.T) {
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {

@@ -3,9 +3,11 @@ package temporalir_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	temporalir "repro"
 	"repro/internal/aggregate"
@@ -450,4 +452,59 @@ func TestShardedStats(t *testing.T) {
 	if cs.ShardsPruned < 4 {
 		t.Fatalf("out-of-domain query pruned %d shards, want 4", cs.ShardsPruned)
 	}
+}
+
+// cancelConfig is the corpus of the cancellation tests: large enough
+// that a batch over it is still running when the context fires.
+var cancelConfig = testutil.CollectionConfig{N: 1500, DomainLo: 0, DomainHi: 20000, Dict: 25, MaxDesc: 6, Seed: 999}
+
+// TestShardedCtxCancellation: a fired context is a hard error — the
+// caller asked to stop — with and without the shard report.
+func TestShardedCtxCancellation(t *testing.T) {
+	sh := shardedOver(t, testutil.RandomCollection(cancelConfig), temporalir.TIF, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := sh.SearchShardsCtx(ctx, 0, 20000, "t001"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scatter returned %v, want context.Canceled", err)
+	}
+	if _, err := sh.SearchCtx(ctx, 0, 20000, "t001"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled SearchCtx returned %v, want context.Canceled", err)
+	}
+}
+
+// TestShardedBatchNoSilentTruncation cancels a batch mid-flight: every
+// row either carries its full result or the context error — no row is
+// ever a silently truncated success.
+func TestShardedBatchNoSilentTruncation(t *testing.T) {
+	c := testutil.RandomCollection(cancelConfig)
+	sh, oracle := shardedOver(t, c, temporalir.TIF, 4), engineOver(t, c, temporalir.TIF)
+	rows := make([][]string, 64)
+	for i := range rows {
+		rows[i] = termsFor([]temporalir.ElemID{temporalir.ElemID(i % 25)})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan []temporalir.Result, 1)
+	go func() { done <- sh.SearchTermsBatchCtx(ctx, 0, 20000, rows) }()
+	time.Sleep(200 * time.Microsecond)
+	cancel()
+	results := <-done
+	if len(results) != len(rows) {
+		t.Fatalf("batch returned %d rows, want %d", len(results), len(rows))
+	}
+	completed, errored := 0, 0
+	for i, r := range results {
+		if r.Err != nil {
+			errored++
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Fatalf("row %d: error %v, want context.Canceled", i, r.Err)
+			}
+			continue
+		}
+		completed++
+		want := oracle.Search(0, 20000, rows[i]...)
+		if testutil.ResultChecksum(r.IDs) != testutil.ResultChecksum(want) {
+			t.Fatalf("row %d returned success with truncated results: %v vs %v", i, r.IDs, want)
+		}
+	}
+	t.Logf("batch after cancel: %d complete, %d errored", completed, errored)
 }

@@ -117,12 +117,6 @@ type Options struct {
 	M int
 	// Slices sets the slice count for TIFSlicing and TIFHintSlicing.
 	Slices int
-	// MaxShards caps per-list shards for TIFSharding (0 = default 16;
-	// negative keeps every ideal shard).
-	MaxShards int
-	// CostModelM derives M from the HINT cost model (always on for the
-	// irHINT variants when M is zero).
-	CostModelM bool
 	// RoutedMethods selects the sub-builds the Routed meta-method keeps
 	// and routes across (nil = DefaultRoutedMethods). Ignored by every
 	// other method. Routed itself is rejected as an entry.
@@ -141,15 +135,7 @@ func NewIndex(m Method, c *Collection, opts Options) (Index, error) {
 		}
 		return slicing.New(c, o...), nil
 	case TIFSharding:
-		var o []sharding.Option
-		if opts.MaxShards != 0 {
-			n := opts.MaxShards
-			if n < 0 {
-				n = 0 // keep every ideal shard
-			}
-			o = append(o, sharding.WithMaxShards(n))
-		}
-		return sharding.New(c, o...), nil
+		return sharding.New(c), nil
 	case TIFHintBinary:
 		return tifhint.NewBinary(c, hintOpts(opts)...), nil
 	case TIFHintMerge:
@@ -175,9 +161,6 @@ func hintOpts(opts Options) []tifhint.Option {
 	var o []tifhint.Option
 	if opts.M > 0 {
 		o = append(o, tifhint.WithM(opts.M))
-	}
-	if opts.CostModelM {
-		o = append(o, tifhint.WithCostModelM())
 	}
 	return o
 }

@@ -72,7 +72,7 @@ func TestUnknownMethod(t *testing.T) {
 }
 
 // TestTypedConstructors builds every method through NewIndex with the
-// per-method options (slices, shard budget, m) a caller would pass.
+// per-method options (slices, m) a caller would pass.
 func TestTypedConstructors(t *testing.T) {
 	c := exampleCollection()
 	for name, tc := range map[string]struct {
@@ -81,7 +81,7 @@ func TestTypedConstructors(t *testing.T) {
 	}{
 		"tif":     {TIF, Options{}},
 		"slicing": {TIFSlicing, Options{Slices: 4}},
-		"shard":   {TIFSharding, Options{MaxShards: 0}},
+		"shard":   {TIFSharding, Options{}},
 		"binary":  {TIFHintBinary, Options{M: 3}},
 		"merge":   {TIFHintMerge, Options{M: 3}},
 		"hybrid":  {TIFHintSlicing, Options{M: 3, Slices: 4}},
@@ -384,24 +384,5 @@ func TestSearchTopK(t *testing.T) {
 	e.Insert(0, 100, "common", "rare", "fresh")
 	if got := e.SearchTopK(0, 99, 10, "rare"); len(got) != 3 {
 		t.Errorf("after insert: %v", got)
-	}
-}
-
-func TestOptionsPlumbing(t *testing.T) {
-	c := exampleCollection()
-	ix, err := NewIndex(TIFSharding, c, Options{MaxShards: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() != 8 {
-		t.Error("unlimited-shards index broken")
-	}
-	ix2, err := NewIndex(TIFHintMerge, c, Options{CostModelM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Interval: Interval{Start: 4, End: 6}, Elems: []ElemID{0, 2}}
-	if got := testutil.Canonical(ix2.Query(q)); len(got) != 3 {
-		t.Errorf("cost-model merge variant returned %v", got)
 	}
 }
