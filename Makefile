@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint invariants bench benchmem microbench race fuzz examples experiments clean
+.PHONY: all build test vet lint invariants allocgate bench benchmem microbench race fuzz examples experiments clean
 
 all: build vet lint test
 
@@ -22,35 +22,48 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The packages whose tests carry runtime assertions (-tags invariants).
+INVARIANT_PKGS = . ./internal/domain ./internal/postings ./internal/hint ./internal/tifhint ./internal/core ./internal/sharding ./internal/maint
+
 invariants:
-	$(GO) test -tags invariants . ./internal/domain ./internal/postings ./internal/hint ./internal/tifhint ./internal/core ./internal/sharding ./internal/maint
+	$(GO) test -tags invariants $(INVARIANT_PKGS)
 
 # The serving benchmark (benchmark/, gated by BENCHMARK.json): one run
 # of each workload.
 bench:
 	for w in lib_point lib_methods http_point http_mixed; do bash benchmark/run.sh -workload $$w -seed 1 || exit 1; done
 
-# Re-measure the hot-path allocation budgets (BENCH_BUDGET.json), then
-# re-run the gate against the fresh numbers. -p 1 keeps the in-process
-# benchmarks off shared cores; -count=1 defeats test caching.
+# The packages with hot-path allocation budgets (BENCH_BUDGET.json).
+# -p 1 keeps the in-process benchmarks off shared cores; -count=1
+# defeats test caching.
+ALLOC_PKGS = ./internal/model ./internal/postings ./internal/hint ./internal/tifhint ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
+
+# The allocation-budget gate: every budget in BENCH_BUDGET.json holds.
+allocgate:
+	$(GO) test -run TestAllocBudget -count=1 -p 1 $(ALLOC_PKGS)
+
+# Re-measure the budgets, then re-run the gate against the fresh numbers.
 benchmem:
-	ALLOC_BUDGET_RECORD=1 $(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/model ./internal/postings ./internal/hint ./internal/tifhint ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
-	$(GO) test -run TestAllocBudget -count=1 -p 1 \
-		./internal/model ./internal/postings ./internal/hint ./internal/tifhint ./internal/route ./internal/tenant ./internal/maint ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
+	ALLOC_BUDGET_RECORD=1 $(GO) test -run TestAllocBudget -count=1 -p 1 $(ALLOC_PKGS)
+	$(MAKE) allocgate
 
 # Full Go microbenchmark sweep (slow; not part of the gate).
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 
+# Every fuzz target, FUZZTIME each (go test runs one -fuzz target per
+# package invocation).
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -fuzz=FuzzSortIDs -fuzztime=30s ./internal/model/
-	$(GO) test -fuzz=FuzzTokenize -fuzztime=30s ./internal/textutil/
-	$(GO) test -fuzz=FuzzIntersect -fuzztime=30s ./internal/postings/
-	$(GO) test -fuzz=FuzzContainerParity -fuzztime=30s ./internal/postings/
-	$(GO) test -fuzz=FuzzGallopParity -fuzztime=30s ./internal/postings/
-	$(GO) test -fuzz=FuzzDomainRoundTrip -fuzztime=30s ./internal/domain/
-	$(GO) test -fuzz=FuzzSearchRequest -fuzztime=30s ./internal/server/
+	$(GO) test -fuzz=FuzzSortIDs -fuzztime=$(FUZZTIME) ./internal/model/
+	$(GO) test -fuzz=FuzzTokenize -fuzztime=$(FUZZTIME) ./internal/textutil/
+	$(GO) test -fuzz=FuzzIntersect -fuzztime=$(FUZZTIME) ./internal/postings/
+	$(GO) test -fuzz=FuzzContainerParity -fuzztime=$(FUZZTIME) ./internal/postings/
+	$(GO) test -fuzz=FuzzGallopParity -fuzztime=$(FUZZTIME) ./internal/postings/
+	$(GO) test -fuzz=FuzzDomainRoundTrip -fuzztime=$(FUZZTIME) ./internal/domain/
+	$(GO) test -fuzz=FuzzLoadEngine -fuzztime=$(FUZZTIME) .
+	$(GO) test -fuzz=FuzzSearchRequest -fuzztime=$(FUZZTIME) ./internal/server/
 
 examples:
 	$(GO) run ./examples/quickstart

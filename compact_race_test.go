@@ -13,7 +13,7 @@ import (
 )
 
 // TestCompactUnderConcurrency is the engine-level race test the issue
-// asks for: repeated Compact racing SearchBatch, Insert, Delete, Save
+// asks for: repeated Compact racing SearchBatchCtx, Insert, Delete, Save
 // and CompactStats. Run under -race it proves the generational swap
 // never lets a reader observe a torn state; the assertions prove batches
 // stay internally consistent (sorted rows) throughout.
@@ -46,7 +46,7 @@ func TestCompactUnderConcurrency(t *testing.T) {
 				return
 			default:
 			}
-			for i, r := range eng.SearchBatch(queries) {
+			for i, r := range eng.SearchBatchCtx(context.Background(), queries) {
 				if r.Err != nil {
 					fail("batch row %d: %v", i, r.Err)
 					return

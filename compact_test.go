@@ -80,7 +80,7 @@ func TestCompactAcceptance(t *testing.T) {
 func checksumEngine(t *testing.T, eng *temporalir.Engine, queries []temporalir.Query) string {
 	t.Helper()
 	rows := make([][]temporalir.ObjectID, len(queries))
-	for i, r := range eng.SearchBatch(queries) {
+	for i, r := range eng.SearchBatchCtx(context.Background(), queries) {
 		if r.Err != nil {
 			t.Fatalf("batch row %d: %v", i, r.Err)
 		}

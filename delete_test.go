@@ -1,6 +1,7 @@
 package temporalir
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -22,7 +23,7 @@ func buildDeleteEngine(t *testing.T, m Method) *Engine {
 }
 
 // TestDeleteHidesObjectAcrossMethods verifies that after Delete, every
-// query surface of the engine — Search, SearchAny, SearchTopK, Timeline —
+// query surface of the engine — Search, SearchTopKCtx, TimelineCtx —
 // stops returning the tombstoned object, for every index method,
 // including methods whose index-level Delete is partial or absent.
 func TestDeleteHidesObjectAcrossMethods(t *testing.T) {
@@ -57,20 +58,17 @@ func TestDeleteHidesObjectAcrossMethods(t *testing.T) {
 					t.Errorf("Search(shared) still returns tombstoned object 1")
 				}
 			}
-			for _, id := range e.SearchAny(0, 100, "marker", "alpha") {
-				if id == 1 {
-					t.Errorf("SearchAny still returns tombstoned object 1")
-				}
-			}
-			for _, r := range e.SearchTopK(0, 100, 10, "shared") {
+			top, _ := e.SearchTopKCtx(context.Background(), 0, 100, 10, "shared")
+			for _, r := range top {
 				if r.ID == 1 {
-					t.Errorf("SearchTopK still returns tombstoned object 1")
+					t.Errorf("SearchTopKCtx still returns tombstoned object 1")
 				}
 			}
 			if _, _, err := e.Object(1); err == nil {
 				t.Errorf("Object still resolves tombstoned object 1")
 			}
-			for _, b := range e.Timeline(0, 100, 4, "marker") {
+			tl, _ := e.TimelineCtx(context.Background(), 0, 100, 4, "marker")
+			for _, b := range tl {
 				if b.Count != 0 || b.Mass != 0 {
 					t.Errorf("Timeline still counts tombstoned object: %+v", b)
 				}
@@ -98,11 +96,11 @@ func TestEngineConcurrentSearchInsert(t *testing.T) {
 				case 0:
 					e.Search(0, 100, "shared")
 				case 1:
-					e.SearchTopK(0, 100, 5, "shared")
+					_, _ = e.SearchTopKCtx(context.Background(), 0, 100, 5, "shared")
 				case 2:
 					e.Insert(Timestamp(i), Timestamp(i+10), fmt.Sprintf("w%d-%d", w, i), "shared")
 				case 3:
-					e.Timeline(0, 100, 8, "shared")
+					_, _ = e.TimelineCtx(context.Background(), 0, 100, 8, "shared")
 					e.SizeBytes()
 					e.Len()
 				}

@@ -8,6 +8,7 @@ import (
 
 	temporalir "repro"
 	"repro/internal/bruteforce"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/testutil"
 )
@@ -32,7 +33,7 @@ func TestDifferentialAllMethods(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			testutil.CheckDifferential(t, w, methodNames(),
-				func(name string, c *temporalir.Collection) testutil.QueryIndex {
+				func(name string, c *temporalir.Collection) model.Querier {
 					ix, err := temporalir.NewIndex(temporalir.Method(name), c, temporalir.Options{})
 					if err != nil {
 						t.Fatalf("building %s: %v", name, err)
@@ -44,7 +45,7 @@ func TestDifferentialAllMethods(t *testing.T) {
 }
 
 // TestDifferentialBatchMatchesSerial checks, for every method, that
-// SearchBatch over the engine returns byte-identical rows (same workload
+// SearchBatchCtx over the engine returns byte-identical rows (same workload
 // checksum) as the serial Query loop — the serial-vs-parallel agreement
 // the executor guarantees.
 func TestDifferentialBatchMatchesSerial(t *testing.T) {
@@ -67,7 +68,7 @@ func TestDifferentialBatchMatchesSerial(t *testing.T) {
 			for i, q := range queries {
 				serial[i] = testutil.Canonical(ix.Query(q))
 			}
-			batch := eng.SearchBatch(queries)
+			batch := eng.SearchBatchCtx(context.Background(), queries)
 			rows := make([][]temporalir.ObjectID, len(batch))
 			for i, r := range batch {
 				if r.Err != nil {

@@ -1,6 +1,7 @@
 package temporalir_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -129,8 +130,8 @@ func TestHugeTimestamps(t *testing.T) {
 
 // TestWideIntervalQueries: library queries over intervals of more than
 // 2^63−1 time points answer like any other. Such an interval's length
-// does not fit an int64: Timeline used to panic sizing its buckets and
-// SearchTopK to score +Inf.
+// does not fit an int64: TimelineCtx used to panic sizing its buckets and
+// SearchTopKCtx to score +Inf.
 func TestWideIntervalQueries(t *testing.T) {
 	objs := []struct {
 		s, e  temporalir.Timestamp
@@ -160,7 +161,7 @@ func TestWideIntervalQueries(t *testing.T) {
 					matches++
 				}
 			}
-			rs := e.SearchTopK(iv.Start, iv.End, 10, "a")
+			rs, _ := e.SearchTopKCtx(context.Background(), iv.Start, iv.End, 10, "a")
 			if len(rs) != matches {
 				t.Fatalf("%s: top-k returned %d hits, want %d", name, len(rs), matches)
 			}
@@ -170,7 +171,7 @@ func TestWideIntervalQueries(t *testing.T) {
 				}
 			}
 			for _, n := range []int{1, 2, 4} {
-				tl := e.Timeline(iv.Start, iv.End, n, "a")
+				tl, _ := e.TimelineCtx(context.Background(), iv.Start, iv.End, n, "a")
 				if len(tl) != n || tl[0].Start != iv.Start || tl[n-1].End != iv.End {
 					t.Fatalf("%s: %d buckets do not tile the interval: %+v", name, n, tl)
 				}
@@ -211,9 +212,7 @@ func TestNewIndexAnyObjectOrder(t *testing.T) {
 	w := testutil.DefaultDifferentialWorkloads()[0]
 	base := testutil.RandomCollection(w.Config)
 	queries := w.WorkloadQueries()
-	digest := func(ix interface {
-		Query(temporalir.Query) []temporalir.ObjectID
-	}) string {
+	digest := func(ix model.Querier) string {
 		rows := make([][]model.ObjectID, len(queries))
 		for i, q := range queries {
 			rows[i] = ix.Query(q)
@@ -258,6 +257,82 @@ func TestDuplicateElementsInQuery(t *testing.T) {
 		got := ix.Query(q)
 		if len(testutil.Canonical(got)) != 1 {
 			t.Errorf("%s: duplicate query elements broke the plan: %v", m, got)
+		}
+	}
+}
+
+// TestWideCorpus: a corpus whose own span exceeds 2^63−1 points — one
+// object at each end of the int64 range — builds and answers like any
+// other, with every method at one and four stores, before and after a
+// compaction. Its span's length in points, 2^64, fits no int64 or
+// uint64: the HINT grid used to divide by it wrapped to 0, and the
+// slicing and time-range shard layouts indexed slot −1.
+func TestWideCorpus(t *testing.T) {
+	type obj struct {
+		iv    temporalir.Interval
+		terms []string
+	}
+	objs := []obj{
+		{temporalir.Interval{Start: math.MinInt64, End: math.MinInt64}, []string{"a"}},
+		{temporalir.Interval{Start: math.MaxInt64, End: math.MaxInt64}, []string{"a", "b"}},
+		{temporalir.Interval{Start: 0, End: 10}, []string{"a", "b"}},
+	}
+	b := temporalir.NewBuilder()
+	for _, o := range objs {
+		b.Add(o.iv.Start, o.iv.End, o.terms...)
+	}
+	scan := func(live map[temporalir.ObjectID]obj, iv temporalir.Interval, terms []string) []temporalir.ObjectID {
+		var out []temporalir.ObjectID
+		for id, o := range live {
+			if iv.Overlaps(o.iv) && !slices.ContainsFunc(terms, func(t string) bool { return !slices.Contains(o.terms, t) }) {
+				out = append(out, id)
+			}
+		}
+		temporalir.SortIDs(out)
+		return out
+	}
+	ivs := []temporalir.Interval{
+		{Start: math.MinInt64, End: math.MaxInt64},
+		{Start: math.MinInt64, End: math.MinInt64},
+		{Start: math.MaxInt64, End: math.MaxInt64},
+		{Start: math.MinInt64, End: -1},
+		{Start: 0, End: math.MaxInt64},
+		{Start: 5, End: 5},
+	}
+	for _, m := range append(allMethods(), temporalir.Routed) {
+		for _, shards := range []int{1, 4} {
+			name := fmt.Sprintf("%s/%d stores", m, shards)
+			e, err := b.BuildSharded(m, temporalir.Options{}, temporalir.ShardedOptions{Shards: shards})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			live := map[temporalir.ObjectID]obj{}
+			for i, o := range objs {
+				live[temporalir.ObjectID(i)] = o
+			}
+			check := func(stage string) {
+				t.Helper()
+				for _, iv := range ivs {
+					for _, terms := range [][]string{{"a"}, {"b"}, {"a", "b"}} {
+						got := e.Search(iv.Start, iv.End, terms...)
+						if want := scan(live, iv, terms); !slices.Equal(got, want) {
+							t.Fatalf("%s %s: %v %v = %v, want %v", name, stage, iv, terms, got, want)
+						}
+					}
+				}
+			}
+			check("built")
+			extra := obj{temporalir.Interval{Start: -5, End: 5}, []string{"b"}}
+			live[e.Insert(extra.iv.Start, extra.iv.End, extra.terms...)] = extra
+			if err := e.Delete(0); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			delete(live, 0)
+			check("before compaction")
+			if _, err := e.Compact(context.Background()); err != nil {
+				t.Fatalf("%s: compact: %v", name, err)
+			}
+			check("compacted")
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dict"
 	"repro/internal/maint"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/shard"
@@ -322,7 +321,7 @@ func newStore(m Method, opts Options, coll *Collection, ext []ObjectID, alloc *m
 	if ri, ok := ix.(*route.Index); ok {
 		router = ri.Router()
 	}
-	build := func(ctx context.Context, c *model.Collection) (maint.Index, error) {
+	build := func(ctx context.Context, c *Collection) (Index, error) {
 		// Index construction itself is not interruptible, so honor a
 		// cancellation that arrived before the rebuild started.
 		if err := ctx.Err(); err != nil {

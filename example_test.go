@@ -1,6 +1,7 @@
 package temporalir_test
 
 import (
+	"context"
 	"fmt"
 
 	temporalir "repro"
@@ -69,30 +70,31 @@ func ExampleJoin() {
 	// Output: [{0 0}]
 }
 
-// Batch evaluation fans queries across cores.
-func ExampleQueryBatch() {
+// Batch evaluation fans queries across cores, against one snapshot of
+// every store.
+func ExampleEngine_SearchBatchCtx() {
 	var c temporalir.Collection
 	c.AppendObject(temporalir.Interval{Start: 0, End: 100}, []temporalir.ElemID{0})
-	ix, _ := temporalir.NewIndex(temporalir.IRHintPerf, &c, temporalir.Options{})
+	engine, _ := temporalir.EngineFromCollection(&c, temporalir.IRHintPerf, temporalir.Options{})
 
 	queries := []temporalir.Query{
 		{Interval: temporalir.Interval{Start: 10, End: 20}, Elems: []temporalir.ElemID{0}},
 		{Interval: temporalir.Interval{Start: 200, End: 300}, Elems: []temporalir.ElemID{0}},
 	}
-	results := temporalir.QueryBatch(ix, queries, 2)
-	fmt.Println(len(results[0]), len(results[1]))
+	results := engine.SearchBatchCtx(context.Background(), queries)
+	fmt.Println(len(results[0].IDs), len(results[1].IDs))
 	// Output: 1 0
 }
 
 // Ranked search returns the k most relevant matches.
-func ExampleEngine_SearchTopK() {
+func ExampleEngine_SearchTopKCtx() {
 	b := temporalir.NewBuilder()
 	b.Add(0, 100, "go", "generics")
 	b.Add(95, 200, "go", "generics")
 	b.Add(0, 100, "go")
 
 	engine, _ := b.Build(temporalir.IRHintPerf, temporalir.Options{})
-	top := engine.SearchTopK(0, 100, 1, "go", "generics")
+	top, _ := engine.SearchTopKCtx(context.Background(), 0, 100, 1, "go", "generics")
 	fmt.Println(top[0].ID)
 	// Output: 0
 }

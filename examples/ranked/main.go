@@ -1,11 +1,12 @@
 // Ranked archive search: the relevance extension (the paper's Section 7
-// future work). Instead of returning every matching revision, SearchTopK
+// future work). Instead of returning every matching revision, SearchTopKCtx
 // scores matches by element rarity (IDF) blended with temporal overlap
 // and returns only the k best — the "most relevant objects overlapping
 // the query time interval".
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -46,7 +47,11 @@ func main() {
 
 	// Top-5 by relevance: rare conjunctions and strong temporal overlap
 	// float to the top.
-	top := engine.SearchTopK(march, march+31*day, 5, "report", "aurora")
+	ctx := context.Background()
+	top, err := engine.SearchTopKCtx(ctx, march, march+31*day, 5, "report", "aurora")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("top %d for report+aurora:\n", len(top))
 	for rank, r := range top {
 		iv, terms, _ := engine.Object(r.ID)
@@ -56,7 +61,10 @@ func main() {
 
 	// Scores respond to term rarity: the same document set queried with
 	// only the common term ranks lower.
-	commonTop := engine.SearchTopK(march, march+31*day, 1, "report")
+	commonTop, err := engine.SearchTopKCtx(ctx, march, march+31*day, 1, "report")
+	if err != nil {
+		log.Fatal(err)
+	}
 	if len(top) > 0 && len(commonTop) > 0 {
 		fmt.Printf("best 'report+aurora' score %.3f vs best 'report' score %.3f\n",
 			top[0].Score, commonTop[0].Score)

@@ -13,9 +13,12 @@ import (
 	"repro/internal/shard"
 )
 
-// Query execution. Every query kind has one body, which the plain form
-// runs under context.Background(). The body resolves the terms once
-// against the shared dictionary (plan span) and then evaluates:
+// Query execution. Every query kind has one body and one spelling that
+// takes the caller's context (search has a second, SearchShardsCtx, that
+// also returns the store plan). Only Search, kept ctx-less because the
+// benchmark's engine interface names it, runs SearchCtx's body under
+// context.Background(). The body resolves the terms once against the
+// shared dictionary (plan span) and then evaluates:
 //
 //   - A one-store engine runs the store's query on the caller's
 //     goroutine: no planning, scatter or merge, and no per-query slices.
@@ -44,13 +47,13 @@ type Result struct {
 	Err error
 }
 
-// ScoredResult is one ranked hit of SearchTopK.
+// ScoredResult is one ranked hit of SearchTopKCtx.
 type ScoredResult struct {
 	ID    ObjectID
 	Score float64
 }
 
-// TimelineBucket is one row of Timeline's temporal histogram.
+// TimelineBucket is one row of TimelineCtx's temporal histogram.
 type TimelineBucket struct {
 	Start Timestamp
 	End   Timestamp
@@ -252,59 +255,15 @@ func (e *Engine) searchQuery(ctx context.Context, gens []*maint.Generation, q Qu
 	return out, rep, nil
 }
 
-// SearchAny runs the disjunctive counterpart of Search: objects alive in
-// [start, end] containing at least one of the terms. Unknown terms are
-// ignored (they cannot contribute matches).
-func (e *Engine) SearchAny(start, end Timestamp, terms ...string) []ObjectID {
-	e.dmu.RLock()
-	elems := make([]ElemID, 0, len(terms))
-	for _, t := range terms {
-		if id, ok := e.lookupLocked(t); ok {
-			elems = append(elems, id)
-		}
-	}
-	e.dmu.RUnlock()
-	if len(elems) == 0 {
-		return nil
-	}
-	q := Query{Interval: model.Canon(start, end), Elems: model.NormalizeElems(elems)}
-	if g := e.single(nil); g != nil {
-		return anyIDs(g, q)
-	}
-	// irlint:ctx-root deliberately ctx-less convenience surface, like Search
-	out, _, _ := gather(context.Background(), e, q, nil, func(g *maint.Generation) []ObjectID {
-		return anyIDs(g, q)
-	}, shard.MergeAscending)
-	return out
-}
-
-// anyIDs evaluates one store's disjunction: a single-element query per
-// element, unioned, in ascending external id order.
-func anyIDs(g *maint.Generation, q Query) []ObjectID {
-	var out []ObjectID
-	for _, el := range q.Elems {
-		out = append(out, g.Query(Query{Interval: q.Interval, Elems: []ElemID{el}})...)
-	}
-	SortIDs(out)
-	return g.External(model.DedupIDs(out))
-}
-
-// SearchTopK runs a relevance-ranked time-travel query: among the objects
-// matching the containment query, return the k most relevant, scored by
-// element rarity (IDF) blended with temporal overlap — the ranked-search
-// extension the paper leaves as future work. IDF weights are those of
-// the generations the query runs against: every stored object counts,
-// inserted a moment ago or tombstoned but not yet compacted away.
-func (e *Engine) SearchTopK(start, end Timestamp, k int, terms ...string) []ScoredResult {
-	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use SearchTopKCtx
-	res, _ := e.SearchTopKCtx(context.Background(), start, end, k, terms...)
-	return res
-}
-
-// SearchTopKCtx is SearchTopK with cancellation and timeout support:
-// everything or an error. The global top k across the stores is ordered
-// (score desc, id asc) exactly as one store over the whole corpus would
-// order it.
+// SearchTopKCtx runs a relevance-ranked time-travel query: among the
+// objects matching the containment query, return the k most relevant,
+// scored by element rarity (IDF) blended with temporal overlap — the
+// ranked-search extension the paper leaves as future work. IDF weights
+// are those of the generations the query runs against: every stored
+// object counts, inserted a moment ago or tombstoned but not yet
+// compacted away. The global top k across the stores is ordered (score
+// desc, id asc) exactly as one store over the whole corpus would order
+// it. A fired ctx returns ctx.Err().
 func (e *Engine) SearchTopKCtx(ctx context.Context, start, end Timestamp, k int, terms ...string) ([]ScoredResult, error) {
 	q, ok, err := e.resolve(ctx, start, end, terms)
 	if !ok {
@@ -368,21 +327,14 @@ func queryScorer(gens []*maint.Generation, elems []ElemID) rank.QueryScorer {
 	}, rank.ScorerConfig{})
 }
 
-// Timeline aggregates a time-travel IR query over time: the interval
+// TimelineCtx aggregates a time-travel IR query over time: the interval
 // [start, end] is split into the requested number of buckets and each
 // reports how many matching objects were alive in it (and for how long) —
-// "how did interest in these terms evolve across the period".
-func (e *Engine) Timeline(start, end Timestamp, buckets int, terms ...string) []TimelineBucket {
-	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use TimelineCtx
-	out, _ := e.TimelineCtx(context.Background(), start, end, buckets, terms...)
-	return out
-}
-
-// TimelineCtx is Timeline with cancellation and timeout support:
-// everything or an error. The stores' histograms are summed bucket by
-// bucket (every store shares the same bucket layout). When planning
-// prunes every store the layout is synthesized, matching the zero-count
-// histogram of a no-match query.
+// "how did interest in these terms evolve across the period". The
+// stores' histograms are summed bucket by bucket (every store shares the
+// same bucket layout). When planning prunes every store the layout is
+// synthesized, matching the zero-count histogram of a no-match query. A
+// fired ctx returns ctx.Err().
 func (e *Engine) TimelineCtx(ctx context.Context, start, end Timestamp, buckets int, terms ...string) ([]TimelineBucket, error) {
 	q, ok, err := e.resolve(ctx, start, end, terms)
 	if !ok {
@@ -414,20 +366,15 @@ func histogram(g *maint.Generation, q Query, buckets int) []aggregate.Bucket {
 	return aggregate.Histogram(g, g.Coll(), q, buckets)
 }
 
-// SearchBatch evaluates many element-id queries concurrently over the
+// SearchBatchCtx evaluates many element-id queries concurrently over the
 // engine's pool, one row per worker. results[i] corresponds to
 // queries[i]; ids are in ascending order, so a batch result is
 // byte-identical to running Query serially. The whole batch runs
 // against one generation per store: mutations landing mid-batch are
-// invisible to it, and the batch never blocks them.
-func (e *Engine) SearchBatch(queries []Query) []Result {
-	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use SearchBatchCtx
-	return e.SearchBatchCtx(context.Background(), queries)
-}
-
-// SearchBatchCtx is SearchBatch with cooperative cancellation: queries
-// not yet started when ctx fires are marked with Err = ctx.Err() and nil
-// IDs. A row either has its complete result or a non-nil Err.
+// invisible to it, and the batch never blocks them. Cancellation is
+// cooperative: queries not yet started when ctx fires are marked with
+// Err = ctx.Err() and nil IDs. A row either has its complete result or
+// a non-nil Err.
 func (e *Engine) SearchBatchCtx(ctx context.Context, queries []Query) []Result {
 	tr := obs.TraceFromContext(ctx)
 	tr.SetBatch(len(queries))
@@ -442,17 +389,10 @@ func (e *Engine) SearchBatchCtx(ctx context.Context, queries []Query) []Result {
 	})
 }
 
-// SearchTermsBatch resolves each row of terms against the dictionary and
-// evaluates the resulting queries as one batch — the string-surface
-// convenience over SearchBatch. Rows with unknown terms resolve to empty
-// results, matching Search.
-func (e *Engine) SearchTermsBatch(start, end Timestamp, termRows [][]string) []Result {
-	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use SearchTermsBatchCtx
-	return e.SearchTermsBatchCtx(context.Background(), start, end, termRows)
-}
-
-// SearchTermsBatchCtx is SearchTermsBatch with cooperative cancellation,
-// following the SearchBatchCtx row contract.
+// SearchTermsBatchCtx resolves each row of terms against the dictionary
+// and evaluates the resulting queries as one batch — the string-surface
+// form of SearchBatchCtx, following its row contract. Rows with unknown
+// terms resolve to empty results, matching Search.
 func (e *Engine) SearchTermsBatchCtx(ctx context.Context, start, end Timestamp, termRows [][]string) []Result {
 	tr := obs.TraceFromContext(ctx)
 	tr.SetBatch(len(termRows))

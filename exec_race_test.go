@@ -12,7 +12,7 @@ import (
 	"repro/internal/testutil"
 )
 
-// Concurrency tests for the batch executor: SearchBatch, SearchBatchCtx
+// Concurrency tests for the batch executor: SearchBatchCtx
 // and SearchCtx racing against Insert, Delete and Save. Run under -race
 // in CI; a torn read of a shared postings list, or a batch observing a
 // half-applied mutation, shows up as a race report or as a result
@@ -32,7 +32,7 @@ func raceEngine(t *testing.T, m temporalir.Method) *temporalir.Engine {
 	return eng
 }
 
-// TestSearchBatchUnderMutation hammers SearchBatch while writers insert,
+// TestSearchBatchUnderMutation hammers SearchBatchCtx while writers insert,
 // delete and snapshot. Batches hold the read lock for their whole
 // lifetime, so each batch must see a consistent snapshot: sorted,
 // duplicate-free rows with no tombstoned ids.
@@ -89,7 +89,7 @@ func TestSearchBatchUnderMutation(t *testing.T) {
 			}()
 			deadline := time.Now().Add(300 * time.Millisecond)
 			for time.Now().Before(deadline) {
-				for _, r := range eng.SearchBatch(queries) {
+				for _, r := range eng.SearchBatchCtx(context.Background(), queries) {
 					if r.Err != nil {
 						t.Fatalf("batch row error: %v", r.Err)
 					}

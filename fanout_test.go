@@ -64,7 +64,7 @@ func TestOneFanOutPerQuery(t *testing.T) {
 			}
 			eng.SetParallelism(4)
 			for i := range queries {
-				if rows := eng.SearchBatch(queries[i : i+1]); len(rows[0].IDs) == 0 {
+				if rows := eng.SearchBatchCtx(context.Background(), queries[i:i+1]); len(rows[0].IDs) == 0 {
 					t.Fatalf("batch query %d: no result, the fan-out is untested", i)
 				}
 			}

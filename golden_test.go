@@ -66,9 +66,10 @@ func goldenReplay(t *testing.T, e goldenEngine) {
 func goldenQueries(e interface {
 	Len() int
 	Search(start, end temporalir.Timestamp, terms ...string) []temporalir.ObjectID
-	SearchTopK(start, end temporalir.Timestamp, k int, terms ...string) []temporalir.ScoredResult
-	Timeline(start, end temporalir.Timestamp, buckets int, terms ...string) []temporalir.TimelineBucket
+	SearchTopKCtx(ctx context.Context, start, end temporalir.Timestamp, k int, terms ...string) ([]temporalir.ScoredResult, error)
+	TimelineCtx(ctx context.Context, start, end temporalir.Timestamp, buckets int, terms ...string) ([]temporalir.TimelineBucket, error)
 }) string {
+	ctx := context.Background()
 	h := sha256.New()
 	fmt.Fprintf(h, "len=%d\n", e.Len())
 	for i := 0; i < 12; i++ {
@@ -76,8 +77,9 @@ func goldenQueries(e interface {
 		w := fmt.Sprintf("w%02d", i)
 		fmt.Fprintf(h, "%v|", e.Search(lo, lo+2500, w))
 		fmt.Fprintf(h, "%v|", e.Search(0, 10000, w, fmt.Sprintf("fresh%02d", i%9)))
-		fmt.Fprintf(h, "%v|", e.SearchTopK(lo, lo+4000, 5, w))
-		fmt.Fprintf(h, "%v\n", e.Timeline(0, 10000, 6, w))
+		top, _ := e.SearchTopKCtx(ctx, lo, lo+4000, 5, w)
+		tl, _ := e.TimelineCtx(ctx, 0, 10000, 6, w)
+		fmt.Fprintf(h, "%v|%v\n", top, tl)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -18,11 +18,6 @@ type Bucket struct {
 	Mass  int64 // total overlapped time units within the bucket
 }
 
-// Index is the candidate source (any index of the family).
-type Index interface {
-	Query(q model.Query) []model.ObjectID
-}
-
 // Layout returns the empty bucket partition Histogram fills in: n equal
 // buckets over the query interval (the final bucket absorbs the
 // division remainder; n shrinks to the interval's duration when it is
@@ -69,7 +64,7 @@ func bucketWidth(last uint64, n int) uint64 {
 // every object matching the time-travel IR query, accumulates per bucket
 // the overlap count and the overlapped duration mass. The final bucket
 // absorbs the division remainder.
-func Histogram(ix Index, c *model.Collection, q model.Query, n int) []Bucket {
+func Histogram(ix model.Querier, c *model.Collection, q model.Query, n int) []Bucket {
 	buckets := Layout(q, n)
 	if buckets == nil {
 		return nil

@@ -18,7 +18,7 @@ func TestAllocBudget(t *testing.T) {
 	cfg := testutil.CollectionConfig{N: 20_000, DomainLo: 0, DomainHi: 1 << 20, Dict: 50, MaxDesc: 6, Seed: 9}
 	c := testutil.RandomCollection(cfg)
 	q := model.Query{Interval: model.NewInterval(1<<18, 3<<18), Elems: []model.ElemID{1, 4}}
-	for kernel, ix := range map[string]testutil.QueryIndex{
+	for kernel, ix := range map[string]model.Querier{
 		"core/PerfIndex.Query": NewPerf(c, WithM(8)),
 		"core/SizeIndex.Query": NewSize(c, WithM(8)),
 	} {

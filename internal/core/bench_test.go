@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/testutil"
 )
 
 // BenchmarkBuild times the bulk build of both variants over the scale-0.1
@@ -18,7 +17,7 @@ func BenchmarkBuild(b *testing.B) {
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var ix testutil.UpdatableIndex
+			var ix model.Index
 			for i := 0; i < b.N; i++ {
 				ix = v.build(c)
 			}

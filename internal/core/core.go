@@ -86,10 +86,7 @@ func WithM(m int) Option {
 // resolveDomain picks the discretization domain: collection span, with m
 // fixed or derived from the cost model.
 func resolveDomain(c *model.Collection, cfg config) domain.Domain {
-	span, ok := c.Span()
-	if !ok {
-		span = model.NewInterval(0, 0)
-	}
+	span := domain.Span(c)
 	m := cfg.m
 	if m == 0 {
 		mc := hint.DefaultCostModelConfig()
@@ -101,12 +98,5 @@ func resolveDomain(c *model.Collection, cfg config) domain.Domain {
 		mc.PartitionOverhead = 160
 		m = hint.EstimateM(c.Objects, span, mc)
 	}
-	if m > domain.MaxBits {
-		m = domain.MaxBits
-	}
-	for m > 1 && int64(1)<<uint(m) > int64(span.End-span.Start)+1 {
-		m--
-	}
-	d, _ := domain.Make(span.Start, span.End, m)
-	return d
+	return domain.Fit(span, m)
 }

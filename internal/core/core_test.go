@@ -25,10 +25,10 @@ var exampleWant = []model.ObjectID{1, 3, 6}
 
 var variants = []struct {
 	name  string
-	build func(c *model.Collection, opts ...Option) testutil.UpdatableIndex
+	build func(c *model.Collection, opts ...Option) model.Index
 }{
-	{"perf", func(c *model.Collection, opts ...Option) testutil.UpdatableIndex { return NewPerf(c, opts...) }},
-	{"size", func(c *model.Collection, opts ...Option) testutil.UpdatableIndex { return NewSize(c, opts...) }},
+	{"perf", func(c *model.Collection, opts ...Option) model.Index { return NewPerf(c, opts...) }},
+	{"size", func(c *model.Collection, opts ...Option) model.Index { return NewSize(c, opts...) }},
 }
 
 func TestRunningExample(t *testing.T) {
@@ -98,7 +98,7 @@ func TestUpdates(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := testutil.DefaultConfig(51)
-			testutil.CheckUpdates(t, v.name, func(c *model.Collection) testutil.UpdatableIndex {
+			testutil.CheckUpdates(t, v.name, func(c *model.Collection) model.Index {
 				return v.build(c, WithM(5))
 			}, cfg)
 		})

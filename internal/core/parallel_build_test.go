@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/testutil"
 )
 
@@ -28,7 +29,7 @@ func TestParallelBuildDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(one.size, four.size) {
 				t.Errorf("%s (m = %d): size built on four workers differs from the one-worker build", in.Name, one.size.M())
 			}
-			for name, pair := range map[string][2]testutil.QueryIndex{"perf": {one.perf, four.perf}, "size": {one.size, four.size}} {
+			for name, pair := range map[string][2]model.Querier{"perf": {one.perf, four.perf}, "size": {one.size, four.size}} {
 				if a, b := testutil.QueryDigest(pair[0], in.Queries), testutil.QueryDigest(pair[1], in.Queries); a != b {
 					t.Errorf("%s: %s query digest %s on one worker, %s on four", in.Name, name, a, b)
 				}

@@ -109,7 +109,7 @@ func TestEntryCountRelationship(t *testing.T) {
 // vacuous. deadSurvivors counts, for one query, the deleted ids met there
 // (it fails the test itself if a division hides them from its dead
 // counter).
-func checkDeletesInComparisonFreeDivisions[I testutil.QueryIndex](t *testing.T, build func(c *model.Collection, m int) I, del func(I, model.Object), deadSurvivors func(ix I, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int)) {
+func checkDeletesInComparisonFreeDivisions[I model.Querier](t *testing.T, build func(c *model.Collection, m int) I, del func(I, model.Object), deadSurvivors func(ix I, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int)) {
 	t.Helper()
 	var freeO, freeR int // deleted survivors met in comparison-free originals / replicas divisions
 	for seed := int64(0); seed < 12; seed++ {

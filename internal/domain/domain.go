@@ -7,6 +7,7 @@ package domain
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/model"
@@ -22,7 +23,10 @@ type Domain struct {
 	Max model.Timestamp
 	M   int // number of bits; the grid has 2^M cells
 
-	span uint64 // Max - Min + 1
+	// last is Max − Min, the last offset. The span's length in points,
+	// last+1, does not fit a uint64 when the domain is the whole int64
+	// range.
+	last uint64
 }
 
 // New builds a domain for raw range [min, max] with an m-bit grid.
@@ -45,7 +49,7 @@ func Make(min, max model.Timestamp, m int) (Domain, error) {
 	if m < 0 || m > MaxBits {
 		return Domain{}, fmt.Errorf("domain: m = %d out of [0, %d]", m, MaxBits)
 	}
-	return Domain{Min: min, Max: max, M: m, span: uint64(max-min) + 1}, nil
+	return Domain{Min: min, Max: max, M: m, last: uint64(max - min)}, nil
 }
 
 // Cells returns the number of grid cells, 2^M.
@@ -61,12 +65,17 @@ func (d Domain) Disc(t model.Timestamp) uint32 {
 	if t >= d.Max {
 		return d.Cells() - 1
 	}
-	// floor(off * 2^M / span) in 128-bit arithmetic: off can approach
-	// 2^63 for epoch-nanosecond domains, so the multiplication must not
-	// wrap. off < span guarantees the quotient fits in 32 bits.
+	// floor(off * 2^M / (last+1)) in 128-bit arithmetic: off can
+	// approach 2^64 for the widest domains, so the multiplication must
+	// not wrap. off <= last guarantees the quotient fits in 32 bits. A
+	// span of 2^64 points divides by shifting: the quotient is the high
+	// word.
 	off := uint64(t - d.Min)
 	hi, lo := bits.Mul64(off, uint64(d.Cells()))
-	q, _ := bits.Div64(hi, lo, d.span)
+	q := hi
+	if d.last != math.MaxUint64 {
+		q, _ = bits.Div64(hi, lo, d.last+1)
+	}
 	assertCell(d, uint32(q), "Disc")
 	return uint32(q)
 }
@@ -91,4 +100,55 @@ func (d Domain) PartitionExtent(level int, j uint32) (lo, hi uint32) {
 	assertPartition(d, level, j, "PartitionExtent")
 	width := uint32(1) << uint(d.M-level)
 	return j * width, j*width + width - 1
+}
+
+// Span returns the raw range a collection's indices build over: its
+// objects' span, or [0, 0] when it holds none.
+func Span(c *model.Collection) model.Interval {
+	if span, ok := c.Span(); ok {
+		return span
+	}
+	return model.NewInterval(0, 0)
+}
+
+// Fit returns the domain over span on the finest grid of at most m bits
+// (and MaxBits) whose cells are no narrower than one time point.
+func Fit(span model.Interval, m int) Domain {
+	m = min(m, MaxBits)
+	last := uint64(span.End - span.Start)
+	for m > 1 && uint64(1)<<uint(m)-1 > last {
+		m--
+	}
+	d, _ := Make(span.Start, span.End, m)
+	return d
+}
+
+// Slots cuts a span into n contiguous slots of ⌈points/n⌉ points each
+// (trailing slots may be short or empty): tIF+Slicing's time slices and
+// the time-range shard map. The zero value is not usable; construct
+// with NewSlots.
+type Slots struct {
+	lo    model.Timestamp
+	n     int
+	width uint64
+}
+
+// NewSlots lays n >= 1 slots over span.
+func NewSlots(span model.Interval, n int) Slots {
+	// ⌈(last+1)/n⌉ = ⌊last/n⌋+1, which overflows only for one slot over
+	// 2^64 points; saturating it keeps every offset in slot 0.
+	width := uint64(span.End-span.Start)/uint64(n) + 1
+	if width == 0 {
+		width = math.MaxUint64
+	}
+	return Slots{lo: span.Start, n: n, width: width}
+}
+
+// Of returns t's slot, clamping timestamps outside the span to the edge
+// slots, so late-arriving data still routes.
+func (s Slots) Of(t model.Timestamp) int {
+	if t <= s.lo {
+		return 0
+	}
+	return int(min(uint64(t-s.lo)/s.width, uint64(s.n-1)))
 }

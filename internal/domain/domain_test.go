@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -236,5 +237,69 @@ func TestBoundaryAndLevelMonotonicity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWholeRange: a domain over every int64 timestamp, 2^64 points,
+// discretizes monotonically onto the full grid, and Fit and Slots lay
+// out over it without their widths wrapping.
+func TestWholeRange(t *testing.T) {
+	whole := model.Interval{Start: math.MinInt64, End: math.MaxInt64}
+	d := Fit(whole, MaxBits)
+	if d.M != MaxBits {
+		t.Fatalf("Fit(whole, %d).M = %d", MaxBits, d.M)
+	}
+	prev := uint32(0)
+	for _, ts := range []model.Timestamp{math.MinInt64, math.MinInt64 + 1, -1 << 40, 0, 1 << 40, math.MaxInt64 - 1, math.MaxInt64} {
+		c := d.Disc(ts)
+		if c < prev {
+			t.Fatalf("Disc(%d) = %d after %d", ts, c, prev)
+		}
+		prev = c
+	}
+	if d.Disc(math.MinInt64) != 0 || d.Disc(0) != d.Cells()/2 || d.Disc(math.MaxInt64) != d.Cells()-1 {
+		t.Fatalf("whole-range cells: %d %d %d", d.Disc(math.MinInt64), d.Disc(0), d.Disc(math.MaxInt64))
+	}
+	for _, n := range []int{1, 2, 4, 50} {
+		s := NewSlots(whole, n)
+		if s.Of(math.MinInt64) != 0 || s.Of(math.MaxInt64) != n-1 {
+			t.Fatalf("%d slots: edges in %d and %d", n, s.Of(math.MinInt64), s.Of(math.MaxInt64))
+		}
+		if n == 2 && (s.Of(-1) != 0 || s.Of(0) != 1) {
+			t.Fatalf("2 slots split at %d/%d, want at 0", s.Of(-1), s.Of(0))
+		}
+	}
+}
+
+// TestFitNoFinerThanSpan: Fit never lays a grid with more cells than the
+// span has points, and clamps m to MaxBits.
+func TestFitNoFinerThanSpan(t *testing.T) {
+	for _, tc := range []struct {
+		span  model.Interval
+		m, to int
+	}{
+		{model.Interval{Start: 0, End: 0}, 8, 1},
+		{model.Interval{Start: 0, End: 7}, 8, 3},
+		{model.Interval{Start: 5, End: 13}, 8, 3},
+		{model.Interval{Start: 0, End: 1 << 40}, 40, MaxBits},
+	} {
+		if d := Fit(tc.span, tc.m); d.M != tc.to || d.Min != tc.span.Start || d.Max != tc.span.End {
+			t.Errorf("Fit(%v, %d) = %+v, want m %d", tc.span, tc.m, d, tc.to)
+		}
+	}
+}
+
+// TestSlotsCeilWidth: n slots over p points are ⌈p/n⌉ points wide, and
+// timestamps outside the span clamp to the edge slots.
+func TestSlotsCeilWidth(t *testing.T) {
+	s := NewSlots(model.Interval{Start: 10, End: 19}, 4) // 10 points, width 3
+	want := []int{0, 0, 0, 1, 1, 1, 2, 2, 2, 3}
+	for i, w := range want {
+		if got := s.Of(model.Timestamp(10 + i)); got != w {
+			t.Errorf("Of(%d) = %d, want %d", 10+i, got, w)
+		}
+	}
+	if s.Of(-100) != 0 || s.Of(100) != 3 {
+		t.Errorf("clamp: Of(-100) = %d, Of(100) = %d", s.Of(-100), s.Of(100))
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/model"
@@ -150,13 +151,11 @@ func Read(r io.Reader) (*model.Collection, error) {
 		if err != nil {
 			return nil, fmt.Errorf("encoding: object %d duration: %w", i, err)
 		}
-		if dur == 0 || dur > 1<<42 {
-			return nil, fmt.Errorf("encoding: object %d has implausible duration %d", i, dur)
-		}
-		// Bound the start so start+dur-1 cannot overflow into an
-		// inverted interval on corrupt input.
-		if start > 1<<62 || start < -(1<<62) {
-			return nil, fmt.Errorf("encoding: object %d has implausible start %d", i, start)
+		// An object ends at start+dur-1, which must not pass MaxInt64 and
+		// wrap into an inverted interval on corrupt input. The room
+		// above start, MaxInt64−start, fits a uint64 for every start.
+		if dur == 0 || dur-1 > uint64(math.MaxInt64)-uint64(start) {
+			return nil, fmt.Errorf("encoding: object %d has implausible duration %d at start %d", i, dur, start)
 		}
 		n, err := binary.ReadUvarint(br)
 		if err != nil {

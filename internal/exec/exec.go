@@ -21,8 +21,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/model"
 )
 
 // Pool is a bounded worker pool. The zero value is not usable; construct
@@ -164,13 +162,4 @@ func (p *Pool) mapInner(ctx context.Context, n int, fn func(i int)) error {
 		return ctx.Err()
 	}
 	return nil
-}
-
-// RunBatch evaluates eval over every query concurrently, results[i]
-// matching queries[i]. eval must be safe for concurrent use (every index
-// in the family supports concurrent readers).
-func RunBatch(p *Pool, queries []model.Query, eval func(model.Query) []model.ObjectID) [][]model.ObjectID {
-	results := make([][]model.ObjectID, len(queries))
-	p.Map(len(queries), func(i int) { results[i] = eval(queries[i]) })
-	return results
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/model"
 )
 
 func TestMapRunsEveryItemOnce(t *testing.T) {
@@ -67,25 +65,5 @@ func TestMapCtxAlreadyCancelled(t *testing.T) {
 	}
 	if ran {
 		t.Fatal("item ran despite pre-cancelled context")
-	}
-}
-
-func TestRunBatchMatchesSerial(t *testing.T) {
-	p := NewPool(4)
-	queries := make([]model.Query, 50)
-	for i := range queries {
-		queries[i] = model.Query{Interval: model.NewInterval(int64(i), int64(i+10))}
-	}
-	eval := func(q model.Query) []model.ObjectID {
-		return []model.ObjectID{model.ObjectID(q.Interval.Start), model.ObjectID(q.Interval.End)}
-	}
-	results := RunBatch(p, queries, eval)
-	if len(results) != len(queries) {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, ids := range results {
-		if want := eval(queries[i]); !model.EqualIDs(ids, want) {
-			t.Fatalf("result %d: got %v want %v", i, ids, want)
-		}
 	}
 }

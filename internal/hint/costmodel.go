@@ -59,8 +59,8 @@ func EstimateM(objs []model.Object, span model.Interval, cfg CostModelConfig) in
 		maxM = 20
 	}
 	// Cap m so cells are not finer than single time units.
-	spanUnits := int64(span.End-span.Start) + 1
-	for maxM > 1 && int64(1)<<uint(maxM) > spanUnits {
+	last := uint64(span.End - span.Start)
+	for maxM > 1 && uint64(1)<<uint(maxM)-1 > last {
 		maxM--
 	}
 	n := len(objs)

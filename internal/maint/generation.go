@@ -58,7 +58,7 @@ type Generation struct {
 // it, which keeps SizeBytes and ranked-search statistics independent of
 // corpus size per call and adds nothing to what an insert copies.
 type compacted struct {
-	base       Index
+	base       model.Index
 	compactLen int
 	baseBytes  int64 // base.SizeBytes()
 	baseDF     []int // per-element document frequency of the prefix
@@ -84,7 +84,7 @@ func (g *Generation) Coll() *model.Collection { return g.coll }
 // Base returns the immutable main index covering the compacted prefix
 // of Coll. It excludes memtable objects and ignores tombstones; use
 // Query for the full filtered view.
-func (g *Generation) Base() Index { return g.base }
+func (g *Generation) Base() model.Index { return g.base }
 
 // DocFreq returns how many stored objects contain element e: the
 // compacted prefix's recorded frequency plus a count over the memtable.

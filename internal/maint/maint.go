@@ -27,26 +27,16 @@ import (
 	"repro/internal/model"
 )
 
-// Index is the surface the store needs from a main index. It mirrors the
-// root package's Index interface, so any index of the family satisfies
-// it; the store only ever calls Query/Len/SizeBytes — main indices are
-// immutable here, updates flow through the memtable and compaction.
-type Index interface {
-	Query(q model.Query) []model.ObjectID
-	Insert(o model.Object)
-	Delete(o model.Object)
-	Len() int
-	SizeBytes() int64
-}
-
 // BuildFunc rebuilds the configured index method over a compacted
 // collection. It runs off the read path (no locks held) and must not
 // retain or mutate the collection beyond what index construction needs.
 // The context is the compaction's: implementations should return
 // ctx.Err() instead of starting an expensive build once it is done, so
 // a canceled foreground Compact stops before the rebuild rather than
-// after it.
-type BuildFunc func(ctx context.Context, c *model.Collection) (Index, error)
+// after it. The store only ever calls the built index's Query, Len and
+// SizeBytes: main indices are immutable here, and updates flow through
+// the memtable and compaction.
+type BuildFunc func(ctx context.Context, c *model.Collection) (model.Index, error)
 
 // ErrCompactionRunning is returned by Compact when another compaction
 // (manual or policy-triggered) is already in flight.

@@ -14,7 +14,7 @@ import (
 
 // tifBuild is the BuildFunc the tests use: the base temporal inverted
 // file, the simplest member of the index family.
-func tifBuild(_ context.Context, c *model.Collection) (Index, error) { return tif.New(c), nil }
+func tifBuild(_ context.Context, c *model.Collection) (model.Index, error) { return tif.New(c), nil }
 
 // seedCollection builds n objects: object i lives [i, i+10] and carries
 // element i%4 (plus element 0 on even ids).
@@ -32,7 +32,7 @@ func seedCollection(n int) *model.Collection {
 
 // newDenseStore is NewStore over a collection whose external ids are
 // its dense positions, drawing later ids from a fresh allocator.
-func newDenseStore(c *model.Collection, base Index, build BuildFunc) *Store {
+func newDenseStore(c *model.Collection, base model.Index, build BuildFunc) *Store {
 	ext := make([]model.ObjectID, len(c.Objects))
 	for i := range ext {
 		ext[i] = model.ObjectID(i)
@@ -235,7 +235,7 @@ func TestCompactContextCanceled(t *testing.T) {
 func TestCompactBuildReceivesContext(t *testing.T) {
 	c := seedCollection(10)
 	ctx, cancel := context.WithCancel(context.Background())
-	build := func(bctx context.Context, _ *model.Collection) (Index, error) {
+	build := func(bctx context.Context, _ *model.Collection) (model.Index, error) {
 		cancel()
 		return nil, bctx.Err()
 	}
@@ -256,7 +256,7 @@ func TestCompactBuildReceivesContext(t *testing.T) {
 func TestCompactBuildError(t *testing.T) {
 	c := seedCollection(10)
 	boom := errors.New("boom")
-	s := newDenseStore(c, tif.New(c), func(context.Context, *model.Collection) (Index, error) { return nil, boom })
+	s := newDenseStore(c, tif.New(c), func(context.Context, *model.Collection) (model.Index, error) { return nil, boom })
 	s.Delete(0)
 	g0 := s.Snapshot()
 	if _, err := s.Compact(context.Background()); !errors.Is(err, boom) {
@@ -277,7 +277,7 @@ func TestWritesDuringCompaction(t *testing.T) {
 	c := seedCollection(30)
 	enter := make(chan struct{})
 	release := make(chan struct{})
-	build := func(_ context.Context, cc *model.Collection) (Index, error) {
+	build := func(_ context.Context, cc *model.Collection) (model.Index, error) {
 		close(enter)
 		<-release
 		return tif.New(cc), nil
@@ -413,7 +413,7 @@ func TestInternalExternalRoundTrip(t *testing.T) {
 // with tombstones and a memtable against a scan of its collection.
 func TestBinaryBaseQueryAgrees(t *testing.T) {
 	c := seedCollection(60)
-	s := newDenseStore(c, tifhint.NewBinary(c), func(_ context.Context, cc *model.Collection) (Index, error) { return tifhint.NewBinary(cc), nil })
+	s := newDenseStore(c, tifhint.NewBinary(c), func(_ context.Context, cc *model.Collection) (model.Index, error) { return tifhint.NewBinary(cc), nil })
 	for id := model.ObjectID(0); id < 60; id += 5 {
 		s.Delete(id)
 	}

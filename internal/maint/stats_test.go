@@ -12,7 +12,7 @@ import (
 
 // countingIndex is a main index that counts how often it is sized.
 type countingIndex struct {
-	Index
+	model.Index
 	sized *atomic.Int64
 }
 
@@ -34,7 +34,7 @@ func unmemoisedSize(g *Generation) int64 {
 // what walking it every time would report.
 func TestSizeBytesOncePerBase(t *testing.T) {
 	var sized atomic.Int64
-	build := func(_ context.Context, c *model.Collection) (Index, error) {
+	build := func(_ context.Context, c *model.Collection) (model.Index, error) {
 		return countingIndex{tif.New(c), &sized}, nil
 	}
 	c := seedCollection(50)
@@ -111,7 +111,7 @@ func TestBaseDFTracksCompactedPrefix(t *testing.T) {
 
 	c = seedCollection(30)
 	enter, release := make(chan struct{}, 1), make(chan struct{}, 1)
-	s := newDenseStore(c, tif.New(c), func(_ context.Context, cc *model.Collection) (Index, error) {
+	s := newDenseStore(c, tif.New(c), func(_ context.Context, cc *model.Collection) (model.Index, error) {
 		enter <- struct{}{}
 		<-release
 		return tif.New(cc), nil

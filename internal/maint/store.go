@@ -141,7 +141,7 @@ func (a *IDAllocator) Next() model.ObjectID {
 // ownership of coll's object slice and of ext. Stores sharing one
 // allocator never collide, and a store rebuilt from a saved table and
 // counter hands out exactly the ids the saved one would have.
-func NewStore(coll *model.Collection, base Index, build BuildFunc, ext []model.ObjectID, alloc *IDAllocator) *Store {
+func NewStore(coll *model.Collection, base model.Index, build BuildFunc, ext []model.ObjectID, alloc *IDAllocator) *Store {
 	n := len(coll.Objects)
 	if len(ext) != n {
 		panic("maint: identity table length mismatch") // lint:panic-ok construction-time programming error

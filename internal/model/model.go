@@ -181,6 +181,26 @@ func (q *Query) Matches(o *Object) bool {
 	return q.Interval.Overlaps(o.Interval) && o.ContainsAll(q.Elems)
 }
 
+// Querier answers the time-travel IR query: the ids of q's matches, in
+// no particular order (SortIDs gives the canonical one). Every index of
+// the family and the brute-force oracle implement it; ranking and
+// aggregation draw their candidates from it.
+type Querier interface {
+	Query(q Query) []ObjectID
+}
+
+// Index is the contract of every index in the family: a Querier that
+// also takes updates. Insert adds an object with a fresh id; Delete
+// tombstones an object given its full record (indices locate entries by
+// interval and id, as the paper's logical-deletion scheme does).
+type Index interface {
+	Querier
+	Insert(o Object)
+	Delete(o Object)
+	Len() int
+	SizeBytes() int64
+}
+
 // Collection is an ordered set of objects over a shared dictionary. Object
 // IDs equal their position in Objects; AppendObject maintains that.
 type Collection struct {

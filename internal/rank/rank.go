@@ -182,15 +182,10 @@ func (h resultHeap) siftDown(i int) {
 	}
 }
 
-// ContainmentIndex is the candidate source — any index of the family.
-type ContainmentIndex interface {
-	Query(q model.Query) []model.ObjectID
-}
-
 // TopK returns the k highest-scoring objects matching q, ordered by
 // descending score (ascending id on ties). Candidates come from the
 // containment index; the collection supplies the object records.
-func TopK(ix ContainmentIndex, c *model.Collection, s *Scorer, q model.Query, k int) []Result {
+func TopK(ix model.Querier, c *model.Collection, s *Scorer, q model.Query, k int) []Result {
 	return TopKQuery(ix, c, s.ForQuery(&q), q, k)
 }
 
@@ -198,7 +193,7 @@ func TopK(ix ContainmentIndex, c *model.Collection, s *Scorer, q model.Query, k 
 // candidate loop only computes a temporal overlap and touches the
 // pre-sized heap — replace-root when a candidate beats the current
 // worst — so ranking allocates nothing per candidate.
-func TopKQuery(ix ContainmentIndex, c *model.Collection, w QueryScorer, q model.Query, k int) []Result {
+func TopKQuery(ix model.Querier, c *model.Collection, w QueryScorer, q model.Query, k int) []Result {
 	if k <= 0 {
 		return nil
 	}

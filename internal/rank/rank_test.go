@@ -242,7 +242,7 @@ func TestAllocBudget(t *testing.T) {
 	for i := range hits {
 		hits[i] = model.ObjectID(i)
 	}
-	var ix ContainmentIndex = hits // boxed once, not per call
+	var ix model.Querier = hits // boxed once, not per call
 	q := model.Query{Interval: model.Interval{Start: 0, End: 1 << 40}, Elems: []model.ElemID{0, 1}}
 	w := NewScorer(c, ScorerConfig{}).ForQuery(&q)
 	allocbudget.Gate(t, "rank/TopKQuery", func() {

@@ -6,17 +6,6 @@ import (
 	"repro/internal/model"
 )
 
-// Subindex is the surface the router needs from each routed build —
-// structurally identical to the root package's Index interface, so any
-// family member plugs in without adapters.
-type Subindex interface {
-	Query(q model.Query) []model.ObjectID
-	Insert(o model.Object)
-	Delete(o model.Object)
-	Len() int
-	SizeBytes() int64
-}
-
 // Index answers every query through the sub-build the router's cost
 // model picks for the query's feature bucket, and feeds the observed
 // duration back into the model. Updates fan out to every sub-build, so
@@ -25,7 +14,7 @@ type Subindex interface {
 type Index struct {
 	router *Router
 	names  []string
-	subs   []Subindex
+	subs   []model.Index
 	freqs  []int   // live postings per element, for MinFreqFrac
 	span   float64 // data-domain width fixed at build time
 }
@@ -35,7 +24,7 @@ type Index struct {
 // snapshots the collection's element frequencies and temporal span;
 // frequencies track subsequent updates, the span stays fixed until the
 // next rebuild (compaction re-derives it).
-func NewIndex(names []string, classes []Class, subs []Subindex, c *model.Collection) *Index {
+func NewIndex(names []string, classes []Class, subs []model.Index, c *model.Collection) *Index {
 	ix := &Index{
 		router: New(names, classes),
 		names:  append([]string(nil), names...),
@@ -44,7 +33,7 @@ func NewIndex(names []string, classes []Class, subs []Subindex, c *model.Collect
 		span:   1,
 	}
 	if iv, ok := c.Span(); ok {
-		ix.span = float64(iv.End-iv.Start) + 1
+		ix.span = float64(uint64(iv.End-iv.Start)) + 1
 	}
 	return ix
 }
@@ -73,7 +62,7 @@ func (ix *Index) AdoptRouter(r *Router) {
 func (ix *Index) features(q model.Query) Features {
 	f := Features{
 		NumElems:   len(q.Elems),
-		ExtentFrac: (float64(q.Interval.End-q.Interval.Start) + 1) / ix.span,
+		ExtentFrac: (float64(uint64(q.Interval.End-q.Interval.Start)) + 1) / ix.span,
 	}
 	if live := ix.subs[0].Len(); live > 0 && len(q.Elems) > 0 {
 		min := live

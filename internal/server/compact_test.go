@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,5 +204,52 @@ func TestTopKAfterDeleteAndCompact(t *testing.T) {
 					probe.terms, i, id, math.Float64bits(score), ids[want[i].ID], math.Float64bits(want[i].Score))
 			}
 		}
+	}
+}
+
+// TestCompactWideCorpus: two inserts at the ends of the int64 range are
+// each a valid one-point object, but together they give the corpus a
+// span of 2^64 points. Compaction over them used to panic in the HINT
+// grid's division; now it rebuilds, a second compaction is not refused
+// as still running, and searches find every object, at one store and at
+// four.
+func TestCompactWideCorpus(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d stores", shards), func(t *testing.T) {
+			b := temporalir.NewBuilder()
+			b.Add(0, 100, "alpha")
+			engine, err := b.BuildSharded(temporalir.IRHintPerf, temporalir.Options{}, temporalir.ShardedOptions{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(New(engine))
+			t.Cleanup(ts.Close)
+			for _, at := range []int64{math.MinInt64, math.MaxInt64} {
+				postJSON(t, ts.URL+"/objects", fmt.Sprintf(`{"start":%d,"end":%d,"terms":["alpha"]}`, at, at), http.StatusCreated)
+			}
+			for i := 0; i < 2; i++ {
+				out := postJSON(t, ts.URL+"/admin/compact", "", http.StatusOK)
+				if comp := out["compaction"].(map[string]any); comp["memtable_objects"].(float64) != 0 {
+					t.Fatalf("compaction %d left the memtable at %v", i+1, comp["memtable_objects"])
+				}
+			}
+			for _, c := range []struct {
+				query string
+				want  []float64
+			}{
+				{"start=-9223372036854775808&end=-2", []float64{1}},
+				{"start=0&end=9223372036854775806", []float64{0}},
+				{"start=1&end=9223372036854775807", []float64{0, 2}},
+				{"start=9223372036854775807&end=9223372036854775807", []float64{2}},
+			} {
+				var got []float64
+				for _, h := range getJSON(t, ts.URL+"/search?q=alpha&"+c.query, http.StatusOK)["hits"].([]any) {
+					got = append(got, h.(map[string]any)["id"].(float64))
+				}
+				if !slices.Equal(got, c.want) {
+					t.Errorf("%s: ids %v, want %v", c.query, got, c.want)
+				}
+			}
+		})
 	}
 }

@@ -92,9 +92,6 @@ type Options struct {
 	// matter how many tenants appear. Zero selects
 	// DefaultTenantSeriesLimit.
 	TenantSeriesLimit int
-	// FairWindow is the fair-share activity window; zero selects
-	// tenant.DefaultWindow.
-	FairWindow time.Duration
 }
 
 // DefaultQueryTimeout bounds search evaluation when Options.QueryTimeout
@@ -227,7 +224,7 @@ func NewWithOptions(engine Engine, opts Options) *Server {
 	}
 	if opts.MaxInFlight > 0 {
 		s.gate = exec.NewGate(opts.MaxInFlight)
-		s.fair = tenant.NewFairShare(opts.MaxInFlight, opts.FairWindow)
+		s.fair = tenant.NewFairShare(opts.MaxInFlight)
 	}
 	// Every tenant (and every spill reload) is a sibling of the seed:
 	// same method, index options and resolved store layout. The snapshot
@@ -837,7 +834,7 @@ func parseQueryRange(w http.ResponseWriter, query url.Values) (start, end tempor
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return 0, 0, nil, false
 	}
-	terms = textutil.Tokenize(query.Get("q"), textutil.Options{})
+	terms = textutil.Tokenize(query.Get("q"))
 	if len(terms) == 0 {
 		writeError(w, http.StatusBadRequest, "q must contain at least one indexable term")
 		return 0, 0, nil, false
@@ -924,7 +921,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	termRows := make([][]string, len(req.Queries))
 	for i, q := range req.Queries {
-		termRows[i] = textutil.Tokenize(q, textutil.Options{})
+		termRows[i] = textutil.Tokenize(q)
 		if len(termRows[i]) == 0 {
 			writeError(w, http.StatusBadRequest, "query %d has no indexable terms", i)
 			return
@@ -982,7 +979,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	var terms []string
 	for _, t := range in.Terms {
-		terms = append(terms, textutil.Tokenize(t, textutil.Options{})...)
+		terms = append(terms, textutil.Tokenize(t)...)
 	}
 	if len(terms) == 0 {
 		writeError(w, http.StatusBadRequest, "no indexable terms")

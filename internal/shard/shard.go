@@ -10,6 +10,7 @@ package shard
 import (
 	"fmt"
 
+	"repro/internal/domain"
 	"repro/internal/model"
 )
 
@@ -49,7 +50,7 @@ type Map struct {
 	n     int
 	lo    model.Timestamp
 	hi    model.Timestamp
-	width int64 // per-shard start-time slot width (TimeRange), >= 1
+	slots domain.Slots // per-shard start-time slots (TimeRange)
 }
 
 // NewTimeRange returns a map cutting the start-time domain [lo, hi]
@@ -62,11 +63,7 @@ func NewTimeRange(n int, lo, hi model.Timestamp) (Map, error) {
 	if lo > hi {
 		return Map{}, fmt.Errorf("shard: invalid time bounds [%d, %d]", lo, hi)
 	}
-	width := (int64(hi-lo) + int64(n)) / int64(n) // ceil((hi-lo+1)/n)
-	if width < 1 {
-		width = 1
-	}
-	return Map{kind: TimeRange, n: n, lo: lo, hi: hi, width: width}, nil
+	return Map{kind: TimeRange, n: n, lo: lo, hi: hi, slots: domain.NewSlots(model.NewInterval(lo, hi), n)}, nil
 }
 
 // NewHash returns a content-hash map over n shards.
@@ -92,18 +89,7 @@ func (m Map) Bounds() (lo, hi model.Timestamp) { return m.lo, m.hi }
 func (m Map) Route(iv model.Interval, elems []model.ElemID) int {
 	switch m.kind {
 	case TimeRange:
-		start := iv.Start
-		if start < m.lo {
-			start = m.lo
-		}
-		if start > m.hi {
-			start = m.hi
-		}
-		idx := int(int64(start-m.lo) / m.width)
-		if idx >= m.n {
-			idx = m.n - 1
-		}
-		return idx
+		return m.slots.Of(min(iv.Start, m.hi))
 	default:
 		return int(m.hash(iv, elems) % uint64(m.n))
 	}

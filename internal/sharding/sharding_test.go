@@ -98,7 +98,7 @@ func TestOracleEquivalence(t *testing.T) {
 
 func TestUpdates(t *testing.T) {
 	cfg := testutil.DefaultConfig(31)
-	testutil.CheckUpdates(t, "sharding", func(c *model.Collection) testutil.UpdatableIndex {
+	testutil.CheckUpdates(t, "sharding", func(c *model.Collection) model.Index {
 		return New(c)
 	}, cfg)
 }

@@ -17,7 +17,7 @@ import (
 // insertBuilt is what one Insert per object of objs, in id order, builds on
 // the slices of ix — the construction the bulk kernel replaced.
 func insertBuilt(ix *Index, dictSize int, objs []model.Object) *Index {
-	ref := &Index{numSlices: ix.numSlices, lo: ix.lo, hi: ix.hi, width: ix.width,
+	ref := &Index{numSlices: ix.numSlices, slots: ix.slots,
 		lists: make([][][]postings.Posting, dictSize), freqs: make([]int, dictSize)}
 	for _, o := range objs {
 		ref.Insert(o)

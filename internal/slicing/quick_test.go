@@ -40,7 +40,7 @@ func TestReplicationFactorQuick(t *testing.T) {
 		var maxEntries int64
 		for i := range c.Objects {
 			o := &c.Objects[i]
-			spanned := int64(ix.sliceOf(o.Interval.End)-ix.sliceOf(o.Interval.Start)) + 1
+			spanned := int64(ix.slots.Of(o.Interval.End)-ix.slots.Of(o.Interval.Start)) + 1
 			maxEntries += spanned * int64(len(o.Elems))
 		}
 		return ix.EntryCount() == maxEntries

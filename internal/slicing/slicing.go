@@ -9,6 +9,7 @@ package slicing
 
 import (
 	"repro/internal/dict"
+	"repro/internal/domain"
 	"repro/internal/model"
 	"repro/internal/postings"
 )
@@ -16,11 +17,13 @@ import (
 // Index is the tIF+Slicing index.
 type Index struct {
 	numSlices int
-	lo, hi    model.Timestamp
-	width     int64
-	lists     [][][]postings.Posting // [elem][slice] -> id-sorted sub-list
-	freqs     []int
-	live      int
+	// slots clamps timestamps outside the span the index was built for
+	// (late insertions may exceed it) to the edge slices; results stay
+	// exact because every comparison uses the original timestamps.
+	slots domain.Slots
+	lists [][][]postings.Posting // [elem][slice] -> id-sorted sub-list
+	freqs []int
+	live  int
 }
 
 // Option configures New.
@@ -52,24 +55,15 @@ func New(c *model.Collection, opts ...Option) *Index {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	span, ok := c.Span()
-	if !ok {
-		span = model.NewInterval(0, 0)
-	}
 	objs, freqs := c.IDOrder()
 	ix := &Index{
 		numSlices: cfg.numSlices,
-		lo:        span.Start,
-		hi:        span.End,
+		slots:     domain.NewSlots(domain.Span(c), cfg.numSlices),
 		freqs:     freqs,
 		live:      len(objs),
 	}
-	ix.width = (int64(span.End-span.Start) + int64(cfg.numSlices)) / int64(cfg.numSlices)
-	if ix.width < 1 {
-		ix.width = 1
-	}
 	ix.lists = postings.BySlice(objs, freqs, ix.numSlices, func(o *model.Object) (int, int) {
-		return ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
+		return ix.slots.Of(o.Interval.Start), ix.slots.Of(o.Interval.End)
 	}, func(o *model.Object) postings.Posting { return postings.Posting{ID: o.ID, Interval: o.Interval} })
 	return ix
 }
@@ -77,25 +71,10 @@ func New(c *model.Collection, opts ...Option) *Index {
 // NumSlices returns the configured slice count.
 func (ix *Index) NumSlices() int { return ix.numSlices }
 
-// sliceOf maps a timestamp to its slice, clamping values outside the
-// domain the index was built for (late insertions may exceed it; clamped
-// routing keeps query results exact because all comparisons use the
-// original timestamps).
-func (ix *Index) sliceOf(t model.Timestamp) int {
-	if t <= ix.lo {
-		return 0
-	}
-	s := int(int64(t-ix.lo) / ix.width)
-	if s >= ix.numSlices {
-		return ix.numSlices - 1
-	}
-	return s
-}
-
 // Insert replicates the object's postings entry into every slice its
 // interval overlaps, for each of its elements.
 func (ix *Index) Insert(o model.Object) {
-	first, last := ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
+	first, last := ix.slots.Of(o.Interval.Start), ix.slots.Of(o.Interval.End)
 	for _, e := range o.Elems {
 		ix.growTo(int(e) + 1)
 		if ix.lists[e] == nil {
@@ -119,7 +98,7 @@ func (ix *Index) growTo(n int) {
 // Delete locates and tombstones the object's entries in every overlapped
 // slice of every element list.
 func (ix *Index) Delete(o model.Object) {
-	first, last := ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
+	first, last := ix.slots.Of(o.Interval.Start), ix.slots.Of(o.Interval.End)
 	found := false
 	for _, e := range o.Elems {
 		if int(e) >= len(ix.lists) || ix.lists[e] == nil {
@@ -158,7 +137,7 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if int(first) >= len(ix.lists) || ix.lists[first] == nil {
 		return nil
 	}
-	sf, sl := ix.sliceOf(q.Interval.Start), ix.sliceOf(q.Interval.End)
+	sf, sl := ix.slots.Of(q.Interval.Start), ix.slots.Of(q.Interval.End)
 
 	// Phase 1: candidates from the least frequent element. Each qualifying
 	// object is collected exactly once — from the slice holding its
@@ -169,7 +148,7 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 		var ids []model.ObjectID
 		for _, p := range ix.lists[first][s] {
 			if p.Interval.Overlaps(q.Interval) &&
-				ix.sliceOf(postings.RefValue(p.Interval.Start, q.Interval.Start)) == s {
+				ix.slots.Of(postings.RefValue(p.Interval.Start, q.Interval.Start)) == s {
 				ids = append(ids, p.ID)
 			}
 		}
@@ -225,7 +204,7 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 }
 
 func (ix *Index) queryTemporalOnly(q model.Interval) []model.ObjectID {
-	sf, sl := ix.sliceOf(q.Start), ix.sliceOf(q.End)
+	sf, sl := ix.slots.Of(q.Start), ix.slots.Of(q.End)
 	var out []model.ObjectID
 	for e := range ix.lists {
 		if ix.lists[e] == nil {
@@ -234,7 +213,7 @@ func (ix *Index) queryTemporalOnly(q model.Interval) []model.ObjectID {
 		for s := sf; s <= sl; s++ {
 			for _, p := range ix.lists[e][s] {
 				if p.Interval.Overlaps(q) &&
-					ix.sliceOf(postings.RefValue(p.Interval.Start, q.Start)) == s {
+					ix.slots.Of(postings.RefValue(p.Interval.Start, q.Start)) == s {
 					out = append(out, p.ID)
 				}
 			}

@@ -64,7 +64,7 @@ func TestOracleEquivalence(t *testing.T) {
 
 func TestUpdates(t *testing.T) {
 	cfg := testutil.DefaultConfig(23)
-	testutil.CheckUpdates(t, "slicing", func(c *model.Collection) testutil.UpdatableIndex {
+	testutil.CheckUpdates(t, "slicing", func(c *model.Collection) model.Index {
 		return New(c, WithSlices(8))
 	}, cfg)
 }

@@ -16,7 +16,7 @@ import (
 // Summary mirrors the rows of Table 3.
 type Summary struct {
 	Cardinality        int
-	TimeDomain         int64 // span in time units
+	TimeDomain         uint64 // span in time units (2^64 saturates)
 	MinDuration        int64
 	MaxDuration        int64
 	AvgDuration        float64
@@ -41,7 +41,7 @@ func Compute(c *model.Collection) Summary {
 		return s
 	}
 	span, _ := c.Span()
-	s.TimeDomain = int64(span.End-span.Start) + 1
+	s.TimeDomain = min(uint64(span.End-span.Start), math.MaxUint64-1) + 1
 	s.MinDuration = math.MaxInt64
 	s.MinDescSize = math.MaxInt32
 	for i := range c.Objects {

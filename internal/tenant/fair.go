@@ -24,7 +24,6 @@ import (
 // this tenant is over its fraction).
 type FairShare struct {
 	capacity int
-	window   time.Duration
 
 	mu sync.Mutex
 	// entries tracks per-tenant weight, holds and last activity.
@@ -44,23 +43,19 @@ type fairEntry struct {
 	last   time.Time
 }
 
-// DefaultWindow is the activity window used when none is configured:
-// long enough that a tenant issuing a query a second stays "active",
-// short enough that a departed tenant stops taxing others quickly.
+// DefaultWindow is the activity window: long enough that a tenant
+// issuing a query a second stays "active", short enough that a departed
+// tenant stops taxing others quickly.
 const DefaultWindow = time.Second
 
 // NewFairShare returns an admission controller for the given worker
-// capacity. window <= 0 selects DefaultWindow.
-func NewFairShare(capacity int, window time.Duration) *FairShare {
+// capacity.
+func NewFairShare(capacity int) *FairShare {
 	if capacity <= 0 {
 		panic("tenant: fair-share capacity must be positive") // lint:panic-ok construction-time programming error
 	}
-	if window <= 0 {
-		window = DefaultWindow
-	}
 	return &FairShare{
 		capacity: capacity,
-		window:   window,
 		entries:  make(map[string]*fairEntry),
 	}
 }
@@ -135,12 +130,12 @@ func (f *FairShare) Share(id string, weight int, now time.Time) int {
 // returning their weight to the pool. It runs at most once per window
 // so steady-state Acquire stays O(1). irlint:locked mu
 func (f *FairShare) sweepLocked(now time.Time) {
-	if now.Sub(f.lastSweep) < f.window {
+	if now.Sub(f.lastSweep) < DefaultWindow {
 		return
 	}
 	f.lastSweep = now
 	for id, e := range f.entries { // lint:map-order-ok expiry sweep; order-insensitive
-		if e.inUse == 0 && now.Sub(e.last) > f.window {
+		if e.inUse == 0 && now.Sub(e.last) > DefaultWindow {
 			f.activeWeight -= e.weight
 			delete(f.entries, id)
 		}

@@ -7,7 +7,7 @@ import (
 
 func TestFairShareSingleTenantGetsFullCapacity(t *testing.T) {
 	now := time.Unix(1000, 0)
-	f := NewFairShare(8, time.Second)
+	f := NewFairShare(8)
 	for i := 0; i < 8; i++ {
 		if !f.Acquire("solo", 1, now) {
 			t.Fatalf("solo tenant rejected at slot %d of full capacity", i)
@@ -20,7 +20,7 @@ func TestFairShareSingleTenantGetsFullCapacity(t *testing.T) {
 
 func TestFairShareSplitsUnderContention(t *testing.T) {
 	now := time.Unix(1000, 0)
-	f := NewFairShare(8, time.Second)
+	f := NewFairShare(8)
 	// Two equal tenants: each share is 4.
 	for i := 0; i < 4; i++ {
 		if !f.Acquire("a", 1, now) {
@@ -41,7 +41,7 @@ func TestFairShareSplitsUnderContention(t *testing.T) {
 
 func TestFairShareWeights(t *testing.T) {
 	now := time.Unix(1000, 0)
-	f := NewFairShare(12, time.Second)
+	f := NewFairShare(12)
 	// weight 2 vs weight 1: shares 8 and 4.
 	f.Acquire("heavy", 2, now)
 	f.Acquire("light", 1, now)
@@ -55,7 +55,7 @@ func TestFairShareWeights(t *testing.T) {
 
 func TestFairShareMinimumOne(t *testing.T) {
 	now := time.Unix(1000, 0)
-	f := NewFairShare(2, time.Second)
+	f := NewFairShare(2)
 	for _, id := range []string{"a", "b", "c", "d"} {
 		if !f.Acquire(id, 1, now) {
 			t.Fatalf("tenant %s denied its minimum share of 1", id)
@@ -65,7 +65,7 @@ func TestFairShareMinimumOne(t *testing.T) {
 
 func TestFairShareExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
-	f := NewFairShare(8, time.Second)
+	f := NewFairShare(8)
 	for i := 0; i < 4; i++ {
 		if !f.Acquire("a", 1, now) {
 			t.Fatal("a rejected")
@@ -90,5 +90,5 @@ func TestFairShareUnbalancedReleasePanics(t *testing.T) {
 			t.Fatal("unbalanced Release did not panic")
 		}
 	}()
-	NewFairShare(4, time.Second).Release("ghost")
+	NewFairShare(4).Release("ghost")
 }

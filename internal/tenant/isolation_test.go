@@ -25,7 +25,7 @@ import (
 // eviction, spill and reload cycles. Any cross-tenant bleed (shared
 // state, id reuse, lost writes on spill) shifts at least one digest.
 //
-// Queries cover Search, SearchAny and Timeline. TopK is exercised
+// Queries cover Search and TimelineCtx. TopK is exercised
 // elsewhere: its scores depend on when the scorer snapshot was last
 // refreshed relative to inserts, which legitimately differs between a
 // single run and a run interrupted by evict/reload.
@@ -97,15 +97,16 @@ func runIsolationWorkload(t *testing.T, seed int64, hold func(func(e *temporalir
 			hold(func(e *temporalir.Engine) {
 				sumIDs(d, e.Search(lo, hi, tt...))
 			})
-		case k < 9: // disjunctive search
+		case k < 9: // two-term conjunction
 			tt := terms(2)
 			hold(func(e *temporalir.Engine) {
-				sumIDs(d, e.SearchAny(lo, hi, tt...))
+				sumIDs(d, e.Search(lo, hi, tt...))
 			})
 		default: // timeline histogram
 			tt := terms(1)
 			hold(func(e *temporalir.Engine) {
-				for _, b := range e.Timeline(lo, hi+1, 8, tt...) {
+				tl, _ := e.TimelineCtx(context.Background(), lo, hi+1, 8, tt...)
+				for _, b := range tl {
 					d.u64(uint64(b.Count))
 				}
 			})

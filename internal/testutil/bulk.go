@@ -19,7 +19,7 @@ import (
 // run of deletes and inserts, some carrying elements no stored object
 // has, must then leave ix answering as the brute-force oracle does, by
 // workload digest.
-func CheckInsertAfterBulk(t *testing.T, cfg CollectionConfig, c *model.Collection, ix UpdatableIndex, lists func() map[string][]model.ObjectID) {
+func CheckInsertAfterBulk(t *testing.T, cfg CollectionConfig, c *model.Collection, ix model.Index, lists func() map[string][]model.ObjectID) {
 	t.Helper()
 	before := lists()
 	all := slices.Clone(c.Objects)

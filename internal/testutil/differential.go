@@ -18,7 +18,7 @@ import (
 // cycle); this file holds the root-free machinery.
 
 // BuildFunc constructs one index variant over a collection.
-type BuildFunc func(c *model.Collection) QueryIndex
+type BuildFunc func(c *model.Collection) model.Querier
 
 // DifferentialWorkload is one seeded corpus + query set of the harness.
 type DifferentialWorkload struct {
@@ -134,7 +134,7 @@ func WorkloadChecksum(results [][]model.ObjectID) string {
 // every method's canonical result must be byte-identical to the oracle's
 // on every query. It reports each divergence with the offending method,
 // query and both result sets.
-func CheckDifferential(t *testing.T, w DifferentialWorkload, methods []string, build func(name string, c *model.Collection) QueryIndex) {
+func CheckDifferential(t *testing.T, w DifferentialWorkload, methods []string, build func(name string, c *model.Collection) model.Querier) {
 	t.Helper()
 	c := RandomCollection(w.Config)
 	oracle := bruteforce.New(c)

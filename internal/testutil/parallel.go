@@ -58,7 +58,7 @@ func SerialAndParallel[T any](t *testing.T, build func() T) (serial, parallel T)
 }
 
 // QueryDigest hashes ix's answers to queries.
-func QueryDigest(ix QueryIndex, queries []model.Query) string {
+func QueryDigest(ix model.Querier, queries []model.Query) string {
 	results := make([][]model.ObjectID, len(queries))
 	for i, q := range queries {
 		results[i] = ix.Query(q)

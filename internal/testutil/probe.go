@@ -117,7 +117,7 @@ func NewProbeWorkload(seed int64) ProbeWorkload {
 // w.Base, then runs the query sequence in order through ix.Query on the
 // calling goroutine, so one pooled bitmap serves consecutive queries.
 // Every result must match the brute-force oracle's by SHA-256 digest.
-func CheckProbeWorkload(t *testing.T, w ProbeWorkload, ix UpdatableIndex) {
+func CheckProbeWorkload(t *testing.T, w ProbeWorkload, ix model.Index) {
 	t.Helper()
 	oracle := bruteforce.New(w.Base)
 	for _, o := range w.Inserts {

@@ -13,18 +13,6 @@ import (
 	"repro/internal/model"
 )
 
-// QueryIndex is the minimal query surface every index under test exposes.
-type QueryIndex interface {
-	Query(q model.Query) []model.ObjectID
-}
-
-// UpdatableIndex additionally supports the update operations of Section 5.5.
-type UpdatableIndex interface {
-	QueryIndex
-	Insert(o model.Object)
-	Delete(o model.Object)
-}
-
 // CollectionConfig shapes RandomCollection output.
 type CollectionConfig struct {
 	N        int   // number of objects
@@ -127,7 +115,7 @@ func Canonical(ids []model.ObjectID) []model.ObjectID {
 
 // CheckAgainstOracle runs every query against both the index under test and
 // the brute-force oracle, failing the test on the first mismatch.
-func CheckAgainstOracle(t *testing.T, name string, ix QueryIndex, c *model.Collection, queries []model.Query) {
+func CheckAgainstOracle(t *testing.T, name string, ix model.Querier, c *model.Collection, queries []model.Query) {
 	t.Helper()
 	oracle := bruteforce.New(c)
 	for i, q := range queries {
@@ -143,7 +131,7 @@ func CheckAgainstOracle(t *testing.T, name string, ix QueryIndex, c *model.Colle
 // CheckUpdates exercises the update path: build the index over the first
 // 80%% of the collection, insert the rest, delete a deterministic subset,
 // and verify equivalence with an oracle subjected to the same updates.
-func CheckUpdates(t *testing.T, name string, build func(c *model.Collection) UpdatableIndex, cfg CollectionConfig) {
+func CheckUpdates(t *testing.T, name string, build func(c *model.Collection) model.Index, cfg CollectionConfig) {
 	t.Helper()
 	full := RandomCollection(cfg)
 	cut := len(full.Objects) * 8 / 10

@@ -6,16 +6,19 @@ import (
 )
 
 // FuzzTokenize checks the tokenizer invariants on arbitrary input: only
-// lowercase alphanumeric tokens, no stopwords, min-length respected.
+// non-empty lowercase alphanumeric tokens and no stopwords. "Lowercase"
+// means lowercasing changes no rune: a letter with no lowercase form,
+// such as U+03D2 (ϒ, category Lu), passes through as it is.
 func FuzzTokenize(f *testing.F) {
 	f.Add("Hello, World!")
 	f.Add("the and of")
 	f.Add("日本語 text with ünïcode")
 	f.Add("")
+	f.Add("ϒ")
 	f.Fuzz(func(t *testing.T, text string) {
-		for _, tok := range Tokenize(text, Options{MinLength: 2}) {
-			if len([]rune(tok)) < 2 {
-				t.Fatalf("short token %q", tok)
+		for _, tok := range Tokenize(text) {
+			if tok == "" {
+				t.Fatalf("empty token")
 			}
 			if IsStopword(tok) {
 				t.Fatalf("stopword %q leaked", tok)
@@ -24,8 +27,8 @@ func FuzzTokenize(f *testing.F) {
 				if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
 					t.Fatalf("non-alphanumeric rune in %q", tok)
 				}
-				if unicode.IsUpper(r) {
-					t.Fatalf("uppercase rune in %q", tok)
+				if unicode.ToLower(r) != r {
+					t.Fatalf("rune %q in %q has a lowercase form", r, tok)
 				}
 			}
 			// Note: we deliberately do not assert substring containment

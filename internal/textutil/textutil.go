@@ -23,22 +23,11 @@ var stopwords = map[string]bool{
 	"you": true,
 }
 
-// Options tunes Tokenize.
-type Options struct {
-	// KeepStopwords disables the stopword filter.
-	KeepStopwords bool
-	// MinLength drops tokens shorter than this many runes (default 1).
-	MinLength int
-}
-
 // Tokenize splits text into normalized terms: lowercase runs of letters
-// and digits, with stopwords removed unless kept. The result preserves
+// and digits, with stopwords removed. The result preserves
 // order and duplicates; callers that need set semantics intern through
 // the dictionary, which deduplicates.
-func Tokenize(text string, opts Options) []string {
-	if opts.MinLength < 1 {
-		opts.MinLength = 1
-	}
+func Tokenize(text string) []string {
 	var out []string
 	var b strings.Builder
 	flush := func() {
@@ -47,10 +36,7 @@ func Tokenize(text string, opts Options) []string {
 		}
 		tok := b.String()
 		b.Reset()
-		if len([]rune(tok)) < opts.MinLength {
-			return
-		}
-		if !opts.KeepStopwords && stopwords[tok] {
+		if stopwords[tok] {
 			return
 		}
 		out = append(out, tok)

@@ -30,44 +30,22 @@ func TestTokenizeBasics(t *testing.T) {
 		{"ALLCAPS", []string{"allcaps"}},
 	}
 	for _, tt := range tests {
-		if got := Tokenize(tt.in, Options{}); !equal(got, tt.want) {
+		if got := Tokenize(tt.in); !equal(got, tt.want) {
 			t.Errorf("Tokenize(%q) = %v, want %v", tt.in, got, tt.want)
 		}
 	}
 }
 
 func TestTokenizeUnicode(t *testing.T) {
-	got := Tokenize("Füř Élise — Beethoven", Options{})
+	got := Tokenize("Füř Élise — Beethoven")
 	want := []string{"füř", "élise", "beethoven"}
 	if !equal(got, want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
 }
 
-func TestKeepStopwords(t *testing.T) {
-	got := Tokenize("the cat", Options{KeepStopwords: true})
-	want := []string{"the", "cat"}
-	if !equal(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestMinLength(t *testing.T) {
-	got := Tokenize("a bb ccc dddd", Options{KeepStopwords: true, MinLength: 3})
-	want := []string{"ccc", "dddd"}
-	if !equal(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-	// MinLength counts runes, not bytes.
-	got = Tokenize("éé z", Options{MinLength: 2})
-	want = []string{"éé"}
-	if !equal(got, want) {
-		t.Errorf("rune counting: got %v, want %v", got, want)
-	}
-}
-
 func TestTokenizePreservesDuplicates(t *testing.T) {
-	got := Tokenize("go go go", Options{})
+	got := Tokenize("go go go")
 	if len(got) != 3 {
 		t.Errorf("got %v", got)
 	}

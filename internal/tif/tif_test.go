@@ -71,7 +71,7 @@ func TestOracleEquivalence(t *testing.T) {
 
 func TestUpdates(t *testing.T) {
 	cfg := testutil.DefaultConfig(17)
-	testutil.CheckUpdates(t, "tif", func(c *model.Collection) testutil.UpdatableIndex {
+	testutil.CheckUpdates(t, "tif", func(c *model.Collection) model.Index {
 		return New(c)
 	}, cfg)
 }

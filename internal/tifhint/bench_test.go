@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/testutil"
+	"repro/internal/model"
 )
 
 // BenchmarkBuild times the bulk build of the three variants over the
@@ -17,7 +17,7 @@ func BenchmarkBuild(b *testing.B) {
 	for _, v := range builders {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var ix testutil.UpdatableIndex
+			var ix model.Index
 			for i := 0; i < b.N; i++ {
 				ix = v.build(c)
 			}

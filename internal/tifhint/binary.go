@@ -32,7 +32,7 @@ func NewBinary(c *model.Collection, opts ...Option) *BinaryIndex {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ix := &BinaryIndex{shared: sharedDomain(c, cfg.m), live: len(c.Objects), m: cfg.m}
+	ix := &BinaryIndex{shared: domain.Fit(domain.Span(c), cfg.m), live: len(c.Objects), m: cfg.m}
 	b := newBulk(ix.shared, c)
 	ix.hints, ix.freqs = b.hints(ix.shared), b.freqs
 	return ix

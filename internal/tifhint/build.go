@@ -97,6 +97,6 @@ func (b *bulk) idHints(dom domain.Domain) []*idHint {
 // cap == len.
 func (ix *HybridIndex) carveSlices(b *bulk) {
 	ix.slices = postings.BySlice(b.objs, b.freqs, ix.numSlices, func(o *model.Object) (int, int) {
-		return ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
+		return ix.slots.Of(o.Interval.Start), ix.slots.Of(o.Interval.End)
 	}, func(o *model.Object) slicePair { return slicePair{ID: o.ID, Start: o.Interval.Start} })
 }

@@ -307,7 +307,7 @@ func (v variants) delete(o model.Object) {
 // digests hashes each variant's answers to queries.
 func (v variants) digests(queries []model.Query) [3]string {
 	var out [3]string
-	for i, ix := range []testutil.QueryIndex{v.bin, v.mrg, v.hyb} {
+	for i, ix := range []model.Querier{v.bin, v.mrg, v.hyb} {
 		results := make([][]model.ObjectID, len(queries))
 		for qi, q := range queries {
 			results[qi] = ix.Query(q)

@@ -13,9 +13,12 @@ import (
 // slicePair is one entry of the hybrid's second copy: the object id plus
 // only its start timestamp — enough for the reference-value
 // de-duplication, as Section 3.2 observes (intersections after the first
-// element need no temporal predicate).
+// element need no temporal predicate). Dead marks a deleted entry; it
+// sits in the padding after ID, so the pair stays 16 bytes, and no start
+// timestamp is spent as a sentinel.
 type slicePair struct {
 	ID    model.ObjectID
+	Dead  bool
 	Start model.Timestamp
 }
 
@@ -31,8 +34,7 @@ type HybridIndex struct {
 	slices    [][][]slicePair // [elem][slice], id-sorted
 	freqs     []int
 	numSlices int
-	lo, hi    model.Timestamp
-	width     int64
+	slots     domain.Slots
 	live      int
 	m         int
 }
@@ -47,21 +49,13 @@ func NewHybrid(c *model.Collection, opts ...Option) *HybridIndex {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	span, ok := c.Span()
-	if !ok {
-		span = model.NewInterval(0, 0)
-	}
+	span := domain.Span(c)
 	ix := &HybridIndex{
-		shared:    sharedDomain(c, cfg.m),
+		shared:    domain.Fit(span, cfg.m),
 		numSlices: cfg.numSlices,
-		lo:        span.Start,
-		hi:        span.End,
+		slots:     domain.NewSlots(span, cfg.numSlices),
 		live:      len(c.Objects),
 		m:         cfg.m,
-	}
-	ix.width = (int64(span.End-span.Start) + int64(cfg.numSlices)) / int64(cfg.numSlices)
-	if ix.width < 1 {
-		ix.width = 1
 	}
 	b := newBulk(ix.shared, c)
 	ix.hints, ix.freqs = b.idHints(ix.shared), b.freqs
@@ -69,20 +63,9 @@ func NewHybrid(c *model.Collection, opts ...Option) *HybridIndex {
 	return ix
 }
 
-func (ix *HybridIndex) sliceOf(t model.Timestamp) int {
-	if t <= ix.lo {
-		return 0
-	}
-	s := int(int64(t-ix.lo) / ix.width)
-	if s >= ix.numSlices {
-		return ix.numSlices - 1
-	}
-	return s
-}
-
 func (ix *HybridIndex) place(o *model.Object) {
 	p := postings.Posting{ID: o.ID, Interval: o.Interval}
-	first, last := ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
+	first, last := ix.slots.Of(o.Interval.Start), ix.slots.Of(o.Interval.End)
 	for _, e := range o.Elems {
 		ix.growTo(int(e) + 1)
 		if ix.hints[e] == nil {
@@ -114,15 +97,10 @@ func (ix *HybridIndex) Insert(o model.Object) {
 	ix.live++
 }
 
-// deadStart marks deleted slice entries; it maps into the last slice, which
-// is harmless because a candidate id can only collide with its own (live)
-// entries — see the package tests.
-const deadStart = model.Timestamp(1<<63 - 1)
-
 // Delete tombstones the object's entries in both copies.
 func (ix *HybridIndex) Delete(o model.Object) {
 	p := postings.Posting{ID: o.ID, Interval: o.Interval}
-	first, last := ix.sliceOf(o.Interval.Start), ix.sliceOf(o.Interval.End)
+	first, last := ix.slots.Of(o.Interval.Start), ix.slots.Of(o.Interval.End)
 	found := false
 	for _, e := range o.Elems {
 		if int(e) >= len(ix.hints) || ix.hints[e] == nil {
@@ -136,7 +114,7 @@ func (ix *HybridIndex) Delete(o model.Object) {
 			sub := ix.slices[e][s]
 			i := sort.Search(len(sub), func(i int) bool { return sub[i].ID >= o.ID })
 			if i < len(sub) && sub[i].ID == o.ID {
-				sub[i].Start = deadStart
+				sub[i].Dead = true
 			}
 		}
 	}

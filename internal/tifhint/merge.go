@@ -28,7 +28,7 @@ func NewMerge(c *model.Collection, opts ...Option) *MergeIndex {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ix := &MergeIndex{shared: sharedDomain(c, cfg.m), live: len(c.Objects), m: cfg.m}
+	ix := &MergeIndex{shared: domain.Fit(domain.Span(c), cfg.m), live: len(c.Objects), m: cfg.m}
 	b := newBulk(ix.shared, c)
 	ix.hints, ix.freqs = b.idHints(ix.shared), b.freqs
 	return ix

@@ -15,11 +15,6 @@
 //     serves the remaining intersections with far fewer fragments.
 package tifhint
 
-import (
-	"repro/internal/domain"
-	"repro/internal/model"
-)
-
 // DefaultBinaryM is the paper's tuned grid for the binary-search variant
 // (Figure 9: best throughput at m = 10).
 const DefaultBinaryM = 10
@@ -52,22 +47,4 @@ func WithSlices(n int) Option {
 			c.numSlices = n
 		}
 	}
-}
-
-// sharedDomain computes the discretization domain every per-element HINT
-// uses: the collection span on an m-bit grid.
-func sharedDomain(c *model.Collection, m int) domain.Domain {
-	span, ok := c.Span()
-	if !ok {
-		span = model.NewInterval(0, 0)
-	}
-	if m > domain.MaxBits {
-		m = domain.MaxBits
-	}
-	// Never use a grid finer than the raw span.
-	for m > 1 && int64(1)<<uint(m) > int64(span.End-span.Start)+1 {
-		m--
-	}
-	d, _ := domain.Make(span.Start, span.End, m)
-	return d
 }

@@ -26,11 +26,11 @@ var exampleWant = []model.ObjectID{1, 3, 6}
 // builders enumerates all three variants so every test covers each.
 var builders = []struct {
 	name  string
-	build func(c *model.Collection, opts ...Option) testutil.UpdatableIndex
+	build func(c *model.Collection, opts ...Option) model.Index
 }{
-	{"binary", func(c *model.Collection, opts ...Option) testutil.UpdatableIndex { return NewBinary(c, opts...) }},
-	{"merge", func(c *model.Collection, opts ...Option) testutil.UpdatableIndex { return NewMerge(c, opts...) }},
-	{"hybrid", func(c *model.Collection, opts ...Option) testutil.UpdatableIndex { return NewHybrid(c, opts...) }},
+	{"binary", func(c *model.Collection, opts ...Option) model.Index { return NewBinary(c, opts...) }},
+	{"merge", func(c *model.Collection, opts ...Option) model.Index { return NewMerge(c, opts...) }},
+	{"hybrid", func(c *model.Collection, opts ...Option) model.Index { return NewHybrid(c, opts...) }},
 }
 
 func TestRunningExampleAllVariants(t *testing.T) {
@@ -94,7 +94,7 @@ func TestUpdatesAllVariants(t *testing.T) {
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
 			cfg := testutil.DefaultConfig(41)
-			testutil.CheckUpdates(t, b.name, func(c *model.Collection) testutil.UpdatableIndex {
+			testutil.CheckUpdates(t, b.name, func(c *model.Collection) model.Index {
 				return b.build(c, WithM(6))
 			}, cfg)
 		})

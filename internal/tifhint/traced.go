@@ -119,7 +119,7 @@ func (ix *MergeIndex) intersectRest(q model.Query, plan []model.ElemID, cands []
 // over the remaining plan elements, under one intersection span.
 func (ix *HybridIndex) intersectSlices(q model.Query, plan []model.ElemID, cands []model.ObjectID) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StageIntersect).End()
-	sf, sl := ix.sliceOf(q.Interval.Start), ix.sliceOf(q.Interval.End)
+	sf, sl := ix.slots.Of(q.Interval.Start), ix.slots.Of(q.Interval.End)
 	ks := keepPool.Get().(*keepScratch)
 	defer keepPool.Put(ks)
 	bs := postings.GetBitmapScratch()
@@ -170,7 +170,7 @@ func markSlice(sub []slicePair, cands []model.ObjectID, keep []bool) {
 				return
 			}
 			if cands[lo] == sub[j].ID {
-				if sub[j].Start != deadStart {
+				if !sub[j].Dead {
 					keep[lo] = true
 				}
 				lo++
@@ -186,7 +186,7 @@ func markSlice(sub []slicePair, cands []model.ObjectID, keep []bool) {
 		case cands[i] > sub[j].ID:
 			j++
 		default:
-			if sub[j].Start != deadStart {
+			if !sub[j].Dead {
 				keep[i] = true
 			}
 			i++
@@ -200,7 +200,7 @@ func markSlice(sub []slicePair, cands []model.ObjectID, keep []bool) {
 // is dense enough that per-slice merges would re-walk it wholesale.
 func markSliceBitmap(sub []slicePair, bm *postings.Bitmap) {
 	for j := range sub {
-		if sub[j].Start != deadStart {
+		if !sub[j].Dead {
 			bm.Set(sub[j].ID)
 		}
 	}

@@ -83,7 +83,7 @@ func testApiLifecycle(eng *temporalir.Engine, t *testing.T, w testutil.Different
 				default:
 				}
 				rows := make([][]temporalir.ObjectID, len(queries))
-				for i, res := range eng.SearchBatch(queries) {
+				for i, res := range eng.SearchBatchCtx(context.Background(), queries) {
 					rows[i] = res.IDs
 				}
 				if got := testutil.WorkloadChecksum(rows); got != wantSum {
@@ -152,8 +152,8 @@ func TestLifecycleSaveRoundTrip(t *testing.T) {
 	// Ids shift on load (dense re-assignment), so compare result-set
 	// SIZES per query, plus the interval+terms multiset via Object.
 	for i, q := range queries {
-		a := eng.SearchBatch([]temporalir.Query{q})[0].IDs
-		b := loaded.SearchBatch([]temporalir.Query{q})[0].IDs
+		a := eng.SearchBatchCtx(context.Background(), []temporalir.Query{q})[0].IDs
+		b := loaded.SearchBatchCtx(context.Background(), []temporalir.Query{q})[0].IDs
 		if len(a) != len(b) {
 			t.Fatalf("query %d: live engine %d rows, loaded %d", i, len(a), len(b))
 		}

@@ -144,7 +144,7 @@ func checkRankedProbes(t *testing.T, when string, tg rankedTarget) {
 	t.Helper()
 	gens := tg.gens()
 	for _, p := range rankedProbes {
-		got := tg.SearchTopK(p.start, p.end, 5, p.terms...)
+		got, _ := tg.SearchTopKCtx(context.Background(), p.start, p.end, 5, p.terms...)
 		var want []ScoredResult
 		if elems, ok := tg.lookup(p.terms); ok {
 			want = oracleTopK(gens, elems, p.start, p.end, 5)
@@ -279,7 +279,7 @@ func TestRankedSnapshotConsistencyUnderCompaction(t *testing.T) {
 						}
 						p := (n + r) % len(probes)
 						s := sample{probe: p, lo: epochs()}
-						s.got = tg.SearchTopK(probes[p].start, probes[p].end, 5, probes[p].terms...)
+						s.got, _ = tg.SearchTopKCtx(context.Background(), probes[p].start, probes[p].end, 5, probes[p].terms...)
 						s.hi = epochs()
 						if len(samples[r]) < 400 {
 							samples[r] = append(samples[r], s)

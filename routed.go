@@ -52,7 +52,7 @@ func newRoutedIndex(c *Collection, opts Options) (Index, error) {
 	}
 	names := make([]string, len(ms))
 	classes := make([]route.Class, len(ms))
-	subs := make([]route.Subindex, len(ms))
+	subs := make([]Index, len(ms))
 	seen := make(map[Method]bool, len(ms))
 	for i, m := range ms {
 		cl, err := classOf(m)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	temporalir "repro"
+	"repro/internal/model"
 	"repro/internal/postings"
 	"repro/internal/testutil"
 )
@@ -44,7 +45,7 @@ func TestDifferentialBitmapContainers(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			testutil.CheckDifferential(t, w, routedAndAllMethods(),
-				func(name string, c *temporalir.Collection) testutil.QueryIndex {
+				func(name string, c *temporalir.Collection) model.Querier {
 					ix, err := temporalir.NewIndex(temporalir.Method(name), c, temporalir.Options{})
 					if err != nil {
 						t.Fatalf("building %s: %v", name, err)
@@ -63,7 +64,7 @@ func TestDifferentialRouted(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			testutil.CheckDifferential(t, w, []string{string(temporalir.Routed)},
-				func(name string, c *temporalir.Collection) testutil.QueryIndex {
+				func(name string, c *temporalir.Collection) model.Querier {
 					ix, err := temporalir.NewIndex(temporalir.Method(name), c, temporalir.Options{})
 					if err != nil {
 						t.Fatalf("building %s: %v", name, err)
@@ -218,7 +219,7 @@ func TestRoutedCompactRace(t *testing.T) {
 					}
 				}
 				rows := make([][]temporalir.ObjectID, len(queries))
-				for i, res := range eng.SearchBatch(queries) {
+				for i, res := range eng.SearchBatchCtx(context.Background(), queries) {
 					if res.Err != nil {
 						errs <- res.Err.Error()
 						return

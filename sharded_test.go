@@ -89,16 +89,17 @@ func assertShardParity(t *testing.T, label string, oracle *temporalir.Engine, sh
 		t.Fatalf("%s: workload digest %s != oracle %s", label, got, want)
 	}
 	// Ranked and timeline surfaces on a subset (they are heavier).
+	ctx := context.Background()
 	for i := 0; i < len(queries); i += 7 {
 		q := queries[i]
 		terms := termsFor(q.Elems)
-		wantK := oracle.SearchTopK(q.Interval.Start, q.Interval.End, 10, terms...)
-		gotK := sh.SearchTopK(q.Interval.Start, q.Interval.End, 10, terms...)
+		wantK, _ := oracle.SearchTopKCtx(ctx, q.Interval.Start, q.Interval.End, 10, terms...)
+		gotK, _ := sh.SearchTopKCtx(ctx, q.Interval.Start, q.Interval.End, 10, terms...)
 		if !reflect.DeepEqual(gotK, wantK) {
 			t.Fatalf("%s: top-k query %d: sharded %v, oracle %v", label, i, gotK, wantK)
 		}
-		wantT := oracle.Timeline(q.Interval.Start, q.Interval.End, 7, terms...)
-		gotT := sh.Timeline(q.Interval.Start, q.Interval.End, 7, terms...)
+		wantT, _ := oracle.TimelineCtx(ctx, q.Interval.Start, q.Interval.End, 7, terms...)
+		gotT, _ := sh.TimelineCtx(ctx, q.Interval.Start, q.Interval.End, 7, terms...)
 		if !reflect.DeepEqual(gotT, wantT) {
 			t.Fatalf("%s: timeline query %d: sharded %v, oracle %v", label, i, gotT, wantT)
 		}
@@ -218,14 +219,17 @@ func testApiDifferential(e *temporalir.Engine, t *testing.T, label string, o *sc
 		}
 		t.Fatalf("%s: workload digest %s != oracle %s", label, got, want)
 	}
+	ctx := context.Background()
 	for i := 0; i < len(queries); i += 7 {
 		q := queries[i]
 		terms := elemTerms(q.Elems)
-		if got, want := e.SearchTopK(q.Interval.Start, q.Interval.End, 10, terms...), o.topK(q, 10); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: top-k query %d: engine %v, oracle %v", label, i, got, want)
+		top, _ := e.SearchTopKCtx(ctx, q.Interval.Start, q.Interval.End, 10, terms...)
+		if want := o.topK(q, 10); !reflect.DeepEqual(top, want) {
+			t.Fatalf("%s: top-k query %d: engine %v, oracle %v", label, i, top, want)
 		}
-		if got, want := e.Timeline(q.Interval.Start, q.Interval.End, 7, terms...), o.timeline(q, 7); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: timeline query %d: engine %v, oracle %v", label, i, got, want)
+		tl, _ := e.TimelineCtx(ctx, q.Interval.Start, q.Interval.End, 7, terms...)
+		if want := o.timeline(q, 7); !reflect.DeepEqual(tl, want) {
+			t.Fatalf("%s: timeline query %d: engine %v, oracle %v", label, i, tl, want)
 		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/join"
 	"repro/internal/maint"
 	"repro/internal/model"
@@ -66,13 +65,7 @@ func NewInterval(start, end Timestamp) Interval { return model.NewInterval(start
 // order). Insert adds an object with a fresh id; Delete tombstones an
 // object given its full record (indices locate entries by interval and
 // id, as the paper's logical-deletion scheme does).
-type Index interface {
-	Query(q Query) []ObjectID
-	Insert(o Object)
-	Delete(o Object)
-	Len() int
-	SizeBytes() int64
-}
+type Index = model.Index
 
 // SortIDs orders a result set ascending in place.
 func SortIDs(ids []ObjectID) { model.SortIDs(ids) }
@@ -204,32 +197,4 @@ func Join(left, right *Collection, minShared int) []JoinPair {
 // each unordered pair once (Left < Right).
 func SelfJoin(c *Collection, minShared int) []JoinPair {
 	return join.SelfJoin(c, join.Config{MinShared: minShared})
-}
-
-// QueryAny evaluates the disjunctive variant of a time-travel IR query:
-// objects whose lifespan overlaps the interval and whose description
-// contains AT LEAST ONE of the elements. It composes single-element
-// conjunctive queries (which every index answers natively) and merges the
-// results, so it works uniformly across the whole family.
-func QueryAny(ix Index, q Query) []ObjectID {
-	if len(q.Elems) == 0 {
-		return ix.Query(q)
-	}
-	var out []ObjectID
-	for _, e := range model.NormalizeElems(append([]ElemID(nil), q.Elems...)) {
-		out = append(out, ix.Query(Query{Interval: q.Interval, Elems: []ElemID{e}})...)
-	}
-	model.SortIDs(out)
-	return model.DedupIDs(out)
-}
-
-// QueryBatch evaluates many queries concurrently over one index using a
-// bounded worker pool of the given size (0 = GOMAXPROCS). Indices are
-// safe for concurrent readers, so batch workloads — the many-users
-// archive-search setting the paper's throughput metric models — scale
-// with cores. results[i] corresponds to queries[i]. Engines expose the
-// richer SearchBatch, which adds tombstone filtering, one snapshot per
-// batch and a shared tunable pool.
-func QueryBatch(ix Index, queries []Query, parallelism int) [][]ObjectID {
-	return exec.RunBatch(exec.NewPool(parallelism), queries, ix.Query)
 }

@@ -1,10 +1,10 @@
 package temporalir
 
 import (
+	"context"
 	"sync"
 	"testing"
 
-	"repro/internal/bruteforce"
 	"repro/internal/gen"
 	"repro/internal/testutil"
 )
@@ -177,42 +177,6 @@ func TestEngineInsertDelete(t *testing.T) {
 	}
 }
 
-func TestQueryAnyAndSearchAny(t *testing.T) {
-	c := gen.Synthetic(gen.SyntheticConfig{Seed: 95}.Defaults(0.0004))
-	queries := gen.Workload(c, gen.QueryConfig{ExtentFrac: 0.01, NumElems: 3}, 60, 96)
-	oracle := bruteforce.New(c)
-	for _, m := range Methods() {
-		ix, err := NewIndex(m, c, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range queries {
-			got := QueryAny(ix, q)
-			// Oracle: any-of semantics via per-element union.
-			var want []ObjectID
-			for _, e := range q.Elems {
-				want = append(want, oracle.Query(Query{Interval: q.Interval, Elems: []ElemID{e}})...)
-			}
-			SortIDs(want)
-			want = testutil.Canonical(want)
-			if !equalIDSlices(got, want) {
-				t.Fatalf("%s query %d: got %d ids, want %d", m, i, len(got), len(want))
-			}
-		}
-	}
-	// Engine layer: unknown terms are ignored, not fatal.
-	b := NewBuilder()
-	b.Add(0, 10, "x")
-	b.Add(5, 20, "y")
-	e, _ := b.Build(IRHintPerf, Options{})
-	if got := e.SearchAny(0, 30, "x", "unknown", "y"); len(got) != 2 {
-		t.Errorf("SearchAny = %v", got)
-	}
-	if got := e.SearchAny(0, 30, "unknown"); got != nil {
-		t.Errorf("all-unknown SearchAny = %v", got)
-	}
-}
-
 func equalIDSlices(a, b []ObjectID) bool {
 	if len(a) != len(b) {
 		return false
@@ -235,7 +199,8 @@ func TestTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := e.Timeline(0, 99, 2, "x")
+	ctx := context.Background()
+	tl, _ := e.TimelineCtx(ctx, 0, 99, 2, "x")
 	if len(tl) != 2 {
 		t.Fatalf("timeline = %+v", tl)
 	}
@@ -250,7 +215,7 @@ func TestTimeline(t *testing.T) {
 	if tl[0].Mass != 100 {
 		t.Errorf("bucket 0 mass = %d, want 100", tl[0].Mass)
 	}
-	if got := e.Timeline(0, 99, 4, "unseen"); got != nil {
+	if got, _ := e.TimelineCtx(ctx, 0, 99, 4, "unseen"); got != nil {
 		t.Errorf("unknown term gave %v", got)
 	}
 }
@@ -283,32 +248,6 @@ func TestJoinPublicAPI(t *testing.T) {
 	self := SelfJoin(&c, 1)
 	if len(self) != 1 || self[0] != (JoinPair{Left: 0, Right: 1}) {
 		t.Fatalf("self join = %v", self)
-	}
-}
-
-func TestQueryBatch(t *testing.T) {
-	c := gen.Synthetic(gen.SyntheticConfig{Seed: 91}.Defaults(0.0005))
-	queries := gen.Workload(c, gen.DefaultQueryConfig(), 120, 92)
-	ix, err := NewIndex(IRHintPerf, c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := QueryBatch(ix, queries, 1)
-	for _, p := range []int{0, 2, 8, 1000} {
-		parallel := QueryBatch(ix, queries, p)
-		if len(parallel) != len(serial) {
-			t.Fatalf("parallelism %d: %d results", p, len(parallel))
-		}
-		for i := range serial {
-			a := testutil.Canonical(serial[i])
-			b := testutil.Canonical(parallel[i])
-			if len(a) != len(b) {
-				t.Fatalf("parallelism %d query %d: %d vs %d results", p, i, len(b), len(a))
-			}
-		}
-	}
-	if got := QueryBatch(ix, nil, 4); len(got) != 0 {
-		t.Errorf("empty batch gave %v", got)
 	}
 }
 
@@ -361,7 +300,8 @@ func TestSearchTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.SearchTopK(0, 99, 5, "common", "rare")
+	ctx := context.Background()
+	got, _ := e.SearchTopKCtx(ctx, 0, 99, 5, "common", "rare")
 	if len(got) != 2 {
 		t.Fatalf("got %d results, want 2", len(got))
 	}
@@ -373,16 +313,16 @@ func TestSearchTopK(t *testing.T) {
 		t.Error("scores not descending")
 	}
 	// k truncates.
-	if got := e.SearchTopK(0, 99, 1, "common", "rare"); len(got) != 1 || got[0].ID != 0 {
+	if got, _ := e.SearchTopKCtx(ctx, 0, 99, 1, "common", "rare"); len(got) != 1 || got[0].ID != 0 {
 		t.Errorf("k=1 gave %v", got)
 	}
 	// Unknown term yields nothing.
-	if got := e.SearchTopK(0, 99, 3, "unseen"); got != nil {
+	if got, _ := e.SearchTopKCtx(ctx, 0, 99, 3, "unseen"); got != nil {
 		t.Errorf("unknown term gave %v", got)
 	}
 	// An insert is ranked with no refresh step.
 	e.Insert(0, 100, "common", "rare", "fresh")
-	if got := e.SearchTopK(0, 99, 10, "rare"); len(got) != 3 {
+	if got, _ := e.SearchTopKCtx(ctx, 0, 99, 10, "rare"); len(got) != 3 {
 		t.Errorf("after insert: %v", got)
 	}
 }
