@@ -52,3 +52,28 @@ func BenchmarkInsertAfterBulk(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPerfQuery times irHINT-perf queries of the paper's default
+// shape (0.1 % extent, three elements drawn from a seed object) over the
+// scale-0.1 synthetic corpus, the benchmark's lib_point input: "bitmaps" as
+// built, where dense later elements are bit tests, and "lists" on the same
+// divisions with the bitmaps withheld, every later element a list merge.
+// One op is one query: `go test -run '^$' -bench PerfQuery ./internal/core`.
+func BenchmarkPerfQuery(b *testing.B) {
+	c := gen.Synthetic(gen.SyntheticConfig{Seed: 1}.Defaults(0.1))
+	queries := gen.Workload(c, gen.DefaultQueryConfig(), 4096, 1)
+	ix := NewPerf(c)
+	lists := *ix
+	lists.dense, lists.bitmaps = nil, nil
+	for _, v := range []struct {
+		name string
+		ix   *PerfIndex
+	}{{"bitmaps", ix}, {"lists", &lists}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v.ix.Query(queries[i%len(queries)])
+			}
+		})
+	}
+}

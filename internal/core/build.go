@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/domain"
+	"repro/internal/exec"
 	"repro/internal/hint"
 	"repro/internal/model"
 )
@@ -19,13 +20,32 @@ type builder struct {
 // bulkBuild is the construction of Section 4.1 for a whole collection, in
 // two passes instead of one Insert per object. Pass 1 (hint.AssignObjects)
 // runs the HINT assignment of every object, in id order, and groups the
-// assignments by division in directory order. Pass 2 (hint.CutFan) lays the
-// populated partitions out in exactly-sized directories and hands each
-// division's run of assignments to div, which fills the division from its
-// builder's cursors — the divisions in parallel, each goroutine with its
-// own builder. It also returns the per-element object counts.
-func bulkBuild[P any](dom domain.Domain, c *model.Collection, div func(b *builder, p *P, replica bool, asgs []hint.Assignment)) ([]directory[P], []int) {
-	objs, freqs, asg := hint.AssignObjects(dom, c)
+// assignments by division in directory order. Pass 1 is serial, so the
+// jobs that beside (if not nil) returns, given the objects in id order and
+// the per-element object counts, run next to it on the process-wide pool
+// (exec.Default), and whichever goroutine ends pass 1 joins them. Pass 2
+// (hint.CutFan) lays the populated partitions out in exactly-sized
+// directories and hands each division's run of assignments to div, which
+// fills the division from its builder's cursors — the divisions in
+// parallel, each goroutine with its own builder. It also returns the
+// per-element object counts.
+func bulkBuild[P any](dom domain.Domain, c *model.Collection, beside func(objs []model.Object, freqs []int) (jobs int, job func(i int)), div func(b *builder, p *P, replica bool, asgs []hint.Assignment)) ([]directory[P], []int) {
+	objs, freqs := c.IDOrder()
+	var asg []hint.Assignment
+	if beside == nil {
+		asg = hint.AssignObjects(dom, objs)
+	} else {
+		n, job := beside(objs, freqs)
+		var run []hint.Assignment
+		exec.Default().Map(1+n, func(i int) {
+			if i == 0 {
+				run = hint.AssignObjects(dom, objs)
+			} else {
+				job(i - 1)
+			}
+		})
+		asg = run
+	}
 	levels := make([]directory[P], dom.M+1)
 	hint.CutFan(dom.M, asg, func(level int, keys []uint32, parts []*P) {
 		levels[level] = directory[P]{keys: keys, parts: parts}

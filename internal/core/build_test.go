@@ -331,9 +331,20 @@ func TestBulkBuildIsTight(t *testing.T) {
 			checkRunsTight(t, fmt.Sprintf("level %d partition %d replicas", l, perf.levels[l].keys[i]), &p.r)
 		}
 	}
-	// Per division: four slice headers and the dead counter, 4*24+8.
-	if want := parts*(4+8+2*(4*24+8)) + lists*(4+12) + entries*16 + int64(len(perf.freqs))*8; perf.SizeBytes() != want || entries != perf.EntryCount() {
-		t.Errorf("perf SizeBytes %d, want %d from %d partitions, %d lists, %d entries", perf.SizeBytes(), want, parts, lists, entries)
+	// Every dense element's bitmap is exactly ⌈universe/64⌉ words.
+	dense, words := int64(len(perf.dense)), int64(perf.universe+63)/64
+	if dense == 0 || cap(perf.dense) != len(perf.dense) || cap(perf.bitmaps) != len(perf.bitmaps) {
+		t.Fatalf("perf: %d dense elements, %d bitmaps; want some, without slack", len(perf.dense), len(perf.bitmaps))
+	}
+	for i := range perf.bitmaps {
+		if got := perf.bitmaps[i].SizeBytes(); got != 8*words {
+			t.Fatalf("perf: dense element %d bitmap %d B, want %d", perf.dense[i], got, 8*words)
+		}
+	}
+	// Per division: four slice headers and the dead counter, 4*24+8. Per
+	// dense element: a 4-byte key, a slice header and the bitmap.
+	if want := parts*(4+8+2*(4*24+8)) + lists*(4+12) + entries*16 + int64(len(perf.freqs))*8 + dense*(4+24+8*words); perf.SizeBytes() != want || entries != perf.EntryCount() {
+		t.Errorf("perf SizeBytes %d, want %d from %d partitions, %d lists, %d entries, %d dense elements", perf.SizeBytes(), want, parts, lists, entries, dense)
 	}
 
 	parts, lists, entries = countTight(t, size.levels, sizeFiles)
@@ -384,8 +395,9 @@ func TestAllocBudgetBuild(t *testing.T) {
 	cfg := testutil.CollectionConfig{N: 2000, DomainLo: 0, DomainHi: 1 << 20, Dict: 200, MaxDesc: 6, Seed: 9}
 	c := testutil.RandomCollection(cfg)
 	var lists int
-	eachList(NewPerf(c, WithM(5)).levels, perfFiles, func(string, []perfEntry) { lists++ })
-	t.Logf("%d lists", lists)
+	perf := NewPerf(c, WithM(5))
+	eachList(perf.levels, perfFiles, func(string, []perfEntry) { lists++ })
+	t.Logf("%d lists, %d dense elements", lists, len(perf.dense))
 	allocbudget.Gate(t, "core/NewPerf", func() { NewPerf(c, WithM(5)) })
 	allocbudget.Gate(t, "core/NewSize", func() { NewSize(c, WithM(5)) })
 }

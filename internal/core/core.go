@@ -20,8 +20,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/domain"
 	"repro/internal/hint"
 	"repro/internal/model"
@@ -34,8 +32,24 @@ type directory[P any] struct {
 	parts []*P
 }
 
+// lowerBound returns the first index of the ascending s whose value is at
+// least x, or len(s). It is the manual binary search of every directory in
+// the package: the sort.Search closure it replaces dominated query cost.
+func lowerBound[T ~uint32](s []T, x T) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 func (d *directory[P]) get(j uint32) *P {
-	i := sort.Search(len(d.keys), func(i int) bool { return d.keys[i] >= j })
+	i := lowerBound(d.keys, j)
 	if i < len(d.keys) && d.keys[i] == j {
 		return d.parts[i]
 	}
@@ -43,7 +57,7 @@ func (d *directory[P]) get(j uint32) *P {
 }
 
 func (d *directory[P]) getOrCreate(j uint32) *P {
-	i := sort.Search(len(d.keys), func(i int) bool { return d.keys[i] >= j })
+	i := lowerBound(d.keys, j)
 	if i < len(d.keys) && d.keys[i] == j {
 		return d.parts[i]
 	}
@@ -58,8 +72,7 @@ func (d *directory[P]) getOrCreate(j uint32) *P {
 }
 
 func (d *directory[P]) forRange(f, l uint32, fn func(j uint32, p *P)) {
-	i := sort.Search(len(d.keys), func(i int) bool { return d.keys[i] >= f })
-	for ; i < len(d.keys) && d.keys[i] <= l; i++ {
+	for i := lowerBound(d.keys, f); i < len(d.keys) && d.keys[i] <= l; i++ {
 		fn(d.keys[i], d.parts[i])
 	}
 }

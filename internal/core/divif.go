@@ -53,9 +53,8 @@ func (d *divIF) fill(b *builder, asgs []hint.Assignment) {
 }
 
 // findElem locates e in the sorted element directory: a linear scan for
-// the short directories that dominate deep hierarchy levels, binary search
-// otherwise. Profiling shows the sort.Search closure here dominates
-// Algorithm 5's query cost, hence the manual loops.
+// the short directories that dominate deep hierarchy levels, lowerBound
+// otherwise.
 func findElem(elems []model.ElemID, e model.ElemID) (int, bool) {
 	if len(elems) <= 8 {
 		for i, have := range elems {
@@ -65,16 +64,8 @@ func findElem(elems []model.ElemID, e model.ElemID) (int, bool) {
 		}
 		return len(elems), false
 	}
-	lo, hi := 0, len(elems)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if elems[mid] < e {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(elems) && elems[lo] == e
+	i := lowerBound(elems, e)
+	return i, i < len(elems) && elems[i] == e
 }
 
 // insert adds the entry to element e's run in id order, creating the run
@@ -170,7 +161,14 @@ func (d *divIF) idRun(e model.ElemID) []model.ObjectID {
 // may be; else it is its id run, read in place. A check against a query end
 // at a timestamp limit holds for every real interval and is dropped, so
 // each check left rejects the Tombstone sentinel by itself.
-func (d *divIF) query(q model.Interval, plan []model.ElemID, checkStart, checkEnd bool, scratch, dst []model.ObjectID) ([]model.ObjectID, []model.ObjectID) {
+//
+// probes is parallel to plan: a later element with a bitmap filters the
+// candidates by bit tests instead of a merge with its list. A candidate is
+// a live object of the division, which holds an entry for every element of
+// every object it was assigned, so the object carries the element exactly
+// when it is in the division's list for it. The filter writes to scratch
+// only: candidates read in place are the index's own arena.
+func (d *divIF) query(q model.Interval, plan []model.ElemID, probes []*postings.Bitmap, checkStart, checkEnd bool, scratch, dst []model.ObjectID) ([]model.ObjectID, []model.ObjectID) {
 	i, ok := findElem(d.elems, plan[0])
 	if !ok {
 		return scratch, dst
@@ -188,12 +186,22 @@ func (d *divIF) query(q model.Interval, plan []model.ElemID, checkStart, checkEn
 		}
 		cands = scratch
 	}
-	for _, e := range plan[1:] {
+	for k, e := range plan[1:] {
 		if len(cands) == 0 {
 			break
 		}
-		// Later lists' tombstones match: Delete tombstones every copy.
-		scratch = postings.IntersectAnySorted(cands, d.idRun(e), scratch[:0])
+		if bm := probes[k+1]; bm != nil {
+			// Writes trail reads, so cands may be scratch itself.
+			scratch = scratch[:0]
+			for _, id := range cands {
+				if bm.Contains(id) {
+					scratch = append(scratch, id)
+				}
+			}
+		} else {
+			// Later lists' tombstones match: Delete tombstones every copy.
+			scratch = postings.IntersectAnySorted(cands, d.idRun(e), scratch[:0])
+		}
 		cands = scratch
 	}
 	return scratch, append(dst, cands...)

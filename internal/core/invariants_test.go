@@ -3,10 +3,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/postings"
+	"repro/internal/testutil"
 )
 
 func TestSurvivorPoolAssertionFires(t *testing.T) {
@@ -57,4 +59,29 @@ func TestDivisionAssertionFires(t *testing.T) {
 	ok := divIF{elems: []model.ElemID{3, 5}, runs: []run{{3, 2, 2}, {0, 3, 3}}, ids: ids, spans: spans}
 	ok.assertDivision("test", 0)
 	ok.assertDivision("test", 1)
+}
+
+// TestDenseAssertionFires clears the bit of a live entry of a dense
+// element, which the check after the fill and the check after an insert of
+// that object must both catch.
+func TestDenseAssertionFires(t *testing.T) {
+	c := testutil.RandomCollection(testutil.DefaultConfig(3))
+	ix := NewPerf(c, WithM(4))
+	e := ix.dense[0]
+	i := slices.IndexFunc(c.Objects, func(o model.Object) bool { return slices.Contains(o.Elems, e) })
+	o := c.Objects[i]
+	ix.bitmaps[0].Unset(o.ID)
+	for _, tc := range []struct {
+		name string
+		o    *model.Object
+	}{{"after the fill", nil}, {"after an insert", &o}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected invariant panic, got none", tc.name)
+				}
+			}()
+			ix.assertDense("test", tc.o)
+		}()
+	}
 }

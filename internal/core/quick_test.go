@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -196,12 +197,24 @@ func TestSizeDeletesInComparisonFreeDivisions(t *testing.T) {
 
 // Property: the same for the performance variant, whose comparison-free
 // divisions report a first list as its id run unless the dead counter
-// says an entry of the division is tombstoned.
+// says an entry of the division is tombstoned. A dense later element
+// filters by its bitmap, which keeps a deleted object's bits, so the run
+// must also meet deleted ids that passed a bit test there.
 func TestPerfDeletesInComparisonFreeDivisions(t *testing.T) {
-	survivors := func(d *divIF, plan []model.ElemID) []model.ObjectID {
+	var probed int // deleted survivors that passed a bit test
+	survivors := func(ix *PerfIndex, d *divIF, plan []model.ElemID, dead map[model.ObjectID]bool) []model.ObjectID {
 		surv := d.idRun(plan[0])
 		for _, e := range plan[1:] {
-			surv = postings.IntersectSortedIDs(surv, d.idRun(e), nil)
+			if bm := ix.bitmap(e); bm != nil {
+				surv = slices.DeleteFunc(slices.Clone(surv), func(id model.ObjectID) bool { return !bm.Contains(id) })
+				for _, id := range surv {
+					if dead[id] {
+						probed++
+					}
+				}
+			} else {
+				surv = postings.IntersectSortedIDs(surv, d.idRun(e), nil)
+			}
 		}
 		return surv
 	}
@@ -212,13 +225,17 @@ func TestPerfDeletesInComparisonFreeDivisions(t *testing.T) {
 				ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 					ob := lv.Oblige(j)
 					if !ob.CheckStart && !ob.CheckEnd {
-						freeO += countDead(t, survivors(&p.o, plan), dead, p.o.dead)
+						freeO += countDead(t, survivors(ix, &p.o, plan, dead), dead, p.o.dead)
 					}
 					if ob.First && !ob.CheckStart {
-						freeR += countDead(t, survivors(&p.r, plan), dead, p.r.dead)
+						freeR += countDead(t, survivors(ix, &p.r, plan, dead), dead, p.r.dead)
 					}
 				})
 			})
 			return freeO, freeR
 		})
+	if probed == 0 {
+		t.Fatal("vacuous: no deleted survivor passed a dense element's bit test")
+	}
+	t.Logf("deleted survivors past a bit test: %d", probed)
 }

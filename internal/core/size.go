@@ -54,7 +54,7 @@ func NewSize(c *model.Collection, opts ...Option) *SizeIndex {
 		o(&cfg)
 	}
 	ix := &SizeIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
-	ix.levels, ix.freqs = bulkBuild(ix.dom, c, func(b *builder, p *sizePart, replica bool, asgs []hint.Assignment) {
+	ix.levels, ix.freqs = bulkBuild(ix.dom, c, nil, func(b *builder, p *sizePart, replica bool, asgs []hint.Assignment) {
 		d, key := &p.o, byStart
 		if replica {
 			d, key = &p.r, byEnd

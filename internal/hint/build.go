@@ -53,13 +53,11 @@ func assignments(dom domain.Domain, n int, iv func(i int) model.Interval) []Assi
 	return sortByKey(asg, dom.M+2)
 }
 
-// AssignObjects is pass 1 over a collection for the methods that index
-// objects by element. It returns c.IDOrder() — the objects in id order and
-// the number of objects carrying each element — and the objects'
+// AssignObjects is pass 1 for the methods that index objects by element,
+// over the objects in id order (model.Collection.IDOrder): their
 // assignments ordered by key, objects in id order within a key.
-func AssignObjects(dom domain.Domain, c *model.Collection) (objs []model.Object, freqs []int, run []Assignment) {
-	objs, freqs = c.IDOrder()
-	return objs, freqs, assignments(dom, len(objs), func(i int) model.Interval { return objs[i].Interval })
+func AssignObjects(dom domain.Domain, objs []model.Object) []Assignment {
+	return assignments(dom, len(objs), func(i int) model.Interval { return objs[i].Interval })
 }
 
 // sortByKey orders a by its low keyBits key bits, entries keeping their

@@ -150,7 +150,7 @@ func NormalizeElems(elems []ElemID) []ElemID {
 	if len(elems) < 2 {
 		return elems
 	}
-	sort.Slice(elems, func(i, j int) bool { return elems[i] < elems[j] })
+	slices.Sort(elems)
 	w := 1
 	for i := 1; i < len(elems); i++ {
 		if elems[i] != elems[w-1] {

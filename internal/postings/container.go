@@ -38,7 +38,7 @@ type Bitmap struct {
 // bit. Growth is amortized: a pooled bitmap reaches the largest universe
 // it has served and is then reused allocation-free.
 func (b *Bitmap) Reset(universe model.ObjectID) {
-	nw := int(universe+63) / 64
+	nw := (int(universe) + 63) / 64
 	if cap(b.words) < nw {
 		b.grow(nw)
 	}
@@ -51,7 +51,7 @@ func (b *Bitmap) Reset(universe model.ObjectID) {
 // caller that clears its own bits can widen one bitmap across many
 // marking rounds without paying a Reset over the universe for each.
 func (b *Bitmap) Grow(universe model.ObjectID) {
-	nw, n := int(universe+63)/64, len(b.words)
+	nw, n := (int(universe)+63)/64, len(b.words)
 	if nw <= n {
 		return
 	}

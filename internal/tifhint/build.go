@@ -24,7 +24,8 @@ type bulk struct {
 }
 
 func newBulk(dom domain.Domain, c *model.Collection) *bulk {
-	objs, freqs, asg := hint.AssignObjects(dom, c)
+	objs, freqs := c.IDOrder()
+	asg := hint.AssignObjects(dom, objs)
 	// Count each element's run, then turn the counts into write cursors.
 	cursor := make([]int, len(freqs))
 	for _, a := range asg {
