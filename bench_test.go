@@ -13,6 +13,7 @@
 package temporalir_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -129,6 +130,49 @@ func BenchmarkSearchPoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
 		_ = e.Search(q.Interval.Start, q.Interval.End, terms[i%len(qs)]...)
+	}
+}
+
+// BenchmarkSearchTopK is a ranked read loop over engines of 1 and 4
+// stores: the BenchmarkSearchPoint corpus and queries, each issued
+// through Engine.SearchTopKCtx with k = 10 to an irHINT-perf engine whose
+// memtables hold 1 024 uncompacted inserts (copies of corpus objects),
+// so per-query work that grows with the memtable shows. One op is one
+// ranked search.
+func BenchmarkSearchTopK(b *testing.B) {
+	c := gen.Synthetic(gen.SyntheticConfig{Seed: 1}.Defaults(0.1))
+	qs := gen.Workload(c, gen.DefaultQueryConfig(), 1024, 2)
+	terms := func(elems []model.ElemID) []string {
+		out := make([]string, len(elems))
+		for j, e := range elems {
+			out[j] = fmt.Sprintf("e%d", e)
+		}
+		return out
+	}
+	qterms := make([][]string, len(qs))
+	for i := range qs {
+		qterms[i] = terms(qs[i].Elems)
+	}
+	for _, stores := range []int{1, 4} {
+		b.Run(fmt.Sprintf("stores%d", stores), func(b *testing.B) {
+			e, err := temporalir.EngineFromCollectionN(c, temporalir.IRHintPerf, temporalir.Options{}, stores)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 1024; i++ {
+				o := &c.Objects[(i*97)%len(c.Objects)]
+				e.Insert(o.Interval.Start, o.Interval.End, terms(o.Elems)...)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := &qs[i%len(qs)]
+				if _, err := e.SearchTopKCtx(ctx, q.Interval.Start, q.Interval.End, 10, qterms[i%len(qs)]...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -7,8 +7,10 @@ package temporalir
 // engine is one now, so it is Engine.
 type Sharded = Engine
 
-// RefreshScorer does nothing: ranked search reads always-current
-// statistics, so there is no scorer to refresh.
+// RefreshScorer does nothing: ranked search scores by temporal overlap
+// alone and reads no corpus statistics, so there is no scorer to
+// refresh.
 //
-// Deprecated: kept only because the frozen benchmark still calls it.
+// Deprecated: kept only because benchmark/ still calls it; it goes with
+// ROADMAP item 8(ii).
 func (e *Engine) RefreshScorer() {}

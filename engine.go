@@ -79,7 +79,7 @@ func (b *Builder) BuildSharded(m Method, opts Options, so ShardedOptions) (*Engi
 //
 // Identity is global: every store draws external ids from one shared
 // allocator, so ids follow insertion order whatever the store count.
-// The dictionary is shared too (one term space, one IDF statistic).
+// The dictionary is shared too (one term space).
 //
 // An Engine is safe for concurrent use, and reads never wait on
 // writers: every query runs against immutable generation snapshots

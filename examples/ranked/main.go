@@ -1,8 +1,8 @@
 // Ranked archive search: the relevance extension (the paper's Section 7
 // future work). Instead of returning every matching revision, SearchTopKCtx
-// scores matches by element rarity (IDF) blended with temporal overlap
-// and returns only the k best — the "most relevant objects overlapping
-// the query time interval".
+// scores each match by the share of the query interval its lifespan
+// covers and returns only the k best — the "most relevant objects
+// overlapping the query time interval".
 package main
 
 import (
@@ -45,8 +45,8 @@ func main() {
 	all := engine.Search(march, march+31*day, "report")
 	fmt.Printf("March documents mentioning 'report': %d\n", len(all))
 
-	// Top-5 by relevance: rare conjunctions and strong temporal overlap
-	// float to the top.
+	// Top-5 by relevance: the documents alive for most of March float to
+	// the top.
 	ctx := context.Background()
 	top, err := engine.SearchTopKCtx(ctx, march, march+31*day, 5, "report", "aurora")
 	if err != nil {
@@ -57,16 +57,5 @@ func main() {
 		iv, terms, _ := engine.Object(r.ID)
 		fmt.Printf("  #%d doc %d  score %.3f  alive days %d..%d  terms %v\n",
 			rank+1, r.ID, r.Score, iv.Start/86400, iv.End/86400, terms)
-	}
-
-	// Scores respond to term rarity: the same document set queried with
-	// only the common term ranks lower.
-	commonTop, err := engine.SearchTopKCtx(ctx, march, march+31*day, 1, "report")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(top) > 0 && len(commonTop) > 0 {
-		fmt.Printf("best 'report+aurora' score %.3f vs best 'report' score %.3f\n",
-			top[0].Score, commonTop[0].Score)
 	}
 }

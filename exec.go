@@ -256,31 +256,24 @@ func (e *Engine) searchQuery(ctx context.Context, gens []*maint.Generation, q Qu
 }
 
 // SearchTopKCtx runs a relevance-ranked time-travel query: among the
-// objects matching the containment query, return the k most relevant,
-// scored by element rarity (IDF) blended with temporal overlap — the
-// ranked-search extension the paper leaves as future work. IDF weights
-// are those of the generations the query runs against: every stored
-// object counts, inserted a moment ago or tombstoned but not yet
-// compacted away. The global top k across the stores is ordered (score
-// desc, id asc) exactly as one store over the whole corpus would order
-// it. A fired ctx returns ctx.Err().
+// objects matching the containment query, return the k most relevant —
+// the ranked-search extension the paper leaves as future work. Every
+// match contains every term, so the score is the fraction of [start,
+// end] the object's lifespan covers; it reads no corpus statistics, and
+// a ranked answer does not move when unrelated objects are inserted,
+// deleted or compacted away. The global top k across the stores is
+// ordered (score desc, id asc) exactly as one store over the whole
+// corpus would order it. A fired ctx returns ctx.Err().
 func (e *Engine) SearchTopKCtx(ctx context.Context, start, end Timestamp, k int, terms ...string) ([]ScoredResult, error) {
 	q, ok, err := e.resolve(ctx, start, end, terms)
 	if !ok {
 		return nil, err
 	}
-	// Every store is snapshotted once, before planning: extents grow
-	// before an object becomes visible, so a store holding a match in
-	// its snapshot is never pruned. The statistics summed over all of
-	// those snapshots (pruned stores included — their objects are part
-	// of the corpus) give the query one scorer.
-	gens := e.snapshots()
-	w := queryScorer(gens, q.Elems)
 	var res []rank.Result
-	if g := e.single(gens); g != nil {
-		res = rankTopK(g, w, q, k)
-	} else if res, _, err = gather(ctx, e, q, gens, func(g *maint.Generation) []rank.Result {
-		return rankTopK(g, w, q, k)
+	if g := e.single(nil); g != nil {
+		res = rankTopK(g, q, k)
+	} else if res, _, err = gather(ctx, e, q, nil, func(g *maint.Generation) []rank.Result {
+		return rankTopK(g, q, k)
 	}, func(parts [][]rank.Result) []rank.Result {
 		return shard.MergeTopK(parts, k)
 	}); err != nil {
@@ -300,31 +293,13 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, start, end Timestamp, k int,
 // asc) merge order. The span envelopes the ranked path's inner
 // containment query, so it overlaps the postings/intersect/filter spans
 // that query records.
-func rankTopK(g *maint.Generation, w rank.QueryScorer, q Query, k int) []rank.Result {
+func rankTopK(g *maint.Generation, q Query, k int) []rank.Result {
 	defer q.Trace.StartStage(obs.StageRank).End()
-	rs := rank.TopKQuery(g, g.Coll(), w, q, k)
+	rs := rank.TopK(g, g.Coll(), nil, q, k)
 	for i := range rs {
 		rs[i].ID = g.ExternalID(rs[i].ID)
 	}
 	return rs
-}
-
-// queryScorer builds one ranked query's scorer from the statistics of
-// the generations it runs against, one per store: populations and
-// per-element document frequencies summed, so every store scores with
-// the weights one store over the whole corpus would use.
-func queryScorer(gens []*maint.Generation, elems []ElemID) rank.QueryScorer {
-	n := 0
-	for _, g := range gens {
-		n += len(g.Coll().Objects)
-	}
-	return rank.NewQueryScorer(elems, n, func(e ElemID) int {
-		df := 0
-		for _, g := range gens {
-			df += g.DocFreq(e)
-		}
-		return df
-	}, rank.ScorerConfig{})
 }
 
 // TimelineCtx aggregates a time-travel IR query over time: the interval

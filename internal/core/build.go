@@ -29,7 +29,7 @@ type builder struct {
 // fills the division from its builder's cursors — the divisions in
 // parallel, each goroutine with its own builder. It also returns the
 // per-element object counts.
-func bulkBuild[P any](dom domain.Domain, c *model.Collection, beside func(objs []model.Object, freqs []int) (jobs int, job func(i int)), div func(b *builder, p *P, replica bool, asgs []hint.Assignment)) ([]directory[P], []int) {
+func bulkBuild[P any](dom domain.Domain, c *model.Collection, beside func(objs []model.Object, freqs []int) (jobs int, job func(i int)), div func(b *builder, p *P, replica bool, asgs []hint.Assignment)) ([]hint.Directory[P], []int) {
 	objs, freqs := c.IDOrder()
 	var asg []hint.Assignment
 	if beside == nil {
@@ -46,9 +46,9 @@ func bulkBuild[P any](dom domain.Domain, c *model.Collection, beside func(objs [
 		})
 		asg = run
 	}
-	levels := make([]directory[P], dom.M+1)
+	levels := make([]hint.Directory[P], dom.M+1)
 	hint.CutFan(dom.M, asg, func(level int, keys []uint32, parts []*P) {
-		levels[level] = directory[P]{keys: keys, parts: parts}
+		levels[level] = hint.Directory[P]{Keys: keys, Parts: parts}
 	}, func() *builder {
 		return &builder{objs: objs, count: make([]int, len(freqs))}
 	}, func(b *builder, p *P, replica bool, lo, hi int) {

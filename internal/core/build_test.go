@@ -9,6 +9,7 @@ import (
 	"repro/internal/allocbudget"
 	"repro/internal/bruteforce"
 	"repro/internal/gen"
+	"repro/internal/hint"
 	"repro/internal/model"
 	"repro/internal/testutil"
 )
@@ -49,12 +50,12 @@ func sizeFiles(p *sizePart) [2]invFile[model.ObjectID] {
 
 // eachList calls fn for every list of the index, named by level, partition,
 // division (0 originals, 1 replicas) and element.
-func eachList[P, T any](levels []directory[P], files func(*P) [2]invFile[T], fn func(name string, l []T)) {
+func eachList[P, T any](levels []hint.Directory[P], files func(*P) [2]invFile[T], fn func(name string, l []T)) {
 	for l := range levels {
-		for i, p := range levels[l].parts {
+		for i, p := range levels[l].Parts {
 			for r, f := range files(p) {
 				for k, e := range f.elems {
-					fn(fmt.Sprintf("level %d partition %d division %d element %d", l, levels[l].keys[i], r, e), f.lists[k])
+					fn(fmt.Sprintf("level %d partition %d division %d element %d", l, levels[l].Keys[i], r, e), f.lists[k])
 				}
 			}
 		}
@@ -64,30 +65,30 @@ func eachList[P, T any](levels []directory[P], files func(*P) [2]invFile[T], fn 
 // equalStructure fails unless both hierarchies hold the same directory
 // keys and, per division, the same elems and the same lists entry for
 // entry; same compares what files does not show of two partitions.
-func equalStructure[P any, T comparable](t *testing.T, got, want []directory[P], files func(*P) [2]invFile[T], same func(got, want *P) bool) {
+func equalStructure[P any, T comparable](t *testing.T, got, want []hint.Directory[P], files func(*P) [2]invFile[T], same func(got, want *P) bool) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d levels, want %d", len(got), len(want))
 	}
 	for l := range want {
-		if !slices.Equal(got[l].keys, want[l].keys) {
-			t.Fatalf("level %d: directory keys %v, want %v", l, got[l].keys, want[l].keys)
+		if !slices.Equal(got[l].Keys, want[l].Keys) {
+			t.Fatalf("level %d: directory keys %v, want %v", l, got[l].Keys, want[l].Keys)
 		}
-		for i := range want[l].parts {
-			g, w := files(got[l].parts[i]), files(want[l].parts[i])
+		for i := range want[l].Parts {
+			g, w := files(got[l].Parts[i]), files(want[l].Parts[i])
 			for r := range w {
 				if !slices.Equal(g[r].elems, w[r].elems) {
-					t.Fatalf("level %d partition %d division %d: elems %v, want %v", l, want[l].keys[i], r, g[r].elems, w[r].elems)
+					t.Fatalf("level %d partition %d division %d: elems %v, want %v", l, want[l].Keys[i], r, g[r].elems, w[r].elems)
 				}
 				for k := range w[r].lists {
 					if !slices.Equal(g[r].lists[k], w[r].lists[k]) {
 						t.Fatalf("level %d partition %d division %d element %d: list %v, want %v",
-							l, want[l].keys[i], r, w[r].elems[k], g[r].lists[k], w[r].lists[k])
+							l, want[l].Keys[i], r, w[r].elems[k], g[r].lists[k], w[r].lists[k])
 					}
 				}
 			}
-			if !same(got[l].parts[i], want[l].parts[i]) {
-				t.Fatalf("level %d partition %d: interval stores differ", l, want[l].keys[i])
+			if !same(got[l].Parts[i], want[l].Parts[i]) {
+				t.Fatalf("level %d partition %d: interval stores differ", l, want[l].Keys[i])
 			}
 		}
 	}
@@ -104,8 +105,8 @@ func noStores(_, _ *perfPart) bool { return true }
 // the bulk kernel replaced.
 func checkEqualsInsertBuilt(t *testing.T, perf *PerfIndex, size *SizeIndex, dictSize int, objs []model.Object) {
 	t.Helper()
-	perfRef := &PerfIndex{dom: perf.dom, levels: make([]directory[perfPart], perf.dom.M+1), freqs: make([]int, dictSize)}
-	sizeRef := &SizeIndex{dom: size.dom, levels: make([]directory[sizePart], size.dom.M+1), freqs: make([]int, dictSize)}
+	perfRef := &PerfIndex{dom: perf.dom, levels: make([]hint.Directory[perfPart], perf.dom.M+1), freqs: make([]int, dictSize)}
+	sizeRef := &SizeIndex{dom: size.dom, levels: make([]hint.Directory[sizePart], size.dom.M+1), freqs: make([]int, dictSize)}
 	for _, o := range objs {
 		perfRef.Insert(o)
 		sizeRef.Insert(o)
@@ -191,7 +192,7 @@ func TestBulkEqualsInsertBuilt(t *testing.T) {
 // and elements under fresh, larger ids, so each lands only in lists that
 // already exist; afterwards every list must still start with its snapshot
 // and hold nothing more than the inserts that belong in it.
-func checkInsertKeepsNeighbours[P, T any](t *testing.T, levels []directory[P], files func(*P) [2]invFile[T], id func(T) model.ObjectID, insert func(model.Object), c *model.Collection) []model.Object {
+func checkInsertKeepsNeighbours[P, T any](t *testing.T, levels []hint.Directory[P], files func(*P) [2]invFile[T], id func(T) model.ObjectID, insert func(model.Object), c *model.Collection) []model.Object {
 	t.Helper()
 	before := map[string][]T{}
 	eachList(levels, files, func(name string, l []T) { before[name] = slices.Clone(l) })
@@ -266,15 +267,15 @@ func TestInsertAfterBulkKeepsNeighbours(t *testing.T) {
 
 // countTight fails if a directory, an element directory or a list has spare
 // capacity, and counts the partitions, lists and list entries.
-func countTight[P, T any](t *testing.T, levels []directory[P], files func(*P) [2]invFile[T]) (parts, lists, entries int64) {
+func countTight[P, T any](t *testing.T, levels []hint.Directory[P], files func(*P) [2]invFile[T]) (parts, lists, entries int64) {
 	t.Helper()
 	for l := range levels {
 		d := &levels[l]
-		if cap(d.keys) != len(d.keys) || cap(d.parts) != len(d.parts) {
+		if cap(d.Keys) != len(d.Keys) || cap(d.Parts) != len(d.Parts) {
 			t.Fatalf("level %d: directory has slack", l)
 		}
-		parts += int64(len(d.parts))
-		for _, p := range d.parts {
+		parts += int64(len(d.Parts))
+		for _, p := range d.Parts {
 			for _, f := range files(p) {
 				if cap(f.elems) != len(f.elems) || cap(f.lists) != len(f.lists) {
 					t.Fatalf("level %d: element directory has slack", l)
@@ -326,9 +327,9 @@ func TestBulkBuildIsTight(t *testing.T) {
 
 	parts, lists, entries := countTight(t, perf.levels, perfFiles)
 	for l := range perf.levels {
-		for i, p := range perf.levels[l].parts {
-			checkRunsTight(t, fmt.Sprintf("level %d partition %d originals", l, perf.levels[l].keys[i]), &p.o)
-			checkRunsTight(t, fmt.Sprintf("level %d partition %d replicas", l, perf.levels[l].keys[i]), &p.r)
+		for i, p := range perf.levels[l].Parts {
+			checkRunsTight(t, fmt.Sprintf("level %d partition %d originals", l, perf.levels[l].Keys[i]), &p.o)
+			checkRunsTight(t, fmt.Sprintf("level %d partition %d replicas", l, perf.levels[l].Keys[i]), &p.r)
 		}
 	}
 	// Every dense element's bitmap is exactly ⌈universe/64⌉ words.
@@ -350,7 +351,7 @@ func TestBulkBuildIsTight(t *testing.T) {
 	parts, lists, entries = countTight(t, size.levels, sizeFiles)
 	var ivals int64
 	for l := range size.levels {
-		for _, p := range size.levels[l].parts {
+		for _, p := range size.levels[l].Parts {
 			if cap(p.o.ivals) != len(p.o.ivals) || cap(p.r.ivals) != len(p.r.ivals) {
 				t.Fatalf("size level %d: interval store has slack", l)
 			}

@@ -25,64 +25,11 @@ import (
 	"repro/internal/model"
 )
 
-// directory is the sorted per-level map of populated partitions, shared by
-// both variants (HINT's sparsity handling).
-type directory[P any] struct {
-	keys  []uint32
-	parts []*P
-}
-
-// lowerBound returns the first index of the ascending s whose value is at
-// least x, or len(s). It is the manual binary search of every directory in
-// the package: the sort.Search closure it replaces dominated query cost.
-func lowerBound[T ~uint32](s []T, x T) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func (d *directory[P]) get(j uint32) *P {
-	i := lowerBound(d.keys, j)
-	if i < len(d.keys) && d.keys[i] == j {
-		return d.parts[i]
-	}
-	return nil
-}
-
-func (d *directory[P]) getOrCreate(j uint32) *P {
-	i := lowerBound(d.keys, j)
-	if i < len(d.keys) && d.keys[i] == j {
-		return d.parts[i]
-	}
-	d.keys = append(d.keys, 0)
-	d.parts = append(d.parts, nil)
-	copy(d.keys[i+1:], d.keys[i:])
-	copy(d.parts[i+1:], d.parts[i:])
-	d.keys[i] = j
-	p := new(P)
-	d.parts[i] = p
-	return p
-}
-
-func (d *directory[P]) forRange(f, l uint32, fn func(j uint32, p *P)) {
-	for i := lowerBound(d.keys, f); i < len(d.keys) && d.keys[i] <= l; i++ {
-		fn(d.keys[i], d.parts[i])
-	}
-}
-
 // Option configures the irHINT constructors.
 type Option func(*config)
 
 type config struct {
-	m         int
-	costModel bool
+	m int
 }
 
 // WithM fixes the hierarchy bits. Without it the constructors run the

@@ -61,7 +61,7 @@ func TestDenseProbeLeavesArenaUnchanged(t *testing.T) {
 	var divs []*divIF
 	var before []arena
 	for l := range ix.levels {
-		for _, p := range ix.levels[l].parts {
+		for _, p := range ix.levels[l].Parts {
 			for _, d := range []*divIF{&p.o, &p.r} {
 				divs = append(divs, d)
 				before = append(before, arena{slices.Clone(d.ids), slices.Clone(d.spans)})
@@ -87,7 +87,7 @@ func TestDenseProbeLeavesArenaUnchanged(t *testing.T) {
 	for _, q := range queries {
 		plan := dict.PlanOrder(q.Elems, ix.freqs)
 		hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-			ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *perfPart) {
+			ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 				ob := lv.Oblige(j)
 				if !ob.CheckStart && !ob.CheckEnd {
 					inPlace(&p.o, plan)

@@ -53,7 +53,7 @@ func (d *divIF) fill(b *builder, asgs []hint.Assignment) {
 }
 
 // findElem locates e in the sorted element directory: a linear scan for
-// the short directories that dominate deep hierarchy levels, lowerBound
+// the short directories that dominate deep hierarchy levels, hint.LowerBound
 // otherwise.
 func findElem(elems []model.ElemID, e model.ElemID) (int, bool) {
 	if len(elems) <= 8 {
@@ -64,7 +64,7 @@ func findElem(elems []model.ElemID, e model.ElemID) (int, bool) {
 		}
 		return len(elems), false
 	}
-	i := lowerBound(elems, e)
+	i := hint.LowerBound(elems, e)
 	return i, i < len(elems) && elems[i] == e
 }
 

@@ -27,7 +27,7 @@ type perfPart struct {
 // their bitmaps in the same order (see fillDense).
 type PerfIndex struct {
 	dom      domain.Domain
-	levels   []directory[perfPart]
+	levels   []hint.Directory[perfPart]
 	freqs    []int
 	live     int
 	dense    []model.ElemID
@@ -152,7 +152,7 @@ func (ix *PerfIndex) Len() int { return ix.live }
 // construction process of Section 4.1).
 func (ix *PerfIndex) Insert(o model.Object) {
 	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
-		part := ix.levels[level].getOrCreate(j)
+		part := ix.levels[level].GetOrCreate(j)
 		div := &part.o
 		if !original {
 			div = &part.r
@@ -184,7 +184,7 @@ func (ix *PerfIndex) Insert(o model.Object) {
 func (ix *PerfIndex) Delete(o model.Object) {
 	found := false
 	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
-		part := ix.levels[level].get(j)
+		part := ix.levels[level].Get(j)
 		if part == nil {
 			return
 		}
@@ -233,7 +233,7 @@ func (ix *PerfIndex) Query(q model.Query) []model.ObjectID {
 	}
 	var out, scratch []model.ObjectID
 	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *perfPart) {
+		ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 			ob := lv.Oblige(j)
 			scratch, out = p.o.query(q.Interval, plan, probes, ob.CheckStart, ob.CheckEnd, scratch, out)
 			if ob.First {
@@ -250,7 +250,7 @@ func (ix *PerfIndex) queryTemporalOnly(q model.Query) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StagePostings).End()
 	var out []model.ObjectID
 	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *perfPart) {
+		ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 			ob := lv.Oblige(j)
 			out = p.o.allIDs(q.Interval, ob.CheckStart, ob.CheckEnd, out)
 			if ob.First {
@@ -269,8 +269,8 @@ func (ix *PerfIndex) SizeBytes() int64 {
 	var total int64
 	for l := range ix.levels {
 		d := &ix.levels[l]
-		total += int64(cap(d.keys))*4 + int64(cap(d.parts))*8
-		for _, p := range d.parts {
+		total += int64(cap(d.Keys))*4 + int64(cap(d.Parts))*8
+		for _, p := range d.Parts {
 			total += p.o.sizeBytes() + p.r.sizeBytes()
 		}
 	}
@@ -285,7 +285,7 @@ func (ix *PerfIndex) SizeBytes() int64 {
 func (ix *PerfIndex) EntryCount() int64 {
 	var total int64
 	for l := range ix.levels {
-		for _, p := range ix.levels[l].parts {
+		for _, p := range ix.levels[l].Parts {
 			total += p.o.entryCount() + p.r.entryCount()
 		}
 	}
@@ -312,7 +312,7 @@ func (ix *PerfIndex) assertDense(context string, o *model.Object) {
 		return
 	}
 	for l := range ix.levels {
-		for _, p := range ix.levels[l].parts {
+		for _, p := range ix.levels[l].Parts {
 			for _, d := range []*divIF{&p.o, &p.r} {
 				for i, r := range d.runs {
 					for k := r.off; k < r.off+r.n; k++ {

@@ -28,7 +28,7 @@ func TestProbeBitmapsMatchOracle(t *testing.T) {
 	}
 	for _, q := range w.Queries {
 		hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-			ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
+			ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *sizePart) {
 				ob := lv.Oblige(j)
 				count(&p.o, ob.CheckStart || ob.CheckEnd)
 				if ob.First {

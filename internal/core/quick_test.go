@@ -81,7 +81,7 @@ func TestEntryCountRelationship(t *testing.T) {
 		// interval entries and the inverted id counts match perf exactly.
 		var sizeIvals, sizeIDs int64
 		for l := range size.levels {
-			for _, p := range size.levels[l].parts {
+			for _, p := range size.levels[l].Parts {
 				sizeIvals += int64(len(p.o.ivals) + len(p.r.ivals))
 				for i := range p.o.lists {
 					sizeIDs += int64(len(p.o.lists[i]))
@@ -181,7 +181,7 @@ func TestSizeDeletesInComparisonFreeDivisions(t *testing.T) {
 		func(ix *SizeIndex, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int) {
 			plan := dict.PlanOrder(q.Elems, ix.freqs)
 			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-				ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
+				ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *sizePart) {
 					ob := lv.Oblige(j)
 					if !ob.CheckStart && !ob.CheckEnd {
 						freeO += countDead(t, survivors(&p.o, plan), dead, p.o.dead)
@@ -222,7 +222,7 @@ func TestPerfDeletesInComparisonFreeDivisions(t *testing.T) {
 		func(ix *PerfIndex, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int) {
 			plan := dict.PlanOrder(q.Elems, ix.freqs)
 			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-				ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *perfPart) {
+				ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 					ob := lv.Oblige(j)
 					if !ob.CheckStart && !ob.CheckEnd {
 						freeO += countDead(t, survivors(ix, &p.o, plan, dead), dead, p.o.dead)

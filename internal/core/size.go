@@ -40,7 +40,7 @@ type sizePart struct {
 // applies to the interval store.
 type SizeIndex struct {
 	dom    domain.Domain
-	levels []directory[sizePart]
+	levels []hint.Directory[sizePart]
 	freqs  []int
 	live   int
 }
@@ -86,7 +86,7 @@ func (ix *SizeIndex) Len() int { return ix.live }
 func (ix *SizeIndex) Insert(o model.Object) {
 	p := postings.Posting{ID: o.ID, Interval: o.Interval}
 	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
-		part := ix.levels[level].getOrCreate(j)
+		part := ix.levels[level].GetOrCreate(j)
 		div, key := &part.o, byStart
 		if !original {
 			div, key = &part.r, byEnd
@@ -159,7 +159,7 @@ func (d *sizeDiv) list(e model.ElemID) []model.ObjectID {
 func (ix *SizeIndex) Delete(o model.Object) {
 	found := false
 	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
-		part := ix.levels[level].get(j)
+		part := ix.levels[level].Get(j)
 		if part == nil {
 			return
 		}
@@ -225,7 +225,7 @@ func (ix *SizeIndex) Query(q model.Query) []model.ObjectID {
 	bm := survivorPool.Get().(*postings.Bitmap)
 	var out, scratch []model.ObjectID
 	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
+		ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *sizePart) {
 			ob := lv.Oblige(j)
 			scratch, out = p.o.query(q.Interval, plan, false, ob.CheckStart, ob.CheckEnd, bm, scratch, out)
 			if ob.First {
@@ -352,7 +352,7 @@ func (ix *SizeIndex) queryTemporalOnly(q model.Query) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StagePostings).End()
 	var out []model.ObjectID
 	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *sizePart) {
+		ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *sizePart) {
 			ob := lv.Oblige(j)
 			out = filterOriginals(p.o.ivals, ob.CheckStart, ob.CheckEnd, q.Interval, out)
 			if ob.First {
@@ -370,8 +370,8 @@ func (ix *SizeIndex) SizeBytes() int64 {
 	var total int64
 	for l := range ix.levels {
 		d := &ix.levels[l]
-		total += int64(cap(d.keys))*4 + int64(cap(d.parts))*8
-		for _, p := range d.parts {
+		total += int64(cap(d.Keys))*4 + int64(cap(d.Parts))*8
+		for _, p := range d.Parts {
 			total += divSize(&p.o) + divSize(&p.r) + 96
 		}
 	}
@@ -391,7 +391,7 @@ func divSize(d *sizeDiv) int64 {
 func (ix *SizeIndex) EntryCount() int64 {
 	var total int64
 	for l := range ix.levels {
-		for _, p := range ix.levels[l].parts {
+		for _, p := range ix.levels[l].Parts {
 			total += int64(len(p.o.ivals) + len(p.r.ivals))
 			for i := range p.o.lists {
 				total += int64(len(p.o.lists[i]))

@@ -5,7 +5,7 @@
 //
 //	magic "TIRC" | version u8 | dictSize uvarint | count uvarint
 //	per object: start varint (delta from previous start) |
-//	            duration uvarint | nElems uvarint |
+//	            duration uvarint (points, mod 2^64) | nElems uvarint |
 //	            elem deltas uvarint... (sorted elements, gap-encoded)
 //
 // Objects are sorted by start before writing, matching how archive
@@ -95,7 +95,9 @@ func Write(w io.Writer, c *model.Collection) error {
 			return err
 		}
 		prevStart = int64(o.Interval.Start)
-		if err := putUvarint(uint64(o.Interval.Duration())); err != nil {
+		// The length in points, which wraps to 0 for the one interval of
+		// 2^64 points; Read decodes 0 as that interval.
+		if err := putUvarint(uint64(o.Interval.End-o.Interval.Start) + 1); err != nil {
 			return err
 		}
 		if err := putUvarint(uint64(len(o.Elems))); err != nil {
@@ -151,10 +153,13 @@ func Read(r io.Reader) (*model.Collection, error) {
 		if err != nil {
 			return nil, fmt.Errorf("encoding: object %d duration: %w", i, err)
 		}
-		// An object ends at start+dur-1, which must not pass MaxInt64 and
-		// wrap into an inverted interval on corrupt input. The room
-		// above start, MaxInt64−start, fits a uint64 for every start.
-		if dur == 0 || dur-1 > uint64(math.MaxInt64)-uint64(start) {
+		// An object ends at start+last, last = dur−1 in uint64 (so 0, the
+		// wrapped length of [MinInt64, MaxInt64], reads as 2^64−1), which
+		// must not pass MaxInt64 and wrap into an inverted interval on
+		// corrupt input. The room above start, MaxInt64−start, fits a
+		// uint64 for every start.
+		last := dur - 1
+		if last > uint64(math.MaxInt64)-uint64(start) {
 			return nil, fmt.Errorf("encoding: object %d has implausible duration %d at start %d", i, dur, start)
 		}
 		n, err := binary.ReadUvarint(br)
@@ -182,7 +187,7 @@ func Read(r io.Reader) (*model.Collection, error) {
 		}
 		c.Objects = append(c.Objects, model.Object{
 			ID:       model.ObjectID(i),
-			Interval: model.NewInterval(start, start+int64(dur)-1),
+			Interval: model.NewInterval(start, start+int64(last)),
 			Elems:    elems,
 		})
 	}

@@ -206,7 +206,7 @@ func Fan[S any](n int, size func(i int) int, newScratch func() S, job func(s S, 
 func FromRun(dom domain.Domain, run []Assignment, entries []postings.Posting) *Index {
 	ix := New(dom)
 	Cut(dom.M, run, func(level int, keys []uint32, parts []*Partition) {
-		ix.levels[level] = levelStore{keys: keys, parts: parts}
+		ix.levels[level] = Directory[Partition]{Keys: keys, Parts: parts}
 	}, func(p *Partition, replica bool, lo, hi int) {
 		node := run[lo].node()
 		level := bits.Len32(node) - 1
@@ -232,7 +232,7 @@ func FromRun(dom domain.Domain, run []Assignment, entries []postings.Posting) *I
 	})
 	for l := range ix.levels {
 		assertDirectorySorted(&ix.levels[l], "FromRun")
-		for _, p := range ix.levels[l].parts {
+		for _, p := range ix.levels[l].Parts {
 			assertPartitionSorted(p, "FromRun")
 		}
 	}

@@ -37,54 +37,74 @@ func (p *Partition) entryCount() int {
 	return len(p.OIn) + len(p.OAft) + len(p.RIn) + len(p.RAft)
 }
 
-// levelStore is the per-level directory of populated partitions: keys holds
-// partition indices sorted ascending, parts the matching partitions.
-type levelStore struct {
-	keys  []uint32
-	parts []*Partition
+// Directory is the sorted per-level map of populated partitions — HINT's
+// sparsity handling — shared by every index built on the hierarchy:
+// Keys holds partition indices ascending, Parts the matching partitions.
+type Directory[P any] struct {
+	Keys  []uint32
+	Parts []*P
 }
 
-func (ls *levelStore) get(j uint32) *Partition {
-	i := sort.Search(len(ls.keys), func(i int) bool { return ls.keys[i] >= j })
-	if i < len(ls.keys) && ls.keys[i] == j {
-		return ls.parts[i]
+// LowerBound returns the first index of the ascending s whose value is at
+// least x, or len(s). It is the manual binary search behind every
+// directory lookup: a sort.Search closure in its place dominated query
+// cost.
+func LowerBound[T ~uint32](s []T, x T) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Get returns partition j, or nil when it is not populated.
+func (d *Directory[P]) Get(j uint32) *P {
+	i := LowerBound(d.Keys, j)
+	if i < len(d.Keys) && d.Keys[i] == j {
+		return d.Parts[i]
 	}
 	return nil
 }
 
-func (ls *levelStore) getOrCreate(j uint32) *Partition {
-	i := sort.Search(len(ls.keys), func(i int) bool { return ls.keys[i] >= j })
-	if i < len(ls.keys) && ls.keys[i] == j {
-		return ls.parts[i]
+// GetOrCreate returns partition j, inserting an empty one in key order
+// when it is not populated.
+func (d *Directory[P]) GetOrCreate(j uint32) *P {
+	i := LowerBound(d.Keys, j)
+	if i < len(d.Keys) && d.Keys[i] == j {
+		return d.Parts[i]
 	}
-	ls.keys = append(ls.keys, 0)
-	ls.parts = append(ls.parts, nil)
-	copy(ls.keys[i+1:], ls.keys[i:])
-	copy(ls.parts[i+1:], ls.parts[i:])
-	ls.keys[i] = j
-	p := &Partition{}
-	ls.parts[i] = p
+	d.Keys = append(d.Keys, 0)
+	d.Parts = append(d.Parts, nil)
+	copy(d.Keys[i+1:], d.Keys[i:])
+	copy(d.Parts[i+1:], d.Parts[i:])
+	d.Keys[i] = j
+	p := new(P)
+	d.Parts[i] = p
 	return p
 }
 
-// forRange calls fn for every populated partition with index in [f, l].
-func (ls *levelStore) forRange(f, l uint32, fn func(j uint32, p *Partition)) {
-	i := sort.Search(len(ls.keys), func(i int) bool { return ls.keys[i] >= f })
-	for ; i < len(ls.keys) && ls.keys[i] <= l; i++ {
-		fn(ls.keys[i], ls.parts[i])
+// ForRange calls fn for every populated partition with index in [f, l].
+func (d *Directory[P]) ForRange(f, l uint32, fn func(j uint32, p *P)) {
+	for i := LowerBound(d.Keys, f); i < len(d.Keys) && d.Keys[i] <= l; i++ {
+		fn(d.Keys[i], d.Parts[i])
 	}
 }
 
 // Index is a HINT over intervals tagged with object ids.
 type Index struct {
 	dom    domain.Domain
-	levels []levelStore // levels[l] for l in [0, m]
+	levels []Directory[Partition] // levels[l] for l in [0, m]
 	live   int
 }
 
 // New builds an empty HINT over the given discretization domain.
 func New(dom domain.Domain) *Index {
-	return &Index{dom: dom, levels: make([]levelStore, dom.M+1)}
+	return &Index{dom: dom, levels: make([]Directory[Partition], dom.M+1)}
 }
 
 // Domain returns the discretization domain.
@@ -145,7 +165,7 @@ func Assign(dom domain.Domain, iv model.Interval, fn func(level int, j uint32, o
 func (ix *Index) Insert(p postings.Posting) {
 	assertNoTombstoneEntries([]postings.Posting{p}, "Insert")
 	ix.visitAssignments(p.Interval, func(level int, j uint32, original, endsInside bool) {
-		part := ix.levels[level].getOrCreate(j)
+		part := ix.levels[level].GetOrCreate(j)
 		switch {
 		case original && endsInside:
 			part.OIn = insertByStart(part.OIn, p)
@@ -183,7 +203,7 @@ func insertByEnd(s []postings.Posting, p postings.Posting) []postings.Posting {
 func (ix *Index) Delete(p postings.Posting) bool {
 	found := false
 	ix.visitAssignments(p.Interval, func(level int, j uint32, original, endsInside bool) {
-		part := ix.levels[level].get(j)
+		part := ix.levels[level].Get(j)
 		if part == nil {
 			return
 		}
@@ -241,7 +261,7 @@ func killScan(s []postings.Posting, p postings.Posting) bool {
 func (ix *Index) EntryCount() int64 {
 	var total int64
 	for l := range ix.levels {
-		for _, p := range ix.levels[l].parts {
+		for _, p := range ix.levels[l].Parts {
 			total += int64(p.entryCount())
 		}
 	}
@@ -253,8 +273,8 @@ func (ix *Index) EntryCount() int64 {
 func (ix *Index) SizeBytes() int64 {
 	var total int64
 	for l := range ix.levels {
-		total += int64(cap(ix.levels[l].keys))*4 + int64(cap(ix.levels[l].parts))*8
-		for _, p := range ix.levels[l].parts {
+		total += int64(cap(ix.levels[l].Keys))*4 + int64(cap(ix.levels[l].Parts))*8
+		for _, p := range ix.levels[l].Parts {
 			total += int64(cap(p.OIn)+cap(p.OAft)+cap(p.RIn)+cap(p.RAft))*16 + 96
 		}
 	}
@@ -265,7 +285,7 @@ func (ix *Index) SizeBytes() int64 {
 func (ix *Index) PartitionCount() int {
 	n := 0
 	for l := range ix.levels {
-		n += len(ix.levels[l].keys)
+		n += len(ix.levels[l].Keys)
 	}
 	return n
 }

@@ -239,7 +239,7 @@ func TestSubdivisionSortInvariants(t *testing.T) {
 		ix.Insert(postings.Posting{ID: model.ObjectID(1000 + i), Interval: iv(s, e)})
 	}
 	for l := range ix.levels {
-		for _, p := range ix.levels[l].parts {
+		for _, p := range ix.levels[l].Parts {
 			if !sort.SliceIsSorted(p.OIn, func(i, j int) bool {
 				return p.OIn[i].Interval.Start < p.OIn[j].Interval.Start
 			}) {
@@ -259,8 +259,8 @@ func TestSubdivisionSortInvariants(t *testing.T) {
 	}
 	// Directory keys stay sorted too.
 	for l := range ix.levels {
-		if !sort.SliceIsSorted(ix.levels[l].keys, func(i, j int) bool {
-			return ix.levels[l].keys[i] < ix.levels[l].keys[j]
+		if !sort.SliceIsSorted(ix.levels[l].Keys, func(i, j int) bool {
+			return ix.levels[l].Keys[i] < ix.levels[l].Keys[j]
 		}) {
 			t.Fatal("level directory lost key order")
 		}

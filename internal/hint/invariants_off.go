@@ -12,7 +12,7 @@ const InvariantsEnabled = false
 func assertPartitionSorted(*Partition, string) {}
 
 // assertDirectorySorted is a no-op in normal builds; see invariants_on.go.
-func assertDirectorySorted(*levelStore, string) {}
+func assertDirectorySorted(*Directory[Partition], string) {}
 
 // assertNoTombstoneEntries is a no-op in normal builds; see invariants_on.go.
 func assertNoTombstoneEntries([]postings.Posting, string) {}

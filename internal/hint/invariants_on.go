@@ -40,9 +40,9 @@ func assertPartitionSorted(p *Partition, context string) {
 // assertDirectorySorted panics when a level directory's partition keys are
 // not strictly ascending — the precondition of every binary-search lookup
 // and forRange scan. Compiled out of normal builds.
-func assertDirectorySorted(ls *levelStore, context string) {
-	for i := 1; i < len(ls.keys); i++ {
-		if ls.keys[i-1] >= ls.keys[i] {
+func assertDirectorySorted(ls *Directory[Partition], context string) {
+	for i := 1; i < len(ls.Keys); i++ {
+		if ls.Keys[i-1] >= ls.Keys[i] {
 			// lint:panic-ok invariants build: broken directory order must abort loudly
 			panic(fmt.Sprintf("hint: invariant violated: directory keys not strictly ascending at %d in %s", i, context))
 		}

@@ -75,7 +75,7 @@ func Visit(dom domain.Domain, q model.Interval, fn func(LevelVisit)) {
 // traversal order, not id order; each id appears exactly once.
 func (ix *Index) RangeQuery(q model.Interval, dst []model.ObjectID) []model.ObjectID {
 	Visit(ix.dom, q, func(lv LevelVisit) {
-		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *Partition) {
+		ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *Partition) {
 			dst = reportPartition(p, lv.Oblige(j), q, dst)
 		})
 	})
@@ -122,7 +122,7 @@ func reportPartition(p *Partition, ob Obligations, q model.Interval, dst []model
 // subdivisions directly.
 func (ix *Index) VisitRelevant(q model.Interval, fn func(p *Partition, ob Obligations)) {
 	Visit(ix.dom, q, func(lv LevelVisit) {
-		ix.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *Partition) {
+		ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *Partition) {
 			fn(p, lv.Oblige(j))
 		})
 	})

@@ -76,16 +76,16 @@ func TestReplicationBoundQuick(t *testing.T) {
 // Property: the level directory lookup agrees with a linear scan.
 func TestLevelStoreQuick(t *testing.T) {
 	f := func(keys []uint16, probe uint16) bool {
-		var ls levelStore
+		var ls Directory[Partition]
 		for _, k := range keys {
-			p := ls.getOrCreate(uint32(k))
+			p := ls.GetOrCreate(uint32(k))
 			if p == nil {
 				return false
 			}
 		}
 		// Directory stays sorted and deduplicated.
-		for i := 1; i < len(ls.keys); i++ {
-			if ls.keys[i] <= ls.keys[i-1] {
+		for i := 1; i < len(ls.Keys); i++ {
+			if ls.Keys[i] <= ls.Keys[i-1] {
 				return false
 			}
 		}
@@ -95,7 +95,7 @@ func TestLevelStoreQuick(t *testing.T) {
 				want = true
 			}
 		}
-		return (ls.get(uint32(probe)) != nil) == want
+		return (ls.Get(uint32(probe)) != nil) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -60,12 +60,12 @@ func (s *Store) runCompact(ctx context.Context) error {
 	// g0 is folded in during phase 2.
 	var ph phaseTimings
 	t0 := time.Now()
-	survivors, ext, df, reclaimed := copySurvivors(g0, tr)
+	survivors, ext, reclaimed := copySurvivors(g0, tr)
 	ph.copyDur, ph.reclaimed = time.Since(t0), reclaimed
 
 	newColl := &model.Collection{Objects: survivors, DictSize: g0.coll.DictSize}
 	t1 := time.Now()
-	base, err := s.buildBase(ctx, newColl, df, tr)
+	base, err := s.buildBase(ctx, newColl, tr)
 	ph.buildDur = time.Since(t1)
 	if err != nil {
 		return err
@@ -79,15 +79,13 @@ func (s *Store) runCompact(ctx context.Context) error {
 }
 
 // copySurvivors is compaction phase 1a: the off-lock copy of g0's live
-// objects into a fresh dense collection. The same pass counts the
-// survivors' element frequencies (the next base's baseDF) and estimates
-// the bytes reclaimed by dropping the tombstoned objects.
-func copySurvivors(g0 *Generation, tr *obs.Trace) (survivors []model.Object, ext []model.ObjectID, df []int, reclaimed int64) {
+// objects into a fresh dense collection. The same pass estimates the
+// bytes reclaimed by dropping the tombstoned objects.
+func copySurvivors(g0 *Generation, tr *obs.Trace) (survivors []model.Object, ext []model.ObjectID, reclaimed int64) {
 	defer tr.StartStage(obs.StageCompactCopy).End()
 	n0 := len(g0.coll.Objects)
 	survivors = make([]model.Object, 0, n0-g0.dead.Len())
 	ext = make([]model.ObjectID, 0, n0-g0.dead.Len())
-	df = make([]int, g0.coll.DictSize)
 	for i := range g0.coll.Objects {
 		id := model.ObjectID(i)
 		if g0.dead.Has(id) {
@@ -98,11 +96,8 @@ func copySurvivors(g0 *Generation, tr *obs.Trace) (survivors []model.Object, ext
 		o.ID = model.ObjectID(len(survivors))
 		survivors = append(survivors, o)
 		ext = append(ext, g0.ext[i])
-		for _, e := range o.Elems {
-			df[e]++
-		}
 	}
-	return survivors, ext, df, reclaimed
+	return survivors, ext, reclaimed
 }
 
 // buildBase is compaction phase 1b: the off-lock index rebuild. The
@@ -110,7 +105,7 @@ func copySurvivors(g0 *Generation, tr *obs.Trace) (survivors []model.Object, ext
 // re-checked here — after the survivor copy — and the context is handed
 // to the BuildFunc so cooperative builders can stop mid-build too. The
 // new index is sized here, once, still off-lock.
-func (s *Store) buildBase(ctx context.Context, c *model.Collection, df []int, tr *obs.Trace) (*compacted, error) {
+func (s *Store) buildBase(ctx context.Context, c *model.Collection, tr *obs.Trace) (*compacted, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -119,7 +114,7 @@ func (s *Store) buildBase(ctx context.Context, c *model.Collection, df []int, tr
 	if err != nil {
 		return nil, err
 	}
-	return &compacted{base: base, compactLen: len(c.Objects), baseBytes: base.SizeBytes(), baseDF: df}, nil
+	return &compacted{base: base, compactLen: len(c.Objects), baseBytes: base.SizeBytes()}, nil
 }
 
 // swapCompacted is compaction phase 2: under the writer mutex, fold in

@@ -51,17 +51,16 @@ type Generation struct {
 }
 
 // compacted is what a generation knows about its compacted prefix: the
-// main index over coll.Objects[:compactLen] and the two whole-prefix
-// figures computed once when that index is installed (store
-// construction, compaction's off-lock phase). Immutable, and shared —
-// one pointer — by every generation until the next compaction replaces
-// it, which keeps SizeBytes and ranked-search statistics independent of
-// corpus size per call and adds nothing to what an insert copies.
+// main index over coll.Objects[:compactLen] and its size, computed once
+// when that index is installed (store construction, compaction's
+// off-lock phase). Immutable, and shared — one pointer — by every
+// generation until the next compaction replaces it, which keeps
+// SizeBytes independent of corpus size per call and adds nothing to
+// what an insert copies.
 type compacted struct {
 	base       model.Index
 	compactLen int
 	baseBytes  int64 // base.SizeBytes()
-	baseDF     []int // per-element document frequency of the prefix
 }
 
 // next returns a copy of g with the epoch advanced; the store mutates
@@ -85,25 +84,6 @@ func (g *Generation) Coll() *model.Collection { return g.coll }
 // of Coll. It excludes memtable objects and ignores tombstones; use
 // Query for the full filtered view.
 func (g *Generation) Base() model.Index { return g.base }
-
-// DocFreq returns how many stored objects contain element e: the
-// compacted prefix's recorded frequency plus a count over the memtable.
-// With len(Coll().Objects) as the population it is the statistic
-// ranked search weighs e by — always current, and exactly what
-// Coll().ElemFreqs() would report (tombstoned objects count until
-// compaction drops them).
-func (g *Generation) DocFreq(e model.ElemID) int {
-	df := 0
-	if int(e) < len(g.baseDF) {
-		df = g.baseDF[e]
-	}
-	for i := range g.mem.objs {
-		if g.mem.objs[i].HasElem(e) {
-			df++
-		}
-	}
-	return df
-}
 
 // Len returns the number of live (non-tombstoned) objects.
 func (g *Generation) Len() int { return len(g.coll.Objects) - g.dead.Len() }

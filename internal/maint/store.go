@@ -164,7 +164,7 @@ func NewStore(coll *model.Collection, base model.Index, build BuildFunc, ext []m
 	s.publish(&Generation{
 		epoch:     1,
 		coll:      &model.Collection{Objects: coll.Objects[:n:n], DictSize: coll.DictSize},
-		compacted: &compacted{base: base, compactLen: n, baseBytes: base.SizeBytes(), baseDF: coll.ElemFreqs()},
+		compacted: &compacted{base: base, compactLen: n, baseBytes: base.SizeBytes()},
 		ext:       ext[:n:n],
 	})
 	return s

@@ -1,130 +1,48 @@
 // Package rank adds relevance-ranked (top-k) time-travel IR search on top
 // of any containment index — the extension the paper names as future work
 // ("find the most relevant objects overlapping the query time interval",
-// Section 7). Candidate generation reuses a containment index; scoring
-// combines element rarity (IDF, the natural weight under the paper's set
-// semantics where term frequency is always 0/1) with temporal overlap.
+// Section 7). Candidate generation reuses a containment index. Every
+// candidate contains every query element (the paper's set semantics), so
+// the text half carries no signal between candidates: the score is the
+// fraction of the query interval the object's lifespan covers. It reads
+// no corpus-wide statistic, so a ranked answer does not move when
+// unrelated objects are added or removed.
 package rank
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"repro/internal/model"
 )
 
-// Scorer computes relevance scores for candidate objects from whole-
-// collection statistics. The engines do not keep one: they build a
-// QueryScorer per ranked query from always-current statistics
-// (NewQueryScorer). Scorer is the reference the oracles score with.
-type Scorer struct {
-	idf            []float64
-	n              int
-	temporalWeight float64
-}
+// Scorer is an empty placeholder: scores read no corpus statistics, so
+// there is nothing to precompute.
+//
+// Deprecated: kept only because benchmark/inputs.go names it; it goes
+// with ROADMAP item 8(ii).
+type Scorer struct{}
 
-// ScorerConfig tunes the scoring function.
-type ScorerConfig struct {
-	// TemporalWeight in (0, 1] balances the temporal-overlap component
-	// against the IDF component. Zero (or out-of-range) selects the
-	// default 0.3; set DisableTemporal for a pure-IDF scorer instead.
-	TemporalWeight float64
-	// DisableTemporal scores by IDF only.
-	DisableTemporal bool
-}
+// ScorerConfig has no settings left.
+//
+// Deprecated: kept only because benchmark/inputs.go names it; it goes
+// with ROADMAP item 8(ii).
+type ScorerConfig struct{}
 
-// weight resolves the effective temporal weight.
-func (cfg ScorerConfig) weight() float64 {
-	if cfg.DisableTemporal {
-		return 0
-	}
-	if cfg.TemporalWeight <= 0 || cfg.TemporalWeight > 1 {
-		return 0.3
-	}
-	return cfg.TemporalWeight
-}
+// NewScorer returns the empty Scorer.
+//
+// Deprecated: kept only because benchmark/inputs.go calls it; it goes
+// with ROADMAP item 8(ii).
+func NewScorer(*model.Collection, ScorerConfig) *Scorer { return &Scorer{} }
 
-// idf is the weight of an element contained in df of n objects:
-// ln(1 + n/df), and zero for an element no object contains.
-func idf(n, df int) float64 {
-	if df <= 0 {
-		return 0
-	}
-	return math.Log1p(float64(n) / float64(df))
-}
-
-// NewScorer precomputes IDF weights from the collection's element
-// frequencies.
-func NewScorer(c *model.Collection, cfg ScorerConfig) *Scorer {
-	freqs := c.ElemFreqs()
-	s := &Scorer{idf: make([]float64, len(freqs)), n: c.Len(), temporalWeight: cfg.weight()}
-	for e, f := range freqs {
-		s.idf[e] = idf(s.n, f)
-	}
-	return s
-}
-
-// IDF returns the precomputed weight of an element.
-func (s *Scorer) IDF(e model.ElemID) float64 {
-	if int(e) >= len(s.idf) {
-		return 0
-	}
-	return s.idf[e]
-}
-
-// ForQuery specializes the scorer to one query.
-func (s *Scorer) ForQuery(q *model.Query) QueryScorer {
-	return newQueryScorer(q.Elems, s.n, s.IDF, s.temporalWeight)
-}
-
-// Score rates one object against a query; see QueryScorer.Score.
-func (s *Scorer) Score(o *model.Object, q *model.Query) float64 {
-	return s.ForQuery(q).Score(o, q)
-}
-
-// QueryScorer scores the candidates of one query. The scoring model:
-// the IDF component sums the weights of the query elements (all
-// contained, by the containment semantics); the temporal component is
-// the fraction of the query interval the object's lifespan covers. Both
-// are normalized to [0, 1] before mixing so scores are comparable across
-// queries. The IDF component is the same for every candidate, so it is
-// computed once, here, and only the overlap is left per candidate.
-type QueryScorer struct {
-	idfPart        float64 // (1 - temporalWeight) * normalized IDF component
-	temporalWeight float64
-}
-
-// NewQueryScorer builds the scorer of a query over elems from current
-// corpus statistics: n objects, df(e) of them containing e. It scores
-// bit-identically to NewScorer over that corpus.
-func NewQueryScorer(elems []model.ElemID, n int, df func(model.ElemID) int, cfg ScorerConfig) QueryScorer {
-	return newQueryScorer(elems, n, func(e model.ElemID) float64 { return idf(n, df(e)) }, cfg.weight())
-}
-
-func newQueryScorer(elems []model.ElemID, n int, idfOf func(model.ElemID) float64, temporalWeight float64) QueryScorer {
-	var idfSum float64
-	for _, e := range elems {
-		idfSum += idfOf(e)
-	}
-	idfComponent := 0.0
-	if idfMax := math.Log1p(float64(n)); len(elems) > 0 && idfMax > 0 {
-		idfComponent = idfSum / (idfMax * float64(len(elems)))
-	}
-	return QueryScorer{idfPart: (1 - temporalWeight) * idfComponent, temporalWeight: temporalWeight}
-}
-
-// Score rates one candidate. It runs once per candidate per ranked
-// query, so it must stay allocation-free.
-func (w QueryScorer) Score(o *model.Object, q *model.Query) float64 {
+// score is the fraction of the query interval the object's lifespan
+// covers, in (0, 1] for every candidate.
+func score(o *model.Object, q *model.Query) float64 {
 	overlap, ok := o.Interval.Intersect(q.Interval)
-	temporal := 0.0
-	if ok {
-		temporal = points(overlap) / points(q.Interval)
+	if !ok {
+		return 0
 	}
-	// The conversion rounds the product, so no platform fuses the
-	// multiply-add and score bits are the same everywhere.
-	return w.idfPart + float64(w.temporalWeight*temporal)
+	return points(overlap) / points(q.Interval)
 }
 
 // points is iv's length in time points. Unlike Interval.Duration it
@@ -184,16 +102,13 @@ func (h resultHeap) siftDown(i int) {
 
 // TopK returns the k highest-scoring objects matching q, ordered by
 // descending score (ascending id on ties). Candidates come from the
-// containment index; the collection supplies the object records.
-func TopK(ix model.Querier, c *model.Collection, s *Scorer, q model.Query, k int) []Result {
-	return TopKQuery(ix, c, s.ForQuery(&q), q, k)
-}
-
-// TopKQuery is TopK with the query's scorer already built. The
-// candidate loop only computes a temporal overlap and touches the
-// pre-sized heap — replace-root when a candidate beats the current
-// worst — so ranking allocates nothing per candidate.
-func TopKQuery(ix model.Querier, c *model.Collection, w QueryScorer, q model.Query, k int) []Result {
+// containment index; the collection supplies the object records. The
+// *Scorer is unused and may be nil: the parameter stays only while
+// benchmark/inputs.go passes one (ROADMAP item 8(ii)). The candidate loop only
+// computes a temporal overlap and touches the pre-sized heap —
+// replace-root when a candidate beats the current worst — so ranking
+// allocates nothing per candidate.
+func TopK(ix model.Querier, c *model.Collection, _ *Scorer, q model.Query, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
@@ -202,8 +117,7 @@ func TopKQuery(ix model.Querier, c *model.Collection, w QueryScorer, q model.Que
 	cands := ix.Query(q)
 	h := make(resultHeap, 0, min(k, len(cands)))
 	for _, id := range cands {
-		o := &c.Objects[id]
-		r := Result{ID: id, Score: w.Score(o, &q)}
+		r := Result{ID: id, Score: score(&c.Objects[id], &q)}
 		if len(h) < k {
 			h = append(h, r)
 			h.siftUp(len(h) - 1)

@@ -79,7 +79,7 @@ func (b *bulk) idHints(dom domain.Domain) []*idHint {
 		h := newIDHint(dom)
 		run, entries := b.run[lo:hi], b.entries[lo:hi:hi]
 		hint.Cut(dom.M, run, func(level int, keys []uint32, parts []*idPart) {
-			h.levels[level] = idLevel{keys: keys, parts: parts}
+			h.levels[level] = hint.Directory[idPart]{Keys: keys, Parts: parts}
 		}, func(p *idPart, replica bool, lo, hi int) {
 			if replica {
 				p.r = entries[lo:hi:hi]

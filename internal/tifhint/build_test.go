@@ -118,8 +118,8 @@ func eachDivision(hints []*idHint, fn func(name string, div []postings.Posting))
 			continue
 		}
 		for l := range h.levels {
-			for i, p := range h.levels[l].parts {
-				name := fmt.Sprintf("element %d level %d partition %d", e, l, h.levels[l].keys[i])
+			for i, p := range h.levels[l].Parts {
+				name := fmt.Sprintf("element %d level %d partition %d", e, l, h.levels[l].Keys[i])
 				fn(name+" originals", p.o)
 				fn(name+" replicas", p.r)
 			}
@@ -146,14 +146,14 @@ func equalIDHints(t *testing.T, name string, got, want []*idHint) {
 			t.Fatalf("%s element %d: live %d, want %d", name, e, g.live, w.live)
 		}
 		for l := range w.levels {
-			if !slices.Equal(g.levels[l].keys, w.levels[l].keys) {
-				t.Fatalf("%s element %d level %d: directory %v, want %v", name, e, l, g.levels[l].keys, w.levels[l].keys)
+			if !slices.Equal(g.levels[l].Keys, w.levels[l].Keys) {
+				t.Fatalf("%s element %d level %d: directory %v, want %v", name, e, l, g.levels[l].Keys, w.levels[l].Keys)
 			}
-			for i, wp := range w.levels[l].parts {
-				gp := g.levels[l].parts[i]
+			for i, wp := range w.levels[l].Parts {
+				gp := g.levels[l].Parts[i]
 				if !slices.Equal(gp.o, wp.o) || !slices.Equal(gp.r, wp.r) {
 					t.Fatalf("%s element %d level %d partition %d: divisions %v/%v, want %v/%v",
-						name, e, l, w.levels[l].keys[i], gp.o, gp.r, wp.o, wp.r)
+						name, e, l, w.levels[l].Keys[i], gp.o, gp.r, wp.o, wp.r)
 				}
 			}
 		}
@@ -441,9 +441,9 @@ func TestBulkBuildIsTight(t *testing.T) {
 			}
 			for l := range h.levels {
 				d := &h.levels[l]
-				tight(fmt.Sprintf("%s element %d level %d directory", name, e, l), len(d.keys), cap(d.keys))
-				tight(fmt.Sprintf("%s element %d level %d directory", name, e, l), len(d.parts), cap(d.parts))
-				bytes += int64(len(d.parts)) * (4 + 8 + 48)
+				tight(fmt.Sprintf("%s element %d level %d directory", name, e, l), len(d.Keys), cap(d.Keys))
+				tight(fmt.Sprintf("%s element %d level %d directory", name, e, l), len(d.Parts), cap(d.Parts))
+				bytes += int64(len(d.Parts)) * (4 + 8 + 48)
 			}
 		}
 		eachDivision(hints, func(div string, s []postings.Posting) {

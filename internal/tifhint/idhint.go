@@ -16,13 +16,8 @@ import (
 // — the trade the merge-sort variant and the hybrid are built on.
 type idHint struct {
 	dom    domain.Domain
-	levels []idLevel
+	levels []hint.Directory[idPart]
 	live   int
-}
-
-type idLevel struct {
-	keys  []uint32
-	parts []*idPart
 }
 
 // idPart holds the originals (o) and replicas (r) divisions, id-sorted.
@@ -32,37 +27,7 @@ type idPart struct {
 }
 
 func newIDHint(dom domain.Domain) *idHint {
-	return &idHint{dom: dom, levels: make([]idLevel, dom.M+1)}
-}
-
-func (lv *idLevel) get(j uint32) *idPart {
-	i := sort.Search(len(lv.keys), func(i int) bool { return lv.keys[i] >= j })
-	if i < len(lv.keys) && lv.keys[i] == j {
-		return lv.parts[i]
-	}
-	return nil
-}
-
-func (lv *idLevel) getOrCreate(j uint32) *idPart {
-	i := sort.Search(len(lv.keys), func(i int) bool { return lv.keys[i] >= j })
-	if i < len(lv.keys) && lv.keys[i] == j {
-		return lv.parts[i]
-	}
-	lv.keys = append(lv.keys, 0)
-	lv.parts = append(lv.parts, nil)
-	copy(lv.keys[i+1:], lv.keys[i:])
-	copy(lv.parts[i+1:], lv.parts[i:])
-	lv.keys[i] = j
-	p := &idPart{}
-	lv.parts[i] = p
-	return p
-}
-
-func (lv *idLevel) forRange(f, l uint32, fn func(j uint32, p *idPart)) {
-	i := sort.Search(len(lv.keys), func(i int) bool { return lv.keys[i] >= f })
-	for ; i < len(lv.keys) && lv.keys[i] <= l; i++ {
-		fn(lv.keys[i], lv.parts[i])
-	}
+	return &idHint{dom: dom, levels: make([]hint.Directory[idPart], dom.M+1)}
 }
 
 // insert routes the entry through the HINT assignment, keeping divisions
@@ -70,7 +35,7 @@ func (lv *idLevel) forRange(f, l uint32, fn func(j uint32, p *idPart)) {
 // ids fall back to a positioned insert).
 func (h *idHint) insert(p postings.Posting) {
 	hint.Assign(h.dom, p.Interval, func(level int, j uint32, original, _ bool) {
-		part := h.levels[level].getOrCreate(j)
+		part := h.levels[level].GetOrCreate(j)
 		if original {
 			part.o = insertByID(part.o, p)
 		} else {
@@ -97,7 +62,7 @@ func insertByID(s []postings.Posting, p postings.Posting) []postings.Posting {
 func (h *idHint) delete(p postings.Posting) bool {
 	found := false
 	hint.Assign(h.dom, p.Interval, func(level int, j uint32, original, _ bool) {
-		part := h.levels[level].get(j)
+		part := h.levels[level].Get(j)
 		if part == nil {
 			return
 		}
@@ -123,7 +88,7 @@ func (h *idHint) delete(p postings.Posting) bool {
 // range queries for mergeable intersections).
 func (h *idHint) rangeQuery(q model.Interval, dst []model.ObjectID) []model.ObjectID {
 	hint.Visit(h.dom, q, func(lv hint.LevelVisit) {
-		h.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *idPart) {
+		h.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *idPart) {
 			ob := lv.Oblige(j)
 			dst = scanDivision(p.o, ob.CheckStart, ob.CheckEnd, q, dst)
 			if ob.First {
@@ -162,7 +127,7 @@ func (h *idHint) intersect(q model.Interval, cands []model.ObjectID, keep []bool
 		keep[i] = false
 	}
 	hint.Visit(h.dom, q, func(lv hint.LevelVisit) {
-		h.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *idPart) {
+		h.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *idPart) {
 			markMatches(p.o, cands, keep)
 			if j == lv.F {
 				markMatches(p.r, cands, keep)
@@ -247,7 +212,7 @@ func markMatches(div []postings.Posting, cands []model.ObjectID, keep []bool) {
 func (h *idHint) intersectBitmap(q model.Interval, cands []model.ObjectID, bm *postings.Bitmap) []model.ObjectID {
 	bm.Reset(cands[len(cands)-1] + 1)
 	hint.Visit(h.dom, q, func(lv hint.LevelVisit) {
-		h.levels[lv.Level].forRange(lv.F, lv.L, func(j uint32, p *idPart) {
+		h.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *idPart) {
 			markDivisionBitmap(p.o, bm)
 			if j == lv.F {
 				markDivisionBitmap(p.r, bm)
@@ -270,7 +235,7 @@ func markDivisionBitmap(div []postings.Posting, bm *postings.Bitmap) {
 func (h *idHint) entryCount() int64 {
 	var n int64
 	for l := range h.levels {
-		for _, p := range h.levels[l].parts {
+		for _, p := range h.levels[l].Parts {
 			n += int64(len(p.o) + len(p.r))
 		}
 	}
@@ -281,8 +246,8 @@ func (h *idHint) entryCount() int64 {
 func (h *idHint) sizeBytes() int64 {
 	var total int64
 	for l := range h.levels {
-		total += int64(cap(h.levels[l].keys))*4 + int64(cap(h.levels[l].parts))*8
-		for _, p := range h.levels[l].parts {
+		total += int64(cap(h.levels[l].Keys))*4 + int64(cap(h.levels[l].Parts))*8
+		for _, p := range h.levels[l].Parts {
 			total += int64(cap(p.o)+cap(p.r))*16 + 48
 		}
 	}

@@ -258,16 +258,19 @@ func TestSaveLoadEmptyEngine(t *testing.T) {
 }
 
 // TestSaveLoadWideLifespans: a snapshot holding objects at both ends of
-// the int64 range, and one whose lifespan is 2^50 points, loads back
-// with the same answers at one store and at four. The decoder used to
-// refuse starts beyond ±2^62 and lifespans beyond 2^42 points as
-// corrupt, so Save wrote snapshots of such corpora that no Load read.
+// the int64 range, one whose lifespan is 2^50 points, and one that spans
+// all 2^64 points loads back with the same answers at one store and at
+// four. The decoder used to refuse starts beyond ±2^62 and lifespans
+// beyond 2^42 points as corrupt, and the 2^64-point lifespan wrapped to
+// a length of 0 that it refused too, so Save wrote snapshots of such
+// corpora that no Load read.
 func TestSaveLoadWideLifespans(t *testing.T) {
 	b := NewBuilder()
 	b.Add(math.MinInt64, math.MinInt64, "a")
 	b.Add(math.MaxInt64, math.MaxInt64, "a")
 	b.Add(0, 1<<50, "a", "b")
 	b.Add(math.MaxInt64-10, math.MaxInt64, "b")
+	b.Add(math.MinInt64, math.MaxInt64, "c")
 	for _, shards := range []int{1, 4} {
 		so := ShardedOptions{Shards: shards}
 		e, err := b.BuildSharded(IRHintPerf, Options{}, so)
@@ -282,13 +285,20 @@ func TestSaveLoadWideLifespans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d stores: load: %v", shards, err)
 		}
-		for _, terms := range [][]string{{"a"}, {"b"}, {"a", "b"}} {
+		for _, terms := range [][]string{{"a"}, {"b"}, {"a", "b"}, {"c"}} {
 			for _, iv := range []Interval{{Start: math.MinInt64, End: math.MaxInt64}, {Start: 1 << 49, End: 1 << 49}, {Start: math.MaxInt64, End: math.MaxInt64}} {
 				want, got := e.Search(iv.Start, iv.End, terms...), loaded.Search(iv.Start, iv.End, terms...)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%d stores %v %v: loaded %v, saved %v", shards, iv, terms, got, want)
 				}
 			}
+		}
+		ids := loaded.Search(0, 0, "c")
+		if len(ids) != 1 {
+			t.Fatalf("%d stores: the full-range object loads as %v", shards, ids)
+		}
+		if iv, _, err := loaded.Object(ids[0]); err != nil || iv != (Interval{Start: math.MinInt64, End: math.MaxInt64}) {
+			t.Fatalf("%d stores: the full-range object loads as %v (%v)", shards, iv, err)
 		}
 	}
 }

@@ -13,14 +13,12 @@ import (
 
 	"repro/internal/maint"
 	"repro/internal/model"
-	"repro/internal/rank"
 )
 
-// Ranked search reads always-current statistics: there is no scorer to
-// refresh, so after ANY interleaving of inserts, deletes and compactions
-// a top-k answer must equal — ids and score bits — what a scorer built
-// from scratch over the stored collection gives. The tests below never
-// call RefreshScorer.
+// Ranked search scores by temporal overlap alone: after ANY interleaving
+// of inserts, deletes and compactions a top-k answer must equal — ids
+// and score bits — what a scan of the live objects gives, and an answer
+// must not move when objects it does not match come and go.
 
 // rankedTarget is the engine under test, with enough of its inside
 // exposed to build the oracle: the generations a query would run
@@ -32,49 +30,38 @@ func (tg rankedTarget) lookup(terms []string) ([]ElemID, bool) {
 	return tg.resolveTermsTraced(nil, terms)
 }
 
-// hitList is a containment "index" over precomputed candidates.
-type hitList []ObjectID
-
-func (h hitList) Query(Query) []ObjectID { return h }
-
 // oracleTopK answers a ranked query from first principles over the
-// given generations (one per store). The corpus rank.NewScorer weighs is
-// every stored object of every generation — tombstoned ones included,
-// until a compaction drops them — in global id order, so ties break as
-// the engines break them; the candidates are the live objects a linear
-// scan matches.
+// given generations (one per store): the live objects a linear scan
+// matches, scored by OverlapScore and ordered (score desc, id asc).
 func oracleTopK(gens []*maint.Generation, elems []ElemID, start, end Timestamp, k int) []ScoredResult {
-	type stored struct {
-		ext  ObjectID
-		obj  Object
-		live bool
-	}
-	var all []stored
-	corpus := &Collection{}
+	q := Query{Interval: NewInterval(start, end), Elems: model.NormalizeElems(append([]ElemID(nil), elems...))}
+	out := []ScoredResult{}
 	for _, g := range gens {
 		c := g.Coll()
-		corpus.DictSize = max(corpus.DictSize, c.DictSize)
 		for i := range c.Objects {
-			all = append(all, stored{g.ExternalID(ObjectID(i)), c.Objects[i], !g.Tombstoned(ObjectID(i))})
+			if o := &c.Objects[i]; !g.Tombstoned(ObjectID(i)) && q.Matches(o) {
+				out = append(out, ScoredResult{ID: g.ExternalID(ObjectID(i)), Score: OverlapScore(o.Interval, q.Interval)})
+			}
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ext < all[j].ext })
-	q := Query{Interval: NewInterval(start, end), Elems: model.NormalizeElems(append([]ElemID(nil), elems...))}
-	var hits hitList
-	for i := range all {
-		o := all[i].obj
-		o.ID = ObjectID(i)
-		corpus.Objects = append(corpus.Objects, o)
-		if all[i].live && q.Matches(&o) {
-			hits = append(hits, o.ID)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out[:min(k, len(out))]
+}
+
+// memtableHas reports whether an object of g's memtable contains e.
+func memtableHas(g *maint.Generation, e ElemID) bool {
+	objs := g.Coll().Objects
+	for i := len(objs) - g.MemLen(); i < len(objs); i++ {
+		if objs[i].HasElem(e) {
+			return true
 		}
 	}
-	res := rank.TopK(hits, corpus, rank.NewScorer(corpus, rank.ScorerConfig{}), q, k)
-	out := make([]ScoredResult, len(res))
-	for i, r := range res {
-		out[i] = ScoredResult{ID: all[r.ID].ext, Score: r.Score}
-	}
-	return out
+	return false
 }
 
 // sameScored compares ids and score bits.
@@ -99,15 +86,14 @@ type rankedQuery struct {
 // Time layout of the tests: four range shards of 1000 time units. The
 // seed corpus starts only in [0, 2000) and the tests insert only below
 // 3000, so shard 2 begins empty and fills up, shard 3 stays empty, and
-// the narrow probes prune every shard but one — whose siblings' objects
-// still count in the statistics.
+// the narrow probes prune every shard but one.
 var rankedProbes = []rankedQuery{
 	{0, 3999, []string{"hot"}},
 	{0, 3999, []string{"hot", "t1"}},
 	{100, 400, []string{"hot"}},
 	{1200, 1300, []string{"t2"}},
 	{2100, 2900, []string{"hot", "t3"}},
-	{0, 3999, []string{"late0"}}, // interned after construction: an id the base statistics never saw
+	{0, 3999, []string{"late0"}}, // interned after construction: an id the base index never saw
 	{500, 2500, []string{"late1", "hot"}},
 }
 
@@ -169,7 +155,7 @@ func TestRankedAlwaysCurrent(t *testing.T) {
 			}
 			checkRankedProbes(t, "seed corpus", tg)
 			// late0 is interned by an insert, so until the first compaction
-			// after that its id lies past the end of the base statistics.
+			// after that only memtables hold it.
 			sawTombstone, sawLateInMemtable := false, false
 			for step := 0; step < 400; step++ {
 				var what string
@@ -194,7 +180,7 @@ func TestRankedAlwaysCurrent(t *testing.T) {
 				}
 				for _, g := range tg.gens() {
 					sawTombstone = sawTombstone || g.TombstoneCount() > 0
-					if late, ok := tg.lookup([]string{"late0"}); ok && g.MemLen() > 0 && g.DocFreq(late[0]) > 0 {
+					if late, ok := tg.lookup([]string{"late0"}); ok && memtableHas(g, late[0]) {
 						sawLateInMemtable = true
 					}
 				}
@@ -220,11 +206,9 @@ func TestRankedAlwaysCurrent(t *testing.T) {
 // while one writer inserts, deletes and compacts in the foreground. The
 // writer is the only mutator, so it can record every generation every
 // store ever published; each answer must then equal the oracle's for
-// some generation (per store) that was current during the call. For the
-// sharded engine this also proves statistics and candidates come from
-// the same per-shard snapshots: every insert carries the probed term, so
-// every generation changes the weights, and a score computed from one
-// snapshot over candidates drawn from another matches no combination.
+// some generation (per store) that was current during the call. Every
+// insert carries the probed term, so generations differ in candidates,
+// and an answer read from a stale or a mixed view matches no window.
 func TestRankedSnapshotConsistencyUnderCompaction(t *testing.T) {
 	for name, tg := range newRankedTargets(t, rand.New(rand.NewSource(1703))) {
 		tg := tg
@@ -347,6 +331,73 @@ func TestRankedSnapshotConsistencyUnderCompaction(t *testing.T) {
 			if checked == 0 {
 				t.Fatal("no ranked query completed beside the writer")
 			}
+		})
+	}
+}
+
+// TestRankedAnswersReproducible pins what overlap-only scoring buys: a
+// ranked answer read earlier is read again, ids and score bits, after
+// the corpus grows by objects the query does not match — ones that share
+// none of its terms inside its interval, and ones that carry its terms
+// outside it — both while they sit in the memtable and once compaction
+// has folded them (and dropped a deleted unrelated object) into the base.
+func TestRankedAnswersReproducible(t *testing.T) {
+	probes := []rankedQuery{
+		{200, 700, []string{"hot"}},
+		{0, 999, []string{"hot", "t1"}},
+		{450, 460, []string{"t2"}},
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1705))
+			b := NewBuilder()
+			for i := 0; i < 80; i++ {
+				start := Timestamp(rng.Intn(900))
+				b.Add(start, start+Timestamp(rng.Intn(300)), randomRankedTerms(rng, false)...)
+			}
+			e, err := b.BuildSharded(IRHintPerf, Options{}, ShardedOptions{Shards: shards, Bounds: NewInterval(0, 3999)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ask := func() [][]ScoredResult {
+				out := make([][]ScoredResult, len(probes))
+				for i, p := range probes {
+					if out[i], err = e.SearchTopKCtx(context.Background(), p.start, p.end, 5, p.terms...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return out
+			}
+			before := ask()
+			for i, r := range before {
+				if len(r) == 0 {
+					t.Fatalf("probe %d matches nothing", i)
+				}
+			}
+			check := func(when string) {
+				t.Helper()
+				for i, got := range ask() {
+					if !sameScored(got, before[i]) {
+						t.Fatalf("%s: top-5 of %v in [%d, %d] moved:\n now    %v\n before %v",
+							when, probes[i].terms, probes[i].start, probes[i].end, got, before[i])
+					}
+				}
+			}
+			var unrelated []ObjectID
+			for i := 0; i < 40; i++ {
+				start := Timestamp(rng.Intn(900))
+				unrelated = append(unrelated, e.Insert(start, start+Timestamp(rng.Intn(300)), "cold", fmt.Sprintf("u%d", i%3)))
+				start = 2000 + Timestamp(rng.Intn(1500))
+				e.Insert(start, start+Timestamp(rng.Intn(300)), "hot", "t1", "t2")
+			}
+			check("unrelated objects in the memtable")
+			if err := e.Delete(unrelated[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Compact(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			check("after compaction")
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"repro/internal/aggregate"
 	"repro/internal/bruteforce"
 	"repro/internal/model"
-	"repro/internal/rank"
 	"repro/internal/testutil"
 )
 
@@ -108,31 +108,16 @@ func assertShardParity(t *testing.T, label string, oracle *temporalir.Engine, sh
 
 // scanOracle answers the store-count differential from first
 // principles, on no code path the engine uses to answer: a bruteforce
-// scan over the live objects for containment and timelines, and
-// rank.NewScorer over the stored corpus — tombstoned objects included
-// until a compaction drops them — for top-k. Ids are the collection's
-// dense ids, which EngineFromCollection keeps as external ids.
+// scan over the live objects for containment, timelines and top-k, the
+// last scored by OverlapScore. Ids are the collection's dense ids, which
+// EngineFromCollection keeps as external ids.
 type scanOracle struct {
-	coll    *model.Collection
-	live    *bruteforce.Index
-	dead    map[model.ObjectID]bool // deleted, still weighed by top-k
-	dropped map[model.ObjectID]bool // deleted and compacted away
+	coll *model.Collection
+	live *bruteforce.Index
 }
 
 func newScanOracle(c *model.Collection) *scanOracle {
-	return &scanOracle{coll: c, live: bruteforce.New(c), dead: map[model.ObjectID]bool{}, dropped: map[model.ObjectID]bool{}}
-}
-
-func (o *scanOracle) delete(id model.ObjectID) {
-	o.live.Delete(id)
-	o.dead[id] = true
-}
-
-// compact drops every deleted object from the ranked corpus.
-func (o *scanOracle) compact() {
-	for id := range o.dead { // lint:map-order-ok set copy
-		o.dropped[id] = true
-	}
+	return &scanOracle{coll: c, live: bruteforce.New(c)}
 }
 
 // known reports whether every query element has a dictionary term; an
@@ -146,37 +131,21 @@ func (o *scanOracle) known(q model.Query) bool {
 	return true
 }
 
-// hitIDs is a containment "index" over precomputed candidates.
-type hitIDs []model.ObjectID
-
-func (h hitIDs) Query(model.Query) []model.ObjectID { return h }
-
 func (o *scanOracle) topK(q model.Query, k int) []temporalir.ScoredResult {
 	if !o.known(q) {
 		return nil
 	}
-	q.Elems = model.NormalizeElems(append([]model.ElemID(nil), q.Elems...))
-	corpus := &model.Collection{DictSize: o.coll.DictSize}
-	var ext []model.ObjectID
-	var hits hitIDs
-	for _, obj := range o.coll.Objects {
-		id := obj.ID
-		if o.dropped[id] {
-			continue
-		}
-		obj.ID = model.ObjectID(len(corpus.Objects))
-		corpus.Objects = append(corpus.Objects, obj)
-		ext = append(ext, id)
-		if !o.dead[id] && q.Matches(&obj) {
-			hits = append(hits, obj.ID)
-		}
+	out := []temporalir.ScoredResult{}
+	for _, id := range o.live.Query(q) {
+		out = append(out, temporalir.ScoredResult{ID: id, Score: temporalir.OverlapScore(o.coll.Objects[id].Interval, q.Interval)})
 	}
-	res := rank.TopK(hits, corpus, rank.NewScorer(corpus, rank.ScorerConfig{}), q, k)
-	out := make([]temporalir.ScoredResult, len(res))
-	for i, r := range res {
-		out[i] = temporalir.ScoredResult{ID: ext[r.ID], Score: r.Score}
-	}
-	return out
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out[:min(k, len(out))]
 }
 
 func (o *scanOracle) timeline(q model.Query, buckets int) []temporalir.TimelineBucket {
@@ -282,7 +251,7 @@ func testApiStoreLayout(t *testing.T, c *model.Collection, m temporalir.Method, 
 			if id%mod != 1 {
 				continue
 			}
-			o.delete(temporalir.ObjectID(id))
+			o.live.Delete(temporalir.ObjectID(id))
 			if err := e.Delete(temporalir.ObjectID(id)); err != nil {
 				t.Fatalf("delete %d: %v", id, err)
 			}
@@ -296,7 +265,6 @@ func testApiStoreLayout(t *testing.T, c *model.Collection, m temporalir.Method, 
 	if _, err := e.Compact(context.Background()); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	o.compact()
 	// With tombstones present every store has work, so the parallel
 	// fan-out must have compacted all of them; without deletions each
 	// store legitimately no-ops.
