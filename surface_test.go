@@ -24,11 +24,12 @@ var updateSurface = flag.Bool("update-surface", false, "rewrite testdata/surface
 const surfaceFile = "testdata/surface.txt"
 
 // TestSurface compares the tree's exported surface with the ledger. It
-// covers the root package's exported declarations, *Engine methods and
-// the exported fields of its structs; server.Engine's methods and
-// server.Options' fields; every cmd/* flag; the server's routes; and
-// every "tir_*" metric literal. Run with -update-surface to rewrite the
-// ledger after an intended change.
+// covers, for the root package and every internal/* package, the
+// exported declarations, the exported methods of exported types
+// (interface methods included) and the exported fields of exported
+// structs; every cmd/* flag; the server's routes; and every "tir_*"
+// metric literal. Run with -update-surface to rewrite the ledger after
+// an intended change.
 func TestSurface(t *testing.T) {
 	got := strings.Join(surface(t), "\n") + "\n"
 	if *updateSurface {
@@ -79,10 +80,25 @@ func surface(t *testing.T) []string {
 	add := func(format string, args ...any) { set[fmt.Sprintf(format, args...)] = true }
 
 	for _, f := range parseDir(t, ".") {
-		rootDecls(f, add)
+		decls(f, "temporalir", add)
+	}
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		for _, f := range parseDir(t, path) {
+			decls(f, filepath.ToSlash(path), add)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, f := range parseDir(t, "internal/server") {
-		serverDecls(f, add)
+		routes(f, add)
 	}
 	cmds, err := filepath.Glob("cmd/*")
 	if err != nil {
@@ -125,9 +141,10 @@ func parseDir(t *testing.T, dir string) []*ast.File {
 	return files
 }
 
-// rootDecls adds the root package's exported top-level declarations,
-// its *Engine methods and the exported fields of its struct types.
-func rootDecls(f *ast.File, add func(string, ...any)) {
+// decls adds one package's exported top-level declarations, the
+// exported methods of its exported types (an interface's included) and
+// the exported fields of its exported structs.
+func decls(f *ast.File, pkg string, add func(string, ...any)) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
@@ -135,9 +152,9 @@ func rootDecls(f *ast.File, add func(string, ...any)) {
 				continue
 			}
 			if d.Recv == nil {
-				add("temporalir func %s", d.Name.Name)
-			} else if recv := recvName(d.Recv.List[0].Type); recv == "*Engine" {
-				add("temporalir method (%s) %s", recv, d.Name.Name)
+				add("%s func %s", pkg, d.Name.Name)
+			} else if recv := recvName(d.Recv.List[0].Type); ast.IsExported(strings.TrimPrefix(recv, "*")) {
+				add("%s method (%s) %s", pkg, recv, d.Name.Name)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
@@ -146,12 +163,13 @@ func rootDecls(f *ast.File, add func(string, ...any)) {
 					if !s.Name.IsExported() {
 						continue
 					}
-					add("temporalir type %s", s.Name.Name)
-					structFields(s, "temporalir", add)
+					add("%s type %s", pkg, s.Name.Name)
+					structFields(s, pkg, add)
+					interfaceMethods(s, pkg, add)
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
 						if n.IsExported() {
-							add("temporalir %s %s", d.Tok, n.Name)
+							add("%s %s %s", pkg, d.Tok, n.Name)
 						}
 					}
 				}
@@ -160,33 +178,34 @@ func rootDecls(f *ast.File, add func(string, ...any)) {
 	}
 }
 
-// serverDecls adds server.Engine's methods, server.Options' fields and
-// the routes the server mounts.
-func serverDecls(f *ast.File, add func(string, ...any)) {
+// routes adds the routes the server mounts.
+func routes(f *ast.File, add func(string, ...any)) {
 	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.TypeSpec:
-			switch n.Name.Name {
-			case "Engine":
-				if it, ok := n.Type.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, name := range m.Names {
-							add("server method Engine.%s", name.Name)
-						}
-					}
-				}
-			case "Options":
-				structFields(n, "server", add)
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "HandleFunc" && len(n.Args) > 0 {
-				if route, ok := stringLit(n.Args[0]); ok {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "HandleFunc" && len(call.Args) > 0 {
+				if route, ok := stringLit(call.Args[0]); ok {
 					add("server route %s", route)
 				}
 			}
 		}
 		return true
 	})
+}
+
+// interfaceMethods adds the methods an interface type spec declares
+// itself (embedded interfaces are listed under their own names).
+func interfaceMethods(s *ast.TypeSpec, pkg string, add func(string, ...any)) {
+	it, ok := s.Type.(*ast.InterfaceType)
+	if !ok {
+		return
+	}
+	for _, m := range it.Methods.List {
+		for _, n := range m.Names {
+			if n.IsExported() {
+				add("%s method (%s) %s", pkg, s.Name.Name, n.Name)
+			}
+		}
+	}
 }
 
 // structFields adds the exported fields of a struct type spec.
@@ -204,12 +223,17 @@ func structFields(s *ast.TypeSpec, pkg string, add func(string, ...any)) {
 	}
 }
 
+// recvName names a method's receiver type without its type parameters.
 func recvName(x ast.Expr) string {
-	if star, ok := x.(*ast.StarExpr); ok {
-		return "*" + recvName(star.X)
-	}
-	if id, ok := x.(*ast.Ident); ok {
-		return id.Name
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return "*" + recvName(x.X)
+	case *ast.IndexExpr:
+		return recvName(x.X)
+	case *ast.IndexListExpr:
+		return recvName(x.X)
+	case *ast.Ident:
+		return x.Name
 	}
 	return ""
 }
