@@ -6,10 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/tenant"
 )
 
 // TestConcurrentSearchInsertDelete hammers the server with parallel
@@ -98,7 +101,7 @@ func TestSlowSearchDoesNotBlockInsert(t *testing.T) {
 	}()
 
 	// Wait until the batch actually holds its admission slot.
-	for i := 0; srv.gate.InUse() == 0; i++ {
+	for i := 0; srv.adm.InUse() == 0; i++ {
 		if i > 10000 {
 			t.Fatal("batch search never acquired an in-flight slot")
 		}
@@ -122,4 +125,61 @@ func TestSlowSearchDoesNotBlockInsert(t *testing.T) {
 		// write path is not serialized behind reads.
 	}
 	<-searchDone
+}
+
+// TestCountersMonotonicUnderEviction scrapes /metrics while a tenant is
+// evicted and reloaded over and over: no scrape reads an engine counter
+// lower than the scrape before it.
+func TestCountersMonotonicUnderEviction(t *testing.T) {
+	srv := NewWithOptions(buildEngine(t), Options{SpillDir: t.TempDir()})
+	do := func(method, url, body string) int {
+		req := httptest.NewRequest(method, url, strings.NewReader(body))
+		req.Header.Set(tenant.Header, "acme")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	do(http.MethodPost, "/objects", `{"start":1,"end":2,"terms":["alpha"]}`)
+	do(http.MethodPost, "/admin/compact", "")
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		last := map[string]float64{}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			for _, line := range strings.Split(rec.Body.String(), "\n") {
+				name, v, ok := strings.Cut(line, " ")
+				if !ok || (name != "tir_compactions_total" && name != "tir_shard_queries_total") {
+					continue
+				}
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil || f < last[name] {
+					t.Errorf("%s read %s after %v", name, v, last[name])
+					return
+				}
+				last[name] = f
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if code := do(http.MethodGet, "/search?start=0&end=10&q=alpha", ""); code != http.StatusOK {
+			t.Errorf("search %d: status %d", i, code)
+			break
+		}
+		if err := srv.Registry().Evict("acme"); err != nil {
+			t.Errorf("evict %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -8,14 +8,14 @@ import (
 	"repro/internal/allocbudget"
 )
 
-// TestAllocBudgets pins the resident-hit path of Registry.Get at zero
-// allocations per op: it runs once per request, so a single escape
-// there taxes every query of every tenant.
+// TestAllocBudgets pins the resident-hit path of Registry.Get and the
+// admission of a known tenant at zero allocations per op: each runs once
+// per request, so a single escape there taxes every query of every
+// tenant.
 func TestAllocBudgets(t *testing.T) {
 	r := NewRegistry(Config[*fakeEngine]{
 		New:  func(id string) (*fakeEngine, error) { return &fakeEngine{}, nil },
 		Load: func(id string, rd io.Reader) (*fakeEngine, error) { return loadFake(rd) },
-		Now:  func() time.Time { return time.Unix(1000, 0) },
 	})
 	warm, err := r.Get("hot")
 	if err != nil {
@@ -29,5 +29,19 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 		tn.Release()
+	})
+
+	a := NewAdmission(4)
+	lim := Limits{QueriesPerSec: 1e9, MaxInFlight: 2}
+	now := time.Unix(1000, 0)
+	if err := a.Acquire("hot", lim, now); err != nil {
+		t.Fatal(err)
+	}
+	a.Release("hot")
+	allocbudget.Gate(t, "tenant/Admission.Acquire", func() {
+		if err := a.Acquire("hot", lim, now); err != nil {
+			t.Fatal(err)
+		}
+		a.Release("hot")
 	})
 }

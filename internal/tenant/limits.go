@@ -2,8 +2,7 @@ package tenant
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math"
 	"time"
 )
 
@@ -18,7 +17,7 @@ type Limits struct {
 	// max(1, ceil(QueriesPerSec)) when rate limiting is enabled.
 	Burst int `json:"burst"`
 	// MaxInFlight caps the tenant's concurrent queries. Zero disables
-	// the cap (the global gate still bounds the process).
+	// the cap (the node's capacity still bounds the process).
 	MaxInFlight int `json:"max_in_flight"`
 	// MaxMemObjects caps the engine's memtable object count; inserts
 	// beyond it are rejected until a compaction folds the memtable in.
@@ -80,119 +79,25 @@ func AsLimitError(err error) *LimitError {
 	return le
 }
 
-// Limiter is a tenant's runtime admission state: a token bucket for
-// query rate plus an in-flight counter. One Limiter belongs to one
-// Tenant and survives engine eviction (limits are identity-scoped, not
-// engine-scoped).
-type Limiter struct {
-	id  string
-	lim Limits
-
-	inflight atomic.Int64
-
-	// mu guards the token bucket. The bucket is only touched when rate
-	// limiting is configured; unlimited tenants stay lock-free.
-	mu     sync.Mutex
-	tokens float64   // irlint:guarded-by mu
-	refill time.Time // irlint:guarded-by mu
+// burst is the token-bucket depth: Burst, or max(1, ceil(QueriesPerSec)).
+func (l Limits) burst() float64 {
+	if l.Burst > 0 {
+		return float64(l.Burst)
+	}
+	return max(1, math.Ceil(l.QueriesPerSec))
 }
 
-// NewLimiter returns the runtime admission state for one tenant. The
-// bucket starts full so a fresh tenant can burst immediately.
-func NewLimiter(id string, lim Limits, now time.Time) *Limiter {
-	l := &Limiter{id: id, lim: lim, refill: now}
-	l.tokens = float64(l.burst())
-	return l
-}
-
-// Limits returns the static envelope the limiter enforces.
-func (l *Limiter) Limits() Limits { return l.lim }
-
-func (l *Limiter) burst() int {
-	if l.lim.Burst > 0 {
-		return l.lim.Burst
+// CheckIngest admits one insert for tenant id against the memtable and
+// size quotas, given the engine's current memtable object count and
+// estimated resident size. Quota checks are advisory reads of a moving
+// value, so concurrent inserts may overshoot by the number of in-flight
+// writers — the quota bounds growth, it is not a hard byte ceiling.
+func (l Limits) CheckIngest(id string, memObjects int, sizeBytes int64) error {
+	if q := l.MaxMemObjects; q > 0 && memObjects >= q {
+		return &LimitError{Tenant: id, Reason: ReasonMemQuota}
 	}
-	if l.lim.QueriesPerSec <= 0 {
-		return 1
-	}
-	b := int(l.lim.QueriesPerSec)
-	if float64(b) < l.lim.QueriesPerSec {
-		b++
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// AcquireQuery admits one query, charging the token bucket and the
-// in-flight counter. On success the caller must call ReleaseQuery. The
-// returned error is nil or a *LimitError (declared as error so a nil
-// result is a nil interface).
-func (l *Limiter) AcquireQuery(now time.Time) error {
-	if n := int64(l.lim.MaxInFlight); n > 0 {
-		if l.inflight.Add(1) > n {
-			l.inflight.Add(-1)
-			return &LimitError{Tenant: l.id, Reason: ReasonInFlight}
-		}
-	} else {
-		l.inflight.Add(1)
-	}
-	if l.lim.QueriesPerSec > 0 {
-		if wait := l.takeToken(now); wait > 0 {
-			l.inflight.Add(-1)
-			return &LimitError{Tenant: l.id, Reason: ReasonRate, RetryAfter: wait}
-		}
-	}
-	return nil
-}
-
-// ReleaseQuery returns the in-flight slot claimed by AcquireQuery.
-func (l *Limiter) ReleaseQuery() {
-	if l.inflight.Add(-1) < 0 {
-		panic("tenant: limiter released more than acquired") // lint:panic-ok caller bug: unbalanced ReleaseQuery
-	}
-}
-
-// InFlight returns the tenant's current concurrent queries.
-func (l *Limiter) InFlight() int { return int(l.inflight.Load()) }
-
-// takeToken refills the bucket for elapsed time and takes one token,
-// returning zero on success or the wait until a token is available.
-func (l *Limiter) takeToken(now time.Time) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rate := l.lim.QueriesPerSec
-	if dt := now.Sub(l.refill); dt > 0 {
-		l.tokens += dt.Seconds() * rate
-		if max := float64(l.burst()); l.tokens > max {
-			l.tokens = max
-		}
-	}
-	// The clock is caller-supplied and may be non-monotonic across
-	// goroutines; never move the refill mark backwards.
-	if now.After(l.refill) {
-		l.refill = now
-	}
-	if l.tokens >= 1 {
-		l.tokens--
-		return 0
-	}
-	need := 1 - l.tokens
-	return time.Duration(need / rate * float64(time.Second))
-}
-
-// CheckIngest admits one insert against the memtable and size quotas,
-// given the engine's current memtable object count and estimated
-// resident size. Quota checks are advisory reads of a moving value, so
-// concurrent inserts may overshoot by the number of in-flight writers —
-// the quota bounds growth, it is not a hard byte ceiling.
-func (l *Limiter) CheckIngest(memObjects int, sizeBytes int64) error {
-	if q := l.lim.MaxMemObjects; q > 0 && memObjects >= q {
-		return &LimitError{Tenant: l.id, Reason: ReasonMemQuota}
-	}
-	if q := l.lim.MaxSizeBytes; q > 0 && sizeBytes >= q {
-		return &LimitError{Tenant: l.id, Reason: ReasonSize}
+	if q := l.MaxSizeBytes; q > 0 && sizeBytes >= q {
+		return &LimitError{Tenant: id, Reason: ReasonSize}
 	}
 	return nil
 }

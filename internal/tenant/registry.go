@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Engine is the slice of an engine the registry needs: enough to spill
@@ -42,25 +41,23 @@ type Config[E Engine] struct {
 	// Nil means unlimited. Changing a tenant's limits takes effect on
 	// its next creation (i.e. after an eviction or restart).
 	Limits func(id string) Limits
-	// Now is the clock used for limiter token buckets; nil means
-	// time.Now. Tests inject a fake.
-	Now func() time.Time
 	// OnCreate runs under the registry lock just before a new tenant
 	// becomes visible; the server uses it to attach per-tenant metrics
 	// via SetTag. The tenant's engine is not built yet at this point.
 	OnCreate func(t *Tenant[E])
-	// OnEvict runs under the registry lock just after a tenant is
-	// removed (evicted or failed to build).
+	// OnEvict runs under the registry lock just after a built tenant is
+	// evicted; its engine is still readable then. A tenant whose build
+	// failed is dropped without it.
 	OnEvict func(t *Tenant[E])
 }
 
-// Tenant is one resident tenant: its engine, runtime limits, and the
+// Tenant is one resident tenant: its engine, limits, and the
 // bookkeeping the registry needs for eviction. Callers hold a Tenant
 // only between Get and Release; after Release the registry may evict
 // it at any time.
 type Tenant[E Engine] struct {
 	id  string
-	lim *Limiter
+	lim Limits
 
 	// ready is closed once eng/err are set; Get blocks on it so engine
 	// construction never runs under the registry lock.
@@ -90,8 +87,8 @@ func (t *Tenant[E]) ID() string { return t.id }
 // Release.
 func (t *Tenant[E]) Engine() E { return t.eng }
 
-// Limiter returns the tenant's runtime admission state.
-func (t *Tenant[E]) Limiter() *Limiter { return t.lim }
+// Limits returns the envelope resolved when the tenant was created.
+func (t *Tenant[E]) Limits() Limits { return t.lim }
 
 // SetTag attaches an opaque value; only legal inside OnCreate.
 func (t *Tenant[E]) SetTag(v any) { t.tag = v }
@@ -130,9 +127,6 @@ type Registry[E Engine] struct {
 func NewRegistry[E Engine](cfg Config[E]) *Registry[E] {
 	if cfg.New == nil || cfg.Load == nil {
 		panic("tenant: Config.New and Config.Load are required") // lint:panic-ok construction-time programming error
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	return &Registry[E]{cfg: cfg, tenants: make(map[string]*Tenant[E])}
 }
@@ -217,9 +211,6 @@ func (r *Registry[E]) create(id string) (*Tenant[E], error) {
 	r.mu.Lock()
 	delete(r.tenants, id)
 	r.dropFromRing(t)
-	if r.cfg.OnEvict != nil {
-		r.cfg.OnEvict(t)
-	}
 	r.mu.Unlock()
 	close(t.ready)
 	return nil, t.err
@@ -241,14 +232,9 @@ func (r *Registry[E]) placeholderLocked(id string) (t *Tenant[E], raced bool, er
 			return nil, false, err
 		}
 	}
-	var lim Limits
+	t = &Tenant[E]{id: id, ready: make(chan struct{})}
 	if r.cfg.Limits != nil {
-		lim = r.cfg.Limits(id)
-	}
-	t = &Tenant[E]{
-		id:    id,
-		lim:   NewLimiter(id, lim, r.cfg.Now()),
-		ready: make(chan struct{}),
+		t.lim = r.cfg.Limits(id)
 	}
 	t.inflight.Store(1) // the calling Get's hold
 	t.referenced.Store(true)
@@ -377,8 +363,8 @@ func (r *Registry[E]) saveLocked(t *Tenant[E]) error {
 }
 
 // Evict spills (if dirty) and removes one tenant by id. It fails if
-// the tenant has holders. Tests and admin endpoints use it; the serving
-// path relies on the clock instead.
+// the tenant has holders. Only tests call it; the serving path relies
+// on the clock instead.
 func (r *Registry[E]) Evict(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -63,7 +63,6 @@ func testConfig(t *testing.T, spill bool) Config[*fakeEngine] {
 	cfg := Config[*fakeEngine]{
 		New:  func(id string) (*fakeEngine, error) { return &fakeEngine{}, nil },
 		Load: func(id string, r io.Reader) (*fakeEngine, error) { return loadFake(r) },
-		Now:  func() time.Time { return time.Unix(1000, 0) },
 	}
 	if spill {
 		cfg.SpillDir = t.TempDir()
@@ -324,15 +323,16 @@ func TestRegistryLimitsWiring(t *testing.T) {
 	}
 	r := NewRegistry(cfg)
 	c := mustGet(t, r, "capped")
-	if got := c.Limiter().Limits().Weight; got != 3 {
+	if got := c.Limits().Weight; got != 3 {
 		t.Fatalf("Weight = %d", got)
 	}
-	if err := c.Limiter().AcquireQuery(time.Unix(1000, 0)); err != nil {
+	a := NewAdmission(8)
+	if err := a.Acquire(c.ID(), c.Limits(), time.Unix(1000, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Limiter().AcquireQuery(time.Unix(1000, 0)); AsLimitError(err) == nil {
+	if err := a.Acquire(c.ID(), c.Limits(), time.Unix(1000, 0)); AsLimitError(err) == nil {
 		t.Fatal("per-tenant inflight cap not wired")
 	}
-	c.Limiter().ReleaseQuery()
+	a.Release(c.ID())
 	c.Release()
 }

@@ -1,7 +1,8 @@
 // Package tenant is the multi-tenant serving layer: a registry of
 // per-tenant engines created lazily on first use and evicted (with a
-// spill to disk) when cold, per-tenant limits and quotas, and weighted
-// fair-share admission over the shared worker capacity.
+// spill to disk) when cold, per-tenant limits and quotas, and one
+// admission controller that applies each tenant's rate and in-flight
+// caps, the node's capacity and weighted fair shares of it.
 //
 // The package is deliberately engine-agnostic: the registry is generic
 // over a small Engine interface (Save + Epoch) and is handed
