@@ -8,7 +8,7 @@ import "sync"
 // assertion layer: the dynamic counterpart of the static lock-guard
 // analyzer in internal/tools/irlint. The linter proves the lock is taken
 // on every textual path; these assertions catch the cases it cannot see
-// (callers of irlint:locked helpers reached through new code paths).
+// (callers of lock-holding helpers reached through new code paths).
 
 // engineInvariantsEnabled reports whether the engine's runtime assertion
 // layer is compiled in.

@@ -168,6 +168,10 @@ func (d *divIF) idRun(e model.ElemID) []model.ObjectID {
 // every object it was assigned, so the object carries the element exactly
 // when it is in the division's list for it. The filter writes to scratch
 // only: candidates read in place are the index's own arena.
+//
+// Both filters are branch-free in the data (keepOwed, Bitmap.KeepSorted):
+// lists are in id order, not time order, so a branch per entry on its
+// lifespan or bit would mispredict about as often as not.
 func (d *divIF) query(q model.Interval, plan []model.ElemID, probes []*postings.Bitmap, checkStart, checkEnd bool, scratch, dst []model.ObjectID) ([]model.ObjectID, []model.ObjectID) {
 	i, ok := findElem(d.elems, plan[0])
 	if !ok {
@@ -177,13 +181,8 @@ func (d *divIF) query(q model.Interval, plan []model.ElemID, probes []*postings.
 	cands, spans := d.ids[r.off:r.off+r.n], d.spans[r.off:r.off+r.n]
 	checkStart = checkStart && q.Start != math.MinInt64
 	checkEnd = checkEnd && q.End != math.MaxInt64
-	if dead := d.dead > 0 && !checkStart && !checkEnd; dead || checkStart || checkEnd {
-		scratch = scratch[:0]
-		for k := range spans {
-			if !(checkStart && spans[k].End < q.Start || checkEnd && spans[k].Start > q.End || dead && postings.IsTombstone(spans[k])) {
-				scratch = append(scratch, cands[k])
-			}
-		}
+	if checkStart || checkEnd || d.dead > 0 {
+		scratch = keepOwed(q, cands, spans, checkStart, checkEnd, scratch)
 		cands = scratch
 	}
 	for k, e := range plan[1:] {
@@ -192,12 +191,7 @@ func (d *divIF) query(q model.Interval, plan []model.ElemID, probes []*postings.
 		}
 		if bm := probes[k+1]; bm != nil {
 			// Writes trail reads, so cands may be scratch itself.
-			scratch = scratch[:0]
-			for _, id := range cands {
-				if bm.Contains(id) {
-					scratch = append(scratch, id)
-				}
-			}
+			scratch = bm.KeepSorted(scratch[:0], cands)
 		} else {
 			// Later lists' tombstones match: Delete tombstones every copy.
 			scratch = postings.IntersectAnySorted(cands, d.idRun(e), scratch[:0])
@@ -205,6 +199,48 @@ func (d *divIF) query(q model.Interval, plan []model.ElemID, probes []*postings.
 		cands = scratch
 	}
 	return scratch, append(dst, cands...)
+}
+
+// keepOwed writes into buf, grown to len(ids), the ids whose lifespans
+// pass the owed checks, and returns it. With no check owed it drops the
+// Tombstone sentinel only, tested exactly: a live object may start at
+// MaxInt64. Each loop writes every id and advances past it by its
+// predicate, so no branch depends on the lifespans.
+func keepOwed(q model.Interval, ids []model.ObjectID, spans []model.Interval, checkStart, checkEnd bool, buf []model.ObjectID) []model.ObjectID {
+	out, n := slices.Grow(buf[:0], len(spans))[:len(spans)], 0
+	ids = ids[:len(spans)]
+	switch {
+	case checkStart && checkEnd:
+		for k, s := range spans {
+			out[n] = ids[k]
+			n += b2i(s.End >= q.Start) & b2i(s.Start <= q.End)
+		}
+	case checkStart:
+		for k, s := range spans {
+			out[n] = ids[k]
+			n += b2i(s.End >= q.Start)
+		}
+	case checkEnd:
+		for k, s := range spans {
+			out[n] = ids[k]
+			n += b2i(s.Start <= q.End)
+		}
+	default:
+		for k, s := range spans {
+			out[n] = ids[k]
+			n += b2i(s.Start != math.MaxInt64) | b2i(s.End != math.MinInt64)
+		}
+	}
+	return out[:n]
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a SETcc,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // allIDs appends the live ids passing the temporal checks across every

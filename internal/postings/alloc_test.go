@@ -25,11 +25,8 @@ func TestAllocBudget(t *testing.T) {
 	// reused word slice.
 	var bb Bitmap
 	bb.SetSorted(other)
-	buf := append([]model.ObjectID(nil), cands...)
-	allocbudget.Gate(t, "postings/Bitmap.KeepSorted", func() {
-		copy(buf[:cap(buf)], cands)
-		_ = bb.KeepSorted(buf[:len(cands)])
-	})
+	buf := make([]model.ObjectID, 0, len(cands))
+	allocbudget.Gate(t, "postings/Bitmap.KeepSorted", func() { buf = bb.KeepSorted(buf[:0], cands) })
 
 	small := cands[:min(64, len(cands))]
 	allocbudget.Gate(t, "postings/IntersectGalloping", func() { dst = IntersectGalloping(small, other, dst[:0]) })

@@ -43,3 +43,27 @@ func BenchmarkTemporalFilter(b *testing.B) {
 		dst = l.TemporalFilter(q, dst[:0])
 	}
 }
+
+// BenchmarkKeepSorted filters 10 000 candidates by a bitmap holding a
+// seeded random half of them, the dense-probe shape where a branch per
+// candidate would mispredict about as often as not.
+func BenchmarkKeepSorted(b *testing.B) {
+	l, _ := benchLists(10_000)
+	rng := rand.New(rand.NewSource(5))
+	cands := make([]model.ObjectID, len(l))
+	var half []model.ObjectID
+	for i := range l {
+		cands[i] = l[i].ID
+		if rng.Intn(2) == 0 {
+			half = append(half, l[i].ID)
+		}
+	}
+	var bm Bitmap
+	bm.SetSorted(half)
+	dst := make([]model.ObjectID, 0, len(cands))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = bm.KeepSorted(dst[:0], cands)
+	}
+}

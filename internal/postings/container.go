@@ -120,18 +120,26 @@ func (b *Bitmap) Count() int {
 	return n
 }
 
-// KeepSorted compacts ids in place to those present in the bitmap,
-// preserving order, which must be ascending.
-func (b *Bitmap) KeepSorted(ids []model.ObjectID) []model.ObjectID {
-	w := 0
+// KeepSorted appends to dst the ids present in the bitmap, preserving
+// their order, which must be ascending, and returns dst. dst may be ids[:0]
+// to compact in place, as writes trail reads. The loop is branch-free in
+// the bits: it writes every id and advances past it by its bit, so a
+// candidate list whose bits look random costs no mispredictions.
+func (b *Bitmap) KeepSorted(dst, ids []model.ObjectID) []model.ObjectID {
+	start := len(dst)
+	dst = slices.Grow(dst, len(ids))
+	out := dst[start : start+len(ids)]
+	words, n := b.words, 0
 	for _, id := range ids {
-		if b.Contains(id) {
-			ids[w] = id
-			w++
+		out[n] = id
+		var w uint64
+		if i := int(id >> 6); i < len(words) {
+			w = words[i]
 		}
+		n += int(w >> (id & 63) & 1)
 	}
-	assertSortedIDs(ids[:w], "Bitmap.KeepSorted")
-	return ids[:w]
+	assertSortedIDs(out[:n], "Bitmap.KeepSorted")
+	return dst[:start+n]
 }
 
 // SizeBytes reports the bitmap's resident size.

@@ -47,7 +47,7 @@ func TestBitmapSetSortedRoundTrip(t *testing.T) {
 	var b Bitmap
 	for _, ids := range cases {
 		b.SetSorted(ids)
-		got := b.KeepSorted(slices.Clone(ids))
+		got := b.KeepSorted(nil, ids)
 		if !model.EqualIDs(got, ids) {
 			t.Errorf("round trip %v -> %v", ids, got)
 		}
@@ -57,13 +57,18 @@ func TestBitmapSetSortedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBitmapKeepSorted: KeepSorted appends after what dst holds, leaves
+// ids alone when dst is another buffer, and compacts in place into ids[:0].
 func TestBitmapKeepSorted(t *testing.T) {
 	var b Bitmap
 	b.SetSorted([]model.ObjectID{3, 64, 70})
 	ids := []model.ObjectID{1, 3, 64, 69, 70, 4096}
-	got := b.KeepSorted(ids)
-	if want := []model.ObjectID{3, 64, 70}; !model.EqualIDs(got, want) {
-		t.Fatalf("KeepSorted = %v, want %v", got, want)
+	orig := slices.Clone(ids)
+	if got, want := b.KeepSorted([]model.ObjectID{0}, ids), []model.ObjectID{0, 3, 64, 70}; !model.EqualIDs(got, want) || !slices.Equal(ids, orig) {
+		t.Fatalf("KeepSorted into a prefixed dst = %v (ids now %v), want %v", got, ids, want)
+	}
+	if got, want := b.KeepSorted(ids[:0], ids), []model.ObjectID{3, 64, 70}; !model.EqualIDs(got, want) || &got[0] != &ids[0] {
+		t.Fatalf("KeepSorted in place = %v, want %v in ids' own array", got, want)
 	}
 }
 
@@ -220,10 +225,10 @@ func FuzzContainerParity(f *testing.F) {
 
 		// Round trips: every expected id survives KeepSorted, and Count
 		// rules out extra bits.
-		if got := ba.KeepSorted(slices.Clone(a)); !model.EqualIDs(got, a) || ba.Count() != len(a) {
+		if got := ba.KeepSorted(nil, a); !model.EqualIDs(got, a) || ba.Count() != len(a) {
 			t.Fatalf("round trip %v -> %v (%d bits set)", a, got, ba.Count())
 		}
-		if got := bb.KeepSorted(slices.Clone(b)); !model.EqualIDs(got, b) || bb.Count() != len(b) {
+		if got := bb.KeepSorted(nil, b); !model.EqualIDs(got, b) || bb.Count() != len(b) {
 			t.Fatalf("round trip %v -> %v (%d bits set)", b, got, bb.Count())
 		}
 		for _, id := range a {
@@ -232,10 +237,10 @@ func FuzzContainerParity(f *testing.F) {
 			}
 		}
 
-		// KeepSorted vs merge intersection.
+		// KeepSorted, in place, vs merge intersection.
 		want := IntersectSortedIDs(a, b, nil)
-		cands := append([]model.ObjectID(nil), a...)
-		if got := bb.KeepSorted(cands); !model.EqualIDs(got, want) {
+		cands := slices.Clone(a)
+		if got := bb.KeepSorted(cands[:0], cands); !model.EqualIDs(got, want) {
 			t.Fatalf("KeepSorted = %v, want %v (a=%v b=%v)", got, want, a, b)
 		}
 	})

@@ -41,7 +41,7 @@ func TestAssertionsFireOnUnsortedInputs(t *testing.T) {
 		for _, id := range unsorted {
 			b.Set(id)
 		}
-		b.KeepSorted(unsorted)
+		b.KeepSorted(nil, unsorted)
 	})
 	mustPanic(t, "MergeSortedIDLists", func() {
 		MergeSortedIDLists([][]model.ObjectID{unsorted})

@@ -87,7 +87,10 @@ func (l List) FindID(id model.ObjectID) (int, bool) {
 
 // TemporalFilter appends to dst the ids of entries whose interval overlaps
 // q, preserving id order, and returns dst. This is the Lines 4-6 filter of
-// Algorithm 1.
+// Algorithm 1. It keeps its branch: most entries of a list fail the
+// check, so the branch rarely mispredicts, and a branch-free loop that
+// pre-grew dst by len(l) measured no faster while allocating 3.5x the
+// bytes per tIF query (EXPERIMENTS.md).
 func (l List) TemporalFilter(q model.Interval, dst []model.ObjectID) []model.ObjectID {
 	for i := range l {
 		if l[i].Interval.Overlaps(q) {

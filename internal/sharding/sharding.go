@@ -370,7 +370,7 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 		}
 		bm.Reset(cands[len(cands)-1] + 1)
 		ix.mark(e, q.Interval, bm)
-		cands = bm.KeepSorted(cands)
+		cands = bm.KeepSorted(cands[:0], cands)
 	}
 	return cands
 }

@@ -219,7 +219,7 @@ func (h *idHint) intersectBitmap(q model.Interval, cands []model.ObjectID, bm *p
 			}
 		})
 	})
-	return bm.KeepSorted(cands)
+	return bm.KeepSorted(cands[:0], cands)
 }
 
 // markDivisionBitmap sets the bit of every live entry in the division.

@@ -143,7 +143,7 @@ func (ix *HybridIndex) intersectSlices(q model.Query, plan []model.ElemID, cands
 			for _, sub := range subs {
 				markSliceBitmap(sub, bm)
 			}
-			cands = bm.KeepSorted(cands)
+			cands = bm.KeepSorted(cands[:0], cands)
 			keep = keep[:len(cands)]
 			continue
 		}

@@ -7,6 +7,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -1245,7 +1250,8 @@ func a() { panic("one") }
 
 // TestLoadRepository smoke-tests the loader against the live module: it
 // must load every package with type information and the suite must be
-// clean (the same gate CI enforces via cmd/irlint).
+// clean (the same gate CI enforces via cmd/irlint). LINTING.md's ledger
+// must also count the annotations the tree carries.
 func TestLoadRepository(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -1275,6 +1281,109 @@ func TestLoadRepository(t *testing.T) {
 			t.Errorf("%s: defer inside a loop body queues one deferred call per iteration until the function returns; hoist it or move the body into a function", pos)
 		}
 	}
+	checkLedgerAnnotations(t, "../../..")
+}
+
+// annotationMarkers names, per analyzer, the comment markers it reads.
+var annotationMarkers = map[string][]string{
+	"interval-canon":        {intervalDirective},
+	"map-order":             {mapOrderDirective},
+	"panic-policy":          {panicDirective},
+	"size-accounting":       {sizeDirective},
+	"doc-exported":          nil,
+	"lock-guard":            {guardedByMarker, lockedMarker, guardDirective, snapshotViaMarker},
+	"alias-mutation":        {aliasDirective},
+	"domain-bounds":         {domainDirective},
+	"method-exhaustiveness": {methodDirective},
+	"span-end":              {spanDirective},
+	"ctx-flow":              {ctxRootDirective},
+	"goroutine-exit":        {goroutineExitsDirective},
+	"publish-freeze":        {freezeDirective},
+	"metric-hygiene":        {metricDirective},
+}
+
+// checkLedgerAnnotations compares the Annotations column of LINTING.md's
+// ledger, and the total its prose gives, with the markers counted in the
+// comments of every Go file of the module at root outside the linter's
+// own package, test files included.
+func checkLedgerAnnotations(t *testing.T, root string) {
+	t.Helper()
+	for _, a := range Analyzers() {
+		if _, ok := annotationMarkers[a.Name]; !ok {
+			t.Errorf("analyzer %s has no entry in annotationMarkers", a.Name)
+		}
+	}
+	counted, total := countAnnotations(t, root), 0
+	for _, n := range counted {
+		total += n
+	}
+	doc, err := os.ReadFile(filepath.Join(root, "LINTING.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 {
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		if _, ok := annotationMarkers[name]; !ok {
+			continue
+		}
+		rows++
+		if got, err := strconv.Atoi(strings.TrimSpace(cells[3])); err != nil || got != counted[name] {
+			t.Errorf("LINTING.md ledger: %s has %q annotations, the tree %d", name, strings.TrimSpace(cells[3]), counted[name])
+		}
+	}
+	if rows != len(annotationMarkers) {
+		t.Errorf("LINTING.md ledger: %d analyzer rows, want %d", rows, len(annotationMarkers))
+	}
+	if m := regexp.MustCompile(`\((\d+) in all`).FindSubmatch(doc); m == nil || string(m[1]) != strconv.Itoa(total) {
+		t.Errorf("LINTING.md ledger: prose gives the annotations in all as %q, the tree %d", m, total)
+	}
+}
+
+// countAnnotations counts each analyzer's markers in the comments of the
+// Go files under root, skipping the linter's own package (its fixtures
+// and docs name every marker), testdata and hidden directories.
+func countAnnotations(t *testing.T, root string) map[string]int {
+	t.Helper()
+	linter := filepath.Join(root, "internal", "tools", "irlint")
+	counts := make(map[string]int)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == linter || d.Name() == "testdata" || path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for name, markers := range annotationMarkers {
+					for _, m := range markers {
+						counts[name] += strings.Count(c.Text, m)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return counts
 }
 
 // defersInLoops returns the position of every defer statement inside a
