@@ -176,6 +176,32 @@ func BenchmarkSearchTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchElementFree is an element-free read loop over
+// irHINT-perf and tIF engines of 1 and 4 stores: the BenchmarkSearchPoint
+// corpus and query windows, each issued through Engine.Search with no
+// terms, which the generation answers by a scan of its objects. One op is
+// one search.
+func BenchmarkSearchElementFree(b *testing.B) {
+	c := gen.Synthetic(gen.SyntheticConfig{Seed: 1}.Defaults(0.1))
+	qs := gen.Workload(c, gen.DefaultQueryConfig(), 1024, 2)
+	for _, m := range []temporalir.Method{temporalir.IRHintPerf, temporalir.TIF} {
+		for _, stores := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/stores%d", m, stores), func(b *testing.B) {
+				e, err := temporalir.EngineFromCollectionN(c, m, temporalir.Options{}, stores)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					q := &qs[i%len(qs)]
+					_ = e.Search(q.Interval.Start, q.Interval.End)
+				}
+			})
+		}
+	}
+}
+
 // Build-cost micro-benchmarks (the Table 5 "time" column per iteration).
 func benchBuild(b *testing.B, m temporalir.Method) {
 	setup()

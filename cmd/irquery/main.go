@@ -94,8 +94,8 @@ func main() {
 // parseQuery parses "<start> <end> <elem>[,<elem>...]".
 func parseQuery(line string) (model.Query, error) {
 	fields := strings.Fields(line)
-	if len(fields) < 2 || len(fields) > 3 {
-		return model.Query{}, fmt.Errorf("want '<start> <end> [elems]', got %q", line)
+	if len(fields) != 3 {
+		return model.Query{}, fmt.Errorf("want '<start> <end> <elem>[,<elem>...]', got %q", line)
 	}
 	start, err := strconv.ParseInt(fields[0], 10, 64)
 	if err != nil {
@@ -106,14 +106,12 @@ func parseQuery(line string) (model.Query, error) {
 		return model.Query{}, fmt.Errorf("bad end %q", fields[1])
 	}
 	var elems []model.ElemID
-	if len(fields) == 3 {
-		for _, tok := range strings.Split(fields[2], ",") {
-			e, err := strconv.ParseUint(tok, 10, 32)
-			if err != nil {
-				return model.Query{}, fmt.Errorf("bad element %q", tok)
-			}
-			elems = append(elems, model.ElemID(e))
+	for _, tok := range strings.Split(fields[2], ",") {
+		e, err := strconv.ParseUint(tok, 10, 32)
+		if err != nil {
+			return model.Query{}, fmt.Errorf("bad element %q", tok)
 		}
+		elems = append(elems, model.ElemID(e))
 	}
 	return model.Query{
 		Interval: model.Canon(start, end),

@@ -17,10 +17,6 @@ func TestParseQuery(t *testing.T) {
 			want: model.Query{Interval: model.Interval{Start: 10, End: 20}, Elems: []model.ElemID{1, 2, 3}},
 		},
 		{
-			in:   "10 20",
-			want: model.Query{Interval: model.Interval{Start: 10, End: 20}},
-		},
-		{
 			// Swapped endpoints are canonicalized.
 			in:   "20 10 5",
 			want: model.Query{Interval: model.Interval{Start: 10, End: 20}, Elems: []model.ElemID{5}},
@@ -37,6 +33,8 @@ func TestParseQuery(t *testing.T) {
 		},
 		{in: "", wantErr: true},
 		{in: "10", wantErr: true},
+		// No elements: a bare index answers such a query with nil.
+		{in: "10 20", wantErr: true},
 		{in: "10 20 1 extra", wantErr: true},
 		{in: "abc 20 1", wantErr: true},
 		{in: "10 def 1", wantErr: true},

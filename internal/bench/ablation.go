@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 
 	temporalir "repro"
 	"repro/internal/bruteforce"
@@ -10,35 +12,51 @@ import (
 	"repro/internal/model"
 )
 
+// ablationRounds is how many times RunAblations times each m.
+const ablationRounds = 5
+
 // RunAblations sweeps the irHINT hierarchy depth m against the cost
 // model's choice (the Section 5.2 tuning question, answered for the
-// time-first index): throughput and size per m.
+// time-first index): throughput and size per m. Each m is timed in
+// ablationRounds rounds, each round starting one m later and each pass
+// after a collection, so neither heap state nor position favours an m;
+// the table gives the median and the min–max.
 func RunAblations(cfg Config) {
 	cfg = cfg.Normalize()
 	ds := eclogOnly(cfg)
 	queries := defaultWorkload(ds.Coll, cfg)
 
+	auto := core.NewPerf(ds.Coll)
+	ms := []int{2, 4, 6, 8, 10, 12}
+	if !slices.Contains(ms, auto.M()) {
+		ms = append(ms, auto.M())
+	}
+	ixs := make([]temporalir.Index, len(ms))
+	for i, m := range ms {
+		ixs[i] = auto
+		if m != auto.M() {
+			ixs[i] = core.NewPerf(ds.Coll, core.WithM(m))
+		}
+	}
+	qps := make([][]float64, len(ms))
+	for r := 0; r < ablationRounds*len(ms); r++ {
+		i := (r + r/len(ms)) % len(ms)
+		runtime.GC()
+		qps[i] = append(qps[i], Throughput(ixs[i], queries))
+	}
+
 	t := Table{
 		Title:  "Ablation 1: irHINT (perf) hierarchy depth m [" + ds.Name + "]",
-		Header: []string{"m", "throughput [q/s]", "size [MB]"},
+		Header: []string{"m", "median [q/s]", "min-max [q/s]", "size [MB]"},
 	}
-	auto := core.NewPerf(ds.Coll)
-	listed := false
-	for _, m := range []int{2, 4, 6, 8, 10, 12} {
-		var ix temporalir.Index
+	for i, m := range ms {
 		label := fmt.Sprint(m)
 		if m == auto.M() {
-			ix = auto
 			label += " (cost model)"
-			listed = true
-		} else {
-			ix = core.NewPerf(ds.Coll, core.WithM(m))
 		}
-		t.Add(label, f0(Throughput(ix, queries)), f1(float64(ix.SizeBytes())/(1<<20)))
-	}
-	if !listed {
-		t.Add(fmt.Sprintf("%d (cost model)", auto.M()),
-			f0(Throughput(auto, queries)), f1(float64(auto.SizeBytes())/(1<<20)))
+		q := qps[i]
+		slices.Sort(q)
+		t.Add(label, f0(q[len(q)/2]), f0(q[0])+"-"+f0(q[len(q)-1]), f1(float64(ixs[i].SizeBytes())/(1<<20)))
 	}
 	t.Fprint(cfg.Out)
 }

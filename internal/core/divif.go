@@ -243,23 +243,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// allIDs appends the live ids passing the temporal checks across every
-// run, deduplicated within the division (element-less query support).
-func (d *divIF) allIDs(q model.Interval, checkStart, checkEnd bool, dst []model.ObjectID) []model.ObjectID {
-	start := len(dst)
-	for _, r := range d.runs {
-		spans := d.spans[r.off : r.off+r.n]
-		for k := range spans {
-			if !(postings.IsTombstone(spans[k]) || checkStart && spans[k].End < q.Start || checkEnd && spans[k].Start > q.End) {
-				dst = append(dst, d.ids[int(r.off)+k])
-			}
-		}
-	}
-	tail := dst[start:]
-	model.SortIDs(tail)
-	return append(dst[:start], model.DedupIDs(tail)...)
-}
-
 // entryCount counts stored postings entries (including tombstones).
 func (d *divIF) entryCount() int64 {
 	var n int64

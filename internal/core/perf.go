@@ -220,7 +220,7 @@ func (ix *PerfIndex) growTo(n int) {
 // outputs disjoint, so no de-duplication step is needed.
 func (ix *PerfIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		return ix.queryTemporalOnly(q)
+		return nil
 	}
 	// Algorithm 5 fuses the postings fetch and the intersection per
 	// division, so one intersect span covers the whole traversal.
@@ -239,22 +239,6 @@ func (ix *PerfIndex) Query(q model.Query) []model.ObjectID {
 			if ob.First {
 				// Replicas never need the o.t_st <= q.t_end check.
 				scratch, out = p.r.query(q.Interval, plan, probes, ob.CheckStart, false, scratch, out)
-			}
-		})
-	})
-	return out
-}
-
-// queryTemporalOnly is the element-free path, under one postings span.
-func (ix *PerfIndex) queryTemporalOnly(q model.Query) []model.ObjectID {
-	defer q.Trace.StartStage(obs.StagePostings).End()
-	var out []model.ObjectID
-	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-		ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
-			ob := lv.Oblige(j)
-			out = p.o.allIDs(q.Interval, ob.CheckStart, ob.CheckEnd, out)
-			if ob.First {
-				out = p.r.allIDs(q.Interval, ob.CheckStart, false, out)
 			}
 		})
 	})

@@ -216,7 +216,7 @@ func (ix *SizeIndex) growTo(n int) {
 // result.
 func (ix *SizeIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		return ix.queryTemporalOnly(q)
+		return nil
 	}
 	// The intersection and the range restriction are fused per division,
 	// so one intersect span covers the whole traversal.
@@ -274,12 +274,14 @@ func (d *sizeDiv) query(q model.Interval, plan []model.ElemID, replica, checkSta
 	case !checkStart && !checkEnd && d.dead == 0:
 		return scratch, append(dst, surv...)
 	}
-	var s []postings.Posting
-	if replica {
+	s := d.ivals
+	switch {
+	case replica && checkStart:
 		// End-sorted: the restriction settles the start-side check.
-		s, checkStart = replicasFrom(d.ivals, checkStart, q), false
-	} else {
-		s = originalsUpTo(d.ivals, checkEnd, q)
+		s, checkStart = s[sort.Search(len(s), func(i int) bool { return s[i].Interval.End >= q.Start }):], false
+	case !replica && checkEnd:
+		// Start-sorted: the entries starting no later than q.End.
+		s = s[:sort.Search(len(s), func(i int) bool { return s[i].Interval.Start > q.End })]
 	}
 	bm.Grow(surv[len(surv)-1] + 1)
 	for _, id := range surv {
@@ -299,68 +301,6 @@ func (d *sizeDiv) query(q model.Interval, plan []model.ElemID, replica, checkSta
 		bm.Unset(id)
 	}
 	return scratch, dst
-}
-
-// originalsUpTo returns the prefix of a start-sorted originals store that
-// can overlap q: everything when the end-side check is not owed, else the
-// entries starting no later than q.End.
-func originalsUpTo(s []postings.Posting, checkEnd bool, q model.Interval) []postings.Posting {
-	if !checkEnd {
-		return s
-	}
-	return s[:sort.Search(len(s), func(i int) bool { return s[i].Interval.Start > q.End })]
-}
-
-// replicasFrom returns the suffix of an end-sorted replicas store that can
-// overlap q; replicas never need the end-side check.
-func replicasFrom(s []postings.Posting, checkStart bool, q model.Interval) []postings.Posting {
-	if !checkStart {
-		return s
-	}
-	return s[sort.Search(len(s), func(i int) bool { return s[i].Interval.End >= q.Start }):]
-}
-
-// filterOriginals collects live ids from a start-sorted originals store
-// under the given obligations (element-free queries only).
-func filterOriginals(s []postings.Posting, checkStart, checkEnd bool, q model.Interval, dst []model.ObjectID) []model.ObjectID {
-	s = originalsUpTo(s, checkEnd, q)
-	for i := range s {
-		if checkStart && s[i].Interval.End < q.Start {
-			continue
-		}
-		if !postings.IsDead(s[i].ID) {
-			dst = append(dst, s[i].ID)
-		}
-	}
-	return dst
-}
-
-// filterReplicas collects live ids from an end-sorted replicas store
-// (element-free queries only).
-func filterReplicas(s []postings.Posting, checkStart bool, q model.Interval, dst []model.ObjectID) []model.ObjectID {
-	s = replicasFrom(s, checkStart, q)
-	for i := range s {
-		if !postings.IsDead(s[i].ID) {
-			dst = append(dst, s[i].ID)
-		}
-	}
-	return dst
-}
-
-// queryTemporalOnly is the element-free path, under one postings span.
-func (ix *SizeIndex) queryTemporalOnly(q model.Query) []model.ObjectID {
-	defer q.Trace.StartStage(obs.StagePostings).End()
-	var out []model.ObjectID
-	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
-		ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *sizePart) {
-			ob := lv.Oblige(j)
-			out = filterOriginals(p.o.ivals, ob.CheckStart, ob.CheckEnd, q.Interval, out)
-			if ob.First {
-				out = filterReplicas(p.r.ivals, ob.CheckStart, q.Interval, out)
-			}
-		})
-	})
-	return out
 }
 
 // SizeBytes estimates resident size: 16-byte interval entries once per

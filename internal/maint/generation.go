@@ -80,11 +80,6 @@ func (g *Generation) Epoch() uint64 { return g.epoch }
 // The collection is immutable; callers must not mutate it.
 func (g *Generation) Coll() *model.Collection { return g.coll }
 
-// Base returns the immutable main index covering the compacted prefix
-// of Coll. It excludes memtable objects and ignores tombstones; use
-// Query for the full filtered view.
-func (g *Generation) Base() model.Index { return g.base }
-
 // Len returns the number of live (non-tombstoned) objects.
 func (g *Generation) Len() int { return len(g.coll.Objects) - g.dead.Len() }
 
@@ -106,15 +101,19 @@ func (g *Generation) SizeBytes() int64 {
 
 // Query answers a time-travel IR query over the whole generation: the
 // main index supplies base candidates, tombstoned ids are filtered out,
-// and memtable matches are appended. Results are internal ids in
-// unspecified order.
+// and memtable matches are appended. An element-free query, which every
+// index answers with nil, is one scan over base and memtable together.
+// Results are internal ids in unspecified order.
 func (g *Generation) Query(q model.Query) []model.ObjectID {
-	return g.finish(q, g.base.Query(q))
+	if len(q.Elems) == 0 {
+		return g.finish(q, nil, g.coll.Objects)
+	}
+	return g.finish(q, g.base.Query(q), g.mem.objs)
 }
 
-// finish applies tombstone filtering to the base candidates (in place)
-// and merges in matching memtable objects.
-func (g *Generation) finish(q model.Query, ids []model.ObjectID) []model.ObjectID {
+// finish applies tombstone filtering to the candidates ids (in place)
+// and appends the live objects of scan that match q.
+func (g *Generation) finish(q model.Query, ids []model.ObjectID, scan []model.Object) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StageFilter).End()
 	filtered := g.dead.Len() > 0
 	if filtered {
@@ -127,8 +126,8 @@ func (g *Generation) finish(q model.Query, ids []model.ObjectID) []model.ObjectI
 		}
 		ids = ids[:w]
 	}
-	for i := range g.mem.objs {
-		o := &g.mem.objs[i]
+	for i := range scan {
+		o := &scan[i]
 		if filtered && g.dead.Has(o.ID) {
 			continue
 		}

@@ -173,8 +173,8 @@ func TestCompactDropsTombstonesKeepsResults(t *testing.T) {
 	if g.Len() != 32 || g.MemLen() != 0 || g.TombstoneCount() != 0 {
 		t.Fatalf("post-compact Len=%d MemLen=%d dead=%d, want 32/0/0", g.Len(), g.MemLen(), g.TombstoneCount())
 	}
-	if g.Base().Len() != 32 {
-		t.Fatalf("base index covers %d objects, want 32", g.Base().Len())
+	if g.base.Len() != 32 {
+		t.Fatalf("base index covers %d objects, want 32", g.base.Len())
 	}
 	after := resultsByExt(g)
 	for i := range before {
@@ -422,4 +422,38 @@ func TestBinaryBaseQueryAgrees(t *testing.T) {
 	for _, q := range testQueries {
 		checkQuery(t, g, q)
 	}
+}
+
+// TestElementFreeQueryScansEveryObject: the index answers an element-free
+// query with nil, and the generation answers it by one scan over base
+// and memtable, so objects without elements, which no postings list
+// holds, are found wherever they sit, tombstones excepted, before and
+// after a compaction.
+func TestElementFreeQueryScansEveryObject(t *testing.T) {
+	c := seedCollection(8)
+	c.AppendObject(model.NewInterval(3, 4), nil) // internal id 8, termless
+	s := newDenseStore(c, tif.New(c), tifBuild)
+	s.Append(model.NewInterval(2, 5), nil, 4)               // 9, termless
+	s.Append(model.NewInterval(1, 6), nil, 4)               // 10, termless
+	s.Append(model.NewInterval(4, 4), []model.ElemID{2}, 4) // 11
+	s.Delete(10)
+	q := model.Query{Interval: model.NewInterval(4, 4)}
+	check := func(stage string, want []model.ObjectID) {
+		t.Helper()
+		g := s.Snapshot()
+		if got := g.base.Query(q); got != nil {
+			t.Errorf("%s: base index answered %v, want nil", stage, got)
+		}
+		got := g.External(g.Query(q))
+		model.SortIDs(got)
+		if !model.EqualIDs(got, want) {
+			t.Errorf("%s: element-free query = %v, want %v", stage, got, want)
+		}
+		checkQuery(t, g, q)
+	}
+	check("memtable", []model.ObjectID{0, 1, 2, 3, 4, 8, 9, 11})
+	if _, err := s.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", []model.ObjectID{0, 1, 2, 3, 4, 8, 9, 11})
 }

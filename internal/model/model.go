@@ -184,15 +184,17 @@ func (q *Query) Matches(o *Object) bool {
 // Querier answers the time-travel IR query: the ids of q's matches, in
 // no particular order (SortIDs gives the canonical one). Every index of
 // the family and the brute-force oracle implement it; ranking and
-// aggregation draw their candidates from it.
+// aggregation draw their candidates from it. An index answers a query
+// without elements with nil; maint.Generation.Query scans for it.
 type Querier interface {
 	Query(q Query) []ObjectID
 }
 
 // Index is the contract of every index in the family: a Querier that
-// also takes updates. Insert adds an object with a fresh id; Delete
-// tombstones an object given its full record (indices locate entries by
-// interval and id, as the paper's logical-deletion scheme does).
+// also takes updates, and answers an element-free query with nil.
+// Insert adds an object with a fresh id; Delete tombstones an object
+// given its full record (indices locate entries by interval and id, as
+// the paper's logical-deletion scheme does).
 type Index interface {
 	Querier
 	Insert(o Object)

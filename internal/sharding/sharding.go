@@ -351,12 +351,7 @@ func (ix *Index) mark(e model.ElemID, q model.Interval, bm *postings.Bitmap) {
 // the result.
 func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		var out []model.ObjectID
-		for e := range ix.shards {
-			out = ix.gather(model.ElemID(e), q.Interval, out)
-		}
-		model.SortIDs(out)
-		return model.DedupIDs(out)
+		return nil
 	}
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
 	cands := ix.gather(plan[0], q.Interval, nil)

@@ -130,7 +130,7 @@ func (ix *Index) Len() int { return ix.live }
 // frequent element, then per-slice merge intersections for the rest.
 func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		return ix.queryTemporalOnly(q.Interval)
+		return nil
 	}
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
 	first := plan[0]
@@ -201,26 +201,6 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 		keep = keep[:w]
 	}
 	return cands
-}
-
-func (ix *Index) queryTemporalOnly(q model.Interval) []model.ObjectID {
-	sf, sl := ix.slots.Of(q.Start), ix.slots.Of(q.End)
-	var out []model.ObjectID
-	for e := range ix.lists {
-		if ix.lists[e] == nil {
-			continue
-		}
-		for s := sf; s <= sl; s++ {
-			for _, p := range ix.lists[e][s] {
-				if p.Interval.Overlaps(q) &&
-					ix.slots.Of(postings.RefValue(p.Interval.Start, q.Start)) == s {
-					out = append(out, p.ID)
-				}
-			}
-		}
-	}
-	model.SortIDs(out)
-	return model.DedupIDs(out)
 }
 
 // SizeBytes estimates the resident size: replicated 16-byte entries plus

@@ -17,8 +17,8 @@ import (
 type Summary struct {
 	Cardinality        int
 	TimeDomain         uint64 // span in time units (2^64 saturates)
-	MinDuration        int64
-	MaxDuration        int64
+	MinDuration        uint64 // points covered (2^64 saturates), as TimeDomain
+	MaxDuration        uint64
 	AvgDuration        float64
 	AvgDurationPct     float64 // of the time domain
 	DictSize           int     // distinct elements actually used
@@ -41,12 +41,12 @@ func Compute(c *model.Collection) Summary {
 		return s
 	}
 	span, _ := c.Span()
-	s.TimeDomain = min(uint64(span.End-span.Start), math.MaxUint64-1) + 1
-	s.MinDuration = math.MaxInt64
+	s.TimeDomain = points(span)
+	s.MinDuration = math.MaxUint64
 	s.MinDescSize = math.MaxInt32
 	for i := range c.Objects {
 		o := &c.Objects[i]
-		d := o.Interval.Duration()
+		d := points(o.Interval)
 		if d < s.MinDuration {
 			s.MinDuration = d
 		}
@@ -92,6 +92,12 @@ func Compute(c *model.Collection) Summary {
 	return s
 }
 
+// points is the number of time points iv covers, saturated at 2^64 - 1
+// because [MinInt64, MaxInt64] covers 2^64.
+func points(iv model.Interval) uint64 {
+	return min(uint64(iv.End-iv.Start), math.MaxUint64-1) + 1
+}
+
 // Table renders the summary as the two-column layout of Table 3.
 func (s Summary) Table(name string) string {
 	var b strings.Builder
@@ -123,12 +129,12 @@ type Histogram struct {
 
 // Bucket counts values in [Lo, Hi).
 type Bucket struct {
-	Lo, Hi int64
+	Lo, Hi uint64
 	Count  int
 }
 
 // LogHistogram buckets values into powers-of-base ranges.
-func LogHistogram(label string, values []int64, base float64) Histogram {
+func LogHistogram(label string, values []uint64, base float64) Histogram {
 	h := Histogram{Label: label}
 	if len(values) == 0 {
 		return h
@@ -139,10 +145,10 @@ func LogHistogram(label string, values []int64, base float64) Histogram {
 			max = v
 		}
 	}
-	var edges []int64
-	for edge := int64(1); ; edge = nextEdge(edge, base) {
+	var edges []uint64
+	for edge := uint64(1); ; edge = nextEdge(edge, base) {
 		edges = append(edges, edge)
-		if edge > max {
+		if edge > max || edge == math.MaxUint64 {
 			break
 		}
 	}
@@ -154,7 +160,7 @@ func LogHistogram(label string, values []int64, base float64) Histogram {
 		}
 		counts[i]++
 	}
-	lo := int64(0)
+	lo := uint64(0)
 	for i, edge := range edges {
 		if counts[i] > 0 {
 			h.Buckets = append(h.Buckets, Bucket{Lo: lo, Hi: edge, Count: counts[i]})
@@ -164,30 +170,35 @@ func LogHistogram(label string, values []int64, base float64) Histogram {
 	return h
 }
 
-func nextEdge(edge int64, base float64) int64 {
-	next := int64(float64(edge) * base)
+func nextEdge(edge uint64, base float64) uint64 {
+	f := float64(edge) * base
+	if f >= math.MaxUint64 {
+		return math.MaxUint64
+	}
+	next := uint64(f)
 	if next <= edge {
 		next = edge + 1
 	}
 	return next
 }
 
-// Durations extracts interval durations for Figure 7's left panel.
-func Durations(c *model.Collection) []int64 {
-	out := make([]int64, c.Len())
+// Durations extracts interval durations, in points as Compute counts
+// them, for Figure 7's left panel.
+func Durations(c *model.Collection) []uint64 {
+	out := make([]uint64, c.Len())
 	for i := range c.Objects {
-		out[i] = c.Objects[i].Interval.Duration()
+		out[i] = points(c.Objects[i].Interval)
 	}
 	return out
 }
 
 // Frequencies extracts non-zero element frequencies for Figure 7's right
 // panel.
-func Frequencies(c *model.Collection) []int64 {
-	var out []int64
+func Frequencies(c *model.Collection) []uint64 {
+	var out []uint64
 	for _, f := range c.ElemFreqs() {
 		if f > 0 {
-			out = append(out, int64(f))
+			out = append(out, uint64(f))
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestLogHistogram(t *testing.T) {
-	values := []int64{1, 1, 2, 3, 10, 100, 1000}
+	values := []uint64{1, 1, 2, 3, 10, 100, 1000}
 	h := LogHistogram("durations", values, 10)
 	total := 0
 	for _, b := range h.Buckets {
@@ -92,6 +93,36 @@ func TestDurationsAndFrequencies(t *testing.T) {
 	f := Frequencies(c)
 	if len(f) != 3 {
 		t.Errorf("Frequencies = %v", f)
+	}
+}
+
+// TestDurationsAtTheInt64Edges: a lifespan is measured as the time domain
+// is, so [MinInt64, MaxInt64] reads 2^64 - 1 points (saturated, not 0)
+// and [MinInt64, 0] reads 2^63 + 1 (not negative), and the histogram over
+// them ends.
+func TestDurationsAtTheInt64Edges(t *testing.T) {
+	var c model.Collection
+	c.AppendObject(model.Interval{Start: math.MinInt64, End: math.MaxInt64}, []model.ElemID{0})
+	c.AppendObject(model.Interval{Start: math.MinInt64, End: 0}, []model.ElemID{0})
+	const all, half = math.MaxUint64, 1<<63 + 1
+	s := Compute(&c)
+	if uint64(s.MinDuration) != half || uint64(s.MaxDuration) != all || s.TimeDomain != all {
+		t.Errorf("durations [%d, %d] over %d, want [%d, %d] over %d",
+			s.MinDuration, s.MaxDuration, s.TimeDomain, uint64(half), uint64(all), uint64(all))
+	}
+	if want := (float64(all) + half) / 2; s.AvgDuration != want {
+		t.Errorf("AvgDuration = %g, want %g", s.AvgDuration, want)
+	}
+	d := Durations(&c)
+	if len(d) != 2 || uint64(d[0]) != all || uint64(d[1]) != half {
+		t.Errorf("Durations = %v, want [%d %d]", d, uint64(all), uint64(half))
+	}
+	total := 0
+	for _, b := range LogHistogram("durations", Durations(&c), 10).Buckets {
+		total += b.Count
+	}
+	if total != 2 {
+		t.Errorf("histogram covers %d of 2 values", total)
 	}
 }
 

@@ -96,7 +96,7 @@ func (ix *Index) List(e model.ElemID) postings.List {
 // The result is in ascending id order.
 func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		return ix.queryTemporalOnly(q.Interval)
+		return nil
 	}
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
 	first := plan[0]
@@ -114,18 +114,6 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 		cands = postings.List(ix.lists[e]).IntersectAny(cands, cands[:0])
 	}
 	return cands
-}
-
-func (ix *Index) queryTemporalOnly(q model.Interval) []model.ObjectID {
-	// Element-less queries degenerate to a scan over all lists; real
-	// deployments would keep a separate interval index. This path exists
-	// for API completeness and tests, not benchmarks.
-	var out []model.ObjectID
-	for e := range ix.lists {
-		out = postings.List(ix.lists[e]).TemporalFilter(q, out)
-	}
-	model.SortIDs(out)
-	return model.DedupIDs(out)
 }
 
 // SizeBytes estimates the resident size of the index: one 16-byte posting

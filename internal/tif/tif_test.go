@@ -51,12 +51,12 @@ func TestUnknownElement(t *testing.T) {
 	}
 }
 
+// TestTemporalOnlyQuery: an element-free query is the generation's to
+// answer (maint.Generation.Query scans for it), so the index answers nil.
 func TestTemporalOnlyQuery(t *testing.T) {
 	ix := New(runningExample())
-	got := ix.Query(model.Query{Interval: model.Interval{Start: 0, End: 0}})
-	want := []model.ObjectID{2, 3}
-	if !model.EqualIDs(got, want) {
-		t.Errorf("got %v, want %v", got, want)
+	if got := ix.Query(model.Query{Interval: model.Interval{Start: 0, End: 0}}); got != nil {
+		t.Errorf("element-free query = %v, want nil", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"repro/internal/domain"
 	"repro/internal/hint"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/postings"
 )
 
@@ -86,7 +85,7 @@ func (ix *BinaryIndex) M() int { return ix.m }
 // Query implements Algorithm 3.
 func (ix *BinaryIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		return ix.queryTemporalOnly(q)
+		return nil
 	}
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
 	first := plan[0]
@@ -98,18 +97,6 @@ func (ix *BinaryIndex) Query(q model.Query) []model.ObjectID {
 	// spans).
 	cands := seedRange(ix.hints[first], q)
 	return ix.probeRest(q, plan, cands)
-}
-
-func (ix *BinaryIndex) queryTemporalOnly(q model.Query) []model.ObjectID {
-	defer q.Trace.StartStage(obs.StagePostings).End()
-	var out []model.ObjectID
-	for _, h := range ix.hints {
-		if h != nil {
-			out = h.RangeQuery(q.Interval, out)
-		}
-	}
-	model.SortIDs(out)
-	return model.DedupIDs(out)
 }
 
 // SizeBytes sums the per-element HINT sizes.

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dict"
 	"repro/internal/domain"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/postings"
 )
 
@@ -145,7 +144,7 @@ func (ix *HybridIndex) NumSlices() int { return ix.numSlices }
 // de-duplication for the rest.
 func (ix *HybridIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		return ix.queryTemporalOnly(q)
+		return nil
 	}
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
 	first := plan[0]
@@ -157,18 +156,6 @@ func (ix *HybridIndex) Query(q model.Query) []model.ObjectID {
 		return cands
 	}
 	return ix.intersectSlices(q, plan, cands)
-}
-
-func (ix *HybridIndex) queryTemporalOnly(q model.Query) []model.ObjectID {
-	defer q.Trace.StartStage(obs.StagePostings).End()
-	var out []model.ObjectID
-	for _, h := range ix.hints {
-		if h != nil {
-			out = h.rangeQuery(q.Interval, out)
-		}
-	}
-	model.SortIDs(out)
-	return model.DedupIDs(out)
 }
 
 // SizeBytes sums both copies: the HINTs plus the 12-byte slice pairs.

@@ -82,24 +82,6 @@ func (h *idHint) delete(p postings.Posting) bool {
 	return found
 }
 
-// rangeQuery runs Algorithm 2 over the id-sorted divisions: the partition
-// pruning and compfirst/complast flags still apply, but every residual
-// comparison is a scan (footnote 8 of the paper: id order trades slower
-// range queries for mergeable intersections).
-func (h *idHint) rangeQuery(q model.Interval, dst []model.ObjectID) []model.ObjectID {
-	hint.Visit(h.dom, q, func(lv hint.LevelVisit) {
-		h.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *idPart) {
-			ob := lv.Oblige(j)
-			dst = scanDivision(p.o, ob.CheckStart, ob.CheckEnd, q, dst)
-			if ob.First {
-				// Replicas never need the end check.
-				dst = scanDivision(p.r, ob.CheckStart, false, q, dst)
-			}
-		})
-	})
-	return dst
-}
-
 // scanDivision appends live ids passing the requested comparisons.
 func scanDivision(s []postings.Posting, checkStart, checkEnd bool, q model.Interval, dst []model.ObjectID) []model.ObjectID {
 	for i := range s {

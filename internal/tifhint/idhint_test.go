@@ -39,7 +39,7 @@ func TestIDHintRangeMatchesHint(t *testing.T) {
 		for trial := 0; trial < 150; trial++ {
 			q := model.Canon(model.Timestamp(rng.Int63n(1<<13)), model.Timestamp(rng.Int63n(1<<13)))
 			a := canonIDs(reference.RangeQuery(q, nil))
-			b := canonIDs(idh.rangeQuery(q, nil))
+			b := canonIDs(idh.seed(model.Query{Interval: q}))
 			if !model.EqualIDs(a, b) {
 				t.Fatalf("m=%d q=%v: hint %d ids, idHint %d ids", m, q, len(a), len(b))
 			}
@@ -109,7 +109,7 @@ func TestIDHintDelete(t *testing.T) {
 	if idh.delete(victim) {
 		t.Fatal("double delete reported success")
 	}
-	got := canonIDs(idh.rangeQuery(victim.Interval, nil))
+	got := idh.seed(model.Query{Interval: victim.Interval})
 	for _, id := range got {
 		if id == victim.ID {
 			t.Fatal("deleted id still reported")

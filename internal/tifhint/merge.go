@@ -4,7 +4,6 @@ import (
 	"repro/internal/dict"
 	"repro/internal/domain"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/postings"
 )
 
@@ -88,7 +87,7 @@ func (ix *MergeIndex) M() int { return ix.m }
 // Query implements Algorithm 4.
 func (ix *MergeIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
-		return ix.queryTemporalOnly(q)
+		return nil
 	}
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
 	first := plan[0]
@@ -100,18 +99,6 @@ func (ix *MergeIndex) Query(q model.Query) []model.ObjectID {
 	// both helpers own their stage spans.
 	cands := ix.hints[first].seed(q)
 	return ix.intersectRest(q, plan, cands)
-}
-
-func (ix *MergeIndex) queryTemporalOnly(q model.Query) []model.ObjectID {
-	defer q.Trace.StartStage(obs.StagePostings).End()
-	var out []model.ObjectID
-	for _, h := range ix.hints {
-		if h != nil {
-			out = h.rangeQuery(q.Interval, out)
-		}
-	}
-	model.SortIDs(out)
-	return model.DedupIDs(out)
 }
 
 // SizeBytes sums the per-element HINT sizes.

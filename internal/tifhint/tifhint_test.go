@@ -101,14 +101,15 @@ func TestUpdatesAllVariants(t *testing.T) {
 	}
 }
 
+// TestTemporalOnlyQueries: an element-free query is the generation's to
+// answer (maint.Generation.Query scans for it), so every variant answers
+// nil.
 func TestTemporalOnlyQueries(t *testing.T) {
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
 			ix := b.build(runningExample(), WithM(3))
-			got := ix.Query(model.Query{Interval: model.Interval{Start: 0, End: 0}})
-			want := []model.ObjectID{2, 3}
-			if !model.EqualIDs(got, want) {
-				t.Errorf("got %v, want %v", got, want)
+			if got := ix.Query(model.Query{Interval: model.Interval{Start: 0, End: 0}}); got != nil {
+				t.Errorf("element-free query = %v, want nil", got)
 			}
 		})
 	}

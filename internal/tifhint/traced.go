@@ -43,11 +43,22 @@ func seedRange(h *hint.Index, q model.Query) []model.ObjectID {
 	return h.RangeQuery(q.Interval, nil)
 }
 
-// seed runs the first-element postings fetch plus the id sort the
-// merge intersections rely on, under one postings span.
+// seed is the first-element fetch under one postings span: Algorithm 2
+// over the id-sorted divisions (each residual comparison a scan, the
+// trade of the paper's footnote 8), then the id sort the merges need.
 func (h *idHint) seed(q model.Query) []model.ObjectID {
 	defer q.Trace.StartStage(obs.StagePostings).End()
-	cands := h.rangeQuery(q.Interval, nil)
+	var cands []model.ObjectID
+	hint.Visit(h.dom, q.Interval, func(lv hint.LevelVisit) {
+		h.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *idPart) {
+			ob := lv.Oblige(j)
+			cands = scanDivision(p.o, ob.CheckStart, ob.CheckEnd, q.Interval, cands)
+			if ob.First {
+				// Replicas never need the end check.
+				cands = scanDivision(p.r, ob.CheckStart, false, q.Interval, cands)
+			}
+		})
+	})
 	model.SortIDs(cands)
 	return cands
 }

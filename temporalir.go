@@ -62,7 +62,8 @@ func NewInterval(start, end Timestamp) Interval { return model.NewInterval(start
 
 // Index is the common surface of every index in the family. Query returns
 // matching object ids (order unspecified; use SortIDs for a canonical
-// order). Insert adds an object with a fresh id; Delete tombstones an
+// order), and nil for a query without elements, which the Engine answers
+// by a scan. Insert adds an object with a fresh id; Delete tombstones an
 // object given its full record (indices locate entries by interval and
 // id, as the paper's logical-deletion scheme does).
 type Index = model.Index
