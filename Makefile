@@ -23,7 +23,7 @@ race:
 	$(GO) test -race ./...
 
 # The packages whose tests carry runtime assertions (-tags invariants).
-INVARIANT_PKGS = . ./internal/domain ./internal/postings ./internal/hint ./internal/tifhint ./internal/core ./internal/sharding ./internal/maint
+INVARIANT_PKGS = . ./internal/domain ./internal/postings ./internal/hint ./internal/tif ./internal/slicing ./internal/tifhint ./internal/core ./internal/sharding ./internal/maint
 
 invariants:
 	$(GO) test -tags invariants $(INVARIANT_PKGS)
@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzIntersect -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzContainerParity -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzGallopParity -fuzztime=$(FUZZTIME) ./internal/postings/
+	$(GO) test -fuzz=FuzzMarkParity -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzDomainRoundTrip -fuzztime=$(FUZZTIME) ./internal/domain/
 	$(GO) test -fuzz=FuzzLoadEngine -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzSearchRequest -fuzztime=$(FUZZTIME) ./internal/server/

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/postings"
 	"repro/internal/testutil"
 )
 
@@ -221,5 +223,42 @@ func TestEmptyCollection(t *testing.T) {
 	}
 	if got := size.Query(q); len(got) != 0 {
 		t.Errorf("size returned %v", got)
+	}
+}
+
+// TestSizeStoresNoElementFreeObject: no query can return an object
+// without elements (an element-free query is the generation's, any other
+// intersects element lists first), so neither the bulk build nor Insert
+// puts one in an interval store. Delete and Len still count it.
+func TestSizeStoresNoElementFreeObject(t *testing.T) {
+	cfg := testutil.DefaultConfig(41)
+	c := testutil.RandomCollection(cfg)
+	for i := range c.Objects {
+		if i%3 == 0 {
+			c.Objects[i].Elems = nil
+		}
+	}
+	ix := NewSize(c, WithM(6))
+	n := model.ObjectID(len(c.Objects))
+	ix.Insert(model.Object{ID: n, Interval: model.NewInterval(10, 20)})
+	ix.Insert(model.Object{ID: n + 1, Interval: model.NewInterval(10, 20), Elems: []model.ElemID{1}})
+	bare := func(id model.ObjectID) bool { return id == n || (id < n && len(c.Objects[id].Elems) == 0) }
+	for l := range ix.levels {
+		for _, p := range ix.levels[l].Parts {
+			for _, e := range append(slices.Clone(p.o.ivals), p.r.ivals...) {
+				if bare(postings.LiveID(e.ID)) {
+					t.Fatalf("level %d stores object %d, which has no elements", l, e.ID)
+				}
+			}
+		}
+	}
+	if got, want := ix.Len(), len(c.Objects)+2; got != want {
+		t.Fatalf("Len = %d, want %d", got, want)
+	}
+	for _, o := range []model.Object{c.Objects[0], {ID: n, Interval: model.NewInterval(10, 20)}, c.Objects[0]} {
+		ix.Delete(o)
+	}
+	if got, want := ix.Len(), len(c.Objects); got != want {
+		t.Fatalf("after deleting two objects without elements, one twice: Len = %d, want %d", got, want)
 	}
 }

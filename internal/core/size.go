@@ -43,17 +43,31 @@ type SizeIndex struct {
 	levels []hint.Directory[sizePart]
 	freqs  []int
 	live   int
+	// bare holds the live objects without elements, ascending. No query
+	// returns one (an element-free query is the generation's), so no
+	// division stores them; Delete finds them here.
+	bare []model.ObjectID
 }
 
 // NewSize builds the size irHINT over a collection with the same bulk
 // kernel as NewPerf: per division one interval store, sorted once, and
-// id-only lists that are views into one exactly-sized arena.
+// id-only lists that are views into one exactly-sized arena. Objects
+// without elements go to bare instead, as Insert sends them.
 func NewSize(c *model.Collection, opts ...Option) *SizeIndex {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	ix := &SizeIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
+	for i := range c.Objects {
+		if len(c.Objects[i].Elems) == 0 {
+			ix.bare = append(ix.bare, c.Objects[i].ID)
+		}
+	}
+	if len(ix.bare) > 0 {
+		slices.Sort(ix.bare)
+		c = &model.Collection{DictSize: c.DictSize, Objects: slices.DeleteFunc(slices.Clone(c.Objects), func(o model.Object) bool { return len(o.Elems) == 0 })}
+	}
 	ix.levels, ix.freqs = bulkBuild(ix.dom, c, nil, func(b *builder, p *sizePart, replica bool, asgs []hint.Assignment) {
 		d, key := &p.o, byStart
 		if replica {
@@ -82,8 +96,15 @@ func (ix *SizeIndex) M() int { return ix.dom.M }
 func (ix *SizeIndex) Len() int { return ix.live }
 
 // Insert routes the object and adds, per division: one interval-store
-// entry plus one id per element in the division's inverted index.
+// entry plus one id per element in the division's inverted index. An
+// object without elements only joins bare.
 func (ix *SizeIndex) Insert(o model.Object) {
+	ix.live++
+	if len(o.Elems) == 0 {
+		i, _ := slices.BinarySearch(ix.bare, o.ID)
+		ix.bare = slices.Insert(ix.bare, i, o.ID)
+		return
+	}
 	p := postings.Posting{ID: o.ID, Interval: o.Interval}
 	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
 		part := ix.levels[level].GetOrCreate(j)
@@ -100,7 +121,6 @@ func (ix *SizeIndex) Insert(o model.Object) {
 		ix.growTo(int(e) + 1)
 		ix.freqs[e]++
 	}
-	ix.live++
 }
 
 func byStart(p postings.Posting) model.Timestamp { return p.Interval.Start }
@@ -155,8 +175,16 @@ func (d *sizeDiv) list(e model.ElemID) []model.ObjectID {
 // dead bit and bumps the division's dead counter. The id-only inverted
 // lists stay untouched: Query reports a survivor of their intersection
 // only from a division without dead entries or after finding it live in
-// the store, so a dead object's postings are unreachable.
+// the store, so a dead object's postings are unreachable. An object
+// without elements leaves bare.
 func (ix *SizeIndex) Delete(o model.Object) {
+	if len(o.Elems) == 0 {
+		if i, ok := slices.BinarySearch(ix.bare, o.ID); ok {
+			ix.bare = slices.Delete(ix.bare, i, i+1)
+			ix.live--
+		}
+		return
+	}
 	found := false
 	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
 		part := ix.levels[level].Get(j)
@@ -305,7 +333,8 @@ func (d *sizeDiv) query(q model.Interval, plan []model.ElemID, replica, checkSta
 
 // SizeBytes estimates resident size: 16-byte interval entries once per
 // division plus 4-byte id postings — the storage saving of Section 4.2 —
-// and each division's dead counter.
+// each division's dead counter, and the ids of the objects without
+// elements.
 func (ix *SizeIndex) SizeBytes() int64 {
 	var total int64
 	for l := range ix.levels {
@@ -315,7 +344,7 @@ func (ix *SizeIndex) SizeBytes() int64 {
 			total += divSize(&p.o) + divSize(&p.r) + 96
 		}
 	}
-	return total + int64(len(ix.freqs))*8
+	return total + int64(len(ix.freqs))*8 + int64(cap(ix.bare))*4
 }
 
 func divSize(d *sizeDiv) int64 {

@@ -30,13 +30,26 @@ func TestAllocBudget(t *testing.T) {
 
 	small := cands[:min(64, len(cands))]
 	allocbudget.Gate(t, "postings/IntersectGalloping", func() { dst = IntersectGalloping(small, other, dst[:0]) })
+
+	// The later-element kernel: a pooled pass over four fragments, one
+	// positional and one bitmap, allocates nothing once warm.
+	frags := []List{l[:len(l)/4], l[len(l)/4 : len(l)/2], l[len(l)/2 : 3*len(l)/4], l[3*len(l)/4:]}
+	allocbudget.Gate(t, "postings/Later", func() {
+		k := GetLater()
+		for _, sorted := range []bool{true, false} {
+			k.Begin(cands, sorted)
+			for _, f := range frags {
+				Mark(k, f)
+			}
+			dst = k.Keep(dst[:0])
+		}
+		PutLater(k)
+	})
 }
 
 // TestAllocBudgetDispatch pins the container-aware dispatch kernels and
 // the temporal filter: with a reused dst each is allocation-free once
-// warmed up. MergeSortedIDLists returns a fresh
-// slice, so it pays exactly one exactly-sized allocation per merge.
-// `make benchmem` re-records.
+// warmed up. `make benchmem` re-records.
 func TestAllocBudgetDispatch(t *testing.T) {
 	l, cands := benchLists(10_000)
 	small := cands[:min(64, len(cands))]
@@ -46,7 +59,4 @@ func TestAllocBudgetDispatch(t *testing.T) {
 	allocbudget.Gate(t, "postings/List.IntersectAny", func() { dst = l.IntersectAny(small, dst[:0]) })
 	q := model.Interval{Start: 1 << 18, End: 1 << 19}
 	allocbudget.Gate(t, "postings/List.TemporalFilter", func() { dst = l.TemporalFilter(q, dst[:0]) })
-
-	halves := [][]model.ObjectID{cands[:len(cands)/2], cands[len(cands)/4:]}
-	allocbudget.Gate(t, "postings/MergeSortedIDLists", func() { _ = MergeSortedIDLists(halves) })
 }

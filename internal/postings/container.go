@@ -13,8 +13,8 @@ import (
 // representation for sparse sets, while dense sets switch to a packed
 // []uint64 bitmap with O(1) membership probes.
 // Skewed array/array pairs use galloping (exponential) search instead of
-// a full merge. IntersectAnySorted and List.IntersectAny are the
-// container-aware dispatchers the hot paths call.
+// a full merge. IntersectAnySorted and the later-element kernel (Later)
+// are the container-aware dispatchers the hot paths call.
 
 // BitmapCutoff is the candidate-set size at which intersections switch
 // from the positional keep-mask / merge representation to the packed
@@ -104,7 +104,7 @@ func (b *Bitmap) SetSorted(ids []model.ObjectID) {
 		b.Reset(0)
 		return
 	}
-	assertSortedIDs(ids, "Bitmap.SetSorted")
+	assertSorted(ids, "Bitmap.SetSorted")
 	b.Reset(ids[len(ids)-1] + 1)
 	for _, id := range ids {
 		b.words[id>>6] |= 1 << (id & 63)
@@ -138,79 +138,51 @@ func (b *Bitmap) KeepSorted(dst, ids []model.ObjectID) []model.ObjectID {
 		}
 		n += int(w >> (id & 63) & 1)
 	}
-	assertSortedIDs(out[:n], "Bitmap.KeepSorted")
+	assertSorted(out[:n], "Bitmap.KeepSorted")
 	return dst[:start+n]
 }
 
 // SizeBytes reports the bitmap's resident size.
 func (b *Bitmap) SizeBytes() int64 { return int64(cap(b.words)) * 8 }
 
-// BitmapScratch is a pooled pair of reusable bitmaps for the
-// intersection hot paths: Cands holds the candidate set, Matched
-// accumulates per-division marks. The pool recycles them across
-// queries, so steady-state bitmap intersections allocate nothing.
+// BitmapScratch is a pooled reusable bitmap for the tIF+HINT binary
+// variant's probes: Cands holds the candidate set. The pool recycles it
+// across queries, so steady-state probes allocate nothing.
 type BitmapScratch struct {
-	Cands   Bitmap
-	Matched Bitmap
+	Cands Bitmap
 }
 
 var bitmapPool = sync.Pool{New: func() any { return new(BitmapScratch) }}
 
-// GetBitmapScratch borrows a scratch pair from the pool.
+// GetBitmapScratch borrows a scratch bitmap from the pool.
 func GetBitmapScratch() *BitmapScratch { return bitmapPool.Get().(*BitmapScratch) }
 
-// PutBitmapScratch returns a scratch pair to the pool.
+// PutBitmapScratch returns a scratch bitmap to the pool.
 func PutBitmapScratch(s *BitmapScratch) { bitmapPool.Put(s) }
 
-// GallopLowerBound returns the smallest index i in [lo, len(ids)] with
-// ids[i] >= target, using exponential probing from lo — O(log d) for a
-// match d positions ahead, the skew-friendly search the galloping
-// intersections rely on. ids must be ascending.
-func GallopLowerBound(ids []model.ObjectID, target model.ObjectID, lo int) int {
-	if lo >= len(ids) || ids[lo] >= target {
+// GallopLowerBound returns the smallest index i in [lo, len(s)] with
+// s[i]'s id >= target, using exponential probing from lo — O(log d) for
+// a match d positions ahead, the skew-friendly search the galloping
+// intersections rely on. s must be ascending by id.
+func GallopLowerBound[E Entry](s []E, target model.ObjectID, lo int) int {
+	if lo >= len(s) || idOf(&s[lo]) >= target {
 		return lo
 	}
-	// Invariant: ids[lo] < target; double the step until hi overshoots.
+	// Invariant: s[lo] < target; double the step until hi overshoots.
 	step := 1
 	hi := lo + 1
-	for hi < len(ids) && ids[hi] < target {
+	for hi < len(s) && idOf(&s[hi]) < target {
 		lo = hi
 		hi += step
 		step <<= 1
 	}
-	if hi > len(ids) {
-		hi = len(ids)
+	if hi > len(s) {
+		hi = len(s)
 	}
-	// Binary search in (lo, hi]: ids[lo] < target <= ids[hi] (or hi==len).
+	// Binary search in (lo, hi]: s[lo] < target <= s[hi] (or hi==len).
 	for lo+1 < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// GallopLowerBoundList is GallopLowerBound over a postings list's ids.
-func GallopLowerBoundList(l []Posting, target model.ObjectID, lo int) int {
-	if lo >= len(l) || l[lo].ID >= target {
-		return lo
-	}
-	step := 1
-	hi := lo + 1
-	for hi < len(l) && l[hi].ID < target {
-		lo = hi
-		hi += step
-		step <<= 1
-	}
-	if hi > len(l) {
-		hi = len(l)
-	}
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if l[mid].ID < target {
+		if idOf(&s[mid]) < target {
 			lo = mid
 		} else {
 			hi = mid
@@ -224,8 +196,8 @@ func GallopLowerBoundList(l []Posting, target model.ObjectID, lo int) int {
 // from the last probe position, so the cost is O(|small| log(|large| /
 // |small|)) instead of the merge's O(|small| + |large|).
 func IntersectGalloping(small, large, dst []model.ObjectID) []model.ObjectID {
-	assertSortedIDs(small, "IntersectGalloping small")
-	assertSortedIDs(large, "IntersectGalloping large")
+	assertSorted(small, "IntersectGalloping small")
+	assertSorted(large, "IntersectGalloping large")
 	dst = slices.Grow(dst, len(small))
 	lo := 0
 	for _, id := range small {
@@ -258,46 +230,18 @@ func IntersectAnySorted(a, b, dst []model.ObjectID) []model.ObjectID {
 	return IntersectSortedIDs(a, b, dst)
 }
 
-// IntersectAny is the container-aware counterpart of IntersectIDs: when
-// the list dwarfs the candidate set (or vice versa) it gallops through
-// the larger side instead of merging both. Semantics match IntersectIDs
-// exactly — in particular, tombstoned entries still match, relying on
-// the all-copies-tombstoned deletion invariant the merge path relies on.
+// IntersectAny appends to dst the candidates the list holds, in order:
+// a one-fragment pass of the later-element kernel (Later), so it gallops
+// or merges by the two sizes and reads ids only. Tombstoned entries still
+// match: deletion tombstones every copy, so a dead object never enters
+// the candidate set in the first place. dst may be cands[:0].
 func (l List) IntersectAny(cands, dst []model.ObjectID) []model.ObjectID {
-	switch {
-	case len(l) > len(cands)*GallopRatio:
-		assertSortedIDs(cands, "List.IntersectAny candidates")
-		assertSortedList(l, "List.IntersectAny list")
-		dst = slices.Grow(dst, len(cands))
-		lo := 0
-		for _, id := range cands {
-			lo = GallopLowerBoundList(l, id, lo)
-			if lo == len(l) {
-				break
-			}
-			if l[lo].ID == id {
-				dst = append(dst, id)
-				lo++
-			}
-		}
+	if len(cands) == 0 {
 		return dst
-	case len(cands) > len(l)*GallopRatio:
-		assertSortedIDs(cands, "List.IntersectAny candidates")
-		assertSortedList(l, "List.IntersectAny list")
-		dst = slices.Grow(dst, len(l))
-		lo := 0
-		for i := range l {
-			lo = GallopLowerBound(cands, l[i].ID, lo)
-			if lo == len(cands) {
-				break
-			}
-			if cands[lo] == l[i].ID {
-				dst = append(dst, cands[lo])
-				lo++
-			}
-		}
-		return dst
-	default:
-		return l.IntersectIDs(cands, dst)
 	}
+	k := GetLater()
+	defer PutLater(k)
+	k.Begin(cands, true)
+	Mark(k, l)
+	return k.Keep(dst)
 }

@@ -196,7 +196,6 @@ func TestListIntersectAnyMatchesIntersectIDs(t *testing.T) {
 func TestBitmapScratchPool(t *testing.T) {
 	s := GetBitmapScratch()
 	s.Cands.SetSorted([]model.ObjectID{1, 2, 3})
-	s.Matched.SetSorted([]model.ObjectID{2})
 	PutBitmapScratch(s)
 	s2 := GetBitmapScratch()
 	defer PutBitmapScratch(s2)

@@ -2,17 +2,9 @@
 
 package postings
 
-import "repro/internal/model"
-
 // InvariantsEnabled reports whether the runtime assertion layer is
 // compiled in (the `invariants` build tag, exercised by CI).
 const InvariantsEnabled = false
 
-// assertSortedList is a no-op in normal builds; see invariants_on.go.
-func assertSortedList(List, string) {}
-
-// assertSortedIDs is a no-op in normal builds; see invariants_on.go.
-func assertSortedIDs([]model.ObjectID, string) {}
-
-// assertUniqueSortedIDs is a no-op in normal builds; see invariants_on.go.
-func assertUniqueSortedIDs([]model.ObjectID, string) {}
+// assertSorted is a no-op in normal builds; see invariants_on.go.
+func assertSorted[E Entry]([]E, string) {}

@@ -2,45 +2,20 @@
 
 package postings
 
-import (
-	"fmt"
-
-	"repro/internal/model"
-)
+import "fmt"
 
 // InvariantsEnabled reports whether the runtime assertion layer is
 // compiled in (the `invariants` build tag, exercised by CI).
 const InvariantsEnabled = true
 
-// assertSortedList panics when the postings list is out of ascending id
-// order — the precondition every merge intersection of Algorithm 1 rests
-// on. Compiled out of normal builds.
-func assertSortedList(l List, context string) {
-	if !l.IsSorted() {
-		// lint:panic-ok invariants build: broken sortedness must abort loudly
-		panic(fmt.Sprintf("postings: invariant violated: unsorted list in %s", context))
-	}
-}
-
-// assertSortedIDs panics when the id slice is not ascending. Compiled out
-// of normal builds.
-func assertSortedIDs(ids []model.ObjectID, context string) {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] > ids[i] {
+// assertSorted panics when s is out of ascending id order — the
+// precondition every merge intersection of Algorithm 1 rests on.
+// Compiled out of normal builds.
+func assertSorted[E Entry](s []E, context string) {
+	for i := 1; i < len(s); i++ {
+		if idOf(&s[i-1]) > idOf(&s[i]) {
 			// lint:panic-ok invariants build: broken id ordering must abort loudly
 			panic(fmt.Sprintf("postings: invariant violated: ids not ascending at %d in %s", i, context))
-		}
-	}
-}
-
-// assertUniqueSortedIDs panics when the id slice is not strictly ascending
-// (sorted and de-duplicated) — the contract of the reference-value de-dup
-// outputs. Compiled out of normal builds.
-func assertUniqueSortedIDs(ids []model.ObjectID, context string) {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			// lint:panic-ok invariants build: duplicate or unordered result ids must abort loudly
-			panic(fmt.Sprintf("postings: invariant violated: ids not strictly ascending at %d in %s", i, context))
 		}
 	}
 }

@@ -43,9 +43,6 @@ func TestAssertionsFireOnUnsortedInputs(t *testing.T) {
 		}
 		b.KeepSorted(nil, unsorted)
 	})
-	mustPanic(t, "MergeSortedIDLists", func() {
-		MergeSortedIDLists([][]model.ObjectID{unsorted})
-	})
 	mustPanic(t, "List.IntersectIDs", func() {
 		l := List{{ID: 5}, {ID: 2}}
 		l.IntersectIDs(sorted, nil)

@@ -16,7 +16,9 @@ import (
 // Tombstone is the sentinel interval that marks a logically deleted entry
 // (Section 5.5: deletions are logical, entries are located and flagged).
 // The sentinel overlaps no real interval, so every comparison-based path
-// skips it for free; bulk "no comparison" paths must test IsTombstone.
+// skips it for free; bulk "no comparison" paths that emit candidates
+// must test IsTombstone. Later elements need not (Later): Delete flags
+// every copy, so no live candidate's id meets a flagged one.
 // lint:interval-ok the deletion sentinel must violate Start <= End so it overlaps no real interval
 var Tombstone = model.Interval{Start: math.MaxInt64, End: math.MinInt64}
 
@@ -71,7 +73,7 @@ func (l List) Clone() List {
 // Sort re-establishes the id order after bulk loading.
 func (l List) Sort() {
 	sort.Slice(l, func(i, j int) bool { return l[i].ID < l[j].ID })
-	assertSortedList(l, "List.Sort")
+	assertSorted(l, "List.Sort")
 }
 
 // IsSorted reports whether the list is in ascending id order.
@@ -83,6 +85,16 @@ func (l List) IsSorted() bool {
 func (l List) FindID(id model.ObjectID) (int, bool) {
 	i := sort.Search(len(l), func(i int) bool { return l[i].ID >= id })
 	return i, i < len(l) && l[i].ID == id
+}
+
+// InsertByID inserts x into s, ascending by id, and returns s: an append
+// when x's id is the largest, as dense ids arriving in order make it,
+// else a positioned insert.
+func InsertByID[E Entry](s []E, x E) []E {
+	if n := len(s); n == 0 || idOf(&s[n-1]) < idOf(&x) {
+		return append(s, x)
+	}
+	return slices.Insert(s, GallopLowerBound(s, idOf(&x)+1, 0), x)
 }
 
 // TemporalFilter appends to dst the ids of entries whose interval overlaps
@@ -106,8 +118,8 @@ func (l List) TemporalFilter(q model.Interval, dst []model.ObjectID) []model.Obj
 // min(|cands|, |l|) so the merge loop never reallocates, even from a nil
 // dst; callers reusing a buffer across queries amortize the growth to zero.
 func (l List) IntersectIDs(cands []model.ObjectID, dst []model.ObjectID) []model.ObjectID {
-	assertSortedIDs(cands, "List.IntersectIDs candidates")
-	assertSortedList(l, "List.IntersectIDs list")
+	assertSorted(cands, "List.IntersectIDs candidates")
+	assertSorted(l, "List.IntersectIDs list")
 	dst = slices.Grow(dst, min(len(cands), len(l)))
 	i, j := 0, 0
 	for i < len(cands) && j < len(l) {
@@ -129,8 +141,8 @@ func (l List) IntersectIDs(cands []model.ObjectID, dst []model.ObjectID) []model
 // pre-grown to the output bound min(|a|, |b|) so the merge loop never
 // reallocates.
 func IntersectSortedIDs(a, b, dst []model.ObjectID) []model.ObjectID {
-	assertSortedIDs(a, "IntersectSortedIDs a")
-	assertSortedIDs(b, "IntersectSortedIDs b")
+	assertSorted(a, "IntersectSortedIDs a")
+	assertSorted(b, "IntersectSortedIDs b")
 	dst = slices.Grow(dst, min(len(a), len(b)))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -146,26 +158,6 @@ func IntersectSortedIDs(a, b, dst []model.ObjectID) []model.ObjectID {
 		}
 	}
 	return dst
-}
-
-// MergeSortedIDLists combines already-sorted id slices into one sorted,
-// deduplicated slice: it concatenates them, sorts the whole with
-// model.SortIDs (linear above its cutoff) and drops duplicates. Used to
-// combine per-slice candidate outputs.
-func MergeSortedIDLists(lists [][]model.ObjectID) []model.ObjectID {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]model.ObjectID, 0, total)
-	for _, l := range lists {
-		assertSortedIDs(l, "MergeSortedIDLists input")
-		out = append(out, l...)
-	}
-	model.SortIDs(out)
-	out = model.DedupIDs(out)
-	assertUniqueSortedIDs(out, "MergeSortedIDLists output")
-	return out
 }
 
 // RefValue returns the reference time point of an object replicated across

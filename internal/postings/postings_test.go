@@ -116,19 +116,6 @@ func randomSortedIDs(rng *rand.Rand, n, space int) []model.ObjectID {
 	return model.DedupIDs(ids)
 }
 
-func TestMergeSortedIDLists(t *testing.T) {
-	got := MergeSortedIDLists([][]model.ObjectID{
-		{1, 5, 9},
-		{2, 5},
-		nil,
-		{1, 9, 10},
-	})
-	want := []model.ObjectID{1, 2, 5, 9, 10}
-	if !model.EqualIDs(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
 func TestRefValue(t *testing.T) {
 	if RefValue(5, 3) != 5 {
 		t.Error("RefValue(5,3) should be 5")

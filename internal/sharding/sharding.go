@@ -10,6 +10,7 @@ package sharding
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -284,88 +285,86 @@ func (ix *Index) Delete(o model.Object) {
 // Len returns the number of live objects.
 func (ix *Index) Len() int { return ix.live }
 
-// window returns the index range [lo, cut) of s outside which no entry can
-// overlap q: entries from cut on start after q.End (the impact-list
-// probe), and in an ideal shard the staircase (non-decreasing ends) puts
-// every entry ending before q.Start ahead of lo. In a merged shard the
-// range still holds such entries; qualifies tells them apart.
-func (s *shard) window(q model.Interval) (lo, cut int) {
+// window returns the index range [lo, cut) of s outside which no entry
+// can both start in [from, to] and overlap q: entries start-ordered put
+// those starting before from ahead of lo and those starting after to from
+// cut on (the impact-list probe), and in an ideal shard the staircase
+// (non-decreasing ends) puts every entry ending before q.Start ahead of
+// lo too. In a merged shard the range still holds entries that end
+// before q.Start.
+func (s *shard) window(q model.Interval, from, to model.Timestamp) (lo, cut int) {
 	cut = sort.Search(len(s.entries), func(k int) bool {
-		return s.entries[k].Interval.Start > q.End
+		return s.entries[k].Interval.Start > to
+	})
+	lo = sort.Search(cut, func(k int) bool {
+		return s.entries[k].Interval.Start >= from
 	})
 	if s.ideal {
-		lo = sort.Search(cut, func(k int) bool {
-			return s.entries[k].Interval.End >= q.Start
+		lo += sort.Search(cut-lo, func(k int) bool {
+			return s.entries[lo+k].Interval.End >= q.Start
 		})
 	}
 	return lo, cut
 }
 
-// qualifies reports whether entry k, inside s.window(q), is live and
-// overlaps q.
-func (s *shard) qualifies(k int, q model.Interval) bool {
-	p := &s.entries[k]
-	return (s.ideal || p.Interval.End >= q.Start) && !postings.IsDead(p.ID)
-}
-
 // gather appends the ids of live entries of element e whose interval
-// overlaps q, probing each shard.
-func (ix *Index) gather(e model.ElemID, q model.Interval, dst []model.ObjectID) []model.ObjectID {
+// overlaps q, probing each shard, and returns the span of their starts.
+func (ix *Index) gather(e model.ElemID, q model.Interval, dst []model.ObjectID) ([]model.ObjectID, model.Timestamp, model.Timestamp) {
+	from, to := model.Timestamp(math.MaxInt64), model.Timestamp(math.MinInt64)
 	if int(e) >= len(ix.shards) {
-		return dst
+		return dst, from, to
 	}
 	for i := range ix.shards[e] {
 		s := &ix.shards[e][i]
-		for k, cut := s.window(q); k < cut; k++ {
-			if s.qualifies(k, q) {
-				dst = append(dst, s.entries[k].ID)
+		for k, cut := s.window(q, math.MinInt64, q.End); k < cut; k++ {
+			if p := &s.entries[k]; (s.ideal || p.Interval.End >= q.Start) && !postings.IsDead(p.ID) {
+				dst = append(dst, p.ID)
+				from, to = min(from, p.Interval.Start), max(to, p.Interval.Start)
 			}
 		}
 	}
-	return dst
+	return dst, from, to
 }
 
-// mark walks the same probes as gather over element e and sets, in bm,
-// the id of every entry it meets. Ids past bm's universe are ignored, so
-// entries beyond the largest candidate cost one compare.
-func (ix *Index) mark(e model.ElemID, q model.Interval, bm *postings.Bitmap) {
+// mark runs the pass of k over element e's shard windows. A candidate
+// overlaps q and starts in [from, to], and its entry for e has the same
+// interval, so the entry lies inside its shard's window; the windows are
+// start-ordered, so k marks a bitmap. A dead entry's id carries the dead
+// bit, far past every candidate, and any other window entry that is no
+// candidate's sets a bit no candidate reads, so no entry needs a test.
+func (ix *Index) mark(e model.ElemID, q model.Interval, from, to model.Timestamp, k *postings.Later) {
 	if int(e) >= len(ix.shards) {
 		return
 	}
 	for i := range ix.shards[e] {
 		s := &ix.shards[e][i]
-		for k, cut := s.window(q); k < cut; k++ {
-			if s.qualifies(k, q) {
-				bm.Set(s.entries[k].ID)
-			}
-		}
+		lo, cut := s.window(q, from, to)
+		postings.Mark(k, s.entries[lo:cut])
 	}
 }
 
 // Query evaluates a time-travel IR query. Shards are start-ordered, so the
 // temporally qualifying ids of the least frequent element are gathered and
-// sorted once; every further element, in ascending frequency order, is
-// walked through the same probes, marking the ids it meets in a bitmap,
-// and the candidates it does not meet are dropped. Anand et al. look each
-// entry up in the sorted candidates; the bit test changes the speed, not
-// the result.
+// sorted once; every further element, in ascending frequency order, keeps
+// the candidates found in its shard windows, cut to the candidates' starts
+// (mark). Anand et al. look each entry up in the sorted candidates; the
+// bit test changes the speed, not the result.
 func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return nil
 	}
 	plan := dict.PlanOrder(q.Elems, ix.freqs)
-	cands := ix.gather(plan[0], q.Interval, nil)
+	cands, from, to := ix.gather(plan[0], q.Interval, nil)
 	model.SortIDs(cands)
-	bs := postings.GetBitmapScratch()
-	defer postings.PutBitmapScratch(bs)
-	bm := &bs.Matched
+	k := postings.GetLater()
+	defer postings.PutLater(k)
 	for _, e := range plan[1:] {
 		if len(cands) == 0 {
 			return nil
 		}
-		bm.Reset(cands[len(cands)-1] + 1)
-		ix.mark(e, q.Interval, bm)
-		cands = bm.KeepSorted(cands[:0], cands)
+		k.Begin(cands, false)
+		ix.mark(e, q.Interval, from, to, k)
+		cands = k.Keep(cands[:0])
 	}
 	return cands
 }

@@ -125,6 +125,25 @@ func TestAllocBudgetBuild(t *testing.T) {
 	allocbudget.Gate(t, "slicing/New", func() { New(c) })
 }
 
+// TestAllocBudgetQuery pins what a query allocates, on the collection and
+// query of sharding's and tIF+HINT's query budgets: the candidates and
+// every pass over them live in pooled buffers, so only the answer is
+// allocated. `make benchmem` re-records.
+func TestAllocBudgetQuery(t *testing.T) {
+	cfg := testutil.CollectionConfig{N: 20_000, DomainLo: 0, DomainHi: 1 << 20, Dict: 50, MaxDesc: 6, Seed: 9}
+	ix := New(testutil.RandomCollection(cfg))
+	q := model.Query{Interval: model.NewInterval(1<<18, 3<<18), Elems: []model.ElemID{1, 4, 7}}
+	want := len(ix.Query(q))
+	if want == 0 {
+		t.Fatal("query matches nothing")
+	}
+	allocbudget.Gate(t, "slicing/Index.Query", func() {
+		if got := len(ix.Query(q)); got != want {
+			t.Fatalf("result size changed: %d, was %d", got, want)
+		}
+	})
+}
+
 // BenchmarkBuild times the bulk build over the scale-0.03 synthetic
 // corpus (30k objects — the benchmark's lib_methods input):
 // `go test -run '^$' -bench Build -benchtime 5x ./internal/slicing`.

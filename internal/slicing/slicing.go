@@ -8,6 +8,9 @@
 package slicing
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/dict"
 	"repro/internal/domain"
 	"repro/internal/model"
@@ -127,7 +130,8 @@ func (ix *Index) Len() int { return ix.live }
 
 // Query evaluates a time-travel IR query: temporal filtering with
 // reference-value de-duplication over the relevant sub-lists of the least
-// frequent element, then per-slice merge intersections for the rest.
+// frequent element, then one pass of the later-element kernel per
+// remaining element over its relevant sub-lists.
 func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return nil
@@ -140,68 +144,52 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 	sf, sl := ix.slots.Of(q.Interval.Start), ix.slots.Of(q.Interval.End)
 
 	// Phase 1: candidates from the least frequent element. Each qualifying
-	// object is collected exactly once — from the slice holding its
-	// reference value — so the per-slice id-sorted outputs just need one
-	// merge (postings.MergeSortedIDLists).
-	perSlice := make([][]model.ObjectID, 0, sl-sf+1)
+	// object is emitted exactly once — from the slice holding its
+	// reference value — so the pooled buffer holds one ascending run per
+	// slice and one sort orders it.
+	buf := candPool.Get().(*[]model.ObjectID)
+	defer candPool.Put(buf)
+	cands := (*buf)[:0]
 	for s := sf; s <= sl; s++ {
-		var ids []model.ObjectID
 		for _, p := range ix.lists[first][s] {
 			if p.Interval.Overlaps(q.Interval) &&
 				ix.slots.Of(postings.RefValue(p.Interval.Start, q.Interval.Start)) == s {
-				ids = append(ids, p.ID)
+				cands = append(cands, p.ID)
 			}
 		}
-		perSlice = append(perSlice, ids)
 	}
-	cands := postings.MergeSortedIDLists(perSlice)
+	*buf = cands
+	model.SortIDs(cands)
 
-	// Phase 2: intersect candidates with each remaining element. A live
-	// candidate overlaps the query, so any replica of it in a relevant
-	// sub-list proves the element is in its description; the keep-mask
-	// is idempotent, so replicated matches need no de-duplication at all
-	// (only phase 1, which *emits*, needs the reference values).
-	keep := make([]bool, len(cands))
+	// Phase 2: a live candidate overlaps the query, so any replica of it
+	// in a relevant sub-list proves the element is in its description; a
+	// kernel pass is idempotent, so replicated matches need no
+	// de-duplication (only phase 1, which emits, needs the reference
+	// values).
+	k := postings.GetLater()
+	defer postings.PutLater(k)
 	for _, e := range plan[1:] {
 		if len(cands) == 0 {
-			return nil
+			break
 		}
 		if int(e) >= len(ix.lists) || ix.lists[e] == nil {
 			return nil
 		}
-		for i := range keep {
-			keep[i] = false
+		k.Begin(cands, true)
+		for _, sub := range ix.lists[e][sf : sl+1] {
+			postings.Mark(k, sub)
 		}
-		for s := sf; s <= sl; s++ {
-			sub := ix.lists[e][s]
-			i, j := 0, 0
-			for i < len(cands) && j < len(sub) {
-				switch {
-				case cands[i] < sub[j].ID:
-					i++
-				case cands[i] > sub[j].ID:
-					j++
-				default:
-					if !postings.IsTombstone(sub[j].Interval) {
-						keep[i] = true
-					}
-					i++
-					j++
-				}
-			}
-		}
-		w := 0
-		for i, k := range keep {
-			if k {
-				cands[w] = cands[i]
-				w++
-			}
-		}
-		cands = cands[:w]
-		keep = keep[:w]
+		cands = k.Keep(cands[:0])
 	}
-	return cands
+	if len(cands) == 0 {
+		return nil
+	}
+	return slices.Clone(cands)
 }
+
+// candPool recycles the candidate buffers of Query; only the answer is
+// copied out of one.
+var candPool = sync.Pool{New: func() any { return new([]model.ObjectID) }}
 
 // SizeBytes estimates the resident size: replicated 16-byte entries plus
 // per-sub-list headers.

@@ -11,9 +11,9 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestAllocBudget pins the keep-mask intersection of the tIF+HINT merge
-// variant: with the mask and candidate buffer reused, the per-element
-// intersection must stay allocation-free. The workload is chosen so every
+// TestAllocBudget pins the per-element intersection of the tIF+HINT
+// merge variant: with the kernel and candidate buffer reused, it must
+// stay allocation-free. The workload is chosen so every
 // candidate survives — intersect compacts cands in place, so a lossy
 // round would shrink the input for the next. `make benchmem` re-records.
 func TestAllocBudget(t *testing.T) {
@@ -31,10 +31,11 @@ func TestAllocBudget(t *testing.T) {
 		cands = append(cands, model.ObjectID(i))
 	}
 	q := model.Interval{Start: 0, End: 1 << 20} // covers every entry: all candidates kept
-	keep := make([]bool, len(cands))
+	k := postings.GetLater()
+	defer postings.PutLater(k)
 
 	allocbudget.Gate(t, "tifhint/idHint.intersect", func() {
-		if got := h.intersect(q, cands, keep); len(got) != len(cands) {
+		if got := h.intersect(q, k, cands); len(got) != len(cands) {
 			t.Fatalf("intersect dropped candidates: %d of %d", len(got), len(cands))
 		}
 	})

@@ -99,5 +99,5 @@ func (b *bulk) idHints(dom domain.Domain) []*idHint {
 func (ix *HybridIndex) carveSlices(b *bulk) {
 	ix.slices = postings.BySlice(b.objs, b.freqs, ix.numSlices, func(o *model.Object) (int, int) {
 		return ix.slots.Of(o.Interval.Start), ix.slots.Of(o.Interval.End)
-	}, func(o *model.Object) slicePair { return slicePair{ID: o.ID, Start: o.Interval.Start} })
+	}, func(o *model.Object) postings.Pair { return postings.Pair{ID: o.ID, Start: o.Interval.Start} })
 }

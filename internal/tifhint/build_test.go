@@ -34,7 +34,7 @@ func insertBuilt(v variants, dictSize int, objs []model.Object) variants {
 		mrg: &MergeIndex{shared: v.mrg.shared, hints: make([]*idHint, dictSize), freqs: make([]int, dictSize), m: v.mrg.m},
 	}
 	hyb := *v.hyb
-	hyb.hints, hyb.slices, hyb.freqs, hyb.live = make([]*idHint, dictSize), make([][][]slicePair, dictSize), make([]int, dictSize), 0
+	hyb.hints, hyb.slices, hyb.freqs, hyb.live = make([]*idHint, dictSize), make([][][]postings.Pair, dictSize), make([]int, dictSize), 0
 	ref.hyb = &hyb
 	for _, o := range objs {
 		ref.bin.Insert(o)
@@ -160,7 +160,7 @@ func equalIDHints(t *testing.T, name string, got, want []*idHint) {
 	}
 }
 
-func equalSlices(t *testing.T, got, want [][][]slicePair) {
+func equalSlices(t *testing.T, got, want [][][]postings.Pair) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("hybrid: %d sliced lists, want %d", len(got), len(want))

@@ -9,18 +9,6 @@ import (
 	"repro/internal/postings"
 )
 
-// slicePair is one entry of the hybrid's second copy: the object id plus
-// only its start timestamp — enough for the reference-value
-// de-duplication, as Section 3.2 observes (intersections after the first
-// element need no temporal predicate). Dead marks a deleted entry; it
-// sits in the padding after ID, so the pair stays 16 bytes, and no start
-// timestamp is spent as a sentinel.
-type slicePair struct {
-	ID    model.ObjectID
-	Dead  bool
-	Start model.Timestamp
-}
-
 // HybridIndex is tIF+HINT+Slicing (Section 3.2): each postings list is
 // stored twice. An id-sorted HINT answers the first element's range query
 // with full partition pruning; a sliced copy of <id, t_st> pairs serves
@@ -30,7 +18,7 @@ type slicePair struct {
 type HybridIndex struct {
 	shared    domain.Domain
 	hints     []*idHint
-	slices    [][][]slicePair // [elem][slice], id-sorted
+	slices    [][][]postings.Pair // [elem][slice], id-sorted
 	freqs     []int
 	numSlices int
 	slots     domain.Slots
@@ -69,25 +57,14 @@ func (ix *HybridIndex) place(o *model.Object) {
 		ix.growTo(int(e) + 1)
 		if ix.hints[e] == nil {
 			ix.hints[e] = newIDHint(ix.shared)
-			ix.slices[e] = make([][]slicePair, ix.numSlices)
+			ix.slices[e] = make([][]postings.Pair, ix.numSlices)
 		}
 		ix.hints[e].insert(p)
 		for s := first; s <= last; s++ {
-			ix.slices[e][s] = insertPairByID(ix.slices[e][s], slicePair{ID: o.ID, Start: o.Interval.Start})
+			ix.slices[e][s] = postings.InsertByID(ix.slices[e][s], postings.Pair{ID: o.ID, Start: o.Interval.Start})
 		}
 		ix.freqs[e]++
 	}
-}
-
-func insertPairByID(s []slicePair, p slicePair) []slicePair {
-	if n := len(s); n == 0 || s[n-1].ID < p.ID {
-		return append(s, p)
-	}
-	i := sort.Search(len(s), func(i int) bool { return s[i].ID > p.ID })
-	s = append(s, slicePair{})
-	copy(s[i+1:], s[i:])
-	s[i] = p
-	return s
 }
 
 // Insert adds one object to both copies.
@@ -140,8 +117,8 @@ func (ix *HybridIndex) M() int { return ix.m }
 func (ix *HybridIndex) NumSlices() int { return ix.numSlices }
 
 // Query evaluates the hybrid plan: HINT range query on the least frequent
-// element, then sliced merge intersections with reference-value
-// de-duplication for the rest.
+// element, then one later-element pass per remaining element over its
+// sub-lists of the slices q spans.
 func (ix *HybridIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return nil

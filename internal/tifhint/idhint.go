@@ -37,23 +37,12 @@ func (h *idHint) insert(p postings.Posting) {
 	hint.Assign(h.dom, p.Interval, func(level int, j uint32, original, _ bool) {
 		part := h.levels[level].GetOrCreate(j)
 		if original {
-			part.o = insertByID(part.o, p)
+			part.o = postings.InsertByID(part.o, p)
 		} else {
-			part.r = insertByID(part.r, p)
+			part.r = postings.InsertByID(part.r, p)
 		}
 	})
 	h.live++
-}
-
-func insertByID(s []postings.Posting, p postings.Posting) []postings.Posting {
-	if n := len(s); n == 0 || s[n-1].ID < p.ID {
-		return append(s, p)
-	}
-	i := sort.Search(len(s), func(i int) bool { return s[i].ID > p.ID })
-	s = append(s, postings.Posting{})
-	copy(s[i+1:], s[i:])
-	s[i] = p
-	return s
 }
 
 // delete locates every copy by binary search on id and flags it with the
@@ -99,118 +88,23 @@ func scanDivision(s []postings.Posting, checkStart, checkEnd bool, q model.Inter
 	return dst
 }
 
-// intersect computes C ∩ H[e] over the relevant divisions: every candidate
+// intersect keeps the candidates that hold the element, in one pass of
+// the later-element kernel over the relevant divisions: every candidate
 // already overlaps the query, so membership in any relevant division
-// suffices (each candidate holding the element has exactly one entry among
-// them, by HINT's duplicate-avoidance rule). The keep-mask merge preserves
-// candidate order. keep must have len(cands) capacity.
-func (h *idHint) intersect(q model.Interval, cands []model.ObjectID, keep []bool) []model.ObjectID {
-	for i := range keep {
-		keep[i] = false
-	}
+// suffices (each candidate holding the element has exactly one entry
+// among them, by HINT's duplicate-avoidance rule). cands must be
+// non-empty and ascending; they are compacted in place.
+func (h *idHint) intersect(q model.Interval, k *postings.Later, cands []model.ObjectID) []model.ObjectID {
+	k.Begin(cands, true)
 	hint.Visit(h.dom, q, func(lv hint.LevelVisit) {
 		h.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *idPart) {
-			markMatches(p.o, cands, keep)
+			postings.Mark(k, p.o)
 			if j == lv.F {
-				markMatches(p.r, cands, keep)
+				postings.Mark(k, p.r)
 			}
 		})
 	})
-	return compact(cands, keep)
-}
-
-// compact keeps the candidates whose keep flag is set, in place and in
-// order.
-func compact(cands []model.ObjectID, keep []bool) []model.ObjectID {
-	w := 0
-	for i, k := range keep {
-		if k {
-			cands[w] = cands[i]
-			w++
-		}
-	}
-	return cands[:w]
-}
-
-// markMatches marks keep[i] for every candidate with a live entry in
-// div. Skewed sizes dispatch to galloping probes of the larger side;
-// balanced sizes run the linear merge.
-func markMatches(div []postings.Posting, cands []model.ObjectID, keep []bool) {
-	switch {
-	case len(div) > len(cands)*postings.GallopRatio:
-		lo := 0
-		for i, id := range cands {
-			lo = postings.GallopLowerBoundList(div, id, lo)
-			if lo == len(div) {
-				return
-			}
-			if div[lo].ID == id {
-				if !postings.IsTombstone(div[lo].Interval) {
-					keep[i] = true
-				}
-				lo++
-			}
-		}
-	case len(cands) > len(div)*postings.GallopRatio:
-		lo := 0
-		for j := range div {
-			lo = postings.GallopLowerBound(cands, div[j].ID, lo)
-			if lo == len(cands) {
-				return
-			}
-			if cands[lo] == div[j].ID {
-				if !postings.IsTombstone(div[j].Interval) {
-					keep[lo] = true
-				}
-				lo++
-			}
-		}
-	default:
-		i, j := 0, 0
-		for i < len(cands) && j < len(div) {
-			switch {
-			case cands[i] < div[j].ID:
-				i++
-			case cands[i] > div[j].ID:
-				j++
-			default:
-				if !postings.IsTombstone(div[j].Interval) {
-					keep[i] = true
-				}
-				i++
-				j++
-			}
-		}
-	}
-}
-
-// intersectBitmap is intersect with the positional keep-mask replaced
-// by a packed bitmap: every live entry of a relevant division marks its
-// id bit (idempotent across divisions, and ids beyond the candidate
-// universe are ignored), then one compaction pass keeps the candidates
-// whose bit is set. Results are identical to intersect; the win is that
-// dense candidate sets are not re-walked per division. cands must be
-// non-empty and ascending.
-func (h *idHint) intersectBitmap(q model.Interval, cands []model.ObjectID, bm *postings.Bitmap) []model.ObjectID {
-	bm.Reset(cands[len(cands)-1] + 1)
-	hint.Visit(h.dom, q, func(lv hint.LevelVisit) {
-		h.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *idPart) {
-			markDivisionBitmap(p.o, bm)
-			if j == lv.F {
-				markDivisionBitmap(p.r, bm)
-			}
-		})
-	})
-	return bm.KeepSorted(cands[:0], cands)
-}
-
-// markDivisionBitmap sets the bit of every live entry in the division.
-func markDivisionBitmap(div []postings.Posting, bm *postings.Bitmap) {
-	for i := range div {
-		if !postings.IsTombstone(div[i].Interval) {
-			bm.Set(div[i].ID)
-		}
-	}
+	return k.Keep(cands[:0])
 }
 
 // entryCount returns stored entries including replicas and tombstones.

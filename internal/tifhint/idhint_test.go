@@ -80,8 +80,9 @@ func TestIDHintIntersect(t *testing.T) {
 			ghosts++
 		}
 		model.SortIDs(cands)
-		keep := make([]bool, len(cands))
-		got := idh.intersect(q, append([]model.ObjectID(nil), cands...), keep)
+		k := postings.GetLater()
+		got := idh.intersect(q, k, append([]model.ObjectID(nil), cands...))
+		postings.PutLater(k)
 		if len(got) != len(cands)-ghosts {
 			t.Fatalf("trial %d: kept %d of %d (expected to drop %d ghosts)",
 				trial, len(got), len(cands), ghosts)
@@ -127,7 +128,7 @@ func TestIDHintDelete(t *testing.T) {
 func TestInsertByIDOutOfOrder(t *testing.T) {
 	var s []postings.Posting
 	for _, id := range []model.ObjectID{5, 1, 3, 2, 4} {
-		s = insertByID(s, postings.Posting{ID: id})
+		s = postings.InsertByID(s, postings.Posting{ID: id})
 	}
 	for i := 1; i < len(s); i++ {
 		if s[i].ID <= s[i-1].ID {

@@ -95,7 +95,7 @@ func (ix *MergeIndex) Query(q model.Query) []model.ObjectID {
 		return nil
 	}
 	// Line 3: range query for the initial candidates (seed also sorts
-	// by id, line 5); lines 6-11: per-division merge intersections —
+	// by id, line 5); lines 6-11: per-division intersections —
 	// both helpers own their stage spans.
 	cands := ix.hints[first].seed(q)
 	return ix.intersectRest(q, plan, cands)

@@ -154,7 +154,7 @@ func TestHybridSliceConfig(t *testing.T) {
 }
 
 func TestHybridManyElements(t *testing.T) {
-	// Queries with |q.d| > 2 exercise repeated keep-mask compaction.
+	// Queries with |q.d| > 2 run one kernel pass per later element.
 	ix := NewHybrid(runningExample(), WithM(3), WithSlices(4))
 	got := testutil.Canonical(ix.Query(model.Query{
 		Interval: model.Interval{Start: 0, End: 15},

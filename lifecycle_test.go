@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -156,6 +157,61 @@ func TestLifecycleSaveRoundTrip(t *testing.T) {
 		b := loaded.SearchBatchCtx(context.Background(), []temporalir.Query{q})[0].IDs
 		if len(a) != len(b) {
 			t.Fatalf("query %d: live engine %d rows, loaded %d", i, len(a), len(b))
+		}
+	}
+}
+
+// TestIndexDeleteDifferential pins, on every index method, the invariant
+// the later-element kernel rests on: Delete tombstones every copy of an
+// object, so a live candidate's id match is the whole later-element test.
+// Each index is built over a workload, then a third of the objects are
+// deleted through the index, fresh ones inserted and a third of those
+// deleted again; every query with elements must then match the lifecycle
+// oracle — at the production container thresholds and with the bitmap
+// and galloping arms forced.
+func TestIndexDeleteDifferential(t *testing.T) {
+	for _, w := range testutil.DefaultDifferentialWorkloads() {
+		c := testutil.RandomCollection(w.Config)
+		fresh := w.Config
+		fresh.Seed += 500
+		extra := testutil.RandomCollection(fresh).Objects
+		for i := range extra {
+			extra[i].ID = temporalir.ObjectID(len(c.Objects) + i)
+		}
+		queries := w.WorkloadQueries()
+		for _, forced := range []bool{false, true} {
+			for _, m := range allMethods() {
+				t.Run(fmt.Sprintf("%s/%s/forced=%v", w.Name, m, forced), func(t *testing.T) {
+					if forced {
+						forceBitmapPaths(t)
+					}
+					ix, err := temporalir.NewIndex(m, c, temporalir.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					oracle := testutil.NewLifecycleOracle(c)
+					for i := 0; i < len(c.Objects); i += 3 {
+						ix.Delete(c.Objects[i])
+						oracle.Delete(c.Objects[i].ID)
+					}
+					for _, o := range extra {
+						ix.Insert(o)
+						oracle.Insert(o.ID, o.Interval, o.Elems)
+					}
+					for i := 1; i < len(extra); i += 3 {
+						ix.Delete(extra[i])
+						oracle.Delete(extra[i].ID)
+					}
+					for i, q := range queries {
+						if len(q.Elems) == 0 {
+							continue
+						}
+						if got, want := testutil.Canonical(ix.Query(q)), oracle.Query(q); !slices.Equal(got, want) {
+							t.Fatalf("query %d (%v elems=%v): got %v, want %v", i, q.Interval, q.Elems, got, want)
+						}
+					}
+				})
+			}
 		}
 	}
 }
