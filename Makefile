@@ -36,7 +36,7 @@ bench:
 # The packages with hot-path allocation budgets (BENCH_BUDGET.json).
 # -p 1 keeps the in-process benchmarks off shared cores; -count=1
 # defeats test caching.
-ALLOC_PKGS = ./internal/model ./internal/postings ./internal/hint ./internal/tifhint ./internal/route ./internal/tenant ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server
+ALLOC_PKGS = ./internal/model ./internal/postings ./internal/hint ./internal/tifhint ./internal/route ./internal/tenant ./internal/rank ./internal/core ./internal/tif ./internal/slicing ./internal/sharding ./internal/server ./internal/maint
 
 # The allocation-budget gate: every budget in BENCH_BUDGET.json holds.
 allocgate:

@@ -82,11 +82,13 @@ func (b *Builder) BuildSharded(m Method, opts Options, so ShardedOptions) (*Engi
 // The dictionary is shared too (one term space).
 //
 // An Engine is safe for concurrent use, and reads never wait on
-// writers: every query runs against immutable generation snapshots
-// (main index + memtable + tombstones) obtained with one atomic load per
-// store; Insert and Delete publish new generations, and Compact folds
+// writers: every read — a query, a batch, a Save, the counters — runs
+// against one view of immutable generations (main index + memtable +
+// tombstones + extent), one per store, obtained with one atomic load
+// for the whole engine, so it reflects one instant of every store.
+// Insert and Delete publish new generations, and Compact folds
 // accumulated changes into a freshly built main index off the read path
-// (see internal/maint).
+// (see internal/maint.Set).
 type Engine struct {
 	// method, opts, sopts and smap are immutable after construction.
 	method Method
@@ -105,25 +107,14 @@ type Engine struct {
 	// irlint:guarded-by dmu
 	dict *dict.Dictionary
 
-	// alloc is the shared external-id sequence every store draws from.
-	alloc *maint.IDAllocator
-
-	// stores own the generational object/index state; each has its own
-	// internal synchronization. The slice is immutable.
-	stores []*maint.Store
+	// set owns the generational object/index state of every store, the
+	// shared external-id sequence and the one view readers load.
+	set *maint.Set
 
 	// routers holds each store's adaptive router when method == Routed
 	// (nil entries otherwise). Immutable after construction; the
 	// routers' own state is atomic.
 	routers []*route.Router
-
-	// emu guards the per-store observed time extents used for query
-	// pruning. Extents only ever grow (inserts extend them before the
-	// object becomes visible), so pruning is conservative: a pruned
-	// store cannot hold a match.
-	emu sync.Mutex
-	// irlint:guarded-by emu
-	extents []extent
 
 	// pool executes the scatter fan-out, batch rows and parallel
 	// compaction; nil selects the process-wide exec.Default. Replaced
@@ -133,23 +124,6 @@ type Engine struct {
 	// Coordinator counters, surfaced in CoordinatorStats and metrics.
 	queries      atomic.Uint64
 	shardsPruned atomic.Uint64
-}
-
-// extent is one store's observed [min, max] time envelope.
-type extent struct {
-	set      bool
-	min, max Timestamp
-}
-
-// grow widens the extent to cover iv.
-func (ex *extent) grow(iv Interval) {
-	if !ex.set || iv.Start < ex.min {
-		ex.min = iv.Start
-	}
-	if !ex.set || iv.End > ex.max {
-		ex.max = iv.End
-	}
-	ex.set = true
 }
 
 // PartitionKind selects the sharding strategy; see shard.Kind.
@@ -259,39 +233,33 @@ func buildEngine(d *dict.Dictionary, coll *Collection, m Method, opts Options, s
 		}
 		next = ObjectID(len(coll.Objects))
 	}
-	alloc := maint.NewIDAllocator(next)
-	colls, exts, extents := partition(coll, ext, smap)
-	e := &Engine{
+	colls, exts := partition(coll, ext, smap)
+	parts := make([]maint.Part, len(colls))
+	routers := make([]*route.Router, len(colls))
+	for i := range colls {
+		if parts[i], routers[i], err = newPart(m, opts, colls[i], exts[i]); err != nil {
+			return nil, err
+		}
+	}
+	return &Engine{
 		method:  m,
 		opts:    opts,
 		sopts:   so,
 		smap:    smap,
 		dict:    d,
-		alloc:   alloc,
-		stores:  make([]*maint.Store, len(colls)),
-		routers: make([]*route.Router, len(colls)),
-		extents: extents,
-	}
-	for i := range colls {
-		if e.stores[i], e.routers[i], err = newStore(m, opts, colls[i], exts[i], alloc); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
+		set:     maint.NewSet(parts, next),
+		routers: routers,
+	}, nil
 }
 
 // partition splits coll across the map's stores: per-store collections
-// with dense internal ids, the external id table split along the same
-// assignment (ext is ascending, so each store's subsequence is too), and
-// each store's time extent. One store takes coll and ext whole.
-func partition(coll *Collection, ext []ObjectID, smap shard.Map) ([]*Collection, [][]ObjectID, []extent) {
+// with dense internal ids and the external id table split along the same
+// assignment (ext is ascending, so each store's subsequence is too). One
+// store takes coll and ext whole.
+func partition(coll *Collection, ext []ObjectID, smap shard.Map) ([]*Collection, [][]ObjectID) {
 	n := smap.N()
-	extents := make([]extent, n)
 	if n == 1 {
-		if span, ok := coll.Span(); ok {
-			extents[0].grow(span)
-		}
-		return []*Collection{coll}, [][]ObjectID{ext}, extents
+		return []*Collection{coll}, [][]ObjectID{ext}
 	}
 	colls := make([]*Collection, n)
 	exts := make([][]ObjectID, n)
@@ -304,18 +272,17 @@ func partition(coll *Collection, ext []ObjectID, smap shard.Map) ([]*Collection,
 		o.ID = ObjectID(len(colls[si].Objects))
 		colls[si].Objects = append(colls[si].Objects, o)
 		exts[si] = append(exts[si], ext[i])
-		extents[si].grow(o.Interval)
 	}
-	return colls, exts, extents
+	return colls, exts
 }
 
-// newStore builds one store's index and generational store. For the
-// Routed method the compaction rebuild re-adopts the store's router, so
-// the learned cost model survives compaction.
-func newStore(m Method, opts Options, coll *Collection, ext []ObjectID, alloc *maint.IDAllocator) (*maint.Store, *route.Router, error) {
+// newPart builds one store's index and compaction rebuild. For the
+// Routed method the rebuild re-adopts the store's router, so the learned
+// cost model survives compaction.
+func newPart(m Method, opts Options, coll *Collection, ext []ObjectID) (maint.Part, *route.Router, error) {
 	ix, err := NewIndex(m, coll, opts)
 	if err != nil {
-		return nil, nil, err
+		return maint.Part{}, nil, err
 	}
 	var router *route.Router
 	if ri, ok := ix.(*route.Index); ok {
@@ -339,16 +306,7 @@ func newStore(m Method, opts Options, coll *Collection, ext []ObjectID, alloc *m
 		}
 		return nix, nil
 	}
-	return maint.NewStore(coll, ix, build, ext, alloc), router, nil
-}
-
-// snapshots returns every store's current immutable read generation.
-func (e *Engine) snapshots() []*maint.Generation {
-	gens := make([]*maint.Generation, len(e.stores))
-	for i, s := range e.stores {
-		gens[i] = s.Snapshot()
-	}
-	return gens
+	return maint.Part{Coll: coll, Base: ix, Build: build, Ext: ext}, router, nil
 }
 
 // lookupLocked resolves one term. Callers must hold e.dmu (read or
@@ -401,7 +359,7 @@ func (e *Engine) IndexOptions() Options { return e.opts }
 func (e *Engine) ShardOptions() ShardedOptions { return e.sopts }
 
 // NumShards returns the store count.
-func (e *Engine) NumShards() int { return len(e.stores) }
+func (e *Engine) NumShards() int { return len(e.set.Stores()) }
 
 // Epoch sums the store epochs. Each store's epoch advances on every
 // published mutation (insert, delete, compaction) and on nothing else,
@@ -410,8 +368,8 @@ func (e *Engine) NumShards() int { return len(e.stores) }
 // was last saved.
 func (e *Engine) Epoch() uint64 {
 	var sum uint64
-	for _, s := range e.stores {
-		sum += s.Snapshot().Epoch()
+	for _, g := range e.set.View() {
+		sum += g.Epoch()
 	}
 	return sum
 }
@@ -419,8 +377,8 @@ func (e *Engine) Epoch() uint64 {
 // Len returns the number of live (non-tombstoned) objects.
 func (e *Engine) Len() int {
 	n := 0
-	for _, s := range e.stores {
-		n += s.Snapshot().Len()
+	for _, g := range e.set.View() {
+		n += g.Len()
 	}
 	return n
 }
@@ -429,8 +387,8 @@ func (e *Engine) Len() int {
 // memtables, tombstones and the id-translation tables.
 func (e *Engine) SizeBytes() int64 {
 	var n int64
-	for _, s := range e.stores {
-		n += s.Snapshot().SizeBytes()
+	for _, g := range e.set.View() {
+		n += g.SizeBytes()
 	}
 	return n
 }
@@ -446,23 +404,16 @@ func (e *Engine) Insert(start, end Timestamp, terms ...string) ObjectID {
 	elems := e.dict.AddObject(terms)
 	ds := e.dict.Len()
 	e.dmu.Unlock()
-	si := e.smap.Route(iv, elems)
-	// Extend the extent before the object becomes visible so planning
-	// stays conservative: a query planned mid-insert may fan out to a
-	// still-empty store (harmless) but can never prune a populated one.
-	e.emu.Lock()
-	e.extents[si].grow(iv)
-	e.emu.Unlock()
-	return e.stores[si].Append(iv, elems, ds)
+	return e.set.Stores()[e.smap.Route(iv, elems)].Append(iv, elems, ds)
 }
 
 // Delete tombstones an object by id; the next compaction physically
 // removes it. Deleting an unknown (or already compacted-away) id is an
 // error; deleting an already-tombstoned id is a no-op.
 func (e *Engine) Delete(id ObjectID) error {
-	for _, s := range e.stores {
-		if _, ok := s.Snapshot().Internal(id); ok {
-			s.Delete(id)
+	for i, g := range e.set.View() {
+		if _, ok := g.Internal(id); ok {
+			e.set.Stores()[i].Delete(id)
 			return nil
 		}
 	}
@@ -471,8 +422,8 @@ func (e *Engine) Delete(id ObjectID) error {
 
 // Object returns the lifespan and terms of an object.
 func (e *Engine) Object(id ObjectID) (Interval, []string, error) {
-	for _, s := range e.stores {
-		if o, ok := s.Snapshot().Lookup(id); ok {
+	for _, g := range e.set.View() {
+		if o, ok := g.Lookup(id); ok {
 			return o.Interval, e.termsOf(o.Elems), nil
 		}
 	}
@@ -495,7 +446,7 @@ func (e *Engine) termsOf(elems []ElemID) []string {
 // the memtable or tombstone thresholds are crossed. Thresholds apply
 // per store, so N memtables and N compactions proceed independently.
 func (e *Engine) SetCompactionPolicy(p CompactionPolicy) {
-	for _, s := range e.stores {
+	for _, s := range e.set.Stores() {
 		s.SetPolicy(p)
 	}
 }
@@ -508,9 +459,10 @@ func (e *Engine) SetCompactionPolicy(p CompactionPolicy) {
 // Per-store failures (ErrCompactionRunning where a compaction is
 // already in flight) are joined; stores that succeed still compact.
 func (e *Engine) Compact(ctx context.Context) (CompactionStats, error) {
-	errs := make([]error, len(e.stores))
-	e.executor().Map(len(e.stores), func(i int) {
-		_, errs[i] = e.stores[i].Compact(ctx)
+	stores := e.set.Stores()
+	errs := make([]error, len(stores))
+	e.executor().Map(len(stores), func(i int) {
+		_, errs[i] = stores[i].Compact(ctx)
 	})
 	return e.CompactStats(), errors.Join(errs...)
 }
@@ -522,7 +474,7 @@ func (e *Engine) Compact(ctx context.Context) (CompactionStats, error) {
 func (e *Engine) CompactStats() CompactionStats {
 	var out CompactionStats
 	objects := 0
-	for _, s := range e.stores {
+	for _, s := range e.set.Stores() {
 		st := s.Stats()
 		out.Epoch += st.Epoch
 		out.Compactions += st.Compactions
@@ -590,33 +542,32 @@ type ShardStat struct {
 	SizeBytes   int64  `json:"size_bytes"`
 	Epoch       uint64 `json:"epoch"`
 	Compactions uint64 `json:"compactions"`
-	// HasExtent is false for a store that never held an object; the
-	// extent fields are meaningless then.
+	// HasExtent is false for a store that holds no object (none yet, or
+	// none left after a compaction); the extent fields are meaningless
+	// then.
 	HasExtent   bool      `json:"has_extent"`
 	ExtentStart Timestamp `json:"extent_start,omitempty"`
 	ExtentEnd   Timestamp `json:"extent_end,omitempty"`
 }
 
-// ShardStats returns one row per store.
+// ShardStats returns one row per store, every row from one view except
+// the compaction count.
 func (e *Engine) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(e.stores))
-	e.emu.Lock()
-	extents := append([]extent(nil), e.extents...)
-	e.emu.Unlock()
-	for i, s := range e.stores {
-		g := s.Snapshot()
-		st := s.Stats()
+	view := e.set.View()
+	out := make([]ShardStat, len(view))
+	for i, g := range view {
+		x, ok := g.Extent()
 		out[i] = ShardStat{
 			Shard:       i,
 			Objects:     g.Len(),
-			MemObjects:  st.MemObjects,
-			Tombstones:  st.Tombstones,
+			MemObjects:  g.MemLen(),
+			Tombstones:  g.TombstoneCount(),
 			SizeBytes:   g.SizeBytes(),
-			Epoch:       st.Epoch,
-			Compactions: st.Compactions,
-			HasExtent:   extents[i].set,
-			ExtentStart: extents[i].min,
-			ExtentEnd:   extents[i].max,
+			Epoch:       g.Epoch(),
+			Compactions: e.set.Stores()[i].Stats().Compactions,
+			HasExtent:   ok,
+			ExtentStart: x.Start,
+			ExtentEnd:   x.End,
 		}
 	}
 	return out
@@ -634,26 +585,9 @@ type CoordinatorStats struct {
 // CoordinatorStats returns the coordinator's cumulative counters.
 func (e *Engine) CoordinatorStats() CoordinatorStats {
 	return CoordinatorStats{
-		Shards:       len(e.stores),
+		Shards:       len(e.set.Stores()),
 		Partition:    e.smap.Kind().String(),
 		Queries:      e.queries.Load(),
 		ShardsPruned: e.shardsPruned.Load(),
 	}
-}
-
-// plan selects the stores whose observed extent can overlap the query
-// interval. Extents only grow, so skipping a non-overlapping store can
-// never lose a match; stores that never held an object are skipped too.
-func (e *Engine) plan(iv Interval) (planned []int, pruned int) {
-	e.emu.Lock()
-	defer e.emu.Unlock()
-	for i := range e.extents {
-		ex := &e.extents[i]
-		if !ex.set || ex.max < iv.Start || iv.End < ex.min {
-			pruned++
-			continue
-		}
-		planned = append(planned, i)
-	}
-	return planned, pruned
 }

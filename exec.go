@@ -18,14 +18,15 @@ import (
 // also returns the store plan). Only Search, kept ctx-less because the
 // benchmark's engine interface names it, runs SearchCtx's body under
 // context.Background(). The body resolves the terms once against the
-// shared dictionary (plan span) and then evaluates:
+// shared dictionary (plan span), loads the engine's view — every
+// store's generation, one instant of the whole engine, in one atomic
+// load — and then evaluates on it:
 //
 //   - A one-store engine runs the store's query on the caller's
 //     goroutine: no planning, scatter or merge, and no per-query slices.
-//   - Otherwise it selects the stores whose extents can overlap the
-//     interval, fans out over the worker pool (scatter span, one
-//     immutable generation snapshot per store) and merges the stores'
-//     answers (merge span).
+//   - Otherwise it selects the stores whose generation's extent can
+//     overlap the interval, fans out over the worker pool (scatter span)
+//     and merges the stores' answers (merge span).
 //
 // Every query runs its index's one serial body; the parallelism is
 // across stores and across batch rows, never inside one query.
@@ -34,10 +35,10 @@ import (
 // an answer is either complete or an error: a fired context fails the
 // whole query with ctx.Err().
 //
-// Batches pin one generation per store and run their rows over the pool
-// against it, so a batch sees one consistent view however many inserts,
-// deletes or compactions land mid-flight. Only term resolution takes
-// the (tiny) dictionary read lock, once per batch.
+// A batch loads the view once and runs every row over the pool against
+// it, so a batch sees one instant however many inserts, deletes or
+// compactions land mid-flight. Only term resolution takes the (tiny)
+// dictionary read lock, once per batch.
 
 // Result is one row of a batch search: the matching ids in ascending
 // order, or the error that prevented the query from running (context
@@ -102,18 +103,14 @@ func (e *Engine) PoolStats() exec.PoolStats { return e.executor().Stats() }
 var oneStore = ShardReport{Planned: 1}
 
 // single returns the generation a query runs on when it skips plan,
-// scatter and merge — the only store's, gens[0] when the caller pinned
-// one — and counts the query; it returns nil when the engine has several
-// stores.
-func (e *Engine) single(gens []*maint.Generation) *maint.Generation {
-	if len(e.stores) > 1 {
+// scatter and merge — the only store's in view — and counts the query;
+// it returns nil when the engine has several stores.
+func (e *Engine) single(view []*maint.Generation) *maint.Generation {
+	if len(view) > 1 {
 		return nil
 	}
 	e.queries.Add(1)
-	if gens != nil {
-		return gens[0]
-	}
-	return e.stores[0].Snapshot()
+	return view[0]
 }
 
 // resolve is the plan stage every query kind shares: it resolves the
@@ -138,50 +135,37 @@ func (e *Engine) unresolved(err error) ShardReport {
 	if err != nil {
 		return ShardReport{}
 	}
-	return ShardReport{Pruned: len(e.stores)}
+	return ShardReport{Pruned: len(e.set.Stores())}
 }
 
-// gather evaluates q on every planned store — on gens[si] when the
-// caller pinned a generation per store, else on a snapshot taken as the
-// store runs — and merges their answers. A fired ctx fails the whole
-// gather.
-func gather[T any](ctx context.Context, e *Engine, q Query, gens []*maint.Generation, eval func(g *maint.Generation) T, merge func(parts []T) T) (T, ShardReport, error) {
-	planned, pruned := e.plan(q.Interval)
-	parts := make([]T, len(planned))
-	rep, err := e.scatter(ctx, planned, pruned, q.Trace, func(p, si int) {
-		if gens != nil {
-			parts[p] = eval(gens[si])
-		} else {
-			parts[p] = eval(e.stores[si].Snapshot())
+// gather plans q over view — a generation's extent covers every object
+// it stores, so a store whose extent misses q's interval holds no match
+// and is pruned — evaluates q on every planned store over the pool
+// (scatter span) and merges their answers (merge span). Every planned
+// store runs to completion; a fired ctx fails the whole gather with
+// ctx.Err().
+func gather[T any](ctx context.Context, e *Engine, q Query, view []*maint.Generation, eval func(g *maint.Generation) T, merge func(parts []T) T) (T, ShardReport, error) {
+	var planned []int
+	for i, g := range view {
+		if x, ok := g.Extent(); ok && x.Overlaps(q.Interval) {
+			planned = append(planned, i)
 		}
-	})
-	if err != nil {
+	}
+	rep := ShardReport{Planned: len(planned), Pruned: len(view) - len(planned)}
+	e.queries.Add(1)
+	e.shardsPruned.Add(uint64(rep.Pruned))
+	parts := make([]T, len(planned))
+	if len(planned) > 0 {
+		span := q.Trace.StartStage(obs.StageScatter) // lint:span-ok straight-line: MapCtx returns on every path and End immediately follows it
+		_ = e.executor().MapCtx(ctx, len(planned), func(p int) { parts[p] = eval(view[planned[p]]) })
+		span.End()
+	}
+	if err := ctx.Err(); err != nil {
 		var zero T
 		return zero, rep, err
 	}
-	return mergeParts(q.Trace, parts, merge), rep, nil
-}
-
-// mergeParts runs one merge under a merge span.
-func mergeParts[T any](tr *obs.Trace, parts []T, merge func(parts []T) T) T {
-	defer tr.StartStage(obs.StageMerge).End()
-	return merge(parts)
-}
-
-// scatter fans eval out over the planned stores; eval receives each
-// store's planned position and index. Every store runs to completion
-// on the pool. A fired ctx fails the whole gather with ctx.Err().
-func (e *Engine) scatter(ctx context.Context, planned []int, pruned int, tr *obs.Trace, eval func(p, si int)) (ShardReport, error) {
-	e.queries.Add(1)
-	e.shardsPruned.Add(uint64(pruned))
-	rep := ShardReport{Planned: len(planned), Pruned: pruned}
-	if len(planned) == 0 {
-		return rep, ctx.Err()
-	}
-	span := tr.StartStage(obs.StageScatter) // lint:span-ok straight-line: MapCtx returns on every path and End immediately follows it
-	_ = e.executor().MapCtx(ctx, len(planned), func(p int) { eval(p, planned[p]) })
-	span.End()
-	return rep, ctx.Err()
+	defer q.Trace.StartStage(obs.StageMerge).End()
+	return merge(parts), rep, nil
 }
 
 // unlessDone returns v, or ctx.Err() and no result once ctx has fired.
@@ -228,7 +212,7 @@ func (e *Engine) search(ctx context.Context, start, end Timestamp, terms []strin
 	if !ok {
 		return nil, e.unresolved(err), err
 	}
-	ids, rep, err := e.searchQuery(ctx, nil, q)
+	ids, rep, err := e.searchQuery(ctx, e.set.View(), q)
 	if err == nil {
 		ids, err = unlessDone(ctx, ids)
 	}
@@ -236,15 +220,15 @@ func (e *Engine) search(ctx context.Context, start, end Timestamp, terms []strin
 }
 
 // searchQuery is the body of every conjunctive search, batch rows
-// included: q's ascending external ids over every planned store.
-func (e *Engine) searchQuery(ctx context.Context, gens []*maint.Generation, q Query) ([]ObjectID, ShardReport, error) {
+// included: q's ascending external ids over every planned store of view.
+func (e *Engine) searchQuery(ctx context.Context, view []*maint.Generation, q Query) ([]ObjectID, ShardReport, error) {
 	var out []ObjectID
 	rep := oneStore
-	if g := e.single(gens); g != nil {
+	if g := e.single(view); g != nil {
 		out = finishIDs(g, g.Query(q), q.Trace)
 	} else {
 		var err error
-		out, rep, err = gather(ctx, e, q, gens, func(g *maint.Generation) []ObjectID {
+		out, rep, err = gather(ctx, e, q, view, func(g *maint.Generation) []ObjectID {
 			return finishIDs(g, g.Query(q), q.Trace)
 		}, shard.MergeAscending)
 		if err != nil {
@@ -270,9 +254,10 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, start, end Timestamp, k int,
 		return nil, err
 	}
 	var res []rank.Result
-	if g := e.single(nil); g != nil {
+	view := e.set.View()
+	if g := e.single(view); g != nil {
 		res = rankTopK(g, q, k)
-	} else if res, _, err = gather(ctx, e, q, nil, func(g *maint.Generation) []rank.Result {
+	} else if res, _, err = gather(ctx, e, q, view, func(g *maint.Generation) []rank.Result {
 		return rankTopK(g, q, k)
 	}, func(parts [][]rank.Result) []rank.Result {
 		return shard.MergeTopK(parts, k)
@@ -316,9 +301,10 @@ func (e *Engine) TimelineCtx(ctx context.Context, start, end Timestamp, buckets 
 		return nil, err
 	}
 	var hist []aggregate.Bucket
-	if g := e.single(nil); g != nil {
+	view := e.set.View()
+	if g := e.single(view); g != nil {
 		hist = histogram(g, q, buckets)
-	} else if hist, _, err = gather(ctx, e, q, nil, func(g *maint.Generation) []aggregate.Bucket {
+	} else if hist, _, err = gather(ctx, e, q, view, func(g *maint.Generation) []aggregate.Bucket {
 		return histogram(g, q, buckets)
 	}, shard.MergeHistograms); err != nil {
 		return nil, err
@@ -345,7 +331,7 @@ func histogram(g *maint.Generation, q Query, buckets int) []aggregate.Bucket {
 // engine's pool, one row per worker. results[i] corresponds to
 // queries[i]; ids are in ascending order, so a batch result is
 // byte-identical to running Query serially. The whole batch runs
-// against one generation per store: mutations landing mid-batch are
+// against one view of the engine: mutations landing mid-batch are
 // invisible to it, and the batch never blocks them. Cancellation is
 // cooperative: queries not yet started when ctx fires are marked with
 // Err = ctx.Err() and nil IDs. A row either has its complete result or
@@ -394,18 +380,18 @@ func (e *Engine) planTermRows(tr *obs.Trace, start, end Timestamp, termRows [][]
 	return queries, known
 }
 
-// runBatch evaluates n rows over the pool against one generation per
-// store. row(i) returns row i's query, or false for a row that resolves
+// runBatch evaluates n rows over the pool against one view of the
+// engine. row(i) returns row i's query, or false for a row that resolves
 // to an empty result without running. Rows not started when ctx fires
 // carry Err = ctx.Err() and nil IDs.
 func (e *Engine) runBatch(ctx context.Context, n int, row func(i int) (Query, bool)) []Result {
-	gens := e.snapshots()
+	view := e.set.View()
 	results := make([]Result, n)
 	started := make([]bool, n)
 	_ = e.executor().MapCtx(ctx, n, func(i int) {
 		started[i] = true
 		if q, ok := row(i); ok {
-			ids, _, err := e.searchQuery(ctx, gens, q)
+			ids, _, err := e.searchQuery(ctx, view, q)
 			results[i] = Result{IDs: ids, Err: err}
 		}
 	})

@@ -85,7 +85,7 @@ func TestDenseProbeLeavesArenaUnchanged(t *testing.T) {
 		}
 	}
 	for _, q := range queries {
-		plan := dict.PlanOrder(q.Elems, ix.freqs)
+		plan := dict.PlanOrder(nil, q.Elems, ix.freqs)
 		hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 			ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 				ob := lv.Oblige(j)

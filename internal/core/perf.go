@@ -225,7 +225,8 @@ func (ix *PerfIndex) Query(q model.Query) []model.ObjectID {
 	// Algorithm 5 fuses the postings fetch and the intersection per
 	// division, so one intersect span covers the whole traversal.
 	defer q.Trace.StartStage(obs.StageIntersect).End()
-	plan := dict.PlanOrder(q.Elems, ix.freqs)
+	var planBuf [8]model.ElemID
+	plan := dict.PlanOrder(planBuf[:0], q.Elems, ix.freqs)
 	var buf [8]*postings.Bitmap
 	probes := buf[:0]
 	for _, e := range plan {

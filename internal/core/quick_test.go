@@ -179,7 +179,7 @@ func TestSizeDeletesInComparisonFreeDivisions(t *testing.T) {
 	}
 	checkDeletesInComparisonFreeDivisions(t, func(c *model.Collection, m int) *SizeIndex { return NewSize(c, WithM(m)) }, (*SizeIndex).Delete,
 		func(ix *SizeIndex, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int) {
-			plan := dict.PlanOrder(q.Elems, ix.freqs)
+			plan := dict.PlanOrder(nil, q.Elems, ix.freqs)
 			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 				ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *sizePart) {
 					ob := lv.Oblige(j)
@@ -220,7 +220,7 @@ func TestPerfDeletesInComparisonFreeDivisions(t *testing.T) {
 	}
 	checkDeletesInComparisonFreeDivisions(t, func(c *model.Collection, m int) *PerfIndex { return NewPerf(c, WithM(m)) }, (*PerfIndex).Delete,
 		func(ix *PerfIndex, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int) {
-			plan := dict.PlanOrder(q.Elems, ix.freqs)
+			plan := dict.PlanOrder(nil, q.Elems, ix.freqs)
 			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 				ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 					ob := lv.Oblige(j)

@@ -249,7 +249,8 @@ func (ix *SizeIndex) Query(q model.Query) []model.ObjectID {
 	// The intersection and the range restriction are fused per division,
 	// so one intersect span covers the whole traversal.
 	defer q.Trace.StartStage(obs.StageIntersect).End()
-	plan := dict.PlanOrder(q.Elems, ix.freqs)
+	var planBuf [8]model.ElemID
+	plan := dict.PlanOrder(planBuf[:0], q.Elems, ix.freqs)
 	bm := survivorPool.Get().(*postings.Bitmap)
 	var out, scratch []model.ObjectID
 	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {

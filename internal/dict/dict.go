@@ -29,8 +29,8 @@ func New() *Dictionary {
 // Len returns the number of distinct elements.
 func (d *Dictionary) Len() int { return len(d.terms) }
 
-// Intern returns the id for term, adding it to the dictionary if new.
-func (d *Dictionary) Intern(term string) model.ElemID {
+// intern returns the id for term, adding it to the dictionary if new.
+func (d *Dictionary) intern(term string) model.ElemID {
 	if d.byTerm == nil {
 		d.byTerm = make(map[string]model.ElemID)
 	}
@@ -55,9 +55,9 @@ func (d *Dictionary) Term(id model.ElemID) string {
 	return d.terms[id]
 }
 
-// Freq returns the document frequency of element id (0 for unseen ids
+// freq returns the document frequency of element id (0 for unseen ids
 // within range).
-func (d *Dictionary) Freq(id model.ElemID) int {
+func (d *Dictionary) freq(id model.ElemID) int {
 	if int(id) >= len(d.freqs) {
 		return 0
 	}
@@ -69,7 +69,7 @@ func (d *Dictionary) Freq(id model.ElemID) int {
 func (d *Dictionary) AddObject(terms []string) []model.ElemID {
 	elems := make([]model.ElemID, 0, len(terms))
 	for _, t := range terms {
-		elems = append(elems, d.Intern(t))
+		elems = append(elems, d.intern(t))
 	}
 	elems = model.NormalizeElems(elems)
 	for _, e := range elems {
@@ -121,19 +121,20 @@ func (d *Dictionary) TermsSnapshot() []string {
 func FromTerms(terms []string) *Dictionary {
 	d := New()
 	for _, t := range terms {
-		d.Intern(t)
+		d.intern(t)
 	}
 	return d
 }
 
-// PlanOrder sorts the query elements by increasing global frequency,
-// breaking ties by id, and returns the sorted copy. This is the standard
-// query-plan ordering of Algorithm 1: the least frequent element is
-// processed first so that intermediate candidate sets stay small. The
-// generic slices.SortFunc avoids the interface boxing sort.Slice pays,
-// so planning allocates exactly one small copy per query.
-func PlanOrder(elems []model.ElemID, freqs []int) []model.ElemID {
-	out := append([]model.ElemID(nil), elems...)
+// PlanOrder copies the query elements into dst's storage (dst[:0]),
+// sorts the copy by increasing global frequency, breaking ties by id,
+// and returns it. This is the standard query-plan ordering of Algorithm
+// 1: the least frequent element is processed first so that intermediate
+// candidate sets stay small. The indices plan into an 8-element stack
+// array, so a query of up to 8 elements plans without allocating and a
+// longer one grows onto the heap.
+func PlanOrder(dst, elems []model.ElemID, freqs []int) []model.ElemID {
+	out := append(dst[:0], elems...)
 	freq := func(e model.ElemID) int {
 		if int(e) < len(freqs) {
 			return freqs[e]

@@ -8,12 +8,12 @@ import (
 
 func TestInternLookupTerm(t *testing.T) {
 	d := New()
-	a := d.Intern("apple")
-	b := d.Intern("banana")
+	a := d.intern("apple")
+	b := d.intern("banana")
 	if a == b {
 		t.Fatal("distinct terms share an id")
 	}
-	if again := d.Intern("apple"); again != a {
+	if again := d.intern("apple"); again != a {
 		t.Errorf("re-intern gave %d, want %d", again, a)
 	}
 	if d.Len() != 2 {
@@ -32,7 +32,7 @@ func TestInternLookupTerm(t *testing.T) {
 
 func TestZeroValueUsable(t *testing.T) {
 	var d Dictionary
-	id := d.Intern("x")
+	id := d.intern("x")
 	if d.Term(id) != "x" {
 		t.Error("zero-value dictionary broken")
 	}
@@ -48,11 +48,11 @@ func TestAddObjectFrequencies(t *testing.T) {
 	a, _ := d.Lookup("a")
 	b, _ := d.Lookup("b")
 	c, _ := d.Lookup("c")
-	if d.Freq(a) != 1 || d.Freq(b) != 2 || d.Freq(c) != 1 {
-		t.Errorf("freqs = %d %d %d", d.Freq(a), d.Freq(b), d.Freq(c))
+	if d.freq(a) != 1 || d.freq(b) != 2 || d.freq(c) != 1 {
+		t.Errorf("freqs = %d %d %d", d.freq(a), d.freq(b), d.freq(c))
 	}
 	_ = e2
-	if d.Freq(model.ElemID(99)) != 0 {
+	if d.freq(model.ElemID(99)) != 0 {
 		t.Error("Freq out of range should be 0")
 	}
 }
@@ -60,8 +60,8 @@ func TestAddObjectFrequencies(t *testing.T) {
 func TestAddElemsGrows(t *testing.T) {
 	var d Dictionary
 	d.AddElems([]model.ElemID{5, 2})
-	if d.Freq(5) != 1 || d.Freq(2) != 1 || d.Freq(3) != 0 {
-		t.Errorf("freqs after AddElems: %d %d %d", d.Freq(5), d.Freq(2), d.Freq(3))
+	if d.freq(5) != 1 || d.freq(2) != 1 || d.freq(3) != 0 {
+		t.Errorf("freqs after AddElems: %d %d %d", d.freq(5), d.freq(2), d.freq(3))
 	}
 	if d.Len() != 6 {
 		t.Errorf("Len = %d, want 6", d.Len())
@@ -70,7 +70,7 @@ func TestAddElemsGrows(t *testing.T) {
 
 func TestPlanOrder(t *testing.T) {
 	freqs := []int{10, 1, 5, 1}
-	got := PlanOrder([]model.ElemID{0, 1, 2, 3}, freqs)
+	got := PlanOrder(nil, []model.ElemID{0, 1, 2, 3}, freqs)
 	want := []model.ElemID{1, 3, 2, 0} // ties broken by id
 	for i := range want {
 		if got[i] != want[i] {
@@ -79,12 +79,12 @@ func TestPlanOrder(t *testing.T) {
 	}
 	// Input must not be mutated.
 	in := []model.ElemID{0, 1}
-	_ = PlanOrder(in, freqs)
+	_ = PlanOrder(nil, in, freqs)
 	if in[0] != 0 || in[1] != 1 {
 		t.Error("PlanOrder mutated its input")
 	}
 	// Out-of-range ids are treated as frequency 0.
-	got = PlanOrder([]model.ElemID{0, 9}, freqs)
+	got = PlanOrder(nil, []model.ElemID{0, 9}, freqs)
 	if got[0] != 9 {
 		t.Errorf("out-of-range elem should sort first, got %v", got)
 	}

@@ -46,8 +46,8 @@ type phaseTimings struct {
 func (s *Store) runCompact(ctx context.Context) error {
 	start := time.Now()
 	tr := obs.TraceFromContext(ctx)
-	g0 := s.Snapshot()
-	if g0.dead.Len() == 0 && g0.mem.Len() == 0 {
+	g0 := s.snapshot()
+	if g0.dead.Len() == 0 && g0.MemLen() == 0 {
 		return nil // nothing to merge or drop
 	}
 	if err := ctx.Err(); err != nil {
@@ -114,7 +114,7 @@ func (s *Store) buildBase(ctx context.Context, c *model.Collection, tr *obs.Trac
 	if err != nil {
 		return nil, err
 	}
-	return &compacted{base: base, compactLen: len(c.Objects), baseBytes: base.SizeBytes()}, nil
+	return newCompacted(base, c.Objects), nil
 }
 
 // swapCompacted is compaction phase 2: under the writer mutex, fold in
@@ -126,7 +126,7 @@ func (s *Store) swapCompacted(g0 *Generation, newColl *model.Collection, base *c
 	swapStart := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.Snapshot()
+	cur := s.snapshot()
 
 	base0 := base.compactLen
 
@@ -134,12 +134,14 @@ func (s *Store) swapCompacted(g0 *Generation, newColl *model.Collection, base *c
 	tail := s.objects[len(g0.coll.Objects):]
 	tailExt := s.ext[len(g0.coll.Objects):]
 	var memBytes int64
+	x := base.baseExtent
 	for i := range tail {
 		o := tail[i]
 		o.ID = model.ObjectID(len(newColl.Objects))
 		newColl.Objects = append(newColl.Objects, o)
 		ext = append(ext, tailExt[i])
 		memBytes += objectBytes(&o)
+		x = x.grow(o.Interval)
 	}
 	newColl.DictSize = cur.coll.DictSize
 
@@ -172,19 +174,20 @@ func (s *Store) swapCompacted(g0 *Generation, newColl *model.Collection, base *c
 		buildDur: ph.buildDur,
 		swapDur:  time.Since(swapStart),
 		dropped:  g0.dead.Len(),
-		merged:   g0.mem.Len(),
+		merged:   g0.MemLen(),
 	}
 	s.totalDuration += s.last.duration
 	s.totalDropped += uint64(s.last.dropped)
 	s.totalMerged += uint64(s.last.merged)
 	s.reclaimedBytes += ph.reclaimed
-	s.publish(&Generation{
+	s.set.publish(s.idx, &Generation{
 		epoch:     cur.epoch + 1,
-		coll:      &model.Collection{Objects: newColl.Objects[:n:n], DictSize: newColl.DictSize},
+		coll:      model.Collection{Objects: newColl.Objects[:n:n], DictSize: newColl.DictSize},
 		compacted: base,
-		mem:       Memtable{objs: newColl.Objects[base0:n:n], bytes: memBytes},
+		memBytes:  memBytes,
 		dead:      dead,
 		ext:       ext[:n:n],
+		extent:    x,
 	})
 }
 

@@ -1,8 +1,6 @@
 package maint
 
 import (
-	"sort"
-
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -34,33 +32,69 @@ func (t tombstones) withAll(ids ...model.ObjectID) tombstones {
 }
 
 // Generation is one immutable epoch of the store: everything a query
-// needs, reachable from a single pointer. Reads acquire it with one
-// atomic load and then touch no shared mutable state at all — writers
-// publish new generations instead of mutating old ones.
+// needs, reachable from a single pointer. Reads acquire it from their
+// set's view with one atomic load and then touch no shared mutable
+// state at all — writers publish new generations instead of mutating
+// old ones.
 //
 // All ids inside a Generation are internal (dense positions in Coll);
 // External/Internal translate to and from the stable ids the engine
 // hands out. Query results are internal; callers translate at the edge.
 type Generation struct {
 	epoch uint64
-	coll  *model.Collection
+	coll  model.Collection
 	*compacted
-	mem  Memtable
-	dead tombstones
-	ext  []model.ObjectID
+	// memBytes is the size of the memtable, the mutable side of the
+	// generational split frozen into the generation: the objects past
+	// the compacted prefix, inserted since the last compaction. Queries
+	// scan it linearly, the right trade for a structure that absorbs
+	// appends in O(1) and stays small because compaction drains it.
+	memBytes int64
+	dead     tombstones
+	ext      []model.ObjectID
+	// extent is the time envelope of every stored object, tombstoned
+	// ones included, so a store whose extent misses a query holds no
+	// match for it.
+	extent extent
+}
+
+// extent is the smallest interval covering every interval it grew by;
+// the zero value covers nothing.
+type extent struct {
+	iv  model.Interval
+	set bool
+}
+
+// grow returns the extent widened to cover iv.
+func (x extent) grow(iv model.Interval) extent {
+	if x.set {
+		iv = x.iv.Union(iv)
+	}
+	return extent{iv: iv, set: true}
 }
 
 // compacted is what a generation knows about its compacted prefix: the
-// main index over coll.Objects[:compactLen] and its size, computed once
-// when that index is installed (store construction, compaction's
-// off-lock phase). Immutable, and shared — one pointer — by every
-// generation until the next compaction replaces it, which keeps
-// SizeBytes independent of corpus size per call and adds nothing to
-// what an insert copies.
+// main index over coll.Objects[:compactLen], its size and the prefix's
+// extent, computed once when that index is installed (store
+// construction, compaction's off-lock phase). Immutable, and shared —
+// one pointer — by every generation until the next compaction replaces
+// it, which keeps SizeBytes independent of corpus size per call and
+// adds nothing to what an insert copies.
 type compacted struct {
 	base       model.Index
 	compactLen int
-	baseBytes  int64 // base.SizeBytes()
+	baseBytes  int64  // base.SizeBytes()
+	baseExtent extent // the extent of coll.Objects[:compactLen]
+}
+
+// newCompacted installs base, the index over objs, computing its two
+// per-base constants.
+func newCompacted(base model.Index, objs []model.Object) *compacted {
+	var x extent
+	for i := range objs {
+		x = x.grow(objs[i].Interval)
+	}
+	return &compacted{base: base, compactLen: len(objs), baseBytes: base.SizeBytes(), baseExtent: x}
 }
 
 // next returns a copy of g with the epoch advanced; the store mutates
@@ -74,17 +108,22 @@ func (g *Generation) next() *Generation {
 // Epoch returns the generation's monotonically increasing epoch number.
 func (g *Generation) Epoch() uint64 { return g.epoch }
 
+// Extent returns the time envelope of the generation's stored objects,
+// or false when it stores none. Appends widen it; compaction recomputes
+// it from the objects that survive.
+func (g *Generation) Extent() (model.Interval, bool) { return g.extent.iv, g.extent.set }
+
 // Coll returns the full visible collection: base objects in positions
 // [0, base-length), memtable objects after. Internal ids equal
 // positions, so rank and aggregation code can index Objects directly.
 // The collection is immutable; callers must not mutate it.
-func (g *Generation) Coll() *model.Collection { return g.coll }
+func (g *Generation) Coll() *model.Collection { return &g.coll }
 
 // Len returns the number of live (non-tombstoned) objects.
 func (g *Generation) Len() int { return len(g.coll.Objects) - g.dead.Len() }
 
 // MemLen returns the number of objects in the memtable snapshot.
-func (g *Generation) MemLen() int { return g.mem.Len() }
+func (g *Generation) MemLen() int { return len(g.coll.Objects) - g.compactLen }
 
 // TombstoneCount returns the number of pending logical deletions.
 func (g *Generation) TombstoneCount() int { return g.dead.Len() }
@@ -95,7 +134,7 @@ func (g *Generation) Tombstoned(id model.ObjectID) bool { return g.dead.Has(id) 
 // SizeBytes estimates the generation's resident size: the main index,
 // the memtable, the tombstone set and the id-translation table.
 func (g *Generation) SizeBytes() int64 {
-	return g.baseBytes + g.mem.SizeBytes() +
+	return g.baseBytes + g.memBytes +
 		int64(g.dead.Len())*tombstoneBytes + int64(len(g.ext))*4
 }
 
@@ -108,7 +147,7 @@ func (g *Generation) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return g.finish(q, nil, g.coll.Objects)
 	}
-	return g.finish(q, g.base.Query(q), g.mem.objs)
+	return g.finish(q, g.base.Query(q), g.coll.Objects[g.compactLen:])
 }
 
 // finish applies tombstone filtering to the candidates ids (in place)
@@ -141,11 +180,7 @@ func (g *Generation) finish(q model.Query, ids []model.ObjectID, scan []model.Ob
 // Internal maps a stable external id to the generation's internal id,
 // by binary search over the strictly ascending translation table.
 func (g *Generation) Internal(ext model.ObjectID) (model.ObjectID, bool) {
-	i := sort.Search(len(g.ext), func(i int) bool { return g.ext[i] >= ext })
-	if i == len(g.ext) || g.ext[i] != ext {
-		return 0, false
-	}
-	return model.ObjectID(i), true
+	return internalOf(g.ext, ext)
 }
 
 // ExternalID maps one internal id to its stable external id.

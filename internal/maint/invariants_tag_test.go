@@ -19,7 +19,7 @@ func TestCheckGenerationFires(t *testing.T) {
 	c := seedCollection(4)
 	g := &Generation{
 		epoch:     1,
-		coll:      c,
+		coll:      *c,
 		compacted: &compacted{base: tif.New(c), compactLen: 4},
 		// ext table too short: violates the parallel-table invariant.
 		ext: []model.ObjectID{0, 1},
@@ -33,7 +33,7 @@ func TestCheckGenerationFires(t *testing.T) {
 			t.Fatalf("unexpected panic payload: %v", r)
 		}
 	}()
-	checkGeneration(g, NewIDAllocator(4))
+	checkGeneration(g, 4)
 }
 
 // TestCheckGenerationSilentOnWellFormed runs the store lifecycle with
@@ -46,5 +46,5 @@ func TestCheckGenerationSilentOnWellFormed(t *testing.T) {
 	for id := model.ObjectID(0); id < 9; id += 2 {
 		s.Delete(id)
 	}
-	checkGeneration(s.Snapshot(), s.alloc)
+	checkGeneration(s.snapshot(), s.set.NextID())
 }

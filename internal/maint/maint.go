@@ -6,9 +6,11 @@
 //
 //   - Writes land in a small mutable memtable — a brute-force sidecar
 //     that is O(1) to append to — never in the main index.
-//   - Reads run against an immutable Generation (main index + memtable
-//     snapshot + tombstone set) obtained from a single atomic pointer,
-//     so queries never wait on writers or on compaction.
+//   - Reads run against immutable Generations (main index + memtable
+//     snapshot + tombstone set + extent), one per store of a Set, all
+//     obtained from the Set's one atomic view pointer, so queries never
+//     wait on writers or on compaction and see one instant of every
+//     store.
 //   - A background compactor merges the memtable into the object store,
 //     physically drops tombstoned objects, rebuilds the configured index
 //     method off the read path, and atomically swaps in the new

@@ -30,14 +30,14 @@ func seedCollection(n int) *model.Collection {
 	return c
 }
 
-// newDenseStore is NewStore over a collection whose external ids are
-// its dense positions, drawing later ids from a fresh allocator.
+// newDenseStore is the only store of a one-store set over a collection
+// whose external ids are its dense positions.
 func newDenseStore(c *model.Collection, base model.Index, build BuildFunc) *Store {
 	ext := make([]model.ObjectID, len(c.Objects))
 	for i := range ext {
 		ext[i] = model.ObjectID(i)
 	}
-	return NewStore(c, base, build, ext, NewIDAllocator(model.ObjectID(len(ext))))
+	return NewSet([]Part{{Coll: c, Base: base, Build: build, Ext: ext}}, model.ObjectID(len(ext))).Stores()[0]
 }
 
 func newTestStore(t *testing.T, n int) *Store {
@@ -82,7 +82,7 @@ func TestAppendVisibleAndStable(t *testing.T) {
 	if id != 20 {
 		t.Fatalf("first appended external id = %d, want 20", id)
 	}
-	g := s.Snapshot()
+	g := s.snapshot()
 	if g.Len() != 21 || g.MemLen() != 1 {
 		t.Fatalf("Len=%d MemLen=%d, want 21/1", g.Len(), g.MemLen())
 	}
@@ -107,7 +107,7 @@ func TestDeleteHidesAndReports(t *testing.T) {
 	if s.Delete(99) {
 		t.Fatal("Delete(99) = true, want false (unknown)")
 	}
-	g := s.Snapshot()
+	g := s.snapshot()
 	if g.Len() != 19 || g.TombstoneCount() != 1 {
 		t.Fatalf("Len=%d tombstones=%d, want 19/1", g.Len(), g.TombstoneCount())
 	}
@@ -121,13 +121,13 @@ func TestDeleteHidesAndReports(t *testing.T) {
 
 func TestSnapshotIsolation(t *testing.T) {
 	s := newTestStore(t, 10)
-	g0 := s.Snapshot()
+	g0 := s.snapshot()
 	s.Append(model.NewInterval(0, 100), []model.ElemID{0}, 4)
 	s.Delete(3)
 	if g0.Len() != 10 || g0.MemLen() != 0 || g0.TombstoneCount() != 0 {
 		t.Fatal("older generation observed later mutations")
 	}
-	g1 := s.Snapshot()
+	g1 := s.snapshot()
 	if g1.Len() != 10 || g1.MemLen() != 1 || g1.TombstoneCount() != 1 {
 		t.Fatalf("new generation Len=%d MemLen=%d dead=%d, want 10/1/1", g1.Len(), g1.MemLen(), g1.TombstoneCount())
 	}
@@ -157,7 +157,7 @@ func TestCompactDropsTombstonesKeepsResults(t *testing.T) {
 	for id := model.ObjectID(0); id < 48; id += 3 {
 		s.Delete(id)
 	}
-	before := resultsByExt(s.Snapshot())
+	before := resultsByExt(s.snapshot())
 
 	st, err := s.Compact(context.Background())
 	if err != nil {
@@ -169,7 +169,7 @@ func TestCompactDropsTombstonesKeepsResults(t *testing.T) {
 	if st.LastDropped != 16 || st.LastMerged != 8 {
 		t.Fatalf("LastDropped=%d LastMerged=%d, want 16/8", st.LastDropped, st.LastMerged)
 	}
-	g := s.Snapshot()
+	g := s.snapshot()
 	if g.Len() != 32 || g.MemLen() != 0 || g.TombstoneCount() != 0 {
 		t.Fatalf("post-compact Len=%d MemLen=%d dead=%d, want 32/0/0", g.Len(), g.MemLen(), g.TombstoneCount())
 	}
@@ -198,7 +198,7 @@ func TestCompactDropsTombstonesKeepsResults(t *testing.T) {
 
 func TestCompactNoop(t *testing.T) {
 	s := newTestStore(t, 10)
-	g0 := s.Snapshot()
+	g0 := s.snapshot()
 	st, err := s.Compact(context.Background())
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -206,7 +206,7 @@ func TestCompactNoop(t *testing.T) {
 	if st.Compactions != 0 {
 		t.Fatalf("no-op compact counted: %+v", st)
 	}
-	if s.Snapshot() != g0 {
+	if s.snapshot() != g0 {
 		t.Fatal("no-op compact published a new generation")
 	}
 }
@@ -214,13 +214,13 @@ func TestCompactNoop(t *testing.T) {
 func TestCompactContextCanceled(t *testing.T) {
 	s := newTestStore(t, 10)
 	s.Delete(0)
-	g0 := s.Snapshot()
+	g0 := s.snapshot()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Compact(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Compact(canceled) err = %v, want context.Canceled", err)
 	}
-	if s.Snapshot() != g0 {
+	if s.snapshot() != g0 {
 		t.Fatal("failed compact mutated the published generation")
 	}
 }
@@ -241,11 +241,11 @@ func TestCompactBuildReceivesContext(t *testing.T) {
 	}
 	s := newDenseStore(c, tif.New(c), build)
 	s.Delete(0)
-	g0 := s.Snapshot()
+	g0 := s.snapshot()
 	if _, err := s.Compact(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Compact err = %v, want context.Canceled threaded through BuildFunc", err)
 	}
-	if s.Snapshot() != g0 {
+	if s.snapshot() != g0 {
 		t.Fatal("canceled compact mutated the published generation")
 	}
 	if st := s.Stats(); st.InProgress {
@@ -258,11 +258,11 @@ func TestCompactBuildError(t *testing.T) {
 	boom := errors.New("boom")
 	s := newDenseStore(c, tif.New(c), func(context.Context, *model.Collection) (model.Index, error) { return nil, boom })
 	s.Delete(0)
-	g0 := s.Snapshot()
+	g0 := s.snapshot()
 	if _, err := s.Compact(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("Compact err = %v, want boom", err)
 	}
-	if s.Snapshot() != g0 {
+	if s.snapshot() != g0 {
 		t.Fatal("failed compact mutated the published generation")
 	}
 	if st := s.Stats(); st.InProgress {
@@ -302,7 +302,7 @@ func TestWritesDuringCompaction(t *testing.T) {
 	if _, err := s.Compact(context.Background()); !errors.Is(err, ErrCompactionRunning) {
 		t.Fatalf("second Compact err = %v, want ErrCompactionRunning", err)
 	}
-	g := s.Snapshot()
+	g := s.snapshot()
 	ids := g.External(g.Query(model.Query{Interval: model.NewInterval(205, 205), Elems: []model.ElemID{2}}))
 	found := false
 	for _, id := range ids {
@@ -319,7 +319,7 @@ func TestWritesDuringCompaction(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 
-	g = s.Snapshot()
+	g = s.snapshot()
 	// The 10 snapshot tombstones were dropped; the mid-flight delete of 15
 	// was carried as a tombstone; the mid-flight insert is in the memtable.
 	if g.Len() != 30-10+1-1 {
@@ -347,7 +347,7 @@ func TestWritesDuringCompaction(t *testing.T) {
 	if _, err := s2.Compact(context.Background()); err != nil {
 		t.Fatalf("second Compact: %v", err)
 	}
-	g = s.Snapshot()
+	g = s.snapshot()
 	if g.TombstoneCount() != 0 || g.MemLen() != 0 || g.Len() != 20 {
 		t.Fatalf("after second compact: Len=%d MemLen=%d dead=%d, want 20/0/0", g.Len(), g.MemLen(), g.TombstoneCount())
 	}
@@ -370,7 +370,7 @@ func TestAutoCompactionPolicy(t *testing.T) {
 		st := s.Stats()
 		return st.Compactions >= 2 && st.Tombstones == 0
 	})
-	if got := s.Snapshot().Len(); got != 9 {
+	if got := s.snapshot().Len(); got != 9 {
 		t.Fatalf("Len after policy compactions = %d, want 9", got)
 	}
 }
@@ -394,7 +394,7 @@ func TestInternalExternalRoundTrip(t *testing.T) {
 	if _, err := s.Compact(context.Background()); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	g := s.Snapshot()
+	g := s.snapshot()
 	exts := make([]model.ObjectID, 0, g.Len())
 	for i := range g.Coll().Objects {
 		e := g.ExternalID(model.ObjectID(i))
@@ -418,7 +418,7 @@ func TestBinaryBaseQueryAgrees(t *testing.T) {
 		s.Delete(id)
 	}
 	s.Append(model.NewInterval(5, 500), []model.ElemID{1}, 4)
-	g := s.Snapshot()
+	g := s.snapshot()
 	for _, q := range testQueries {
 		checkQuery(t, g, q)
 	}
@@ -440,7 +440,7 @@ func TestElementFreeQueryScansEveryObject(t *testing.T) {
 	q := model.Query{Interval: model.NewInterval(4, 4)}
 	check := func(stage string, want []model.ObjectID) {
 		t.Helper()
-		g := s.Snapshot()
+		g := s.snapshot()
 		if got := g.base.Query(q); got != nil {
 			t.Errorf("%s: base index answered %v, want nil", stage, got)
 		}

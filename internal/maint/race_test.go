@@ -55,7 +55,7 @@ func TestStoreRace(t *testing.T) {
 					return
 				default:
 				}
-				g := s.Snapshot()
+				g := s.snapshot()
 				q := testQueries[(i+r)%len(testQueries)]
 				ids := g.Query(q)
 				g.External(ids)
@@ -92,7 +92,7 @@ func TestStoreRace(t *testing.T) {
 	if _, err := s.Compact(context.Background()); err != nil {
 		t.Fatalf("final Compact: %v", err)
 	}
-	g := s.Snapshot()
+	g := s.snapshot()
 	if g.TombstoneCount() != 0 || g.MemLen() != 0 {
 		t.Fatalf("after final compact: MemLen=%d dead=%d, want 0/0", g.MemLen(), g.TombstoneCount())
 	}
@@ -119,7 +119,7 @@ func TestAutoCompactRace(t *testing.T) {
 				case 1:
 					s.Delete(model.ObjectID((w*200 + i) % 300))
 				default:
-					g := s.Snapshot()
+					g := s.snapshot()
 					g.Query(testQueries[i%len(testQueries)])
 				}
 			}
@@ -129,6 +129,38 @@ func TestAutoCompactRace(t *testing.T) {
 	// Drain any in-flight background pass, then verify coherence.
 	waitFor(t, func() bool { return !s.Stats().InProgress })
 	for _, q := range testQueries {
-		checkQuery(t, s.Snapshot(), q)
+		checkQuery(t, s.snapshot(), q)
+	}
+}
+
+// TestSetPublishesEveryStore appends to every store of a set at once:
+// each publish must install a view that keeps every other store's
+// latest generation, so when the writers stop the view holds each
+// store's last append, epoch and extent.
+func TestSetPublishesEveryStore(t *testing.T) {
+	const stores, appends = 4, 3000
+	parts := make([]Part, stores)
+	for i := range parts {
+		c := &model.Collection{DictSize: 4}
+		parts[i] = Part{Coll: c, Base: tif.New(c), Build: tifBuild}
+	}
+	set := NewSet(parts, 0)
+	var wg sync.WaitGroup
+	for i, s := range set.Stores() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < appends; k++ {
+				s.Append(model.NewInterval(model.Timestamp(i), model.Timestamp(i+k)), []model.ElemID{0}, 4)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, g := range set.View() {
+		x, ok := g.Extent()
+		if g.Len() != appends || g.Epoch() != appends+1 || !ok || x != model.NewInterval(model.Timestamp(i), model.Timestamp(i+appends-1)) {
+			t.Errorf("store %d in the view: %d objects, epoch %d, extent %v %v; want %d, %d, [%d, %d]",
+				i, g.Len(), g.Epoch(), x, ok, appends, appends+1, i, i+appends-1)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func (c countingIndex) SizeBytes() int64 {
 // unmemoisedSize is Generation.SizeBytes as it was before the base's
 // size became a per-base constant: it walks the index.
 func unmemoisedSize(g *Generation) int64 {
-	return g.base.(countingIndex).Index.SizeBytes() + g.mem.SizeBytes() +
+	return g.base.(countingIndex).Index.SizeBytes() + g.memBytes +
 		int64(g.dead.Len())*tombstoneBytes + int64(len(g.ext))*4
 }
 
@@ -46,7 +46,7 @@ func TestSizeBytesOncePerBase(t *testing.T) {
 		if i%7 == 0 {
 			s.Delete(id)
 		}
-		g := s.Snapshot()
+		g := s.snapshot()
 		if got, want := g.SizeBytes(), unmemoisedSize(g); got != want {
 			t.Fatalf("step %d: SizeBytes = %d, un-memoised formula gives %d", i, got, want)
 		}
@@ -56,7 +56,7 @@ func TestSizeBytesOncePerBase(t *testing.T) {
 				t.Fatal(err)
 			}
 			bases++
-			if g := s.Snapshot(); g.SizeBytes() != unmemoisedSize(g) {
+			if g := s.snapshot(); g.SizeBytes() != unmemoisedSize(g) {
 				t.Fatalf("after compaction %d: SizeBytes = %d, un-memoised formula gives %d", bases-1, g.SizeBytes(), unmemoisedSize(g))
 			}
 		}

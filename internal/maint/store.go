@@ -23,7 +23,7 @@ type Policy struct {
 func (p Policy) enabled() bool { return p.MaxMemObjects > 0 || p.MaxDeadRatio > 0 }
 
 func (p Policy) triggered(g *Generation) bool {
-	if p.MaxMemObjects > 0 && g.mem.Len() >= p.MaxMemObjects {
+	if p.MaxMemObjects > 0 && g.MemLen() >= p.MaxMemObjects {
 		return true
 	}
 	if p.MaxDeadRatio > 0 && len(g.coll.Objects) > 0 {
@@ -46,10 +46,11 @@ type lastCompaction struct {
 	merged   int
 }
 
-// Store owns the generational state: a mutable backing array of objects
-// plus the published immutable Generation snapshot. Writers (Append,
-// Delete, compaction's swap phase) serialize on mu; readers only load
-// the atomic generation pointer and never block on mu.
+// Store owns one store's generational state: a mutable backing array
+// of objects plus its published immutable Generation, which lives in
+// its set's view. Writers (Append, Delete, compaction's swap phase)
+// serialize on mu; readers only load the set's atomic view and never
+// block on mu.
 //
 // The backing slices are shared with published generations as prefix
 // views: writers only ever append past the published length (or replace
@@ -58,19 +59,13 @@ type lastCompaction struct {
 type Store struct {
 	mu sync.Mutex
 
-	// gen is the published read snapshot. All loads and stores go through
-	// Snapshot/publish so the access pattern stays auditable.
-	// irlint:snapshot-via Snapshot,publish
-	gen atomic.Pointer[Generation]
+	// set is the set the store belongs to and idx its place in the
+	// set's view; both are immutable.
+	set *Set
+	idx int
 
 	// build rebuilds the configured index method during compaction.
 	build BuildFunc
-
-	// alloc is the external-id sequence Append draws from, shared by
-	// every store of an engine. The allocator is internally atomic, but
-	// draws happen under mu so the per-store ext table stays strictly
-	// ascending.
-	alloc *IDAllocator
 
 	// compacting is the single-flight latch for compaction; it is CASed
 	// outside mu so manual Compact never blocks behind writers.
@@ -108,78 +103,44 @@ type Store struct {
 	reclaimedBytes int64
 }
 
-// IDAllocator hands out external object ids from a single monotonic
-// sequence. Stores sharing one allocator (the stores of one engine)
-// assign globally unique, insertion-ordered ids, so a corpus split
-// across N stores carries exactly the ids one store over the same
-// inserts would have handed out.
-type IDAllocator struct {
-	next atomic.Uint64
-}
-
-// NewIDAllocator returns an allocator whose next id is next.
-func NewIDAllocator(next model.ObjectID) *IDAllocator {
-	a := &IDAllocator{}
-	a.next.Store(uint64(next))
-	return a
-}
-
-// take returns the next id and advances the sequence.
-func (a *IDAllocator) take() model.ObjectID {
-	return model.ObjectID(a.next.Add(1) - 1)
-}
-
-// Next returns the id the next take would hand out.
-func (a *IDAllocator) Next() model.ObjectID {
-	return model.ObjectID(a.next.Load())
-}
-
-// NewStore wraps an already-built base index and its collection in a
-// generational store whose Append draws external ids from alloc. ext is
-// the external id of each object, parallel to coll.Objects: strictly
-// ascending, every entry already handed out by alloc. The store takes
-// ownership of coll's object slice and of ext. Stores sharing one
-// allocator never collide, and a store rebuilt from a saved table and
-// counter hands out exactly the ids the saved one would have.
-func NewStore(coll *model.Collection, base model.Index, build BuildFunc, ext []model.ObjectID, alloc *IDAllocator) *Store {
-	n := len(coll.Objects)
-	if len(ext) != n {
+// newStore wraps part p as store idx of set t and publishes its first
+// generation. Draws from the set's id sequence happen under mu, so the
+// store's ext table stays strictly ascending.
+func newStore(t *Set, idx int, p Part) *Store {
+	n := len(p.Coll.Objects)
+	if len(p.Ext) != n {
 		panic("maint: identity table length mismatch") // lint:panic-ok construction-time programming error
 	}
 	for i := 1; i < n; i++ {
-		if ext[i] <= ext[i-1] {
+		if p.Ext[i] <= p.Ext[i-1] {
 			panic("maint: identity table not strictly ascending") // lint:panic-ok construction-time programming error
 		}
 	}
-	if n > 0 && ext[n-1] >= alloc.Next() {
+	if n > 0 && p.Ext[n-1] >= t.NextID() {
 		panic("maint: next external id not past the identity table") // lint:panic-ok construction-time programming error
 	}
 	s := &Store{
-		build:      build,
-		alloc:      alloc,
-		objects:    coll.Objects,
-		ext:        ext,
+		set:        t,
+		idx:        idx,
+		build:      p.Build,
+		objects:    p.Coll.Objects,
+		ext:        p.Ext,
 		compactLen: n,
 	}
-	s.publish(&Generation{
+	base := newCompacted(p.Base, p.Coll.Objects)
+	t.publish(idx, &Generation{
 		epoch:     1,
-		coll:      &model.Collection{Objects: coll.Objects[:n:n], DictSize: coll.DictSize},
-		compacted: &compacted{base: base, compactLen: n, baseBytes: base.SizeBytes()},
-		ext:       ext[:n:n],
+		coll:      model.Collection{Objects: p.Coll.Objects[:n:n], DictSize: p.Coll.DictSize},
+		compacted: base,
+		ext:       p.Ext[:n:n],
+		extent:    base.baseExtent,
 	})
 	return s
 }
 
-// Snapshot returns the current immutable read generation. This is the
-// only sanctioned read access to the atomic generation pointer.
-func (s *Store) Snapshot() *Generation { return s.gen.Load() }
-
-// publish validates (under -tags invariants) and installs a new
-// generation. This is the only sanctioned write access to the pointer.
-func (s *Store) publish(g *Generation) {
-	checkGeneration(g, s.alloc)
-	s.gen.Store(g)
-}
+// snapshot returns the store's current immutable read generation: its
+// entry in the set's view.
+func (s *Store) snapshot() *Generation { return s.set.View()[s.idx] }
 
 // Append inserts one object into the memtable and publishes a new
 // generation. It returns the stable external id assigned to the object.
@@ -188,23 +149,24 @@ func (s *Store) publish(g *Generation) {
 func (s *Store) Append(iv model.Interval, elems []model.ElemID, dictSize int) model.ObjectID {
 	s.mu.Lock()
 	internal := model.ObjectID(len(s.objects))
-	extID := s.alloc.take()
+	extID := model.ObjectID(s.set.next.Add(1) - 1)
 	o := model.Object{ID: internal, Interval: iv, Elems: elems}
 	s.objects = append(s.objects, o)
 	s.ext = append(s.ext, extID)
 	s.memBytes += objectBytes(&o)
 
-	cur := s.Snapshot()
+	cur := s.snapshot()
 	g := cur.next()
 	n := len(s.objects)
 	ds := cur.coll.DictSize
 	if dictSize > ds {
 		ds = dictSize
 	}
-	g.coll = &model.Collection{Objects: s.objects[:n:n], DictSize: ds}
+	g.coll = model.Collection{Objects: s.objects[:n:n], DictSize: ds}
 	g.ext = s.ext[:n:n]
-	g.mem = Memtable{objs: s.objects[s.compactLen:n:n], bytes: s.memBytes}
-	s.publish(g)
+	g.memBytes = s.memBytes
+	g.extent = g.extent.grow(iv)
+	s.set.publish(s.idx, g)
 	auto := s.policy.enabled() && s.policy.triggered(g)
 	s.mu.Unlock()
 
@@ -229,14 +191,14 @@ func (s *Store) Delete(ext model.ObjectID) bool {
 func (s *Store) deleteOne(ext model.ObjectID) (ok, auto bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.Snapshot()
+	cur := s.snapshot()
 	id, found := cur.Internal(ext)
 	if !found || cur.dead.Has(id) {
 		return false, false
 	}
 	g := cur.next()
 	g.dead = cur.dead.withAll(id)
-	s.publish(g)
+	s.set.publish(s.idx, g)
 	return true, s.policy.enabled() && s.policy.triggered(g)
 }
 
@@ -245,7 +207,7 @@ func (s *Store) deleteOne(ext model.ObjectID) (ok, auto bool) {
 func (s *Store) SetPolicy(p Policy) {
 	s.mu.Lock()
 	s.policy = p
-	g := s.Snapshot()
+	g := s.snapshot()
 	auto := p.enabled() && p.triggered(g)
 	s.mu.Unlock()
 
@@ -299,19 +261,14 @@ type CompactionStats struct {
 func (s *Store) Stats() CompactionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.statsLocked(s.Snapshot())
-}
-
-// statsLocked assembles stats for the given generation.
-// irlint:locked mu
-func (s *Store) statsLocked(g *Generation) CompactionStats {
+	g := s.snapshot()
 	st := CompactionStats{
 		Epoch:        g.epoch,
 		Compactions:  s.compactions,
 		InProgress:   s.compacting.Load(),
 		BaseObjects:  g.compactLen,
-		MemObjects:   g.mem.Len(),
-		MemBytes:     g.mem.SizeBytes(),
+		MemObjects:   g.MemLen(),
+		MemBytes:     g.memBytes,
 		Tombstones:   g.dead.Len(),
 		LastDuration: s.last.duration,
 		LastDropped:  s.last.dropped,

@@ -18,7 +18,7 @@ func TestAllocBudget(t *testing.T) {
 	}
 
 	var dst []model.ObjectID
-	allocbudget.Gate(t, "postings/List.IntersectIDs", func() { dst = l.IntersectIDs(cands, dst[:0]) })
+	allocbudget.Gate(t, "postings/List.IntersectIDs", func() { dst = l.intersectIDs(cands, dst[:0]) })
 	allocbudget.Gate(t, "postings/IntersectSortedIDs", func() { dst = IntersectSortedIDs(cands, other, dst[:0]) })
 
 	// The bitmap container: steady state compacts entirely inside a
@@ -29,7 +29,7 @@ func TestAllocBudget(t *testing.T) {
 	allocbudget.Gate(t, "postings/Bitmap.KeepSorted", func() { buf = bb.KeepSorted(buf[:0], cands) })
 
 	small := cands[:min(64, len(cands))]
-	allocbudget.Gate(t, "postings/IntersectGalloping", func() { dst = IntersectGalloping(small, other, dst[:0]) })
+	allocbudget.Gate(t, "postings/IntersectGalloping", func() { dst = intersectGalloping(small, other, dst[:0]) })
 
 	// The later-element kernel: a pooled pass over four fragments, one
 	// positional and one bitmap, allocates nothing once warm.

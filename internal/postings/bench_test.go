@@ -29,7 +29,7 @@ func BenchmarkIntersectIDs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = l.IntersectIDs(cands, dst[:0])
+		dst = l.intersectIDs(cands, dst[:0])
 	}
 }
 

@@ -160,11 +160,11 @@ func GetBitmapScratch() *BitmapScratch { return bitmapPool.Get().(*BitmapScratch
 // PutBitmapScratch returns a scratch bitmap to the pool.
 func PutBitmapScratch(s *BitmapScratch) { bitmapPool.Put(s) }
 
-// GallopLowerBound returns the smallest index i in [lo, len(s)] with
+// gallopLowerBound returns the smallest index i in [lo, len(s)] with
 // s[i]'s id >= target, using exponential probing from lo — O(log d) for
 // a match d positions ahead, the skew-friendly search the galloping
 // intersections rely on. s must be ascending by id.
-func GallopLowerBound[E Entry](s []E, target model.ObjectID, lo int) int {
+func gallopLowerBound[E Entry](s []E, target model.ObjectID, lo int) int {
 	if lo >= len(s) || idOf(&s[lo]) >= target {
 		return lo
 	}
@@ -191,17 +191,17 @@ func GallopLowerBound[E Entry](s []E, target model.ObjectID, lo int) int {
 	return hi
 }
 
-// IntersectGalloping intersects two ascending id slices where small is
+// intersectGalloping intersects two ascending id slices where small is
 // much shorter than large: each small element gallops forward in large
 // from the last probe position, so the cost is O(|small| log(|large| /
 // |small|)) instead of the merge's O(|small| + |large|).
-func IntersectGalloping(small, large, dst []model.ObjectID) []model.ObjectID {
-	assertSorted(small, "IntersectGalloping small")
-	assertSorted(large, "IntersectGalloping large")
+func intersectGalloping(small, large, dst []model.ObjectID) []model.ObjectID {
+	assertSorted(small, "intersectGalloping small")
+	assertSorted(large, "intersectGalloping large")
 	dst = slices.Grow(dst, len(small))
 	lo := 0
 	for _, id := range small {
-		lo = GallopLowerBound(large, id, lo)
+		lo = gallopLowerBound(large, id, lo)
 		if lo == len(large) {
 			break
 		}
@@ -225,7 +225,7 @@ func IntersectAnySorted(a, b, dst []model.ObjectID) []model.ObjectID {
 		a, b = b, a
 	}
 	if len(b) > len(a)*GallopRatio {
-		return IntersectGalloping(a, b, dst)
+		return intersectGalloping(a, b, dst)
 	}
 	return IntersectSortedIDs(a, b, dst)
 }

@@ -76,13 +76,13 @@ func TestGallopLowerBound(t *testing.T) {
 	ids := []model.ObjectID{2, 4, 4, 8, 16, 32, 33, 34, 64, 100}
 	for lo := 0; lo <= len(ids); lo++ {
 		for target := model.ObjectID(0); target <= 101; target++ {
-			got := GallopLowerBound(ids, target, lo)
+			got := gallopLowerBound(ids, target, lo)
 			want := lo
 			for want < len(ids) && ids[want] < target {
 				want++
 			}
 			if got != want {
-				t.Fatalf("GallopLowerBound(%v, %d, %d) = %d, want %d", ids, target, lo, got, want)
+				t.Fatalf("gallopLowerBound(%v, %d, %d) = %d, want %d", ids, target, lo, got, want)
 			}
 		}
 	}
@@ -94,7 +94,7 @@ func TestIntersectGallopingMatchesMerge(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		large = append(large, model.ObjectID(i))
 	}
-	got := IntersectGalloping(small, large, nil)
+	got := intersectGalloping(small, large, nil)
 	want := IntersectSortedIDs(small, large, nil)
 	if !model.EqualIDs(got, want) {
 		t.Fatalf("galloping %v != merge %v", got, want)
@@ -164,7 +164,7 @@ func TestIntersectAnySortedInPlace(t *testing.T) {
 
 // TestListIntersectAnyMatchesIntersectIDs verifies the dispatching list
 // intersection agrees with the plain merge in both skew directions —
-// including tombstoned entries, which IntersectIDs deliberately keeps
+// including tombstoned entries, which intersectIDs deliberately keeps
 // (deletion tombstones every copy, so a dead object never enters the
 // candidate set in the first place).
 func TestListIntersectAnyMatchesIntersectIDs(t *testing.T) {
@@ -181,13 +181,13 @@ func TestListIntersectAnyMatchesIntersectIDs(t *testing.T) {
 		l = append(l, p)
 	}
 	cands := []model.ObjectID{0, 3, 14, 28, 40, 77, 78}
-	want := l.IntersectIDs(cands, nil)
+	want := l.intersectIDs(cands, nil)
 	if got := l.IntersectAny(cands, nil); !model.EqualIDs(got, want) {
 		t.Fatalf("list-gallop arm = %v, want %v", got, want)
 	}
 	// Opposite skew: candidates dwarf the list.
 	shortList := l[:2]
-	want = shortList.IntersectIDs(cands, nil)
+	want = shortList.intersectIDs(cands, nil)
 	if got := shortList.IntersectAny(cands, nil); !model.EqualIDs(got, want) {
 		t.Fatalf("cands-gallop arm = %v, want %v", got, want)
 	}
@@ -257,11 +257,11 @@ func FuzzGallopParity(f *testing.F) {
 		b := idsFromBytes(rawB)
 		want := IntersectSortedIDs(a, b, nil)
 
-		if got := IntersectGalloping(a, b, nil); !model.EqualIDs(got, want) {
-			t.Fatalf("IntersectGalloping(a,b) = %v, want %v (a=%v b=%v)", got, want, a, b)
+		if got := intersectGalloping(a, b, nil); !model.EqualIDs(got, want) {
+			t.Fatalf("intersectGalloping(a,b) = %v, want %v (a=%v b=%v)", got, want, a, b)
 		}
-		if got := IntersectGalloping(b, a, nil); !model.EqualIDs(got, want) {
-			t.Fatalf("IntersectGalloping(b,a) = %v, want %v (a=%v b=%v)", got, want, a, b)
+		if got := intersectGalloping(b, a, nil); !model.EqualIDs(got, want) {
+			t.Fatalf("intersectGalloping(b,a) = %v, want %v (a=%v b=%v)", got, want, a, b)
 		}
 		if got := IntersectAnySorted(a, b, nil); !model.EqualIDs(got, want) {
 			t.Fatalf("IntersectAnySorted = %v, want %v (a=%v b=%v)", got, want, a, b)
@@ -272,7 +272,7 @@ func FuzzGallopParity(f *testing.F) {
 		for i, id := range b {
 			l[i] = Posting{ID: id, Interval: model.NewInterval(0, 1)}
 		}
-		wantList := l.IntersectIDs(a, nil)
+		wantList := l.intersectIDs(a, nil)
 		if got := l.IntersectAny(a, nil); !model.EqualIDs(got, wantList) {
 			t.Fatalf("List.IntersectAny = %v, want %v (a=%v b=%v)", got, wantList, a, b)
 		}

@@ -70,9 +70,9 @@ func FuzzIntersect(f *testing.F) {
 		for i, id := range b {
 			l[i] = Posting{ID: id, Interval: model.NewInterval(0, 1)}
 		}
-		viaList := l.IntersectIDs(a, nil)
+		viaList := l.intersectIDs(a, nil)
 		if !model.EqualIDs(merge, viaList) {
-			t.Fatalf("List.IntersectIDs %v != IntersectSortedIDs %v", viaList, merge)
+			t.Fatalf("List.intersectIDs %v != IntersectSortedIDs %v", viaList, merge)
 		}
 
 		// In place: dst = a[:0] and dst = b[:0], against the reference.
@@ -165,7 +165,7 @@ func FuzzMarkParity(f *testing.F) {
 				default:
 					ps := make([]Pair, len(fr))
 					for j, id := range fr {
-						ps[j] = Pair{ID: id, Dead: j%2 == 0}
+						ps[j] = Pair{ID: id}
 					}
 					Mark(k, ps)
 				}

@@ -43,9 +43,9 @@ func TestAssertionsFireOnUnsortedInputs(t *testing.T) {
 		}
 		b.KeepSorted(nil, unsorted)
 	})
-	mustPanic(t, "List.IntersectIDs", func() {
+	mustPanic(t, "List.intersectIDs", func() {
 		l := List{{ID: 5}, {ID: 2}}
-		l.IntersectIDs(sorted, nil)
+		l.intersectIDs(sorted, nil)
 	})
 }
 

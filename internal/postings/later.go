@@ -14,8 +14,8 @@ import (
 // overlap q, and Delete tombstones every copy of an object, so a later
 // element's test is id membership alone: a candidate stays when its id
 // occurs in any of the element's relevant fragments (a slice, a HINT
-// division, a shard window). No arm below reads an interval, a tombstone
-// or a dead flag.
+// division, a shard window). No arm below reads an interval or a
+// tombstone.
 
 // Entry is a fragment element the kernel reads an id from: a bare id, a
 // postings entry, or a pair of the hybrid's sliced copy. Each stores its
@@ -27,11 +27,11 @@ type Entry interface {
 // Pair is one entry of tIF+HINT+Slicing's sliced copy: the object id and
 // only its start timestamp, enough for the reference-value
 // de-duplication (Section 3.2: intersections after the first element
-// need no temporal predicate). Dead marks a deleted entry; it sits in
-// the padding after ID, so the pair stays 16 bytes.
+// need no temporal predicate). A delete leaves the pair in place: the
+// kernel reads later elements by id membership among live candidates,
+// so nothing reads a deleted pair.
 type Pair struct {
 	ID    model.ObjectID
-	Dead  bool
 	Start model.Timestamp
 }
 
@@ -105,7 +105,7 @@ func Mark[E Entry](k *Later, frag []E) {
 	case len(frag) > len(c)*GallopRatio:
 		lo := 0
 		for i, id := range c {
-			if lo = GallopLowerBound(frag, id, lo); lo == len(frag) {
+			if lo = gallopLowerBound(frag, id, lo); lo == len(frag) {
 				return
 			}
 			if idOf(&frag[lo]) == id {
@@ -117,7 +117,7 @@ func Mark[E Entry](k *Later, frag []E) {
 		lo := 0
 		for j := range frag {
 			id := idOf(&frag[j])
-			if lo = GallopLowerBound(c, id, lo); lo == len(c) {
+			if lo = gallopLowerBound(c, id, lo); lo == len(c) {
 				return
 			}
 			if c[lo] == id {

@@ -27,19 +27,19 @@ func IsTombstone(iv model.Interval) bool {
 	return iv.Start == math.MaxInt64 && iv.End == math.MinInt64
 }
 
-// DeadBit flags a logically deleted entry in structures sorted by time,
+// deadBit flags a logically deleted entry in structures sorted by time,
 // where rewriting the interval (as the Tombstone sentinel does) would break
 // the sort order. Object ids must stay below 2^31.
-const DeadBit model.ObjectID = 1 << 31
+const deadBit model.ObjectID = 1 << 31
 
 // MarkDead sets the dead bit on an id.
-func MarkDead(id model.ObjectID) model.ObjectID { return id | DeadBit }
+func MarkDead(id model.ObjectID) model.ObjectID { return id | deadBit }
 
 // IsDead reports whether the dead bit is set.
-func IsDead(id model.ObjectID) bool { return id&DeadBit != 0 }
+func IsDead(id model.ObjectID) bool { return id&deadBit != 0 }
 
 // LiveID strips the dead bit.
-func LiveID(id model.ObjectID) model.ObjectID { return id &^ DeadBit }
+func LiveID(id model.ObjectID) model.ObjectID { return id &^ deadBit }
 
 // Posting is one entry of a time-aware postings list: the object id plus
 // its lifespan (the <o.id, [o.t_st, o.t_end]> pair of Section 2.2).
@@ -51,11 +51,6 @@ type Posting struct {
 // List is a postings list ordered by ascending object id, the standard IR
 // layout enabling merge intersections.
 type List []Posting
-
-// Append adds an entry; callers append ids in increasing order (dense ids
-// assigned in arrival order keep this free, as the paper notes for
-// updates). Use Sort after out-of-order construction.
-func (l *List) Append(p Posting) { *l = append(*l, p) }
 
 // Clone returns an independent copy of the list. Lists handed out by
 // index accessors alias shared storage and are read-only (the
@@ -76,8 +71,8 @@ func (l List) Sort() {
 	assertSorted(l, "List.Sort")
 }
 
-// IsSorted reports whether the list is in ascending id order.
-func (l List) IsSorted() bool {
+// isSorted reports whether the list is in ascending id order.
+func (l List) isSorted() bool {
 	return sort.SliceIsSorted(l, func(i, j int) bool { return l[i].ID < l[j].ID })
 }
 
@@ -94,7 +89,7 @@ func InsertByID[E Entry](s []E, x E) []E {
 	if n := len(s); n == 0 || idOf(&s[n-1]) < idOf(&x) {
 		return append(s, x)
 	}
-	return slices.Insert(s, GallopLowerBound(s, idOf(&x)+1, 0), x)
+	return slices.Insert(s, gallopLowerBound(s, idOf(&x)+1, 0), x)
 }
 
 // TemporalFilter appends to dst the ids of entries whose interval overlaps
@@ -112,14 +107,14 @@ func (l List) TemporalFilter(q model.Interval, dst []model.ObjectID) []model.Obj
 	return dst
 }
 
-// IntersectIDs merges a sorted candidate id slice with the list, returning
+// intersectIDs merges a sorted candidate id slice with the list, returning
 // the ids present in both (ascending). This is the merge-sort intersection
 // of Algorithm 1 Line 8. dst is pre-grown to the output bound
 // min(|cands|, |l|) so the merge loop never reallocates, even from a nil
 // dst; callers reusing a buffer across queries amortize the growth to zero.
-func (l List) IntersectIDs(cands []model.ObjectID, dst []model.ObjectID) []model.ObjectID {
-	assertSorted(cands, "List.IntersectIDs candidates")
-	assertSorted(l, "List.IntersectIDs list")
+func (l List) intersectIDs(cands []model.ObjectID, dst []model.ObjectID) []model.ObjectID {
+	assertSorted(cands, "List.intersectIDs candidates")
+	assertSorted(l, "List.intersectIDs list")
 	dst = slices.Grow(dst, min(len(cands), len(l)))
 	i, j := 0, 0
 	for i < len(cands) && j < len(l) {

@@ -10,15 +10,12 @@ import (
 func iv(s, e model.Timestamp) model.Interval { return model.Interval{Start: s, End: e} }
 
 func TestListSortAndFind(t *testing.T) {
-	var l List
-	l.Append(Posting{ID: 5, Interval: iv(0, 1)})
-	l.Append(Posting{ID: 1, Interval: iv(2, 3)})
-	l.Append(Posting{ID: 3, Interval: iv(4, 5)})
-	if l.IsSorted() {
+	l := List{{ID: 5, Interval: iv(0, 1)}, {ID: 1, Interval: iv(2, 3)}, {ID: 3, Interval: iv(4, 5)}}
+	if l.isSorted() {
 		t.Error("unsorted list reported sorted")
 	}
 	l.Sort()
-	if !l.IsSorted() {
+	if !l.isSorted() {
 		t.Error("Sort did not sort")
 	}
 	if pos, ok := l.FindID(3); !ok || pos != 1 {
@@ -65,7 +62,7 @@ func TestIntersectIDs(t *testing.T) {
 		{[]model.ObjectID{1, 3, 5, 7}, []model.ObjectID{1, 3, 5, 7}},
 	}
 	for _, tt := range tests {
-		got := l.IntersectIDs(tt.cands, nil)
+		got := l.intersectIDs(tt.cands, nil)
 		if !model.EqualIDs(got, tt.want) {
 			t.Errorf("IntersectIDs(%v) = %v, want %v", tt.cands, got, tt.want)
 		}

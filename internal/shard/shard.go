@@ -80,9 +80,6 @@ func (m Map) Kind() Kind { return m.kind }
 // N returns the shard count.
 func (m Map) N() int { return m.n }
 
-// Bounds returns the time-range domain, or (0, 0) for a hash map.
-func (m Map) Bounds() (lo, hi model.Timestamp) { return m.lo, m.hi }
-
 // Route returns the shard index for an object. Deterministic: the same
 // (interval, elems) always routes to the same shard, so a rebuilt or
 // reloaded corpus partitions identically.

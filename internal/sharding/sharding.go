@@ -353,7 +353,8 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return nil
 	}
-	plan := dict.PlanOrder(q.Elems, ix.freqs)
+	var planBuf [8]model.ElemID
+	plan := dict.PlanOrder(planBuf[:0], q.Elems, ix.freqs)
 	cands, from, to := ix.gather(plan[0], q.Interval, nil)
 	model.SortIDs(cands)
 	k := postings.GetLater()

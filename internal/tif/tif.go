@@ -98,7 +98,8 @@ func (ix *Index) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return nil
 	}
-	plan := dict.PlanOrder(q.Elems, ix.freqs)
+	var planBuf [8]model.ElemID
+	plan := dict.PlanOrder(planBuf[:0], q.Elems, ix.freqs)
 	first := plan[0]
 	if int(first) >= len(ix.lists) {
 		return nil

@@ -21,17 +21,16 @@ type BinaryIndex struct {
 	hints  []*hint.Index // per element, nil when unused
 	freqs  []int
 	live   int
-	m      int
 }
 
 // NewBinary builds the binary tIF+HINT variant with the bulk
 // kernel: one hint.FromRun per element over its sorted run.
 func NewBinary(c *model.Collection, opts ...Option) *BinaryIndex {
-	cfg := config{m: DefaultBinaryM}
+	cfg := config{m: defaultBinaryM}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ix := &BinaryIndex{shared: domain.Fit(domain.Span(c), cfg.m), live: len(c.Objects), m: cfg.m}
+	ix := &BinaryIndex{shared: domain.Fit(domain.Span(c), cfg.m), live: len(c.Objects)}
 	b := newBulk(ix.shared, c)
 	ix.hints, ix.freqs = b.hints(ix.shared), b.freqs
 	return ix
@@ -79,15 +78,13 @@ func (ix *BinaryIndex) growTo(n int) {
 // Len returns the number of live objects.
 func (ix *BinaryIndex) Len() int { return ix.live }
 
-// M returns the grid bits in use.
-func (ix *BinaryIndex) M() int { return ix.m }
-
 // Query implements Algorithm 3.
 func (ix *BinaryIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return nil
 	}
-	plan := dict.PlanOrder(q.Elems, ix.freqs)
+	var planBuf [8]model.ElemID
+	plan := dict.PlanOrder(planBuf[:0], q.Elems, ix.freqs)
 	first := plan[0]
 	if int(first) >= len(ix.hints) || ix.hints[first] == nil {
 		return nil
@@ -110,8 +107,8 @@ func (ix *BinaryIndex) SizeBytes() int64 {
 	return total + int64(len(ix.freqs))*8
 }
 
-// EntryCount sums stored entries across all postings HINTs.
-func (ix *BinaryIndex) EntryCount() int64 {
+// entryCount sums stored entries across all postings HINTs.
+func (ix *BinaryIndex) entryCount() int64 {
 	var total int64
 	for _, h := range ix.hints {
 		if h != nil {

@@ -30,8 +30,8 @@ func bulkBuilt(c *model.Collection, opts ...Option) variants {
 // grids and slices of v — the construction the bulk kernel replaced.
 func insertBuilt(v variants, dictSize int, objs []model.Object) variants {
 	ref := variants{
-		bin: &BinaryIndex{shared: v.bin.shared, hints: make([]*hint.Index, dictSize), freqs: make([]int, dictSize), m: v.bin.m},
-		mrg: &MergeIndex{shared: v.mrg.shared, hints: make([]*idHint, dictSize), freqs: make([]int, dictSize), m: v.mrg.m},
+		bin: &BinaryIndex{shared: v.bin.shared, hints: make([]*hint.Index, dictSize), freqs: make([]int, dictSize)},
+		mrg: &MergeIndex{shared: v.mrg.shared, hints: make([]*idHint, dictSize), freqs: make([]int, dictSize)},
 	}
 	hyb := *v.hyb
 	hyb.hints, hyb.slices, hyb.freqs, hyb.live = make([]*idHint, dictSize), make([][][]postings.Pair, dictSize), make([]int, dictSize), 0
@@ -193,9 +193,9 @@ func checkEqualsInsertBuilt(t *testing.T, v variants, dictSize int, objs []model
 		n, refN        int
 		entries, refE  int64
 	}{
-		{"binary", v.bin.freqs, ref.bin.freqs, v.bin.Len(), ref.bin.Len(), v.bin.EntryCount(), ref.bin.EntryCount()},
-		{"merge", v.mrg.freqs, ref.mrg.freqs, v.mrg.Len(), ref.mrg.Len(), v.mrg.EntryCount(), ref.mrg.EntryCount()},
-		{"hybrid", v.hyb.freqs, ref.hyb.freqs, v.hyb.Len(), ref.hyb.Len(), v.hyb.EntryCount(), ref.hyb.EntryCount()},
+		{"binary", v.bin.freqs, ref.bin.freqs, v.bin.Len(), ref.bin.Len(), v.bin.entryCount(), ref.bin.entryCount()},
+		{"merge", v.mrg.freqs, ref.mrg.freqs, v.mrg.Len(), ref.mrg.Len(), v.mrg.entryCount(), ref.mrg.entryCount()},
+		{"hybrid", v.hyb.freqs, ref.hyb.freqs, v.hyb.Len(), ref.hyb.Len(), v.hyb.entryCount(), ref.hyb.entryCount()},
 	} {
 		if !slices.Equal(pair.freqs, pair.refFreq) || pair.n != pair.refN || pair.entries != pair.refE {
 			t.Fatalf("%s: freqs %v, Len %d, EntryCount %d; want %v, %d, %d",
@@ -329,7 +329,7 @@ func TestInsertAfterBulkKeepsNeighbours(t *testing.T) {
 	c := testutil.RandomCollection(cfg)
 	v := variants{NewBinary(c, WithM(5)), NewMerge(c, WithM(5)), NewHybrid(c, WithM(5), WithSlices(10))}
 	bytesBefore := [3]int64{v.bin.SizeBytes(), v.mrg.SizeBytes(), v.hyb.SizeBytes()}
-	entriesBefore := [3]int64{v.bin.EntryCount(), v.mrg.EntryCount(), v.hyb.EntryCount()}
+	entriesBefore := [3]int64{v.bin.entryCount(), v.mrg.entryCount(), v.hyb.entryCount()}
 	before := snapshot(v)
 	var extra []model.Object
 	for i := 0; i < len(c.Objects); i += 5 {
@@ -360,9 +360,9 @@ func TestInsertAfterBulkKeepsNeighbours(t *testing.T) {
 	// lives: no added entry goes uncounted. 12 B is the hybrid's slice pair.
 	for i, ix := range []interface {
 		SizeBytes() int64
-		EntryCount() int64
+		entryCount() int64
 	}{v.bin, v.mrg, v.hyb} {
-		if got, min := ix.SizeBytes(), bytesBefore[i]+12*(ix.EntryCount()-entriesBefore[i]); got < min {
+		if got, min := ix.SizeBytes(), bytesBefore[i]+12*(ix.entryCount()-entriesBefore[i]); got < min {
 			t.Errorf("variant %d: SizeBytes %d after the inserts, want at least %d", i, got, min)
 		}
 	}
@@ -430,7 +430,7 @@ func TestBulkBuildIsTight(t *testing.T) {
 		})
 	}
 	// The per-level directories are tight too, or the formula misses.
-	if want := parts*(4+8+96) + entries*16 + int64(len(v.bin.freqs))*8; v.bin.SizeBytes() != want || entries != v.bin.EntryCount() {
+	if want := parts*(4+8+96) + entries*16 + int64(len(v.bin.freqs))*8; v.bin.SizeBytes() != want || entries != v.bin.entryCount() {
 		t.Errorf("binary SizeBytes %d, want %d from %d partitions, %d entries", v.bin.SizeBytes(), want, parts, entries)
 	}
 
@@ -453,7 +453,7 @@ func TestBulkBuildIsTight(t *testing.T) {
 		return bytes + entries*16, entries
 	}
 	bytes, entries := idHintBytes("merge", v.mrg.hints)
-	if want := bytes + int64(len(v.mrg.freqs))*8; v.mrg.SizeBytes() != want || entries != v.mrg.EntryCount() {
+	if want := bytes + int64(len(v.mrg.freqs))*8; v.mrg.SizeBytes() != want || entries != v.mrg.entryCount() {
 		t.Errorf("merge SizeBytes %d, want %d from %d entries", v.mrg.SizeBytes(), want, entries)
 	}
 
@@ -465,7 +465,7 @@ func TestBulkBuildIsTight(t *testing.T) {
 			entries += int64(len(l))
 		}
 	}
-	if want := bytes + int64(len(v.hyb.freqs))*8; v.hyb.SizeBytes() != want || entries != v.hyb.EntryCount() {
+	if want := bytes + int64(len(v.hyb.freqs))*8; v.hyb.SizeBytes() != want || entries != v.hyb.entryCount() {
 		t.Errorf("hybrid SizeBytes %d, want %d from %d entries", v.hyb.SizeBytes(), want, entries)
 	}
 }
@@ -484,7 +484,7 @@ func TestAllocBudgetBuild(t *testing.T) {
 			elems++
 		}
 	}
-	t.Logf("%d populated elements; %d entries in binary, %d in merge, %d in hybrid", elems, v.bin.EntryCount(), v.mrg.EntryCount(), v.hyb.EntryCount())
+	t.Logf("%d populated elements; %d entries in binary, %d in merge, %d in hybrid", elems, v.bin.entryCount(), v.mrg.entryCount(), v.hyb.entryCount())
 	allocbudget.Gate(t, "tifhint/NewBinary", func() { NewBinary(c) })
 	allocbudget.Gate(t, "tifhint/NewMerge", func() { NewMerge(c) })
 	allocbudget.Gate(t, "tifhint/NewHybrid", func() { NewHybrid(c) })

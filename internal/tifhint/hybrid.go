@@ -1,8 +1,6 @@
 package tifhint
 
 import (
-	"sort"
-
 	"repro/internal/dict"
 	"repro/internal/domain"
 	"repro/internal/model"
@@ -23,16 +21,15 @@ type HybridIndex struct {
 	numSlices int
 	slots     domain.Slots
 	live      int
-	m         int
 }
 
-// DefaultHybridSlices matches the tuned tIF+Slicing configuration.
-const DefaultHybridSlices = 50
+// defaultHybridSlices matches the tuned tIF+Slicing configuration.
+const defaultHybridSlices = 50
 
 // NewHybrid builds the dual-copy hybrid with the bulk kernel: the HINTs
 // as NewMerge builds them, the slice lists carved from one arena.
 func NewHybrid(c *model.Collection, opts ...Option) *HybridIndex {
-	cfg := config{m: DefaultMergeM, numSlices: DefaultHybridSlices}
+	cfg := config{m: defaultMergeM, numSlices: defaultHybridSlices}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -42,7 +39,6 @@ func NewHybrid(c *model.Collection, opts ...Option) *HybridIndex {
 		numSlices: cfg.numSlices,
 		slots:     domain.NewSlots(span, cfg.numSlices),
 		live:      len(c.Objects),
-		m:         cfg.m,
 	}
 	b := newBulk(ix.shared, c)
 	ix.hints, ix.freqs = b.idHints(ix.shared), b.freqs
@@ -73,10 +69,12 @@ func (ix *HybridIndex) Insert(o model.Object) {
 	ix.live++
 }
 
-// Delete tombstones the object's entries in both copies.
+// Delete tombstones the object's entries in the HINT copy. The sliced
+// copy keeps its pairs: a query seeds its candidates from the HINT copy
+// of its first element, so they are live, and reads later elements'
+// pairs by id membership alone.
 func (ix *HybridIndex) Delete(o model.Object) {
 	p := postings.Posting{ID: o.ID, Interval: o.Interval}
-	first, last := ix.slots.Of(o.Interval.Start), ix.slots.Of(o.Interval.End)
 	found := false
 	for _, e := range o.Elems {
 		if int(e) >= len(ix.hints) || ix.hints[e] == nil {
@@ -85,13 +83,6 @@ func (ix *HybridIndex) Delete(o model.Object) {
 		if ix.hints[e].delete(p) {
 			ix.freqs[e]--
 			found = true
-		}
-		for s := first; s <= last; s++ {
-			sub := ix.slices[e][s]
-			i := sort.Search(len(sub), func(i int) bool { return sub[i].ID >= o.ID })
-			if i < len(sub) && sub[i].ID == o.ID {
-				sub[i].Dead = true
-			}
 		}
 	}
 	if found {
@@ -110,12 +101,6 @@ func (ix *HybridIndex) growTo(n int) {
 // Len returns the number of live objects.
 func (ix *HybridIndex) Len() int { return ix.live }
 
-// M returns the grid bits in use.
-func (ix *HybridIndex) M() int { return ix.m }
-
-// NumSlices returns the slice count of the second copy.
-func (ix *HybridIndex) NumSlices() int { return ix.numSlices }
-
 // Query evaluates the hybrid plan: HINT range query on the least frequent
 // element, then one later-element pass per remaining element over its
 // sub-lists of the slices q spans.
@@ -123,7 +108,8 @@ func (ix *HybridIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return nil
 	}
-	plan := dict.PlanOrder(q.Elems, ix.freqs)
+	var planBuf [8]model.ElemID
+	plan := dict.PlanOrder(planBuf[:0], q.Elems, ix.freqs)
 	first := plan[0]
 	if int(first) >= len(ix.hints) || ix.hints[first] == nil {
 		return nil
@@ -149,8 +135,8 @@ func (ix *HybridIndex) SizeBytes() int64 {
 	return total + int64(len(ix.freqs))*8
 }
 
-// EntryCount counts entries in both copies.
-func (ix *HybridIndex) EntryCount() int64 {
+// entryCount counts entries in both copies.
+func (ix *HybridIndex) entryCount() int64 {
 	var total int64
 	for e := range ix.hints {
 		if ix.hints[e] != nil {

@@ -17,17 +17,16 @@ type MergeIndex struct {
 	hints  []*idHint
 	freqs  []int
 	live   int
-	m      int
 }
 
 // NewMerge builds the merge-sort tIF+HINT variant with the bulk kernel:
 // every division is a view of one arena, already in id order.
 func NewMerge(c *model.Collection, opts ...Option) *MergeIndex {
-	cfg := config{m: DefaultMergeM}
+	cfg := config{m: defaultMergeM}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ix := &MergeIndex{shared: domain.Fit(domain.Span(c), cfg.m), live: len(c.Objects), m: cfg.m}
+	ix := &MergeIndex{shared: domain.Fit(domain.Span(c), cfg.m), live: len(c.Objects)}
 	b := newBulk(ix.shared, c)
 	ix.hints, ix.freqs = b.idHints(ix.shared), b.freqs
 	return ix
@@ -81,15 +80,13 @@ func (ix *MergeIndex) growTo(n int) {
 // Len returns the number of live objects.
 func (ix *MergeIndex) Len() int { return ix.live }
 
-// M returns the grid bits in use.
-func (ix *MergeIndex) M() int { return ix.m }
-
 // Query implements Algorithm 4.
 func (ix *MergeIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return nil
 	}
-	plan := dict.PlanOrder(q.Elems, ix.freqs)
+	var planBuf [8]model.ElemID
+	plan := dict.PlanOrder(planBuf[:0], q.Elems, ix.freqs)
 	first := plan[0]
 	if int(first) >= len(ix.hints) || ix.hints[first] == nil {
 		return nil
@@ -112,8 +109,8 @@ func (ix *MergeIndex) SizeBytes() int64 {
 	return total + int64(len(ix.freqs))*8
 }
 
-// EntryCount sums stored entries across all postings HINTs.
-func (ix *MergeIndex) EntryCount() int64 {
+// entryCount sums stored entries across all postings HINTs.
+func (ix *MergeIndex) entryCount() int64 {
 	var total int64
 	for _, h := range ix.hints {
 		if h != nil {

@@ -15,13 +15,13 @@
 //     serves the remaining intersections with far fewer fragments.
 package tifhint
 
-// DefaultBinaryM is the paper's tuned grid for the binary-search variant
+// defaultBinaryM is the paper's tuned grid for the binary-search variant
 // (Figure 9: best throughput at m = 10).
-const DefaultBinaryM = 10
+const defaultBinaryM = 10
 
-// DefaultMergeM is the paper's tuned grid for the merge-sort variant and
+// defaultMergeM is the paper's tuned grid for the merge-sort variant and
 // the hybrid (Figure 9: m = 5; finer grids fragment the intersections).
-const DefaultMergeM = 5
+const defaultMergeM = 5
 
 // Option configures the constructors.
 type Option func(*config)

@@ -132,11 +132,11 @@ func TestSizeAccounting(t *testing.T) {
 	if hyb.SizeBytes() <= mrg.SizeBytes() {
 		t.Errorf("hybrid (%d) should exceed merge (%d)", hyb.SizeBytes(), mrg.SizeBytes())
 	}
-	if bin.EntryCount() != mrg.EntryCount() {
+	if bin.entryCount() != mrg.entryCount() {
 		t.Errorf("binary and merge at equal m must store equal entries: %d vs %d",
-			bin.EntryCount(), mrg.EntryCount())
+			bin.entryCount(), mrg.entryCount())
 	}
-	if hyb.EntryCount() <= mrg.EntryCount() {
+	if hyb.entryCount() <= mrg.entryCount() {
 		t.Error("hybrid EntryCount should include the slice copy")
 	}
 }
@@ -144,8 +144,8 @@ func TestSizeAccounting(t *testing.T) {
 func TestHybridSliceConfig(t *testing.T) {
 	c := runningExample()
 	ix := NewHybrid(c, WithM(3), WithSlices(4))
-	if ix.NumSlices() != 4 {
-		t.Errorf("NumSlices = %d", ix.NumSlices())
+	if ix.numSlices != 4 {
+		t.Errorf("numSlices = %d", ix.numSlices)
 	}
 	got := testutil.Canonical(ix.Query(exampleQuery))
 	if !model.EqualIDs(got, exampleWant) {

@@ -15,8 +15,9 @@ type InputSummary struct {
 	// passing it to a mutating input of another function).
 	Mutates bool
 	// Publishes: the function may store the input into an
-	// sync/atomic.Pointer or atomic.Value — after which the publish-freeze
-	// contract applies to the value.
+	// sync/atomic.Pointer or atomic.Value, directly or as an element or
+	// field of a local it then stores there — after which the
+	// publish-freeze contract applies to the value.
 	Publishes bool
 	// Waits: the function may call Wait on the input (a sync.WaitGroup
 	// join point).
@@ -99,6 +100,10 @@ func (s *Summaries) update(fn *Func) bool {
 		return -1
 	}
 
+	// held maps a local to the inputs stored into its elements or fields
+	// (x[k] = in, x.f = in): publishing the local publishes them too.
+	held := map[*types.Var][]int{}
+
 	changed := false
 	mark := func(i int, eff InputSummary) {
 		if i < 0 || i >= len(row) {
@@ -114,9 +119,15 @@ func (s *Summaries) update(fn *Func) bool {
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range st.Lhs {
-				if WritesThrough(lhs) {
-					mark(inputOf(lhs), InputSummary{Mutates: true})
+			for k, lhs := range st.Lhs {
+				if !WritesThrough(lhs) {
+					continue
+				}
+				mark(inputOf(lhs), InputSummary{Mutates: true})
+				if c := BaseVar(fn.Unit.Info, lhs); c != nil && inputOf(lhs) < 0 && len(st.Lhs) == len(st.Rhs) {
+					if i := inputOf(st.Rhs[k]); i >= 0 {
+						held[c] = append(held[c], i)
+					}
 				}
 			}
 			// x = append(y, ...) may write into y's shared backing array.
@@ -130,15 +141,16 @@ func (s *Summaries) update(fn *Func) bool {
 				mark(inputOf(st.X), InputSummary{Mutates: true})
 			}
 		case *ast.CallExpr:
-			s.applyCall(fn, st, inputOf, mark)
+			s.applyCall(fn, st, inputOf, held, mark)
 		}
 		return true
 	})
 	return changed
 }
 
-// applyCall folds one call site's effects into the caller's summary row.
-func (s *Summaries) applyCall(fn *Func, call *ast.CallExpr, inputOf func(ast.Expr) int, mark func(int, InputSummary)) {
+// applyCall folds one call site's effects into the caller's summary row;
+// held is update's map of locals to the inputs stored into them.
+func (s *Summaries) applyCall(fn *Func, call *ast.CallExpr, inputOf func(ast.Expr) int, held map[*types.Var][]int, mark func(int, InputSummary)) {
 	info := fn.Unit.Info
 	if IsBuiltin(info, call, "copy") && len(call.Args) > 0 {
 		mark(inputOf(call.Args[0]), InputSummary{Mutates: true})
@@ -152,6 +164,9 @@ func (s *Summaries) applyCall(fn *Func, call *ast.CallExpr, inputOf func(ast.Exp
 	// join/completion.
 	if arg := AtomicStoreValue(info, call, callee); arg != nil {
 		mark(inputOf(arg), InputSummary{Publishes: true})
+		for _, i := range held[BaseVar(info, arg)] {
+			mark(i, InputSummary{Publishes: true})
+		}
 		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 			mark(inputOf(sel.X), InputSummary{Mutates: true})
 		}

@@ -295,6 +295,32 @@ func (s *Store) swap(g *Gen) {
 			contains: []string{"after it was published"},
 		},
 		{
+			name:     "write after publishing inside a view flagged",
+			analyzer: "publish-freeze",
+			path:     ModulePath + "/internal/fix",
+			src: `package fix
+
+import "sync/atomic"
+
+type Gen struct{ n int }
+
+type Set struct{ view atomic.Pointer[[]*Gen] }
+
+func (t *Set) publish(i int, g *Gen) {
+	v := make([]*Gen, 2)
+	v[i] = g
+	t.view.Store(&v)
+}
+
+func (t *Set) swap(g *Gen) {
+	t.publish(0, g)
+	g.n = 1
+}
+`,
+			want:     1,
+			contains: []string{"after it was published"},
+		},
+		{
 			name:     "post-publish mutation through callee flagged",
 			analyzer: "publish-freeze",
 			path:     ModulePath + "/internal/fix",

@@ -49,22 +49,23 @@ func cappedCap(claimed uint64) int {
 // Save writes the engine's live objects, dictionary and id-identity
 // section. The index itself is not serialized — it is rebuilt on load,
 // which is both simpler and, for every method in the family, fast
-// relative to I/O. The snapshot is consistent: it serializes one
-// generation per store, each taken with a single atomic load, so
-// concurrent inserts, deletes and compactions never tear it. The stores'
-// live objects merge back into global insertion order with their stable
-// ids, so the file does not depend on the store count.
+// relative to I/O. The snapshot is one instant of the engine: it
+// serializes the one view of every store's generation, taken with a
+// single atomic load, so concurrent inserts, deletes and compactions
+// never tear it. The stores' live objects merge back into global
+// insertion order with their stable ids, so the file does not depend on
+// the store count.
 func (e *Engine) Save(w io.Writer) error {
-	gens := e.snapshots()
-	// Read after the snapshots: the dictionary only grows and every
-	// element id in gens was interned before its generation was
-	// published, so the terms read now cover every saved object, and the
-	// allocator is past every id the snapshots hold.
+	gens := e.set.View()
+	// Read after the view: the dictionary only grows and every element
+	// id in gens was interned before its generation was published, so
+	// the terms read now cover every saved object, and the allocator is
+	// past every id the view holds.
 	e.dmu.RLock()
 	terms := e.dict.TermsSnapshot()
 	dictSize := e.dict.Len()
 	e.dmu.RUnlock()
-	next := e.alloc.Next()
+	next := e.set.NextID()
 
 	type liveObj struct {
 		ext ObjectID

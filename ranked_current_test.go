@@ -25,7 +25,7 @@ import (
 // against (one per store) and the dictionary.
 type rankedTarget struct{ *Engine }
 
-func (tg rankedTarget) gens() []*maint.Generation { return tg.snapshots() }
+func (tg rankedTarget) gens() []*maint.Generation { return tg.set.View() }
 func (tg rankedTarget) lookup(terms []string) ([]ElemID, bool) {
 	return tg.resolveTermsTraced(nil, terms)
 }
