@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	irlint [-only analyzer[,analyzer...]] [-list] [pattern ...]
+//	irlint [pattern ...]
 //
 // Patterns follow the go tool's form: "./..." (default) for every
 // package, "./internal/..." for a subtree, "./internal/model" for one
@@ -13,47 +13,14 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/tools/irlint"
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer names to run (default all)")
-	list := flag.Bool("list", false, "list analyzers and exit")
-	flag.Parse()
-
-	analyzers := irlint.Analyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *only != "" {
-		keep := map[string]bool{}
-		for _, n := range strings.Split(*only, ",") {
-			keep[strings.TrimSpace(n)] = true
-		}
-		var sel []*irlint.Analyzer
-		for _, a := range analyzers {
-			if keep[a.Name] {
-				sel = append(sel, a)
-				delete(keep, a.Name)
-			}
-		}
-		for n := range keep {
-			fmt.Fprintf(os.Stderr, "irlint: unknown analyzer %q\n", n)
-			os.Exit(2)
-		}
-		analyzers = sel
-	}
-
-	patterns := flag.Args()
-	pkgs, err := irlint.Load(".", patterns)
+	pkgs, err := irlint.Load(".", os.Args[1:])
 	if err != nil {
 		// Load problems make the typed analyzers unsound, so they gate
 		// just like findings do; partial results are still printed.
@@ -64,7 +31,7 @@ func main() {
 		defer os.Exit(2)
 	}
 
-	diags := irlint.Run(pkgs, analyzers)
+	diags := irlint.Run(pkgs, irlint.Analyzers())
 	for _, d := range diags {
 		fmt.Println(d)
 	}

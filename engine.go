@@ -104,7 +104,7 @@ type Engine struct {
 	// resolution on the search surface. Critical sections are tiny (map
 	// lookups), never held across index scans.
 	dmu sync.RWMutex
-	// irlint:guarded-by dmu
+	// Guarded by dmu.
 	dict *dict.Dictionary
 
 	// set owns the generational object/index state of every store, the
@@ -311,8 +311,6 @@ func newPart(m Method, opts Options, coll *Collection, ext []ObjectID) (maint.Pa
 
 // lookupLocked resolves one term. Callers must hold e.dmu (read or
 // write).
-//
-// irlint:locked dmu
 func (e *Engine) lookupLocked(term string) (ElemID, bool) {
 	assertEngineLocked(&e.dmu, "Engine.lookupLocked")
 	return e.dict.Lookup(term)
@@ -331,8 +329,6 @@ func (e *Engine) resolveTermsTraced(tr *obs.Trace, terms []string) ([]ElemID, bo
 
 // lookupAllLocked resolves every term, reporting ok=false at the first
 // unknown one. Callers must hold e.dmu (read or write).
-//
-// irlint:locked dmu
 func (e *Engine) lookupAllLocked(terms []string) ([]ElemID, bool) {
 	elems := make([]ElemID, 0, len(terms))
 	for _, t := range terms {

@@ -5,10 +5,9 @@ package temporalir
 import "sync"
 
 // This file is the engine half of the `-tags invariants` runtime
-// assertion layer: the dynamic counterpart of the static lock-guard
-// analyzer in internal/tools/irlint. The linter proves the lock is taken
-// on every textual path; these assertions catch the cases it cannot see
-// (callers of lock-holding helpers reached through new code paths).
+// assertion layer: it checks the "callers hold the lock" contract of the
+// engine's *Locked helpers on every call, where -race sees a missing
+// lock only when a test interleaves a writer with that call.
 
 // engineInvariantsEnabled reports whether the engine's runtime assertion
 // layer is compiled in.
@@ -23,7 +22,7 @@ const engineInvariantsEnabled = true
 func assertEngineLocked(mu *sync.RWMutex, site string) {
 	if mu.TryLock() {
 		mu.Unlock()
-		// lint:panic-ok invariants-build assertion, compiled out of normal builds
+		// invariants-build assertion, compiled out of normal builds
 		panic("temporalir: " + site + " called without holding the required lock (invariant violation)")
 	}
 }

@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// TestAssertEngineLockedFires pins the dynamic half of the lock-guard
-// contract: calling the lock-requiring lookupLocked helper without e.dmu
-// held must abort under the invariants build. The static analyzer proves
-// the lock is taken on every in-tree path; this assertion catches future
-// paths the linter's annotations do not cover.
+// TestAssertEngineLockedFires pins the "callers hold e.dmu" contract:
+// calling the lock-requiring lookupLocked helper without e.dmu held must
+// abort under the invariants build, whether or not another goroutine
+// writes the dictionary at the time.
 func TestAssertEngineLockedFires(t *testing.T) {
 	if !engineInvariantsEnabled {
 		t.Fatal("invariants build tag set but engineInvariantsEnabled is false")
@@ -27,7 +26,7 @@ func TestAssertEngineLockedFires(t *testing.T) {
 			t.Error("lookupLocked() without e.dmu held: expected invariant panic, got none")
 		}
 	}()
-	// lint:guard-ok deliberate contract violation under test
+	// A deliberate contract violation under test.
 	e.lookupLocked("alpha")
 }
 

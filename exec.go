@@ -189,7 +189,8 @@ func finishIDs(g *maint.Generation, ids []model.ObjectID, tr *obs.Trace) []Objec
 // empty (the conjunction cannot be satisfied). Results are in ascending
 // id order.
 func (e *Engine) Search(start, end Timestamp, terms ...string) []ObjectID {
-	// irlint:ctx-root deliberately ctx-less convenience surface; callers who need deadlines use SearchCtx
+	// Deliberately ctx-less convenience surface; callers who need
+	// deadlines use SearchCtx.
 	ids, _, _ := e.search(context.Background(), start, end, terms)
 	return ids
 }

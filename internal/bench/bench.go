@@ -99,7 +99,7 @@ func MeasureBuild(m temporalir.Method, c *model.Collection, opts temporalir.Opti
 	start := time.Now()
 	ix, err := temporalir.NewIndex(m, c, opts)
 	if err != nil {
-		panic(err) // lint:panic-ok registry methods cannot fail
+		panic(err) // registry methods cannot fail
 	}
 	return ix, BuildStats{
 		Seconds: time.Since(start).Seconds(),

@@ -268,7 +268,7 @@ func (d *divIF) assertDivision(context string, touched int) {
 		return
 	}
 	fail := func(format string, args ...any) {
-		// lint:panic-ok invariants build: a broken division layout must abort loudly
+		// invariants build: a broken division layout must abort loudly
 		panic(fmt.Sprintf("core: invariant violated in divIF."+context+": "+format, args...))
 	}
 	end := uint32(0)

@@ -286,7 +286,7 @@ func (ix *PerfIndex) assertDense(context string, o *model.Object) {
 	}
 	check := func(e model.ElemID, id model.ObjectID) {
 		if bm := ix.bitmap(e); bm != nil && !bm.Contains(id) {
-			// lint:panic-ok invariants build: a missing bit drops answers silently
+			// invariants build: a missing bit drops answers silently
 			panic(fmt.Sprintf("core: invariant violated in PerfIndex.%s: object %d carries dense element %d, bit clear", context, id, e))
 		}
 	}

@@ -277,7 +277,7 @@ var survivorPool = sync.Pool{New: func() any { return new(postings.Bitmap) }}
 // query that panics drops its bitmap rather than pool one holding bits.
 func putSurvivors(bm *postings.Bitmap) {
 	if postings.InvariantsEnabled && bm.Count() != 0 {
-		// lint:panic-ok invariants build: a dirty survivor bitmap must abort loudly
+		// invariants build: a dirty survivor bitmap must abort loudly
 		panic("core: invariant violated: survivor bitmap pooled with bits set")
 	}
 	survivorPool.Put(bm)

@@ -35,7 +35,7 @@ type Domain struct {
 func New(min, max model.Timestamp, m int) Domain {
 	d, err := Make(min, max, m)
 	if err != nil {
-		// lint:panic-ok documented constructor precondition; Make reports errors instead
+		// documented constructor precondition; Make reports errors instead
 		panic(err)
 	}
 	return d

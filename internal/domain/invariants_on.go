@@ -4,10 +4,8 @@ package domain
 
 import "fmt"
 
-// This file is the dynamic counterpart of the domain-bounds static
-// analyzer in internal/tools/irlint: the linter flags raw arithmetic on
-// discretized values at compile time, these assertions verify the domain
-// helpers themselves keep every value on the [0, 2^m-1] grid at run time.
+// These assertions verify that the domain helpers keep every value on
+// the [0, 2^m-1] grid at run time.
 
 // InvariantsEnabled reports whether the runtime assertion layer is
 // compiled in (the `invariants` build tag, exercised by CI).
@@ -17,7 +15,7 @@ const InvariantsEnabled = true
 // out of normal builds.
 func assertCell(d Domain, v uint32, context string) {
 	if v >= d.Cells() {
-		// lint:panic-ok invariants build: off-grid cell must abort loudly
+		// invariants build: off-grid cell must abort loudly
 		panic(fmt.Sprintf("domain: invariant violated: cell %d outside [0, %d] in %s", v, d.Cells()-1, context))
 	}
 }
@@ -26,7 +24,7 @@ func assertCell(d Domain, v uint32, context string) {
 // of normal builds.
 func assertLevel(d Domain, level int, context string) {
 	if level < 0 || level > d.M {
-		// lint:panic-ok invariants build: invalid hierarchy level must abort loudly
+		// invariants build: invalid hierarchy level must abort loudly
 		panic(fmt.Sprintf("domain: invariant violated: level %d outside [0, %d] in %s", level, d.M, context))
 	}
 }
@@ -35,7 +33,7 @@ func assertLevel(d Domain, level int, context string) {
 // (levels have 2^level partitions). Compiled out of normal builds.
 func assertPartition(d Domain, level int, j uint32, context string) {
 	if uint64(j) >= uint64(1)<<uint(level) {
-		// lint:panic-ok invariants build: nonexistent partition must abort loudly
+		// invariants build: nonexistent partition must abort loudly
 		panic(fmt.Sprintf("domain: invariant violated: partition %d outside level %d (%d partitions) in %s", j, level, uint64(1)<<uint(level), context))
 	}
 }

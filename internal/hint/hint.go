@@ -143,20 +143,20 @@ func Assign(dom domain.Domain, iv model.Interval, fn func(level int, j uint32, o
 		}
 		if a%2 == 1 {
 			fn(level, a, dom.Prefix(level, lo) == a, inside(level, a))
-			// lint:domain-ok a is odd so a+1 <= b <= Cells()-1 (a < b here: a == b returned above)
+			// Bounds: a is odd so a+1 <= b <= Cells()-1 (a < b here: a == b returned above)
 			a++
 		}
 		if b%2 == 0 {
 			fn(level, b, dom.Prefix(level, lo) == b, inside(level, b))
-			// lint:domain-ok b is even and > a >= 0, so b-1 >= 0
+			// Bounds: b is even and > a >= 0, so b-1 >= 0
 			b--
 		}
 		if a > b {
 			return
 		}
-		// lint:domain-ok halving to the parent level keeps a in [0, 2^(level-1)-1]
+		// Bounds: halving to the parent level keeps a in [0, 2^(level-1)-1]
 		a >>= 1
-		b >>= 1 // lint:domain-ok same halving argument as a
+		b >>= 1 // same halving argument as a
 	}
 }
 

@@ -19,19 +19,19 @@ const InvariantsEnabled = true
 func assertPartitionSorted(p *Partition, context string) {
 	for i := 1; i < len(p.OIn); i++ {
 		if p.OIn[i-1].Interval.Start > p.OIn[i].Interval.Start {
-			// lint:panic-ok invariants build: broken beneficial sorting must abort loudly
+			// invariants build: broken beneficial sorting must abort loudly
 			panic(fmt.Sprintf("hint: invariant violated: OIn unsorted at %d in %s", i, context))
 		}
 	}
 	for i := 1; i < len(p.OAft); i++ {
 		if p.OAft[i-1].Interval.Start > p.OAft[i].Interval.Start {
-			// lint:panic-ok invariants build: broken beneficial sorting must abort loudly
+			// invariants build: broken beneficial sorting must abort loudly
 			panic(fmt.Sprintf("hint: invariant violated: OAft unsorted at %d in %s", i, context))
 		}
 	}
 	for i := 1; i < len(p.RIn); i++ {
 		if p.RIn[i-1].Interval.End > p.RIn[i].Interval.End {
-			// lint:panic-ok invariants build: broken beneficial sorting must abort loudly
+			// invariants build: broken beneficial sorting must abort loudly
 			panic(fmt.Sprintf("hint: invariant violated: RIn unsorted at %d in %s", i, context))
 		}
 	}
@@ -43,7 +43,7 @@ func assertPartitionSorted(p *Partition, context string) {
 func assertDirectorySorted(ls *Directory[Partition], context string) {
 	for i := 1; i < len(ls.Keys); i++ {
 		if ls.Keys[i-1] >= ls.Keys[i] {
-			// lint:panic-ok invariants build: broken directory order must abort loudly
+			// invariants build: broken directory order must abort loudly
 			panic(fmt.Sprintf("hint: invariant violated: directory keys not strictly ascending at %d in %s", i, context))
 		}
 	}
@@ -55,7 +55,7 @@ func assertDirectorySorted(ls *Directory[Partition], context string) {
 func assertNoTombstoneEntries(s []postings.Posting, context string) {
 	for i := range s {
 		if postings.IsTombstone(s[i].Interval) {
-			// lint:panic-ok invariants build: sentinel leakage must abort loudly
+			// invariants build: sentinel leakage must abort loudly
 			panic(fmt.Sprintf("hint: invariant violated: tombstone sentinel stored at %d in %s", i, context))
 		}
 	}

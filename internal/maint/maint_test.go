@@ -225,9 +225,8 @@ func TestCompactContextCanceled(t *testing.T) {
 	}
 }
 
-// TestCompactBuildReceivesContext pins the ctx-flow fix from the v3 lint
-// sweep: the BuildFunc gets the compaction's own context (not a detached
-// Background), so a cancellation that lands mid-compaction reaches the
+// TestCompactBuildReceivesContext pins that the BuildFunc gets the
+// compaction's own context (not a detached Background), so a cancellation that lands mid-compaction reaches the
 // rebuild. The build cancels the caller's ctx and returns the error of
 // the ctx it received — if the store handed it a detached context, that
 // error would be nil, the compaction would "succeed", and the swap would

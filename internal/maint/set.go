@@ -21,8 +21,8 @@ type Set struct {
 	// pmu serializes view replacement. It is a leaf lock: publish takes
 	// it inside a store's mu and takes nothing under it.
 	pmu sync.Mutex
-	// view holds every store's generation, indexed like stores.
-	// irlint:snapshot-via View,publish
+	// view holds every store's generation, indexed like stores. Only
+	// View loads it and only publish stores it.
 	view atomic.Pointer[[]*Generation]
 }
 

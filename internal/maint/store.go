@@ -72,34 +72,34 @@ type Store struct {
 	compacting atomic.Bool
 
 	// objects is the mutable backing array; published generations hold
-	// prefix views of it. irlint:guarded-by mu
+	// prefix views of it. Guarded by mu.
 	objects []model.Object
 	// ext is the internal→external id table, parallel to objects.
-	// irlint:guarded-by mu
+	// Guarded by mu.
 	ext []model.ObjectID
 	// compactLen is the length of the compacted prefix covered by the
-	// main index; objects beyond it form the memtable. irlint:guarded-by mu
+	// main index; objects beyond it form the memtable. Guarded by mu.
 	compactLen int
 	// memBytes is the running size estimate of the memtable tail.
-	// irlint:guarded-by mu
+	// Guarded by mu.
 	memBytes int64
-	// policy is the auto-compaction policy. irlint:guarded-by mu
+	// policy is the auto-compaction policy. Guarded by mu.
 	policy Policy
-	// compactions counts completed compactions. irlint:guarded-by mu
+	// compactions counts completed compactions. Guarded by mu.
 	compactions uint64
-	// last records the most recent compaction outcome. irlint:guarded-by mu
+	// last records the most recent compaction outcome. Guarded by mu.
 	last lastCompaction
 	// totalDuration accumulates wall time across all compactions.
-	// irlint:guarded-by mu
+	// Guarded by mu.
 	totalDuration time.Duration
 	// totalDropped / totalMerged accumulate objects physically dropped
 	// and memtable objects folded in across all compactions.
-	// irlint:guarded-by mu
+	// Guarded by mu.
 	totalDropped uint64
-	totalMerged  uint64 // irlint:guarded-by mu
+	totalMerged  uint64 // guarded by mu
 	// reclaimedBytes accumulates the estimated bytes freed by dropping
 	// tombstoned objects (object payloads plus tombstone entries).
-	// irlint:guarded-by mu
+	// Guarded by mu.
 	reclaimedBytes int64
 }
 
@@ -109,15 +109,15 @@ type Store struct {
 func newStore(t *Set, idx int, p Part) *Store {
 	n := len(p.Coll.Objects)
 	if len(p.Ext) != n {
-		panic("maint: identity table length mismatch") // lint:panic-ok construction-time programming error
+		panic("maint: identity table length mismatch") // construction-time programming error
 	}
 	for i := 1; i < n; i++ {
 		if p.Ext[i] <= p.Ext[i-1] {
-			panic("maint: identity table not strictly ascending") // lint:panic-ok construction-time programming error
+			panic("maint: identity table not strictly ascending") // construction-time programming error
 		}
 	}
 	if n > 0 && p.Ext[n-1] >= t.NextID() {
-		panic("maint: next external id not past the identity table") // lint:panic-ok construction-time programming error
+		panic("maint: next external id not past the identity table") // construction-time programming error
 	}
 	s := &Store{
 		set:        t,
@@ -226,7 +226,8 @@ func (s *Store) tryBackgroundCompact() {
 	// irlint:goroutine-exits single-flight: runCompact always returns (no unbounded waits) and the deferred CAS-reset reopens the gate; process exit is the only abandonment
 	go func() {
 		defer s.compacting.Store(false)
-		// irlint:ctx-root background compaction outlives the Append that triggered it; the cancelable path is the foreground Compact(ctx)
+		// Background compaction outlives the Append that triggered it;
+		// the cancelable path is the foreground Compact(ctx).
 		_ = s.runCompact(context.Background())
 	}()
 }

@@ -52,7 +52,7 @@ func NewInterval(start, end Timestamp) Interval {
 //
 //go:noinline
 func panicInvalidInterval(start, end Timestamp) {
-	// lint:panic-ok documented constructor precondition; use Canon for untrusted endpoints
+	// documented constructor precondition; use Canon for untrusted endpoints
 	panic(fmt.Sprintf("model: invalid interval [%d, %d]", start, end))
 }
 

@@ -148,7 +148,7 @@ func (r *Registry) family(name, help, kind string) *familyDef {
 		return f
 	}
 	if f.kind != kind {
-		panic("obs: metric " + name + " re-registered as " + kind + ", was " + f.kind) // lint:panic-ok registration-time programming error
+		panic("obs: metric " + name + " re-registered as " + kind + ", was " + f.kind) // registration-time programming error
 	}
 	return f
 }

@@ -14,7 +14,7 @@ const InvariantsEnabled = true
 func assertSorted[E Entry](s []E, context string) {
 	for i := 1; i < len(s); i++ {
 		if idOf(&s[i-1]) > idOf(&s[i]) {
-			// lint:panic-ok invariants build: broken id ordering must abort loudly
+			// invariants build: broken id ordering must abort loudly
 			panic(fmt.Sprintf("postings: invariant violated: ids not ascending at %d in %s", i, context))
 		}
 	}

@@ -19,7 +19,8 @@ import (
 // skips it for free; bulk "no comparison" paths that emit candidates
 // must test IsTombstone. Later elements need not (Later): Delete flags
 // every copy, so no live candidate's id meets a flagged one.
-// lint:interval-ok the deletion sentinel must violate Start <= End so it overlaps no real interval
+// The sentinel violates Start <= End on purpose, so it overlaps no real
+// interval.
 var Tombstone = model.Interval{Start: math.MaxInt64, End: math.MinInt64}
 
 // IsTombstone reports whether an interval is the deletion sentinel.
@@ -53,9 +54,8 @@ type Posting struct {
 type List []Posting
 
 // Clone returns an independent copy of the list. Lists handed out by
-// index accessors alias shared storage and are read-only (the
-// alias-mutation analyzer enforces this outside the owning packages);
-// Clone is the sanctioned way to obtain a mutable copy.
+// index accessors alias shared storage and are read-only; Clone is the
+// sanctioned way to obtain a mutable copy.
 func (l List) Clone() List {
 	if l == nil {
 		return nil

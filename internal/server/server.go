@@ -161,7 +161,7 @@ type Server struct {
 	// smu guards the per-tenant series budget.
 	smu sync.Mutex
 	// series maps tenant ids that own dedicated metric series.
-	// irlint:guarded-by smu
+	// Guarded by smu.
 	series map[string]*tenantMetrics
 	// otherMetrics absorbs the tenants past DefaultTenantSeriesLimit.
 	otherMetrics *tenantMetrics

@@ -15,7 +15,7 @@ func assertShards(shards [][]shard, context string) {
 		for i, s := range shards[e] {
 			for k := 1; k < len(s.entries); k++ {
 				if a, b := s.entries[k-1].Interval, s.entries[k].Interval; a.Start > b.Start || (s.ideal && a.End > b.End) {
-					// lint:panic-ok invariants build: a broken shard order must abort loudly
+					// invariants build: a broken shard order must abort loudly
 					panic(fmt.Sprintf("sharding: invariant violated: element %d shard %d (ideal %v) out of order at %d in %s", e, i, s.ideal, k, context))
 				}
 			}

@@ -46,16 +46,16 @@ type Admission struct {
 
 	mu sync.Mutex
 	// entries holds each tenant's admission state.
-	// irlint:guarded-by mu
+	// Guarded by mu.
 	entries map[string]*entry
 	// total counts the queries admitted and not yet released.
-	// irlint:guarded-by mu
+	// Guarded by mu.
 	total int
 	// activeWeight is the sum of the entries' weights.
-	// irlint:guarded-by mu
+	// Guarded by mu.
 	activeWeight int
 	// lastSweep is when idle entries were last collected.
-	// irlint:guarded-by mu
+	// Guarded by mu.
 	lastSweep time.Time
 }
 
@@ -77,7 +77,7 @@ type entry struct {
 // at once across all tenants. Capacity must be positive.
 func NewAdmission(capacity int) *Admission {
 	if capacity <= 0 {
-		panic("tenant: admission capacity must be positive") // lint:panic-ok construction-time programming error
+		panic("tenant: admission capacity must be positive") // construction-time programming error
 	}
 	return &Admission{capacity: capacity, entries: make(map[string]*entry)}
 }
@@ -132,7 +132,7 @@ func (a *Admission) Release(id string) {
 	defer a.mu.Unlock()
 	e := a.entries[id]
 	if e == nil || e.inUse <= 0 {
-		panic("tenant: admission released more than acquired") // lint:panic-ok caller bug: unbalanced Release
+		panic("tenant: admission released more than acquired") // caller bug: unbalanced Release
 	}
 	e.inUse--
 	a.total--
@@ -175,7 +175,7 @@ func (a *Admission) Share(id string, weight int, now time.Time) int {
 // stays O(1). A tenant idle past the window with no slot held leaves the
 // active set, returning its weight to the pool. Its entry goes only once
 // its bucket has refilled, so the sweep never grants a fresh burst
-// early. irlint:locked mu
+// early. Callers hold mu.
 func (a *Admission) sweepLocked(now time.Time) {
 	if now.Sub(a.lastSweep) < activityWindow {
 		return

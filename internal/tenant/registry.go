@@ -100,7 +100,7 @@ func (t *Tenant[E]) Tag() any { return t.tag }
 // engine) must not be used afterwards.
 func (t *Tenant[E]) Release() {
 	if t.inflight.Add(-1) < 0 {
-		panic("tenant: released more than acquired") // lint:panic-ok caller bug: unbalanced Release
+		panic("tenant: released more than acquired") // caller bug: unbalanced Release
 	}
 }
 
@@ -112,10 +112,10 @@ type Registry[E Engine] struct {
 	cfg Config[E]
 
 	mu sync.RWMutex
-	// tenants is the resident map. irlint:guarded-by mu
+	// tenants is the resident map. Guarded by mu.
 	tenants map[string]*Tenant[E]
 	// ring and hand implement the eviction clock over resident
-	// tenants. irlint:guarded-by mu
+	// tenants. Guarded by mu.
 	ring []*Tenant[E]
 	hand int
 
@@ -126,7 +126,7 @@ type Registry[E Engine] struct {
 // NewRegistry validates the config and returns an empty registry.
 func NewRegistry[E Engine](cfg Config[E]) *Registry[E] {
 	if cfg.New == nil || cfg.Load == nil {
-		panic("tenant: Config.New and Config.Load are required") // lint:panic-ok construction-time programming error
+		panic("tenant: Config.New and Config.Load are required") // construction-time programming error
 	}
 	return &Registry[E]{cfg: cfg, tenants: make(map[string]*Tenant[E])}
 }
@@ -220,7 +220,7 @@ func (r *Registry[E]) create(id string) (*Tenant[E], error) {
 // race was lost, with the winner's tenant held), makes room at
 // capacity, and publishes a new placeholder tenant whose ready channel
 // the caller's build will close.
-// irlint:locked mu
+// Callers hold mu.
 func (r *Registry[E]) placeholderLocked(id string) (t *Tenant[E], raced bool, err error) {
 	if t := r.tenants[id]; t != nil {
 		t.inflight.Add(1)
@@ -279,7 +279,7 @@ func (r *Registry[E]) spillPath(id string) string {
 // are spilled before removal — under the lock, which is acceptable
 // because eviction is the cold path by construction. With no SpillDir
 // eviction would lose data, so the registry reports ReasonFull
-// instead. irlint:locked mu
+// instead. Callers hold mu.
 func (r *Registry[E]) evictOneLocked() error {
 	if r.cfg.SpillDir == "" {
 		return &LimitError{Reason: ReasonFull}
@@ -313,7 +313,7 @@ func (r *Registry[E]) evictOneLocked() error {
 
 // dropFromRing swap-removes the tenant, keeping the hand in range. The
 // clock order is approximate, so swap-remove's reordering is fine.
-// irlint:locked mu
+// Callers hold mu.
 func (r *Registry[E]) dropFromRing(t *Tenant[E]) {
 	for i, v := range r.ring {
 		if v == t {
@@ -330,7 +330,7 @@ func (r *Registry[E]) dropFromRing(t *Tenant[E]) {
 }
 
 // saveLocked spills the tenant if dirty, via temp-file-and-rename so a
-// crash mid-save never corrupts the previous snapshot. irlint:locked mu
+// crash mid-save never corrupts the previous snapshot. Callers hold mu.
 func (r *Registry[E]) saveLocked(t *Tenant[E]) error {
 	if t.eng.Epoch() == t.savedEpoch.Load() {
 		return nil // clean

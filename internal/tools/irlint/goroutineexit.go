@@ -4,62 +4,57 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"repro/internal/tools/irlint/flow"
 )
 
 // goroutineExitsDirective marks a go statement whose termination is
-// guaranteed by something the analyzer cannot see (a select on the
-// result channel, process lifetime). The annotation must state the exit
-// condition.
+// guaranteed by something the analyzer cannot see (process lifetime, a
+// listener's Close). The annotation must state the exit condition.
 const goroutineExitsDirective = "irlint:goroutine-exits"
 
-// AnalyzerGoroutineExit requires every `go` statement to be provably
-// joined or explicitly annotated. Accepted proofs, all within the
-// innermost enclosing function body:
+// goroutineExit requires every `go` statement to be provably joined or
+// annotated. Accepted proofs, all within the innermost enclosing
+// function body:
 //
-//   - WaitGroup: the goroutine calls Done on a WaitGroup (directly,
-//     deferred, or through a callee whose summary says so), and the
-//     spawning body Waits on the same WaitGroup after the go statement
-//     (or in a defer, or through a callee whose summary Waits).
-//   - Channel join: the goroutine sends on or closes a channel, and the
+//   - WaitGroup: the spawned function literal calls Done on a WaitGroup
+//     (directly or deferred), and the spawning body Waits on the same
+//     WaitGroup after the go statement (or in a defer).
+//   - Channel join: the literal sends on or closes a channel, and the
 //     spawning body unconditionally receives from (or ranges over) the
 //     same channel after the go statement. A receive inside a select
 //     does not count — the other arms may abandon the goroutine.
 //
-// Everything else needs `irlint:goroutine-exits <exit condition>`: a
-// goroutine with no visible join is a leak candidate, and under the
-// coming shard fan-out every leaked goroutine multiplies by shard count.
-func AnalyzerGoroutineExit() *Analyzer {
+// Everything else, a `go f(x)` of a named function included, needs
+// `irlint:goroutine-exits <exit condition>`. A goroutine left blocked
+// races with nothing, so -race never reports it and no test fails: this
+// check is the only gate that sees the leak.
+func goroutineExit() *Analyzer {
 	const name = "goroutine-exit"
 	return &Analyzer{
-		Name: name,
-		Doc:  "every go statement must be provably joined (WaitGroup or channel) or annotated irlint:goroutine-exits",
-		RunProgram: func(pr *Program) []Diagnostic {
+		name: name,
+		run: func(p *Package) []Diagnostic {
 			var out []Diagnostic
-			g := pr.Graph()
-			sums := g.Summaries()
-			for _, fn := range g.Funcs() {
-				p := pr.PackageOf(fn)
-				if p == nil || p.Info == nil {
-					continue
-				}
-				f := p.fileOf(fn.Decl.Pos())
-				walkGoStmts(fn.Decl.Body, fn.Decl.Body, func(gs *ast.GoStmt, body *ast.BlockStmt) {
-					if goStmtJoined(p.Info, g, sums, gs, body) {
-						return
+			for _, f := range p.files {
+				for _, decl := range f.Decls {
+					fd, ok := decl.(*ast.FuncDecl)
+					if !ok || fd.Body == nil {
+						continue
 					}
-					if ok, reason := p.directiveReason(f, gs.Pos(), goroutineExitsDirective); ok {
-						if reason == "" {
-							out = append(out, p.diag(name, gs.Pos(),
-								"%s annotation needs a stated exit condition", goroutineExitsDirective))
+					walkGoStmts(fd.Body, fd.Body, func(gs *ast.GoStmt, body *ast.BlockStmt) {
+						if goStmtJoined(p.info, gs, body) {
+							return
 						}
-						return
-					}
-					out = append(out, p.diag(name, gs.Pos(),
-						"goroutine has no provable join in the spawning function (no WaitGroup Done/Wait pair, no unconditional channel receive); prove the join or annotate with // %s <exit condition>",
-						goroutineExitsDirective))
-				})
+						if ok, reason := p.directiveReason(f, gs.Pos(), goroutineExitsDirective); ok {
+							if reason == "" {
+								out = append(out, p.diag(name, gs.Pos(),
+									"%s annotation needs a stated exit condition", goroutineExitsDirective))
+							}
+							return
+						}
+						out = append(out, p.diag(name, gs.Pos(),
+							"goroutine has no provable join in the spawning function (no WaitGroup Done/Wait pair, no unconditional channel receive); prove the join or annotate with // %s <exit condition>",
+							goroutineExitsDirective))
+					})
+				}
 			}
 			return out
 		},
@@ -93,8 +88,35 @@ func walkGoStmts(n ast.Node, body *ast.BlockStmt, visit func(*ast.GoStmt, *ast.B
 
 // goStmtJoined reports whether the goroutine spawned by gs is provably
 // joined inside body.
-func goStmtJoined(info *types.Info, g *flow.Graph, sums *flow.Summaries, gs *ast.GoStmt, body *ast.BlockStmt) bool {
-	doneVars, chanVars := goroutineSignals(info, g, sums, gs)
+func goStmtJoined(info *types.Info, gs *ast.GoStmt, body *ast.BlockStmt) bool {
+	lit, ok := gs.Call.Fun.(*ast.FuncLit)
+	if !ok || lit.Body == nil {
+		return false
+	}
+	// The WaitGroups the goroutine calls Done on and the channels it
+	// sends on or closes.
+	doneVars := map[*types.Var]bool{}
+	chanVars := map[*types.Var]bool{}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			if wg := waitGroupCall(info, x, "Done"); wg != nil {
+				doneVars[wg] = true
+			}
+			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "close" && len(x.Args) == 1 {
+				if _, builtin := info.Uses[id].(*types.Builtin); builtin {
+					if v := baseVar(info, x.Args[0]); v != nil {
+						chanVars[v] = true
+					}
+				}
+			}
+		case *ast.SendStmt:
+			if v := baseVar(info, x.Chan); v != nil {
+				chanVars[v] = true
+			}
+		}
+		return true
+	})
 	if len(doneVars) == 0 && len(chanVars) == 0 {
 		return false
 	}
@@ -108,109 +130,70 @@ func goStmtJoined(info *types.Info, g *flow.Graph, sums *flow.Summaries, gs *ast
 			// Neither this goroutine's own body nor a sibling goroutine's
 			// body counts as a join point for the spawning function.
 			return false
-		case *ast.CallExpr:
-			// wg.Wait() after the spawn, or a helper that Waits.
-			if afterOrDeferred(body, gs, x.Pos()) && callWaitsOn(info, g, sums, x, doneVars) {
-				joined = true
-				return false
-			}
-		case *ast.UnaryExpr:
-			// <-ch, not inside a select (selects are handled below by
-			// pruning their walk).
-			if x.Op == token.ARROW && afterOrDeferred(body, gs, x.Pos()) {
-				if v := flow.BaseVar(info, x.X); v != nil && chanVars[v] {
-					joined = true
-					return false
-				}
-			}
-		case *ast.RangeStmt:
-			// for range ch drains until close — an unconditional join.
-			if v := flow.BaseVar(info, x.X); v != nil && chanVars[v] && afterOrDeferred(body, gs, x.Pos()) {
-				joined = true
-				return false
-			}
 		case *ast.SelectStmt:
 			// A receive inside select is conditional: another arm (e.g.
 			// ctx.Done()) may fire and abandon the goroutine.
 			return false
+		case *ast.CallExpr:
+			if wg := waitGroupCall(info, x, "Wait"); wg != nil && doneVars[wg] && afterOrDeferred(body, gs, x.Pos()) {
+				joined = true
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW && chanVars[baseVar(info, x.X)] && afterOrDeferred(body, gs, x.Pos()) {
+				joined = true
+			}
+		case *ast.RangeStmt:
+			// for range ch drains until close — an unconditional join.
+			if chanVars[baseVar(info, x.X)] && afterOrDeferred(body, gs, x.Pos()) {
+				joined = true
+			}
 		}
-		return true
+		return !joined
 	})
 	return joined
 }
 
-// goroutineSignals extracts, from the spawned call, the WaitGroup
-// variables the goroutine provably calls Done on and the channel
-// variables it sends on or closes.
-func goroutineSignals(info *types.Info, g *flow.Graph, sums *flow.Summaries, gs *ast.GoStmt) (doneVars, chanVars map[*types.Var]bool) {
-	doneVars = map[*types.Var]bool{}
-	chanVars = map[*types.Var]bool{}
-	mark := func(set map[*types.Var]bool, e ast.Expr) {
-		if v := flow.BaseVar(info, e); v != nil {
-			set[v] = true
-		}
+// waitGroupCall returns the WaitGroup variable when call is wg.<method>()
+// on a sync.WaitGroup, else nil.
+func waitGroupCall(info *types.Info, call *ast.CallExpr, method string) *types.Var {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != method || !typeIs(info.Types[sel.X].Type, "sync", "WaitGroup") {
+		return nil
 	}
-	if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok && lit.Body != nil {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CallExpr:
-				if callee := flow.Callee(info, x); callee != nil {
-					if callee.Name() == "Done" && callee.Pkg() != nil && callee.Pkg().Path() == "sync" {
-						if sel, ok := x.Fun.(*ast.SelectorExpr); ok && typeIs(info.Types[sel.X].Type, "sync", "WaitGroup") {
-							mark(doneVars, sel.X)
-						}
-					}
-					// A named helper the goroutine calls may carry the Done.
-					for _, ai := range flow.ArgInputs(info, x, callee) {
-						if sums.Input(callee, ai.Input).Dones {
-							mark(doneVars, ai.Expr)
-						}
-					}
-				}
-				if flow.IsBuiltin(info, x, "close") && len(x.Args) == 1 {
-					mark(chanVars, x.Args[0])
-				}
-			case *ast.SendStmt:
-				mark(chanVars, x.Chan)
-			}
-			return true
-		})
-		return doneVars, chanVars
-	}
-	// go someFunc(args): read the callee's summary.
-	callee := flow.Callee(info, gs.Call)
-	if callee != nil {
-		for _, ai := range flow.ArgInputs(info, gs.Call, callee) {
-			if sums.Input(callee, ai.Input).Dones {
-				mark(doneVars, ai.Expr)
-			}
-		}
-	}
-	return doneVars, chanVars
+	return baseVar(info, sel.X)
 }
 
-// callWaitsOn reports whether the call is wg.Wait() on one of the given
-// WaitGroups, or passes one of them to a callee whose summary Waits.
-func callWaitsOn(info *types.Info, g *flow.Graph, sums *flow.Summaries, call *ast.CallExpr, doneVars map[*types.Var]bool) bool {
-	callee := flow.Callee(info, call)
-	if callee == nil {
-		return false
-	}
-	if callee.Name() == "Wait" && callee.Pkg() != nil && callee.Pkg().Path() == "sync" {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && typeIs(info.Types[sel.X].Type, "sync", "WaitGroup") {
-			if v := flow.BaseVar(info, sel.X); v != nil && doneVars[v] {
-				return true
+// baseVar resolves the variable at the base of an expression — peeling
+// selectors, indexing, dereferences, address-taking and parentheses —
+// or nil: the variable through which the expression's memory is
+// reached, so baseVar(&s.wg) is s.
+func baseVar(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			obj := info.Uses[x]
+			if obj == nil {
+				obj = info.Defs[x]
 			}
+			v, _ := obj.(*types.Var)
+			return v
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			if x.Op != token.AND {
+				return nil
+			}
+			e = x.X
+		default:
+			return nil
 		}
 	}
-	for _, ai := range flow.ArgInputs(info, call, callee) {
-		if sums.Input(callee, ai.Input).Waits {
-			if v := flow.BaseVar(info, ai.Expr); v != nil && doneVars[v] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // afterOrDeferred reports whether pos is textually after the go
@@ -222,16 +205,10 @@ func afterOrDeferred(body *ast.BlockStmt, gs *ast.GoStmt, pos token.Pos) bool {
 	}
 	inDefer := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if inDefer {
-			return false
+		if d, ok := n.(*ast.DeferStmt); ok && d.Pos() <= pos && pos <= d.End() {
+			inDefer = true
 		}
-		if d, ok := n.(*ast.DeferStmt); ok {
-			if d.Pos() <= pos && pos <= d.End() {
-				inDefer = true
-				return false
-			}
-		}
-		return true
+		return !inDefer
 	})
 	return inDefer
 }

@@ -1,30 +1,17 @@
 // Package irlint is the repository's static-analysis suite. It enforces
-// invariants the Go type system cannot express but the paper's algorithms
-// rely on: intervals are built through canonicalizing constructors, map
-// iteration order never leaks into ordered results, panics stay confined
-// to documented precondition sites, size accounting covers every
-// dynamically-sized index field, and the public surface stays documented.
+// invariants the Go type system cannot express and that no test, race
+// run or runtime assertion catches when they break: map iteration order
+// never leaks into ordered results, size accounting covers every
+// dynamically-sized index field, every switch over temporalir.Method
+// stays exhaustive as the index family grows, trace spans end on every
+// path, every go statement is provably joined, and obs metric families
+// are well-formed and registered once. LINTING.md keeps, per analyzer,
+// the finding or the planted bug that shows why it stays.
 //
-// The type/dataflow-aware half of the suite guards the concurrency and
-// sharing contracts: mutex-guarded Engine fields are only touched under
-// their lock (lock-guard), postings lists aliased out of internal/tif and
-// internal/postings stay read-only (alias-mutation), arithmetic on
-// discretized domain values cannot leave [0, 2^m-1] unreviewed
-// (domain-bounds), and every switch over temporalir.Method stays
-// exhaustive as the index family grows (method-exhaustiveness).
-//
-// The whole-program (v3) half runs over every loaded package at once on
-// the flow substrate (internal/tools/irlint/flow: static call graph +
-// per-input effect summaries): contexts thread edge-to-edge with
-// annotated roots only (ctx-flow), every go statement is provably joined
-// or annotated with its exit condition (goroutine-exit), values stay
-// frozen after atomic publication (publish-freeze), and obs metric
-// families are constant-named, well-formed, and registered exactly once
-// with monotonic histogram buckets (metric-hygiene).
-//
-// The suite is stdlib-only (go/parser, go/ast, go/types); the cmd/irlint
-// driver wires it into `make lint` and CI. Each analyzer has an escape
-// hatch comment documented in LINTING.md.
+// The suite is stdlib-only (go/parser, go/ast, go/types). The
+// cmd/irlint command runs it for `make lint`; TestLoadRepository runs it
+// over the whole module in tier-1. Each analyzer has an escape hatch
+// comment documented in LINTING.md.
 package irlint
 
 import (
@@ -36,101 +23,81 @@ import (
 	"strings"
 )
 
-// ModulePath is the import path of the module this suite lints.
-const ModulePath = "repro"
+// modulePath is the import path of the module this suite lints.
+const modulePath = "repro"
 
 // Diagnostic is one finding: a position, the analyzer that produced it,
 // and a human-readable message.
 type Diagnostic struct {
-	Pos      token.Position
-	Analyzer string
-	Message  string
+	pos      token.Position
+	analyzer string
+	message  string
 }
 
 // String formats the diagnostic in the canonical file:line:col form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
+	return fmt.Sprintf("%s: %s: %s", d.pos, d.analyzer, d.message)
 }
 
 // Package is one loaded, type-checked package presented to analyzers.
 type Package struct {
-	// Path is the import path (e.g. "repro/internal/model").
-	Path string
-	// Fset positions every file in the package.
-	Fset *token.FileSet
-	// Files holds the parsed non-test sources.
-	Files []*ast.File
-	// Info carries type-checking results; analyzers must tolerate nil
+	// path is the import path (e.g. "repro/internal/model").
+	path string
+	// fset positions every file in the package.
+	fset *token.FileSet
+	// files holds the parsed non-test sources.
+	files []*ast.File
+	// info carries type-checking results; analyzers must tolerate nil
 	// entries for code that failed to check.
-	Info *types.Info
-	// Types is the checked package object.
-	Types *types.Package
+	info *types.Info
+	// tpkg is the checked package object.
+	tpkg *types.Package
 	// directives caches per-file escape-hatch comment lines.
 	directives map[*ast.File]map[int][]string
 }
 
-// Analyzer is one named invariant check. Per-package analyzers set Run;
-// whole-program (dataflow) analyzers set RunProgram and receive every
-// loaded package at once plus the shared flow graph. Exactly one of the
-// two must be set.
+// Analyzer is one named invariant check. A per-package analyzer sets
+// run; an analyzer that needs every loaded package at once (a family
+// registered from two packages) sets program. Exactly one is set.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and LINTING.md.
-	Name string
-	// Doc is a one-line description of the enforced invariant.
-	Doc string
-	// Run reports every violation found in the package.
-	Run func(p *Package) []Diagnostic
-	// RunProgram reports every violation found across the whole program.
-	RunProgram func(pr *Program) []Diagnostic
+	name    string
+	run     func(p *Package) []Diagnostic
+	program func(pkgs []*Package) []Diagnostic
 }
 
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AnalyzerIntervalCanon(),
-		AnalyzerMapOrder(),
-		AnalyzerPanicPolicy(),
-		AnalyzerSizeAccounting(),
-		AnalyzerDocExported(),
-		AnalyzerLockGuard(),
-		AnalyzerAliasMutation(),
-		AnalyzerDomainBounds(),
-		AnalyzerMethodExhaustiveness(),
-		AnalyzerSpanEnd(),
-		AnalyzerCtxFlow(),
-		AnalyzerGoroutineExit(),
-		AnalyzerPublishFreeze(),
-		AnalyzerMetricHygiene(),
+		mapOrder(),
+		sizeAccounting(),
+		methodExhaustiveness(),
+		spanEnd(),
+		goroutineExit(),
+		metricHygiene(),
 	}
 }
 
-// Run applies every analyzer — per-package and whole-program — and
-// returns the combined findings sorted by position. All whole-program
-// analyzers share one Program, so the flow graph and its summaries are
-// built at most once.
+// Run applies every analyzer and returns the combined findings sorted
+// by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	pr := NewProgram(pkgs)
 	var out []Diagnostic
-	for _, p := range pkgs {
-		for _, a := range analyzers {
-			if a.Run != nil {
-				out = append(out, a.Run(p)...)
-			}
-		}
-	}
 	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			out = append(out, a.RunProgram(pr)...)
+		if a.program != nil {
+			out = append(out, a.program(pkgs)...)
+			continue
+		}
+		for _, p := range pkgs {
+			out = append(out, a.run(p)...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
+		if out[i].pos.Filename != out[j].pos.Filename {
+			return out[i].pos.Filename < out[j].pos.Filename
 		}
-		if out[i].Pos.Line != out[j].Pos.Line {
-			return out[i].Pos.Line < out[j].Pos.Line
+		if out[i].pos.Line != out[j].pos.Line {
+			return out[i].pos.Line < out[j].pos.Line
 		}
-		return out[i].Analyzer < out[j].Analyzer
+		return out[i].analyzer < out[j].analyzer
 	})
 	return out
 }
@@ -138,16 +105,25 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // diag builds a Diagnostic at the given node position.
 func (p *Package) diag(name string, pos token.Pos, format string, args ...any) Diagnostic {
 	return Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: name,
-		Message:  fmt.Sprintf(format, args...),
+		pos:      p.fset.Position(pos),
+		analyzer: name,
+		message:  fmt.Sprintf(format, args...),
 	}
 }
 
-// allowed reports whether an escape-hatch directive (e.g. "lint:panic-ok")
-// annotates the line of pos or the line directly above it — the two places
-// a suppression comment may live.
+// allowed reports whether an escape-hatch directive (e.g.
+// "lint:map-order-ok") annotates the line of pos or the line directly
+// above it — the two places a suppression comment may live.
 func (p *Package) allowed(f *ast.File, pos token.Pos, directive string) bool {
+	found, _ := p.directiveReason(f, pos, directive)
+	return found
+}
+
+// directiveReason reports whether a directive annotates the line of pos
+// or the line above, and returns the text following the directive (the
+// stated reason, whitespace-trimmed). Annotations that require a
+// rationale treat found-but-empty as a finding.
+func (p *Package) directiveReason(f *ast.File, pos token.Pos, directive string) (found bool, reason string) {
 	if p.directives == nil {
 		p.directives = make(map[*ast.File]map[int][]string)
 	}
@@ -156,26 +132,27 @@ func (p *Package) allowed(f *ast.File, pos token.Pos, directive string) bool {
 		lines = make(map[int][]string)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				ln := p.Fset.Position(c.Pos()).Line
+				ln := p.fset.Position(c.Pos()).Line
 				lines[ln] = append(lines[ln], c.Text)
 			}
 		}
 		p.directives[f] = lines
 	}
-	ln := p.Fset.Position(pos).Line
+	ln := p.fset.Position(pos).Line
 	for _, l := range []int{ln, ln - 1} {
 		for _, text := range lines[l] {
-			if strings.Contains(text, directive) {
-				return true
+			if i := strings.Index(text, directive); i >= 0 {
+				rest := strings.TrimSuffix(strings.TrimSpace(text[i+len(directive):]), "*/")
+				return true, strings.TrimSpace(rest)
 			}
 		}
 	}
-	return false
+	return false, ""
 }
 
 // fileOf returns the *ast.File containing pos.
 func (p *Package) fileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
+	for _, f := range p.files {
 		if f.FileStart <= pos && pos < f.FileEnd {
 			return f
 		}
@@ -186,10 +163,10 @@ func (p *Package) fileOf(pos token.Pos) *ast.File {
 // relPath strips the module prefix: "repro/internal/model" -> "internal/model",
 // "repro" -> ".".
 func relPath(importPath string) string {
-	if importPath == ModulePath {
+	if importPath == modulePath {
 		return "."
 	}
-	return strings.TrimPrefix(importPath, ModulePath+"/")
+	return strings.TrimPrefix(importPath, modulePath+"/")
 }
 
 // typeIs reports whether t (after unwrapping pointers) is the named type

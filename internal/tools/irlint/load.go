@@ -15,17 +15,17 @@ import (
 	"strings"
 )
 
-// LoadError aggregates the non-fatal problems hit while loading: packages
+// loadError aggregates the non-fatal problems hit while loading: packages
 // that failed to parse or type-check. Analyzers still run on whatever
-// loaded, but a gate should treat a non-empty LoadError as a failure —
+// loaded, but a gate should treat a non-empty loadError as a failure —
 // missing type information silently weakens the typed analyzers.
-type LoadError struct {
-	Problems []string
+type loadError struct {
+	problems []string
 }
 
-func (e *LoadError) Error() string {
+func (e *loadError) Error() string {
 	return fmt.Sprintf("irlint: %d load problem(s):\n  %s",
-		len(e.Problems), strings.Join(e.Problems, "\n  "))
+		len(e.problems), strings.Join(e.problems, "\n  "))
 }
 
 // Load parses and type-checks the module packages selected by patterns
@@ -134,15 +134,15 @@ func Load(root string, patterns []string) ([]*Package, error) {
 			continue
 		}
 		pkgs = append(pkgs, &Package{
-			Path:  path,
-			Fset:  fset,
-			Files: rp.files,
-			Info:  info,
-			Types: tpkg,
+			path:  path,
+			fset:  fset,
+			files: rp.files,
+			info:  info,
+			tpkg:  tpkg,
 		})
 	}
 	if len(problems) > 0 {
-		return pkgs, &LoadError{Problems: problems}
+		return pkgs, &loadError{problems: problems}
 	}
 	return pkgs, nil
 }
@@ -158,7 +158,7 @@ func (im *moduleImporter) Import(path string) (*types.Package, error) {
 	if p, ok := im.mod[path]; ok {
 		return p, nil
 	}
-	if path == ModulePath || strings.HasPrefix(path, ModulePath+"/") {
+	if path == modulePath || strings.HasPrefix(path, modulePath+"/") {
 		return nil, fmt.Errorf("module package %s not yet checked (import cycle?)", path)
 	}
 	return im.std.Import(path)
@@ -252,18 +252,18 @@ func matchPattern(dir, pat string) bool {
 
 func importPathFor(dir string) string {
 	if dir == "." {
-		return ModulePath
+		return modulePath
 	}
-	return ModulePath + "/" + dir
+	return modulePath + "/" + dir
 }
 
 // dirFor is the inverse of importPathFor: the module-relative directory
 // of an in-module import path, false for any other path.
 func dirFor(importPath string) (string, bool) {
-	if importPath == ModulePath {
+	if importPath == modulePath {
 		return ".", true
 	}
-	dir, ok := strings.CutPrefix(importPath, ModulePath+"/")
+	dir, ok := strings.CutPrefix(importPath, modulePath+"/")
 	return dir, ok
 }
 

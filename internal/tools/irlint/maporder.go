@@ -11,24 +11,23 @@ import (
 // caller establishes order by other means the analyzer cannot see.
 const mapOrderDirective = "lint:map-order-ok"
 
-// AnalyzerMapOrder flags `range` loops over maps whose bodies append to a
+// mapOrder flags `range` loops over maps whose bodies append to a
 // slice declared outside the loop — the pattern that leaks Go's randomized
 // map iteration order into ordered results (postings intersections assume
 // sorted inputs; encoders and API responses assume stable output). A loop
 // is exempt when a later statement in the same block visibly sorts the
 // sink (a call whose name contains "Sort" referencing it), or when
 // annotated with // lint:map-order-ok.
-func AnalyzerMapOrder() *Analyzer {
+func mapOrder() *Analyzer {
 	const name = "map-order"
 	return &Analyzer{
-		Name: name,
-		Doc:  "no range over a map may feed an ordered sink (slice append) without sorting afterwards",
-		Run: func(p *Package) []Diagnostic {
-			if p.Info == nil {
+		name: name,
+		run: func(p *Package) []Diagnostic {
+			if p.info == nil {
 				return nil
 			}
 			var out []Diagnostic
-			for _, f := range p.Files {
+			for _, f := range p.files {
 				file := f
 				ast.Inspect(f, func(n ast.Node) bool {
 					var body *ast.BlockStmt
@@ -113,7 +112,7 @@ func (p *Package) mapOrderBlock(f *ast.File, stmts []ast.Stmt) []Diagnostic {
 
 // isMapRange reports whether rs iterates a map.
 func (p *Package) isMapRange(rs *ast.RangeStmt) bool {
-	tv, ok := p.Info.Types[rs.X]
+	tv, ok := p.info.Types[rs.X]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -142,7 +141,7 @@ func (p *Package) orderedSinks(rs *ast.RangeStmt) []sink {
 		if !ok || fn.Name != "append" || len(call.Args) == 0 {
 			return true
 		}
-		if obj := p.Info.Uses[fn]; obj != nil {
+		if obj := p.info.Uses[fn]; obj != nil {
 			if _, isBuiltin := obj.(*types.Builtin); !isBuiltin {
 				return true // shadowed append
 			}
@@ -151,7 +150,7 @@ func (p *Package) orderedSinks(rs *ast.RangeStmt) []sink {
 		if !ok {
 			return true
 		}
-		obj := p.Info.Uses[target]
+		obj := p.info.Uses[target]
 		if obj == nil || seen[obj] {
 			return true
 		}

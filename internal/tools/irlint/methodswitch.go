@@ -12,24 +12,23 @@ import (
 // temporalir.Method: place it on the switch or its default clause.
 const methodDirective = "lint:method-ok"
 
-// AnalyzerMethodExhaustiveness requires every switch over
+// methodExhaustiveness requires every switch over
 // temporalir.Method to handle all declared variants (or carry an
 // annotated default). The variant universe is discovered from the
 // declaring package's constants of type Method, so adding a ninth index
 // method makes every dispatch site fail lint until it is handled — the
 // property that keeps NewIndex, benchmark labels and future dispatchers
 // in sync with the family.
-func AnalyzerMethodExhaustiveness() *Analyzer {
+func methodExhaustiveness() *Analyzer {
 	const name = "method-exhaustiveness"
 	return &Analyzer{
-		Name: name,
-		Doc:  "switches over temporalir.Method must handle every declared method or annotate the default",
-		Run: func(p *Package) []Diagnostic {
-			if p.Info == nil {
+		name: name,
+		run: func(p *Package) []Diagnostic {
+			if p.info == nil {
 				return nil
 			}
 			var out []Diagnostic
-			for _, f := range p.Files {
+			for _, f := range p.files {
 				file := f
 				ast.Inspect(f, func(n ast.Node) bool {
 					sw, ok := n.(*ast.SwitchStmt)
@@ -51,7 +50,7 @@ func AnalyzerMethodExhaustiveness() *Analyzer {
 
 // methodType returns the named type of tag if it is temporalir.Method.
 func (p *Package) methodType(tag ast.Expr) *types.Named {
-	tv, ok := p.Info.Types[tag]
+	tv, ok := p.info.Types[tag]
 	if !ok || tv.Type == nil {
 		return nil
 	}
@@ -60,7 +59,7 @@ func (p *Package) methodType(tag ast.Expr) *types.Named {
 		return nil
 	}
 	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != ModulePath || obj.Name() != "Method" {
+	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != modulePath || obj.Name() != "Method" {
 		return nil
 	}
 	return named
@@ -86,7 +85,7 @@ func (p *Package) checkMethodSwitch(f *ast.File, sw *ast.SwitchStmt, named *type
 			continue
 		}
 		for _, e := range cc.List {
-			tv, ok := p.Info.Types[e]
+			tv, ok := p.info.Types[e]
 			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 				continue
 			}

@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/tools/irlint/flow"
 )
 
 // metricDirective suppresses a metric-hygiene finding, for the rare
@@ -26,8 +24,8 @@ var metricRegMethods = map[string]bool{
 	"Histogram":   false,
 }
 
-// AnalyzerMetricHygiene moves metric-endpoint failures from scrape time
-// to lint time. For every obs.Registry registration call in the program:
+// metricHygiene moves metric-endpoint failures from scrape time to lint
+// time. For every obs.Registry registration call in the program:
 //
 //   - the family name must be a compile-time string constant, lowercase
 //     snake_case, and prefixed tir_ outside internal/obs — scrapers key
@@ -38,73 +36,69 @@ var metricRegMethods = map[string]bool{
 //     program-wide — a second site would silently share or collide state
 //     depending on label sets;
 //   - histogram bucket bounds must be strictly increasing, whether
-//     written literally or returned by an in-program helper (resolved
-//     through the call graph), because Histogram.Observe binary-searches
-//     the bounds and silently mis-buckets on disorder.
-func AnalyzerMetricHygiene() *Analyzer {
+//     written literally or returned by a helper of the program, because
+//     Histogram.Observe binary-searches the bounds and silently
+//     mis-buckets on disorder.
+func metricHygiene() *Analyzer {
 	const name = "metric-hygiene"
 	return &Analyzer{
-		Name: name,
-		Doc:  "obs metric names constant, well-formed, registered once; histogram buckets strictly increasing",
-		RunProgram: func(pr *Program) []Diagnostic {
+		name: name,
+		program: func(pkgs []*Package) []Diagnostic {
 			var out []Diagnostic
-			g := pr.Graph()
+			helpers := bucketHelpers(pkgs)
 			type regSite struct {
-				p    *Package
-				f    *ast.File
-				pos  token.Pos
-				name string
+				p   *Package
+				pos token.Pos
 			}
 			sites := map[string][]regSite{}
-			for _, fn := range g.Funcs() {
-				p := pr.PackageOf(fn)
-				if p == nil || p.Info == nil {
+			for _, p := range pkgs {
+				if p.info == nil {
 					continue
 				}
-				f := p.fileOf(fn.Decl.Pos())
-				for _, c := range fn.Calls {
-					method, ok := registryMethod(p.Info, c.Site)
-					if !ok {
-						continue
-					}
-					if p.allowed(f, c.Site.Pos(), metricDirective) {
-						continue
-					}
-					if len(c.Site.Args) == 0 {
-						continue
-					}
-					nameVal, isConst := constString(p.Info, c.Site.Args[0])
-					if !isConst {
-						out = append(out, p.diag(name, c.Site.Args[0].Pos(),
-							"metric name must be a compile-time string constant so the family set is auditable; computed names hide collisions until scrape time (or annotate with // %s <reason>)",
-							metricDirective))
-						continue
-					}
-					if !wellFormedMetricName(nameVal) {
-						out = append(out, p.diag(name, c.Site.Args[0].Pos(),
-							"metric name %q is not lowercase snake_case ([a-z][a-z0-9_]*); Prometheus scrapers reject or mangle it (or annotate with // %s <reason>)",
-							nameVal, metricDirective))
-					}
-					if p.Path != obsPath && !strings.HasPrefix(nameVal, "tir_") {
-						out = append(out, p.diag(name, c.Site.Args[0].Pos(),
-							"metric name %q lacks the tir_ namespace prefix; unprefixed families collide with other exporters on shared scrape targets (or annotate with // %s <reason>)",
-							nameVal, metricDirective))
-					}
-					if metricRegMethods[method] && !strings.HasSuffix(nameVal, "_total") {
-						out = append(out, p.diag(name, c.Site.Args[0].Pos(),
-							"counter family %q must end in _total (Prometheus counter convention) (or annotate with // %s <reason>)",
-							nameVal, metricDirective))
-					}
-					if method == "Histogram" && len(c.Site.Args) >= 3 {
-						if bounds, src := resolveBuckets(p.Info, g, c.Site.Args[2]); bounds != nil {
-							if i := firstNonIncreasing(bounds); i >= 0 {
-								out = append(out, p.diag(name, c.Site.Args[2].Pos(),
-									"histogram buckets%s are not strictly increasing at index %d (%v >= %v); Observe binary-searches the bounds and mis-buckets on disorder",
-									src, i, bounds[i], bounds[i+1]))
+				for _, f := range p.files {
+					ast.Inspect(f, func(n ast.Node) bool {
+						call, ok := n.(*ast.CallExpr)
+						if !ok || len(call.Args) == 0 {
+							return true
+						}
+						method, ok := registryMethod(p.info, call)
+						if !ok || p.allowed(f, call.Pos(), metricDirective) {
+							return true
+						}
+						nameVal, isConst := constString(p.info, call.Args[0])
+						if !isConst {
+							out = append(out, p.diag(name, call.Args[0].Pos(),
+								"metric name must be a compile-time string constant so the family set is auditable; computed names hide collisions until scrape time (or annotate with // %s <reason>)",
+								metricDirective))
+							return true
+						}
+						if !wellFormedMetricName(nameVal) {
+							out = append(out, p.diag(name, call.Args[0].Pos(),
+								"metric name %q is not lowercase snake_case ([a-z][a-z0-9_]*); Prometheus scrapers reject or mangle it (or annotate with // %s <reason>)",
+								nameVal, metricDirective))
+						}
+						if p.path != obsPath && !strings.HasPrefix(nameVal, "tir_") {
+							out = append(out, p.diag(name, call.Args[0].Pos(),
+								"metric name %q lacks the tir_ namespace prefix; unprefixed families collide with other exporters on shared scrape targets (or annotate with // %s <reason>)",
+								nameVal, metricDirective))
+						}
+						if metricRegMethods[method] && !strings.HasSuffix(nameVal, "_total") {
+							out = append(out, p.diag(name, call.Args[0].Pos(),
+								"counter family %q must end in _total (Prometheus counter convention) (or annotate with // %s <reason>)",
+								nameVal, metricDirective))
+						}
+						if method == "Histogram" && len(call.Args) >= 3 {
+							if bounds, src := resolveBuckets(p.info, helpers, call.Args[2]); bounds != nil {
+								if i := firstNonIncreasing(bounds); i >= 0 {
+									out = append(out, p.diag(name, call.Args[2].Pos(),
+										"histogram buckets%s are not strictly increasing at index %d (%v >= %v); Observe binary-searches the bounds and mis-buckets on disorder",
+										src, i, bounds[i], bounds[i+1]))
+								}
 							}
 						}
-					}
-					sites[nameVal] = append(sites[nameVal], regSite{p: p, f: f, pos: c.Site.Pos(), name: nameVal})
+						sites[nameVal] = append(sites[nameVal], regSite{p: p, pos: call.Pos()})
+						return true
+					})
 				}
 			}
 			fams := make([]string, 0, len(sites))
@@ -118,13 +112,13 @@ func AnalyzerMetricHygiene() *Analyzer {
 					continue
 				}
 				sort.Slice(ss, func(i, j int) bool {
-					pi, pj := ss[i].p.Fset.Position(ss[i].pos), ss[j].p.Fset.Position(ss[j].pos)
+					pi, pj := ss[i].p.fset.Position(ss[i].pos), ss[j].p.fset.Position(ss[j].pos)
 					if pi.Filename != pj.Filename {
 						return pi.Filename < pj.Filename
 					}
 					return pi.Line < pj.Line
 				})
-				first := ss[0].p.Fset.Position(ss[0].pos)
+				first := ss[0].p.fset.Position(ss[0].pos)
 				for _, s := range ss[1:] {
 					out = append(out, s.p.diag(name, s.pos,
 						"metric family %q already registered at %s:%d; one family, one registration site (or annotate with // %s <reason>)",
@@ -134,6 +128,41 @@ func AnalyzerMetricHygiene() *Analyzer {
 			return out
 		},
 	}
+}
+
+// bucketHelper is a function whose body is a single `return
+// []float64{...}`, with the type information to evaluate it.
+type bucketHelper struct {
+	lit  *ast.CompositeLit
+	info *types.Info
+}
+
+// bucketHelpers indexes every function of pkgs whose body is a single
+// return of a composite literal — the shape of obs.DefLatencyBuckets.
+func bucketHelpers(pkgs []*Package) map[*types.Func]bucketHelper {
+	out := map[*types.Func]bucketHelper{}
+	for _, p := range pkgs {
+		if p.info == nil {
+			continue
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || len(fd.Body.List) != 1 {
+					continue
+				}
+				ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
+				if !ok || len(ret.Results) != 1 {
+					continue
+				}
+				lit, ok := ret.Results[0].(*ast.CompositeLit)
+				if fn, isFunc := p.info.Defs[fd.Name].(*types.Func); ok && isFunc {
+					out[fn] = bucketHelper{lit: lit, info: p.info}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // registryMethod reports whether call is one of the obs.Registry
@@ -178,41 +207,30 @@ func wellFormedMetricName(s string) bool {
 }
 
 // resolveBuckets extracts histogram bounds when they are statically
-// knowable: a literal []float64{...} of constants, or a call to an
-// in-program function whose body is a single `return []float64{...}`.
+// knowable: a literal []float64{...} of constants, or a call to a
+// helper of the program whose body is a single `return []float64{...}`.
 // The second return value names the source for the diagnostic ("" for a
 // literal, " returned by F" for a resolved helper). Unknowable bounds
 // return nil and are not checked.
-func resolveBuckets(info *types.Info, g *flow.Graph, e ast.Expr) ([]float64, string) {
+func resolveBuckets(info *types.Info, helpers map[*types.Func]bucketHelper, e ast.Expr) ([]float64, string) {
 	switch x := e.(type) {
 	case *ast.CompositeLit:
 		return litFloats(info, x), ""
 	case *ast.CallExpr:
-		callee := flow.Callee(info, x)
-		fn := g.FuncOf(callee)
-		if fn == nil {
-			return nil, ""
+		var id *ast.Ident
+		switch fun := x.Fun.(type) {
+		case *ast.Ident:
+			id = fun
+		case *ast.SelectorExpr:
+			id = fun.Sel
 		}
-		return calleeReturnFloats(fn), " returned by " + callee.Name()
+		if fn, ok := info.Uses[id].(*types.Func); ok {
+			if h, ok := helpers[fn.Origin()]; ok {
+				return litFloats(h.info, h.lit), " returned by " + fn.Name()
+			}
+		}
 	}
 	return nil, ""
-}
-
-// calleeReturnFloats reads the bounds out of a helper whose body is a
-// single return of a float slice literal.
-func calleeReturnFloats(fn *flow.Func) []float64 {
-	if len(fn.Decl.Body.List) != 1 {
-		return nil
-	}
-	ret, ok := fn.Decl.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return nil
-	}
-	lit, ok := ret.Results[0].(*ast.CompositeLit)
-	if !ok {
-		return nil
-	}
-	return litFloats(fn.Unit.Info, lit)
 }
 
 // litFloats evaluates every element of a composite literal as a float

@@ -21,20 +21,19 @@ var sizePackages = map[string]bool{
 	"internal/tifhint":  true,
 }
 
-// AnalyzerSizeAccounting checks, for every exported struct with a
+// sizeAccounting checks, for every exported struct with a
 // SizeBytes method in the index packages, that each dynamically-sized
 // field (slice, map, string, pointer, interface, chan, func — or a
 // struct/array containing one) is referenced somewhere in the SizeBytes
 // implementation, following same-package helper calls a few levels deep.
 // Fixed-size scalar fields live inside the constant struct-overhead term
 // and are exempt.
-func AnalyzerSizeAccounting() *Analyzer {
+func sizeAccounting() *Analyzer {
 	const name = "size-accounting"
 	return &Analyzer{
-		Name: name,
-		Doc:  "every dynamically-sized field of an exported index struct must be reflected in its SizeBytes",
-		Run: func(p *Package) []Diagnostic {
-			if !sizePackages[relPath(p.Path)] || p.Info == nil {
+		name: name,
+		run: func(p *Package) []Diagnostic {
+			if !sizePackages[relPath(p.path)] || p.info == nil {
 				return nil
 			}
 			structs := exportedStructs(p)
@@ -82,7 +81,7 @@ type fieldInfo struct {
 // package.
 func exportedStructs(p *Package) []structInfo {
 	var out []structInfo
-	for _, f := range p.Files {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok {
@@ -115,7 +114,7 @@ func exportedStructs(p *Package) []structInfo {
 func packageFuncs(p *Package) (methods map[string]map[string]*ast.FuncDecl, funcs map[string]*ast.FuncDecl) {
 	methods = make(map[string]map[string]*ast.FuncDecl)
 	funcs = make(map[string]*ast.FuncDecl)
-	for _, f := range p.Files {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -193,7 +192,7 @@ func collectRefs(fd *ast.FuncDecl, methods map[string]map[string]*ast.FuncDecl, 
 // fieldIsDynamic reports whether the declared field's type owns
 // dynamically-sized memory.
 func (p *Package) fieldIsDynamic(ident *ast.Ident) bool {
-	obj := p.Info.Defs[ident]
+	obj := p.info.Defs[ident]
 	if obj == nil || obj.Type() == nil {
 		return false
 	}

@@ -9,26 +9,25 @@ import (
 const spanDirective = "lint:span-ok"
 
 // obsPath is the package that owns Trace and StageTimer.
-const obsPath = ModulePath + "/internal/obs"
+const obsPath = modulePath + "/internal/obs"
 
-// AnalyzerSpanEnd flags obs.Trace.StartStage calls that are not the
+// spanEnd flags obs.Trace.StartStage calls that are not the
 // one-line deferred form `defer tr.StartStage(s).End()`. A StageTimer
 // whose End is reached by straight-line code leaks the span on every
 // early return and panic between StartStage and End — the trace then
 // under-reports the stage and the slow log shows a breakdown that does
 // not sum. The defer form is the only shape that closes the span on all
 // paths, so it is the only accepted one.
-func AnalyzerSpanEnd() *Analyzer {
+func spanEnd() *Analyzer {
 	const name = "span-end"
 	return &Analyzer{
-		Name: name,
-		Doc:  "obs.Trace.StartStage must be immediately deferred: defer tr.StartStage(s).End()",
-		Run: func(p *Package) []Diagnostic {
-			if p.Info == nil {
+		name: name,
+		run: func(p *Package) []Diagnostic {
+			if p.info == nil {
 				return nil
 			}
 			var out []Diagnostic
-			for _, f := range p.Files {
+			for _, f := range p.files {
 				// First pass: collect the StartStage calls that appear as
 				// `defer <expr>.StartStage(s).End()` — the conforming shape.
 				deferred := map[*ast.CallExpr]bool{}
@@ -74,7 +73,7 @@ func (p *Package) isStartStage(call *ast.CallExpr) bool {
 	if !ok || sel.Sel.Name != "StartStage" {
 		return false
 	}
-	tv, ok := p.Info.Types[sel.X]
+	tv, ok := p.info.Types[sel.X]
 	if !ok {
 		return false
 	}

@@ -30,7 +30,17 @@ const surfaceFile = "testdata/surface.txt"
 // structs; every cmd/* flag; the server's routes; and every "tir_*"
 // metric literal. Run with -update-surface to rewrite the ledger after
 // an intended change.
+//
+// The exported declarations of docPackages must also carry doc
+// comments.
 func TestSurface(t *testing.T) {
+	for _, dir := range docPackages {
+		for _, f := range parseDir(t, dir) {
+			for _, name := range undocumented(f) {
+				t.Errorf("%s: exported %s has no doc comment", dir, name)
+			}
+		}
+	}
 	got := strings.Join(surface(t), "\n") + "\n"
 	if *updateSurface {
 		if err := os.WriteFile(surfaceFile, []byte(got), 0o644); err != nil {
@@ -119,6 +129,75 @@ func surface(t *testing.T) []string {
 	return out
 }
 
+// docPackages are the directories whose exported declarations need a
+// doc comment: the library surface and the data model every index
+// builds on.
+var docPackages = []string{".", "internal/model"}
+
+// undocumented names every exported top-level function, method, type,
+// const and var of f that has no doc comment. The doc of a grouped
+// declaration covers all of its specs.
+func undocumented(f *ast.File) []string {
+	var out []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Name.IsExported() && d.Doc == nil {
+				out = append(out, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			if d.Doc != nil {
+				continue
+			}
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() && s.Doc == nil {
+						out = append(out, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() && s.Doc == nil {
+							out = append(out, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+func TestUndocumented(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "doc.go", `package p
+
+// Documented is covered.
+func Documented() {}
+
+func Bare() {}
+
+// Group covers both.
+const (
+	A = 1
+	B = 2
+)
+
+type (
+	// T has its own doc.
+	T int
+	U int
+)
+
+func unexported() {}
+`, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(undocumented(f), " "); got != "Bare U" {
+		t.Errorf("undocumented = %q, want \"Bare U\"", got)
+	}
+}
+
 // parseDir parses the non-test Go files of one directory.
 func parseDir(t *testing.T, dir string) []*ast.File {
 	t.Helper()
@@ -132,7 +211,7 @@ func parseDir(t *testing.T, dir string) []*ast.File {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
