@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzGallopParity -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzMarkParity -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzDomainRoundTrip -fuzztime=$(FUZZTIME) ./internal/domain/
+	$(GO) test -fuzz=FuzzPerfUpdates -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzLoadEngine -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzSearchRequest -fuzztime=$(FUZZTIME) ./internal/server/
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/domain"
@@ -17,6 +18,34 @@ type builder struct {
 	seen  []model.ElemID // the current division's distinct elements
 }
 
+// newBuilder is irHINT-size's pass-2 scratch over objs and elems elements.
+func newBuilder(_ *domain.Domain, objs []model.Object, elems int) *builder {
+	return &builder{objs: objs, count: make([]int, elems)}
+}
+
+// perfBuilder is irHINT-perf's pass-2 scratch: a builder whose counts are
+// per-element pairs of 32-bit counters in one word (divIF.fill), and the
+// domain the divisions' partitions lie on.
+type perfBuilder struct {
+	builder
+	dom domain.Domain
+	cur []uint64 // per element, all zero between divisions
+}
+
+func newPerfBuilder(dom *domain.Domain, objs []model.Object, elems int) *perfBuilder {
+	return &perfBuilder{builder: builder{objs: objs}, dom: *dom, cur: make([]uint64, elems)}
+}
+
+// object returns the interval of object id, as an invariant check's
+// home.obj: every object of the build is known and live.
+func (b *perfBuilder) object(id model.ObjectID) (model.Interval, bool, bool) {
+	i, ok := slices.BinarySearchFunc(b.objs, id, func(o model.Object, id model.ObjectID) int { return cmp.Compare(o.ID, id) })
+	if !ok {
+		return model.Interval{}, false, false
+	}
+	return b.objs[i].Interval, true, true
+}
+
 // bulkBuild is the construction of Section 4.1 for a whole collection, in
 // two passes instead of one Insert per object. Pass 1 (hint.AssignObjects)
 // runs the HINT assignment of every object, in id order, and groups the
@@ -26,32 +55,35 @@ type builder struct {
 // (exec.Default), and whichever goroutine ends pass 1 joins them. Pass 2
 // (hint.CutFan) lays the populated partitions out in exactly-sized
 // directories and hands each division's run of assignments to div, which
-// fills the division from its builder's cursors — the divisions in
-// parallel, each goroutine with its own builder. It also returns the
-// per-element object counts.
-func bulkBuild[P any](dom domain.Domain, c *model.Collection, beside func(objs []model.Object, freqs []int) (jobs int, job func(i int)), div func(b *builder, p *P, replica bool, asgs []hint.Assignment)) ([]hint.Directory[P], []int) {
+// owns that stretch of the run (it may overwrite it) and fills the
+// division from its builder's cursors — the divisions in
+// parallel, each goroutine with its own builder from newBuilder. It also
+// returns the per-element object counts. dom points at the index's own
+// domain, so that the closures handed to the pool carry a pointer, not a
+// copy.
+func bulkBuild[P, B any](dom *domain.Domain, c *model.Collection, beside func(objs []model.Object, freqs []int) (jobs int, job func(i int)), newBuilder func(dom *domain.Domain, objs []model.Object, elems int) B, div func(b B, p *P, replica bool, asgs []hint.Assignment)) ([]hint.Directory[P], []int) {
 	objs, freqs := c.IDOrder()
 	var asg []hint.Assignment
 	if beside == nil {
-		asg = hint.AssignObjects(dom, objs)
+		asg = hint.AssignObjects(*dom, objs)
 	} else {
 		n, job := beside(objs, freqs)
 		var run []hint.Assignment
 		exec.Default().Map(1+n, func(i int) {
 			if i == 0 {
-				run = hint.AssignObjects(dom, objs)
+				run = hint.AssignObjects(*dom, objs)
 			} else {
 				job(i - 1)
 			}
 		})
 		asg = run
 	}
-	levels := make([]hint.Directory[P], dom.M+1)
+	levels, elems := make([]hint.Directory[P], dom.M+1), len(freqs)
 	hint.CutFan(dom.M, asg, func(level int, keys []uint32, parts []*P) {
 		levels[level] = hint.Directory[P]{Keys: keys, Parts: parts}
-	}, func() *builder {
-		return &builder{objs: objs, count: make([]int, len(freqs))}
-	}, func(b *builder, p *P, replica bool, lo, hi int) {
+	}, func() B {
+		return newBuilder(dom, objs, elems)
+	}, func(b B, p *P, replica bool, lo, hi int) {
 		div(b, p, replica, asg[lo:hi])
 	})
 	return levels, freqs

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/allocbudget"
 	"repro/internal/bruteforce"
@@ -20,28 +21,74 @@ type invFile[T any] struct {
 	lists [][]T
 }
 
-// perfEntry is one irHINT-perf list entry, read from its division's two
-// columns.
+// perfEntry is one irHINT-perf list entry, read from its division's
+// columns: its part and the endpoints that part stores, zero where it
+// stores none.
 type perfEntry struct {
-	id   model.ObjectID
-	span model.Interval
+	id         model.ObjectID
+	aft        bool
+	start, end model.Timestamp
 }
 
 // perfLists reads every list of a perf division out of its runs and
-// columns, each into a list of its own.
-func perfLists(d *divIF) invFile[perfEntry] {
+// columns, each into a list of its own: the in part, then the aft part.
+func perfLists(d *divIF, orig bool) invFile[perfEntry] {
 	f := invFile[perfEntry]{elems: d.elems, lists: make([][]perfEntry, len(d.runs))}
 	for i, r := range d.runs {
-		f.lists[i] = make([]perfEntry, r.n)
-		for k := range f.lists[i] {
-			f.lists[i][k] = perfEntry{d.ids[int(r.off)+k], d.spans[int(r.off)+k]}
+		f.lists[i] = make([]perfEntry, 0, r.n)
+		for _, aft := range []bool{false, true} {
+			lo, hi := d.part(i, aft)
+			for k := lo; k < hi; k++ {
+				e := perfEntry{id: d.ids[k], aft: aft}
+				if orig {
+					e.start = d.starts[k]
+				}
+				if !aft {
+					e.end = d.ends[r.eoff+k-lo]
+				}
+				f.lists[i] = append(f.lists[i], e)
+			}
 		}
 	}
 	return f
 }
 
 func perfFiles(p *perfPart) [2]invFile[perfEntry] {
-	return [2]invFile[perfEntry]{perfLists(&p.o), perfLists(&p.r)}
+	return [2]invFile[perfEntry]{perfLists(&p.o, true), perfLists(&p.r, false)}
+}
+
+// Parts of a perf partition, in partCounts' order.
+const (
+	oIn = iota
+	oAft
+	rIn
+	rAft
+)
+
+// partCounts counts the stored entries of every O_in, O_aft, R_in and
+// R_aft part of the index.
+func partCounts(levels []hint.Directory[perfPart]) [4]int64 {
+	var n [4]int64
+	for l := range levels {
+		for _, p := range levels[l].Parts {
+			for _, r := range p.o.runs {
+				n[oIn] += int64(r.in)
+				n[oAft] += int64(r.aft())
+			}
+			for _, r := range p.r.runs {
+				n[rIn] += int64(r.in)
+				n[rAft] += int64(r.aft())
+			}
+		}
+	}
+	return n
+}
+
+// partBytes is what SizeBytes counts for the entries of each part: the
+// paper's 16 B for O_in (4 B of id, 12 of lifespan), 4 B of id and 8 B of
+// endpoint for O_aft and R_in, and 4 B of id for R_aft.
+func partBytes(n [4]int64) int64 {
+	return n[oIn]*16 + n[oAft]*12 + n[rIn]*12 + n[rAft]*4
 }
 
 func sizeFiles(p *sizePart) [2]invFile[model.ObjectID] {
@@ -190,12 +237,20 @@ func TestBulkEqualsInsertBuilt(t *testing.T) {
 // index-level Insert append into the next list. Every list of the bulk-built
 // index is snapshotted; the extra objects repeat stored objects' intervals
 // and elements under fresh, larger ids, so each lands only in lists that
-// already exist; afterwards every list must still start with its snapshot
-// and hold nothing more than the inserts that belong in it.
-func checkInsertKeepsNeighbours[P, T any](t *testing.T, levels []hint.Directory[P], files func(*P) [2]invFile[T], id func(T) model.ObjectID, insert func(model.Object), c *model.Collection) []model.Object {
+// already exist; afterwards every part of every list (part numbers its
+// entries' parts; a size list is one part) must still start with its
+// snapshot and hold nothing more than the inserts that belong in it.
+func checkInsertKeepsNeighbours[P, T any](t *testing.T, levels []hint.Directory[P], files func(*P) [2]invFile[T], id func(T) model.ObjectID, part func(T) int, insert func(model.Object), c *model.Collection) []model.Object {
 	t.Helper()
-	before := map[string][]T{}
-	eachList(levels, files, func(name string, l []T) { before[name] = slices.Clone(l) })
+	byPart := func(l []T) [2][]T {
+		var parts [2][]T
+		for _, x := range l {
+			parts[part(x)] = append(parts[part(x)], x)
+		}
+		return parts
+	}
+	before := map[string][2][]T{}
+	eachList(levels, files, func(name string, l []T) { before[name] = byPart(l) })
 	var extra []model.Object
 	for i := 0; i < len(c.Objects); i += 5 {
 		o := c.Objects[i]
@@ -206,20 +261,23 @@ func checkInsertKeepsNeighbours[P, T any](t *testing.T, levels []hint.Directory[
 	lists := 0
 	eachList(levels, files, func(name string, l []T) {
 		lists++
-		was, ok := before[name]
+		parts, ok := before[name]
 		if !ok {
 			t.Fatalf("%s: list created by an insert of existing elements", name)
 		}
-		for k := range l {
-			switch got := id(l[k]); {
-			case k < len(was) && got != id(was[k]):
-				t.Fatalf("%s: entry %d was id %d, now %d — an insert wrote into a neighbouring list", name, k, id(was[k]), got)
-			case k >= len(was) && int(got) < len(c.Objects):
-				t.Fatalf("%s: stored id %d beyond the list's snapshot", name, got)
+		for p, l := range byPart(l) {
+			was := parts[p]
+			for k := range l {
+				switch got := id(l[k]); {
+				case k < len(was) && got != id(was[k]):
+					t.Fatalf("%s part %d: entry %d was id %d, now %d — an insert wrote into a neighbouring list", name, p, k, id(was[k]), got)
+				case k >= len(was) && int(got) < len(c.Objects):
+					t.Fatalf("%s part %d: stored id %d beyond the list's snapshot", name, p, got)
+				}
 			}
-		}
-		if len(l) < len(was) {
-			t.Fatalf("%s: list shrank from %d to %d", name, len(was), len(l))
+			if len(l) < len(was) {
+				t.Fatalf("%s part %d: list shrank from %d to %d", name, p, len(was), len(l))
+			}
 		}
 	})
 	if lists != len(before) {
@@ -233,16 +291,17 @@ func TestInsertAfterBulkKeepsNeighbours(t *testing.T) {
 	c := testutil.RandomCollection(cfg)
 	perf, size := NewPerf(c, WithM(5)), NewSize(c, WithM(5))
 	bytesBefore, entriesBefore := [2]int64{perf.SizeBytes(), size.SizeBytes()}, [2]int64{perf.EntryCount(), size.EntryCount()}
-	extra := checkInsertKeepsNeighbours(t, perf.levels, perfFiles, func(p perfEntry) model.ObjectID { return p.id }, perf.Insert, c)
-	checkInsertKeepsNeighbours(t, size.levels, sizeFiles, func(id model.ObjectID) model.ObjectID { return id }, size.Insert, c)
+	partsBefore := partBytes(partCounts(perf.levels))
+	extra := checkInsertKeepsNeighbours(t, perf.levels, perfFiles, func(p perfEntry) model.ObjectID { return p.id }, func(p perfEntry) int { return b2i(p.aft) }, perf.Insert, c)
+	checkInsertKeepsNeighbours(t, size.levels, sizeFiles, func(id model.ObjectID) model.ObjectID { return id }, func(model.ObjectID) int { return 0 }, size.Insert, c)
 
 	// The grown index is the insert-built index over all the objects.
 	all := &model.Collection{DictSize: c.DictSize, Objects: append(slices.Clone(c.Objects), extra...)}
 	checkEqualsInsertBuilt(t, perf, size, c.DictSize, all.Objects)
-	// A perf run an insert moved to its arenas' tail, or a size list an
+	// A perf run an insert moved to its columns' tails, or a size list an
 	// insert moved out of its arena, is counted where it now lives, at its
-	// new room: no added entry goes uncounted.
-	if got, min := perf.SizeBytes(), bytesBefore[0]+16*(perf.EntryCount()-entriesBefore[0]); got < min {
+	// new room: no added entry goes uncounted, at what its part stores.
+	if got, min := perf.SizeBytes(), bytesBefore[0]+partBytes(partCounts(perf.levels))-partsBefore; got < min {
 		t.Errorf("perf SizeBytes %d after the inserts, want at least %d", got, min)
 	}
 	if got, min := size.SizeBytes(), bytesBefore[1]+4*(size.EntryCount()-entriesBefore[1]); got < min {
@@ -293,24 +352,33 @@ func countTight[P, T any](t *testing.T, levels []hint.Directory[P], files func(*
 	return parts, lists, entries
 }
 
-// checkRunsTight fails unless a perf division is tight in both columns:
-// runs and arenas with cap == len, every run with no room beyond its
-// entries (c == n), and the runs laid end to end over the arenas in
-// element order.
-func checkRunsTight(t *testing.T, name string, d *divIF) {
+// checkRunsTight fails unless a perf division is tight in every column:
+// runs and columns with cap == len, no rooms (every run's room is its
+// length), the runs laid end to end over the id column and their
+// in parts over the ends column in element order, starts for every id of
+// an originals division and none in a replicas one, and the ends carved
+// from the same arena right behind the starts.
+func checkRunsTight(t *testing.T, name string, d *divIF, orig bool) {
 	t.Helper()
-	if cap(d.runs) != len(d.runs) || cap(d.ids) != len(d.ids) || cap(d.spans) != len(d.spans) {
-		t.Fatalf("%s: runs or arenas have slack", name)
+	if cap(d.runs) != len(d.runs) || d.rooms != nil || cap(d.ids) != len(d.ids) || cap(d.starts) != len(d.starts) || cap(d.ends) != len(d.ends) {
+		t.Fatalf("%s: runs or columns have slack", name)
 	}
-	end := uint32(0)
+	end, eend := uint32(0), uint32(0)
 	for i, r := range d.runs {
-		if r.c != r.n || r.off != end {
-			t.Fatalf("%s element %d: run %+v, want room %d from %d", name, d.elems[i], r, r.n, end)
+		if r.off != end || r.eoff != eend {
+			t.Fatalf("%s element %d: run %+v, want room %d from %d, ends from %d", name, d.elems[i], r, r.n, end, eend)
 		}
 		end += r.n
+		eend += r.in
 	}
-	if int(end) != len(d.ids) {
-		t.Fatalf("%s: runs cover %d of %d arena entries", name, end, len(d.ids))
+	if int(end) != len(d.ids) || int(eend) != len(d.ends) {
+		t.Fatalf("%s: runs cover %d of %d ids and %d of %d ends", name, end, len(d.ids), eend, len(d.ends))
+	}
+	if want := map[bool]int{true: len(d.ids), false: 0}[orig]; len(d.starts) != want {
+		t.Fatalf("%s: %d starts for %d ids (originals %v)", name, len(d.starts), len(d.ids), orig)
+	}
+	if len(d.starts) > 0 && len(d.ends) > 0 && unsafe.Pointer(unsafe.SliceData(d.ends)) != unsafe.Add(unsafe.Pointer(unsafe.SliceData(d.starts)), 8*len(d.starts)) {
+		t.Fatalf("%s: ends not carved from the starts' arena", name)
 	}
 }
 
@@ -328,8 +396,8 @@ func TestBulkBuildIsTight(t *testing.T) {
 	parts, lists, entries := countTight(t, perf.levels, perfFiles)
 	for l := range perf.levels {
 		for i, p := range perf.levels[l].Parts {
-			checkRunsTight(t, fmt.Sprintf("level %d partition %d originals", l, perf.levels[l].Keys[i]), &p.o)
-			checkRunsTight(t, fmt.Sprintf("level %d partition %d replicas", l, perf.levels[l].Keys[i]), &p.r)
+			checkRunsTight(t, fmt.Sprintf("level %d partition %d originals", l, perf.levels[l].Keys[i]), &p.o, true)
+			checkRunsTight(t, fmt.Sprintf("level %d partition %d replicas", l, perf.levels[l].Keys[i]), &p.r, false)
 		}
 	}
 	// Every dense element's bitmap is exactly ⌈universe/64⌉ words.
@@ -342,10 +410,16 @@ func TestBulkBuildIsTight(t *testing.T) {
 			t.Fatalf("perf: dense element %d bitmap %d B, want %d", perf.dense[i], got, 8*words)
 		}
 	}
-	// Per division: four slice headers and the dead counter, 4*24+8. Per
-	// dense element: a 4-byte key, a slice header and the bitmap.
-	if want := parts*(4+8+2*(4*24+8)) + lists*(4+12) + entries*16 + int64(len(perf.freqs))*8 + dense*(4+24+8*words); perf.SizeBytes() != want || entries != perf.EntryCount() {
-		t.Errorf("perf SizeBytes %d, want %d from %d partitions, %d lists, %d entries, %d dense elements", perf.SizeBytes(), want, parts, lists, entries, dense)
+	// Per division: six slice headers and the dead counter, 6*24+8. Per
+	// list: a 4-byte key and a 16-byte run. Per entry: what its part
+	// stores (partBytes). Per dense element: a 4-byte key, a slice header
+	// and the bitmap.
+	byPart := partCounts(perf.levels)
+	if byPart[oIn] == 0 || byPart[oAft] == 0 || byPart[rIn] == 0 || byPart[rAft] == 0 {
+		t.Fatalf("vacuous: entries by part %v", byPart)
+	}
+	if want := parts*(4+8+2*(6*24+8)) + lists*(4+16) + partBytes(byPart) + int64(len(perf.freqs))*8 + dense*(4+24+8*words); perf.SizeBytes() != want || entries != perf.EntryCount() || entries != byPart[oIn]+byPart[oAft]+byPart[rIn]+byPart[rAft] {
+		t.Errorf("perf SizeBytes %d, want %d from %d partitions, %d lists, %d entries %v by part, %d dense elements", perf.SizeBytes(), want, parts, lists, entries, byPart, dense)
 	}
 
 	parts, lists, entries = countTight(t, size.levels, sizeFiles)
@@ -389,8 +463,9 @@ func TestCostModelMUnchanged(t *testing.T) {
 
 // TestAllocBudgetBuild pins what a bulk build allocates on a 2k-object
 // collection: a handful of buffers per build and four slices per
-// populated division (perf: element directory, runs and its two arenas;
-// size: element directory, list headers, id arena and interval store) —
+// populated division (perf: element directory, runs, the id column and
+// the arena its endpoint columns are carved from; size: element
+// directory, list headers, id arena and interval store) —
 // proportional to divisions, not to the thousands of lists.
 func TestAllocBudgetBuild(t *testing.T) {
 	cfg := testutil.CollectionConfig{N: 2000, DomainLo: 0, DomainHi: 1 << 20, Dict: 200, MaxDesc: 6, Seed: 9}

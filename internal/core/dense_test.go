@@ -45,18 +45,19 @@ func TestDenseThreshold(t *testing.T) {
 	testutil.CheckAgainstOracle(t, "perf/threshold", ix, c, queries)
 }
 
-// TestDenseProbeLeavesArenaUnchanged: where a division's first list is its
-// id run, read in place (no check owed, no tombstones), a dense later
-// element filters the candidates without writing the index's arenas. The
-// run must meet such divisions where the probe drops a candidate, or a
-// filter that compacts in place would go unseen.
+// TestDenseProbeLeavesArenaUnchanged: where a part of a division's first
+// list is its id part, read in place (no check owed there, no tombstones;
+// always in an R_aft part), a dense later element filters the candidates
+// without writing the index's columns. The run must meet such parts where
+// the probe drops a candidate, or a filter that compacts in place would go
+// unseen.
 func TestDenseProbeLeavesArenaUnchanged(t *testing.T) {
 	cfg := testutil.CollectionConfig{N: 2000, DomainLo: 0, DomainHi: 1 << 16, Dict: 200, MaxDesc: 6, Seed: 5}
 	c := testutil.RandomCollection(cfg)
 	ix := NewPerf(c, WithM(6))
 	type arena struct {
-		ids   []model.ObjectID
-		spans []model.Interval
+		ids          []model.ObjectID
+		starts, ends []model.Timestamp
 	}
 	var divs []*divIF
 	var before []arena
@@ -64,7 +65,7 @@ func TestDenseProbeLeavesArenaUnchanged(t *testing.T) {
 		for _, p := range ix.levels[l].Parts {
 			for _, d := range []*divIF{&p.o, &p.r} {
 				divs = append(divs, d)
-				before = append(before, arena{slices.Clone(d.ids), slices.Clone(d.spans)})
+				before = append(before, arena{slices.Clone(d.ids), slices.Clone(d.starts), slices.Clone(d.ends)})
 			}
 		}
 	}
@@ -72,13 +73,13 @@ func TestDenseProbeLeavesArenaUnchanged(t *testing.T) {
 	for _, e := range []model.ElemID{0, 1, 2} {
 		queries = append(queries, model.Query{Interval: model.NewInterval(0, 1<<16), Elems: []model.ElemID{e, 150, 199}})
 	}
-	dropped := 0 // candidates a probe dropped from an id run read in place
-	inPlace := func(d *divIF, plan []model.ElemID) {
+	dropped := 0 // candidates a probe dropped from an id part read in place
+	inPlace := func(d *divIF, plan []model.ElemID, aft bool) {
 		bm := ix.bitmap(plan[min(1, len(plan)-1)])
-		if len(plan) < 2 || bm == nil || d.dead > 0 {
-			return // no probe, or a merge or the tombstone filter comes first
+		if len(plan) < 2 || bm == nil {
+			return // no probe, or a merge comes first
 		}
-		for _, id := range d.idRun(plan[0]) {
+		for _, id := range d.idPart(plan[0], aft) {
 			if !bm.Contains(id) {
 				dropped++
 			}
@@ -89,25 +90,31 @@ func TestDenseProbeLeavesArenaUnchanged(t *testing.T) {
 		hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 			ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 				ob := lv.Oblige(j)
-				if !ob.CheckStart && !ob.CheckEnd {
-					inPlace(&p.o, plan)
+				if p.o.dead == 0 && !ob.CheckStart && !ob.CheckEnd {
+					inPlace(&p.o, plan, false)
 				}
-				if ob.First && !ob.CheckStart {
-					inPlace(&p.r, plan)
+				if p.o.dead == 0 && !ob.CheckEnd {
+					inPlace(&p.o, plan, true)
+				}
+				if ob.First && p.r.dead == 0 && !ob.CheckStart {
+					inPlace(&p.r, plan, false)
+				}
+				if ob.First {
+					inPlace(&p.r, plan, true)
 				}
 			})
 		})
 	}
 	testutil.CheckAgainstOracle(t, "perf/in-place", ix, c, queries)
 	for i, d := range divs {
-		if !slices.Equal(d.ids, before[i].ids) || !slices.Equal(d.spans, before[i].spans) {
-			t.Fatalf("division %d: a query wrote the index's arenas", i)
+		if !slices.Equal(d.ids, before[i].ids) || !slices.Equal(d.starts, before[i].starts) || !slices.Equal(d.ends, before[i].ends) {
+			t.Fatalf("division %d: a query wrote the index's columns", i)
 		}
 	}
 	if dropped == 0 {
-		t.Fatal("vacuous: no probe dropped a candidate from an id run read in place")
+		t.Fatal("vacuous: no probe dropped a candidate from an id part read in place")
 	}
-	t.Logf("%d candidates dropped by probes from id runs read in place", dropped)
+	t.Logf("%d candidates dropped by probes from id parts read in place", dropped)
 }
 
 // TestDenseInsertPastUniverse: inserts whose ids lie beyond the dense

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/dict"
 	"repro/internal/domain"
@@ -13,7 +14,8 @@ import (
 )
 
 // perfPart is one partition of the performance variant: a temporal
-// inverted file per division (I^O and I^R of Table 2).
+// inverted file per division (I^O and I^R of Table 2), each split into
+// HINT's in and aft parts.
 type perfPart struct {
 	o divIF
 	r divIF
@@ -36,8 +38,9 @@ type PerfIndex struct {
 }
 
 // NewPerf builds the performance irHINT over a collection with the bulk
-// kernel (bulkBuild): every division's lists are tight, id-sorted runs into
-// two exactly-sized arenas, one of ids and one of lifespans. Insert is the
+// kernel (bulkBuild): every division's lists are tight runs, each part
+// id-sorted, into an exactly-sized id column and one exactly-sized arena
+// of the endpoints the parts store (divIF.fill). Insert is the
 // update path of Section 5.5 and works on the built index unchanged.
 // Without a WithM option, m comes from the HINT cost model (Section 5.4
 // reports the model works well here because of the time-first design).
@@ -47,12 +50,13 @@ func NewPerf(c *model.Collection, opts ...Option) *PerfIndex {
 		o(&cfg)
 	}
 	ix := &PerfIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
-	ix.levels, ix.freqs = bulkBuild(ix.dom, c, ix.fillDense, func(b *builder, p *perfPart, replica bool, asgs []hint.Assignment) {
+	ix.levels, ix.freqs = bulkBuild(&ix.dom, c, ix.fillDense, newPerfBuilder, func(b *perfBuilder, p *perfPart, replica bool, asgs []hint.Assignment) {
 		d := &p.o
 		if replica {
 			d = &p.r
 		}
-		d.fill(b, asgs)
+		level, j := asgs[0].Partition()
+		d.fill(b, asgs, level, j, !replica)
 	})
 	ix.assertDense("NewPerf", nil)
 	return ix
@@ -148,17 +152,21 @@ func (ix *PerfIndex) M() int { return ix.dom.M }
 func (ix *PerfIndex) Len() int { return ix.live }
 
 // Insert routes the object through the HINT assignment and adds one entry
-// per element to the inverted file of every division it lands in (the
-// construction process of Section 4.1).
+// per element to the in or aft part, as the assignment's endsInside says,
+// of the inverted file of every division it lands in (the construction
+// process of Section 4.1).
 func (ix *PerfIndex) Insert(o model.Object) {
-	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
+	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, endsInside bool) {
 		part := ix.levels[level].GetOrCreate(j)
 		div := &part.o
 		if !original {
 			div = &part.r
 		}
 		for _, e := range o.Elems {
-			div.insert(e, o.ID, o.Interval)
+			i := div.insert(e, o.ID, o.Interval, original, !endsInside)
+			if postings.InvariantsEnabled {
+				div.assertDivision("insert", i, original, &home{dom: ix.dom, level: level, j: j, obj: known(o, true)})
+			}
 		}
 	})
 	if len(ix.bitmaps) > 0 && int(o.ID) >= ix.universe {
@@ -178,12 +186,13 @@ func (ix *PerfIndex) Insert(o model.Object) {
 	ix.assertDense("Insert", &o)
 }
 
-// Delete locates the object's divisions via the assignment and tombstones
-// its entry in each element list there. The dense bitmaps keep its bits: a
-// tombstoned entry never becomes a candidate, so no probe reads them.
+// Delete locates the object's divisions and parts via the assignment, and
+// tombstones its entry in each element list there, or removes it from an
+// R_aft part. The dense bitmaps keep its bits: a deleted entry never
+// becomes a candidate, so no probe reads them.
 func (ix *PerfIndex) Delete(o model.Object) {
 	found := false
-	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, _ bool) {
+	hint.Assign(ix.dom, o.Interval, func(level int, j uint32, original, endsInside bool) {
 		part := ix.levels[level].Get(j)
 		if part == nil {
 			return
@@ -193,8 +202,11 @@ func (ix *PerfIndex) Delete(o model.Object) {
 			div = &part.r
 		}
 		for _, e := range o.Elems {
-			if div.kill(e, o.ID) {
+			if i := div.kill(e, o.ID, original, !endsInside); i >= 0 {
 				found = true
+				if postings.InvariantsEnabled {
+					div.assertDivision("kill", i, original, &home{dom: ix.dom, level: level, j: j, obj: known(o, false)})
+				}
 			}
 		}
 	})
@@ -217,7 +229,9 @@ func (ix *PerfIndex) growTo(n int) {
 // Query implements Algorithm 5: bottom-up traversal with the temporal
 // flags; each relevant division answers a reduced time-travel IR query on
 // its inverted file. HINT's duplicate-avoidance rule makes the division
-// outputs disjoint, so no de-duplication step is needed.
+// outputs disjoint, so no de-duplication step is needed. The divisions
+// answer into pooled buffers, and the result is one exactly-sized copy:
+// a query leaves no garbage but its answer.
 func (ix *PerfIndex) Query(q model.Query) []model.ObjectID {
 	if len(q.Elems) == 0 {
 		return nil
@@ -232,31 +246,57 @@ func (ix *PerfIndex) Query(q model.Query) []model.ObjectID {
 	for _, e := range plan {
 		probes = append(probes, ix.bitmap(e))
 	}
-	var out, scratch []model.ObjectID
+	var atBuf [8]int32
+	at := atBuf[:0]
+	for range plan {
+		at = append(at, runUnknown)
+	}
+	bufs := queryPool.Get().(*queryBufs)
+	scratch, out := bufs.scratch, bufs.out[:0]
 	hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 		ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 			ob := lv.Oblige(j)
-			scratch, out = p.o.query(q.Interval, plan, probes, ob.CheckStart, ob.CheckEnd, scratch, out)
+			scratch, out = p.o.query(q.Interval, plan, probes, at, true, ob.CheckStart, ob.CheckEnd, scratch, out)
 			if ob.First {
 				// Replicas never need the o.t_st <= q.t_end check.
-				scratch, out = p.r.query(q.Interval, plan, probes, ob.CheckStart, false, scratch, out)
+				scratch, out = p.r.query(q.Interval, plan, probes, at, false, ob.CheckStart, false, scratch, out)
 			}
 		})
 	})
-	return out
+	var res []model.ObjectID
+	if len(out) > 0 {
+		res = make([]model.ObjectID, len(out))
+		copy(res, out)
+	}
+	if cap(scratch)+cap(out) <= maxPooledIDs {
+		bufs.scratch, bufs.out = scratch, out
+		queryPool.Put(bufs)
+	}
+	return res
 }
+
+// queryBufs is PerfIndex.Query's scratch: the candidate buffer its
+// divisions share and the answers gathered so far.
+type queryBufs struct{ scratch, out []model.ObjectID }
+
+var queryPool = sync.Pool{New: func() any { return new(queryBufs) }}
+
+// maxPooledIDs bounds the buffers a query returns to the pool, so that
+// one query with a huge answer does not pin its buffers afterwards.
+const maxPooledIDs = 1 << 16
 
 // SizeBytes estimates resident size across all division inverted files —
 // the redundancy Section 4.2 motivates the size variant with (each
-// object's interval is stored once per element per division) — and the
-// dense elements' bitmaps with their 4-byte keys and slice headers.
+// object's compared endpoints are stored once per element per division,
+// divIF.sizeBytes) — and the dense elements' bitmaps with their 4-byte
+// keys and slice headers.
 func (ix *PerfIndex) SizeBytes() int64 {
 	var total int64
 	for l := range ix.levels {
 		d := &ix.levels[l]
 		total += int64(cap(d.Keys))*4 + int64(cap(d.Parts))*8
 		for _, p := range d.Parts {
-			total += p.o.sizeBytes() + p.r.sizeBytes()
+			total += p.o.sizeBytes(true) + p.r.sizeBytes(false)
 		}
 	}
 	total += int64(cap(ix.dense))*4 + int64(cap(ix.bitmaps))*24
@@ -298,15 +338,25 @@ func (ix *PerfIndex) assertDense(context string, o *model.Object) {
 	}
 	for l := range ix.levels {
 		for _, p := range ix.levels[l].Parts {
-			for _, d := range []*divIF{&p.o, &p.r} {
-				for i, r := range d.runs {
-					for k := r.off; k < r.off+r.n; k++ {
-						if !postings.IsTombstone(d.spans[k]) {
-							check(d.elems[i], d.ids[k])
+			for _, div := range [2]struct {
+				d    *divIF
+				orig bool
+			}{{&p.o, true}, {&p.r, false}} {
+				for i, e := range div.d.elems {
+					div.d.each(i, div.orig, func(id model.ObjectID, live bool) {
+						if live {
+							check(e, id)
 						}
-					}
+					})
 				}
 			}
 		}
+	}
+}
+
+// known returns a home.obj that knows the one object o, live or deleted.
+func known(o model.Object, live bool) func(model.ObjectID) (model.Interval, bool, bool) {
+	return func(id model.ObjectID) (model.Interval, bool, bool) {
+		return o.Interval, live, id == o.ID
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bruteforce"
 	"repro/internal/dict"
+	"repro/internal/domain"
 	"repro/internal/hint"
 	"repro/internal/model"
 	"repro/internal/postings"
@@ -101,53 +102,81 @@ func TestEntryCountRelationship(t *testing.T) {
 	}
 }
 
+// deletable is an irHINT variant as the delete properties drive it.
+type deletable interface {
+	model.Querier
+	Domain() domain.Domain
+	Insert(model.Object)
+	Delete(model.Object)
+}
+
 // checkDeletesInComparisonFreeDivisions is the shared body of the
 // deletes-in-comparison-free-divisions properties: over random collections
-// with wide intervals and a quarter of the objects deleted, Query ≡ the
-// oracle — also for queries whose ends lie at the limits of the timestamp
-// range — and the run must have met deleted ids among the list survivors
-// of comparison-free divisions, originals and replicas, or the property is
+// with wide intervals and a quarter of the objects deleted, from an index
+// bulk-built over the collection (build) and from one built by one Insert
+// per object (empty), Query ≡ the oracle — also for queries whose ends lie
+// at the limits of the timestamp range. The deleted objects must have had
+// entries in each of HINT's four subdivisions (O_in, O_aft, R_in, R_aft),
+// and the run must have met deleted ids among the list survivors of
+// comparison-free divisions, originals and replicas, or the property is
 // vacuous. deadSurvivors counts, for one query, the deleted ids met there
 // (it fails the test itself if a division hides them from its dead
 // counter).
-func checkDeletesInComparisonFreeDivisions[I model.Querier](t *testing.T, build func(c *model.Collection, m int) I, del func(I, model.Object), deadSurvivors func(ix I, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int)) {
+func checkDeletesInComparisonFreeDivisions[I deletable](t *testing.T, build func(c *model.Collection, m int) I, empty func(c *model.Collection, m int) I, deadSurvivors func(ix I, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int)) {
 	t.Helper()
-	var freeO, freeR int // deleted survivors met in comparison-free originals / replicas divisions
-	for seed := int64(0); seed < 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := testutil.CollectionConfig{N: 300, DomainLo: 0, DomainHi: 4000, Dict: 10, MaxDesc: 4, Seed: seed}
-		c := &model.Collection{DictSize: cfg.Dict}
-		for _, o := range testutil.RandomCollection(cfg).Objects {
-			if o.ID%3 == 0 { // wide: high in the hierarchy, or replicated across many partitions
-				o.Interval = model.NewInterval(rng.Int63n(1500), 2500+rng.Int63n(1501))
+	for _, how := range []string{"bulk-built", "insert-built"} {
+		var freeO, freeR int // deleted survivors met in comparison-free originals / replicas divisions
+		var parts [4]int     // entries of deleted objects in O_in, O_aft, R_in, R_aft
+		for seed := int64(0); seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := testutil.CollectionConfig{N: 300, DomainLo: 0, DomainHi: 4000, Dict: 10, MaxDesc: 4, Seed: seed}
+			c := &model.Collection{DictSize: cfg.Dict}
+			for _, o := range testutil.RandomCollection(cfg).Objects {
+				if o.ID%3 == 0 { // wide: high in the hierarchy, or replicated across many partitions
+					o.Interval = model.NewInterval(rng.Int63n(1500), 2500+rng.Int63n(1501))
+				}
+				c.AppendObject(o.Interval, o.Elems)
 			}
-			c.AppendObject(o.Interval, o.Elems)
-		}
-		ix := build(c, 1+int(seed%6))
-		oracle := bruteforce.New(c)
-		dead := map[model.ObjectID]bool{}
-		for _, i := range rng.Perm(len(c.Objects))[:len(c.Objects)/4] {
-			del(ix, c.Objects[i])
-			oracle.Delete(c.Objects[i].ID)
-			dead[c.Objects[i].ID] = true
-		}
-		queries := testutil.RandomQueries(cfg, 80, seed+100)
-		for _, iv := range []model.Interval{{Start: math.MinInt64, End: 2000}, {Start: 2000, End: math.MaxInt64}, {Start: math.MinInt64, End: math.MaxInt64}} {
-			queries = append(queries, model.Query{Interval: iv, Elems: []model.ElemID{0}}, model.Query{Interval: iv, Elems: []model.ElemID{0, 1}})
-		}
-		for qi, q := range queries {
-			want := testutil.Canonical(oracle.Query(q))
-			if got := testutil.Canonical(ix.Query(q)); !model.EqualIDs(got, want) {
-				t.Fatalf("seed %d query %d (%v elems=%v): Query %v, want %v", seed, qi, q.Interval, q.Elems, got, want)
+			m := 1 + int(seed%6)
+			ix := build(c, m)
+			if how == "insert-built" {
+				ix = empty(c, m)
+				for _, o := range c.Objects {
+					ix.Insert(o)
+				}
 			}
-			o, r := deadSurvivors(ix, q, dead)
-			freeO, freeR = freeO+o, freeR+r
+			oracle := bruteforce.New(c)
+			dead := map[model.ObjectID]bool{}
+			for _, i := range rng.Perm(len(c.Objects))[:len(c.Objects)/4] {
+				o := c.Objects[i]
+				hint.Assign(ix.Domain(), o.Interval, func(_ int, _ uint32, original, endsInside bool) {
+					parts[2*b2i(!original)+b2i(!endsInside)] += len(o.Elems)
+				})
+				ix.Delete(o)
+				oracle.Delete(o.ID)
+				dead[o.ID] = true
+			}
+			queries := testutil.RandomQueries(cfg, 80, seed+100)
+			for _, iv := range []model.Interval{{Start: math.MinInt64, End: 2000}, {Start: 2000, End: math.MaxInt64}, {Start: math.MinInt64, End: math.MaxInt64}} {
+				queries = append(queries, model.Query{Interval: iv, Elems: []model.ElemID{0}}, model.Query{Interval: iv, Elems: []model.ElemID{0, 1}})
+			}
+			for qi, q := range queries {
+				want := testutil.Canonical(oracle.Query(q))
+				if got := testutil.Canonical(ix.Query(q)); !model.EqualIDs(got, want) {
+					t.Fatalf("%s seed %d query %d (%v elems=%v): Query %v, want %v", how, seed, qi, q.Interval, q.Elems, got, want)
+				}
+				o, r := deadSurvivors(ix, q, dead)
+				freeO, freeR = freeO+o, freeR+r
+			}
 		}
+		if slices.Contains(parts[:], 0) {
+			t.Fatalf("%s: vacuous: deleted entries in O_in, O_aft, R_in, R_aft: %v", how, parts)
+		}
+		if freeO == 0 || freeR == 0 {
+			t.Fatalf("%s: vacuous: deleted survivors in comparison-free divisions: originals %d, replicas %d", how, freeO, freeR)
+		}
+		t.Logf("%s: deleted entries in O_in, O_aft, R_in, R_aft: %v; deleted survivors withheld from comparison-free divisions: originals %d, replicas %d", how, parts, freeO, freeR)
 	}
-	if freeO == 0 || freeR == 0 {
-		t.Fatalf("vacuous: deleted survivors in comparison-free divisions: originals %d, replicas %d", freeO, freeR)
-	}
-	t.Logf("deleted survivors withheld from comparison-free divisions: originals %d, replicas %d", freeO, freeR)
 }
 
 // countDead counts the ids of surv in dead, failing the test if there are
@@ -177,7 +206,11 @@ func TestSizeDeletesInComparisonFreeDivisions(t *testing.T) {
 		}
 		return surv
 	}
-	checkDeletesInComparisonFreeDivisions(t, func(c *model.Collection, m int) *SizeIndex { return NewSize(c, WithM(m)) }, (*SizeIndex).Delete,
+	checkDeletesInComparisonFreeDivisions(t, func(c *model.Collection, m int) *SizeIndex { return NewSize(c, WithM(m)) },
+		func(c *model.Collection, m int) *SizeIndex {
+			dom := resolveDomain(c, config{m: m})
+			return &SizeIndex{dom: dom, levels: make([]hint.Directory[sizePart], dom.M+1)}
+		},
 		func(ix *SizeIndex, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int) {
 			plan := dict.PlanOrder(nil, q.Elems, ix.freqs)
 			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
@@ -195,15 +228,17 @@ func TestSizeDeletesInComparisonFreeDivisions(t *testing.T) {
 		})
 }
 
-// Property: the same for the performance variant, whose comparison-free
-// divisions report a first list as its id run unless the dead counter
-// says an entry of the division is tombstoned. A dense later element
-// filters by its bitmap, which keeps a deleted object's bits, so the run
-// must also meet deleted ids that passed a bit test there.
+// Property: the same for the performance variant, whose parts report a
+// first list as its id part where the part owes no comparison, unless the
+// dead counter says an entry of the division is tombstoned — except R_aft,
+// whose first list is always its id part: Delete removes an R_aft entry
+// instead, so no deleted id may survive there at all. A dense later
+// element filters by its bitmap, which keeps a deleted object's bits, so
+// the run must also meet deleted ids that passed a bit test there.
 func TestPerfDeletesInComparisonFreeDivisions(t *testing.T) {
 	var probed int // deleted survivors that passed a bit test
-	survivors := func(ix *PerfIndex, d *divIF, plan []model.ElemID, dead map[model.ObjectID]bool) []model.ObjectID {
-		surv := d.idRun(plan[0])
+	survivors := func(ix *PerfIndex, d *divIF, plan []model.ElemID, aft bool, dead map[model.ObjectID]bool) []model.ObjectID {
+		surv := d.idPart(plan[0], aft)
 		for _, e := range plan[1:] {
 			if bm := ix.bitmap(e); bm != nil {
 				surv = slices.DeleteFunc(slices.Clone(surv), func(id model.ObjectID) bool { return !bm.Contains(id) })
@@ -213,22 +248,35 @@ func TestPerfDeletesInComparisonFreeDivisions(t *testing.T) {
 					}
 				}
 			} else {
-				surv = postings.IntersectSortedIDs(surv, d.idRun(e), nil)
+				surv = postings.IntersectSortedIDs(surv, d.idPart(e, aft), nil)
 			}
 		}
 		return surv
 	}
-	checkDeletesInComparisonFreeDivisions(t, func(c *model.Collection, m int) *PerfIndex { return NewPerf(c, WithM(m)) }, (*PerfIndex).Delete,
+	checkDeletesInComparisonFreeDivisions(t, func(c *model.Collection, m int) *PerfIndex { return NewPerf(c, WithM(m)) },
+		func(c *model.Collection, m int) *PerfIndex {
+			dom := resolveDomain(c, config{m: m})
+			return &PerfIndex{dom: dom, levels: make([]hint.Directory[perfPart], dom.M+1)}
+		},
 		func(ix *PerfIndex, q model.Query, dead map[model.ObjectID]bool) (freeO, freeR int) {
 			plan := dict.PlanOrder(nil, q.Elems, ix.freqs)
 			hint.Visit(ix.dom, q.Interval, func(lv hint.LevelVisit) {
 				ix.levels[lv.Level].ForRange(lv.F, lv.L, func(j uint32, p *perfPart) {
 					ob := lv.Oblige(j)
 					if !ob.CheckStart && !ob.CheckEnd {
-						freeO += countDead(t, survivors(ix, &p.o, plan, dead), dead, p.o.dead)
+						freeO += countDead(t, survivors(ix, &p.o, plan, false, dead), dead, p.o.dead)
 					}
-					if ob.First && !ob.CheckStart {
-						freeR += countDead(t, survivors(ix, &p.r, plan, dead), dead, p.r.dead)
+					if !ob.CheckEnd {
+						freeO += countDead(t, survivors(ix, &p.o, plan, true, dead), dead, p.o.dead)
+					}
+					if !ob.First {
+						return
+					}
+					if !ob.CheckStart {
+						freeR += countDead(t, survivors(ix, &p.r, plan, false, dead), dead, p.r.dead)
+					}
+					if n := countDead(t, survivors(ix, &p.r, plan, true, dead), dead, p.r.dead); n > 0 {
+						t.Fatalf("%d deleted ids left in an R_aft part", n)
 					}
 				})
 			})

@@ -68,7 +68,7 @@ func NewSize(c *model.Collection, opts ...Option) *SizeIndex {
 		slices.Sort(ix.bare)
 		c = &model.Collection{DictSize: c.DictSize, Objects: slices.DeleteFunc(slices.Clone(c.Objects), func(o model.Object) bool { return len(o.Elems) == 0 })}
 	}
-	ix.levels, ix.freqs = bulkBuild(ix.dom, c, nil, func(b *builder, p *sizePart, replica bool, asgs []hint.Assignment) {
+	ix.levels, ix.freqs = bulkBuild(&ix.dom, c, nil, newBuilder, func(b *builder, p *sizePart, replica bool, asgs []hint.Assignment) {
 		d, key := &p.o, byStart
 		if replica {
 			d, key = &p.r, byEnd

@@ -33,6 +33,13 @@ type Assignment struct{ Key, Obj uint32 }
 // node returns the partition's position in the binary tree, (1<<level)+j.
 func (a Assignment) node() uint32 { return a.Key >> 1 }
 
+// Partition returns the level and index of the assignment's partition.
+func (a Assignment) Partition() (level int, j uint32) {
+	node := a.node()
+	level = bits.Len32(node) - 1
+	return level, node - uint32(1)<<uint(level)
+}
+
 // assignments is pass 1 of the bulk build: it runs Assign once for each of
 // n intervals, iv(0) to iv(n-1), and returns the assignments ordered by
 // key, entries in index order within a key.
@@ -208,9 +215,7 @@ func FromRun(dom domain.Domain, run []Assignment, entries []postings.Posting) *I
 	Cut(dom.M, run, func(level int, keys []uint32, parts []*Partition) {
 		ix.levels[level] = Directory[Partition]{Keys: keys, Parts: parts}
 	}, func(p *Partition, replica bool, lo, hi int) {
-		node := run[lo].node()
-		level := bits.Len32(node) - 1
-		j := node - uint32(1)<<uint(level)
+		level, j := run[lo].Partition()
 		div := entries[lo:hi:hi]
 		w := 0
 		for i := range div {

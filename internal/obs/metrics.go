@@ -153,6 +153,15 @@ func (r *Registry) family(name, help, kind string) *familyDef {
 	return f
 }
 
+// mustBeNew panics if the family already has a series with these labels:
+// a second callback for one series would replace the first, and the
+// value it exported would vanish from the scrape.
+func (f *familyDef) mustBeNew(labels []Label) {
+	if f.find(labels) != nil {
+		panic("obs: metric " + f.name + " series registered twice") // registration-time programming error
+	}
+}
+
 // find returns the existing sample with exactly these labels, if any.
 func (f *familyDef) find(labels []Label) *sample {
 	for _, s := range f.samples {
@@ -243,7 +252,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 }
 
 // CounterFunc registers a scrape-time counter callback — for monotonic
-// values owned elsewhere (compaction totals, pool counters).
+// values owned elsewhere (compaction totals, pool counters). A series has
+// one callback: registering the same name and labels twice panics.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
@@ -252,14 +262,12 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.family(name, help, kindCounter)
-	if s := f.find(ls); s != nil {
-		s.fn = fn
-		return
-	}
+	f.mustBeNew(ls)
 	f.samples = append(f.samples, &sample{labels: ls, fn: fn})
 }
 
-// GaugeFunc registers a scrape-time gauge callback.
+// GaugeFunc registers a scrape-time gauge callback; like CounterFunc, it
+// panics on a second registration of one series.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
@@ -268,10 +276,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.family(name, help, kindGauge)
-	if s := f.find(ls); s != nil {
-		s.fn = fn
-		return
-	}
+	f.mustBeNew(ls)
 	f.samples = append(f.samples, &sample{labels: ls, fn: fn})
 }
 

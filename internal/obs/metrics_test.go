@@ -154,3 +154,33 @@ func TestKindMismatchPanics(t *testing.T) {
 	}()
 	r.Gauge("tir_x", "")
 }
+
+// TestFuncSeriesRegisteredTwicePanics: a second callback for one series
+// (same name, same labels in any order) panics instead of replacing the
+// first; another label value is another series and registers fine.
+func TestFuncSeriesRegisteredTwicePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		register func(r *Registry, name string, fn func() float64, labels ...Label)
+	}{
+		{"CounterFunc", func(r *Registry, name string, fn func() float64, labels ...Label) {
+			r.CounterFunc(name, "", fn, labels...)
+		}},
+		{"GaugeFunc", func(r *Registry, name string, fn func() float64, labels ...Label) {
+			r.GaugeFunc(name, "", fn, labels...)
+		}},
+	} {
+		r := NewRegistry()
+		one := func() float64 { return 1 }
+		tc.register(r, "tir_x", one, Label{"a", "1"}, Label{"b", "2"})
+		tc.register(r, "tir_x", one, Label{"a", "2"}, Label{"b", "2"})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on a second registration of one series", tc.name)
+				}
+			}()
+			tc.register(r, "tir_x", func() float64 { return 2 }, Label{"b", "2"}, Label{"a", "1"})
+		}()
+	}
+}
