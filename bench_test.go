@@ -247,3 +247,44 @@ func BenchmarkFig12Synthetic(b *testing.B)      { benchExperiment(b, "fig12", 0.
 func BenchmarkTable6Insertions(b *testing.B)    { benchExperiment(b, "table6", 0.002, 32) }
 func BenchmarkTable7Deletions(b *testing.B)     { benchExperiment(b, "table7", 0.002, 32) }
 func BenchmarkAblations(b *testing.B)           { benchExperiment(b, "ablation", 0.002, 64) }
+
+// BenchmarkCompact is the write phase of the benchmark's lib_point shape,
+// for CPU profiles of compaction: an irHINT-perf engine over a synthetic
+// corpus at scale 0.1; before each op, 1 024 objects are inserted and the
+// 1 024 the previous op inserted are deleted, off the clock. One op is one
+// Compact, which rebuilds the index over the survivors.
+func BenchmarkCompact(b *testing.B) {
+	c := gen.Synthetic(gen.SyntheticConfig{Seed: 1}.Defaults(0.1))
+	batch := gen.Synthetic(gen.SyntheticConfig{Seed: 0, Cardinality: 1024}.Defaults(0.1)).Objects
+	terms := make([][]string, len(batch))
+	for i, o := range batch {
+		for _, e := range o.Elems {
+			terms[i] = append(terms[i], fmt.Sprintf("e%d", e))
+		}
+	}
+	e, err := temporalir.EngineFromCollection(c, temporalir.IRHintPerf, temporalir.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var live []temporalir.ObjectID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := make([]temporalir.ObjectID, len(batch))
+		for k, o := range batch {
+			fresh[k] = e.Insert(o.Interval.Start, o.Interval.End, terms[k]...)
+		}
+		for _, id := range live {
+			if err := e.Delete(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+		live = fresh
+		b.StartTimer()
+		if _, err := e.Compact(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

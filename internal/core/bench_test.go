@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
@@ -75,5 +79,37 @@ func BenchmarkPerfQuery(b *testing.B) {
 				v.ix.Query(queries[i%len(queries)])
 			}
 		})
+	}
+}
+
+// BenchmarkElemSet times the two ways elemSet.sorted produces a division's
+// element directory, for k distinct elements spread uniformly over a
+// span of words·64 ids: reading the bitset's words (scan) and sorting the
+// elements met (sort). words is the rule's boundary, scanPerSort·k·log2(k),
+// times 1/4, 1 and 4: scan should win below the boundary and sort above.
+func BenchmarkElemSet(b *testing.B) {
+	for _, k := range []int{2, 8, 32, 128, 512, 2048} {
+		for _, f := range []float64{0.25, 1, 4} {
+			words := max(1, int(f*float64(scanPerSort*k*bits.Len(uint(k)))))
+			rng := rand.New(rand.NewSource(1))
+			ids := rng.Perm(words * 64)[:min(k, words*64)]
+			s := newElemSet(words * 64)
+			out := make([]model.ElemID, len(ids))
+			for _, path := range []string{"scan", "sort"} {
+				b.Run(fmt.Sprintf("k=%d/words=%d/%s", k, words, path), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for _, e := range ids {
+							s.add(model.ElemID(e))
+						}
+						if path == "scan" {
+							s.scan(out)
+						} else {
+							s.sort(out)
+						}
+						s.met, s.lo, s.hi = s.met[:0], math.MaxUint32, 0
+					}
+				})
+			}
+		}
 	}
 }

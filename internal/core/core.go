@@ -43,6 +43,25 @@ func WithM(m int) Option {
 	}
 }
 
+// prefix is the start of every irHINT build: the domain over c
+// (resolveDomain) beside the objects of order in id order and their
+// per-element counts (model.Collection.IDOrder), on the process-wide pool.
+func prefix(c *model.Collection, cfg config, order *model.Collection) (domain.Domain, []model.Object, []int) {
+	var p struct {
+		dom   domain.Domain
+		objs  []model.Object
+		freqs []int
+	}
+	hint.Fan(2, func(int) int { return 1 }, func() struct{} { return struct{}{} }, func(_ struct{}, i int) {
+		if i == 0 {
+			p.dom = resolveDomain(c, cfg)
+		} else {
+			p.objs, p.freqs = order.IDOrder()
+		}
+	})
+	return p.dom, p.objs, p.freqs
+}
+
 // resolveDomain picks the discretization domain: collection span, with m
 // fixed or derived from the cost model.
 func resolveDomain(c *model.Collection, cfg config) domain.Domain {

@@ -125,7 +125,6 @@ func lastIn(dom domain.Domain, hi uint32) model.Timestamp {
 func (d *divIF) fill(b *perfBuilder, asgs []hint.Assignment, level int, j uint32, orig bool) {
 	_, hi := b.dom.PartitionExtent(level, j)
 	last := lastIn(b.dom, hi)
-	b.seen = b.seen[:0]
 	total, in := 0, 0
 	for i := range asgs {
 		o := &b.objs[asgs[i].Obj]
@@ -137,14 +136,12 @@ func (d *divIF) fill(b *perfBuilder, asgs []hint.Assignment, level int, j uint32
 		step := 1 + aft*(1<<32-1)
 		for _, e := range o.Elems {
 			if b.cur[e] == 0 {
-				b.seen = append(b.seen, e)
+				b.seen.add(e)
 			}
 			b.cur[e] += step
 		}
 	}
-	slices.Sort(b.seen)
-	d.elems = make([]model.ElemID, len(b.seen))
-	copy(d.elems, b.seen)
+	d.elems = b.seen.sorted()
 	// The counts become the in pass's cursors: into the ids and starts in
 	// the low half, into the ends in the high.
 	d.runs = make([]run, len(d.elems))

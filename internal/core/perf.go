@@ -49,8 +49,10 @@ func NewPerf(c *model.Collection, opts ...Option) *PerfIndex {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ix := &PerfIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
-	ix.levels, ix.freqs = bulkBuild(&ix.dom, c, ix.fillDense, newPerfBuilder, func(b *perfBuilder, p *perfPart, replica bool, asgs []hint.Assignment) {
+	ix := &PerfIndex{live: len(c.Objects)}
+	var objs []model.Object
+	ix.dom, objs, ix.freqs = prefix(c, cfg, c)
+	ix.levels = bulkBuild(&ix.dom, objs, ix.freqs, ix.fillDense, newPerfBuilder, func(b *perfBuilder, p *perfPart, replica bool, asgs []hint.Assignment) {
 		d := &p.o
 		if replica {
 			d = &p.r
@@ -74,7 +76,7 @@ const fillChunk = 1 << 13
 // elements' bitmaps current but makes no element dense.
 //
 // It returns the jobs that set the bit of every object in every bitmap of
-// an element it carries: bulkBuild runs them beside its serial pass 1.
+// an element it carries: bulkBuild runs them beside pass 1.
 // Each job covers whole 64-id words, so jobs write disjoint words. The
 // fill has no dense-or-sparse branch: a sparse element's bits go to a
 // spare bitmap that is then dropped.

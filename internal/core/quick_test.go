@@ -287,3 +287,65 @@ func TestPerfDeletesInComparisonFreeDivisions(t *testing.T) {
 	}
 	t.Logf("deleted survivors past a bit test: %d", probed)
 }
+
+// Property: elemSet hands out the elements it was given ascending, exactly
+// what slices.Sort makes of them, whichever of its two ways the count rule
+// picks — and so does each way alone — and it is empty afterwards, so the
+// next division's set starts clean. The sets include the empty set, one
+// element, element 0 and the dictionary's last element.
+func TestElemSetSortedQuick(t *testing.T) {
+	const elems = 10_000
+	s := newElemSet(elems)
+	f := func(seed int64, size uint16, spread uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := int(size) % 300
+		span := 1 + int(spread)%elems
+		base := rng.Intn(elems - span + 1)
+		var met []model.ElemID
+		seen := map[model.ElemID]bool{}
+		for _, e := range []model.ElemID{0, elems - 1} {
+			if rng.Intn(3) == 0 {
+				met, seen[e] = append(met, e), true
+			}
+		}
+		for i := 0; i < k; i++ {
+			if e := model.ElemID(base + rng.Intn(span)); !seen[e] {
+				met, seen[e] = append(met, e), true
+			}
+		}
+		want := slices.Clone(met)
+		slices.Sort(want)
+		for _, way := range []func([]model.ElemID){nil, s.scan, s.sort} {
+			for _, e := range met {
+				s.add(e)
+			}
+			var got []model.ElemID
+			if way == nil {
+				got = s.sorted()
+			} else {
+				got = make([]model.ElemID, len(met))
+				if len(met) > 0 {
+					way(got)
+				}
+				s.met, s.lo, s.hi = s.met[:0], math.MaxUint32, 0
+			}
+			if !slices.Equal(got, want) || len(got) != cap(got) || slices.ContainsFunc(s.bits, func(w uint64) bool { return w != 0 }) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, set := range [][]model.ElemID{{}, {0}, {elems - 1}, {elems - 1, 0}, {5}} {
+		for _, e := range set {
+			s.add(e)
+		}
+		want := slices.Clone(set)
+		slices.Sort(want)
+		if got := s.sorted(); !slices.Equal(got, want) {
+			t.Errorf("set %v: sorted %v, want %v", set, got, want)
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

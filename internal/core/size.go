@@ -58,17 +58,20 @@ func NewSize(c *model.Collection, opts ...Option) *SizeIndex {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ix := &SizeIndex{dom: resolveDomain(c, cfg), live: len(c.Objects)}
+	ix := &SizeIndex{live: len(c.Objects)}
 	for i := range c.Objects {
 		if len(c.Objects[i].Elems) == 0 {
 			ix.bare = append(ix.bare, c.Objects[i].ID)
 		}
 	}
+	order := c
 	if len(ix.bare) > 0 {
 		slices.Sort(ix.bare)
-		c = &model.Collection{DictSize: c.DictSize, Objects: slices.DeleteFunc(slices.Clone(c.Objects), func(o model.Object) bool { return len(o.Elems) == 0 })}
+		order = &model.Collection{DictSize: c.DictSize, Objects: slices.DeleteFunc(slices.Clone(c.Objects), func(o model.Object) bool { return len(o.Elems) == 0 })}
 	}
-	ix.levels, ix.freqs = bulkBuild(&ix.dom, c, nil, newBuilder, func(b *builder, p *sizePart, replica bool, asgs []hint.Assignment) {
+	var objs []model.Object
+	ix.dom, objs, ix.freqs = prefix(c, cfg, order)
+	ix.levels = bulkBuild(&ix.dom, objs, ix.freqs, nil, newBuilder, func(b *builder, p *sizePart, replica bool, asgs []hint.Assignment) {
 		d, key := &p.o, byStart
 		if replica {
 			d, key = &p.r, byEnd

@@ -16,7 +16,8 @@ import (
 
 // The bulk build kernel every HINT-backed method shares. Pass 1
 // (assignments) runs the HINT assignment once per entry and sorts the
-// (division, entry) pairs; Cut lays the hierarchy a sorted run describes
+// (division, entry) pairs, both in contiguous chunks of the entries side by
+// side; Cut lays the hierarchy a sorted run describes
 // out into exactly-sized directories, and each method fills the divisions
 // from their runs — FromRun for a plain HINT, irHINT and the tIF+HINT
 // variants with their own payloads. Pass 2 runs in parallel (Fan): irHINT
@@ -40,55 +41,174 @@ func (a Assignment) Partition() (level int, j uint32) {
 	return level, node - uint32(1)<<uint(level)
 }
 
+// assignChunk is the fewest objects one pass-1 chunk assigns: a build of
+// fewer objects runs pass 1 on one goroutine.
+const assignChunk = 1 << 12
+
 // assignments is pass 1 of the bulk build: it runs Assign once for each of
 // n intervals, iv(0) to iv(n-1), and returns the assignments ordered by
-// key, entries in index order within a key.
-func assignments(dom domain.Domain, n int, iv func(i int) model.Interval) []Assignment {
-	asg := make([]Assignment, 0, 2*n)
-	var obj uint32
-	record := func(level int, j uint32, original, _ bool) {
-		key := (uint32(1)<<uint(level) + j) << 1
-		if !original {
-			key |= 1
+// key, entries in index order within a key. The intervals are cut into
+// contiguous chunks, one per goroutine the pool lends (width), each
+// assigned into its own run; the beside jobs, job(0) to job(beside-1),
+// run on the same goroutines after the chunks. The radix sort then orders
+// the runs' concatenation stably, so the result does not depend on how
+// many chunks there were.
+func assignments(dom domain.Domain, n int, iv func(i int) model.Interval, beside int, job func(i int)) []Assignment {
+	chunks := width((n + assignChunk - 1) / assignChunk)
+	s := newRadix(chunks, dom.M+2)
+	// Each chunk's run starts in its own stretch of one arena, room for
+	// two assignments per interval; a run that outgrows it moves out.
+	s.spare = make([]Assignment, 2*n)
+	spread(chunks+beside, func(c int) {
+		if c >= chunks {
+			job(c - chunks)
+			return
 		}
-		asg = append(asg, Assignment{key, obj})
-	}
-	for i := 0; i < n; i++ {
-		obj = uint32(i)
-		Assign(dom, iv(i), record)
-	}
-	return sortByKey(asg, dom.M+2)
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		run := s.spare[2*lo : 2*lo : 2*hi]
+		var obj uint32
+		record := func(level int, j uint32, original, _ bool) {
+			key := (uint32(1)<<uint(level) + j) << 1
+			if !original {
+				key |= 1
+			}
+			run = append(run, Assignment{key, obj})
+		}
+		for i := lo; i < hi; i++ {
+			obj = uint32(i)
+			Assign(dom, iv(i), record)
+		}
+		s.runs[c] = run
+		s.count(c)
+	})
+	return s.sort()
 }
 
 // AssignObjects is pass 1 for the methods that index objects by element,
 // over the objects in id order (model.Collection.IDOrder): their
-// assignments ordered by key, objects in id order within a key.
-func AssignObjects(dom domain.Domain, objs []model.Object) []Assignment {
-	return assignments(dom, len(objs), func(i int) model.Interval { return objs[i].Interval })
+// assignments ordered by key, objects in id order within a key. The
+// beside jobs, job(0) to job(beside-1), run next to it on the same pool,
+// and it returns when they have finished too.
+func AssignObjects(dom domain.Domain, objs []model.Object, beside int, job func(i int)) []Assignment {
+	return assignments(dom, len(objs), func(i int) model.Interval { return objs[i].Interval }, beside, job)
 }
 
-// sortByKey orders a by its low keyBits key bits, entries keeping their
-// order within a key: an LSD radix sort, one stable counting pass per
-// digit, so the cost does not depend on how many divisions are populated.
-func sortByKey(a []Assignment, keyBits int) []Assignment {
-	const digitBits, mask = 11, 1<<11 - 1
-	tmp := make([]Assignment, len(a))
-	for shift := 0; shift < keyBits; shift += digitBits {
-		var next [mask + 2]int
-		for i := range a {
-			next[(a[i].Key>>shift)&mask+1]++
-		}
-		for d := 1; d < len(next); d++ {
-			next[d] += next[d-1]
-		}
-		for _, x := range a {
-			d := (x.Key >> shift) & mask
-			tmp[next[d]] = x
-			next[d]++
-		}
-		a, tmp = tmp, a
+// radix is pass 1's sort: an LSD radix sort of the runs' concatenation by
+// the low keyBits key bits, one stable counting pass per digit, so the
+// cost does not depend on how many divisions are populated. Every pass
+// cuts its input into stretches — the runs in the first pass, as many
+// equal stretches of the last pass's output after it — and each stretch
+// counts its digits into its own histogram on its own goroutine. One
+// prefix sum over (digit, stretch) turns the histograms into write
+// offsets, so that stretch c writes each digit's entries behind those of
+// the stretches before it, and the stretches scatter side by side: the
+// output is the same however many stretches there are.
+type radix struct {
+	runs   [][]Assignment
+	counts []int        // stretch c's histogram is counts[c<<digit:][:1<<digit]
+	dst    []Assignment // the pass's output
+	spare  []Assignment // the next pass's output, once the runs are read
+	bits   int          // key bits
+	digit  int          // bits per digit: the key bits spread evenly over the passes
+	shift  int          // the pass's digit
+}
+
+// digitBits is the widest digit the sort uses.
+const digitBits = 11
+
+func newRadix(stretches, keyBits int) *radix {
+	passes := (keyBits + digitBits - 1) / digitBits
+	digit := (keyBits + passes - 1) / passes
+	return &radix{runs: make([][]Assignment, stretches), counts: make([]int, stretches<<digit), bits: keyBits, digit: digit}
+}
+
+// hist returns stretch c's histogram.
+func (s *radix) hist(c int) []int {
+	return s.counts[c<<s.digit : (c+1)<<s.digit]
+}
+
+// count fills stretch c's histogram of the pass's digit.
+func (s *radix) count(c int) {
+	cnt, shift, mask := s.hist(c), s.shift, uint32(1)<<s.digit-1
+	clear(cnt)
+	for _, a := range s.runs[c] {
+		cnt[a.Key>>shift&mask]++
 	}
-	return a
+}
+
+// scatter writes stretch c to the pass's output at its offsets.
+func (s *radix) scatter(c int) {
+	cnt, dst, shift, mask := s.hist(c), s.dst, s.shift, uint32(1)<<s.digit-1
+	for _, a := range s.runs[c] {
+		d := a.Key >> shift & mask
+		dst[cnt[d]] = a
+		cnt[d]++
+	}
+}
+
+// sort runs the passes over the counted runs and returns the sorted
+// concatenation. A second pass writes into spare, the arena the runs were
+// assigned into, so the sort holds two buffers, as any LSD sort must.
+func (s *radix) sort() []Assignment {
+	n := 0
+	for _, r := range s.runs {
+		n += len(r)
+	}
+	s.dst = make([]Assignment, n)
+	w, size, scatter := len(s.runs), 1<<s.digit, s.scatter
+	for {
+		off := 0
+		for d := 0; d < size; d++ {
+			for c := 0; c < w; c++ {
+				k := c*size + d
+				s.counts[k], off = off, off+s.counts[k]
+			}
+		}
+		spread(w, scatter)
+		if s.shift += s.digit; s.shift >= s.bits {
+			return s.dst
+		}
+		for _, r := range s.runs {
+			if len(s.spare) < n && cap(r) >= n {
+				s.spare = r[:n] // a run that outgrew the arena and holds it all
+			}
+		}
+		if len(s.spare) < n {
+			s.spare = make([]Assignment, n)
+		}
+		for c := range s.runs {
+			s.runs[c] = s.dst[c*n/w : (c+1)*n/w]
+		}
+		spread(w, s.count)
+		s.dst, s.spare = s.spare[:n], s.dst
+	}
+}
+
+// width is how many goroutines a build fan-out of n jobs runs on: no more
+// than the process-wide pool (exec.Default) lends or there are Ps, so that
+// under GOMAXPROCS 1, or inside a fan-out that already holds the pool's
+// tokens, the jobs run on the caller's goroutine.
+func width(n int) int {
+	return max(1, min(exec.Default().Workers(), runtime.GOMAXPROCS(0), n))
+}
+
+// spread runs job(i) for every i in [0, n) on width(n) goroutines of the
+// process-wide pool, each taking the next job not yet taken, and returns
+// when every job has finished. On one goroutine the jobs run in index
+// order. Jobs must write disjoint memory.
+func spread(n int, job func(i int)) {
+	if w := width(n); w > 1 {
+		var next atomic.Int64
+		exec.Default().Map(w, func(int) {
+			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+				job(k)
+			}
+		})
+		return
+	}
+	for i := 0; i < n; i++ {
+		job(i)
+	}
 }
 
 // Cut lays out the hierarchy of an m-bit domain that a run ordered by key
@@ -179,13 +299,12 @@ func Fan[S any](n int, size func(i int) int, newScratch func() S, job func(s S, 
 			order = append(order, uint64(math.MaxUint32-uint32(min(sz, math.MaxUint32)))<<32|uint64(i))
 		}
 	}
-	pool := exec.Default()
-	workers := min(pool.Workers(), runtime.GOMAXPROCS(0), len(order))
+	workers := width(len(order))
 	if workers > 1 {
 		slices.Sort(order)
 	}
 	var next atomic.Int64
-	pool.Map(workers, func(int) {
+	exec.Default().Map(workers, func(int) {
 		var s S
 		made := false
 		for {
@@ -247,7 +366,7 @@ func FromRun(dom domain.Domain, run []Assignment, entries []postings.Posting) *I
 // Build builds a HINT over entries, in any order, with the bulk kernel.
 // Entries keep their original timestamps.
 func Build(dom domain.Domain, entries []postings.Posting) *Index {
-	run := assignments(dom, len(entries), func(i int) model.Interval { return entries[i].Interval })
+	run := assignments(dom, len(entries), func(i int) model.Interval { return entries[i].Interval }, 0, nil)
 	arena := make([]postings.Posting, len(run))
 	for i, a := range run {
 		arena[i] = entries[a.Obj]

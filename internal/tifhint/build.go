@@ -25,7 +25,7 @@ type bulk struct {
 
 func newBulk(dom domain.Domain, c *model.Collection) *bulk {
 	objs, freqs := c.IDOrder()
-	asg := hint.AssignObjects(dom, objs)
+	asg := hint.AssignObjects(dom, objs, 0, nil)
 	// Count each element's run, then turn the counts into write cursors.
 	cursor := make([]int, len(freqs))
 	for _, a := range asg {
